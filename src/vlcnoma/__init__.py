@@ -2,58 +2,4 @@
 randomly oriented receivers: a Monte Carlo link simulator and a closed-form
 engine that must agree with it."""
 
-from .channel import LedGeometry, ReceiverState, channel_gain, incidence_angle, irradiance_cosine, lambertian_order, mean_channel_gain
-from .link import (
-    GainThresholds,
-    InfeasibleAllocationError,
-    NomaConfig,
-    PowerAllocation,
-    TargetRates,
-    epsilon_threshold,
-    eta_thresholds,
-    noma_pair_outcome,
-    noma_sum_rate,
-    oma_gain_thresholds,
-    oma_sum_rate,
-    rate_from_sinr,
-    sinr_cross,
-    sinr_own,
-)
-from .population import (
-    MobilityConfig,
-    PopulationSnapshot,
-    conditional_phi_cdf,
-    marginal_phi_cdf,
-    noisy_estimates,
-    sample_population,
-)
-from .quadrature import QuadratureConfig, QuadratureError
-from .scheduling import (
-    FeedbackKind,
-    FeedbackScheme,
-    GroupAssignment,
-    ScheduleDecision,
-    group_users,
-    one_bit_feedback,
-    order_distance,
-    order_full_csi,
-    order_mean_gain,
-    select_group_pair,
-    select_individual,
-    two_bit_feedback,
-)
-from .simulate import CurvePoint, ExperimentConfig, NoiseConfig, empirical_cdf, run_sweep, run_trial
-from .analytic import (
-    AnalyticModel,
-    group_gain_cdf_instant,
-    group_gain_cdf_mean,
-    group_outage,
-    individual_outage,
-    nonzero_count_pmf,
-    nonzero_gain_probability,
-    ordered_gain_cdf,
-    sum_rate_sweep,
-    unordered_gain_cdf,
-)
-
 __version__ = "0.1.0"

@@ -35,8 +35,8 @@ from scipy.interpolate import PchipInterpolator
 from scipy.stats import binom
 
 from .channel import LedGeometry
-from .link import eta_thresholds, oma_gain_thresholds
-from .population import MobilityConfig, conditional_phi_cdf, marginal_phi_cdf_scalar, mean_phi_cdf_scalar
+from .link import CurvePoint, eta_thresholds, noma_sum_rate, oma_gain_thresholds
+from .population import MobilityConfig, conditional_phi_cdf, marginal_phi_cdf, mean_phi_cdf
 from .quadrature import QuadratureConfig, integrate_adaptive
 from .scheduling import FeedbackKind, FeedbackScheme
 
@@ -118,7 +118,7 @@ def fov_probability(model, r, half_angle, use_mean=False):
     if half_angle < 0.0:
         raise ValueError("half_angle must be nonnegative")
     c = boresight_angle(model.geom, r)
-    cdf = mean_phi_cdf_scalar if use_mean else marginal_phi_cdf_scalar
+    cdf = mean_phi_cdf if use_mean else marginal_phi_cdf
     value = cdf(model.mobility, c + half_angle) - cdf(model.mobility, c - half_angle)
     return min(max(value, 0.0), 1.0)
 
@@ -406,6 +406,9 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
 # ---------------------------------------------------------------------------
 # Group scheduling, instantaneous-angle reports
 # ---------------------------------------------------------------------------
+
+
+TWO_BIT_KINDS = (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN)
 
 
 def _require_group_scheme(model, kinds):
@@ -712,10 +715,10 @@ class GroupStats:
     both_nonempty: float
 
 
-def group_probabilities(model, variant):
-    """Membership probabilities of the weak/strong groups for one report variant."""
-    scheme = _require_group_scheme(model, (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN))
-    use_mean = variant_uses_mean(variant)
+def group_probabilities(model):
+    """Membership probabilities of the weak/strong groups of the model's two-bit scheme."""
+    scheme = _require_group_scheme(model, TWO_BIT_KINDS)
+    use_mean = scheme.kind is FeedbackKind.TWO_BIT_MEAN
     mob = model.mobility
     th = scheme.theta_threshold
     pts_w = _corner_crossings(model, (th, -th), scheme.d_threshold, mob.d_max, use_mean=use_mean)
@@ -740,22 +743,14 @@ def group_probabilities(model, variant):
     return GroupStats(p_weak=p_w, p_strong=p_s, both_nonempty=min(max(both, 0.0), 1.0))
 
 
-def variant_uses_mean(variant):
-    if variant in ("instant", FeedbackKind.TWO_BIT_INSTANT):
-        return False
-    if variant in ("mean", FeedbackKind.TWO_BIT_MEAN):
-        return True
-    raise ValueError(f"unknown group variant {variant!r}")
-
-
-def group_success_probability(model, threshold, role, variant, with_error=False):
+def group_success_probability(model, threshold, role, with_error=False):
     """Pr(squared gain > threshold) for a uniformly picked member of one group.
 
     This is the quantity the scheduler realizes: membership comes from the
-    (instantaneous or mean) report, the gain stays instantaneous, and zero
-    gains count as failures.
+    report of the model's scheme (instantaneous or mean angle), the gain stays
+    instantaneous, and zero gains count as failures.
     """
-    scheme = _require_group_scheme(model, (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN))
+    scheme = _require_group_scheme(model, TWO_BIT_KINDS)
     geom, mob = model.geom, model.mobility
     theta = geom.half_fov
     th = scheme.theta_threshold
@@ -764,7 +759,7 @@ def group_success_probability(model, threshold, role, variant, with_error=False)
         value = min(max(value, 0.0), 1.0)
         return (value, err) if with_error else value
 
-    if variant_uses_mean(variant):
+    if scheme.kind is FeedbackKind.TWO_BIT_MEAN:
         _require_mean_span(model)
         if role == WEAK:
             den, den_err = _weak_membership_mean(model)
@@ -814,95 +809,68 @@ def group_success_probability(model, threshold, role, variant, with_error=False)
 # ---------------------------------------------------------------------------
 
 
-def individual_outage(model, noma, gamma, rank_weak, rank_strong):
-    """Conditional outage pair for individually scheduled ranks (full-CSI ordering)."""
-    thr = eta_thresholds(noma.targets, noma.alloc, gamma)
-    p_weak = ordered_gain_cdf(model, thr.eta_weak, rank_weak, rank_strong)
-    p_strong = ordered_gain_cdf(model, thr.eta_strong, rank_strong, rank_strong)
-    return p_weak, p_strong
+def individual_outage(model, thresholds, rank_weak, rank_strong):
+    """Outage pair with errors (p_weak, err_weak, p_strong, err_strong) of the full-CSI ranked pair.
+
+    Conditional on at least ``rank_strong`` users with nonzero gain.
+    """
+    pw, ew = ordered_gain_cdf(model, thresholds.eta_weak, rank_weak, rank_strong, with_error=True)
+    ps, es = ordered_gain_cdf(model, thresholds.eta_strong, rank_strong, rank_strong, with_error=True)
+    return pw, ew, ps, es
 
 
-def individual_oma_outage(model, noma, gamma, rank_weak, rank_strong, time_share=2):
-    """Outage pair of the OMA baseline on the same individually scheduled ranks."""
-    thr = oma_gain_thresholds(noma.targets, gamma, time_share)
-    p_weak = ordered_gain_cdf(model, thr.eta_weak, rank_weak, rank_strong)
-    p_strong = ordered_gain_cdf(model, thr.eta_strong, rank_strong, rank_strong)
-    return p_weak, p_strong
+def mean_angle_outage(model, thresholds, rank_weak, rank_strong):
+    """Outage pair with errors of the pair ranked by mean-angle gain, as individual_outage."""
+    sw, ew = mean_angle_success_probability(model, thresholds.eta_weak, rank_weak, rank_strong, with_error=True)
+    ss, es = mean_angle_success_probability(model, thresholds.eta_strong, rank_strong, rank_strong, with_error=True)
+    return 1.0 - sw, ew, 1.0 - ss, es
 
 
-def group_outage(model, noma, gamma, variant):
-    """Conditional outage pair for group scheduling, given both groups formed."""
-    thr = eta_thresholds(noma.targets, noma.alloc, gamma)
-    p_weak = 1.0 - group_success_probability(model, thr.eta_weak, WEAK, variant)
-    p_strong = 1.0 - group_success_probability(model, thr.eta_strong, STRONG, variant)
-    return p_weak, p_strong
+def group_outage(model, thresholds):
+    """Outage pair with errors of the model's two-bit group scheduling, given both groups formed."""
+    sw, ew = group_success_probability(model, thresholds.eta_weak, WEAK, with_error=True)
+    ss, es = group_success_probability(model, thresholds.eta_strong, STRONG, with_error=True)
+    return 1.0 - sw, ew, 1.0 - ss, es
 
 
-def group_oma_outage(model, noma, gamma, variant, time_share=2):
-    thr = oma_gain_thresholds(noma.targets, gamma, time_share)
-    p_weak = 1.0 - group_success_probability(model, thr.eta_weak, WEAK, variant)
-    p_strong = 1.0 - group_success_probability(model, thr.eta_strong, STRONG, variant)
-    return p_weak, p_strong
+def _ranked_route(model, kind, rank_weak, rank_strong):
+    use_mean = kind is FeedbackKind.MEAN_ANGLE
+    pair = mean_angle_outage if use_mean else individual_outage
+    cond = nonzero_count_tail(model, rank_strong, use_mean=use_mean)
+    return cond, lambda thr: pair(model, thr, rank_weak, rank_strong)
 
 
-def _point(gamma_db, p_weak, p_strong, err, targets, cond_rate):
-    from .simulate import CurvePoint
-
-    sum_rate = (1.0 - p_weak) * targets.rate_weak + (1.0 - p_strong) * targets.rate_strong
-    return CurvePoint(
-        gamma_db=float(gamma_db),
-        sum_rate=float(sum_rate),
-        ci_halfwidth=float(err),
-        outage_weak=float(p_weak),
-        outage_strong=float(p_strong),
-        conditioning_rate=float(cond_rate),
-    )
+def _group_route(model, kind, rank_weak, rank_strong):
+    if model.scheme is None or model.scheme.kind is not kind:
+        raise ValueError(f"the {kind.value} route needs model.scheme of that kind")
+    return group_probabilities(model).both_nonempty, lambda thr: group_outage(model, thr)
 
 
-_STRATEGY_KIND = {
-    "individual": FeedbackKind.FULL_CSI,
-    "individual-mean": FeedbackKind.MEAN_ANGLE,
-    "group-instant": FeedbackKind.TWO_BIT_INSTANT,
-    "group-mean": FeedbackKind.TWO_BIT_MEAN,
+# the scheme kinds with a closed-form route; each route returns
+# (conditioning rate, outage pair with errors as a function of the gain thresholds)
+ROUTES = {
+    FeedbackKind.FULL_CSI: _ranked_route,
+    FeedbackKind.MEAN_ANGLE: _ranked_route,
+    FeedbackKind.TWO_BIT_INSTANT: _group_route,
+    FeedbackKind.TWO_BIT_MEAN: _group_route,
 }
 
 
-def sum_rate_sweep(model, noma, gamma_db_grid, strategy, rank_weak=1, rank_strong=10,
+def sum_rate_sweep(model, noma, gamma_db_grid, kind, rank_weak=1, rank_strong=10,
                    include_oma=True, oma_time_share=2):
-    """Closed-form sum-rate curves with the same labels/conditioning as run_sweep.
+    """Closed-form sum-rate curves of one scheme kind with the same labels/conditioning as run_sweep.
 
-    ``strategy`` is "individual" (full-CSI ranked pair), "individual-mean"
-    (pair ranked by mean-angle gain), "group-instant" or "group-mean".
+    ``kind`` is a FeedbackKind in ROUTES; the two-bit kinds read their
+    thresholds from ``model.scheme``, which must be of that kind.
     CurvePoint.ci_halfwidth carries the propagated quadrature error estimate,
     and conditioning_rate the probability of the scheduling precondition
     (enough nonzero-gain reports / both groups nonempty).
     """
-    if strategy == "individual":
-        cond = nonzero_count_tail(model, rank_strong)
-
-        def outage(thr):
-            pw, ew = ordered_gain_cdf(model, thr.eta_weak, rank_weak, rank_strong, with_error=True)
-            ps, es = ordered_gain_cdf(model, thr.eta_strong, rank_strong, rank_strong, with_error=True)
-            return pw, ew, ps, es
-    elif strategy == "individual-mean":
-        cond = nonzero_count_tail(model, rank_strong, use_mean=True)
-
-        def outage(thr):
-            sw, ew = mean_angle_success_probability(model, thr.eta_weak, rank_weak, rank_strong, with_error=True)
-            ss, es = mean_angle_success_probability(model, thr.eta_strong, rank_strong, rank_strong, with_error=True)
-            return 1.0 - sw, ew, 1.0 - ss, es
-    elif strategy in ("group-instant", "group-mean"):
-        variant = strategy[len("group-"):]
-        cond = group_probabilities(model, variant).both_nonempty
-
-        def outage(thr):
-            sw, ew = group_success_probability(model, thr.eta_weak, WEAK, variant, with_error=True)
-            ss, es = group_success_probability(model, thr.eta_strong, STRONG, variant, with_error=True)
-            return 1.0 - sw, ew, 1.0 - ss, es
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if kind not in ROUTES:
+        raise ValueError(f"no closed-form route for scheme {kind!r}")
+    cond, outage = ROUTES[kind](model, kind, rank_weak, rank_strong)
     targets = noma.targets
-    thresholds = {f"noma-{_STRATEGY_KIND[strategy].value}": lambda gamma: eta_thresholds(targets, noma.alloc, gamma)}
+    thresholds = {f"noma-{kind.value}": lambda gamma: eta_thresholds(targets, noma.alloc, gamma)}
     if include_oma:
         thresholds["oma"] = lambda gamma: oma_gain_thresholds(targets, gamma, oma_time_share)
     curves = {label: [] for label in thresholds}
@@ -910,6 +878,12 @@ def sum_rate_sweep(model, noma, gamma_db_grid, strategy, rank_weak=1, rank_stron
         gamma = 10.0 ** (gamma_db / 10.0)
         for label, thresholds_for in thresholds.items():
             pw, ew, ps, es = outage(thresholds_for(gamma))
-            err = targets.rate_weak * ew + targets.rate_strong * es
-            curves[label].append(_point(gamma_db, pw, ps, err, targets, cond))
+            curves[label].append(CurvePoint(
+                gamma_db=float(gamma_db),
+                sum_rate=float(noma_sum_rate((pw, ps), targets)),
+                ci_halfwidth=float(targets.rate_weak * ew + targets.rate_strong * es),
+                outage_weak=float(pw),
+                outage_strong=float(ps),
+                conditioning_rate=float(cond),
+            ))
     return curves

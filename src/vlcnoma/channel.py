@@ -90,22 +90,6 @@ class LedGeometry:
         return self.channel_constant / (self.ell**2 + np.asarray(d, float) ** 2) ** ((self.m + 2.0) / 2.0)
 
 
-@dataclass(frozen=True)
-class ReceiverState:
-    """One user's horizontal distance, mean vertical angle and instantaneous vertical angle.
-
-    Sampled states keep phi inside [0, pi]; noisy estimate states may not.
-    """
-
-    d: float
-    mean_phi: float
-    phi: float
-
-    def __post_init__(self):
-        if self.d < 0.0:
-            raise ValueError("horizontal distance must be nonnegative")
-
-
 def channel_gain(geom, d, phi):
     """Instantaneous DC channel gain; exactly 0 outside the FOV.  Array friendly."""
     d = np.asarray(d, float)
@@ -119,21 +103,5 @@ def channel_gain(geom, d, phi):
 
 
 def mean_channel_gain(geom, d, mean_phi):
-    """DC gain evaluated at the mean vertical angle, FOV-gated on the mean incidence.
-
-    Identical to ``channel_gain`` with phi = mean_phi: the absolute value on the
-    cosine is redundant once the gate restricts |theta| <= half_fov <= pi/2.
-    """
-    d = np.asarray(d, float)
-    theta_mean = incidence_angle(d, mean_phi, geom.ell)
-    inside = np.abs(theta_mean) <= geom.half_fov
-    base = (geom.m + 1.0) * geom.detector_area / (TWO_PI * (geom.ell**2 + d * d))
-    h = base * irradiance_cosine(d, geom.ell) ** geom.m * np.abs(np.cos(theta_mean)) * inside
-    if h.ndim == 0:
-        return float(h)
-    return h
-
-
-def state_gain(geom, state):
-    """Gain of a single ReceiverState."""
-    return channel_gain(geom, state.d, state.phi)
+    """Gain at the mean vertical angle: the report that mean-angle feedback ranks by."""
+    return channel_gain(geom, d, mean_phi)

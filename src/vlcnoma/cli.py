@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analytic import AnalyticModel, sum_rate_sweep
+from .analytic import ROUTES, AnalyticModel, sum_rate_sweep
 from .config import (
     ConfigError,
     build_experiment,
@@ -30,10 +30,9 @@ from .config import (
     read_config_file,
     resolve_groups,
 )
-from .link import InfeasibleAllocationError
+from .link import CurvePoint, InfeasibleAllocationError
 from .quadrature import QuadratureError
-from .scheduling import FeedbackKind
-from .simulate import CurvePoint, run_sweep
+from .simulate import run_sweep
 from .validation import run_validation
 
 CSV_COLUMNS = ["scheme", "gamma_db", "sum_rate", "ci_halfwidth", "outage_weak", "outage_strong", "conditioning_rate"]
@@ -42,14 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-_ANALYTIC_STRATEGY = {
-    FeedbackKind.FULL_CSI: "individual",
-    FeedbackKind.MEAN_ANGLE: "individual-mean",
-    FeedbackKind.TWO_BIT_INSTANT: "group-instant",
-    FeedbackKind.TWO_BIT_MEAN: "group-mean",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors must exit 1, not argparse's 2
@@ -170,11 +161,14 @@ def cmd_analytic(args):
     failures = 0
     for suffix, flat in groups:
         config = build_experiment(flat)
+        if config.noise is not None:
+            print(f"note: run group {suffix or 'default'!r} has estimation noise, which the closed-form engine "
+                  "does not model; skipped", file=sys.stderr)
+            continue
         quad = build_quadrature(flat)
         oma_pending = config.include_oma
         for scheme in config.schemes:
-            strategy = _ANALYTIC_STRATEGY.get(scheme.kind)
-            if strategy is None:
+            if scheme.kind not in ROUTES:
                 print(f"note: no closed-form route for scheme {scheme.kind.value!r}; skipped", file=sys.stderr)
                 continue
             model = AnalyticModel(geom=config.geom, mobility=config.mobility,
@@ -186,7 +180,7 @@ def cmd_analytic(args):
                     model,
                     config.noma,
                     config.gamma_db_grid,
-                    strategy,
+                    scheme.kind,
                     rank_weak=config.rank_weak,
                     rank_strong=config.rank_strong,
                     include_oma=include_oma,

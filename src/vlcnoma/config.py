@@ -12,8 +12,6 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .channel import LedGeometry
 from .link import NomaConfig, PowerAllocation, TargetRates
 from .population import MobilityConfig
@@ -24,6 +22,11 @@ from .simulate import ExperimentConfig, NoiseConfig
 
 class ConfigError(ValueError):
     """A configuration value failed to parse or validate; message names the field."""
+
+
+MAX_GRID_POINTS = 10_000
+MAX_TRIALS = 10_000_000  # the per-trial records of 10^7 trials take about 1 GB
+MAX_WORKERS = 64
 
 
 DEFAULTS = {
@@ -180,30 +183,43 @@ def _get_bool(flat, key):
     raise ConfigError(f"{key}: expected a boolean, got {flat[key]!r}")
 
 
+def _get_int_in(flat, key, lo, hi):
+    value = _get_int(flat, key)
+    if not lo <= value <= hi:
+        raise ConfigError(f"{key}: must lie in [{lo}, {hi}], got {value}")
+    return value
+
+
 def parse_gamma_grid(raw):
-    """Either 'start:step:stop' (inclusive) or a comma-separated dB list."""
+    """Either 'start:step:stop' (inclusive) or a comma-separated dB list of finite values.
+
+    The point count is checked against MAX_GRID_POINTS before a range is materialized.
+    """
     raw = raw.strip()
-    if not raw:
+    is_range = ":" in raw
+    parts = raw.split(":") if is_range else [p for p in raw.split(",") if p.strip()]
+    if not parts:
         raise ConfigError("sweep.gamma_db: grid must not be empty")
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"sweep.gamma_db: expected start:step:stop, got {raw!r}")
-        try:
-            start, step, stop = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.gamma_db: {raw!r} is not numeric") from exc
-        if step <= 0.0 or stop < start:
-            raise ConfigError("sweep.gamma_db: need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
+    if is_range and len(parts) != 3:
+        raise ConfigError(f"sweep.gamma_db: expected start:step:stop, got {raw!r}")
     try:
-        grid = tuple(float(p) for p in raw.split(",") if p.strip())
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"sweep.gamma_db: {raw!r} is not numeric") from exc
-    if not grid:
-        raise ConfigError("sweep.gamma_db: grid must not be empty")
-    return grid
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"sweep.gamma_db: {raw!r} has a non-finite value")
+    count = len(values)
+    if is_range:
+        start, step, stop = values
+        if step <= 0.0 or stop < start:
+            raise ConfigError("sweep.gamma_db: need step > 0 and stop >= start")
+        span = (stop - start) / step + 1e-9  # the range holds floor(span) + 1 points
+        count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"sweep.gamma_db: {raw!r} has more than {MAX_GRID_POINTS} points")
+    if is_range:
+        return tuple(start + i * step for i in range(count))
+    return tuple(values)
 
 
 _KIND_BY_NAME = {k.value: k for k in FeedbackKind}
@@ -213,6 +229,9 @@ def _build_schemes(flat, geom, mobility):
     names = [s.strip() for s in flat["schemes.list"].split(",") if s.strip()]
     if not names:
         raise ConfigError("schemes.list: need at least one scheme")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"schemes.list: {', '.join(repeated)} listed more than once")
     d_th = mobility.d_min + _get_float(flat, "schemes.d_threshold_coeff") * (mobility.d_max - mobility.d_min)
     theta_th = _get_float(flat, "schemes.theta_threshold_coeff") * geom.half_fov
     schemes = []
@@ -277,6 +296,7 @@ def build_experiment(flat):
             )
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from exc
+    _get_int_in(flat, "sweep.workers", 1, MAX_WORKERS)  # read by cmd_simulate
     oma_base_raw = flat["noma.oma_base"].strip()
     oma_base = None
     if oma_base_raw:
@@ -292,7 +312,7 @@ def build_experiment(flat):
             gamma_db_grid=parse_gamma_grid(flat["sweep.gamma_db"]),
             rank_weak=_get_int(flat, "strategy.rank_weak"),
             rank_strong=_get_int(flat, "strategy.rank_strong"),
-            trials=_get_int(flat, "sweep.trials"),
+            trials=_get_int_in(flat, "sweep.trials", 1, MAX_TRIALS),
             root_seed=_get_int(flat, "sweep.seed"),
             noise=noise,
             include_oma=_get_bool(flat, "noma.include_oma"),

@@ -158,6 +158,18 @@ def noma_sum_rate(outage_probs, targets):
     return (1.0 - p_weak) * targets.rate_weak + (1.0 - p_strong) * targets.rate_strong
 
 
+@dataclass(frozen=True)
+class CurvePoint:
+    """One (transmit SNR, sum rate) sample with its uncertainty and outage detail."""
+
+    gamma_db: float
+    sum_rate: float
+    ci_halfwidth: float
+    outage_weak: float
+    outage_strong: float
+    conditioning_rate: float
+
+
 def oma_gain_thresholds(targets, gamma, time_share=2):
     """Squared-gain outage thresholds for the OMA baseline.
 
@@ -172,11 +184,6 @@ def oma_gain_thresholds(targets, gamma, time_share=2):
         eta_weak=epsilon_threshold(time_share * targets.rate_weak) / gamma,
         eta_strong=epsilon_threshold(time_share * targets.rate_strong) / gamma,
     )
-
-
-def oma_sum_rate(outage_probs, targets):
-    """OMA sum rate: same linear form, outages taken at full power, no interference."""
-    return noma_sum_rate(outage_probs, targets)
 
 
 def _check_probability(p):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ReceiverState, channel_gain, mean_channel_gain
-
 
 @dataclass(frozen=True)
 class MobilityConfig:
@@ -62,23 +60,6 @@ class MobilityConfig:
         return self.mean_phi_max - self.mean_phi_min
 
 
-@dataclass
-class PopulationSnapshot:
-    """Arrays of per-user state plus the gains implied by the channel model."""
-
-    d: np.ndarray
-    mean_phi: np.ndarray
-    phi: np.ndarray
-    gains: np.ndarray
-    mean_gains: np.ndarray
-
-    def __len__(self):
-        return len(self.d)
-
-    def user(self, k):
-        return ReceiverState(float(self.d[k]), float(self.mean_phi[k]), float(self.phi[k]))
-
-
 def sample_user_arrays(config, rng, size):
     """Draw ``size`` i.i.d. users; returns (d, mean_phi, phi) arrays.
 
@@ -89,18 +70,6 @@ def sample_user_arrays(config, rng, size):
     mean_phi = rng.uniform(config.mean_phi_min, config.mean_phi_max, size)
     phi = mean_phi + rng.uniform(-config.delta_phi, config.delta_phi, size)
     return d, mean_phi, phi
-
-
-def sample_population(config, geom, rng):
-    """One snapshot of ``config.num_users`` users with true and mean gains."""
-    d, mean_phi, phi = sample_user_arrays(config, rng, config.num_users)
-    return PopulationSnapshot(
-        d=d,
-        mean_phi=mean_phi,
-        phi=phi,
-        gains=channel_gain(geom, d, phi),
-        mean_gains=mean_channel_gain(geom, d, mean_phi),
-    )
 
 
 def conditional_phi_cdf(mean_phi, delta_phi, x):
@@ -118,54 +87,8 @@ def conditional_phi_cdf(mean_phi, delta_phi, x):
     return out
 
 
-def _uniform_step_integral(t, half_width):
+def _step_integral(t, half_width):
     """Antiderivative G with G'(t) = CDF of U[-half_width, half_width] at t, G(-hw) = 0."""
-    t = np.asarray(t, float)
-    if half_width == 0.0:
-        return np.maximum(t, 0.0)
-    out = np.where(
-        t <= -half_width,
-        0.0,
-        np.where(t >= half_width, t, (t + half_width) ** 2 / (4.0 * half_width)),
-    )
-    return out
-
-
-def marginal_phi_cdf(config, x):
-    """Marginal CDF of the instantaneous vertical angle (trapezoidal closed form).
-
-    The angle is mean + deviation with mean ~ U[mean_phi_min, mean_phi_max] and
-    deviation ~ U[-delta_phi, delta_phi]; integrating the conditional CDF over
-    the mean gives [G(x - lo) - G(x - hi)] / (hi - lo) with G above.  Degenerate
-    layers (delta_phi = 0 and/or lo = hi) reduce to uniform / step CDFs.
-    """
-    x = np.asarray(x, float)
-    lo, hi = config.mean_phi_min, config.mean_phi_max
-    if hi == lo:
-        return conditional_phi_cdf(lo, config.delta_phi, x)
-    out = (_uniform_step_integral(x - lo, config.delta_phi) - _uniform_step_integral(x - hi, config.delta_phi)) / (
-        hi - lo
-    )
-    out = np.clip(out, 0.0, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def mean_phi_cdf(config, x):
-    """CDF of the mean vertical angle alone: U[mean_phi_min, mean_phi_max]."""
-    x = np.asarray(x, float)
-    lo, hi = config.mean_phi_min, config.mean_phi_max
-    if hi == lo:
-        out = (x >= lo).astype(float)
-    else:
-        out = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _step_integral_scalar(t, half_width):
     if half_width == 0.0:
         return t if t > 0.0 else 0.0
     if t <= -half_width:
@@ -175,47 +98,41 @@ def _step_integral_scalar(t, half_width):
     return (t + half_width) ** 2 / (4.0 * half_width)
 
 
-def marginal_phi_cdf_scalar(config, x):
-    """Scalar fast path of marginal_phi_cdf for quadrature integrands."""
+def marginal_phi_cdf(config, x):
+    """Marginal CDF of the instantaneous vertical angle at one point (trapezoidal closed form).
+
+    The angle is mean + deviation with mean ~ U[mean_phi_min, mean_phi_max] and
+    deviation ~ U[-delta_phi, delta_phi]; integrating the conditional CDF over
+    the mean gives [G(x - lo) - G(x - hi)] / (hi - lo) with G above.  Degenerate
+    layers (delta_phi = 0 and/or lo = hi) reduce to uniform / step CDFs.
+    """
     lo, hi = config.mean_phi_min, config.mean_phi_max
     if hi == lo:
         if config.delta_phi == 0.0:
             return 1.0 if x >= lo else 0.0
         return min(max((x - lo + config.delta_phi) / (2.0 * config.delta_phi), 0.0), 1.0)
-    value = (_step_integral_scalar(x - lo, config.delta_phi) - _step_integral_scalar(x - hi, config.delta_phi)) / (
-        hi - lo
-    )
+    value = (_step_integral(x - lo, config.delta_phi) - _step_integral(x - hi, config.delta_phi)) / (hi - lo)
     return min(max(value, 0.0), 1.0)
 
 
-def mean_phi_cdf_scalar(config, x):
-    """Scalar fast path of mean_phi_cdf for quadrature integrands."""
+def mean_phi_cdf(config, x):
+    """CDF of the mean vertical angle alone, U[mean_phi_min, mean_phi_max], at one point."""
     lo, hi = config.mean_phi_min, config.mean_phi_max
     if hi == lo:
         return 1.0 if x >= lo else 0.0
     return min(max((x - lo) / (hi - lo), 0.0), 1.0)
 
 
-def noisy_estimates(state, sigma_d, sigma_phi, rng):
-    """Gaussian-perturbed copy of a receiver state, for feedback computation only.
-
-    Distance, instantaneous angle and mean angle receive independent zero-mean
-    real Gaussian errors; negative noisy distances are clamped at zero.  The
-    true channel is never evaluated on the returned state.
-    """
-    if sigma_d < 0.0 or sigma_phi < 0.0:
-        raise ValueError("noise standard deviations must be nonnegative")
-    d_hat = max(0.0, state.d + sigma_d * rng.standard_normal())
-    phi_hat = state.phi + sigma_phi * rng.standard_normal()
-    mean_phi_hat = state.mean_phi + sigma_phi * rng.standard_normal()
-    return ReceiverState(d_hat, mean_phi_hat, phi_hat)
-
-
 def noisy_estimate_arrays(d, mean_phi, phi, sigma_d, sigma_phi, rng):
     """Vectorized noisy estimates (d_hat, mean_phi_hat, phi_hat) for a snapshot.
 
-    Draw order: distance errors, instantaneous-angle errors, mean-angle errors.
+    Distance, instantaneous angle and mean angle receive independent zero-mean
+    real Gaussian errors; negative noisy distances are clamped at zero.  The
+    true channel is never evaluated on the estimates.  Draw order: distance
+    errors, instantaneous-angle errors, mean-angle errors.
     """
+    if sigma_d < 0.0 or sigma_phi < 0.0:
+        raise ValueError("noise standard deviations must be nonnegative")
     d_hat = np.maximum(0.0, d + sigma_d * rng.standard_normal(len(d)))
     phi_hat = phi + sigma_phi * rng.standard_normal(len(d))
     mean_phi_hat = mean_phi + sigma_phi * rng.standard_normal(len(d))

@@ -9,7 +9,6 @@ not have to hunt for them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,37 +44,28 @@ def integrate_adaptive(f, a, b, config, breakpoints=()):
     """Integral of f over [a, b] with an error estimate; raises on non-convergence.
 
     ``breakpoints`` are pre-split locations (values outside (a, b) are dropped).
-    Returns (value, error_estimate).
+    Returns (value, error_estimate).  QuadratureError is raised when QUADPACK
+    flags the result and the estimate exceeds 100 times the requested
+    tolerance (and 1e-7); a flagged result within that margin is returned.
     """
     if b <= a:
         return 0.0, 0.0
     pts = np.asarray([p for p in breakpoints if a < p < b], float)
     pts = np.unique(pts) if pts.size else None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, err = integrate.quad(
-                f, a, b,
-                epsabs=config.abs_tol,
-                epsrel=config.rel_tol,
-                limit=config.max_subdivisions,
-                points=pts,
-            )
-        except integrate.IntegrationWarning as warn:
-            # retry once without erroring to recover the achieved estimate
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            value, err = integrate.quad(
-                f, a, b,
-                epsabs=config.abs_tol,
-                epsrel=config.rel_tol,
-                limit=config.max_subdivisions,
-                points=pts,
-            )
-            bound = max(config.abs_tol, config.rel_tol * abs(value))
-            if err > max(bound * 100.0, 1e-7):
-                raise QuadratureError(
-                    f"quadrature did not converge: estimate {err:.3e} for value {value:.6e} ({warn})",
-                    value,
-                    err,
-                ) from warn
+    # with full_output QUADPACK's flag comes back as a trailing message instead of a warning
+    value, err, _, *message = integrate.quad(
+        f, a, b,
+        full_output=1,
+        epsabs=config.abs_tol,
+        epsrel=config.rel_tol,
+        limit=config.max_subdivisions,
+        points=pts,
+    )
+    bound = max(config.abs_tol, config.rel_tol * abs(value))
+    if message and err > max(bound * 100.0, 1e-7):
+        raise QuadratureError(
+            f"quadrature did not converge: estimate {err:.3e} for value {value:.6e} ({message[0]})",
+            value,
+            err,
+        )
     return value, err

@@ -85,35 +85,18 @@ class GroupAssignment:
     strong_group: np.ndarray
 
 
-def _ascending_order(values, mask=None):
-    # stable argsort => ties broken by ascending user index
-    if mask is None:
-        return np.argsort(values, kind="stable")
-    idx = np.flatnonzero(mask)
-    return idx[np.argsort(values[idx], kind="stable")]
-
-
-def order_full_csi(snapshot):
-    """Users with nonzero true gain, weakest first."""
-    return _ascending_order(snapshot.gains, snapshot.gains > 0.0)
-
-
-def order_mean_gain(snapshot):
-    """Users with nonzero mean gain ordered by it; their true gain may still be zero."""
-    return _ascending_order(snapshot.mean_gains, snapshot.mean_gains > 0.0)
-
-
 def order_by_gain_arrays(gains):
-    """Ascending order of a raw (possibly estimated) gain array, zeros excluded."""
-    return _ascending_order(np.asarray(gains, float), np.asarray(gains, float) > 0.0)
+    """Ascending order of a raw (possibly estimated) gain array, zeros excluded.
 
-
-def order_distance(snapshot):
-    """All users, farthest (presumed weakest) first; no FOV information used."""
-    return order_by_distance_array(snapshot.d)
+    The stable sort breaks ties by ascending user index.
+    """
+    gains = np.asarray(gains, float)
+    idx = np.flatnonzero(gains > 0.0)
+    return idx[np.argsort(gains[idx], kind="stable")]
 
 
 def order_by_distance_array(d):
+    """All users, farthest (presumed weakest) first; no FOV information used."""
     return np.argsort(-np.asarray(d, float), kind="stable")
 
 

@@ -15,17 +15,16 @@ precondition failed (too few ranked candidates, or an empty candidate group).
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .channel import LedGeometry, channel_gain, mean_channel_gain
-from .link import NomaConfig, eta_thresholds, oma_gain_thresholds
+from .link import CurvePoint, NomaConfig, eta_thresholds, noma_pair_outcome, oma_gain_thresholds
 from .population import MobilityConfig, noisy_estimate_arrays, sample_user_arrays
 from .scheduling import (
     FeedbackKind,
-    FeedbackScheme,
     group_users,
     group_users_one_bit,
     one_bit_feedback,
@@ -88,18 +87,6 @@ class ExperimentConfig:
         if self.include_oma and self.oma_base is not None:
             if self.oma_base not in [s.kind for s in self.schemes]:
                 raise ValueError("oma_base must reference a configured scheme")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One (transmit SNR, sum rate) sample with its uncertainty and outage detail."""
-
-    gamma_db: float
-    sum_rate: float
-    ci_halfwidth: float
-    outage_weak: float
-    outage_strong: float
-    conditioning_rate: float
 
 
 def trial_rng(root_seed, trial_index):
@@ -211,8 +198,8 @@ def _curve(records, thresholds_for, targets, gamma_db_grid, trials):
         if n_cond == 0:
             points.append(CurvePoint(gamma_db, 0.0, _bernoulli_ci_bound(targets, 0), 1.0, 1.0, 0.0))
             continue
-        ok_weak = records.h2_weak[mask] > thr.eta_weak
-        ok_strong = records.h2_strong[mask] > thr.eta_strong
+        weak_out, strong_out = noma_pair_outcome(records.h2_weak[mask], records.h2_strong[mask], thr)
+        ok_weak, ok_strong = ~weak_out, ~strong_out
         per_trial_rate = ok_weak * targets.rate_weak + ok_strong * targets.rate_strong
         sum_rate = float(per_trial_rate.mean())
         if n_cond >= 2:

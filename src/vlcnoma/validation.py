@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from . import analytic as an
-from .channel import channel_gain, incidence_angle, mean_channel_gain
+from .channel import channel_gain, incidence_angle
 from .link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
 from .population import MobilityConfig, marginal_phi_cdf, sample_user_arrays
 from .scheduling import FeedbackKind, FeedbackScheme
@@ -92,7 +91,7 @@ def check_marginal_phi_dkw(sizes, rng):
     _, _, phi = sample_user_arrays(mob, rng, n)
     xs = np.quantile(phi, np.linspace(0.001, 0.999, 500))
     emp = empirical_cdf(phi)
-    sup = float(np.max(np.abs(emp(xs) - marginal_phi_cdf(mob, xs))))
+    sup = float(np.max(np.abs(emp(xs) - np.array([marginal_phi_cdf(mob, x) for x in xs]))))
     bound = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
     return CheckResult("marginal-angle-cdf-dkw", sup <= bound, sup, bound, f"n={n}")
 
@@ -266,7 +265,7 @@ def check_group_conditioning(sizes, rng, delta_phi_deg=25.0):
     weak = (d > scheme.d_threshold) & (np.abs(theta) > scheme.theta_threshold)
     strong = (d <= scheme.d_threshold) & (np.abs(theta) <= scheme.theta_threshold)
     frac = float((weak.any(axis=1) & strong.any(axis=1)).mean())
-    pred = an.group_probabilities(model, "instant").both_nonempty
+    pred = an.group_probabilities(model).both_nonempty
     sigma = math.sqrt(pred * (1.0 - pred) / n)
     return CheckResult("group-conditioning-rate", abs(frac - pred) <= 3.0 * sigma, abs(frac - pred), 3.0 * sigma, f"n={n}")
 
@@ -281,7 +280,7 @@ def check_outage_individual(sizes, rng, gamma_db=(160.0, 185.0)):
     for gdb in gamma_db:
         gamma = 10.0 ** (gdb / 10.0)
         thr = eta_thresholds(noma.targets, noma.alloc, gamma)
-        pw, ps = an.individual_outage(model, noma, gamma, 1, 10)
+        pw, _, ps, _ = an.individual_outage(model, thr, 1, 10)
         for name, frac, pred in (
             (f"outage-individual-weak-{gdb:g}dB", float((w <= thr.eta_weak).mean()), pw),
             (f"outage-individual-strong-{gdb:g}dB", float((s <= thr.eta_strong).mean()), ps),
@@ -292,13 +291,14 @@ def check_outage_individual(sizes, rng, gamma_db=(160.0, 185.0)):
     return results
 
 
-def check_outage_group(sizes, rng, variant, gamma_db=(165.0, 185.5), delta_phi_deg=25.0):
+def check_outage_group(sizes, rng, kind, gamma_db=(165.0, 185.5), delta_phi_deg=25.0):
     # 185.5 dB sits inside the strong group's outage transition (gain span
     # g(d_th)^2 cos^2(theta_th) ... g(0)^2), so neither probability is trivial
     """Group-conditional outage vs a member-sampling oracle at mid-sweep SNRs."""
     geom = paper_geometry()
     mob = paper_mobility(delta_phi_deg)
-    kind = FeedbackKind.TWO_BIT_INSTANT if variant == "instant" else FeedbackKind.TWO_BIT_MEAN
+    use_mean = kind is FeedbackKind.TWO_BIT_MEAN
+    variant = "mean" if use_mean else "instant"
     scheme = paper_scheme(kind, geom)
     model = an.AnalyticModel(geom=geom, mobility=mob, scheme=scheme)
     noma = paper_noma()
@@ -306,17 +306,17 @@ def check_outage_group(sizes, rng, variant, gamma_db=(165.0, 185.5), delta_phi_d
     th = scheme.theta_threshold
 
     d, mean_phi, phi = _strip_users(mob, rng, n, scheme.d_threshold, mob.d_max)
-    ref = incidence_angle(d, phi if variant == "instant" else mean_phi, geom.ell)
+    ref = incidence_angle(d, mean_phi if use_mean else phi, geom.ell)
     weak_gains = (channel_gain(geom, d, phi) ** 2)[np.abs(ref) > th]
     d, mean_phi, phi = _strip_users(mob, rng, n, mob.d_min, scheme.d_threshold)
-    ref = incidence_angle(d, phi if variant == "instant" else mean_phi, geom.ell)
+    ref = incidence_angle(d, mean_phi if use_mean else phi, geom.ell)
     strong_gains = (channel_gain(geom, d, phi) ** 2)[np.abs(ref) <= th]
 
     results = []
     for gdb in gamma_db:
         gamma = 10.0 ** (gdb / 10.0)
         thr = eta_thresholds(noma.targets, noma.alloc, gamma)
-        pw, ps = an.group_outage(model, noma, gamma, variant)
+        pw, _, ps, _ = an.group_outage(model, thr)
         for name, sample, threshold, pred in (
             (f"outage-group-{variant}-weak-{gdb:g}dB", weak_gains, thr.eta_weak, pw),
             (f"outage-group-{variant}-strong-{gdb:g}dB", strong_gains, thr.eta_strong, ps),
@@ -376,8 +376,8 @@ def run_validation(quick=False, seed=20240):
     results.append(check_theorem_coincidence(sizes))
     results.append(check_group_conditioning(sizes, rng))
     results.extend(check_outage_individual(sizes, rng))
-    for variant in ("instant", "mean"):
-        results.extend(check_outage_group(sizes, rng, variant))
+    for kind in an.TWO_BIT_KINDS:
+        results.extend(check_outage_group(sizes, rng, kind))
     results.append(check_strong_group_degeneracy())
     results.append(check_quadrature_stability(sizes, rng))
     return results

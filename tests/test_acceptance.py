@@ -83,7 +83,7 @@ def fig2_analytic():
     curves = {}
     for dphi in (0.0, 25.0):
         model = AnalyticModel(geom=GEOM, mobility=mobility(dphi))
-        curves[dphi] = an.sum_rate_sweep(model, NOMA, GAMMA_GRID, "individual")
+        curves[dphi] = an.sum_rate_sweep(model, NOMA, GAMMA_GRID, FeedbackKind.FULL_CSI)
     return curves
 
 
@@ -345,17 +345,18 @@ class TestA10PropertySuite:
         report("A10c bitwise determinism under parallel execution", ok, "1 vs 4 workers, 9000 trials, 3 schemes")
 
     def test_degeneracy_collapses(self):
-        from vlcnoma.population import sample_population
-        from vlcnoma.scheduling import order_full_csi, order_mean_gain, two_bit_feedback
+        from vlcnoma.channel import mean_channel_gain
+        from vlcnoma.scheduling import order_by_gain_arrays, two_bit_feedback
 
         mob0 = mobility(0.0)
         ordering_ok = True
         bits_ok = True
         for seed in range(100):
-            snap = sample_population(mob0, GEOM, np.random.default_rng(seed))
-            ordering_ok = ordering_ok and order_mean_gain(snap).tolist() == order_full_csi(snap).tolist()
-            bi = two_bit_feedback(snap.d, snap.phi, GROUP_SCHEMES[0], GEOM)
-            bm = two_bit_feedback(snap.d, snap.mean_phi, GROUP_SCHEMES[1], GEOM)
+            d, mean_phi, phi = sample_user_arrays(mob0, np.random.default_rng(seed), mob0.num_users)
+            ordering_ok = ordering_ok and (order_by_gain_arrays(mean_channel_gain(GEOM, d, mean_phi)).tolist()
+                                           == order_by_gain_arrays(channel_gain(GEOM, d, phi)).tolist())
+            bi = two_bit_feedback(d, phi, GROUP_SCHEMES[0], GEOM)
+            bm = two_bit_feedback(d, mean_phi, GROUP_SCHEMES[1], GEOM)
             bits_ok = bits_ok and np.array_equal(bi[0], bm[0]) and np.array_equal(bi[1], bm[1])
         coincidence = check_theorem_coincidence(ValidationSizes())
         strong_degen = True

@@ -236,12 +236,12 @@ class TestGroupProbabilities:
     def test_strong_membership_plateau_value(self):
         # 10 deg window inside the flat part of the angle law: 0.1 * 10/130
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        stats = an.group_probabilities(mi, "instant")
+        stats = an.group_probabilities(mi)
         assert stats.p_strong == pytest.approx(0.1 * 10.0 / 130.0, rel=1e-6)
 
     def test_membership_monte_carlo(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        stats = an.group_probabilities(mi, "instant")
+        stats = an.group_probabilities(mi)
         rng = np.random.default_rng(4)
         n = 500_000
         d, _, phi = sample_user_arrays(MOB, rng, n)
@@ -252,14 +252,18 @@ class TestGroupProbabilities:
         assert abs(s - stats.p_strong) <= 3.0 * math.sqrt(stats.p_strong * (1 - stats.p_strong) / n)
 
 
+def thresholds(gamma):
+    return eta_thresholds(NOMA.targets, NOMA.alloc, gamma)
+
+
 class TestOutage:
     def test_individual_high_snr_limit(self):
-        pw, ps = an.individual_outage(MODEL, NOMA, 1e30, 1, 10)
+        pw, _, ps, _ = an.individual_outage(MODEL, thresholds(1e30), 1, 10)
         assert pw == pytest.approx(0.0, abs=1e-12)
         assert ps == pytest.approx(0.0, abs=1e-12)
 
     def test_individual_low_snr_limit(self):
-        pw, ps = an.individual_outage(MODEL, NOMA, 1e-6, 1, 10)
+        pw, _, ps, _ = an.individual_outage(MODEL, thresholds(1e-6), 1, 10)
         assert pw == pytest.approx(1.0, abs=1e-12)
         assert ps == pytest.approx(1.0, abs=1e-12)
 
@@ -274,14 +278,14 @@ class TestOutage:
         w, s = masked[keep, 0], masked[keep, 9]
         for gdb in (160.0, 185.0):
             gamma = 10.0 ** (gdb / 10.0)
-            thr = eta_thresholds(NOMA.targets, NOMA.alloc, gamma)
-            pw, ps = an.individual_outage(MODEL, NOMA, gamma, 1, 10)
+            thr = thresholds(gamma)
+            pw, _, ps, _ = an.individual_outage(MODEL, thr, 1, 10)
             assert abs((w <= thr.eta_weak).mean() - pw) <= max(3.0 * math.sqrt(pw * (1 - pw) / w.size), 1e-4)
             assert abs((s <= thr.eta_strong).mean() - ps) <= max(3.0 * math.sqrt(ps * (1 - ps) / s.size), 1e-4)
 
     def test_group_high_snr_floor_is_fov_mismatch(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        pw, ps = an.group_outage(mi, NOMA, 1e28, "instant")
+        pw, _, ps, _ = an.group_outage(mi, thresholds(1e28))
         # strong group members always have nonzero gain; weak keeps the out-of-FOV share
         assert ps == pytest.approx(0.0, abs=1e-9)
         den, _ = an._weak_membership_instant(mi)
@@ -290,7 +294,7 @@ class TestOutage:
 
     def test_group_low_snr_limit(self):
         mm = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
-        pw, ps = an.group_outage(mm, NOMA, 1e-6, "mean")
+        pw, _, ps, _ = an.group_outage(mm, thresholds(1e-6))
         assert pw == pytest.approx(1.0, abs=1e-12)
         assert ps == pytest.approx(1.0, abs=1e-12)
 
@@ -299,7 +303,7 @@ class TestOutage:
 
         bad = NomaConfig(PowerAllocation(0.6, 0.4), TargetRates(2.0, 10.0))
         with pytest.raises(InfeasibleAllocationError):
-            an.individual_outage(MODEL, bad, 1e15, 1, 10)
+            an.sum_rate_sweep(MODEL, bad, (150.0,), FeedbackKind.FULL_CSI)
 
 
 class TestMeanAngleRoute:
@@ -330,7 +334,7 @@ class TestMeanAngleRoute:
             assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / served.shape[0])
 
     def test_sweep_labels_and_conditioning(self):
-        curves = an.sum_rate_sweep(MODEL, NOMA, (215.0,), "individual-mean", include_oma=False)
+        curves = an.sum_rate_sweep(MODEL, NOMA, (215.0,), FeedbackKind.MEAN_ANGLE, include_oma=False)
         assert set(curves) == {"noma-mean-angle"}
         point = curves["noma-mean-angle"][0]
         assert point.conditioning_rate == pytest.approx(an.nonzero_count_tail(MODEL, 10, use_mean=True))
@@ -345,7 +349,7 @@ class TestMeanAngleRoute:
 class TestSweep:
     def test_individual_sweep_structure(self):
         grid = (150.0, 180.0, 215.0, 230.0)
-        curves = an.sum_rate_sweep(MODEL, NOMA, grid, "individual")
+        curves = an.sum_rate_sweep(MODEL, NOMA, grid, FeedbackKind.FULL_CSI)
         assert set(curves) == {"noma-full-csi", "oma"}
         assert [p.gamma_db for p in curves["noma-full-csi"]] == list(grid)
         assert curves["noma-full-csi"][-2].sum_rate == pytest.approx(12.0, abs=0.01)
@@ -354,18 +358,22 @@ class TestSweep:
             assert noma_pt.sum_rate >= oma_pt.sum_rate - 1e-9
 
     def test_single_point_grid(self):
-        curves = an.sum_rate_sweep(MODEL, NOMA, (170.0,), "individual", include_oma=False)
+        curves = an.sum_rate_sweep(MODEL, NOMA, (170.0,), FeedbackKind.FULL_CSI, include_oma=False)
         assert len(curves["noma-full-csi"]) == 1
 
     def test_group_sweep_conditioning_rate(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        curves = an.sum_rate_sweep(mi, NOMA, (170.0, 215.0), "group-instant", include_oma=False)
-        stats = an.group_probabilities(mi, "instant")
+        curves = an.sum_rate_sweep(mi, NOMA, (170.0, 215.0), FeedbackKind.TWO_BIT_INSTANT, include_oma=False)
+        stats = an.group_probabilities(mi)
         assert curves["noma-two-bit-instant"][0].conditioning_rate == pytest.approx(stats.both_nonempty)
 
     def test_unknown_strategy(self):
+        # a kind without a closed-form route, and a group kind the model's scheme does not match
         with pytest.raises(ValueError):
-            an.sum_rate_sweep(MODEL, NOMA, (170.0,), "telepathy")
+            an.sum_rate_sweep(MODEL, NOMA, (170.0,), FeedbackKind.DISTANCE_ONLY)
+        mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
+        with pytest.raises(ValueError):
+            an.sum_rate_sweep(mi, NOMA, (170.0,), FeedbackKind.TWO_BIT_MEAN)
 
 
 class TestQuadratureStability:

@@ -5,7 +5,6 @@ import pytest
 
 from vlcnoma.channel import (
     LedGeometry,
-    ReceiverState,
     channel_gain,
     incidence_angle,
     irradiance_cosine,
@@ -136,10 +135,6 @@ class TestGeometryValidation:
     def test_rejects_bad_area(self):
         with pytest.raises(ValueError):
             LedGeometry.from_degrees(2.0, 60.0, -1e-4, 50.0)
-
-    def test_receiver_state_distance(self):
-        with pytest.raises(ValueError):
-            ReceiverState(-1.0, 1.0, 1.0)
 
     def test_channel_constant_matches_definition(self, geom):
         expected = (geom.m + 1.0) * geom.detector_area * geom.ell**geom.m / (2.0 * math.pi)

@@ -4,9 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from vlcnoma import analytic
+from vlcnoma import analytic, cli
 from vlcnoma.cli import main
-from vlcnoma.config import ConfigError, build_experiment, merge, parse_gamma_grid, parse_overrides, resolve_groups
+from vlcnoma.config import (
+    MAX_GRID_POINTS,
+    ConfigError,
+    build_experiment,
+    merge,
+    parse_gamma_grid,
+    parse_overrides,
+    resolve_groups,
+)
 from vlcnoma.validation import ValidationSizes, check_individual_cdfs
 
 
@@ -24,6 +32,40 @@ class TestConfigLayer:
     def test_gamma_rejects_empty(self):
         with pytest.raises(ConfigError):
             parse_gamma_grid("")
+
+    @pytest.mark.parametrize("raw", ["140:5:inf", "140:nan:215", "-inf:5:215", "150,inf,200"])
+    def test_gamma_rejects_non_finite(self, raw):
+        with pytest.raises(ConfigError, match="sweep.gamma_db"):
+            parse_gamma_grid(raw)
+
+    def test_gamma_point_cap(self):
+        assert len(parse_gamma_grid(f"0:1:{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
+        # one point over the cap, and a count that overflows to inf, are both refused from the count alone
+        for raw in (f"0:1:{MAX_GRID_POINTS}", "-1e308:1e-300:1e308"):
+            with pytest.raises(ConfigError, match="sweep.gamma_db"):
+                parse_gamma_grid(raw)
+        with pytest.raises(ConfigError, match="sweep.gamma_db"):
+            parse_gamma_grid(",".join(["150"] * (MAX_GRID_POINTS + 1)))
+
+    @pytest.mark.parametrize("key,value", [
+        ("sweep.trials", "0"), ("sweep.trials", "10000001"), ("sweep.workers", "0"), ("sweep.workers", "-5"),
+        ("sweep.workers", "65"),
+    ])
+    def test_sweep_size_bounds(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            build_experiment(merge({key: value}))
+
+    def test_sweep_size_bounds_stop_the_command_before_any_work(self, monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        for override in ("sweep.trials=10000001", "sweep.workers=-5", "sweep.workers=65"):
+            assert run_cli("simulate", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
+
+    def test_repeated_scheme_rejected(self):
+        with pytest.raises(ConfigError, match="schemes.list"):
+            build_experiment(merge({"schemes.list": "full-csi,distance,full-csi"}))
 
     def test_override_parsing(self):
         assert parse_overrides(["sweep.trials=99"]) == {"sweep.trials": "99"}
@@ -125,6 +167,17 @@ class TestAnalyticCommand:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # header + noma + oma at one grid point
+
+    def test_noisy_run_groups_are_skipped(self, tmp_path, capsys):
+        # the closed-form engine has no estimation-noise model
+        out = tmp_path / "fig4.csv"
+        assert run_cli("analytic", "--preset", "fig4", "--set", "sweep.gamma_db=170", "--out", str(out)) == 0
+        import csv as csvmod
+
+        with open(out) as fh:
+            schemes = {row["scheme"] for row in csvmod.DictReader(fh)}
+        assert schemes == {"noma-full-csi|noiseless", "noma-mean-angle|noiseless", "oma|noiseless"}
+        assert "run group 'noisy' has estimation noise" in capsys.readouterr().err
 
     def test_infeasible_allocation_is_usage_error(self, tmp_path):
         code = run_cli(

@@ -14,7 +14,6 @@ from vlcnoma.link import (
     noma_pair_outcome,
     noma_sum_rate,
     oma_gain_thresholds,
-    oma_sum_rate,
     rate_from_sinr,
     sinr_cross,
     sinr_own,
@@ -162,7 +161,8 @@ class TestSumRates:
             noma_sum_rate((1.2, 0.0), PAPER_TARGETS)
 
     def test_oma_same_ceiling(self):
-        assert oma_sum_rate((0.0, 0.0), PAPER_TARGETS) == 12.0
+        # OMA curves take their sum rate from the same linear form as NOMA's
+        assert noma_sum_rate((0.0, 0.0), PAPER_TARGETS) == TargetRates(2.0, 10.0).ceiling == 12.0
 
     def test_oma_thresholds_embed_time_share(self):
         thr = oma_gain_thresholds(PAPER_TARGETS, 1.0, time_share=2)

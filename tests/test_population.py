@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from vlcnoma.channel import LedGeometry, ReceiverState
+from vlcnoma.channel import LedGeometry, channel_gain
 from vlcnoma.population import (
     MobilityConfig,
     conditional_phi_cdf,
     marginal_phi_cdf,
-    marginal_phi_cdf_scalar,
-    noisy_estimates,
-    sample_population,
+    mean_phi_cdf,
+    noisy_estimate_arrays,
     sample_user_arrays,
 )
+from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates
+from vlcnoma.scheduling import FeedbackKind, FeedbackScheme, order_by_gain_arrays
+from vlcnoma.simulate import ExperimentConfig, run_trial, trial_rng
 
 
 @pytest.fixture
@@ -28,11 +30,26 @@ def mobility():
     return MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
 
 
+def snapshot(mobility, seed):
+    """(d, mean_phi, phi) of one snapshot of ``mobility.num_users`` users."""
+    return sample_user_arrays(mobility, np.random.default_rng(seed), mobility.num_users)
+
+
+def oracle_marginal_cdf(mobility, x):
+    """Independent oracle: the conditional angle CDF integrated over the mean layer."""
+    lo, hi = mobility.mean_phi_min, mobility.mean_phi_max
+    kinks = [m for m in (x - mobility.delta_phi, x + mobility.delta_phi) if lo < m < hi]
+    val, _ = integrate.quad(
+        lambda m: conditional_phi_cdf(m, mobility.delta_phi, x), lo, hi, epsabs=1e-12, limit=200, points=kinks or None
+    )
+    return val / mobility.mean_phi_span
+
+
 class TestSampling:
-    def test_zero_deviation_pins_phi_to_mean(self, geom):
+    def test_zero_deviation_pins_phi_to_mean(self):
         mob = MobilityConfig.from_degrees(0.0, 10.0, 0.0, 180.0, 0.0, 20)
-        snap = sample_population(mob, geom, np.random.default_rng(0))
-        assert np.array_equal(snap.phi, snap.mean_phi)
+        _, mean_phi, phi = snapshot(mob, 0)
+        assert np.array_equal(phi, mean_phi)
 
     def test_full_span_support(self, geom, mobility):
         rng = np.random.default_rng(1)
@@ -46,26 +63,35 @@ class TestSampling:
         d, _, _ = sample_user_arrays(mobility, rng, 1_000_000)
         assert d.mean() == pytest.approx(5.0, abs=0.01)
 
-    def test_deviation_and_range_invariants(self, geom, mobility):
+    def test_deviation_and_range_invariants(self, mobility):
         for seed in range(5):
-            snap = sample_population(mobility, geom, np.random.default_rng(seed))
-            assert np.all(np.abs(snap.phi - snap.mean_phi) <= mobility.delta_phi)
-            assert np.all((snap.d >= mobility.d_min) & (snap.d <= mobility.d_max))
-            assert np.all((snap.phi >= 0.0) & (snap.phi <= math.pi))
+            d, mean_phi, phi = snapshot(mobility, seed)
+            assert np.all(np.abs(phi - mean_phi) <= mobility.delta_phi)
+            assert np.all((d >= mobility.d_min) & (d <= mobility.d_max))
+            assert np.all((phi >= 0.0) & (phi <= math.pi))
 
     def test_determinism(self, geom, mobility):
-        a = sample_population(mobility, geom, np.random.default_rng(77))
-        b = sample_population(mobility, geom, np.random.default_rng(77))
-        assert np.array_equal(a.d, b.d)
-        assert np.array_equal(a.phi, b.phi)
-        assert np.array_equal(a.gains, b.gains)
+        a, b = snapshot(mobility, 77), snapshot(mobility, 77)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+        assert np.array_equal(channel_gain(geom, a[0], a[2]), channel_gain(geom, b[0], b[2]))
 
     def test_gains_consistent_with_channel(self, geom, mobility):
-        from vlcnoma.channel import channel_gain, mean_channel_gain
-
-        snap = sample_population(mobility, geom, np.random.default_rng(5))
-        assert np.array_equal(snap.gains, channel_gain(geom, snap.d, snap.phi))
-        assert np.array_equal(snap.mean_gains, mean_channel_gain(geom, snap.d, snap.mean_phi))
+        # a trial records the channel's squared gains of the users its own stream draws
+        noma = NomaConfig(PowerAllocation(63.0 / 64.0, 1.0 / 64.0), TargetRates(2.0, 10.0))
+        config = ExperimentConfig(geom=geom, mobility=mobility, noma=noma,
+                                  schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),), gamma_db_grid=(170.0,), root_seed=5)
+        scheduled_trials = 0
+        for t in range(10):
+            d, _, phi = sample_user_arrays(mobility, trial_rng(5, t), mobility.num_users)
+            gains = channel_gain(geom, d, phi)
+            order = order_by_gain_arrays(gains)
+            scheduled, h2_weak, h2_strong = run_trial(config, t)[FeedbackKind.FULL_CSI]
+            assert scheduled == (len(order) >= 10)
+            if scheduled:
+                scheduled_trials += 1
+                assert (h2_weak, h2_strong) == (gains[order[0]] ** 2, gains[order[9]] ** 2)
+        assert scheduled_trials > 0
 
 
 class TestConditionalCdf:
@@ -93,68 +119,60 @@ class TestMarginalCdf:
         assert marginal_phi_cdf(mobility, math.pi) == 1.0
 
     def test_against_convolution_quadrature(self, mobility):
-        # independent oracle: integrate the conditional CDF over the mean layer
-        def oracle(x):
-            val, _ = integrate.quad(
-                lambda m: conditional_phi_cdf(m, mobility.delta_phi, x),
-                mobility.mean_phi_min,
-                mobility.mean_phi_max,
-                epsabs=1e-12,
-                limit=200,
-            )
-            return val / mobility.mean_phi_span
-
         for deg in (5.0, 45.0, 60.0, 90.0, 120.0, 170.0):
             x = math.radians(deg)
-            assert marginal_phi_cdf(mobility, x) == pytest.approx(oracle(x), abs=1e-9)
+            assert marginal_phi_cdf(mobility, x) == pytest.approx(oracle_marginal_cdf(mobility, x), abs=1e-9)
 
     def test_reduces_to_uniform_when_degenerate(self):
         mob = MobilityConfig.from_degrees(0.0, 10.0, 0.0, 180.0, 0.0, 20)
-        xs = np.linspace(0.0, math.pi, 50)
-        assert np.allclose(marginal_phi_cdf(mob, xs), xs / math.pi, atol=1e-12)
+        for x in np.linspace(0.0, math.pi, 50):
+            assert marginal_phi_cdf(mob, x) == pytest.approx(x / math.pi, abs=1e-12)
+            assert mean_phi_cdf(mob, x) == pytest.approx(x / math.pi, abs=1e-12)
 
     def test_dkw_bound(self, mobility):
         n = 1_000_000
         _, _, phi = sample_user_arrays(mobility, np.random.default_rng(3), n)
         xs = np.quantile(phi, np.linspace(0.001, 0.999, 400))
         emp = np.searchsorted(np.sort(phi), xs, side="right") / n
-        sup = np.max(np.abs(emp - marginal_phi_cdf(mobility, xs)))
+        sup = np.max(np.abs(emp - np.array([marginal_phi_cdf(mobility, x) for x in xs])))
         assert sup <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
 
     @given(x=st.floats(-1.0, 4.0))
     @settings(max_examples=200, deadline=None)
-    def test_scalar_matches_array_path(self, x):
+    def test_matches_convolution_anywhere(self, x):
         mob = MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
-        assert marginal_phi_cdf_scalar(mob, x) == pytest.approx(float(marginal_phi_cdf(mob, x)), abs=1e-15)
+        assert marginal_phi_cdf(mob, x) == pytest.approx(oracle_marginal_cdf(mob, x), abs=1e-9)
 
     def test_monotone_nondecreasing(self, mobility):
-        xs = np.linspace(-0.2, math.pi + 0.2, 500)
-        vals = marginal_phi_cdf(mobility, xs)
+        vals = [marginal_phi_cdf(mobility, x) for x in np.linspace(-0.2, math.pi + 0.2, 500)]
         assert np.all(np.diff(vals) >= -1e-15)
 
 
 class TestNoisyEstimates:
-    def test_zero_sigma_is_identity(self):
-        state = ReceiverState(3.0, 1.2, 1.1)
-        est = noisy_estimates(state, 0.0, 0.0, np.random.default_rng(0))
-        assert est == state
+    def test_zero_sigma_is_identity(self, mobility):
+        d, mean_phi, phi = snapshot(mobility, 0)
+        est = noisy_estimate_arrays(d, mean_phi, phi, 0.0, 0.0, np.random.default_rng(0))
+        for got, true in zip(est, (d, mean_phi, phi)):
+            assert np.array_equal(got, true)
 
     def test_gaussian_calibration(self):
-        rng = np.random.default_rng(4)
-        state = ReceiverState(5.0, 1.5, 1.5)
-        devs = np.array([noisy_estimates(state, 0.05, 0.0, rng).d - state.d for _ in range(100_000)])
+        n = 100_000
+        d = np.full(n, 5.0)
+        d_hat, _, _ = noisy_estimate_arrays(d, np.full(n, 1.5), np.full(n, 1.5), 0.05, 0.0, np.random.default_rng(4))
+        devs = d_hat - d
         assert devs.std() == pytest.approx(0.05, abs=0.001)
         assert devs.mean() == pytest.approx(0.0, abs=0.001)
 
     def test_distance_clamped_at_zero(self):
-        rng = np.random.default_rng(5)
-        state = ReceiverState(0.001, 1.5, 1.5)
-        ds = [noisy_estimates(state, 0.05, 0.0, rng).d for _ in range(2000)]
-        assert min(ds) == 0.0  # clamping visibly active for a near-zero distance
+        n = 2000
+        d_hat, _, _ = noisy_estimate_arrays(np.full(n, 0.001), np.full(n, 1.5), np.full(n, 1.5), 0.05, 0.0,
+                                            np.random.default_rng(5))
+        assert d_hat.min() == 0.0  # clamping visibly active for a near-zero distance
 
     def test_rejects_negative_sigma(self):
+        one = np.ones(1)
         with pytest.raises(ValueError):
-            noisy_estimates(ReceiverState(1.0, 1.0, 1.0), -0.1, 0.0, np.random.default_rng(0))
+            noisy_estimate_arrays(one, one, one, -0.1, 0.0, np.random.default_rng(0))
 
 
 class TestMobilityValidation:
@@ -166,6 +184,10 @@ class TestMobilityValidation:
         # 20 - 25 < 0: instantaneous angle would leave [0, pi]
         with pytest.raises(ValueError):
             MobilityConfig.from_degrees(0.0, 10.0, 20.0, 155.0, 25.0, 20)
+
+    def test_rejects_negative_distance(self):
+        with pytest.raises(ValueError):
+            MobilityConfig.from_degrees(-1.0, 10.0, 25.0, 155.0, 25.0, 20)
 
     def test_rejects_single_user(self):
         with pytest.raises(ValueError):

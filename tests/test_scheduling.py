@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vlcnoma.channel import LedGeometry, incidence_angle
-from vlcnoma.population import MobilityConfig, PopulationSnapshot, sample_population
+from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle, mean_channel_gain
+from vlcnoma.population import MobilityConfig, sample_user_arrays
 from vlcnoma.scheduling import (
     FeedbackKind,
     FeedbackScheme,
@@ -13,9 +14,8 @@ from vlcnoma.scheduling import (
     group_users,
     group_users_one_bit,
     one_bit_feedback,
-    order_distance,
-    order_full_csi,
-    order_mean_gain,
+    order_by_distance_array,
+    order_by_gain_arrays,
     select_group_pair,
     select_individual,
     two_bit_feedback,
@@ -32,59 +32,54 @@ def mobility():
     return MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
 
 
-def snapshot_from(gains=None, mean_gains=None, d=None):
-    n = len(gains if gains is not None else (mean_gains if mean_gains is not None else d))
-    zeros = np.zeros(n)
-    return PopulationSnapshot(
-        d=np.asarray(d, float) if d is not None else zeros,
-        mean_phi=zeros,
-        phi=zeros,
-        gains=np.asarray(gains, float) if gains is not None else zeros,
-        mean_gains=np.asarray(mean_gains, float) if mean_gains is not None else zeros,
-    )
+def snapshot(mobility, geom, seed):
+    """One snapshot's user arrays and true / mean-angle gains, drawn as the simulator draws them."""
+    d, mean_phi, phi = sample_user_arrays(mobility, np.random.default_rng(seed), mobility.num_users)
+    gains, mean_gains = channel_gain(geom, d, phi), mean_channel_gain(geom, d, mean_phi)
+    return SimpleNamespace(d=d, mean_phi=mean_phi, phi=phi, gains=gains, mean_gains=mean_gains)
 
 
 class TestOrderings:
     def test_full_csi_excludes_zeros(self):
-        order = order_full_csi(snapshot_from(gains=[0.0, 3e-6, 1e-6]))
+        order = order_by_gain_arrays([0.0, 3e-6, 1e-6])
         assert order.tolist() == [2, 1]
 
     def test_full_csi_all_zero(self):
-        assert order_full_csi(snapshot_from(gains=[0.0, 0.0])).tolist() == []
+        assert order_by_gain_arrays([0.0, 0.0]).tolist() == []
 
     def test_full_csi_matches_naive_sort(self, geom, mobility):
-        snap = sample_population(mobility, geom, np.random.default_rng(0))
-        order = order_full_csi(snap)
+        snap = snapshot(mobility, geom, 0)
+        order = order_by_gain_arrays(snap.gains)
         naive = sorted((g, i) for i, g in enumerate(snap.gains) if g > 0.0)
         assert order.tolist() == [i for _, i in naive]
 
     def test_ties_break_by_index(self):
-        order = order_full_csi(snapshot_from(gains=[2e-6, 1e-6, 1e-6]))
+        order = order_by_gain_arrays([2e-6, 1e-6, 1e-6])
         assert order.tolist() == [1, 2, 0]
 
     def test_distance_descending(self):
-        assert order_distance(snapshot_from(d=[1.0, 9.0, 5.0])).tolist() == [1, 2, 0]
+        assert order_by_distance_array([1.0, 9.0, 5.0]).tolist() == [1, 2, 0]
 
     def test_distance_ties_break_by_index(self):
-        assert order_distance(snapshot_from(d=[5.0, 5.0, 1.0])).tolist() == [0, 1, 2]
+        assert order_by_distance_array([5.0, 5.0, 1.0]).tolist() == [0, 1, 2]
 
     def test_distance_keeps_everyone(self, geom, mobility):
-        snap = sample_population(mobility, geom, np.random.default_rng(1))
-        order = order_distance(snap)
-        assert len(order) == len(snap)
+        snap = snapshot(mobility, geom, 1)
+        order = order_by_distance_array(snap.d)
+        assert len(order) == len(snap.d)
         assert order[0] == int(np.argmax(snap.d))
 
     def test_mean_ordering_equals_full_when_static(self, geom):
         mob = MobilityConfig.from_degrees(0.0, 10.0, 0.0, 180.0, 0.0, 20)
         for seed in range(20):
-            snap = sample_population(mob, geom, np.random.default_rng(seed))
-            assert order_mean_gain(snap).tolist() == order_full_csi(snap).tolist()
+            snap = snapshot(mob, geom, seed)
+            assert order_by_gain_arrays(snap.mean_gains).tolist() == order_by_gain_arrays(snap.gains).tolist()
 
     def test_mean_ordering_differs_when_dynamic(self, geom, mobility):
         differs = 0
         for seed in range(50):
-            snap = sample_population(mobility, geom, np.random.default_rng(seed))
-            if order_mean_gain(snap).tolist() != order_full_csi(snap).tolist():
+            snap = snapshot(mobility, geom, seed)
+            if order_by_gain_arrays(snap.mean_gains).tolist() != order_by_gain_arrays(snap.gains).tolist():
                 differs += 1
         assert differs > 10
 
@@ -92,23 +87,22 @@ class TestOrderings:
         # a user ranked by its mean gain may still have zero true gain
         found = False
         for seed in range(200):
-            snap = sample_population(mobility, geom, np.random.default_rng(seed))
-            order = order_mean_gain(snap)
+            snap = snapshot(mobility, geom, seed)
+            order = order_by_gain_arrays(snap.mean_gains)
             if len(order) and np.any(snap.gains[order] == 0.0):
                 found = True
                 break
         assert found
 
     def test_scale_invariance(self, geom, mobility):
-        snap = sample_population(mobility, geom, np.random.default_rng(3))
-        scaled = PopulationSnapshot(snap.d, snap.mean_phi, snap.phi, snap.gains * 17.5, snap.mean_gains * 17.5)
-        assert order_full_csi(snap).tolist() == order_full_csi(scaled).tolist()
-        assert order_mean_gain(snap).tolist() == order_mean_gain(scaled).tolist()
+        snap = snapshot(mobility, geom, 3)
+        assert order_by_gain_arrays(snap.gains).tolist() == order_by_gain_arrays(snap.gains * 17.5).tolist()
+        assert order_by_gain_arrays(snap.mean_gains).tolist() == order_by_gain_arrays(snap.mean_gains * 17.5).tolist()
 
     def test_full_csi_weak_never_stronger(self, geom, mobility):
         for seed in range(30):
-            snap = sample_population(mobility, geom, np.random.default_rng(seed))
-            order = order_full_csi(snap)
+            snap = snapshot(mobility, geom, seed)
+            order = order_by_gain_arrays(snap.gains)
             if len(order) >= 10:
                 decision = select_individual(order, 1, 10)
                 assert snap.gains[decision.weak_index] <= snap.gains[decision.strong_index]
@@ -159,7 +153,7 @@ class TestTwoBitFeedback:
     def test_mean_kind_uses_mean_angle(self, geom, mobility):
         scheme_i = self.scheme()
         scheme_m = self.scheme(FeedbackKind.TWO_BIT_MEAN)
-        snap = sample_population(mobility, geom, np.random.default_rng(0))
+        snap = snapshot(mobility, geom, 0)
         bits_i = two_bit_feedback(snap.d, snap.phi, scheme_i, geom)
         bits_m = two_bit_feedback(snap.d, snap.mean_phi, scheme_m, geom)
         assert np.array_equal(bits_i[0], bits_m[0])  # distance bit agrees
@@ -171,7 +165,7 @@ class TestTwoBitFeedback:
     def test_static_orientation_kinds_coincide(self, geom):
         mob = MobilityConfig.from_degrees(0.0, 10.0, 0.0, 180.0, 0.0, 20)
         for seed in range(20):
-            snap = sample_population(mob, geom, np.random.default_rng(seed))
+            snap = snapshot(mob, geom, seed)
             bits_i = two_bit_feedback(snap.d, snap.phi, self.scheme(), geom)
             bits_m = two_bit_feedback(snap.d, snap.mean_phi, self.scheme(FeedbackKind.TWO_BIT_MEAN), geom)
             assert np.array_equal(bits_i[1], bits_m[1])
@@ -182,7 +176,7 @@ class TestTwoBitFeedback:
 
     def test_membership_implies_conditions(self, geom, mobility):
         scheme = self.scheme()
-        snap = sample_population(mobility, geom, np.random.default_rng(9))
+        snap = snapshot(mobility, geom, 9)
         groups = group_users(*two_bit_feedback(snap.d, snap.phi, scheme, geom))
         theta = incidence_angle(snap.d, snap.phi, geom.ell)
         assert np.all(snap.d[groups.weak_group] > scheme.d_threshold)
@@ -192,7 +186,7 @@ class TestTwoBitFeedback:
 
     def test_mean_membership_discrepancy_bounded(self, geom, mobility):
         scheme = self.scheme(FeedbackKind.TWO_BIT_MEAN)
-        snap = sample_population(mobility, geom, np.random.default_rng(10))
+        snap = snapshot(mobility, geom, 10)
         theta = incidence_angle(snap.d, snap.phi, geom.ell)
         theta_bar = incidence_angle(snap.d, snap.mean_phi, geom.ell)
         assert np.all(np.abs(theta - theta_bar) <= mobility.delta_phi + 1e-12)

@@ -6,7 +6,7 @@ import pytest
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry
-from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates
+from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
 from vlcnoma.population import MobilityConfig
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import (
@@ -60,8 +60,6 @@ class TestTrials:
         config = make_config(trials=300)
         records = collect_records(config)
         rec = records[FeedbackKind.FULL_CSI]
-        from vlcnoma.link import eta_thresholds
-
         thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (230.0 / 10.0))
         ok = rec.scheduled
         assert ok.any()
@@ -163,7 +161,8 @@ class TestSweepStatistics:
             config = make_config(trials=3000, gamma_db_grid=(gamma_db,), schemes=(INDIVIDUAL[0],), root_seed=500 + rep)
             pt = run_sweep(config, n_workers=1)["noma-full-csi"][0]
             if truth is None:
-                pw, ps = an.individual_outage(model, NOMA, 10.0 ** (gamma_db / 10.0), 1, 10)
+                thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (gamma_db / 10.0))
+                pw, _, ps, _ = an.individual_outage(model, thr, 1, 10)
                 truth = (1.0 - pw) * 2.0 + (1.0 - ps) * 10.0
             if abs(pt.sum_rate - truth) <= pt.ci_halfwidth:
                 hits += 1
