@@ -3,7 +3,8 @@
 Runs are driven by a preset and/or an INI config file with ``--set`` overrides
 on top.  Every simulate/analytic run writes a CSV (fixed column order) plus a
 JSON manifest holding the fully resolved configuration and seed; re-running
-from the manifest's configuration reproduces the CSV byte for byte.
+from the manifest's configuration reproduces the CSV byte for byte.  A
+simulate manifest also records the random-stream version and trials per second.
 
 Exit codes: 0 success, 1 usage/config error, 2 validation failure,
 3 numerical failure.
@@ -32,7 +33,7 @@ from .config import (
 )
 from .link import CurvePoint, InfeasibleAllocationError
 from .quadrature import QuadratureError
-from .simulate import run_sweep
+from .simulate import STREAM_VERSION, run_sweep
 from .validation import run_validation
 
 CSV_COLUMNS = ["scheme", "gamma_db", "sum_rate", "ci_halfwidth", "outage_weak", "outage_strong", "conditioning_rate"]
@@ -118,8 +119,9 @@ def _write_csv(path, rows):
             writer.writerow({k: str(row[k]) for k in CSV_COLUMNS})
 
 
-def _write_manifest(path, command, args, groups, outputs, started, duration):
+def _write_manifest(path, command, args, groups, outputs, started, duration, **extra):
     manifest = {
+        **extra,
         "tool": "vlcnoma",
         "version": __version__,
         "command": command,
@@ -141,13 +143,18 @@ def cmd_simulate(args):
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     rows = []
+    trials = 0
     for suffix, flat in groups:
         config = build_experiment(flat)
         workers = int(flat["sweep.workers"])
         curves = run_sweep(config, n_workers=workers)
         rows.extend(_rows_from_curves(curves, suffix))
+        trials += config.trials
     _write_csv(out, rows)
-    _write_manifest(out.with_suffix(".manifest.json"), "simulate", args, groups, [out], started, time.perf_counter() - t0)
+    duration = time.perf_counter() - t0
+    # trials summed over run groups per second of the whole command
+    _write_manifest(out.with_suffix(".manifest.json"), "simulate", args, groups, [out], started, duration,
+                    stream_version=STREAM_VERSION, trials_per_s=round(trials / duration, 1))
     print(f"wrote {out} ({len(rows)} rows) and {out.with_suffix('.manifest.json')}")
     return EXIT_OK
 

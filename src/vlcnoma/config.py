@@ -27,6 +27,7 @@ class ConfigError(ValueError):
 MAX_GRID_POINTS = 10_000
 MAX_TRIALS = 10_000_000  # the per-trial records of 10^7 trials take about 1 GB
 MAX_WORKERS = 64
+MAX_USERS = 1000  # a Monte Carlo chunk draws 4096 x K values per array: 33 MB each at K = 1000
 
 
 DEFAULTS = {
@@ -262,6 +263,7 @@ def build_experiment(flat):
     delta_phi = _get_float(flat, "mobility.delta_phi_deg")
     mean_lo = flat["mobility.mean_phi_min_deg"].strip()
     mean_hi = flat["mobility.mean_phi_max_deg"].strip()
+    num_users = _get_int_in(flat, "mobility.num_users", 2, MAX_USERS)
     try:
         mobility = MobilityConfig.from_degrees(
             d_min=_get_float(flat, "mobility.d_min_m"),
@@ -269,7 +271,7 @@ def build_experiment(flat):
             mean_phi_min_deg=float(mean_lo) if mean_lo else delta_phi,
             mean_phi_max_deg=float(mean_hi) if mean_hi else 180.0 - delta_phi,
             delta_phi_deg=delta_phi,
-            num_users=_get_int(flat, "mobility.num_users"),
+            num_users=num_users,
         )
     except ValueError as exc:
         raise ConfigError(f"mobility: {exc}") from exc

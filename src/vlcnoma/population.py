@@ -61,7 +61,7 @@ class MobilityConfig:
 
 
 def sample_user_arrays(config, rng, size):
-    """Draw ``size`` i.i.d. users; returns (d, mean_phi, phi) arrays.
+    """Draw ``size`` i.i.d. users (an int or a shape); returns (d, mean_phi, phi) arrays.
 
     Draw order (d, then mean angle, then deviation) is fixed so that runs with
     equal streams stay bitwise reproducible.
@@ -124,16 +124,18 @@ def mean_phi_cdf(config, x):
 
 
 def noisy_estimate_arrays(d, mean_phi, phi, sigma_d, sigma_phi, rng):
-    """Vectorized noisy estimates (d_hat, mean_phi_hat, phi_hat) for a snapshot.
+    """Vectorized noisy estimates (d_hat, mean_phi_hat, phi_hat) for arrays of users.
 
-    Distance, instantaneous angle and mean angle receive independent zero-mean
-    real Gaussian errors; negative noisy distances are clamped at zero.  The
+    Every entry of the distance, instantaneous-angle and mean-angle arrays (of
+    any one shape, for example (trials, K)) receives its own zero-mean real
+    Gaussian error; negative noisy distances are clamped at zero.  The
     true channel is never evaluated on the estimates.  Draw order: distance
     errors, instantaneous-angle errors, mean-angle errors.
     """
     if sigma_d < 0.0 or sigma_phi < 0.0:
         raise ValueError("noise standard deviations must be nonnegative")
-    d_hat = np.maximum(0.0, d + sigma_d * rng.standard_normal(len(d)))
-    phi_hat = phi + sigma_phi * rng.standard_normal(len(d))
-    mean_phi_hat = mean_phi + sigma_phi * rng.standard_normal(len(d))
+    shape = np.shape(d)
+    d_hat = np.maximum(0.0, d + sigma_d * rng.standard_normal(shape))
+    phi_hat = phi + sigma_phi * rng.standard_normal(shape)
+    mean_phi_hat = mean_phi + sigma_phi * rng.standard_normal(shape)
     return d_hat, mean_phi_hat, phi_hat

@@ -149,15 +149,17 @@ def group_users_one_bit(bit_d):
     return GroupAssignment(weak_group=np.flatnonzero(~bit_d), strong_group=np.flatnonzero(bit_d))
 
 
-def select_group_pair(groups, rng):
+def _pick(group, u):
+    """Member of ``group`` at uniform ``u`` in [0, 1); ``None`` for an empty group."""
+    n = len(group)
+    return int(group[min(int(u * n), n - 1)]) if n else None
+
+
+def select_group_pair(groups, u):
     """Uniformly pick one member per nonempty group; an empty group leaves its slot open.
 
-    Weak pick is drawn before the strong pick so streams replay deterministically.
+    ``u`` holds two uniforms in [0, 1), the weak pick's then the strong pick's;
+    a group of n members serves member min(int(u * n), n - 1).
     """
-    weak = None
-    if len(groups.weak_group) > 0:
-        weak = int(groups.weak_group[rng.integers(len(groups.weak_group))])
-    strong = None
-    if len(groups.strong_group) > 0:
-        strong = int(groups.strong_group[rng.integers(len(groups.strong_group))])
+    weak, strong = _pick(groups.weak_group, u[0]), _pick(groups.strong_group, u[1])
     return ScheduleDecision(weak, strong, len(groups.weak_group) + len(groups.strong_group))

@@ -1,10 +1,16 @@
 """Monte Carlo experiment engine: trial sampling, scheduling, outage statistics.
 
-Each trial owns its own random stream derived from (root_seed, trial_index),
-so results are bitwise identical however trials are chunked across workers.
-Within a trial the draw order is fixed: user distances, mean angles, angle
-deviations, then (optionally) estimation noise, then group member picks in the
-configured scheme order.
+Trials run in fixed chunks of ``_CHUNK``.  Chunk c owns one random stream,
+derived from ``SeedSequence((root_seed, c))`` (stream version 2), and draws
+the whole chunk from it in a fixed order: the users of all ``_CHUNK`` rows
+(distances, mean angles, angle deviations, each as a ``(_CHUNK, K)`` array),
+then the group-pick uniforms ``(_CHUNK, n_schemes, 2)``, then, if the config
+has estimation noise, the report noise on the ``(_CHUNK, K)`` arrays.  A
+short last chunk draws full size and uses its first rows.  A trial's outcome
+therefore depends only on (root_seed, trial index): a run of N trials is a
+prefix of any longer run with the same seed, and results are bitwise
+identical for any worker count.  Picks are drawn before noise, so a zero-sigma
+noise model reproduces the noiseless records of every scheme.
 
 Gains do not depend on the transmit SNR, so one pass over the trials collects
 the scheduled pair's squared gains per scheme and every grid point reuses
@@ -37,6 +43,7 @@ from .scheduling import (
 
 OMA_LABEL = "oma"
 _CHUNK = 4096  # fixed trial chunk; parallelism must not change results
+STREAM_VERSION = 2  # 1: one SeedSequence per trial; 2: one per chunk of _CHUNK trials
 
 
 @dataclass(frozen=True)
@@ -89,30 +96,26 @@ class ExperimentConfig:
                 raise ValueError("oma_base must reference a configured scheme")
 
 
-def trial_rng(root_seed, trial_index):
-    """Independent per-trial generator; deterministic in (root_seed, trial_index)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=(root_seed, trial_index)))
+def trial_rng(root_seed, chunk_index):
+    """Generator of one trial chunk; deterministic in (root_seed, chunk_index)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=(root_seed, chunk_index)))
 
 
-def run_trial(config, trial_index):
-    """One snapshot-schedule-evaluate trial.
+def run_trial(config, users, reports, picks):
+    """Schedule and evaluate one trial from its pre-drawn rows.
 
-    Returns {scheme kind: (scheduled, true squared gain weak, strong)}; a slot
-    that could not be filled reports scheduled = False with zero gains.
+    ``users`` holds the K users' true (d, mean_phi, phi), ``reports`` the
+    values they feed back (``users`` itself without estimation noise) and
+    ``picks`` the (n_schemes, 2) group-pick uniforms, one row per configured
+    scheme.  Returns one (scheduled, true squared gain weak, strong) per
+    configured scheme, in order; a slot that could not be filled reports
+    scheduled = False with zero gains.
     """
-    rng = trial_rng(config.root_seed, trial_index)
-    mob = config.mobility
-    d, mean_phi, phi = sample_user_arrays(mob, rng, mob.num_users)
+    d, _, phi = users
+    d_fb, mean_phi_fb, phi_fb = reports
     gains = channel_gain(config.geom, d, phi)
-    if config.noise is not None:
-        d_fb, mean_phi_fb, phi_fb = noisy_estimate_arrays(
-            d, mean_phi, phi, config.noise.sigma_d, config.noise.sigma_phi, rng
-        )
-    else:
-        d_fb, mean_phi_fb, phi_fb = d, mean_phi, phi
-
-    record = {}
-    for scheme in config.schemes:
+    record = []
+    for scheme, u in zip(config.schemes, picks):
         kind = scheme.kind
         if kind is FeedbackKind.FULL_CSI:
             reported = channel_gain(config.geom, d_fb, phi_fb) if config.noise is not None else gains
@@ -125,15 +128,15 @@ def run_trial(config, trial_index):
         elif kind in (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN):
             angles = phi_fb if kind is FeedbackKind.TWO_BIT_INSTANT else mean_phi_fb
             bit_d, bit_theta = two_bit_feedback(d_fb, angles, scheme, config.geom)
-            decision = select_group_pair(group_users(bit_d, bit_theta), rng)
+            decision = select_group_pair(group_users(bit_d, bit_theta), u)
         elif kind is FeedbackKind.ONE_BIT_DISTANCE:
-            decision = select_group_pair(group_users_one_bit(one_bit_feedback(d_fb, scheme.d_threshold)), rng)
+            decision = select_group_pair(group_users_one_bit(one_bit_feedback(d_fb, scheme.d_threshold)), u)
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unhandled feedback kind {kind}")
         if decision.complete:
-            record[kind] = (True, float(gains[decision.weak_index] ** 2), float(gains[decision.strong_index] ** 2))
+            record.append((True, float(gains[decision.weak_index] ** 2), float(gains[decision.strong_index] ** 2)))
         else:
-            record[kind] = (False, 0.0, 0.0)
+            record.append((False, 0.0, 0.0))
     return record
 
 
@@ -145,17 +148,19 @@ class _Records:
 
 
 def _collect_chunk(config, start, stop):
-    kinds = [s.kind for s in config.schemes]
-    n = stop - start
-    out = {k: _Records(np.empty(n, bool), np.empty(n), np.empty(n)) for k in kinds}
-    for i, t in enumerate(range(start, stop)):
-        rec = run_trial(config, t)
-        for k in kinds:
-            ok, h2w, h2s = rec[k]
-            out[k].scheduled[i] = ok
-            out[k].h2_weak[i] = h2w
-            out[k].h2_strong[i] = h2s
-    return out
+    """Records of trials [start, stop); start is a chunk boundary (see the module docstring)."""
+    mob = config.mobility
+    rng = trial_rng(config.root_seed, start // _CHUNK)
+    users = sample_user_arrays(mob, rng, (_CHUNK, mob.num_users))
+    picks = rng.random((_CHUNK, len(config.schemes), 2))
+    reports = users
+    if config.noise is not None:
+        reports = noisy_estimate_arrays(*users, config.noise.sigma_d, config.noise.sigma_phi, rng)
+    out = np.empty((stop - start, len(config.schemes), 3))  # (scheduled, h2 weak, h2 strong) per trial and scheme
+    rows = zip(zip(*users), zip(*reports), picks[: stop - start])  # stops after the chunk's first n rows
+    for i, (user, report, u) in enumerate(rows):
+        out[i] = run_trial(config, user, report, u)
+    return {s.kind: _Records(out[:, j, 0] != 0.0, out[:, j, 1], out[:, j, 2]) for j, s in enumerate(config.schemes)}
 
 
 def collect_records(config, n_workers=1):

@@ -55,6 +55,11 @@ class TestConfigLayer:
         with pytest.raises(ConfigError, match=key):
             build_experiment(merge({key: value}))
 
+    @pytest.mark.parametrize("value", ["1", "1001", "many"])
+    def test_user_count_bounds(self, value):
+        with pytest.raises(ConfigError, match="mobility.num_users"):
+            build_experiment(merge({"mobility.num_users": value}))
+
     def test_sweep_size_bounds_stop_the_command_before_any_work(self, monkeypatch, tmp_path):
         def never(*args, **kwargs):
             raise AssertionError("the sweep must not start")
@@ -128,6 +133,15 @@ class TestSimulateCommand:
         assert manifest["groups"][0]["config"]["sweep.seed"] == "5"
         assert str(out) in manifest["csv_sha256"]
 
+    def test_manifest_records_stream_version_and_throughput(self, tmp_path):
+        out = tmp_path / "two.csv"
+        args = ["--trials", "300", "--seed", "5", "--set", "sweep.gamma_db=170", "--out", str(out)]
+        assert run_cli("simulate", "--preset", "fig4", *args) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["stream_version"] == 2
+        # fig4 has two run groups of 300 trials each; duration_s is rounded to 1 ms
+        assert manifest["trials_per_s"] == pytest.approx(600 / manifest["duration_s"], rel=0.05)
+
     def test_byte_identical_reproduction(self, tmp_path):
         args = ["simulate", "--trials", "400", "--seed", "11", "--set", "sweep.gamma_db=180,200"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -167,6 +181,8 @@ class TestAnalyticCommand:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # header + noma + oma at one grid point
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert "stream_version" not in manifest and "trials_per_s" not in manifest
 
     def test_noisy_run_groups_are_skipped(self, tmp_path, capsys):
         # the closed-form engine has no estimation-noise model

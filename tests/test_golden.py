@@ -2,7 +2,9 @@
 
 A refactor that claims to keep results identical must keep these hashes.  A
 change that alters results on purpose (a new random-stream version, a new
-quadrature rule) updates the hashes in the same commit and says why.
+quadrature rule) updates the hashes in the same commit and says why.  The
+simulate hashes are those of random-stream version 2 (one stream per chunk of
+trials, ``simulate.STREAM_VERSION``).
 """
 
 import hashlib
@@ -12,9 +14,9 @@ import pytest
 from vlcnoma.cli import main
 
 GOLDEN = {
-    ("simulate", "fig2"): "86bd6401f47bad4fcef2c186e7967d15c0a7a8356b8a7f1fcabc3ece7edd3f19",
-    ("simulate", "fig3"): "f4f35e43464bc913f13cd5008ce2c9402789aac7fa8538037f9baf049f56f3b5",
-    ("simulate", "fig4"): "bb3c3f2a229efe222c0453930c16598243ce498c4dda85bf13d0d07a1ca52472",
+    ("simulate", "fig2"): "5ce190141531f7f1aca1ba352e4366ae2141c78a60ff0976beaea64090667e29",
+    ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
+    ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
     ("analytic", "fig2"): "d8e2c96b890e65cd45deb53d4552f48925c2d9470a54fae1881943d47e62ff79",
     ("analytic", "fig3"): "a4c15223a59bab6129d17a20d68de4b7c66b15f5d16422852d8098879506e334",
 }

@@ -17,7 +17,7 @@ from vlcnoma.population import (
 )
 from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme, order_by_gain_arrays
-from vlcnoma.simulate import ExperimentConfig, run_trial, trial_rng
+from vlcnoma.simulate import _CHUNK, ExperimentConfig, collect_records, trial_rng
 
 
 @pytest.fixture
@@ -77,16 +77,18 @@ class TestSampling:
         assert np.array_equal(channel_gain(geom, a[0], a[2]), channel_gain(geom, b[0], b[2]))
 
     def test_gains_consistent_with_channel(self, geom, mobility):
-        # a trial records the channel's squared gains of the users its own stream draws
+        # trial t records the channel's squared gains of the users in row t of its chunk's draws
         noma = NomaConfig(PowerAllocation(63.0 / 64.0, 1.0 / 64.0), TargetRates(2.0, 10.0))
         config = ExperimentConfig(geom=geom, mobility=mobility, noma=noma,
-                                  schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),), gamma_db_grid=(170.0,), root_seed=5)
+                                  schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),), gamma_db_grid=(170.0,),
+                                  trials=10, root_seed=5)
+        records = collect_records(config)[FeedbackKind.FULL_CSI]
+        d_chunk, _, phi_chunk = sample_user_arrays(mobility, trial_rng(5, 0), (_CHUNK, mobility.num_users))
         scheduled_trials = 0
         for t in range(10):
-            d, _, phi = sample_user_arrays(mobility, trial_rng(5, t), mobility.num_users)
-            gains = channel_gain(geom, d, phi)
+            gains = channel_gain(geom, d_chunk[t], phi_chunk[t])
             order = order_by_gain_arrays(gains)
-            scheduled, h2_weak, h2_strong = run_trial(config, t)[FeedbackKind.FULL_CSI]
+            scheduled, h2_weak, h2_strong = records.scheduled[t], records.h2_weak[t], records.h2_strong[t]
             assert scheduled == (len(order) >= 10)
             if scheduled:
                 scheduled_trials += 1
@@ -168,6 +170,33 @@ class TestNoisyEstimates:
         d_hat, _, _ = noisy_estimate_arrays(np.full(n, 0.001), np.full(n, 1.5), np.full(n, 1.5), 0.05, 0.0,
                                             np.random.default_rng(5))
         assert d_hat.min() == 0.0  # clamping visibly active for a near-zero distance
+
+    def test_two_dimensional_input_gets_noise_per_entry(self):
+        shape = (3000, 20)
+        d_hat, mean_phi_hat, phi_hat = noisy_estimate_arrays(np.full(shape, 5.0), np.full(shape, 1.5),
+                                                             np.full(shape, 1.5), 0.05, 0.1, np.random.default_rng(6))
+        for est, true, sigma in ((d_hat, 5.0, 0.05), (phi_hat, 1.5, 0.1), (mean_phi_hat, 1.5, 0.1)):
+            assert est.shape == shape
+            devs = (est - true) / sigma
+            assert devs.std() == pytest.approx(1.0, abs=0.02)
+            # entries of one row, and the rows of one column, are uncorrelated
+            assert abs(np.corrcoef(devs[:, 0], devs[:, 1])[0, 1]) < 0.08
+            assert abs(np.corrcoef(devs[:-1, 0], devs[1:, 0])[0, 1]) < 0.08
+        # the draws fill the array in row-major order, as a flat call of the same size would
+        flat = noisy_estimate_arrays(np.full(60_000, 5.0), np.full(60_000, 1.5), np.full(60_000, 1.5), 0.05, 0.1,
+                                     np.random.default_rng(6))
+        for got, want in zip((d_hat, mean_phi_hat, phi_hat), flat):
+            assert np.array_equal(got.ravel(), want)
+
+    def test_one_dimensional_draws_unchanged(self):
+        # the 1-D call draws exactly what standard_normal(len(d)) three times drew
+        d, mean_phi, phi = snapshot(MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20), 8)
+        d_hat, mean_phi_hat, phi_hat = noisy_estimate_arrays(d, mean_phi, phi, 0.05, 0.04, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        e_d, e_phi, e_mean = (rng.standard_normal(len(d)) for _ in range(3))
+        assert np.array_equal(d_hat, np.maximum(0.0, d + 0.05 * e_d))
+        assert np.array_equal(phi_hat, phi + 0.04 * e_phi)
+        assert np.array_equal(mean_phi_hat, mean_phi + 0.04 * e_mean)
 
     def test_rejects_negative_sigma(self):
         one = np.ones(1)

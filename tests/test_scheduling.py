@@ -217,15 +217,15 @@ class TestGrouping:
 class TestSelectGroupPair:
     def test_singletons_deterministic(self):
         groups = GroupAssignment(np.array([3]), np.array([7]))
-        decision = select_group_pair(groups, np.random.default_rng(0))
+        decision = select_group_pair(groups, (0.0, 0.5))
         assert (decision.weak_index, decision.strong_index) == (3, 7)
         assert decision.complete
 
     def test_empty_strong_leaves_slot_open(self):
         groups = GroupAssignment(np.array([3, 4]), np.array([], dtype=int))
-        decision = select_group_pair(groups, np.random.default_rng(0))
+        decision = select_group_pair(groups, (0.7, 0.2))
         assert decision.strong_index is None
-        assert decision.weak_index in (3, 4)
+        assert decision.weak_index == 4  # int(0.7 * 2) = 1
         assert not decision.complete
 
     def test_uniform_pick_frequencies(self):
@@ -234,10 +234,18 @@ class TestSelectGroupPair:
         n = 100_000
         counts = np.zeros(5)
         for _ in range(n):
-            counts[select_group_pair(groups, rng).weak_index] += 1
+            counts[select_group_pair(groups, rng.random(2)).weak_index] += 1
         expected = n / 5.0
         sigma = math.sqrt(n * 0.2 * 0.8)
         assert np.all(np.abs(counts - expected) <= 3.0 * sigma)
+
+    def test_largest_uniform_picks_last_member(self):
+        # the largest uniform below 1 picks the last member, never index n
+        u = np.nextafter(1.0, 0.0)
+        for n in range(1, 65):
+            members = np.arange(100, 100 + n)
+            decision = select_group_pair(GroupAssignment(members, members + 1000), (u, u))
+            assert (decision.weak_index, decision.strong_index) == (100 + n - 1, 1100 + n - 1)
 
     def test_schedule_decision_rejects_same_user(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from vlcnoma.simulate import (
     collect_records,
     empirical_cdf,
     run_sweep,
-    run_trial,
     trial_rng,
 )
 
@@ -45,9 +44,18 @@ def make_config(**kw):
 
 class TestTrials:
     def test_deterministic_in_seed_and_index(self):
-        config = make_config()
-        assert run_trial(config, 17) == run_trial(config, 17)
-        assert run_trial(config, 17) != run_trial(config, 18)
+        # trial 17's record is the same in runs of different lengths, and differs
+        # from trial 18's and from trial 17 under another seed
+        def trial(records, t):
+            rec = records[FeedbackKind.DISTANCE_ONLY]  # always scheduled
+            return rec.scheduled[t], rec.h2_weak[t], rec.h2_strong[t]
+
+        short = collect_records(make_config(trials=20))
+        long = collect_records(make_config(trials=40))
+        other_seed = collect_records(make_config(trials=20, root_seed=124))
+        assert trial(short, 17) == trial(long, 17)
+        assert trial(short, 17) != trial(short, 18)
+        assert trial(short, 17) != trial(other_seed, 17)
 
     def test_distinct_trial_streams(self):
         a = trial_rng(1, 0).uniform(size=8)
@@ -72,14 +80,19 @@ class TestTrials:
         assert np.all(records[FeedbackKind.DISTANCE_ONLY].scheduled)
 
     def test_noise_only_touches_feedback(self):
-        # same seed: noisy run reuses the same population, so the distance
-        # scheme's selected TRUE gains can differ only via selection changes
-        base = make_config(trials=500)
-        noisy = make_config(trials=500, noise=NoiseConfig(sigma_d=0.0, sigma_phi=0.0))
-        rec_a = collect_records(base)[FeedbackKind.FULL_CSI]
-        rec_b = collect_records(noisy)[FeedbackKind.FULL_CSI]
-        assert np.array_equal(rec_a.h2_weak, rec_b.h2_weak)
-        assert np.array_equal(rec_a.h2_strong, rec_b.h2_strong)
+        # zero-sigma noise reproduces the feedback exactly; group picks are drawn
+        # before the noise, so no scheme's records may change
+        schemes = INDIVIDUAL + (
+            FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, math.radians(5.0)),
+            FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, math.radians(5.0)),
+            FeedbackScheme(FeedbackKind.ONE_BIT_DISTANCE, 1.0),
+        )
+        base = collect_records(make_config(schemes=schemes, trials=500))
+        noisy = collect_records(make_config(schemes=schemes, trials=500, noise=NoiseConfig(sigma_d=0.0, sigma_phi=0.0)))
+        for kind in base:
+            assert np.array_equal(base[kind].scheduled, noisy[kind].scheduled)
+            assert np.array_equal(base[kind].h2_weak, noisy[kind].h2_weak)
+            assert np.array_equal(base[kind].h2_strong, noisy[kind].h2_strong)
 
     def test_group_trial_records(self):
         schemes = (
@@ -103,6 +116,17 @@ class TestParallelism:
             assert np.array_equal(serial[kind].scheduled, parallel[kind].scheduled)
             assert np.array_equal(serial[kind].h2_weak, parallel[kind].h2_weak)
             assert np.array_equal(serial[kind].h2_strong, parallel[kind].h2_strong)
+
+    def test_records_are_a_prefix_of_longer_runs(self):
+        # a trial's outcome depends on (seed, trial index) only, not on the trial count
+        schemes = INDIVIDUAL + (FeedbackScheme(FeedbackKind.ONE_BIT_DISTANCE, 1.0),)
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=math.radians(2.5))
+        short = collect_records(make_config(schemes=schemes, noise=noise, trials=5000))
+        long = collect_records(make_config(schemes=schemes, noise=noise, trials=8192))
+        for kind in short:
+            assert np.array_equal(short[kind].scheduled, long[kind].scheduled[:5000])
+            assert np.array_equal(short[kind].h2_weak, long[kind].h2_weak[:5000])
+            assert np.array_equal(short[kind].h2_strong, long[kind].h2_strong[:5000])
 
     def test_sweep_reproducible(self):
         config = make_config(trials=2000)
