@@ -38,7 +38,7 @@ from .channel import LedGeometry
 from .link import CurvePoint, eta_thresholds, noma_sum_rate, oma_gain_thresholds
 from .population import MobilityConfig, conditional_phi_cdf, marginal_phi_cdf, mean_phi_cdf
 from .quadrature import QuadratureConfig, integrate_adaptive
-from .scheduling import FeedbackKind, FeedbackScheme
+from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 
 WEAK, STRONG = "weak", "strong"
 
@@ -78,18 +78,6 @@ def gain_boundary_angle(geom, x, r):
     return 0.5 * math.acos(max(arg, -1.0))
 
 
-def clipped_gain_angles(geom, x, r, cap):
-    """(min, max) of the gain boundary angle against a cap angle.
-
-    The capped value is the effective integration half-angle of the unordered
-    and strong-group CDFs; the floored value is the weak-group counterpart.
-    The arccos argument is already clamped, so levels beyond the gain support
-    degrade gracefully to 0 or pi/2.
-    """
-    a = gain_boundary_angle(geom, x, r)
-    return min(a, cap), max(a, cap)
-
-
 def gain_boundary_distance(geom, x, cos_sq_scale=1.0):
     """Distance where g(r)^2 * cos_sq_scale crosses the level x.
 
@@ -106,6 +94,10 @@ def gain_boundary_distance(geom, x, cos_sq_scale=1.0):
 
 def _clamp(x, lo, hi):
     return min(max(x, lo), hi)
+
+
+def _result(value, err, with_error):
+    return (value, err) if with_error else value
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +127,11 @@ def _phi_corners(model, use_mean):
     )
 
 
-def _corner_crossings(model, offsets, lo, hi, use_mean=False):
-    """Distances where c(r) + offset crosses a kink of the angle CDF."""
+def _corner_crossings(model, half_angles, lo, hi, use_mean=False):
+    """Distances where c(r) +/- half_angle crosses a kink of the angle CDF."""
     ell = model.geom.ell
     out = []
-    for s in offsets:
+    for s in [a * sign for a in half_angles for sign in (1.0, -1.0)]:
         for t in _phi_corners(model, use_mean):
             beta = math.pi + s - t  # needs atan(ell/r) = beta
             if 1e-12 < beta < math.pi / 2.0 - 1e-12:
@@ -159,6 +151,20 @@ def _level_breakpoints(model, x, lo, hi, caps):
     return out
 
 
+def _integral(model, f, lo, hi, half_angles, use_mean=False, level=None, caps=()):
+    """Integral of f over the distances [lo, hi] with its error, split at every kink.
+
+    The kinks are the corner crossings of c(r) +/- each of ``half_angles`` and,
+    for a gain ``level``, the distances where its boundary angle reaches 0 or
+    one of ``caps``.  ``integrate_adaptive`` keeps only the points inside
+    (lo, hi) and sorts them, so their order does not matter.
+    """
+    pts = _corner_crossings(model, half_angles, lo, hi, use_mean)
+    if level is not None:
+        pts += _level_breakpoints(model, level, lo, hi, caps)
+    return integrate_adaptive(f, lo, hi, model.quad, pts)
+
+
 # ---------------------------------------------------------------------------
 # Nonzero-gain probability and the truncated count PMF
 # ---------------------------------------------------------------------------
@@ -167,30 +173,28 @@ def _level_breakpoints(model, x, lo, hi, caps):
 @lru_cache(maxsize=None)
 def _fov_normalizer(model, use_mean=False):
     """Integral of fov_probability(r, half_fov) over the distance range, with error."""
-    theta = model.geom.half_fov
-    pts = _corner_crossings(model, (theta, -theta), model.mobility.d_min, model.mobility.d_max, use_mean)
-    return integrate_adaptive(
-        lambda r: fov_probability(model, r, theta, use_mean),
-        model.mobility.d_min,
-        model.mobility.d_max,
-        model.quad,
-        pts,
-    )
+    theta, mob = model.geom.half_fov, model.mobility
+    return _integral(model, lambda r: fov_probability(model, r, theta, use_mean), mob.d_min, mob.d_max, (theta,),
+                     use_mean)
 
 
 def nonzero_gain_probability(model, with_error=False, use_mean=False):
     """Probability that a single user's channel gain (or mean-angle gain) is nonzero."""
     value, err = _fov_normalizer(model, use_mean)
-    p = min(max(value / model.mobility.d_span, 0.0), 1.0)
-    if with_error:
-        return p, err / model.mobility.d_span
-    return p
+    return _result(_clamp(value / model.mobility.d_span, 0.0, 1.0), err / model.mobility.d_span, with_error)
 
 
 def nonzero_count_tail(model, k_min, use_mean=False):
     """Pr(at least k_min users have nonzero gain, or nonzero mean-angle gain)."""
     p = nonzero_gain_probability(model, use_mean=use_mean)
     return float(binom.sf(k_min - 1, model.mobility.num_users, p))
+
+
+def _count_weights(model, n, k_min, use_mean=False):
+    """Binomial(K, p) PMF of the nonzero-gain count at n, truncated and renormalized below k_min."""
+    K = model.mobility.num_users
+    p = nonzero_gain_probability(model, use_mean=use_mean)
+    return binom.pmf(n, K, p) / binom.sf(k_min - 1, K, p)
 
 
 def nonzero_count_pmf(model, k, k_min=0):
@@ -200,13 +204,34 @@ def nonzero_count_pmf(model, k, k_min=0):
         raise ValueError(f"count must lie in [0, {K}]")
     if k < k_min:
         return 0.0
-    p = nonzero_gain_probability(model)
-    return float(binom.pmf(k, K, p) / binom.sf(k_min - 1, K, p))
+    return float(_count_weights(model, k, k_min))
 
 
 # ---------------------------------------------------------------------------
 # Individual scheduling: unordered and ordered squared-gain CDFs
 # ---------------------------------------------------------------------------
+
+
+def _capped_cdf(model, x, hi, cap, normalizer, with_error, use_mean=False):
+    """1 - (integral over [d_min, hi] of Pr(|theta| <= min(boundary angle, cap) | r)) / normalizer.
+
+    The squared-gain CDF of the users within ``cap`` of the boresight out to
+    ``hi``, given (integral, error) of their probability mass.
+    """
+    den, den_err = normalizer
+    if x <= 0.0:
+        return _result(0.0, 0.0, with_error)
+    geom, lo = model.geom, model.mobility.d_min
+    # beyond the level crossing g(r)^2 = x the integrand is identically zero
+    hi = min(hi, gain_boundary_distance(geom, x))
+    num, num_err = 0.0, 0.0
+    if hi > lo:
+        def band(r):
+            return fov_probability(model, r, min(gain_boundary_angle(geom, x, r), cap), use_mean)
+
+        num, num_err = _integral(model, band, lo, hi, (cap,), use_mean, level=x, caps=(cap,))
+    value = _clamp(1.0 - num / den, 0.0, 1.0)
+    return _result(value, (num_err + value * den_err) / den, with_error)
 
 
 def unordered_gain_cdf(model, x, with_error=False, use_mean=False):
@@ -215,31 +240,16 @@ def unordered_gain_cdf(model, x, with_error=False, use_mean=False):
     With ``use_mean`` the gain is evaluated at the mean vertical angle, which
     gives the law of the mean-angle feedback report.
     """
-    den, den_err = _fov_normalizer(model, use_mean)
-    if x <= 0.0:
-        return (0.0, 0.0) if with_error else 0.0
-    theta = model.geom.half_fov
-    lo, hi = model.mobility.d_min, model.mobility.d_max
-    # beyond the level crossing g(r)^2 = x the integrand is identically zero
-    hi_eff = min(hi, gain_boundary_distance(model.geom, x))
-    if hi_eff <= lo:
-        value = 1.0
-        num_err = 0.0
-    else:
-        pts = _level_breakpoints(model, x, lo, hi_eff, (theta,))
-        pts += _corner_crossings(model, (theta, -theta), lo, hi_eff, use_mean)
-        num, num_err = integrate_adaptive(
-            lambda r: fov_probability(model, r, min(gain_boundary_angle(model.geom, x, r), theta), use_mean),
-            lo,
-            hi_eff,
-            model.quad,
-            pts,
-        )
-        value = 1.0 - num / den
-    value = min(max(value, 0.0), 1.0)
-    if with_error:
-        return value, (num_err + value * den_err) / den if hi_eff > lo else den_err / den
-    return value
+    return _capped_cdf(model, x, model.mobility.d_max, model.geom.half_fov, _fov_normalizer(model, use_mean),
+                       with_error, use_mean)
+
+
+def _check_rank(model, rank, min_count):
+    K = model.mobility.num_users
+    if not 1 <= rank <= K:
+        raise ValueError(f"rank must lie in [1, {K}]")
+    if not rank <= min_count <= K:
+        raise ValueError("min_count must lie in [rank, K]")
 
 
 def ordered_gain_cdf(model, x, rank, min_count, with_error=False):
@@ -248,21 +258,14 @@ def ordered_gain_cdf(model, x, rank, min_count, with_error=False):
     Mixture over the truncated Binomial count n of the probability that at
     least ``rank`` of n independent nonzero gains fall at or below x.
     """
+    _check_rank(model, rank, min_count)
     K = model.mobility.num_users
-    if not 1 <= rank <= K:
-        raise ValueError(f"rank must lie in [1, {K}]")
-    if not rank <= min_count <= K:
-        raise ValueError("min_count must lie in [rank, K]")
     u, u_err = unordered_gain_cdf(model, x, with_error=True)
-    p = nonzero_gain_probability(model)
     n = np.arange(min_count, K + 1)
-    weights = binom.pmf(n, K, p) / binom.sf(min_count - 1, K, p)
     orders = binom.sf(rank - 1, n, u)
-    value = float(np.clip(np.sum(weights * orders), 0.0, 1.0))
-    if with_error:
-        # |d/du of the binomial tail| <= n <= K bounds the error amplification
-        return value, K * u_err
-    return value
+    value = float(np.clip(np.sum(_count_weights(model, n, min_count) * orders), 0.0, 1.0))
+    # |d/du of the binomial tail| <= n <= K bounds the error amplification
+    return _result(value, K * u_err, with_error)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +325,8 @@ def _rank_density(model, rank, min_count):
     rank-th smallest of n, and the total variation of W on [0, 1], which
     bounds how far an error in u moves the integral of W over a uniform u.
     """
-    K = model.mobility.num_users
-    p = nonzero_gain_probability(model, use_mean=True)
-    n = np.arange(min_count, K + 1)
-    weights = binom.pmf(n, K, p) / binom.sf(min_count - 1, K, p)
+    n = np.arange(min_count, model.mobility.num_users + 1)
+    weights = _count_weights(model, n, min_count, use_mean=True)
     coef = weights * n * np.array([math.comb(int(v) - 1, rank - 1) for v in n], float)
     powers = n - rank
 
@@ -361,11 +362,7 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
     change when the inner panels are halved, and the table error times the
     total variation of W.
     """
-    K = model.mobility.num_users
-    if not 1 <= rank <= K:
-        raise ValueError(f"rank must lie in [1, {K}]")
-    if not rank <= min_count <= K:
-        raise ValueError("min_count must lie in [rank, K]")
+    _check_rank(model, rank, min_count)
     _require_mean_span(model)
     geom, mob = model.geom, model.mobility
     theta, dphi = geom.half_fov, mob.delta_phi
@@ -392,12 +389,14 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
     den *= mob.mean_phi_span
     den_err *= mob.mean_phi_span
     lo, hi = mob.d_min, min(mob.d_max, gain_boundary_distance(geom, threshold))
-    pts = _level_breakpoints(model, threshold, lo, hi, (theta,))
-    pts += _corner_crossings(model, (theta, -theta), lo, hi, use_mean=True)
-    num, num_err = integrate_adaptive(lambda r: inner(r, _MEAN_PANELS), lo, hi, model.quad, pts)
-    value = min(max(num / den, 0.0), 1.0)
+
+    def outer(panels):
+        return _integral(model, lambda r: inner(r, panels), lo, hi, (theta,), True, level=threshold, caps=(theta,))
+
+    num, num_err = outer(_MEAN_PANELS)
+    value = _clamp(num / den, 0.0, 1.0)
     if with_error:
-        coarse, _ = integrate_adaptive(lambda r: inner(r, _MEAN_PANELS // 2), lo, hi, model.quad, pts)
+        coarse, _ = outer(_MEAN_PANELS // 2)
         err = (num_err + abs(num - coarse)) / den + value * den_err / den
         return value, err + variation * cdf_err
     return value
@@ -408,58 +407,45 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
 # ---------------------------------------------------------------------------
 
 
-TWO_BIT_KINDS = (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN)
-
-
 def _require_group_scheme(model, kinds):
     if model.scheme is None or model.scheme.kind not in kinds:
         raise ValueError(f"model.scheme must be one of {[k.value for k in kinds]}")
     return model.scheme
 
 
+def _require_role(role):
+    if role not in (WEAK, STRONG):
+        raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
+
+
+def _nonempty(normalizer):
+    if normalizer[0] <= 0.0:
+        raise ValueError("weak group has zero probability under this configuration")
+    return normalizer
+
+
 @lru_cache(maxsize=None)
 def _weak_band_normalizer_instant(model):
     """Integral over [d_th, d_max] of Pr(theta_th < |theta| <= half_fov | r)."""
-    scheme = model.scheme
-    theta, th = model.geom.half_fov, scheme.theta_threshold
-    pts = _corner_crossings(model, (theta, -theta, th, -th), scheme.d_threshold, model.mobility.d_max)
-    return integrate_adaptive(
-        lambda r: fov_probability(model, r, theta) - fov_probability(model, r, th),
-        scheme.d_threshold,
-        model.mobility.d_max,
-        model.quad,
-        pts,
-    )
+    theta, th = model.geom.half_fov, model.scheme.theta_threshold
+    return _integral(model, lambda r: fov_probability(model, r, theta) - fov_probability(model, r, th),
+                     model.scheme.d_threshold, model.mobility.d_max, (theta, th))
 
 
 @lru_cache(maxsize=None)
-def _weak_membership_instant(model):
-    """Integral over [d_th, d_max] of Pr(|theta| > theta_th | r)."""
-    scheme = model.scheme
-    th = scheme.theta_threshold
-    pts = _corner_crossings(model, (th, -th), scheme.d_threshold, model.mobility.d_max)
-    return integrate_adaptive(
-        lambda r: 1.0 - fov_probability(model, r, th),
-        scheme.d_threshold,
-        model.mobility.d_max,
-        model.quad,
-        pts,
-    )
+def _weak_membership(model, use_mean):
+    """Integral over [d_th, d_max] of Pr(|theta| > theta_th | r), of the instantaneous or mean angle."""
+    th = model.scheme.theta_threshold
+    return _integral(model, lambda r: 1.0 - fov_probability(model, r, th, use_mean=use_mean),
+                     model.scheme.d_threshold, model.mobility.d_max, (th,), use_mean)
 
 
 @lru_cache(maxsize=None)
-def _strong_membership_instant(model):
-    """Integral over [d_min, d_th] of Pr(|theta| <= theta_th | r)."""
-    scheme = model.scheme
-    th = scheme.theta_threshold
-    pts = _corner_crossings(model, (th, -th), model.mobility.d_min, scheme.d_threshold)
-    return integrate_adaptive(
-        lambda r: fov_probability(model, r, th),
-        model.mobility.d_min,
-        scheme.d_threshold,
-        model.quad,
-        pts,
-    )
+def _strong_membership(model, use_mean):
+    """Integral over [d_min, d_th] of Pr(|theta| <= theta_th | r), of the instantaneous or mean angle."""
+    th = model.scheme.theta_threshold
+    return _integral(model, lambda r: fov_probability(model, r, th, use_mean=use_mean),
+                     model.mobility.d_min, model.scheme.d_threshold, (th,), use_mean)
 
 
 def group_gain_cdf_instant(model, x, role, with_error=False):
@@ -472,47 +458,20 @@ def group_gain_cdf_instant(model, x, role, with_error=False):
     scheme = _require_group_scheme(model, (FeedbackKind.TWO_BIT_INSTANT,))
     geom, mob = model.geom, model.mobility
     theta, th = geom.half_fov, scheme.theta_threshold
-    if role == WEAK:
-        den, den_err = _weak_band_normalizer_instant(model)
-        if den <= 0.0:
-            raise ValueError("weak group has zero probability under this configuration")
-        if x <= 0.0:
-            return (0.0, 0.0) if with_error else 0.0
-        d_star = _clamp(gain_boundary_distance(geom, x, math.cos(theta) ** 2), scheme.d_threshold, mob.d_max)
-        pts = _level_breakpoints(model, x, d_star, mob.d_max, (theta, th))
-        pts += _corner_crossings(model, (theta, -theta, th, -th), d_star, mob.d_max)
-        num, num_err = integrate_adaptive(
-            lambda r: fov_probability(model, r, theta)
-            - fov_probability(model, r, max(gain_boundary_angle(geom, x, r), th)),
-            d_star,
-            mob.d_max,
-            model.quad,
-            pts,
-        )
-        value = min(max(num / den, 0.0), 1.0)
-    elif role == STRONG:
-        den, den_err = _strong_membership_instant(model)
-        if x <= 0.0:
-            return (0.0, 0.0) if with_error else 0.0
-        hi_eff = min(scheme.d_threshold, gain_boundary_distance(geom, x))
-        if hi_eff <= mob.d_min:
-            num, num_err = 0.0, 0.0
-        else:
-            pts = _level_breakpoints(model, x, mob.d_min, hi_eff, (th,))
-            pts += _corner_crossings(model, (th, -th), mob.d_min, hi_eff)
-            num, num_err = integrate_adaptive(
-                lambda r: fov_probability(model, r, min(gain_boundary_angle(geom, x, r), th)),
-                mob.d_min,
-                hi_eff,
-                model.quad,
-                pts,
-            )
-        value = min(max(1.0 - num / den, 0.0), 1.0)
-    else:
-        raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
-    if with_error:
-        return value, (num_err + value * den_err) / den
-    return value
+    if role == STRONG:
+        return _capped_cdf(model, x, scheme.d_threshold, th, _strong_membership(model, False), with_error)
+    _require_role(role)
+    den, den_err = _nonempty(_weak_band_normalizer_instant(model))
+    if x <= 0.0:
+        return _result(0.0, 0.0, with_error)
+    d_star = _clamp(gain_boundary_distance(geom, x, math.cos(theta) ** 2), scheme.d_threshold, mob.d_max)
+
+    def band(r):
+        return fov_probability(model, r, theta) - fov_probability(model, r, max(gain_boundary_angle(geom, x, r), th))
+
+    num, num_err = _integral(model, band, d_star, mob.d_max, (theta, th), level=x, caps=(theta, th))
+    value = _clamp(num / den, 0.0, 1.0)
+    return _result(value, (num_err + value * den_err) / den, with_error)
 
 
 # ---------------------------------------------------------------------------
@@ -593,49 +552,34 @@ def _require_mean_span(model):
         raise ValueError("mean-angle group CDFs need a nondegenerate mean-angle range")
 
 
+# The mean-report membership integrals below integrate interval lengths of
+# the uniform mean angle.  group_probabilities integrates
+# fov_probability(use_mean=True) instead, which is the same quantity divided
+# by mean_phi_span in exact arithmetic but differs in the last bits: for
+# paper_mobility(25) the strong membership probability reads
+# 0.007692307692307693 one way and ...695 the other.  Merging the two would
+# change the fig3 CSV bytes, so both formulas stay.
+
+
 @lru_cache(maxsize=None)
-def _weak_fov_normalizer_mean(model):
-    """Integral over [d_th, d_max] of the FOV-capped weak membership interval length."""
-    scheme = model.scheme
-    th, theta = scheme.theta_threshold, model.geom.half_fov
-    pts = _corner_crossings(model, (theta, -theta, th, -th), scheme.d_threshold, model.mobility.d_max, use_mean=True)
-    return integrate_adaptive(
-        lambda r: _interval_length(_weak_mean_intervals(model, r, fov_capped=True)),
-        scheme.d_threshold,
-        model.mobility.d_max,
-        model.quad,
-        pts,
-    )
+def _weak_fov_normalizer_mean(model, lo):
+    """Integral over [lo, d_max] of the FOV-capped weak membership interval length."""
+    return _integral(model, lambda r: _interval_length(_weak_mean_intervals(model, r, fov_capped=True)),
+                     lo, model.mobility.d_max, (model.geom.half_fov, model.scheme.theta_threshold), True)
 
 
 @lru_cache(maxsize=None)
 def _weak_membership_mean(model):
     """Integral over [d_th, d_max] of the full weak membership interval length."""
-    scheme = model.scheme
-    th = scheme.theta_threshold
-    pts = _corner_crossings(model, (th, -th), scheme.d_threshold, model.mobility.d_max, use_mean=True)
-    return integrate_adaptive(
-        lambda r: _interval_length(_weak_mean_intervals(model, r, fov_capped=False)),
-        scheme.d_threshold,
-        model.mobility.d_max,
-        model.quad,
-        pts,
-    )
+    return _integral(model, lambda r: _interval_length(_weak_mean_intervals(model, r, fov_capped=False)),
+                     model.scheme.d_threshold, model.mobility.d_max, (model.scheme.theta_threshold,), True)
 
 
 @lru_cache(maxsize=None)
 def _strong_membership_mean(model, lo):
     """Integral over [lo, d_th] of the strong membership interval length."""
-    scheme = model.scheme
-    th = scheme.theta_threshold
-    pts = _corner_crossings(model, (th, -th), lo, scheme.d_threshold, use_mean=True)
-    return integrate_adaptive(
-        lambda r: _interval_length(_strong_mean_interval(model, r)),
-        lo,
-        scheme.d_threshold,
-        model.quad,
-        pts,
-    )
+    return _integral(model, lambda r: _interval_length(_strong_mean_interval(model, r)),
+                     lo, model.scheme.d_threshold, (model.scheme.theta_threshold,), True)
 
 
 def group_gain_cdf_mean(model, x, role, with_error=False):
@@ -644,61 +588,35 @@ def group_gain_cdf_mean(model, x, role, with_error=False):
     Groups are formed on the mean incidence angle while the gain keeps its
     instantaneous fluctuation, so the distribution carries an atom at zero
     (members whose instantaneous angle leaves the FOV).  The average over the
-    mean angle is exact; only the distance integral is numeric.
+    mean angle is exact; only the distance integral is numeric: members beyond
+    the level crossing d_star all lie below x, nearer ones by their band.
     """
     scheme = _require_group_scheme(model, (FeedbackKind.TWO_BIT_MEAN,))
     _require_mean_span(model)
+    _require_role(role)
     geom, mob = model.geom, model.mobility
-    theta = geom.half_fov
+    theta, th = geom.half_fov, scheme.theta_threshold
     if role == WEAK:
-        den, den_err = _weak_fov_normalizer_mean(model)
-        if den <= 0.0:
-            raise ValueError("weak group has zero probability under this configuration")
-        if x < 0.0:
-            return (0.0, 0.0) if with_error else 0.0
-        d_star = _clamp(gain_boundary_distance(geom, x), scheme.d_threshold, mob.d_max)
-        lo = scheme.d_threshold
-
-        def saturated(r):
-            return _interval_length(_weak_mean_intervals(model, r, fov_capped=True))
-
-        def integrand(r):
-            parts = _weak_mean_intervals(model, r, fov_capped=True)
-            cap = min(gain_boundary_angle(geom, x, r), theta)
-            return _interval_length(parts) - _conditional_band_integral(model, parts, r, cap)
-
-        pts_sat = _corner_crossings(model, (theta, -theta, scheme.theta_threshold, -scheme.theta_threshold),
-                                    d_star, mob.d_max, use_mean=True)
-        term1, err1 = integrate_adaptive(saturated, d_star, mob.d_max, model.quad, pts_sat)
-        pts = _level_breakpoints(model, x, lo, d_star, (theta, scheme.theta_threshold))
-        pts += _corner_crossings(model, (theta, -theta, scheme.theta_threshold, -scheme.theta_threshold),
-                                 lo, d_star, use_mean=True)
-        term2, err2 = integrate_adaptive(integrand, lo, d_star, model.quad, pts)
-        value = min(max((term1 + term2) / den, 0.0), 1.0)
-        num_err = err1 + err2
-    elif role == STRONG:
-        den, den_err = _strong_membership_mean(model, mob.d_min)
-        if x < 0.0:
-            return (0.0, 0.0) if with_error else 0.0
-        d_star = _clamp(gain_boundary_distance(geom, x), mob.d_min, scheme.d_threshold)
-
-        def integrand(r):
-            parts = _strong_mean_interval(model, r)
-            cap = min(gain_boundary_angle(geom, x, r), theta)
-            return _interval_length(parts) - _conditional_band_integral(model, parts, r, cap)
-
-        term1, err1 = _strong_membership_mean(model, d_star)
-        pts = _level_breakpoints(model, x, mob.d_min, d_star, (theta, scheme.theta_threshold))
-        pts += _corner_crossings(model, (scheme.theta_threshold, -scheme.theta_threshold),
-                                 mob.d_min, d_star, use_mean=True)
-        term2, err2 = integrate_adaptive(integrand, mob.d_min, d_star, model.quad, pts)
-        value = min(max((term1 + term2) / den, 0.0), 1.0)
-        num_err = err1 + err2
+        lo, hi, half_angles = scheme.d_threshold, mob.d_max, (theta, th)
+        members, mass = (lambda r: _weak_mean_intervals(model, r, fov_capped=True)), _weak_fov_normalizer_mean
+        den, den_err = _nonempty(mass(model, lo))
     else:
-        raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
-    if with_error:
-        return value, (num_err + value * den_err) / den
-    return value
+        lo, hi, half_angles = mob.d_min, scheme.d_threshold, (th,)
+        members, mass = (lambda r: _strong_mean_interval(model, r)), _strong_membership_mean
+        den, den_err = mass(model, lo)
+    if x < 0.0:
+        return _result(0.0, 0.0, with_error)
+    d_star = _clamp(gain_boundary_distance(geom, x), lo, hi)
+
+    def integrand(r):
+        parts = members(r)
+        cap = min(gain_boundary_angle(geom, x, r), theta)
+        return _interval_length(parts) - _conditional_band_integral(model, parts, r, cap)
+
+    term1, err1 = mass(model, d_star)
+    term2, err2 = _integral(model, integrand, lo, d_star, half_angles, True, level=x, caps=(theta, th))
+    value = _clamp((term1 + term2) / den, 0.0, 1.0)
+    return _result(value, (err1 + err2 + value * den_err) / den, with_error)
 
 
 # ---------------------------------------------------------------------------
@@ -720,27 +638,11 @@ def group_probabilities(model):
     scheme = _require_group_scheme(model, TWO_BIT_KINDS)
     use_mean = scheme.kind is FeedbackKind.TWO_BIT_MEAN
     mob = model.mobility
-    th = scheme.theta_threshold
-    pts_w = _corner_crossings(model, (th, -th), scheme.d_threshold, mob.d_max, use_mean=use_mean)
-    w, _ = integrate_adaptive(
-        lambda r: 1.0 - fov_probability(model, r, th, use_mean=use_mean),
-        scheme.d_threshold,
-        mob.d_max,
-        model.quad,
-        pts_w,
-    )
-    pts_s = _corner_crossings(model, (th, -th), mob.d_min, scheme.d_threshold, use_mean=use_mean)
-    s, _ = integrate_adaptive(
-        lambda r: fov_probability(model, r, th, use_mean=use_mean),
-        mob.d_min,
-        scheme.d_threshold,
-        model.quad,
-        pts_s,
-    )
-    p_w, p_s = w / mob.d_span, s / mob.d_span
+    p_w = _weak_membership(model, use_mean)[0] / mob.d_span
+    p_s = _strong_membership(model, use_mean)[0] / mob.d_span
     K = mob.num_users
     both = 1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K
-    return GroupStats(p_weak=p_w, p_strong=p_s, both_nonempty=min(max(both, 0.0), 1.0))
+    return GroupStats(p_weak=p_w, p_strong=p_s, both_nonempty=_clamp(both, 0.0, 1.0))
 
 
 def group_success_probability(model, threshold, role, with_error=False):
@@ -751,57 +653,31 @@ def group_success_probability(model, threshold, role, with_error=False):
     instantaneous, and zero gains count as failures.
     """
     scheme = _require_group_scheme(model, TWO_BIT_KINDS)
-    geom, mob = model.geom, model.mobility
-    theta = geom.half_fov
-    th = scheme.theta_threshold
-
-    def _done(value, err):
-        value = min(max(value, 0.0), 1.0)
-        return (value, err) if with_error else value
-
-    if scheme.kind is FeedbackKind.TWO_BIT_MEAN:
+    use_mean = scheme.kind is FeedbackKind.TWO_BIT_MEAN
+    if use_mean:
         _require_mean_span(model)
-        if role == WEAK:
-            den, den_err = _weak_membership_mean(model)
-            hi_eff = min(mob.d_max, gain_boundary_distance(geom, threshold))
-            lo = scheme.d_threshold
-            if hi_eff <= lo:
-                return _done(0.0, den_err / den)
-
-            def integrand(r):
-                parts = _weak_mean_intervals(model, r, fov_capped=False)
-                cap = min(gain_boundary_angle(geom, threshold, r), theta)
-                return _conditional_band_integral(model, parts, r, cap)
-
-            pts = _level_breakpoints(model, threshold, lo, hi_eff, (theta, th))
-            pts += _corner_crossings(model, (th, -th), lo, hi_eff, use_mean=True)
-            num, num_err = integrate_adaptive(integrand, lo, hi_eff, model.quad, pts)
-            return _done(num / den, (num_err + abs(num / den) * den_err) / den)
-        if role == STRONG:
-            value, err = group_gain_cdf_mean(model, threshold, STRONG, with_error=True)
-            return _done(1.0 - value, err)
-        raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
-    if role == WEAK:
-        den, den_err = _weak_membership_instant(model)
-        if den <= 0.0:
-            raise ValueError("weak group has zero probability under this configuration")
-        hi_eff = min(mob.d_max, gain_boundary_distance(geom, threshold))
-        lo = scheme.d_threshold
-        if hi_eff <= lo:
-            return _done(0.0, den_err / den)
-
-        def integrand(r):
-            cap = min(gain_boundary_angle(geom, threshold, r), theta)
-            return max(fov_probability(model, r, cap) - fov_probability(model, r, th), 0.0)
-
-        pts = _level_breakpoints(model, threshold, lo, hi_eff, (theta, th))
-        pts += _corner_crossings(model, (theta, -theta, th, -th), lo, hi_eff)
-        num, num_err = integrate_adaptive(integrand, lo, hi_eff, model.quad, pts)
-        return _done(num / den, (num_err + abs(num / den) * den_err) / den)
+    _require_role(role)
     if role == STRONG:
-        value, err = group_gain_cdf_instant(model, threshold, STRONG, with_error=True)
-        return _done(1.0 - value, err)
-    raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
+        cdf = group_gain_cdf_mean if use_mean else group_gain_cdf_instant
+        value, err = cdf(model, threshold, STRONG, with_error=True)
+        return _result(_clamp(1.0 - value, 0.0, 1.0), err, with_error)
+    geom, mob = model.geom, model.mobility
+    theta, th = geom.half_fov, scheme.theta_threshold
+
+    def band(r):
+        """Weak members at distance r whose instantaneous |theta| stays within the boundary angle."""
+        cap = min(gain_boundary_angle(geom, threshold, r), theta)
+        if use_mean:
+            return _conditional_band_integral(model, _weak_mean_intervals(model, r, fov_capped=False), r, cap)
+        return max(fov_probability(model, r, cap) - fov_probability(model, r, th), 0.0)
+
+    den, den_err = _nonempty(_weak_membership_mean(model) if use_mean else _weak_membership(model, False))
+    lo, hi = scheme.d_threshold, min(mob.d_max, gain_boundary_distance(geom, threshold))
+    if hi <= lo:
+        return _result(0.0, den_err / den, with_error)
+    num, num_err = _integral(model, band, lo, hi, (th,) if use_mean else (theta, th), use_mean,
+                             level=threshold, caps=(theta, th))
+    return _result(_clamp(num / den, 0.0, 1.0), (num_err + abs(num / den) * den_err) / den, with_error)
 
 
 # ---------------------------------------------------------------------------

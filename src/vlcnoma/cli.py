@@ -48,43 +48,42 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub):
+def _add_sweep_flags(sub):
     sub.add_argument("--config", help="INI configuration file")
     sub.add_argument("--preset", help="bundled experiment preset (fig2, fig3, fig4)")
     sub.add_argument("--set", dest="overrides", action="append", metavar="SECTION.KEY=VALUE",
                      help="override one configuration value (repeatable)")
     sub.add_argument("--seed", type=int, help="root random seed")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials per run group")
-    sub.add_argument("--out", help="output CSV/report path")
-    sub.add_argument("--quick", action="store_true", help="reduced sizes for a fast pass")
+    sub.add_argument("--out", help="output CSV path")
 
 
 def build_parser():
+    """Each command accepts only the flags it reads; any other flag is a usage error."""
     parser = _Parser(prog="vlcnoma", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("simulate", "Monte Carlo sum-rate sweep"),
-        ("analytic", "closed-form sum-rate sweep"),
-        ("validate", "analytic-vs-sampling cross validation"),
-    ):
-        sub = subs.add_parser(name, help=doc)
-        _add_common(sub)
+    simulate = subs.add_parser("simulate", help="Monte Carlo sum-rate sweep")
+    _add_sweep_flags(simulate)
+    simulate.add_argument("--trials", type=int, help="Monte Carlo trials per run group")
+    _add_sweep_flags(subs.add_parser("analytic", help="closed-form sum-rate sweep"))
+    validate = subs.add_parser("validate", help="analytic-vs-sampling cross validation")
+    validate.add_argument("--seed", type=int,
+                          help="accepted and ignored: the checks always draw from the fixed seed 20240")
+    validate.add_argument("--out", help="output JSON report path")
+    validate.add_argument("--quick", action="store_true", help="reduced sample sizes for a fast pass")
     plot = subs.add_parser("plot", help="emit a plotting script for sweep CSVs")
     plot.add_argument("csv", nargs="+", help="CSV files produced by simulate/analytic")
     plot.add_argument("--out", help="path of the generated plot script")
     return parser
 
 
-def _resolved_groups(args):
+def _resolved_groups(args, trials=None):
     file_flat = read_config_file(args.config) if args.config else {}
     set_flat = parse_overrides(args.overrides)
     if args.seed is not None:
         set_flat["sweep.seed"] = str(args.seed)
-    if args.trials is not None:
-        set_flat["sweep.trials"] = str(args.trials)
-    if args.quick:
-        set_flat.setdefault("sweep.trials", "5000")
+    if trials is not None:
+        set_flat["sweep.trials"] = str(trials)
     return resolve_groups(args.preset, file_flat, set_flat)
 
 
@@ -138,7 +137,7 @@ def _write_manifest(path, command, args, groups, outputs, started, duration, **e
 
 
 def cmd_simulate(args):
-    groups = _resolved_groups(args)
+    groups = _resolved_groups(args, args.trials)
     out = Path(args.out or f"{args.preset or 'run'}-simulate.csv")
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -173,15 +172,14 @@ def cmd_analytic(args):
                   "does not model; skipped", file=sys.stderr)
             continue
         quad = build_quadrature(flat)
-        oma_pending = config.include_oma
+        oma_pending = config.oma_kind is not None
         for scheme in config.schemes:
             if scheme.kind not in ROUTES:
                 print(f"note: no closed-form route for scheme {scheme.kind.value!r}; skipped", file=sys.stderr)
                 continue
             model = AnalyticModel(geom=config.geom, mobility=config.mobility,
                                   scheme=scheme if scheme.is_group else None, quad=quad)
-            base = config.oma_base or config.schemes[0].kind
-            include_oma = oma_pending and scheme.kind is base
+            include_oma = oma_pending and scheme.kind is config.oma_kind
             try:
                 curves = sum_rate_sweep(
                     model,

@@ -16,7 +16,7 @@ from .channel import LedGeometry
 from .link import NomaConfig, PowerAllocation, TargetRates
 from .population import MobilityConfig
 from .quadrature import QuadratureConfig
-from .scheduling import FeedbackKind, FeedbackScheme
+from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from .simulate import ExperimentConfig, NoiseConfig
 
 
@@ -44,7 +44,6 @@ DEFAULTS = {
     "mobility.num_users": "20",
     "noma.power_weak": "0.984375",
     "noma.power_strong": "0.015625",
-    "noma.power_interpretation": "power",
     "noma.rate_weak": "2.0",
     "noma.rate_strong": "10.0",
     "noma.oma_time_share": "2",
@@ -240,7 +239,7 @@ def _build_schemes(flat, geom, mobility):
         kind = _KIND_BY_NAME.get(name)
         if kind is None:
             raise ConfigError(f"schemes.list: unknown scheme {name!r} (choose from {sorted(_KIND_BY_NAME)})")
-        if kind in (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN):
+        if kind in TWO_BIT_KINDS:
             schemes.append(FeedbackScheme(kind, d_threshold=d_th, theta_threshold=theta_th))
         elif kind is FeedbackKind.ONE_BIT_DISTANCE:
             schemes.append(FeedbackScheme(kind, d_threshold=d_th))
@@ -276,11 +275,7 @@ def build_experiment(flat):
     except ValueError as exc:
         raise ConfigError(f"mobility: {exc}") from exc
     try:
-        alloc = PowerAllocation.from_config(
-            _get_float(flat, "noma.power_weak"),
-            _get_float(flat, "noma.power_strong"),
-            flat["noma.power_interpretation"].strip(),
-        )
+        alloc = PowerAllocation(_get_float(flat, "noma.power_weak"), _get_float(flat, "noma.power_strong"))
         targets = TargetRates(_get_float(flat, "noma.rate_weak"), _get_float(flat, "noma.rate_strong"))
     except ValueError as exc:
         raise ConfigError(f"noma: {exc}") from exc

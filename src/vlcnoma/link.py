@@ -41,16 +41,6 @@ class PowerAllocation:
         if not (0.0 < self.share_strong < self.share_weak < 1.0):
             raise ValueError("need 0 < share_strong < share_weak < 1")
 
-    @classmethod
-    def from_config(cls, value_weak, value_strong, interpretation="power"):
-        """Build from configured coefficients, read as power shares or amplitudes."""
-        if interpretation == "power":
-            return cls(value_weak, value_strong)
-        if interpretation == "amplitude":
-            total = value_weak**2 + value_strong**2
-            return cls(value_weak**2 / total, value_strong**2 / total)
-        raise ValueError(f"unknown power interpretation {interpretation!r}")
-
 
 def epsilon_threshold(target_rate):
     """SINR threshold (2^(2*rate) - 1) * 2*pi/e for a spectral-efficiency target."""

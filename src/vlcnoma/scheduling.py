@@ -33,7 +33,8 @@ class FeedbackKind(Enum):
     ONE_BIT_DISTANCE = "one-bit"
 
 
-GROUP_KINDS = (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN, FeedbackKind.ONE_BIT_DISTANCE)
+TWO_BIT_KINDS = (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN)
+GROUP_KINDS = (*TWO_BIT_KINDS, FeedbackKind.ONE_BIT_DISTANCE)
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class FeedbackScheme:
     theta_threshold: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind in (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN):
+        if self.kind in TWO_BIT_KINDS:
             if self.d_threshold is None or self.theta_threshold is None:
                 raise ValueError(f"{self.kind.value} needs d_threshold and theta_threshold")
         if self.kind is FeedbackKind.ONE_BIT_DISTANCE and self.d_threshold is None:
@@ -66,7 +67,6 @@ class ScheduleDecision:
 
     weak_index: Optional[int]
     strong_index: Optional[int]
-    nonzero_count: int
 
     def __post_init__(self):
         if self.weak_index is not None and self.weak_index == self.strong_index:
@@ -104,10 +104,9 @@ def select_individual(ordering, rank_weak, rank_strong):
     """Pick the users at the two ranks, or no transmission if too few candidates."""
     if not 1 <= rank_weak < rank_strong:
         raise ValueError("need 1 <= rank_weak < rank_strong")
-    count = len(ordering)
-    if count < rank_strong:
-        return ScheduleDecision(None, None, count)
-    return ScheduleDecision(int(ordering[rank_weak - 1]), int(ordering[rank_strong - 1]), count)
+    if len(ordering) < rank_strong:
+        return ScheduleDecision(None, None)
+    return ScheduleDecision(int(ordering[rank_weak - 1]), int(ordering[rank_strong - 1]))
 
 
 def two_bit_feedback(d, angle, scheme, geom):
@@ -117,7 +116,7 @@ def two_bit_feedback(d, angle, scheme, geom):
     scheme and the mean vertical angle for the mean kind; the boundary counts
     as inside (Pi[x] = 1 iff |x| <= 1).  Array friendly.
     """
-    if scheme.kind not in (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN):
+    if scheme.kind not in TWO_BIT_KINDS:
         raise ValueError("two_bit_feedback needs a two-bit scheme")
     theta = incidence_angle(np.asarray(d, float), angle, geom.ell)
     bit_d = np.asarray(d, float) <= scheme.d_threshold
@@ -161,5 +160,4 @@ def select_group_pair(groups, u):
     ``u`` holds two uniforms in [0, 1), the weak pick's then the strong pick's;
     a group of n members serves member min(int(u * n), n - 1).
     """
-    weak, strong = _pick(groups.weak_group, u[0]), _pick(groups.strong_group, u[1])
-    return ScheduleDecision(weak, strong, len(groups.weak_group) + len(groups.strong_group))
+    return ScheduleDecision(_pick(groups.weak_group, u[0]), _pick(groups.strong_group, u[1]))

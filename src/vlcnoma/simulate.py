@@ -30,6 +30,7 @@ from .channel import LedGeometry, channel_gain, mean_channel_gain
 from .link import CurvePoint, NomaConfig, eta_thresholds, noma_pair_outcome, oma_gain_thresholds
 from .population import MobilityConfig, noisy_estimate_arrays, sample_user_arrays
 from .scheduling import (
+    TWO_BIT_KINDS,
     FeedbackKind,
     group_users,
     group_users_one_bit,
@@ -95,6 +96,13 @@ class ExperimentConfig:
             if self.oma_base not in [s.kind for s in self.schemes]:
                 raise ValueError("oma_base must reference a configured scheme")
 
+    @property
+    def oma_kind(self):
+        """Scheme kind whose scheduled pairs the OMA baseline serves; None without a baseline."""
+        if not self.include_oma:
+            return None
+        return self.oma_base or self.schemes[0].kind
+
 
 def trial_rng(root_seed, chunk_index):
     """Generator of one trial chunk; deterministic in (root_seed, chunk_index)."""
@@ -125,7 +133,7 @@ def run_trial(config, users, reports, picks):
             decision = select_individual(order_by_gain_arrays(reported), config.rank_weak, config.rank_strong)
         elif kind is FeedbackKind.DISTANCE_ONLY:
             decision = select_individual(order_by_distance_array(d_fb), config.rank_weak, config.rank_strong)
-        elif kind in (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN):
+        elif kind in TWO_BIT_KINDS:
             angles = phi_fb if kind is FeedbackKind.TWO_BIT_INSTANT else mean_phi_fb
             bit_d, bit_theta = two_bit_feedback(d_fb, angles, scheme, config.geom)
             decision = select_group_pair(group_users(bit_d, bit_theta), u)
@@ -243,10 +251,9 @@ def run_sweep(config, n_workers=1):
             config.gamma_db_grid,
             config.trials,
         )
-    if config.include_oma:
-        base = config.oma_base or config.schemes[0].kind
+    if config.oma_kind is not None:
         curves[OMA_LABEL] = _curve(
-            records[base],
+            records[config.oma_kind],
             lambda gamma: oma_gain_thresholds(targets, gamma, config.oma_time_share),
             targets,
             config.gamma_db_grid,
@@ -287,7 +294,3 @@ class EmpiricalCdf:
         target_high = np.asarray([cdf(x) for x in xs])
         target_low = np.asarray([cdf(np.nextafter(x, -np.inf)) for x in xs])
         return float(np.max(np.maximum(np.abs(target_high - high), np.abs(target_low - low))))
-
-
-def empirical_cdf(samples):
-    return EmpiricalCdf(samples)

@@ -19,8 +19,8 @@ from . import analytic as an
 from .channel import channel_gain, incidence_angle
 from .link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
 from .population import MobilityConfig, marginal_phi_cdf, sample_user_arrays
-from .scheduling import FeedbackKind, FeedbackScheme
-from .simulate import empirical_cdf
+from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
+from .simulate import EmpiricalCdf
 
 
 @dataclass
@@ -90,7 +90,7 @@ def check_marginal_phi_dkw(sizes, rng):
     n = sizes.population_draws
     _, _, phi = sample_user_arrays(mob, rng, n)
     xs = np.quantile(phi, np.linspace(0.001, 0.999, 500))
-    emp = empirical_cdf(phi)
+    emp = EmpiricalCdf(phi)
     sup = float(np.max(np.abs(emp(xs) - np.array([marginal_phi_cdf(mob, x) for x in xs]))))
     bound = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
     return CheckResult("marginal-angle-cdf-dkw", sup <= bound, sup, bound, f"n={n}")
@@ -191,11 +191,11 @@ def check_individual_cdfs(sizes, rng, rank_weak=1, rank_strong=10):
     model = an.AnalyticModel(geom=geom, mobility=mob)
     w, s, pooled = _conditioned_rank_gains(geom, mob, rng, sizes.ordered_conditioned, rank_weak, rank_strong)
     results = []
-    sup = empirical_cdf(pooled).sup_distance(lambda x: an.unordered_gain_cdf(model, x), sizes.cdf_points)
+    sup = EmpiricalCdf(pooled).sup_distance(lambda x: an.unordered_gain_cdf(model, x), sizes.cdf_points)
     results.append(CheckResult("unordered-gain-cdf", sup <= 0.005, sup, 0.005, f"n={pooled.size}"))
-    sup_w = empirical_cdf(w).sup_distance(lambda x: an.ordered_gain_cdf(model, x, rank_weak, rank_strong), sizes.cdf_points)
+    sup_w = EmpiricalCdf(w).sup_distance(lambda x: an.ordered_gain_cdf(model, x, rank_weak, rank_strong), sizes.cdf_points)
     results.append(CheckResult(f"ordered-gain-cdf-rank{rank_weak}", sup_w <= 0.01, sup_w, 0.01, f"n={w.size}"))
-    sup_s = empirical_cdf(s).sup_distance(lambda x: an.ordered_gain_cdf(model, x, rank_strong, rank_strong), sizes.cdf_points)
+    sup_s = EmpiricalCdf(s).sup_distance(lambda x: an.ordered_gain_cdf(model, x, rank_strong, rank_strong), sizes.cdf_points)
     results.append(CheckResult(f"ordered-gain-cdf-rank{rank_strong}", sup_s <= 0.01, sup_s, 0.01, f"n={s.size}"))
     return results
 
@@ -218,10 +218,10 @@ def check_group_cdfs(sizes, rng, delta_phi_deg, tolerance=0.015):
     theta = incidence_angle(d, phi, geom.ell)
     theta_bar = incidence_angle(d, mean_phi, geom.ell)
     weak_i = (np.abs(theta) > th) & (g2 > 0.0)
-    sup = empirical_cdf(g2[weak_i]).sup_distance(lambda x: an.group_gain_cdf_instant(mi, x, an.WEAK), sizes.cdf_points)
+    sup = EmpiricalCdf(g2[weak_i]).sup_distance(lambda x: an.group_gain_cdf_instant(mi, x, an.WEAK), sizes.cdf_points)
     results.append(CheckResult(f"group-cdf-instant-weak-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(weak_i.sum())}"))
     weak_m = (np.abs(theta_bar) > th) & (np.abs(theta_bar) <= fov)
-    sup = empirical_cdf(g2[weak_m]).sup_distance(lambda x: an.group_gain_cdf_mean(mm, x, an.WEAK), sizes.cdf_points)
+    sup = EmpiricalCdf(g2[weak_m]).sup_distance(lambda x: an.group_gain_cdf_mean(mm, x, an.WEAK), sizes.cdf_points)
     results.append(CheckResult(f"group-cdf-mean-weak-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(weak_m.sum())}"))
 
     d, mean_phi, phi = _strip_users(mob, rng, n, mob.d_min, d_th)
@@ -229,10 +229,10 @@ def check_group_cdfs(sizes, rng, delta_phi_deg, tolerance=0.015):
     theta = incidence_angle(d, phi, geom.ell)
     theta_bar = incidence_angle(d, mean_phi, geom.ell)
     strong_i = np.abs(theta) <= th
-    sup = empirical_cdf(g2[strong_i]).sup_distance(lambda x: an.group_gain_cdf_instant(mi, x, an.STRONG), sizes.cdf_points)
+    sup = EmpiricalCdf(g2[strong_i]).sup_distance(lambda x: an.group_gain_cdf_instant(mi, x, an.STRONG), sizes.cdf_points)
     results.append(CheckResult(f"group-cdf-instant-strong-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(strong_i.sum())}"))
     strong_m = np.abs(theta_bar) <= th
-    sup = empirical_cdf(g2[strong_m]).sup_distance(lambda x: an.group_gain_cdf_mean(mm, x, an.STRONG), sizes.cdf_points)
+    sup = EmpiricalCdf(g2[strong_m]).sup_distance(lambda x: an.group_gain_cdf_mean(mm, x, an.STRONG), sizes.cdf_points)
     results.append(CheckResult(f"group-cdf-mean-strong-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(strong_m.sum())}"))
     return results
 
@@ -376,7 +376,7 @@ def run_validation(quick=False, seed=20240):
     results.append(check_theorem_coincidence(sizes))
     results.append(check_group_conditioning(sizes, rng))
     results.extend(check_outage_individual(sizes, rng))
-    for kind in an.TWO_BIT_KINDS:
+    for kind in TWO_BIT_KINDS:
         results.extend(check_outage_group(sizes, rng, kind))
     results.append(check_strong_group_degeneracy())
     results.append(check_quadrature_stability(sizes, rng))

@@ -268,3 +268,23 @@ class TestValidateCommand:
 
     def test_usage_error_exit_code(self):
         assert run_cli("simulate", "--set", "nonsense") == 1
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--config", "run.ini"),
+        ("validate", "--preset", "fig2"),
+        ("validate", "--set", "sweep.seed=1"),
+        ("validate", "--trials", "10"),
+        ("analytic", "--trials", "10"),
+        ("analytic", "--quick"),
+        ("simulate", "--quick"),
+    ])
+    def test_flag_the_command_does_not_read_is_refused(self, capsys, argv):
+        # refused while parsing, before any configuration is read or work starts
+        assert run_cli(*argv) == 1
+        assert argv[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic", "validate"])
+    def test_every_command_accepts_seed(self, command):
+        assert cli.build_parser().parse_args([command, "--seed", "3"]).seed == 3

@@ -188,12 +188,3 @@ class TestPowerAllocation:
     def test_rejects_inverted_shares(self):
         with pytest.raises(ValueError):
             PowerAllocation(0.2, 0.8)
-
-    def test_amplitude_interpretation(self):
-        alloc = PowerAllocation.from_config(63.0 / 64.0, 1.0 / 64.0, "amplitude")
-        assert alloc.share_weak + alloc.share_strong == pytest.approx(1.0)
-        assert alloc.share_weak == pytest.approx((63.0 / 64.0) ** 2 / ((63.0 / 64.0) ** 2 + (1.0 / 64.0) ** 2))
-
-    def test_unknown_interpretation(self):
-        with pytest.raises(ValueError):
-            PowerAllocation.from_config(0.9, 0.1, "volts")

@@ -112,7 +112,7 @@ class TestSelectIndividual:
     def test_too_few_candidates(self):
         decision = select_individual(np.arange(9), 1, 10)
         assert not decision.complete
-        assert decision.nonzero_count == 9
+        assert decision.weak_index is None and decision.strong_index is None
 
     def test_selects_requested_ranks(self):
         decision = select_individual(np.arange(100, 115), 1, 10)
@@ -249,7 +249,7 @@ class TestSelectGroupPair:
 
     def test_schedule_decision_rejects_same_user(self):
         with pytest.raises(ValueError):
-            ScheduleDecision(2, 2, 5)
+            ScheduleDecision(2, 2)
 
 
 class TestSchemeValidation:

@@ -10,10 +10,10 @@ from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_threshold
 from vlcnoma.population import MobilityConfig
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import (
+    EmpiricalCdf,
     ExperimentConfig,
     NoiseConfig,
     collect_records,
-    empirical_cdf,
     run_sweep,
     trial_rng,
 )
@@ -195,7 +195,7 @@ class TestSweepStatistics:
 
 class TestEmpiricalCdf:
     def test_single_sample_step(self):
-        cdf = empirical_cdf([2.5])
+        cdf = EmpiricalCdf([2.5])
         assert cdf(2.4) == 0.0
         assert cdf(2.5) == 1.0
         assert cdf(3.0) == 1.0
@@ -203,13 +203,13 @@ class TestEmpiricalCdf:
     def test_uniform_dkw(self):
         rng = np.random.default_rng(0)
         n = 1_000_000
-        cdf = empirical_cdf(rng.uniform(0.0, 1.0, n))
+        cdf = EmpiricalCdf(rng.uniform(0.0, 1.0, n))
         sup = cdf.sup_distance(lambda x: min(max(x, 0.0), 1.0), 2000)
         assert sup <= 0.002
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_cdf([])
+            EmpiricalCdf([])
 
     def test_atom_handling(self):
         # reference with an atom of 0.5 at zero; sample matches it
@@ -220,7 +220,7 @@ class TestEmpiricalCdf:
                 return 0.0
             return 0.5 + 0.5 * min(max(x, 0.0), 1.0)
 
-        sup = empirical_cdf(samples).sup_distance(ref, 500)
+        sup = EmpiricalCdf(samples).sup_distance(ref, 500)
         assert sup < 0.02
 
 
