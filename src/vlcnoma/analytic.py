@@ -35,9 +35,9 @@ from scipy.interpolate import PchipInterpolator
 from scipy.stats import binom
 
 from .channel import LedGeometry
-from .link import CurvePoint, eta_thresholds, noma_sum_rate, oma_gain_thresholds
+from .link import CurvePoint, noma_sum_rate
 from .population import MobilityConfig, conditional_phi_cdf, marginal_phi_cdf, mean_phi_cdf
-from .quadrature import QuadratureConfig, integrate_adaptive
+from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 
 WEAK, STRONG = "weak", "strong"
@@ -717,8 +717,6 @@ def _ranked_route(model, kind, rank_weak, rank_strong):
 
 
 def _group_route(model, kind, rank_weak, rank_strong):
-    if model.scheme is None or model.scheme.kind is not kind:
-        raise ValueError(f"the {kind.value} route needs model.scheme of that kind")
     return group_probabilities(model).both_nonempty, lambda thr: group_outage(model, thr)
 
 
@@ -732,34 +730,44 @@ ROUTES = {
 }
 
 
-def sum_rate_sweep(model, noma, gamma_db_grid, kind, rank_weak=1, rank_strong=10,
-                   include_oma=True, oma_time_share=2):
-    """Closed-form sum-rate curves of one scheme kind with the same labels/conditioning as run_sweep.
+def sum_rate_sweep(config, quad):
+    """Closed-form sum-rate curves of ``config.curves`` (an ExperimentConfig), keyed by label as run_sweep.
 
-    ``kind`` is a FeedbackKind in ROUTES; the two-bit kinds read their
-    thresholds from ``model.scheme``, which must be of that kind.
-    CurvePoint.ci_halfwidth carries the propagated quadrature error estimate,
-    and conditioning_rate the probability of the scheduling precondition
-    (enough nonzero-gain reports / both groups nonempty).
+    Curves served by a kind without a route in ROUTES are left out.  Each
+    kind's AnalyticModel is built from the config's own scheme with the
+    quadrature settings ``quad``.  CurvePoint.ci_halfwidth carries the
+    propagated quadrature error estimate, and conditioning_rate the
+    probability of the scheduling precondition (enough nonzero-gain reports /
+    both groups nonempty).  A QuadratureError turns only the curve it hit
+    into NaN points.  Returns (curves, {label: QuadratureError} of the failed
+    curves).
     """
-    if kind not in ROUTES:
-        raise ValueError(f"no closed-form route for scheme {kind!r}")
-    cond, outage = ROUTES[kind](model, kind, rank_weak, rank_strong)
-    targets = noma.targets
-    thresholds = {f"noma-{kind.value}": lambda gamma: eta_thresholds(targets, noma.alloc, gamma)}
-    if include_oma:
-        thresholds["oma"] = lambda gamma: oma_gain_thresholds(targets, gamma, oma_time_share)
-    curves = {label: [] for label in thresholds}
-    for gamma_db in gamma_db_grid:
-        gamma = 10.0 ** (gamma_db / 10.0)
-        for label, thresholds_for in thresholds.items():
-            pw, ew, ps, es = outage(thresholds_for(gamma))
-            curves[label].append(CurvePoint(
-                gamma_db=float(gamma_db),
-                sum_rate=float(noma_sum_rate((pw, ps), targets)),
-                ci_halfwidth=float(targets.rate_weak * ew + targets.rate_strong * es),
-                outage_weak=float(pw),
-                outage_strong=float(ps),
-                conditioning_rate=float(cond),
-            ))
-    return curves
+    schemes = {s.kind: s for s in config.schemes}
+    targets, grid = config.noma.targets, config.gamma_db_grid
+    routes, curves, failures = {}, {}, {}
+    for label, kind, thresholds_for in config.curves:
+        if kind not in ROUTES:
+            continue
+        try:
+            if kind not in routes:
+                # the individual kinds share one model, and so its cached normalizers
+                scheme = schemes[kind] if schemes[kind].is_group else None
+                model = AnalyticModel(geom=config.geom, mobility=config.mobility, scheme=scheme, quad=quad)
+                routes[kind] = ROUTES[kind](model, kind, config.rank_weak, config.rank_strong)
+            cond, outage = routes[kind]
+            points = []
+            for gamma_db in grid:
+                pw, ew, ps, es = outage(thresholds_for(10.0 ** (gamma_db / 10.0)))
+                points.append(CurvePoint(
+                    gamma_db=float(gamma_db),
+                    sum_rate=float(noma_sum_rate((pw, ps), targets)),
+                    ci_halfwidth=float(targets.rate_weak * ew + targets.rate_strong * es),
+                    outage_weak=float(pw),
+                    outage_strong=float(ps),
+                    conditioning_rate=float(cond),
+                ))
+        except QuadratureError as exc:
+            failures[label] = exc
+            points = [CurvePoint(g, math.nan, math.nan, math.nan, math.nan, math.nan) for g in grid]
+        curves[label] = points
+    return curves, failures

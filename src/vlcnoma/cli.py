@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analytic import ROUTES, AnalyticModel, sum_rate_sweep
+from .analytic import ROUTES, sum_rate_sweep
 from .config import (
     ConfigError,
     build_experiment,
@@ -31,7 +31,7 @@ from .config import (
     read_config_file,
     resolve_groups,
 )
-from .link import CurvePoint, InfeasibleAllocationError
+from .link import InfeasibleAllocationError
 from .quadrature import QuadratureError
 from .simulate import STREAM_VERSION, run_sweep
 from .validation import run_validation
@@ -171,38 +171,14 @@ def cmd_analytic(args):
             print(f"note: run group {suffix or 'default'!r} has estimation noise, which the closed-form engine "
                   "does not model; skipped", file=sys.stderr)
             continue
-        quad = build_quadrature(flat)
-        oma_pending = config.oma_kind is not None
         for scheme in config.schemes:
             if scheme.kind not in ROUTES:
                 print(f"note: no closed-form route for scheme {scheme.kind.value!r}; skipped", file=sys.stderr)
-                continue
-            model = AnalyticModel(geom=config.geom, mobility=config.mobility,
-                                  scheme=scheme if scheme.is_group else None, quad=quad)
-            include_oma = oma_pending and scheme.kind is config.oma_kind
-            try:
-                curves = sum_rate_sweep(
-                    model,
-                    config.noma,
-                    config.gamma_db_grid,
-                    scheme.kind,
-                    rank_weak=config.rank_weak,
-                    rank_strong=config.rank_strong,
-                    include_oma=include_oma,
-                    oma_time_share=config.oma_time_share,
-                )
-            except QuadratureError as exc:
-                failures += 1
-                print(f"numerical failure for {scheme.kind.value}: {exc}", file=sys.stderr)
-                nan = float("nan")
-                curves = {
-                    f"noma-{scheme.kind.value}": [
-                        CurvePoint(g, nan, nan, nan, nan, nan) for g in config.gamma_db_grid
-                    ]
-                }
-            if include_oma and "oma" in curves:
-                oma_pending = False
-            rows.extend(_rows_from_curves(curves, suffix))
+        curves, failed = sum_rate_sweep(config, build_quadrature(flat))
+        for label, exc in failed.items():
+            print(f"numerical failure for {_label(label, suffix)}: {exc}", file=sys.stderr)
+        failures += len(failed)
+        rows.extend(_rows_from_curves(curves, suffix))
     _write_csv(out, rows)
     _write_manifest(out.with_suffix(".manifest.json"), "analytic", args, groups, [out], started, time.perf_counter() - t0)
     print(f"wrote {out} ({len(rows)} rows) and {out.with_suffix('.manifest.json')}")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import LedGeometry
-from .link import NomaConfig, PowerAllocation, TargetRates
+from .link import NomaConfig, PowerAllocation, TargetRates, epsilon_threshold
 from .population import MobilityConfig
 from .quadrature import QuadratureConfig
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
@@ -158,12 +158,18 @@ def merge(*layers):
     return flat
 
 
-def _get_float(flat, key):
+def _get_float(flat, key, default=None):
+    """The finite number under ``key``; an empty value reads as ``default`` when one is given."""
     raw = flat[key]
+    if default is not None and not raw.strip():
+        return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _get_int(flat, key):
@@ -232,8 +238,14 @@ def _build_schemes(flat, geom, mobility):
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"schemes.list: {', '.join(repeated)} listed more than once")
-    d_th = mobility.d_min + _get_float(flat, "schemes.d_threshold_coeff") * (mobility.d_max - mobility.d_min)
-    theta_th = _get_float(flat, "schemes.theta_threshold_coeff") * geom.half_fov
+    d_coeff = _get_float(flat, "schemes.d_threshold_coeff")
+    if not 0.0 < d_coeff < 1.0:  # both distance groups must be possible
+        raise ConfigError(f"schemes.d_threshold_coeff: must lie in (0, 1), got {d_coeff}")
+    theta_coeff = _get_float(flat, "schemes.theta_threshold_coeff")
+    if not 0.0 < theta_coeff <= 1.0:  # the angle threshold lies inside the half FOV
+        raise ConfigError(f"schemes.theta_threshold_coeff: must lie in (0, 1], got {theta_coeff}")
+    d_th = mobility.d_min + d_coeff * mobility.d_span
+    theta_th = theta_coeff * geom.half_fov
     schemes = []
     for name in names:
         kind = _KIND_BY_NAME.get(name)
@@ -248,51 +260,56 @@ def _build_schemes(flat, geom, mobility):
     return tuple(schemes)
 
 
+def _make(section, make, **kwargs):
+    """make(**kwargs), its ValueError reported under ``section``; the values are parsed before the call."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def build_experiment(flat):
     """Materialize an ExperimentConfig (meters/degrees/dB -> SI/radians/linear)."""
-    try:
-        geom = LedGeometry.from_degrees(
-            ell=_get_float(flat, "geometry.ell_m"),
-            hpbw_deg=_get_float(flat, "geometry.hpbw_deg"),
-            detector_area=_get_float(flat, "geometry.detector_area_cm2") * 1e-4,
-            half_fov_deg=_get_float(flat, "geometry.half_fov_deg"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
+    geom = _make(
+        "geometry", LedGeometry.from_degrees,
+        ell=_get_float(flat, "geometry.ell_m"),
+        hpbw_deg=_get_float(flat, "geometry.hpbw_deg"),
+        detector_area=_get_float(flat, "geometry.detector_area_cm2") * 1e-4,
+        half_fov_deg=_get_float(flat, "geometry.half_fov_deg"),
+    )
     delta_phi = _get_float(flat, "mobility.delta_phi_deg")
-    mean_lo = flat["mobility.mean_phi_min_deg"].strip()
-    mean_hi = flat["mobility.mean_phi_max_deg"].strip()
-    num_users = _get_int_in(flat, "mobility.num_users", 2, MAX_USERS)
-    try:
-        mobility = MobilityConfig.from_degrees(
-            d_min=_get_float(flat, "mobility.d_min_m"),
-            d_max=_get_float(flat, "mobility.d_max_m"),
-            mean_phi_min_deg=float(mean_lo) if mean_lo else delta_phi,
-            mean_phi_max_deg=float(mean_hi) if mean_hi else 180.0 - delta_phi,
-            delta_phi_deg=delta_phi,
-            num_users=num_users,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mobility: {exc}") from exc
-    try:
-        alloc = PowerAllocation(_get_float(flat, "noma.power_weak"), _get_float(flat, "noma.power_strong"))
-        targets = TargetRates(_get_float(flat, "noma.rate_weak"), _get_float(flat, "noma.rate_strong"))
-    except ValueError as exc:
-        raise ConfigError(f"noma: {exc}") from exc
+    mobility = _make(
+        "mobility", MobilityConfig.from_degrees,
+        d_min=_get_float(flat, "mobility.d_min_m"),
+        d_max=_get_float(flat, "mobility.d_max_m"),
+        mean_phi_min_deg=_get_float(flat, "mobility.mean_phi_min_deg", delta_phi),
+        mean_phi_max_deg=_get_float(flat, "mobility.mean_phi_max_deg", 180.0 - delta_phi),
+        delta_phi_deg=delta_phi,
+        num_users=_get_int_in(flat, "mobility.num_users", 2, MAX_USERS),
+    )
+    alloc = _make("noma", PowerAllocation, share_weak=_get_float(flat, "noma.power_weak"),
+                  share_strong=_get_float(flat, "noma.power_strong"))
+    targets = _make("noma", TargetRates, rate_weak=_get_float(flat, "noma.rate_weak"),
+                    rate_strong=_get_float(flat, "noma.rate_strong"))
+    oma_time_share = _get_int(flat, "noma.oma_time_share")
+    if oma_time_share < 1:
+        raise ConfigError(f"noma.oma_time_share: must be at least 1, got {oma_time_share}")
+    for key, rate in (("noma.rate_weak", targets.rate_weak), ("noma.rate_strong", targets.rate_strong)):
+        # the OMA threshold at time_share * rate bounds the NOMA thresholds too
+        try:
+            eps = epsilon_threshold(oma_time_share * rate)
+        except OverflowError:
+            eps = math.inf
+        if not math.isfinite(eps):
+            raise ConfigError(f"{key}: {rate} with noma.oma_time_share={oma_time_share} overflows the SINR threshold")
     try:
         schemes = _build_schemes(flat, geom, mobility)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     noise = None
-    sigma_d, sigma_phi = flat["noise.sigma_d_m"].strip(), flat["noise.sigma_phi_deg"].strip()
-    if sigma_d or sigma_phi:
-        try:
-            noise = NoiseConfig(
-                sigma_d=float(sigma_d) if sigma_d else 0.0,
-                sigma_phi=math.radians(float(sigma_phi)) if sigma_phi else 0.0,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"noise: {exc}") from exc
+    if flat["noise.sigma_d_m"].strip() or flat["noise.sigma_phi_deg"].strip():
+        noise = _make("noise", NoiseConfig, sigma_d=_get_float(flat, "noise.sigma_d_m", 0.0),
+                      sigma_phi=math.radians(_get_float(flat, "noise.sigma_phi_deg", 0.0)))
     _get_int_in(flat, "sweep.workers", 1, MAX_WORKERS)  # read by cmd_simulate
     oma_base_raw = flat["noma.oma_base"].strip()
     oma_base = None
@@ -314,21 +331,19 @@ def build_experiment(flat):
             noise=noise,
             include_oma=_get_bool(flat, "noma.include_oma"),
             oma_base=oma_base,
-            oma_time_share=_get_int(flat, "noma.oma_time_share"),
+            oma_time_share=oma_time_share,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_quadrature(flat):
-    try:
-        return QuadratureConfig(
-            abs_tol=_get_float(flat, "quadrature.abs_tol"),
-            rel_tol=_get_float(flat, "quadrature.rel_tol"),
-            max_subdivisions=_get_int(flat, "quadrature.max_subdivisions"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"quadrature: {exc}") from exc
+    return _make(
+        "quadrature", QuadratureConfig,
+        abs_tol=_get_float(flat, "quadrature.abs_tol"),
+        rel_tol=_get_float(flat, "quadrature.rel_tol"),
+        max_subdivisions=_get_int(flat, "quadrature.max_subdivisions"),
+    )
 
 
 def resolve_groups(preset, file_flat, set_flat):

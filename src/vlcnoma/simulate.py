@@ -42,7 +42,6 @@ from .scheduling import (
     two_bit_feedback,
 )
 
-OMA_LABEL = "oma"
 _CHUNK = 4096  # fixed trial chunk; parallelism must not change results
 STREAM_VERSION = 2  # 1: one SeedSequence per trial; 2: one per chunk of _CHUNK trials
 
@@ -102,6 +101,21 @@ class ExperimentConfig:
         if not self.include_oma:
             return None
         return self.oma_base or self.schemes[0].kind
+
+    @property
+    def curves(self):
+        """The output curves as (label, scheme kind served, gain thresholds at a linear SNR).
+
+        One NOMA curve per scheme, plus the OMA baseline on ``oma_kind``; both
+        engines sweep this one table.
+        """
+        targets, alloc = self.noma.targets, self.noma.alloc
+        table = [(f"noma-{s.kind.value}", s.kind, lambda gamma: eta_thresholds(targets, alloc, gamma))
+                 for s in self.schemes]
+        if self.oma_kind is not None:
+            table.append(("oma", self.oma_kind,
+                          lambda gamma: oma_gain_thresholds(targets, gamma, self.oma_time_share)))
+        return table
 
 
 def trial_rng(root_seed, chunk_index):
@@ -200,12 +214,12 @@ def _bernoulli_ci_bound(targets, n):
     return 1.96 * np.sqrt(var / max(n, 1))
 
 
-def _curve(records, thresholds_for, targets, gamma_db_grid, trials):
-    mask = records.scheduled
+def _curve(config, records, thresholds_for):
+    targets, mask = config.noma.targets, records.scheduled
     n_cond = int(mask.sum())
-    cond_rate = n_cond / trials
+    cond_rate = n_cond / config.trials
     points = []
-    for gamma_db in gamma_db_grid:
+    for gamma_db in config.gamma_db_grid:
         gamma = 10.0 ** (gamma_db / 10.0)
         thr = thresholds_for(gamma)
         if n_cond == 0:
@@ -233,33 +247,14 @@ def _curve(records, thresholds_for, targets, gamma_db_grid, trials):
 
 
 def run_sweep(config, n_workers=1):
-    """Monte Carlo sum-rate curves, one per configured scheme plus the OMA baseline.
+    """Monte Carlo sum-rate curves of ``config.curves``, keyed by label.
 
     Sum rates and outage frequencies are conditional on the scheduling
     precondition of each scheme (enough ranked candidates, or both candidate
     groups nonempty); conditioning_rate reports the fraction of trials kept.
     """
     records = collect_records(config, n_workers=n_workers)
-    targets, alloc = config.noma.targets, config.noma.alloc
-    curves = {}
-    for scheme in config.schemes:
-        label = f"noma-{scheme.kind.value}"
-        curves[label] = _curve(
-            records[scheme.kind],
-            lambda gamma: eta_thresholds(targets, alloc, gamma),
-            targets,
-            config.gamma_db_grid,
-            config.trials,
-        )
-    if config.oma_kind is not None:
-        curves[OMA_LABEL] = _curve(
-            records[config.oma_kind],
-            lambda gamma: oma_gain_thresholds(targets, gamma, config.oma_time_share),
-            targets,
-            config.gamma_db_grid,
-            config.trials,
-        )
-    return curves
+    return {label: _curve(config, records[kind], thresholds_for) for label, kind, thresholds_for in config.curves}
 
 
 class EmpiricalCdf:

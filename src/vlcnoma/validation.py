@@ -11,14 +11,15 @@ Kolmogorov-Smirnov bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analytic as an
 from .channel import channel_gain, incidence_angle
-from .link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
-from .population import MobilityConfig, marginal_phi_cdf, sample_user_arrays
+from .config import build_experiment, merge
+from .link import eta_thresholds
+from .population import marginal_phi_cdf, sample_user_arrays
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from .simulate import EmpiricalCdf
 
@@ -58,30 +59,25 @@ class ValidationSizes:
         )
 
 
+# the paper's setup is the default configuration, config.DEFAULTS
 def paper_geometry():
-    from .channel import LedGeometry
-
-    return LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
+    return build_experiment(merge()).geom
 
 
-def paper_mobility(delta_phi_deg=25.0, num_users=20):
-    return MobilityConfig.from_degrees(0.0, 10.0, delta_phi_deg, 180.0 - delta_phi_deg, delta_phi_deg, num_users)
+def paper_mobility(delta_phi_deg=25.0):
+    return build_experiment(merge({"mobility.delta_phi_deg": str(float(delta_phi_deg))})).mobility
 
 
 def paper_noma():
-    return NomaConfig(PowerAllocation(63.0 / 64.0, 1.0 / 64.0), TargetRates(2.0, 10.0))
+    return build_experiment(merge()).noma
 
 
 def paper_scheme(kind, geom):
-    return FeedbackScheme(kind, d_threshold=1.0, theta_threshold=0.1 * geom.half_fov)
-
-
-def _strip_users(mob, rng, n, lo, hi):
-    # distance conditioned to [lo, hi]; orientation layers are independent of d
-    d = rng.uniform(lo, hi, n)
-    mean_phi = rng.uniform(mob.mean_phi_min, mob.mean_phi_max, n)
-    phi = mean_phi + rng.uniform(-mob.delta_phi, mob.delta_phi, n)
-    return d, mean_phi, phi
+    """The default config's scheme of ``kind``; its angle threshold is scaled to ``geom``, the paper geometry."""
+    config = build_experiment(merge({"schemes.list": kind.value}))
+    if geom != config.geom:
+        raise ValueError("paper_scheme scales its angle threshold to the paper geometry")
+    return config.schemes[0]
 
 
 def check_marginal_phi_dkw(sizes, rng):
@@ -213,7 +209,7 @@ def check_group_cdfs(sizes, rng, delta_phi_deg, tolerance=0.015):
     n = sizes.group_draws
     results = []
 
-    d, mean_phi, phi = _strip_users(mob, rng, n, d_th, mob.d_max)
+    d, mean_phi, phi = sample_user_arrays(replace(mob, d_min=d_th), rng, n)
     g2 = channel_gain(geom, d, phi) ** 2
     theta = incidence_angle(d, phi, geom.ell)
     theta_bar = incidence_angle(d, mean_phi, geom.ell)
@@ -224,7 +220,7 @@ def check_group_cdfs(sizes, rng, delta_phi_deg, tolerance=0.015):
     sup = EmpiricalCdf(g2[weak_m]).sup_distance(lambda x: an.group_gain_cdf_mean(mm, x, an.WEAK), sizes.cdf_points)
     results.append(CheckResult(f"group-cdf-mean-weak-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(weak_m.sum())}"))
 
-    d, mean_phi, phi = _strip_users(mob, rng, n, mob.d_min, d_th)
+    d, mean_phi, phi = sample_user_arrays(replace(mob, d_max=d_th), rng, n)
     g2 = channel_gain(geom, d, phi) ** 2
     theta = incidence_angle(d, phi, geom.ell)
     theta_bar = incidence_angle(d, mean_phi, geom.ell)
@@ -305,10 +301,10 @@ def check_outage_group(sizes, rng, kind, gamma_db=(165.0, 185.5), delta_phi_deg=
     n = sizes.group_draws
     th = scheme.theta_threshold
 
-    d, mean_phi, phi = _strip_users(mob, rng, n, scheme.d_threshold, mob.d_max)
+    d, mean_phi, phi = sample_user_arrays(replace(mob, d_min=scheme.d_threshold), rng, n)
     ref = incidence_angle(d, mean_phi if use_mean else phi, geom.ell)
     weak_gains = (channel_gain(geom, d, phi) ** 2)[np.abs(ref) > th]
-    d, mean_phi, phi = _strip_users(mob, rng, n, mob.d_min, scheme.d_threshold)
+    d, mean_phi, phi = sample_user_arrays(replace(mob, d_max=scheme.d_threshold), rng, n)
     ref = incidence_angle(d, mean_phi if use_mean else phi, geom.ell)
     strong_gains = (channel_gain(geom, d, phi) ** 2)[np.abs(ref) <= th]
 

@@ -24,6 +24,7 @@ from vlcnoma.link import (
     sinr_own,
 )
 from vlcnoma.population import MobilityConfig, sample_user_arrays
+from vlcnoma.quadrature import QuadratureConfig
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import ExperimentConfig, NoiseConfig, collect_records, run_sweep
 from vlcnoma.validation import (
@@ -82,8 +83,12 @@ def fig2_mc():
 def fig2_analytic():
     curves = {}
     for dphi in (0.0, 25.0):
-        model = AnalyticModel(geom=GEOM, mobility=mobility(dphi))
-        curves[dphi] = an.sum_rate_sweep(model, NOMA, GAMMA_GRID, FeedbackKind.FULL_CSI)
+        config = ExperimentConfig(
+            geom=GEOM, mobility=mobility(dphi), noma=NOMA, schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),),
+            gamma_db_grid=GAMMA_GRID,
+        )
+        curves[dphi], failures = an.sum_rate_sweep(config, QuadratureConfig())
+        assert not failures
     return curves
 
 

@@ -10,7 +10,7 @@ from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_threshold
 from vlcnoma.population import MobilityConfig, sample_user_arrays
 from vlcnoma.quadrature import QuadratureConfig, integrate_adaptive
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
-from vlcnoma.simulate import EmpiricalCdf
+from vlcnoma.simulate import EmpiricalCdf, ExperimentConfig
 
 GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
 MOB = MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
@@ -22,6 +22,15 @@ THETA_TH = math.radians(5.0)
 def model_with(delta_phi_deg=25.0, scheme=None):
     mob = MobilityConfig.from_degrees(0.0, 10.0, delta_phi_deg, 180.0 - delta_phi_deg, delta_phi_deg, 20)
     return AnalyticModel(geom=GEOM, mobility=mob, scheme=scheme)
+
+
+def sweep(grid, *schemes, noma=NOMA, include_oma=True):
+    """Closed-form curves of the paper setup with ``schemes``; fails on any quadrature failure."""
+    config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=noma, schemes=schemes, gamma_db_grid=grid,
+                              include_oma=include_oma)
+    curves, failures = an.sum_rate_sweep(config, QuadratureConfig())
+    assert not failures
+    return curves
 
 
 class TestQuadratureWrapper:
@@ -300,7 +309,7 @@ class TestOutage:
 
         bad = NomaConfig(PowerAllocation(0.6, 0.4), TargetRates(2.0, 10.0))
         with pytest.raises(InfeasibleAllocationError):
-            an.sum_rate_sweep(MODEL, bad, (150.0,), FeedbackKind.FULL_CSI)
+            sweep((150.0,), FeedbackScheme(FeedbackKind.FULL_CSI), noma=bad)
 
 
 class TestMeanAngleRoute:
@@ -331,7 +340,7 @@ class TestMeanAngleRoute:
             assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / served.shape[0])
 
     def test_sweep_labels_and_conditioning(self):
-        curves = an.sum_rate_sweep(MODEL, NOMA, (215.0,), FeedbackKind.MEAN_ANGLE, include_oma=False)
+        curves = sweep((215.0,), FeedbackScheme(FeedbackKind.MEAN_ANGLE), include_oma=False)
         assert set(curves) == {"noma-mean-angle"}
         point = curves["noma-mean-angle"][0]
         assert point.conditioning_rate == pytest.approx(an.nonzero_count_tail(MODEL, 10, use_mean=True))
@@ -346,7 +355,7 @@ class TestMeanAngleRoute:
 class TestSweep:
     def test_individual_sweep_structure(self):
         grid = (150.0, 180.0, 215.0, 230.0)
-        curves = an.sum_rate_sweep(MODEL, NOMA, grid, FeedbackKind.FULL_CSI)
+        curves = sweep(grid, FeedbackScheme(FeedbackKind.FULL_CSI))
         assert set(curves) == {"noma-full-csi", "oma"}
         assert [p.gamma_db for p in curves["noma-full-csi"]] == list(grid)
         assert curves["noma-full-csi"][-2].sum_rate == pytest.approx(12.0, abs=0.01)
@@ -355,22 +364,20 @@ class TestSweep:
             assert noma_pt.sum_rate >= oma_pt.sum_rate - 1e-9
 
     def test_single_point_grid(self):
-        curves = an.sum_rate_sweep(MODEL, NOMA, (170.0,), FeedbackKind.FULL_CSI, include_oma=False)
+        curves = sweep((170.0,), FeedbackScheme(FeedbackKind.FULL_CSI), include_oma=False)
         assert len(curves["noma-full-csi"]) == 1
 
     def test_group_sweep_conditioning_rate(self):
-        mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        curves = an.sum_rate_sweep(mi, NOMA, (170.0, 215.0), FeedbackKind.TWO_BIT_INSTANT, include_oma=False)
-        stats = an.group_probabilities(mi)
+        scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH)
+        curves = sweep((170.0, 215.0), scheme, include_oma=False)
+        stats = an.group_probabilities(model_with(scheme=scheme))
         assert curves["noma-two-bit-instant"][0].conditioning_rate == pytest.approx(stats.both_nonempty)
 
     def test_unknown_strategy(self):
-        # a kind without a closed-form route, and a group kind the model's scheme does not match
-        with pytest.raises(ValueError):
-            an.sum_rate_sweep(MODEL, NOMA, (170.0,), FeedbackKind.DISTANCE_ONLY)
-        mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        with pytest.raises(ValueError):
-            an.sum_rate_sweep(mi, NOMA, (170.0,), FeedbackKind.TWO_BIT_MEAN)
+        # a kind without a closed-form route is left out, and so is the OMA curve it serves
+        assert sweep((170.0,), FeedbackScheme(FeedbackKind.DISTANCE_ONLY)) == {}
+        distance_first = sweep((170.0,), FeedbackScheme(FeedbackKind.DISTANCE_ONLY), FeedbackScheme(FeedbackKind.FULL_CSI))
+        assert set(distance_first) == {"noma-full-csi"}
 
 
 class TestQuadratureStability:

@@ -10,12 +10,23 @@ from vlcnoma.config import (
     MAX_GRID_POINTS,
     ConfigError,
     build_experiment,
+    build_quadrature,
     merge,
     parse_gamma_grid,
     parse_overrides,
     resolve_groups,
 )
 from vlcnoma.validation import ValidationSizes, check_individual_cdfs
+
+
+# every config key read as a number with a fraction
+FLOAT_KEYS = [
+    "geometry.ell_m", "geometry.hpbw_deg", "geometry.detector_area_cm2", "geometry.half_fov_deg",
+    "mobility.d_min_m", "mobility.d_max_m", "mobility.delta_phi_deg", "mobility.mean_phi_min_deg",
+    "mobility.mean_phi_max_deg", "noma.power_weak", "noma.power_strong", "noma.rate_weak", "noma.rate_strong",
+    "schemes.d_threshold_coeff", "schemes.theta_threshold_coeff", "noise.sigma_d_m", "noise.sigma_phi_deg",
+    "quadrature.abs_tol", "quadrature.rel_tol",
+]
 
 
 def run_cli(*argv):
@@ -67,6 +78,50 @@ class TestConfigLayer:
         monkeypatch.setattr(cli, "run_sweep", never)
         for override in ("sweep.trials=10000001", "sweep.workers=-5", "sweep.workers=65"):
             assert run_cli("simulate", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, value):
+        flat = merge({key: value})
+        with pytest.raises(ConfigError, match=key):
+            build_experiment(flat)
+            build_quadrature(flat)
+
+    @pytest.mark.parametrize("key,value", [
+        ("schemes.d_threshold_coeff", "0"), ("schemes.d_threshold_coeff", "1"),
+        ("schemes.d_threshold_coeff", "2"), ("schemes.d_threshold_coeff", "-0.5"),
+        ("schemes.theta_threshold_coeff", "0"), ("schemes.theta_threshold_coeff", "1.01"),
+        ("schemes.theta_threshold_coeff", "5"),
+        ("noma.oma_time_share", "0"), ("noma.oma_time_share", "-1"),
+        # 2^(2 * time share * rate) overflows a float
+        ("noma.oma_time_share", "1000"), ("noma.rate_strong", "1000"), ("noma.rate_weak", "256"),
+    ])
+    def test_out_of_range_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            build_experiment(merge({key: value}))
+
+    def test_range_ends_that_are_accepted(self):
+        flat = merge({"schemes.list": "two-bit-instant", "schemes.theta_threshold_coeff": "1",
+                      "schemes.d_threshold_coeff": "0.99", "noma.oma_time_share": "1"})
+        config = build_experiment(flat)
+        assert config.schemes[0].theta_threshold == config.geom.half_fov
+        assert config.schemes[0].d_threshold == pytest.approx(9.9)
+        assert config.oma_time_share == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    @pytest.mark.parametrize("override", [
+        "geometry.ell_m=inf", "noma.rate_weak=nan", "noise.sigma_d_m=nan", "noma.oma_time_share=-1",
+        "noma.oma_time_share=1000", "noma.rate_strong=1000", "schemes.d_threshold_coeff=2",
+        "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5",
+    ])
+    def test_refusal_exits_1_naming_the_key(self, monkeypatch, capsys, tmp_path, command, override):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        monkeypatch.setattr(cli, "sum_rate_sweep", never)
+        assert run_cli(command, "--preset", "fig3", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
+        assert override.split("=")[0] in capsys.readouterr().err
 
     def test_repeated_scheme_rejected(self):
         with pytest.raises(ConfigError, match="schemes.list"):
@@ -204,6 +259,35 @@ class TestAnalyticCommand:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+    def test_quadrature_failure_turns_only_its_curve_into_nan(self, tmp_path, monkeypatch, capsys):
+        from vlcnoma.quadrature import QuadratureError
+
+        def failing(*args, **kwargs):
+            raise QuadratureError("forced failure", math.nan, math.inf)
+
+        monkeypatch.setattr(analytic, "mean_angle_success_probability", failing)
+        out = tmp_path / "an.csv"
+        code = run_cli("analytic", "--set", "schemes.list=full-csi,mean-angle",
+                       "--set", "sweep.gamma_db=170,215", "--out", str(out))
+        assert code == 3
+        import csv as csvmod
+
+        with open(out) as fh:
+            rows = list(csvmod.DictReader(fh))
+        by_scheme = {}
+        for row in rows:
+            by_scheme.setdefault(row["scheme"], []).append(row)
+        assert set(by_scheme) == {"noma-full-csi", "noma-mean-angle", "oma"}
+        for scheme, scheme_rows in by_scheme.items():
+            assert [row["gamma_db"] for row in scheme_rows] == ["170.0", "215.0"]
+            for row in scheme_rows:
+                values = [float(row[k]) for k in ("sum_rate", "ci_halfwidth", "outage_weak", "outage_strong",
+                                                  "conditioning_rate")]
+                assert all(map(math.isnan, values)) == (scheme == "noma-mean-angle"), (scheme, values)
+        err = capsys.readouterr().err
+        assert "mean-angle" in err and "forced failure" in err
+        assert "full-csi" not in err
 
     def test_overlays_simulation(self, tmp_path):
         sim_out, an_out = tmp_path / "sim.csv", tmp_path / "an.csv"

@@ -4,7 +4,8 @@ A refactor that claims to keep results identical must keep these hashes.  A
 change that alters results on purpose (a new random-stream version, a new
 quadrature rule) updates the hashes in the same commit and says why.  The
 simulate hashes are those of random-stream version 2 (one stream per chunk of
-trials, ``simulate.STREAM_VERSION``).
+trials, ``simulate.STREAM_VERSION``).  Both commands write each run group's
+rows sorted by curve label; the analytic hashes are those of that order.
 """
 
 import hashlib
@@ -17,8 +18,8 @@ GOLDEN = {
     ("simulate", "fig2"): "5ce190141531f7f1aca1ba352e4366ae2141c78a60ff0976beaea64090667e29",
     ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
     ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
-    ("analytic", "fig2"): "d8e2c96b890e65cd45deb53d4552f48925c2d9470a54fae1881943d47e62ff79",
-    ("analytic", "fig3"): "a4c15223a59bab6129d17a20d68de4b7c66b15f5d16422852d8098879506e334",
+    ("analytic", "fig2"): "55c4217c22767588b5a9492ed0dcc0486cddd9812f72bf0b056106744d74e44f",
+    ("analytic", "fig3"): "30f002fe222d9ac1f1da01323336df51e17ce28f0481adf117b6ded1cba28706",
 }
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
