@@ -18,9 +18,10 @@ clamped so levels outside the gain support never fault.
 The number of users with nonzero gain is Binomial(K, p); order statistics of
 the scheduled ranks mix the per-user CDF over a truncated Binomial count.
 Group-based feedback conditions the same integrals on distance/angle threshold
-bands; for mean-angle reports, the inner average over the mean angle is a
-piecewise-linear integral of the uniform conditional CDF and is evaluated in
-closed form, leaving a single adaptive quadrature over distance.
+bands: every membership mass is one distance integral of a band probability
+(``_band_mass``).  For mean-angle reports the average over the mean angle is
+closed form through the deviation-CDF antiderivative of ``population``
+(``_mean_band``), leaving a single adaptive quadrature over distance.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from scipy.stats import binom
 
 from .channel import LedGeometry
 from .link import CurvePoint, noma_sum_rate
-from .population import MobilityConfig, conditional_phi_cdf, marginal_phi_cdf, mean_phi_cdf
+from .population import (MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf,
+                         mean_phi_cdf)
 from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 
@@ -166,16 +168,36 @@ def _integral(model, f, lo, hi, half_angles, use_mean=False, level=None, caps=()
 
 
 # ---------------------------------------------------------------------------
-# Nonzero-gain probability and the truncated count PMF
+# Band masses, the nonzero-gain probability and the truncated count PMF
 # ---------------------------------------------------------------------------
 
 
+def _band_edges(inner, outer):
+    """The edges of the band inner < |incidence| <= outer that kink its probability: nonzero and below pi."""
+    return tuple(a for a in (inner, outer) if 0.0 < a < math.pi)
+
+
 @lru_cache(maxsize=None)
+def _band_mass(model, inner, outer, lo, hi, use_mean):
+    """Integral over the distances [lo, hi] of Pr(inner < |incidence| <= outer | r), with its error.
+
+    The incidence is that of the instantaneous angle, or with ``use_mean`` of
+    the mean angle that mean reports are formed on.  An ``outer`` of pi or more
+    leaves the band open above.  Every membership mass of the closed form (the
+    nonzero-gain law, both groups, the conditioning rates and the success
+    denominators) is one of these integrals.
+    """
+    def band(r):
+        top = 1.0 if outer >= math.pi else fov_probability(model, r, outer, use_mean)
+        return top - fov_probability(model, r, inner, use_mean)
+
+    return _integral(model, band, lo, hi, _band_edges(inner, outer), use_mean)
+
+
 def _fov_normalizer(model, use_mean=False):
     """Integral of fov_probability(r, half_fov) over the distance range, with error."""
-    theta, mob = model.geom.half_fov, model.mobility
-    return _integral(model, lambda r: fov_probability(model, r, theta, use_mean), mob.d_min, mob.d_max, (theta,),
-                     use_mean)
+    mob = model.mobility
+    return _band_mass(model, 0.0, model.geom.half_fov, mob.d_min, mob.d_max, use_mean)
 
 
 def nonzero_gain_probability(model, with_error=False, use_mean=False):
@@ -403,7 +425,7 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
 
 
 # ---------------------------------------------------------------------------
-# Group scheduling, instantaneous-angle reports
+# Group scheduling: memberships, group CDFs and success probabilities
 # ---------------------------------------------------------------------------
 
 
@@ -418,34 +440,36 @@ def _require_role(role):
         raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
 
 
+def _require_mean_span(model):
+    if model.mobility.mean_phi_span == 0.0:
+        raise ValueError("mean-angle group CDFs need a nondegenerate mean-angle range")
+
+
 def _nonempty(normalizer):
     if normalizer[0] <= 0.0:
         raise ValueError("weak group has zero probability under this configuration")
     return normalizer
 
 
-@lru_cache(maxsize=None)
-def _weak_band_normalizer_instant(model):
-    """Integral over [d_th, d_max] of Pr(theta_th < |theta| <= half_fov | r)."""
-    theta, th = model.geom.half_fov, model.scheme.theta_threshold
-    return _integral(model, lambda r: fov_probability(model, r, theta) - fov_probability(model, r, th),
-                     model.scheme.d_threshold, model.mobility.d_max, (theta, th))
+def _mean_band(model, r, inner, outer, y):
+    """(Pr(report in band), Pr(report in band and |incidence| <= y)) at d = r, for mean-angle reports.
 
-
-@lru_cache(maxsize=None)
-def _weak_membership(model, use_mean):
-    """Integral over [d_th, d_max] of Pr(|theta| > theta_th | r), of the instantaneous or mean angle."""
-    th = model.scheme.theta_threshold
-    return _integral(model, lambda r: 1.0 - fov_probability(model, r, th, use_mean=use_mean),
-                     model.scheme.d_threshold, model.mobility.d_max, (th,), use_mean)
-
-
-@lru_cache(maxsize=None)
-def _strong_membership(model, use_mean):
-    """Integral over [d_min, d_th] of Pr(|theta| <= theta_th | r), of the instantaneous or mean angle."""
-    th = model.scheme.theta_threshold
-    return _integral(model, lambda r: fov_probability(model, r, th, use_mean=use_mean),
-                     model.mobility.d_min, model.scheme.d_threshold, (th,), use_mean)
+    The report band inner < |mean incidence| <= outer is at most two intervals
+    [a, b] of the uniform mean angle m, one each side of the boresight c(r).
+    Given m the instantaneous angle is U[m - delta_phi, m + delta_phi], so its
+    CDF at t integrates over [a, b] to G(t - a) - G(t - b), with G the
+    deviation-CDF antiderivative of ``population``.
+    """
+    mob = model.mobility
+    c, dphi = boresight_angle(model.geom, r), mob.delta_phi
+    members = inside = 0.0
+    for a, b in ((c - outer, c - inner), (c + inner, c + outer)):
+        a, b = max(a, mob.mean_phi_min), min(b, mob.mean_phi_max)
+        if b > a:
+            members += b - a
+            inside += (deviation_cdf_integral(c + y - a, dphi) - deviation_cdf_integral(c + y - b, dphi)
+                       - deviation_cdf_integral(c - y - a, dphi) + deviation_cdf_integral(c - y - b, dphi))
+    return members / mob.mean_phi_span, inside / mob.mean_phi_span
 
 
 def group_gain_cdf_instant(model, x, role, with_error=False):
@@ -459,9 +483,10 @@ def group_gain_cdf_instant(model, x, role, with_error=False):
     geom, mob = model.geom, model.mobility
     theta, th = geom.half_fov, scheme.theta_threshold
     if role == STRONG:
-        return _capped_cdf(model, x, scheme.d_threshold, th, _strong_membership(model, False), with_error)
+        members = _band_mass(model, 0.0, th, mob.d_min, scheme.d_threshold, False)
+        return _capped_cdf(model, x, scheme.d_threshold, th, members, with_error)
     _require_role(role)
-    den, den_err = _nonempty(_weak_band_normalizer_instant(model))
+    den, den_err = _nonempty(_band_mass(model, th, theta, scheme.d_threshold, mob.d_max, False))
     if x <= 0.0:
         return _result(0.0, 0.0, with_error)
     d_star = _clamp(gain_boundary_distance(geom, x, math.cos(theta) ** 2), scheme.d_threshold, mob.d_max)
@@ -472,114 +497,6 @@ def group_gain_cdf_instant(model, x, role, with_error=False):
     num, num_err = _integral(model, band, d_star, mob.d_max, (theta, th), level=x, caps=(theta, th))
     value = _clamp(num / den, 0.0, 1.0)
     return _result(value, (num_err + value * den_err) / den, with_error)
-
-
-# ---------------------------------------------------------------------------
-# Group scheduling, mean-angle reports
-# ---------------------------------------------------------------------------
-
-
-def _intersect(lo, hi, bound_lo, bound_hi):
-    a, b = max(lo, bound_lo), min(hi, bound_hi)
-    return (a, b) if b > a else None
-
-
-def _weak_mean_intervals(model, r, fov_capped):
-    """Mean-angle intervals of weak-group membership at distance r.
-
-    With ``fov_capped`` the mean incidence is additionally confined to the FOV
-    (the conditioning of the mean-report weak CDF); otherwise the full
-    |mean incidence| > theta_th tails are returned.
-    """
-    mob, scheme = model.mobility, model.scheme
-    c = boresight_angle(model.geom, r)
-    th = scheme.theta_threshold
-    lo, hi = mob.mean_phi_min, mob.mean_phi_max
-    if fov_capped:
-        theta = model.geom.half_fov
-        parts = [_intersect(c - theta, c - th, lo, hi), _intersect(c + th, c + theta, lo, hi)]
-    else:
-        parts = [_intersect(-math.inf, c - th, lo, hi), _intersect(c + th, math.inf, lo, hi)]
-    return [p for p in parts if p is not None]
-
-
-def _strong_mean_interval(model, r):
-    mob, scheme = model.mobility, model.scheme
-    c = boresight_angle(model.geom, r)
-    th = scheme.theta_threshold
-    part = _intersect(c - th, c + th, mob.mean_phi_min, mob.mean_phi_max)
-    return [part] if part is not None else []
-
-
-def _interval_length(parts):
-    return sum(b - a for a, b in parts)
-
-
-def _ramp_integral(u, v, t, half_width):
-    """Exact integral over mean angles in [u, v] of the conditional CDF at level t.
-
-    The conditional law of the instantaneous angle given a mean value m is
-    U[m - half_width, m + half_width]; as a function of m its CDF at t is a
-    descending ramp, so the integral is piecewise quadratic (a step indicator
-    for half_width = 0).
-    """
-    if v <= u:
-        return 0.0
-    if half_width == 0.0:
-        return max(0.0, min(v, t) - u)
-    lo, hi = t - half_width, t + half_width
-    total = max(0.0, min(v, lo) - u)
-    a, b = max(u, lo), min(v, hi)
-    if b > a:
-        total += ((hi - a) ** 2 - (hi - b) ** 2) / (4.0 * half_width)
-    return total
-
-
-def _conditional_band_integral(model, parts, r, half_angle):
-    """Integral over the mean-angle set of Pr(|theta| <= half_angle | r, mean)."""
-    if half_angle <= 0.0:
-        return 0.0
-    c = boresight_angle(model.geom, r)
-    dphi = model.mobility.delta_phi
-    total = 0.0
-    for a, b in parts:
-        total += _ramp_integral(a, b, c + half_angle, dphi) - _ramp_integral(a, b, c - half_angle, dphi)
-    return total
-
-
-def _require_mean_span(model):
-    if model.mobility.mean_phi_span == 0.0:
-        raise ValueError("mean-angle group CDFs need a nondegenerate mean-angle range")
-
-
-# The mean-report membership integrals below integrate interval lengths of
-# the uniform mean angle.  group_probabilities integrates
-# fov_probability(use_mean=True) instead, which is the same quantity divided
-# by mean_phi_span in exact arithmetic but differs in the last bits: for
-# paper_mobility(25) the strong membership probability reads
-# 0.007692307692307693 one way and ...695 the other.  Merging the two would
-# change the fig3 CSV bytes, so both formulas stay.
-
-
-@lru_cache(maxsize=None)
-def _weak_fov_normalizer_mean(model, lo):
-    """Integral over [lo, d_max] of the FOV-capped weak membership interval length."""
-    return _integral(model, lambda r: _interval_length(_weak_mean_intervals(model, r, fov_capped=True)),
-                     lo, model.mobility.d_max, (model.geom.half_fov, model.scheme.theta_threshold), True)
-
-
-@lru_cache(maxsize=None)
-def _weak_membership_mean(model):
-    """Integral over [d_th, d_max] of the full weak membership interval length."""
-    return _integral(model, lambda r: _interval_length(_weak_mean_intervals(model, r, fov_capped=False)),
-                     model.scheme.d_threshold, model.mobility.d_max, (model.scheme.theta_threshold,), True)
-
-
-@lru_cache(maxsize=None)
-def _strong_membership_mean(model, lo):
-    """Integral over [lo, d_th] of the strong membership interval length."""
-    return _integral(model, lambda r: _interval_length(_strong_mean_interval(model, r)),
-                     lo, model.scheme.d_threshold, (model.scheme.theta_threshold,), True)
 
 
 def group_gain_cdf_mean(model, x, role, with_error=False):
@@ -597,31 +514,23 @@ def group_gain_cdf_mean(model, x, role, with_error=False):
     geom, mob = model.geom, model.mobility
     theta, th = geom.half_fov, scheme.theta_threshold
     if role == WEAK:
-        lo, hi, half_angles = scheme.d_threshold, mob.d_max, (theta, th)
-        members, mass = (lambda r: _weak_mean_intervals(model, r, fov_capped=True)), _weak_fov_normalizer_mean
-        den, den_err = _nonempty(mass(model, lo))
+        inner, outer, lo, hi = th, theta, scheme.d_threshold, mob.d_max
+        den, den_err = _nonempty(_band_mass(model, inner, outer, lo, hi, True))
     else:
-        lo, hi, half_angles = mob.d_min, scheme.d_threshold, (th,)
-        members, mass = (lambda r: _strong_mean_interval(model, r)), _strong_membership_mean
-        den, den_err = mass(model, lo)
+        inner, outer, lo, hi = 0.0, th, mob.d_min, scheme.d_threshold
+        den, den_err = _band_mass(model, inner, outer, lo, hi, True)
     if x < 0.0:
         return _result(0.0, 0.0, with_error)
     d_star = _clamp(gain_boundary_distance(geom, x), lo, hi)
 
-    def integrand(r):
-        parts = members(r)
-        cap = min(gain_boundary_angle(geom, x, r), theta)
-        return _interval_length(parts) - _conditional_band_integral(model, parts, r, cap)
+    def below(r):
+        members, inside = _mean_band(model, r, inner, outer, min(gain_boundary_angle(geom, x, r), theta))
+        return members - inside
 
-    term1, err1 = mass(model, d_star)
-    term2, err2 = _integral(model, integrand, lo, d_star, half_angles, True, level=x, caps=(theta, th))
+    term1, err1 = _band_mass(model, inner, outer, d_star, hi, True)
+    term2, err2 = _integral(model, below, lo, d_star, _band_edges(inner, outer), True, level=x, caps=(theta, th))
     value = _clamp((term1 + term2) / den, 0.0, 1.0)
     return _result(value, (err1 + err2 + value * den_err) / den, with_error)
-
-
-# ---------------------------------------------------------------------------
-# Group membership probabilities and success probabilities for outage
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -637,9 +546,9 @@ def group_probabilities(model):
     """Membership probabilities of the weak/strong groups of the model's two-bit scheme."""
     scheme = _require_group_scheme(model, TWO_BIT_KINDS)
     use_mean = scheme.kind is FeedbackKind.TWO_BIT_MEAN
-    mob = model.mobility
-    p_w = _weak_membership(model, use_mean)[0] / mob.d_span
-    p_s = _strong_membership(model, use_mean)[0] / mob.d_span
+    mob, th = model.mobility, scheme.theta_threshold
+    p_w = _band_mass(model, th, math.pi, scheme.d_threshold, mob.d_max, use_mean)[0] / mob.d_span
+    p_s = _band_mass(model, 0.0, th, mob.d_min, scheme.d_threshold, use_mean)[0] / mob.d_span
     K = mob.num_users
     both = 1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K
     return GroupStats(p_weak=p_w, p_strong=p_s, both_nonempty=_clamp(both, 0.0, 1.0))
@@ -668,10 +577,10 @@ def group_success_probability(model, threshold, role, with_error=False):
         """Weak members at distance r whose instantaneous |theta| stays within the boundary angle."""
         cap = min(gain_boundary_angle(geom, threshold, r), theta)
         if use_mean:
-            return _conditional_band_integral(model, _weak_mean_intervals(model, r, fov_capped=False), r, cap)
+            return _mean_band(model, r, th, math.pi, cap)[1]
         return max(fov_probability(model, r, cap) - fov_probability(model, r, th), 0.0)
 
-    den, den_err = _nonempty(_weak_membership_mean(model) if use_mean else _weak_membership(model, False))
+    den, den_err = _nonempty(_band_mass(model, th, math.pi, scheme.d_threshold, mob.d_max, use_mean))
     lo, hi = scheme.d_threshold, min(mob.d_max, gain_boundary_distance(geom, threshold))
     if hi <= lo:
         return _result(0.0, den_err / den, with_error)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import LedGeometry
-from .link import NomaConfig, PowerAllocation, TargetRates, epsilon_threshold
+from .link import InfeasibleAllocationError, NomaConfig, PowerAllocation, TargetRates, epsilon_threshold, eta_thresholds
 from .population import MobilityConfig
 from .quadrature import QuadratureConfig
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
@@ -303,6 +303,16 @@ def build_experiment(flat):
         if not math.isfinite(eps):
             raise ConfigError(f"{key}: {rate} with noma.oma_time_share={oma_time_share} overflows the SINR threshold")
     try:
+        eta_thresholds(targets, alloc, 1.0)  # whether the split can serve the weak rate does not depend on the SNR
+    except InfeasibleAllocationError as exc:
+        raise ConfigError(f"noma.power_weak: {alloc.share_weak} with noma.power_strong={alloc.share_strong} "
+                          f"and noma.rate_weak={targets.rate_weak}: {exc}") from exc
+    seed = _get_int(flat, "sweep.seed")
+    if seed < 0:  # SeedSequence takes no negative entropy
+        raise ConfigError(f"sweep.seed: must be nonnegative, got {seed}")
+    rank_weak = _get_int_in(flat, "strategy.rank_weak", 1, mobility.num_users - 1)
+    rank_strong = _get_int_in(flat, "strategy.rank_strong", rank_weak + 1, mobility.num_users)
+    try:
         schemes = _build_schemes(flat, geom, mobility)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -324,10 +334,10 @@ def build_experiment(flat):
             noma=NomaConfig(alloc, targets),
             schemes=schemes,
             gamma_db_grid=parse_gamma_grid(flat["sweep.gamma_db"]),
-            rank_weak=_get_int(flat, "strategy.rank_weak"),
-            rank_strong=_get_int(flat, "strategy.rank_strong"),
+            rank_weak=rank_weak,
+            rank_strong=rank_strong,
             trials=_get_int_in(flat, "sweep.trials", 1, MAX_TRIALS),
-            root_seed=_get_int(flat, "sweep.seed"),
+            root_seed=seed,
             noise=noise,
             include_oma=_get_bool(flat, "noma.include_oma"),
             oma_base=oma_base,

@@ -87,8 +87,13 @@ def conditional_phi_cdf(mean_phi, delta_phi, x):
     return out
 
 
-def _step_integral(t, half_width):
-    """Antiderivative G with G'(t) = CDF of U[-half_width, half_width] at t, G(-hw) = 0."""
+def deviation_cdf_integral(t, half_width):
+    """Antiderivative G with G'(t) = CDF of U[-half_width, half_width] at t, G(-hw) = 0.
+
+    Integrating the conditional CDF at t over mean angles in [a, b] gives
+    G(t - a) - G(t - b); both the marginal law below and the mean-report group
+    bands of the closed form are built on it.
+    """
     if half_width == 0.0:
         return t if t > 0.0 else 0.0
     if t <= -half_width:
@@ -111,7 +116,8 @@ def marginal_phi_cdf(config, x):
         if config.delta_phi == 0.0:
             return 1.0 if x >= lo else 0.0
         return min(max((x - lo + config.delta_phi) / (2.0 * config.delta_phi), 0.0), 1.0)
-    value = (_step_integral(x - lo, config.delta_phi) - _step_integral(x - hi, config.delta_phi)) / (hi - lo)
+    G = deviation_cdf_integral
+    value = (G(x - lo, config.delta_phi) - G(x - hi, config.delta_phi)) / (hi - lo)
     return min(max(value, 0.0), 1.0)
 
 

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from test_analytic_bitwise import LEVELS, _group_models
 
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle
 from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
-from vlcnoma.population import MobilityConfig, sample_user_arrays
+from vlcnoma.population import MobilityConfig, conditional_phi_cdf, sample_user_arrays
 from vlcnoma.quadrature import QuadratureConfig, integrate_adaptive
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import EmpiricalCdf, ExperimentConfig
+from vlcnoma.validation import paper_geometry, paper_mobility
 
 GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
 MOB = MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
@@ -218,6 +223,19 @@ class TestGroupCdfs:
                 b = an.group_gain_cdf_instant(mi, float(x), role)
                 assert abs(a - b) <= 1e-6
 
+    def test_static_deviation_collapses_mean_success_onto_instant(self):
+        # the success probabilities read the same bands as the CDFs; 1e-6 is the bound of
+        # validate's theorem-coincidence-zero-deviation check, over its level span
+        geom, mob = paper_geometry(), paper_mobility(0.0)
+        levels = LEVELS + tuple(np.geomspace(1e-17, 1e-10, 40))
+        for thresholds in ("paper", "wide"):
+            instant, mean = _group_models(geom, mob, thresholds)
+            for x in levels:
+                for role in (an.WEAK, an.STRONG):
+                    a = an.group_success_probability(mean, float(x), role)
+                    b = an.group_success_probability(instant, float(x), role)
+                    assert abs(a - b) <= 1e-6, (thresholds, role, x)
+
     def test_strong_group_degeneracy_matches_unordered(self):
         scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, d_threshold=MOB.d_max, theta_threshold=GEOM.half_fov)
         mi = model_with(scheme=scheme)
@@ -236,6 +254,47 @@ class TestGroupCdfs:
     def test_angle_threshold_cannot_exceed_fov(self):
         with pytest.raises(ValueError):
             model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, math.radians(60.0)))
+
+
+def _quad_mean_band(model, r, inner, outer, y):
+    """_mean_band by adaptive quadrature over the uniform mean angle of conditional_phi_cdf."""
+    mob = model.mobility
+    c, dphi = an.boresight_angle(model.geom, r), mob.delta_phi
+
+    def in_band(m):
+        return 1.0 if inner < abs(c - m) <= outer else 0.0
+
+    def inside(m):
+        return in_band(m) * (conditional_phi_cdf(m, dphi, c + y) - conditional_phi_cdf(m, dphi, c - y))
+
+    kinks = [c + s * a + t * dphi for s in (-1.0, 1.0) for a in (inner, outer, y) for t in (-1.0, 0.0, 1.0)]
+    lo, hi = mob.mean_phi_min, mob.mean_phi_max
+    points = sorted({k for k in kinks if lo < k < hi})
+    return tuple(quad(f, lo, hi, points=points, limit=200, epsabs=1e-13, epsrel=1e-12)[0] / mob.mean_phi_span
+                 for f in (in_band, inside))
+
+
+class TestMeanBand:
+    @settings(max_examples=150, deadline=None)
+    @given(r=st.floats(0.0, 10.0), inner=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+           width=st.floats(0.0, math.pi), y=st.floats(0.0, math.pi / 2.0), dphi=st.sampled_from((0.0, 25.0)))
+    def test_matches_quadrature_over_the_mean_angle(self, r, inner, width, y, dphi):
+        model, outer = model_with(dphi), inner + width
+        members, inside = an._mean_band(model, r, inner, outer, y)
+        ref_members, ref_inside = _quad_mean_band(model, r, inner, outer, y)
+        assert members == pytest.approx(ref_members, abs=1e-9)
+        assert inside == pytest.approx(ref_inside, abs=1e-9)
+        top, bottom = (an.fov_probability(model, r, a, use_mean=True) for a in (outer, inner))
+        assert members == pytest.approx(top - bottom, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=st.floats(0.0, 10.0), outer=st.floats(math.pi, 4.0), y=st.floats(0.0, math.pi / 2.0),
+           dphi=st.sampled_from((0.0, 25.0)))
+    def test_open_band_is_the_instantaneous_fov_probability(self, r, outer, y, dphi):
+        model = model_with(dphi)
+        members, inside = an._mean_band(model, r, 0.0, outer, y)
+        assert members == pytest.approx(1.0, abs=1e-12)
+        assert inside == pytest.approx(an.fov_probability(model, r, y), abs=1e-12)
 
 
 class TestGroupProbabilities:
@@ -294,8 +353,9 @@ class TestOutage:
         pw, _, ps, _ = an.group_outage(mi, thresholds(1e28))
         # strong group members always have nonzero gain; weak keeps the out-of-FOV share
         assert ps == pytest.approx(0.0, abs=1e-9)
-        den, _ = an._weak_membership(mi, False)
-        num, _ = an._weak_band_normalizer_instant(mi)
+        d_max = mi.mobility.d_max
+        den, _ = an._band_mass(mi, THETA_TH, math.pi, 1.0, d_max, False)
+        num, _ = an._band_mass(mi, THETA_TH, GEOM.half_fov, 1.0, d_max, False)
         assert pw == pytest.approx(1.0 - num / den, abs=1e-9)
 
     def test_group_low_snr_limit(self):

@@ -112,7 +112,8 @@ class TestConfigLayer:
     @pytest.mark.parametrize("override", [
         "geometry.ell_m=inf", "noma.rate_weak=nan", "noise.sigma_d_m=nan", "noma.oma_time_share=-1",
         "noma.oma_time_share=1000", "noma.rate_strong=1000", "schemes.d_threshold_coeff=2",
-        "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5",
+        "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5", "sweep.seed=-1",
+        "strategy.rank_weak=0", "strategy.rank_strong=50",
     ])
     def test_refusal_exits_1_naming_the_key(self, monkeypatch, capsys, tmp_path, command, override):
         def never(*args, **kwargs):
@@ -122,6 +123,18 @@ class TestConfigLayer:
         monkeypatch.setattr(cli, "sum_rate_sweep", never)
         assert run_cli(command, "--preset", "fig3", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
         assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_infeasible_allocation_refused_before_any_work(self, monkeypatch, capsys, tmp_path, command):
+        # 0.6 - 0.4 * eps_weak < 0: no gain serves the weak user's rate at any SNR
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        monkeypatch.setattr(cli, "sum_rate_sweep", never)
+        assert run_cli(command, "--set", "noma.power_weak=0.6", "--set", "noma.power_strong=0.4",
+                       "--out", str(tmp_path / "x.csv")) == 1
+        assert "noma.power_weak" in capsys.readouterr().err
 
     def test_repeated_scheme_rejected(self):
         with pytest.raises(ConfigError, match="schemes.list"):
@@ -345,7 +358,7 @@ class TestValidateCommand:
             return (geom.ell**2 + r * r) ** (geom.m + 1.0) / geom.channel_constant**2
 
         monkeypatch.setattr(analytic, "inverse_squared_gain", corrupted)
-        analytic._fov_normalizer.cache_clear()
+        analytic._band_mass.cache_clear()
         rng = np.random.default_rng(0)
         broken = check_individual_cdfs(sizes, rng)
         assert not all(r.passed for r in broken)

@@ -19,7 +19,7 @@ GOLDEN = {
     ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
     ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
     ("analytic", "fig2"): "55c4217c22767588b5a9492ed0dcc0486cddd9812f72bf0b056106744d74e44f",
-    ("analytic", "fig3"): "30f002fe222d9ac1f1da01323336df51e17ce28f0481adf117b6ded1cba28706",
+    ("analytic", "fig3"): "767aba9136cead00cc69f50eb2f6e79e607d7bb97974a625f954f0d87056b1c9",
 }
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
