@@ -32,12 +32,10 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.stats import binom
 
 from .channel import LedGeometry
 from .link import CurvePoint, noma_sum_rate
-from .population import (MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf,
+from .population import (MobilityConfig, clamp, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf,
                          mean_phi_cdf)
 from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
@@ -76,8 +74,10 @@ def inverse_squared_gain(geom, r):
 
 def gain_boundary_angle(geom, x, r):
     """|incidence| at which the squared gain equals x at distance r, clamped to [0, pi/2]."""
-    arg = 2.0 * min(x * inverse_squared_gain(geom, r), 1.0) - 1.0
-    return 0.5 * math.acos(max(arg, -1.0))
+    # conditional expressions instead of min/max: the same floats, a fraction of the call cost
+    scaled = x * inverse_squared_gain(geom, r)
+    arg = 2.0 * (1.0 if scaled > 1.0 else scaled) - 1.0
+    return 0.5 * math.acos(-1.0 if arg < -1.0 else arg)
 
 
 def gain_boundary_distance(geom, x, cos_sq_scale=1.0):
@@ -92,10 +92,6 @@ def gain_boundary_distance(geom, x, cos_sq_scale=1.0):
     if t <= 0.0:
         return 0.0
     return math.sqrt(t)
-
-
-def _clamp(x, lo, hi):
-    return min(max(x, lo), hi)
 
 
 def _result(value, err, with_error):
@@ -114,7 +110,7 @@ def fov_probability(model, r, half_angle, use_mean=False):
     c = boresight_angle(model.geom, r)
     cdf = mean_phi_cdf if use_mean else marginal_phi_cdf
     value = cdf(model.mobility, c + half_angle) - cdf(model.mobility, c - half_angle)
-    return min(max(value, 0.0), 1.0)
+    return clamp(value, 0.0, 1.0)
 
 
 def _phi_corners(model, use_mean):
@@ -203,17 +199,21 @@ def _fov_normalizer(model, use_mean=False):
 def nonzero_gain_probability(model, with_error=False, use_mean=False):
     """Probability that a single user's channel gain (or mean-angle gain) is nonzero."""
     value, err = _fov_normalizer(model, use_mean)
-    return _result(_clamp(value / model.mobility.d_span, 0.0, 1.0), err / model.mobility.d_span, with_error)
+    return _result(clamp(value / model.mobility.d_span, 0.0, 1.0), err / model.mobility.d_span, with_error)
 
 
 def nonzero_count_tail(model, k_min, use_mean=False):
     """Pr(at least k_min users have nonzero gain, or nonzero mean-angle gain)."""
+    from scipy.stats import binom
+
     p = nonzero_gain_probability(model, use_mean=use_mean)
     return float(binom.sf(k_min - 1, model.mobility.num_users, p))
 
 
 def _count_weights(model, n, k_min, use_mean=False):
     """Binomial(K, p) PMF of the nonzero-gain count at n, truncated and renormalized below k_min."""
+    from scipy.stats import binom
+
     K = model.mobility.num_users
     p = nonzero_gain_probability(model, use_mean=use_mean)
     return binom.pmf(n, K, p) / binom.sf(k_min - 1, K, p)
@@ -252,7 +252,7 @@ def _capped_cdf(model, x, hi, cap, normalizer, with_error, use_mean=False):
             return fov_probability(model, r, min(gain_boundary_angle(geom, x, r), cap), use_mean)
 
         num, num_err = _integral(model, band, lo, hi, (cap,), use_mean, level=x, caps=(cap,))
-    value = _clamp(1.0 - num / den, 0.0, 1.0)
+    value = clamp(1.0 - num / den, 0.0, 1.0)
     return _result(value, (num_err + value * den_err) / den, with_error)
 
 
@@ -280,6 +280,8 @@ def ordered_gain_cdf(model, x, rank, min_count, with_error=False):
     Mixture over the truncated Binomial count n of the probability that at
     least ``rank`` of n independent nonzero gains fall at or below x.
     """
+    from scipy.stats import binom
+
     _check_rank(model, rank, min_count)
     K = model.mobility.num_users
     u, u_err = unordered_gain_cdf(model, x, with_error=True)
@@ -300,6 +302,12 @@ _MEAN_PANELS = 4  # Gauss panels per kink-free mean-angle piece; the error estim
 
 
 @lru_cache(maxsize=None)
+def _panel_steps(panels):
+    """np.arange(panels), built once per panel count for the mean-angle inner integrand."""
+    return np.arange(panels)
+
+
+@lru_cache(maxsize=None)
 def _mean_gain_cdf_table(model):
     """The mean-angle report's squared-gain CDF as (interpolant, error), tabulated in log level.
 
@@ -309,6 +317,8 @@ def _mean_gain_cdf_table(model):
     concentrates levels at the CDF's kinks.  The error is the worst tabulated
     quadrature error plus the worst accepted midpoint miss.
     """
+    from scipy.interpolate import PchipInterpolator
+
     geom, mob = model.geom, model.mobility
     lo = math.log(float(geom.gain_factor(mob.d_max)) ** 2 * math.cos(geom.half_fov) ** 2)
     hi = math.log(float(geom.gain_factor(mob.d_min)) ** 2)
@@ -336,7 +346,7 @@ def _mean_gain_cdf_table(model):
         grid, values = np.insert(grid, at, mids), np.insert(values, at, mid_values)
         todo = np.repeat(split, 1 + todo)
     spline = PchipInterpolator(grid, np.maximum.accumulate(np.clip(values, 0.0, 1.0)))
-    return (lambda y: spline(np.clip(np.log(y), lo, hi))), quad_err + interp_err
+    return (lambda y: spline(np.minimum(np.maximum(np.log(y), lo), hi))), quad_err + interp_err
 
 
 def _rank_density(model, rank, min_count):
@@ -347,6 +357,8 @@ def _rank_density(model, rank, min_count):
     rank-th smallest of n, and the total variation of W on [0, 1], which
     bounds how far an error in u moves the integral of W over a uniform u.
     """
+    from scipy.stats import binom
+
     n = np.arange(min_count, model.mobility.num_users + 1)
     weights = _count_weights(model, n, min_count, use_mean=True)
     coef = weights * n * np.array([math.comb(int(v) - 1, rank - 1) for v in n], float)
@@ -398,14 +410,14 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
             return 0.0
         cap = min(gain_boundary_angle(geom, threshold, r), theta)
         kinks = [c + s * cap + t * dphi for s in (-1.0, 1.0) for t in (-1.0, 1.0)]
-        pieces = np.unique([m_lo, m_hi] + [k for k in kinks if m_lo < k < m_hi])
-        step = np.diff(pieces) / panels
-        edges = np.append(pieces[:-1, None] + step[:, None] * np.arange(panels), m_hi)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        pieces = np.array(sorted({m_lo, m_hi, *[k for k in kinks if m_lo < k < m_hi]}))
+        step = (pieces[1:] - pieces[:-1]) / panels
+        edges = np.concatenate(((pieces[:-1, None] + step[:, None] * _panel_steps(panels)).ravel(), [m_hi]))
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         m = (mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()
         band = conditional_phi_cdf(m, dphi, c + cap) - conditional_phi_cdf(m, dphi, c - cap)
         weight = density(cdf(float(geom.gain_factor(r)) ** 2 * np.cos(c - m) ** 2))
-        return float(np.sum((half[:, None] * _GAUSS_WEIGHTS).ravel() * weight * band))
+        return float(((half[:, None] * _GAUSS_WEIGHTS).ravel() * weight * band).sum())
 
     den, den_err = _fov_normalizer(model, True)
     den *= mob.mean_phi_span
@@ -416,7 +428,7 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
         return _integral(model, lambda r: inner(r, panels), lo, hi, (theta,), True, level=threshold, caps=(theta,))
 
     num, num_err = outer(_MEAN_PANELS)
-    value = _clamp(num / den, 0.0, 1.0)
+    value = clamp(num / den, 0.0, 1.0)
     if with_error:
         coarse, _ = outer(_MEAN_PANELS // 2)
         err = (num_err + abs(num - coarse)) / den + value * den_err / den
@@ -462,14 +474,16 @@ def _mean_band(model, r, inner, outer, y):
     """
     mob = model.mobility
     c, dphi = boresight_angle(model.geom, r), mob.delta_phi
+    m_min, m_max = mob.mean_phi_min, mob.mean_phi_max
     members = inside = 0.0
     for a, b in ((c - outer, c - inner), (c + inner, c + outer)):
-        a, b = max(a, mob.mean_phi_min), min(b, mob.mean_phi_max)
+        a, b = (m_min if a < m_min else a), (m_max if b > m_max else b)
         if b > a:
             members += b - a
             inside += (deviation_cdf_integral(c + y - a, dphi) - deviation_cdf_integral(c + y - b, dphi)
                        - deviation_cdf_integral(c - y - a, dphi) + deviation_cdf_integral(c - y - b, dphi))
-    return members / mob.mean_phi_span, inside / mob.mean_phi_span
+    span = mob.mean_phi_span
+    return members / span, inside / span
 
 
 def group_gain_cdf_instant(model, x, role, with_error=False):
@@ -489,13 +503,13 @@ def group_gain_cdf_instant(model, x, role, with_error=False):
     den, den_err = _nonempty(_band_mass(model, th, theta, scheme.d_threshold, mob.d_max, False))
     if x <= 0.0:
         return _result(0.0, 0.0, with_error)
-    d_star = _clamp(gain_boundary_distance(geom, x, math.cos(theta) ** 2), scheme.d_threshold, mob.d_max)
+    d_star = clamp(gain_boundary_distance(geom, x, math.cos(theta) ** 2), scheme.d_threshold, mob.d_max)
 
     def band(r):
         return fov_probability(model, r, theta) - fov_probability(model, r, max(gain_boundary_angle(geom, x, r), th))
 
     num, num_err = _integral(model, band, d_star, mob.d_max, (theta, th), level=x, caps=(theta, th))
-    value = _clamp(num / den, 0.0, 1.0)
+    value = clamp(num / den, 0.0, 1.0)
     return _result(value, (num_err + value * den_err) / den, with_error)
 
 
@@ -521,7 +535,7 @@ def group_gain_cdf_mean(model, x, role, with_error=False):
         den, den_err = _band_mass(model, inner, outer, lo, hi, True)
     if x < 0.0:
         return _result(0.0, 0.0, with_error)
-    d_star = _clamp(gain_boundary_distance(geom, x), lo, hi)
+    d_star = clamp(gain_boundary_distance(geom, x), lo, hi)
 
     def below(r):
         members, inside = _mean_band(model, r, inner, outer, min(gain_boundary_angle(geom, x, r), theta))
@@ -529,7 +543,7 @@ def group_gain_cdf_mean(model, x, role, with_error=False):
 
     term1, err1 = _band_mass(model, inner, outer, d_star, hi, True)
     term2, err2 = _integral(model, below, lo, d_star, _band_edges(inner, outer), True, level=x, caps=(theta, th))
-    value = _clamp((term1 + term2) / den, 0.0, 1.0)
+    value = clamp((term1 + term2) / den, 0.0, 1.0)
     return _result(value, (err1 + err2 + value * den_err) / den, with_error)
 
 
@@ -551,7 +565,7 @@ def group_probabilities(model):
     p_s = _band_mass(model, 0.0, th, mob.d_min, scheme.d_threshold, use_mean)[0] / mob.d_span
     K = mob.num_users
     both = 1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K
-    return GroupStats(p_weak=p_w, p_strong=p_s, both_nonempty=_clamp(both, 0.0, 1.0))
+    return GroupStats(p_weak=p_w, p_strong=p_s, both_nonempty=clamp(both, 0.0, 1.0))
 
 
 def group_success_probability(model, threshold, role, with_error=False):
@@ -569,7 +583,7 @@ def group_success_probability(model, threshold, role, with_error=False):
     if role == STRONG:
         cdf = group_gain_cdf_mean if use_mean else group_gain_cdf_instant
         value, err = cdf(model, threshold, STRONG, with_error=True)
-        return _result(_clamp(1.0 - value, 0.0, 1.0), err, with_error)
+        return _result(clamp(1.0 - value, 0.0, 1.0), err, with_error)
     geom, mob = model.geom, model.mobility
     theta, th = geom.half_fov, scheme.theta_threshold
 
@@ -586,7 +600,7 @@ def group_success_probability(model, threshold, role, with_error=False):
         return _result(0.0, den_err / den, with_error)
     num, num_err = _integral(model, band, lo, hi, (th,) if use_mean else (theta, th), use_mean,
                              level=threshold, caps=(theta, th))
-    return _result(_clamp(num / den, 0.0, 1.0), (num_err + abs(num / den) * den_err) / den, with_error)
+    return _result(clamp(num / den, 0.0, 1.0), (num_err + abs(num / den) * den_err) / den, with_error)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class LedGeometry:
     def from_degrees(cls, ell, hpbw_deg, detector_area, half_fov_deg):
         return cls(ell, math.radians(hpbw_deg), detector_area, math.radians(half_fov_deg))
 
-    @property
+    @cached_property
     def channel_constant(self):
         """h_c^2 = (m+1) * A_r * ell^m / (2*pi), the distance-free part of g(d)."""
         return (self.m + 1.0) * self.detector_area * self.ell**self.m / TWO_PI

@@ -72,6 +72,11 @@ def sample_user_arrays(config, rng, size):
     return d, mean_phi, phi
 
 
+def clamp(x, lo, hi):
+    """min(max(x, lo), hi) for lo <= hi, NaN and -0.0 included, without the builtins' call cost."""
+    return lo if x < lo else hi if x > hi else x
+
+
 def conditional_phi_cdf(mean_phi, delta_phi, x):
     """CDF of the instantaneous angle given its mean: U[mean - delta, mean + delta].
 
@@ -81,7 +86,8 @@ def conditional_phi_cdf(mean_phi, delta_phi, x):
     if delta_phi == 0.0:
         out = (x >= mean_phi).astype(float)
     else:
-        out = np.clip((x - (mean_phi - delta_phi)) / (2.0 * delta_phi), 0.0, 1.0)
+        # np.minimum/np.maximum give np.clip's values without its dispatch overhead
+        out = np.minimum(np.maximum((x - (mean_phi - delta_phi)) / (2.0 * delta_phi), 0.0), 1.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -115,10 +121,9 @@ def marginal_phi_cdf(config, x):
     if hi == lo:
         if config.delta_phi == 0.0:
             return 1.0 if x >= lo else 0.0
-        return min(max((x - lo + config.delta_phi) / (2.0 * config.delta_phi), 0.0), 1.0)
+        return clamp((x - lo + config.delta_phi) / (2.0 * config.delta_phi), 0.0, 1.0)
     G = deviation_cdf_integral
-    value = (G(x - lo, config.delta_phi) - G(x - hi, config.delta_phi)) / (hi - lo)
-    return min(max(value, 0.0), 1.0)
+    return clamp((G(x - lo, config.delta_phi) - G(x - hi, config.delta_phi)) / (hi - lo), 0.0, 1.0)
 
 
 def mean_phi_cdf(config, x):
@@ -126,7 +131,7 @@ def mean_phi_cdf(config, x):
     lo, hi = config.mean_phi_min, config.mean_phi_max
     if hi == lo:
         return 1.0 if x >= lo else 0.0
-    return min(max((x - lo) / (hi - lo), 0.0), 1.0)
+    return clamp((x - lo) / (hi - lo), 0.0, 1.0)
 
 
 def noisy_estimate_arrays(d, mean_phi, phi, sigma_d, sigma_phi, rng):

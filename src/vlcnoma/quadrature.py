@@ -1,6 +1,8 @@
 """Thin adaptive-quadrature layer used by the closed-form engine.
 
 Wraps QUADPACK (scipy.integrate.quad) behind the toolkit's tolerance config.
+SciPy is imported on the first integral, not with this module, so commands
+that never integrate (``simulate``, ``plot``) do not pay for loading it.
 Integrands here are piecewise smooth with kinks at analytically known radii
 (clamp points of the effective-angle helpers, corner crossings of the
 orientation CDF); callers pass those as breakpoints so the subdivision does
@@ -9,10 +11,24 @@ not have to hunt for them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+
+
+def __getattr__(name):
+    """``integrate`` (scipy.integrate), imported on first access and then kept as a module attribute.
+
+    ``integrate_adaptive`` reads the attribute at call time, so a replacement
+    assigned to ``quadrature.integrate`` (a tracing proxy, say) is honoured.
+    """
+    if name != "integrate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import integrate
+
+    globals()["integrate"] = integrate
+    return integrate
 
 
 class QuadratureError(RuntimeError):
@@ -53,7 +69,7 @@ def integrate_adaptive(f, a, b, config, breakpoints=()):
     pts = np.asarray([p for p in breakpoints if a < p < b], float)
     pts = np.unique(pts) if pts.size else None
     # with full_output QUADPACK's flag comes back as a trailing message instead of a warning
-    value, err, _, *message = integrate.quad(
+    value, err, _, *message = sys.modules[__name__].integrate.quad(
         f, a, b,
         full_output=1,
         epsabs=config.abs_tol,
