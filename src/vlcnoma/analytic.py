@@ -7,9 +7,11 @@ incidence-angle band and all CDFs reduce to distance integrals of
     fov_probability(r, y) = Pr(|theta| <= y | d = r)
                           = F_phi(c(r) + y) - F_phi(c(r) - y),   c(r) = pi - atan(ell/r),
 
-with F_phi the marginal (trapezoidal) law of the vertical angle, or the
-uniform law of the mean angle for mean-angle feedback.  Second, the boundary
-angle where the squared gain crosses a level x at distance r is
+with F_phi the marginal (trapezoidal) law of the vertical angle.  The mean
+angle that mean reports are formed on is the vertical angle of the same model
+without tilt deviation (``_mean_model``), so its laws are these at
+delta_phi = 0.  Second, the boundary angle where the squared gain crosses a
+level x at distance r is
 
     angle = 1/2 * arccos(2 * min(x / g(r)^2, 1) - 1)   in [0, pi/2],
 
@@ -27,7 +29,7 @@ closed form through the deviation-CDF antiderivative of ``population``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -35,8 +37,7 @@ import numpy as np
 
 from .channel import LedGeometry
 from .link import CurvePoint, noma_sum_rate
-from .population import (MobilityConfig, clamp, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf,
-                         mean_phi_cdf)
+from .population import MobilityConfig, clamp, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf
 from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 
@@ -98,25 +99,32 @@ def _result(value, err, with_error):
     return (value, err) if with_error else value
 
 
+@lru_cache(maxsize=None)
+def _mean_model(model):
+    """The model of the mean angle: the same mobility without tilt deviation.
+
+    A user's mean angle is its instantaneous angle when delta_phi = 0, so every
+    law of the mean-angle report is the instantaneous law of this model.
+    """
+    return replace(model, mobility=replace(model.mobility, delta_phi=0.0))
+
+
 # ---------------------------------------------------------------------------
 # Orientation-band probabilities and their distance breakpoints
 # ---------------------------------------------------------------------------
 
 
-def fov_probability(model, r, half_angle, use_mean=False):
-    """Pr(|incidence angle| <= half_angle | d = r) for the instantaneous (or mean) angle."""
+def fov_probability(model, r, half_angle):
+    """Pr(|incidence angle| <= half_angle | d = r) for the instantaneous angle."""
     if half_angle < 0.0:
         raise ValueError("half_angle must be nonnegative")
     c = boresight_angle(model.geom, r)
-    cdf = mean_phi_cdf if use_mean else marginal_phi_cdf
-    value = cdf(model.mobility, c + half_angle) - cdf(model.mobility, c - half_angle)
+    value = marginal_phi_cdf(model.mobility, c + half_angle) - marginal_phi_cdf(model.mobility, c - half_angle)
     return clamp(value, 0.0, 1.0)
 
 
-def _phi_corners(model, use_mean):
+def _phi_corners(model):
     mob = model.mobility
-    if use_mean:
-        return (mob.mean_phi_min, mob.mean_phi_max)
     return (
         mob.mean_phi_min - mob.delta_phi,
         mob.mean_phi_min + mob.delta_phi,
@@ -125,12 +133,12 @@ def _phi_corners(model, use_mean):
     )
 
 
-def _corner_crossings(model, half_angles, lo, hi, use_mean=False):
+def _corner_crossings(model, half_angles, lo, hi):
     """Distances where c(r) +/- half_angle crosses a kink of the angle CDF."""
     ell = model.geom.ell
     out = []
     for s in [a * sign for a in half_angles for sign in (1.0, -1.0)]:
-        for t in _phi_corners(model, use_mean):
+        for t in _phi_corners(model):
             beta = math.pi + s - t  # needs atan(ell/r) = beta
             if 1e-12 < beta < math.pi / 2.0 - 1e-12:
                 r = ell / math.tan(beta)
@@ -149,7 +157,7 @@ def _level_breakpoints(model, x, lo, hi, caps):
     return out
 
 
-def _integral(model, f, lo, hi, half_angles, use_mean=False, level=None, caps=()):
+def _integral(model, f, lo, hi, half_angles, level=None, caps=()):
     """Integral of f over the distances [lo, hi] with its error, split at every kink.
 
     The kinks are the corner crossings of c(r) +/- each of ``half_angles`` and,
@@ -157,7 +165,7 @@ def _integral(model, f, lo, hi, half_angles, use_mean=False, level=None, caps=()
     one of ``caps``.  ``integrate_adaptive`` keeps only the points inside
     (lo, hi) and sorts them, so their order does not matter.
     """
-    pts = _corner_crossings(model, half_angles, lo, hi, use_mean)
+    pts = _corner_crossings(model, half_angles, lo, hi)
     if level is not None:
         pts += _level_breakpoints(model, level, lo, hi, caps)
     return integrate_adaptive(f, lo, hi, model.quad, pts)
@@ -174,48 +182,48 @@ def _band_edges(inner, outer):
 
 
 @lru_cache(maxsize=None)
-def _band_mass(model, inner, outer, lo, hi, use_mean):
+def _band_mass(model, inner, outer, lo, hi):
     """Integral over the distances [lo, hi] of Pr(inner < |incidence| <= outer | r), with its error.
 
-    The incidence is that of the instantaneous angle, or with ``use_mean`` of
-    the mean angle that mean reports are formed on.  An ``outer`` of pi or more
+    The incidence is that of the instantaneous angle; the bands of mean reports
+    are those of ``_mean_model(model)``.  An ``outer`` of pi or more
     leaves the band open above.  Every membership mass of the closed form (the
     nonzero-gain law, both groups, the conditioning rates and the success
     denominators) is one of these integrals.
     """
     def band(r):
-        top = 1.0 if outer >= math.pi else fov_probability(model, r, outer, use_mean)
-        return top - fov_probability(model, r, inner, use_mean)
+        top = 1.0 if outer >= math.pi else fov_probability(model, r, outer)
+        return top - fov_probability(model, r, inner)
 
-    return _integral(model, band, lo, hi, _band_edges(inner, outer), use_mean)
+    return _integral(model, band, lo, hi, _band_edges(inner, outer))
 
 
-def _fov_normalizer(model, use_mean=False):
+def _fov_normalizer(model):
     """Integral of fov_probability(r, half_fov) over the distance range, with error."""
     mob = model.mobility
-    return _band_mass(model, 0.0, model.geom.half_fov, mob.d_min, mob.d_max, use_mean)
+    return _band_mass(model, 0.0, model.geom.half_fov, mob.d_min, mob.d_max)
 
 
-def nonzero_gain_probability(model, with_error=False, use_mean=False):
-    """Probability that a single user's channel gain (or mean-angle gain) is nonzero."""
-    value, err = _fov_normalizer(model, use_mean)
+def nonzero_gain_probability(model, with_error=False):
+    """Probability that a single user's channel gain is nonzero."""
+    value, err = _fov_normalizer(model)
     return _result(clamp(value / model.mobility.d_span, 0.0, 1.0), err / model.mobility.d_span, with_error)
 
 
-def nonzero_count_tail(model, k_min, use_mean=False):
-    """Pr(at least k_min users have nonzero gain, or nonzero mean-angle gain)."""
+def nonzero_count_tail(model, k_min):
+    """Pr(at least k_min users have nonzero gain)."""
     from scipy.stats import binom
 
-    p = nonzero_gain_probability(model, use_mean=use_mean)
+    p = nonzero_gain_probability(model)
     return float(binom.sf(k_min - 1, model.mobility.num_users, p))
 
 
-def _count_weights(model, n, k_min, use_mean=False):
+def _count_weights(model, n, k_min):
     """Binomial(K, p) PMF of the nonzero-gain count at n, truncated and renormalized below k_min."""
     from scipy.stats import binom
 
     K = model.mobility.num_users
-    p = nonzero_gain_probability(model, use_mean=use_mean)
+    p = nonzero_gain_probability(model)
     return binom.pmf(n, K, p) / binom.sf(k_min - 1, K, p)
 
 
@@ -234,7 +242,7 @@ def nonzero_count_pmf(model, k, k_min=0):
 # ---------------------------------------------------------------------------
 
 
-def _capped_cdf(model, x, hi, cap, normalizer, with_error, use_mean=False):
+def _capped_cdf(model, x, hi, cap, normalizer, with_error):
     """1 - (integral over [d_min, hi] of Pr(|theta| <= min(boundary angle, cap) | r)) / normalizer.
 
     The squared-gain CDF of the users within ``cap`` of the boresight out to
@@ -249,21 +257,19 @@ def _capped_cdf(model, x, hi, cap, normalizer, with_error, use_mean=False):
     num, num_err = 0.0, 0.0
     if hi > lo:
         def band(r):
-            return fov_probability(model, r, min(gain_boundary_angle(geom, x, r), cap), use_mean)
+            return fov_probability(model, r, min(gain_boundary_angle(geom, x, r), cap))
 
-        num, num_err = _integral(model, band, lo, hi, (cap,), use_mean, level=x, caps=(cap,))
+        num, num_err = _integral(model, band, lo, hi, (cap,), level=x, caps=(cap,))
     value = clamp(1.0 - num / den, 0.0, 1.0)
     return _result(value, (num_err + value * den_err) / den, with_error)
 
 
-def unordered_gain_cdf(model, x, with_error=False, use_mean=False):
+def unordered_gain_cdf(model, x, with_error=False):
     """CDF of the squared gain of one user conditioned on the gain being nonzero.
 
-    With ``use_mean`` the gain is evaluated at the mean vertical angle, which
-    gives the law of the mean-angle feedback report.
+    On ``_mean_model(model)`` this is the law of the mean-angle feedback report.
     """
-    return _capped_cdf(model, x, model.mobility.d_max, model.geom.half_fov, _fov_normalizer(model, use_mean),
-                       with_error, use_mean)
+    return _capped_cdf(model, x, model.mobility.d_max, model.geom.half_fov, _fov_normalizer(model), with_error)
 
 
 def _check_rank(model, rank, min_count):
@@ -319,12 +325,12 @@ def _mean_gain_cdf_table(model):
     """
     from scipy.interpolate import PchipInterpolator
 
-    geom, mob = model.geom, model.mobility
+    geom, mob, mean = model.geom, model.mobility, _mean_model(model)
     lo = math.log(float(geom.gain_factor(mob.d_max)) ** 2 * math.cos(geom.half_fov) ** 2)
     hi = math.log(float(geom.gain_factor(mob.d_min)) ** 2)
 
     def exact(levels):
-        pairs = [unordered_gain_cdf(model, math.exp(t), with_error=True, use_mean=True) for t in levels]
+        pairs = [unordered_gain_cdf(mean, math.exp(t), with_error=True) for t in levels]
         return np.array([v for v, _ in pairs]), max(e for _, e in pairs)
 
     grid = np.linspace(lo, hi, 257)
@@ -360,7 +366,7 @@ def _rank_density(model, rank, min_count):
     from scipy.stats import binom
 
     n = np.arange(min_count, model.mobility.num_users + 1)
-    weights = _count_weights(model, n, min_count, use_mean=True)
+    weights = _count_weights(_mean_model(model), n, min_count)
     coef = weights * n * np.array([math.comb(int(v) - 1, rank - 1) for v in n], float)
     powers = n - rank
 
@@ -419,13 +425,14 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
         weight = density(cdf(float(geom.gain_factor(r)) ** 2 * np.cos(c - m) ** 2))
         return float(((half[:, None] * _GAUSS_WEIGHTS).ravel() * weight * band).sum())
 
-    den, den_err = _fov_normalizer(model, True)
+    den, den_err = _fov_normalizer(_mean_model(model))
     den *= mob.mean_phi_span
     den_err *= mob.mean_phi_span
     lo, hi = mob.d_min, min(mob.d_max, gain_boundary_distance(geom, threshold))
 
     def outer(panels):
-        return _integral(model, lambda r: inner(r, panels), lo, hi, (theta,), True, level=threshold, caps=(theta,))
+        return _integral(_mean_model(model), lambda r: inner(r, panels), lo, hi, (theta,), level=threshold,
+                         caps=(theta,))
 
     num, num_err = outer(_MEAN_PANELS)
     value = clamp(num / den, 0.0, 1.0)
@@ -497,10 +504,10 @@ def group_gain_cdf_instant(model, x, role, with_error=False):
     geom, mob = model.geom, model.mobility
     theta, th = geom.half_fov, scheme.theta_threshold
     if role == STRONG:
-        members = _band_mass(model, 0.0, th, mob.d_min, scheme.d_threshold, False)
+        members = _band_mass(model, 0.0, th, mob.d_min, scheme.d_threshold)
         return _capped_cdf(model, x, scheme.d_threshold, th, members, with_error)
     _require_role(role)
-    den, den_err = _nonempty(_band_mass(model, th, theta, scheme.d_threshold, mob.d_max, False))
+    den, den_err = _nonempty(_band_mass(model, th, theta, scheme.d_threshold, mob.d_max))
     if x <= 0.0:
         return _result(0.0, 0.0, with_error)
     d_star = clamp(gain_boundary_distance(geom, x, math.cos(theta) ** 2), scheme.d_threshold, mob.d_max)
@@ -525,14 +532,14 @@ def group_gain_cdf_mean(model, x, role, with_error=False):
     scheme = _require_group_scheme(model, (FeedbackKind.TWO_BIT_MEAN,))
     _require_mean_span(model)
     _require_role(role)
-    geom, mob = model.geom, model.mobility
+    geom, mob, mean = model.geom, model.mobility, _mean_model(model)
     theta, th = geom.half_fov, scheme.theta_threshold
     if role == WEAK:
         inner, outer, lo, hi = th, theta, scheme.d_threshold, mob.d_max
-        den, den_err = _nonempty(_band_mass(model, inner, outer, lo, hi, True))
+        den, den_err = _nonempty(_band_mass(mean, inner, outer, lo, hi))
     else:
         inner, outer, lo, hi = 0.0, th, mob.d_min, scheme.d_threshold
-        den, den_err = _band_mass(model, inner, outer, lo, hi, True)
+        den, den_err = _band_mass(mean, inner, outer, lo, hi)
     if x < 0.0:
         return _result(0.0, 0.0, with_error)
     d_star = clamp(gain_boundary_distance(geom, x), lo, hi)
@@ -541,8 +548,8 @@ def group_gain_cdf_mean(model, x, role, with_error=False):
         members, inside = _mean_band(model, r, inner, outer, min(gain_boundary_angle(geom, x, r), theta))
         return members - inside
 
-    term1, err1 = _band_mass(model, inner, outer, d_star, hi, True)
-    term2, err2 = _integral(model, below, lo, d_star, _band_edges(inner, outer), True, level=x, caps=(theta, th))
+    term1, err1 = _band_mass(mean, inner, outer, d_star, hi)
+    term2, err2 = _integral(mean, below, lo, d_star, _band_edges(inner, outer), level=x, caps=(theta, th))
     value = clamp((term1 + term2) / den, 0.0, 1.0)
     return _result(value, (err1 + err2 + value * den_err) / den, with_error)
 
@@ -559,10 +566,10 @@ class GroupStats:
 def group_probabilities(model):
     """Membership probabilities of the weak/strong groups of the model's two-bit scheme."""
     scheme = _require_group_scheme(model, TWO_BIT_KINDS)
-    use_mean = scheme.kind is FeedbackKind.TWO_BIT_MEAN
+    report = _mean_model(model) if scheme.kind is FeedbackKind.TWO_BIT_MEAN else model
     mob, th = model.mobility, scheme.theta_threshold
-    p_w = _band_mass(model, th, math.pi, scheme.d_threshold, mob.d_max, use_mean)[0] / mob.d_span
-    p_s = _band_mass(model, 0.0, th, mob.d_min, scheme.d_threshold, use_mean)[0] / mob.d_span
+    p_w = _band_mass(report, th, math.pi, scheme.d_threshold, mob.d_max)[0] / mob.d_span
+    p_s = _band_mass(report, 0.0, th, mob.d_min, scheme.d_threshold)[0] / mob.d_span
     K = mob.num_users
     both = 1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K
     return GroupStats(p_weak=p_w, p_strong=p_s, both_nonempty=clamp(both, 0.0, 1.0))
@@ -576,12 +583,12 @@ def group_success_probability(model, threshold, role, with_error=False):
     instantaneous, and zero gains count as failures.
     """
     scheme = _require_group_scheme(model, TWO_BIT_KINDS)
-    use_mean = scheme.kind is FeedbackKind.TWO_BIT_MEAN
-    if use_mean:
+    by_mean = scheme.kind is FeedbackKind.TWO_BIT_MEAN
+    if by_mean:
         _require_mean_span(model)
     _require_role(role)
     if role == STRONG:
-        cdf = group_gain_cdf_mean if use_mean else group_gain_cdf_instant
+        cdf = group_gain_cdf_mean if by_mean else group_gain_cdf_instant
         value, err = cdf(model, threshold, STRONG, with_error=True)
         return _result(clamp(1.0 - value, 0.0, 1.0), err, with_error)
     geom, mob = model.geom, model.mobility
@@ -590,15 +597,16 @@ def group_success_probability(model, threshold, role, with_error=False):
     def band(r):
         """Weak members at distance r whose instantaneous |theta| stays within the boundary angle."""
         cap = min(gain_boundary_angle(geom, threshold, r), theta)
-        if use_mean:
+        if by_mean:
             return _mean_band(model, r, th, math.pi, cap)[1]
         return max(fov_probability(model, r, cap) - fov_probability(model, r, th), 0.0)
 
-    den, den_err = _nonempty(_band_mass(model, th, math.pi, scheme.d_threshold, mob.d_max, use_mean))
+    report = _mean_model(model) if by_mean else model
+    den, den_err = _nonempty(_band_mass(report, th, math.pi, scheme.d_threshold, mob.d_max))
     lo, hi = scheme.d_threshold, min(mob.d_max, gain_boundary_distance(geom, threshold))
     if hi <= lo:
         return _result(0.0, den_err / den, with_error)
-    num, num_err = _integral(model, band, lo, hi, (th,) if use_mean else (theta, th), use_mean,
+    num, num_err = _integral(report, band, lo, hi, (th,) if by_mean else (theta, th),
                              level=threshold, caps=(theta, th))
     return _result(clamp(num / den, 0.0, 1.0), (num_err + abs(num / den) * den_err) / den, with_error)
 
@@ -633,9 +641,9 @@ def group_outage(model, thresholds):
 
 
 def _ranked_route(model, kind, rank_weak, rank_strong):
-    use_mean = kind is FeedbackKind.MEAN_ANGLE
-    pair = mean_angle_outage if use_mean else individual_outage
-    cond = nonzero_count_tail(model, rank_strong, use_mean=use_mean)
+    by_mean = kind is FeedbackKind.MEAN_ANGLE
+    pair = mean_angle_outage if by_mean else individual_outage
+    cond = nonzero_count_tail(_mean_model(model) if by_mean else model, rank_strong)
     return cond, lambda thr: pair(model, thr, rank_weak, rank_strong)
 
 

@@ -126,14 +126,6 @@ def marginal_phi_cdf(config, x):
     return clamp((G(x - lo, config.delta_phi) - G(x - hi, config.delta_phi)) / (hi - lo), 0.0, 1.0)
 
 
-def mean_phi_cdf(config, x):
-    """CDF of the mean vertical angle alone, U[mean_phi_min, mean_phi_max], at one point."""
-    lo, hi = config.mean_phi_min, config.mean_phi_max
-    if hi == lo:
-        return 1.0 if x >= lo else 0.0
-    return clamp((x - lo) / (hi - lo), 0.0, 1.0)
-
-
 def noisy_estimate_arrays(d, mean_phi, phi, sigma_d, sigma_phi, rng):
     """Vectorized noisy estimates (d_hat, mean_phi_hat, phi_hat) for arrays of users.
 

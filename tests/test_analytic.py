@@ -284,7 +284,7 @@ class TestMeanBand:
         ref_members, ref_inside = _quad_mean_band(model, r, inner, outer, y)
         assert members == pytest.approx(ref_members, abs=1e-9)
         assert inside == pytest.approx(ref_inside, abs=1e-9)
-        top, bottom = (an.fov_probability(model, r, a, use_mean=True) for a in (outer, inner))
+        top, bottom = (an.fov_probability(an._mean_model(model), r, a) for a in (outer, inner))
         assert members == pytest.approx(top - bottom, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -354,8 +354,8 @@ class TestOutage:
         # strong group members always have nonzero gain; weak keeps the out-of-FOV share
         assert ps == pytest.approx(0.0, abs=1e-9)
         d_max = mi.mobility.d_max
-        den, _ = an._band_mass(mi, THETA_TH, math.pi, 1.0, d_max, False)
-        num, _ = an._band_mass(mi, THETA_TH, GEOM.half_fov, 1.0, d_max, False)
+        den, _ = an._band_mass(mi, THETA_TH, math.pi, 1.0, d_max)
+        num, _ = an._band_mass(mi, THETA_TH, GEOM.half_fov, 1.0, d_max)
         assert pw == pytest.approx(1.0 - num / den, abs=1e-9)
 
     def test_group_low_snr_limit(self):
@@ -377,7 +377,7 @@ class TestMeanAngleRoute:
         # without tilt deviation the mean angle is the instantaneous angle, so the
         # mean-angle ordering is the full-CSI ordering and success = 1 - ordered CDF
         model = model_with(0.0)
-        assert an.nonzero_count_tail(model, 10, use_mean=True) == pytest.approx(an.nonzero_count_tail(model, 10), abs=1e-12)
+        assert an.nonzero_count_tail(an._mean_model(model), 10) == pytest.approx(an.nonzero_count_tail(model, 10), abs=1e-12)
         for gdb in range(140, 216, 5):
             thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (gdb / 10.0))
             for eta, rank in ((thr.eta_weak, 1), (thr.eta_strong, 10)):
@@ -403,7 +403,7 @@ class TestMeanAngleRoute:
         curves = sweep((215.0,), FeedbackScheme(FeedbackKind.MEAN_ANGLE), include_oma=False)
         assert set(curves) == {"noma-mean-angle"}
         point = curves["noma-mean-angle"][0]
-        assert point.conditioning_rate == pytest.approx(an.nonzero_count_tail(MODEL, 10, use_mean=True))
+        assert point.conditioning_rate == pytest.approx(an.nonzero_count_tail(an._mean_model(MODEL), 10))
         # the plateau keeps the zero-true-gain loss of both slots, over 1 bit/s/Hz
         assert 10.0 < point.sum_rate < 11.0
 

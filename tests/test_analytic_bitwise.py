@@ -49,7 +49,7 @@ def cases():
         for x in LEVELS:
             add("unordered", f"instant|x={x!r}", lambda x=x: an.unordered_gain_cdf(base, x, with_error=True))
             add("unordered", f"mean|x={x!r}",
-                lambda x=x: an.unordered_gain_cdf(base, x, with_error=True, use_mean=True))
+                lambda x=x: an.unordered_gain_cdf(an._mean_model(base), x, with_error=True))
             for rank, min_count in ((1, 10), (10, 10), (3, 5)):
                 add("ordered", f"r={rank},k={min_count}|x={x!r}",
                     lambda x=x, r=rank, k=min_count: an.ordered_gain_cdf(base, x, r, k, with_error=True))
@@ -73,10 +73,10 @@ def cases():
                     lambda m=model: tuple(vars(an.group_probabilities(m)).values()))
         for use_mean in (False, True):
             add("nonzero", f"p|use_mean={use_mean}",
-                lambda u=use_mean: an.nonzero_gain_probability(base, with_error=True, use_mean=u))
+                lambda u=use_mean: an.nonzero_gain_probability(an._mean_model(base) if u else base, with_error=True))
             for k_min in (0, 1, 10, 20):
                 add("nonzero", f"tail|use_mean={use_mean}|k_min={k_min}",
-                    lambda u=use_mean, k=k_min: an.nonzero_count_tail(base, k, use_mean=u))
+                    lambda u=use_mean, k=k_min: an.nonzero_count_tail(an._mean_model(base) if u else base, k))
         for k, k_min in ((0, 0), (3, 0), (5, 10), (10, 10), (20, 10), (14, 1)):
             add("nonzero", f"pmf|k={k},k_min={k_min}", lambda k=k, m=k_min: an.nonzero_count_pmf(base, k, m))
     return out

@@ -11,7 +11,6 @@ from vlcnoma.population import (
     MobilityConfig,
     conditional_phi_cdf,
     marginal_phi_cdf,
-    mean_phi_cdf,
     noisy_estimate_arrays,
     sample_user_arrays,
 )
@@ -129,7 +128,6 @@ class TestMarginalCdf:
         mob = MobilityConfig.from_degrees(0.0, 10.0, 0.0, 180.0, 0.0, 20)
         for x in np.linspace(0.0, math.pi, 50):
             assert marginal_phi_cdf(mob, x) == pytest.approx(x / math.pi, abs=1e-12)
-            assert mean_phi_cdf(mob, x) == pytest.approx(x / math.pi, abs=1e-12)
 
     def test_dkw_bound(self, mobility):
         n = 1_000_000
