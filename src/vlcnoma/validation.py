@@ -80,6 +80,30 @@ def paper_scheme(kind, geom):
     return config.schemes[0]
 
 
+def _frequency_check(name, frac, pred, n, detail, var_floor=0.0, tol_floor=0.0):
+    """An empirical frequency of n draws against its predicted probability, within 3 binomial sigma.
+
+    ``var_floor`` keeps sigma off zero at a prediction of 0 or 1; the
+    tolerance is at least ``tol_floor``.
+    """
+    dev = abs(frac - pred)
+    tol = max(3.0 * math.sqrt(max(pred * (1.0 - pred), var_floor) / n), tol_floor)
+    return CheckResult(name, dev <= tol, dev, tol, detail)
+
+
+def _strip_users(geom, mob, rng, n, role, d_threshold):
+    """n users drawn in one group's distance strip: (g2, {two-bit kind: the incidence its reports are formed on}).
+
+    The weak strip lies beyond the distance threshold (d_min = d_threshold),
+    the strong strip within it (d_max = d_threshold).
+    """
+    strip = replace(mob, d_min=d_threshold) if role == an.WEAK else replace(mob, d_max=d_threshold)
+    d, mean_phi, phi = sample_user_arrays(strip, rng, n)
+    incidence = {FeedbackKind.TWO_BIT_INSTANT: incidence_angle(d, phi, geom.ell),
+                 FeedbackKind.TWO_BIT_MEAN: incidence_angle(d, mean_phi, geom.ell)}
+    return channel_gain(geom, d, phi) ** 2, incidence
+
+
 def check_marginal_phi_dkw(sizes, rng):
     """Closed-form vertical-angle marginal vs the empirical CDF (DKW bound)."""
     mob = paper_mobility()
@@ -102,9 +126,7 @@ def check_fov_probability(sizes, rng):
     theta = incidence_angle(np.full(n, r), phi, geom.ell)
     frac = float((np.abs(theta) <= geom.half_fov).mean())
     pred = an.fov_probability(model, r, geom.half_fov)
-    sigma = math.sqrt(max(pred * (1.0 - pred), 1e-12) / n)
-    dev = abs(frac - pred)
-    return CheckResult("fov-probability-at-distance", dev <= 3.0 * sigma, dev, 3.0 * sigma, f"r={r}, n={n}")
+    return _frequency_check("fov-probability-at-distance", frac, pred, n, f"r={r}, n={n}", var_floor=1e-12)
 
 
 def check_nonzero_probability(sizes, rng):
@@ -114,9 +136,7 @@ def check_nonzero_probability(sizes, rng):
     n = sizes.gain_draws
     d, _, phi = sample_user_arrays(mob, rng, n)
     frac = float((channel_gain(geom, d, phi) > 0.0).mean())
-    pred = an.nonzero_gain_probability(model)
-    sigma = math.sqrt(pred * (1.0 - pred) / n)
-    return CheckResult("nonzero-gain-probability", abs(frac - pred) <= 3.0 * sigma, abs(frac - pred), 3.0 * sigma, f"n={n}")
+    return _frequency_check("nonzero-gain-probability", frac, an.nonzero_gain_probability(model), n, f"n={n}")
 
 
 def check_count_pmf(sizes, rng, k_min=10):
@@ -128,17 +148,8 @@ def check_count_pmf(sizes, rng, k_min=10):
     d, _, phi = sample_user_arrays(mob, rng, n * K)
     counts = (channel_gain(geom, d, phi).reshape(n, K) > 0.0).sum(axis=1)
     tail_frac = float((counts >= k_min).mean())
-    tail_pred = an.nonzero_count_tail(model, k_min)
-    sigma_tail = math.sqrt(tail_pred * (1.0 - tail_pred) / n)
-    results = [
-        CheckResult(
-            "nonzero-count-tail",
-            abs(tail_frac - tail_pred) <= 3.0 * sigma_tail,
-            abs(tail_frac - tail_pred),
-            3.0 * sigma_tail,
-            f"k_min={k_min}, n={n}",
-        )
-    ]
+    results = [_frequency_check("nonzero-count-tail", tail_frac, an.nonzero_count_tail(model, k_min), n,
+                                f"k_min={k_min}, n={n}")]
     kept = counts[counts >= k_min]
     n_kept = kept.size
     worst_ratio, worst, worst_bound = 0.0, 0.0, 1.0
@@ -209,10 +220,8 @@ def check_group_cdfs(sizes, rng, delta_phi_deg, tolerance=0.015):
     n = sizes.group_draws
     results = []
 
-    d, mean_phi, phi = sample_user_arrays(replace(mob, d_min=d_th), rng, n)
-    g2 = channel_gain(geom, d, phi) ** 2
-    theta = incidence_angle(d, phi, geom.ell)
-    theta_bar = incidence_angle(d, mean_phi, geom.ell)
+    g2, incidence = _strip_users(geom, mob, rng, n, an.WEAK, d_th)
+    theta, theta_bar = incidence[FeedbackKind.TWO_BIT_INSTANT], incidence[FeedbackKind.TWO_BIT_MEAN]
     weak_i = (np.abs(theta) > th) & (g2 > 0.0)
     sup = EmpiricalCdf(g2[weak_i]).sup_distance(lambda x: an.group_gain_cdf_instant(mi, x, an.WEAK), sizes.cdf_points)
     results.append(CheckResult(f"group-cdf-instant-weak-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(weak_i.sum())}"))
@@ -220,10 +229,8 @@ def check_group_cdfs(sizes, rng, delta_phi_deg, tolerance=0.015):
     sup = EmpiricalCdf(g2[weak_m]).sup_distance(lambda x: an.group_gain_cdf_mean(mm, x, an.WEAK), sizes.cdf_points)
     results.append(CheckResult(f"group-cdf-mean-weak-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(weak_m.sum())}"))
 
-    d, mean_phi, phi = sample_user_arrays(replace(mob, d_max=d_th), rng, n)
-    g2 = channel_gain(geom, d, phi) ** 2
-    theta = incidence_angle(d, phi, geom.ell)
-    theta_bar = incidence_angle(d, mean_phi, geom.ell)
+    g2, incidence = _strip_users(geom, mob, rng, n, an.STRONG, d_th)
+    theta, theta_bar = incidence[FeedbackKind.TWO_BIT_INSTANT], incidence[FeedbackKind.TWO_BIT_MEAN]
     strong_i = np.abs(theta) <= th
     sup = EmpiricalCdf(g2[strong_i]).sup_distance(lambda x: an.group_gain_cdf_instant(mi, x, an.STRONG), sizes.cdf_points)
     results.append(CheckResult(f"group-cdf-instant-strong-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(strong_i.sum())}"))
@@ -261,9 +268,7 @@ def check_group_conditioning(sizes, rng, delta_phi_deg=25.0):
     weak = (d > scheme.d_threshold) & (np.abs(theta) > scheme.theta_threshold)
     strong = (d <= scheme.d_threshold) & (np.abs(theta) <= scheme.theta_threshold)
     frac = float((weak.any(axis=1) & strong.any(axis=1)).mean())
-    pred = an.group_probabilities(model).both_nonempty
-    sigma = math.sqrt(pred * (1.0 - pred) / n)
-    return CheckResult("group-conditioning-rate", abs(frac - pred) <= 3.0 * sigma, abs(frac - pred), 3.0 * sigma, f"n={n}")
+    return _frequency_check("group-conditioning-rate", frac, an.group_probabilities(model).both_nonempty, n, f"n={n}")
 
 
 def check_outage_individual(sizes, rng, gamma_db=(160.0, 185.0)):
@@ -281,9 +286,7 @@ def check_outage_individual(sizes, rng, gamma_db=(160.0, 185.0)):
             (f"outage-individual-weak-{gdb:g}dB", float((w <= thr.eta_weak).mean()), pw),
             (f"outage-individual-strong-{gdb:g}dB", float((s <= thr.eta_strong).mean()), ps),
         ):
-            sigma = math.sqrt(max(pred * (1.0 - pred), 1e-12) / w.size)
-            tol = max(3.0 * sigma, 1e-4)
-            results.append(CheckResult(name, abs(frac - pred) <= tol, abs(frac - pred), tol, f"n={w.size}"))
+            results.append(_frequency_check(name, frac, pred, w.size, f"n={w.size}", var_floor=1e-12, tol_floor=1e-4))
     return results
 
 
@@ -293,20 +296,17 @@ def check_outage_group(sizes, rng, kind, gamma_db=(165.0, 185.5), delta_phi_deg=
     """Group-conditional outage vs a member-sampling oracle at mid-sweep SNRs."""
     geom = paper_geometry()
     mob = paper_mobility(delta_phi_deg)
-    use_mean = kind is FeedbackKind.TWO_BIT_MEAN
-    variant = "mean" if use_mean else "instant"
+    variant = "mean" if kind is FeedbackKind.TWO_BIT_MEAN else "instant"
     scheme = paper_scheme(kind, geom)
     model = an.AnalyticModel(geom=geom, mobility=mob, scheme=scheme)
     noma = paper_noma()
     n = sizes.group_draws
     th = scheme.theta_threshold
 
-    d, mean_phi, phi = sample_user_arrays(replace(mob, d_min=scheme.d_threshold), rng, n)
-    ref = incidence_angle(d, mean_phi if use_mean else phi, geom.ell)
-    weak_gains = (channel_gain(geom, d, phi) ** 2)[np.abs(ref) > th]
-    d, mean_phi, phi = sample_user_arrays(replace(mob, d_max=scheme.d_threshold), rng, n)
-    ref = incidence_angle(d, mean_phi if use_mean else phi, geom.ell)
-    strong_gains = (channel_gain(geom, d, phi) ** 2)[np.abs(ref) <= th]
+    g2, incidence = _strip_users(geom, mob, rng, n, an.WEAK, scheme.d_threshold)
+    weak_gains = g2[np.abs(incidence[kind]) > th]
+    g2, incidence = _strip_users(geom, mob, rng, n, an.STRONG, scheme.d_threshold)
+    strong_gains = g2[np.abs(incidence[kind]) <= th]
 
     results = []
     for gdb in gamma_db:
@@ -318,9 +318,8 @@ def check_outage_group(sizes, rng, kind, gamma_db=(165.0, 185.5), delta_phi_deg=
             (f"outage-group-{variant}-strong-{gdb:g}dB", strong_gains, thr.eta_strong, ps),
         ):
             frac = float((sample <= threshold).mean())
-            sigma = math.sqrt(max(pred * (1.0 - pred), 1e-12) / sample.size)
-            tol = max(3.0 * sigma, 2e-4)
-            results.append(CheckResult(name, abs(frac - pred) <= tol, abs(frac - pred), tol, f"n={sample.size}"))
+            results.append(_frequency_check(name, frac, pred, sample.size, f"n={sample.size}",
+                                            var_floor=1e-12, tol_floor=2e-4))
     return results
 
 
