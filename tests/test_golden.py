@@ -9,6 +9,7 @@ rows sorted by curve label; the analytic hashes are those of that order.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +28,28 @@ ARGS = {
 }
 
 
+def csv_sha256(directory, command, preset):
+    """sha256 of the CSV that ``command --preset preset`` with ARGS writes into ``directory``."""
+    out = Path(directory) / f"{preset}-{command}.csv"
+    assert main([command, "--preset", preset, *ARGS[command], "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("command,preset", sorted(GOLDEN))
 def test_csv_bytes_match_golden_hash(tmp_path, command, preset):
-    out = tmp_path / f"{preset}-{command}.csv"
-    assert main([command, "--preset", preset, *ARGS[command], "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(command, preset)]
+    assert csv_sha256(tmp_path, command, preset) == GOLDEN[(command, preset)]
+
+
+if __name__ == "__main__":
+    # prints the GOLDEN dict for the current code; paste it over GOLDEN after a deliberate change
+    import contextlib
+    import sys
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(sys.stderr):
+            hashes = {key: csv_sha256(tmp, *key) for key in GOLDEN}
+    print("GOLDEN = {")
+    for (command, preset), digest in hashes.items():
+        print(f'    ("{command}", "{preset}"): "{digest}",')
+    print("}")
