@@ -17,13 +17,13 @@ level x at distance r is
 
 clamped so levels outside the gain support never fault.
 
-The number of users with nonzero gain is Binomial(K, p); order statistics of
-the scheduled ranks mix the per-user CDF over a truncated Binomial count.
-Group-based feedback conditions the same integrals on distance/angle threshold
-bands: every membership mass is one distance integral of a band probability
-(``_band_mass``).  For mean-angle reports the average over the mean angle is
-closed form through the deviation-CDF antiderivative of ``population``
-(``_mean_band``), leaving a single adaptive quadrature over distance.
+Users are counted by a band of their reported incidence and a distance strip:
+every membership mass is one integral ``_band_mass``, and the mass of members
+whose squared gain exceeds x is one integral ``_mass_above``.  Each CDF is
+1 - above / members and each group success probability above / members.  For
+mean reports the average over the mean angle is closed form (``_mean_band``).
+The nonzero-gain count is Binomial(K, p); order statistics of the scheduled
+ranks mix the per-user CDF over a truncated Binomial count.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _mean_model(model):
 
 
 # ---------------------------------------------------------------------------
-# Orientation-band probabilities and their distance breakpoints
+# Orientation bands: probabilities, breakpoints, masses and the above-level integral
 # ---------------------------------------------------------------------------
 
 
@@ -123,57 +123,25 @@ def fov_probability(model, r, half_angle):
     return clamp(value, 0.0, 1.0)
 
 
-def _phi_corners(model):
-    mob = model.mobility
-    return (
-        mob.mean_phi_min - mob.delta_phi,
-        mob.mean_phi_min + mob.delta_phi,
-        mob.mean_phi_max - mob.delta_phi,
-        mob.mean_phi_max + mob.delta_phi,
-    )
-
-
-def _corner_crossings(model, half_angles, lo, hi):
-    """Distances where c(r) +/- half_angle crosses a kink of the angle CDF."""
-    ell = model.geom.ell
-    out = []
-    for s in [a * sign for a in half_angles for sign in (1.0, -1.0)]:
-        for t in _phi_corners(model):
-            beta = math.pi + s - t  # needs atan(ell/r) = beta
-            if 1e-12 < beta < math.pi / 2.0 - 1e-12:
-                r = ell / math.tan(beta)
-                if lo < r < hi:
-                    out.append(r)
-    return out
-
-
-def _level_breakpoints(model, x, lo, hi, caps):
-    """Distances where the boundary angle crosses 0 or one of the cap angles."""
-    out = []
-    for scale in [1.0] + [math.cos(c) ** 2 for c in caps]:
-        r = gain_boundary_distance(model.geom, x, scale)
-        if lo < r < hi:
-            out.append(r)
-    return out
-
-
 def _integral(model, f, lo, hi, half_angles, level=None, caps=()):
     """Integral of f over the distances [lo, hi] with its error, split at every kink.
 
-    The kinks are the corner crossings of c(r) +/- each of ``half_angles`` and,
-    for a gain ``level``, the distances where its boundary angle reaches 0 or
-    one of ``caps``.  ``integrate_adaptive`` keeps only the points inside
-    (lo, hi) and sorts them, so their order does not matter.
+    The kinks are the distances where c(r) +/- each of ``half_angles`` crosses
+    a corner of the angle CDF and, for a gain ``level``, where its boundary
+    angle reaches 0 or one of ``caps``.  ``integrate_adaptive`` keeps only the
+    points inside (lo, hi) and sorts them, so their order does not matter.
     """
-    pts = _corner_crossings(model, half_angles, lo, hi)
+    mob, geom = model.mobility, model.geom
+    corners = [m + t for m in (mob.mean_phi_min, mob.mean_phi_max) for t in (-mob.delta_phi, mob.delta_phi)]
+    pts = []
+    for s in [a * sign for a in half_angles for sign in (1.0, -1.0)]:
+        for t in corners:
+            beta = math.pi + s - t  # the corner is crossed where atan(ell/r) = beta
+            if 1e-12 < beta < math.pi / 2.0 - 1e-12:
+                pts.append(geom.ell / math.tan(beta))
     if level is not None:
-        pts += _level_breakpoints(model, level, lo, hi, caps)
+        pts += [gain_boundary_distance(geom, level, scale) for scale in [1.0] + [math.cos(c) ** 2 for c in caps]]
     return integrate_adaptive(f, lo, hi, model.quad, pts)
-
-
-# ---------------------------------------------------------------------------
-# Band masses, the nonzero-gain probability and the truncated count PMF
-# ---------------------------------------------------------------------------
 
 
 def _band_edges(inner, outer):
@@ -185,11 +153,10 @@ def _band_edges(inner, outer):
 def _band_mass(model, inner, outer, lo, hi):
     """Integral over the distances [lo, hi] of Pr(inner < |incidence| <= outer | r), with its error.
 
-    The incidence is that of the instantaneous angle; the bands of mean reports
-    are those of ``_mean_model(model)``.  An ``outer`` of pi or more
-    leaves the band open above.  Every membership mass of the closed form (the
-    nonzero-gain law, both groups, the conditioning rates and the success
-    denominators) is one of these integrals.
+    An ``outer`` of pi or more leaves the band open above.  Every membership
+    mass of the closed form (the nonzero-gain law, both groups, the
+    conditioning rates, every CDF and success denominator) is one of these
+    integrals, on the law of ``_report_model``.
     """
     def band(r):
         top = 1.0 if outer >= math.pi else fov_probability(model, r, outer)
@@ -198,10 +165,84 @@ def _band_mass(model, inner, outer, lo, hi):
     return _integral(model, band, lo, hi, _band_edges(inner, outer))
 
 
+def _report_model(model):
+    """The model of the angle the reports are formed on: ``_mean_model`` under a mean-report scheme."""
+    by_mean = model.scheme is not None and model.scheme.kind is FeedbackKind.TWO_BIT_MEAN
+    return _mean_model(model) if by_mean else model
+
+
+def _members(model, inner, outer, lo, hi):
+    """Band mass of the users whose report lies in the band, on the law of ``_report_model``; raises when zero."""
+    mass = _band_mass(_report_model(model), inner, outer, lo, hi)
+    if mass[0] <= 0.0:
+        raise ValueError("the band has zero probability under this configuration")
+    return mass
+
+
 def _fov_normalizer(model):
     """Integral of fov_probability(r, half_fov) over the distance range, with error."""
     mob = model.mobility
     return _band_mass(model, 0.0, model.geom.half_fov, mob.d_min, mob.d_max)
+
+
+def _mean_band(model, r, inner, outer, y):
+    """(Pr(report in band), Pr(report in band and |incidence| <= y)) at d = r, for mean-angle reports.
+
+    The report band inner < |mean incidence| <= outer is at most two intervals
+    [a, b] of the uniform mean angle m, one each side of the boresight c(r).
+    Given m the instantaneous angle is U[m - delta_phi, m + delta_phi], so its
+    CDF at t integrates over [a, b] to G(t - a) - G(t - b), with G the
+    deviation-CDF antiderivative of ``population``.
+    """
+    mob = model.mobility
+    c, dphi = boresight_angle(model.geom, r), mob.delta_phi
+    m_min, m_max = mob.mean_phi_min, mob.mean_phi_max
+    members = inside = 0.0
+    for a, b in ((c - outer, c - inner), (c + inner, c + outer)):
+        a, b = (m_min if a < m_min else a), (m_max if b > m_max else b)
+        if b > a:
+            members += b - a
+            inside += (deviation_cdf_integral(c + y - a, dphi) - deviation_cdf_integral(c + y - b, dphi)
+                       - deviation_cdf_integral(c - y - a, dphi) + deviation_cdf_integral(c - y - b, dphi))
+    span = mob.mean_phi_span
+    return members / span, inside / span
+
+
+def _mass_above(model, x, inner, outer, lo, hi):
+    """Integral over the distances [lo, hi] of Pr(inner < |band angle| <= outer and h^2 > x | r), with its error.
+
+    The band angle is the incidence the users are grouped by: the
+    instantaneous one, or for a mean-report scheme the mean one while the gain
+    stays instantaneous.  h^2 > x where |incidence| is below the boundary
+    angle and inside the FOV, so beyond the level crossing g(r)^2 = x the
+    integrand is zero and the integral stops there.  Every CDF and success
+    probability of the closed form but the mean-angle route is one of these
+    over a band mass.
+    """
+    geom, theta, report = model.geom, model.geom.half_fov, _report_model(model)
+    hi = min(hi, gain_boundary_distance(geom, x))
+    if report is not model:
+        # the one mixed law: membership by the mean angle, gain by the instantaneous one
+        def above(r):
+            return _mean_band(model, r, inner, outer, min(gain_boundary_angle(geom, x, r), theta))[1]
+
+        edges = _band_edges(inner, outer)
+        return _integral(report, above, lo, hi, edges, level=x, caps=(theta, *edges))
+    top = min(outer, theta)
+
+    def above(r):
+        b = gain_boundary_angle(geom, x, r)
+        if b <= inner:
+            return 0.0
+        return fov_probability(model, r, top if b > top else b) - (fov_probability(model, r, inner) if inner else 0.0)
+
+    edges = _band_edges(inner, top)
+    return _integral(model, above, lo, hi, edges, level=x, caps=edges)
+
+
+# ---------------------------------------------------------------------------
+# The nonzero-gain probability and the truncated count PMF
+# ---------------------------------------------------------------------------
 
 
 def nonzero_gain_probability(model, with_error=False):
@@ -242,26 +283,23 @@ def nonzero_count_pmf(model, k, k_min=0):
 # ---------------------------------------------------------------------------
 
 
-def _capped_cdf(model, x, hi, cap, normalizer, with_error):
-    """1 - (integral over [d_min, hi] of Pr(|theta| <= min(boundary angle, cap) | r)) / normalizer.
+def _share(num, den):
+    """num / den clamped to [0, 1] with its error, for (value, error) pairs; d(n/d) = (dn + n/d dd) / d."""
+    q = num[0] / den[0]
+    return clamp(q, 0.0, 1.0), (num[1] + q * den[1]) / den[0]
 
-    The squared-gain CDF of the users within ``cap`` of the boresight out to
-    ``hi``, given (integral, error) of their probability mass.
+
+def _cdf(model, x, inner, outer, lo, hi, with_error):
+    """Squared-gain CDF of the users reported in a band with a nonzero report gain.
+
+    1 - (mass above x) / (members), both over the band within the FOV.
     """
-    den, den_err = normalizer
-    if x <= 0.0:
+    band = (inner, min(outer, model.geom.half_fov), lo, hi)
+    members = _members(model, *band)
+    if x < 0.0:
         return _result(0.0, 0.0, with_error)
-    geom, lo = model.geom, model.mobility.d_min
-    # beyond the level crossing g(r)^2 = x the integrand is identically zero
-    hi = min(hi, gain_boundary_distance(geom, x))
-    num, num_err = 0.0, 0.0
-    if hi > lo:
-        def band(r):
-            return fov_probability(model, r, min(gain_boundary_angle(geom, x, r), cap))
-
-        num, num_err = _integral(model, band, lo, hi, (cap,), level=x, caps=(cap,))
-    value = clamp(1.0 - num / den, 0.0, 1.0)
-    return _result(value, (num_err + value * den_err) / den, with_error)
+    q, err = _share(_mass_above(model, x, *band), members)
+    return _result(1.0 - q, err, with_error)
 
 
 def unordered_gain_cdf(model, x, with_error=False):
@@ -269,7 +307,7 @@ def unordered_gain_cdf(model, x, with_error=False):
 
     On ``_mean_model(model)`` this is the law of the mean-angle feedback report.
     """
-    return _capped_cdf(model, x, model.mobility.d_max, model.geom.half_fov, _fov_normalizer(model), with_error)
+    return _cdf(model, x, 0.0, math.pi, model.mobility.d_min, model.mobility.d_max, with_error)
 
 
 def _check_rank(model, rank, min_count):
@@ -425,22 +463,19 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
         weight = density(cdf(float(geom.gain_factor(r)) ** 2 * np.cos(c - m) ** 2))
         return float(((half[:, None] * _GAUSS_WEIGHTS).ravel() * weight * band).sum())
 
-    den, den_err = _fov_normalizer(_mean_model(model))
-    den *= mob.mean_phi_span
-    den_err *= mob.mean_phi_span
+    mean, span = _mean_model(model), mob.mean_phi_span
+    den, den_err = _fov_normalizer(mean)
     lo, hi = mob.d_min, min(mob.d_max, gain_boundary_distance(geom, threshold))
 
     def outer(panels):
-        return _integral(_mean_model(model), lambda r: inner(r, panels), lo, hi, (theta,), level=threshold,
-                         caps=(theta,))
+        return _integral(mean, lambda r: inner(r, panels), lo, hi, (theta,), level=threshold, caps=(theta,))
 
     num, num_err = outer(_MEAN_PANELS)
-    value = clamp(num / den, 0.0, 1.0)
-    if with_error:
-        coarse, _ = outer(_MEAN_PANELS // 2)
-        err = (num_err + abs(num - coarse)) / den + value * den_err / den
-        return value, err + variation * cdf_err
-    return value
+    if not with_error:
+        return clamp(num / (den * span), 0.0, 1.0)
+    coarse, _ = outer(_MEAN_PANELS // 2)
+    value, err = _share((num, num_err + abs(num - coarse)), (den * span, den_err * span))
+    return value, err + variation * cdf_err
 
 
 # ---------------------------------------------------------------------------
@@ -454,70 +489,27 @@ def _require_group_scheme(model, kinds):
     return model.scheme
 
 
-def _require_role(role):
-    if role not in (WEAK, STRONG):
-        raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
-
-
 def _require_mean_span(model):
     if model.mobility.mean_phi_span == 0.0:
-        raise ValueError("mean-angle group CDFs need a nondegenerate mean-angle range")
+        raise ValueError("mean-angle closed forms need a nondegenerate mean-angle range")
 
 
-def _nonempty(normalizer):
-    if normalizer[0] <= 0.0:
-        raise ValueError("weak group has zero probability under this configuration")
-    return normalizer
-
-
-def _mean_band(model, r, inner, outer, y):
-    """(Pr(report in band), Pr(report in band and |incidence| <= y)) at d = r, for mean-angle reports.
-
-    The report band inner < |mean incidence| <= outer is at most two intervals
-    [a, b] of the uniform mean angle m, one each side of the boresight c(r).
-    Given m the instantaneous angle is U[m - delta_phi, m + delta_phi], so its
-    CDF at t integrates over [a, b] to G(t - a) - G(t - b), with G the
-    deviation-CDF antiderivative of ``population``.
-    """
-    mob = model.mobility
-    c, dphi = boresight_angle(model.geom, r), mob.delta_phi
-    m_min, m_max = mob.mean_phi_min, mob.mean_phi_max
-    members = inside = 0.0
-    for a, b in ((c - outer, c - inner), (c + inner, c + outer)):
-        a, b = (m_min if a < m_min else a), (m_max if b > m_max else b)
-        if b > a:
-            members += b - a
-            inside += (deviation_cdf_integral(c + y - a, dphi) - deviation_cdf_integral(c + y - b, dphi)
-                       - deviation_cdf_integral(c - y - a, dphi) + deviation_cdf_integral(c - y - b, dphi))
-    span = mob.mean_phi_span
-    return members / span, inside / span
+def _role_band(model, role, kinds):
+    """(inner, outer, lo, hi): one group's report band inner < |incidence| <= outer and distance strip."""
+    scheme = _require_group_scheme(model, kinds)
+    if scheme.kind is FeedbackKind.TWO_BIT_MEAN:
+        _require_mean_span(model)
+    mob, th = model.mobility, scheme.theta_threshold
+    if role == WEAK:
+        return th, math.pi, scheme.d_threshold, mob.d_max
+    if role == STRONG:
+        return 0.0, th, mob.d_min, scheme.d_threshold
+    raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
 
 
 def group_gain_cdf_instant(model, x, role, with_error=False):
-    """Squared-gain CDF inside one instantaneous-report group, zero gains excluded.
-
-    Weak role integrates the in-FOV band above the floored boundary angle from
-    the crossing distance of the FOV-edge gain outward; strong role is the
-    unordered form restricted to [d_min, d_th] with the angle threshold as cap.
-    """
-    scheme = _require_group_scheme(model, (FeedbackKind.TWO_BIT_INSTANT,))
-    geom, mob = model.geom, model.mobility
-    theta, th = geom.half_fov, scheme.theta_threshold
-    if role == STRONG:
-        members = _band_mass(model, 0.0, th, mob.d_min, scheme.d_threshold)
-        return _capped_cdf(model, x, scheme.d_threshold, th, members, with_error)
-    _require_role(role)
-    den, den_err = _nonempty(_band_mass(model, th, theta, scheme.d_threshold, mob.d_max))
-    if x <= 0.0:
-        return _result(0.0, 0.0, with_error)
-    d_star = clamp(gain_boundary_distance(geom, x, math.cos(theta) ** 2), scheme.d_threshold, mob.d_max)
-
-    def band(r):
-        return fov_probability(model, r, theta) - fov_probability(model, r, max(gain_boundary_angle(geom, x, r), th))
-
-    num, num_err = _integral(model, band, d_star, mob.d_max, (theta, th), level=x, caps=(theta, th))
-    value = clamp(num / den, 0.0, 1.0)
-    return _result(value, (num_err + value * den_err) / den, with_error)
+    """Squared-gain CDF inside one instantaneous-report group, zero gains excluded."""
+    return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_INSTANT,)), with_error)
 
 
 def group_gain_cdf_mean(model, x, role, with_error=False):
@@ -525,33 +517,9 @@ def group_gain_cdf_mean(model, x, role, with_error=False):
 
     Groups are formed on the mean incidence angle while the gain keeps its
     instantaneous fluctuation, so the distribution carries an atom at zero
-    (members whose instantaneous angle leaves the FOV).  The average over the
-    mean angle is exact; only the distance integral is numeric: members beyond
-    the level crossing d_star all lie below x, nearer ones by their band.
+    (members whose instantaneous angle leaves the FOV).
     """
-    scheme = _require_group_scheme(model, (FeedbackKind.TWO_BIT_MEAN,))
-    _require_mean_span(model)
-    _require_role(role)
-    geom, mob, mean = model.geom, model.mobility, _mean_model(model)
-    theta, th = geom.half_fov, scheme.theta_threshold
-    if role == WEAK:
-        inner, outer, lo, hi = th, theta, scheme.d_threshold, mob.d_max
-        den, den_err = _nonempty(_band_mass(mean, inner, outer, lo, hi))
-    else:
-        inner, outer, lo, hi = 0.0, th, mob.d_min, scheme.d_threshold
-        den, den_err = _band_mass(mean, inner, outer, lo, hi)
-    if x < 0.0:
-        return _result(0.0, 0.0, with_error)
-    d_star = clamp(gain_boundary_distance(geom, x), lo, hi)
-
-    def below(r):
-        members, inside = _mean_band(model, r, inner, outer, min(gain_boundary_angle(geom, x, r), theta))
-        return members - inside
-
-    term1, err1 = _band_mass(mean, inner, outer, d_star, hi)
-    term2, err2 = _integral(mean, below, lo, d_star, _band_edges(inner, outer), level=x, caps=(theta, th))
-    value = clamp((term1 + term2) / den, 0.0, 1.0)
-    return _result(value, (err1 + err2 + value * den_err) / den, with_error)
+    return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_MEAN,)), with_error)
 
 
 @dataclass(frozen=True)
@@ -566,8 +534,7 @@ class GroupStats:
 def group_probabilities(model):
     """Membership probabilities of the weak/strong groups of the model's two-bit scheme."""
     scheme = _require_group_scheme(model, TWO_BIT_KINDS)
-    report = _mean_model(model) if scheme.kind is FeedbackKind.TWO_BIT_MEAN else model
-    mob, th = model.mobility, scheme.theta_threshold
+    report, mob, th = _report_model(model), model.mobility, scheme.theta_threshold
     p_w = _band_mass(report, th, math.pi, scheme.d_threshold, mob.d_max)[0] / mob.d_span
     p_s = _band_mass(report, 0.0, th, mob.d_min, scheme.d_threshold)[0] / mob.d_span
     K = mob.num_users
@@ -582,33 +549,8 @@ def group_success_probability(model, threshold, role, with_error=False):
     report of the model's scheme (instantaneous or mean angle), the gain stays
     instantaneous, and zero gains count as failures.
     """
-    scheme = _require_group_scheme(model, TWO_BIT_KINDS)
-    by_mean = scheme.kind is FeedbackKind.TWO_BIT_MEAN
-    if by_mean:
-        _require_mean_span(model)
-    _require_role(role)
-    if role == STRONG:
-        cdf = group_gain_cdf_mean if by_mean else group_gain_cdf_instant
-        value, err = cdf(model, threshold, STRONG, with_error=True)
-        return _result(clamp(1.0 - value, 0.0, 1.0), err, with_error)
-    geom, mob = model.geom, model.mobility
-    theta, th = geom.half_fov, scheme.theta_threshold
-
-    def band(r):
-        """Weak members at distance r whose instantaneous |theta| stays within the boundary angle."""
-        cap = min(gain_boundary_angle(geom, threshold, r), theta)
-        if by_mean:
-            return _mean_band(model, r, th, math.pi, cap)[1]
-        return max(fov_probability(model, r, cap) - fov_probability(model, r, th), 0.0)
-
-    report = _mean_model(model) if by_mean else model
-    den, den_err = _nonempty(_band_mass(report, th, math.pi, scheme.d_threshold, mob.d_max))
-    lo, hi = scheme.d_threshold, min(mob.d_max, gain_boundary_distance(geom, threshold))
-    if hi <= lo:
-        return _result(0.0, den_err / den, with_error)
-    num, num_err = _integral(report, band, lo, hi, (th,) if by_mean else (theta, th),
-                             level=threshold, caps=(theta, th))
-    return _result(clamp(num / den, 0.0, 1.0), (num_err + abs(num / den) * den_err) / den, with_error)
+    band = _role_band(model, role, TWO_BIT_KINDS)
+    return _result(*_share(_mass_above(model, threshold, *band), _members(model, *band)), with_error)
 
 
 # ---------------------------------------------------------------------------

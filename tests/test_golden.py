@@ -19,8 +19,8 @@ GOLDEN = {
     ("simulate", "fig2"): "5ce190141531f7f1aca1ba352e4366ae2141c78a60ff0976beaea64090667e29",
     ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
     ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
-    ("analytic", "fig2"): "55c4217c22767588b5a9492ed0dcc0486cddd9812f72bf0b056106744d74e44f",
-    ("analytic", "fig3"): "767aba9136cead00cc69f50eb2f6e79e607d7bb97974a625f954f0d87056b1c9",
+    ("analytic", "fig2"): "0d37637d8ea9f778fa9e1bb3823a97cc3a5dc19a4f93ad598bba24c433e943eb",
+    ("analytic", "fig3"): "c56f910a873cfa7ca5da6a45e06920eb8e8a824645984215ec46e418ea0f941e",
 }
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
