@@ -36,7 +36,7 @@ def _group_models(geom, mob, name):
 
 
 def cases():
-    """(family, key, thunk) of every pinned evaluation."""
+    """(family, key, thunk) of every pinned evaluation; each thunk binds its own deviation's models."""
     out = []
     for dphi in DELTA_PHI_DEG:
         geom, mob = paper_geometry(), paper_mobility(dphi)
@@ -47,12 +47,12 @@ def cases():
             out.append((family, f"{family}|{tag}|{key}", thunk))
 
         for x in LEVELS:
-            add("unordered", f"instant|x={x!r}", lambda x=x: an.unordered_gain_cdf(base, x, with_error=True))
+            add("unordered", f"instant|x={x!r}", lambda x=x, b=base: an.unordered_gain_cdf(b, x, with_error=True))
             add("unordered", f"mean|x={x!r}",
-                lambda x=x: an.unordered_gain_cdf(an._mean_model(base), x, with_error=True))
+                lambda x=x, b=base: an.unordered_gain_cdf(an._mean_model(b), x, with_error=True))
             for rank, min_count in ((1, 10), (10, 10), (3, 5)):
                 add("ordered", f"r={rank},k={min_count}|x={x!r}",
-                    lambda x=x, r=rank, k=min_count: an.ordered_gain_cdf(base, x, r, k, with_error=True))
+                    lambda x=x, r=rank, k=min_count, b=base: an.ordered_gain_cdf(b, x, r, k, with_error=True))
             for role, scheme in itertools.product((an.WEAK, an.STRONG), ("paper", "wide")):
                 instant, mean = _group_models(geom, mob, scheme)
                 add("group_cdf_instant", f"{scheme}|{role}|x={x!r}",
@@ -65,29 +65,29 @@ def cases():
         for x in (5e-15, 4e-13, 2e-11):
             for rank, min_count in ((1, 10), (10, 10)):
                 add("mean_angle", f"r={rank},k={min_count}|x={x!r}",
-                    lambda x=x, r=rank, k=min_count: an.mean_angle_success_probability(
-                        base, x, r, k, with_error=True))
+                    lambda x=x, r=rank, k=min_count, b=base: an.mean_angle_success_probability(
+                        b, x, r, k, with_error=True))
         for scheme in ("paper", "wide"):
             for name, model in zip(("instant", "mean"), _group_models(geom, mob, scheme)):
                 add("group_probabilities", f"{scheme}|{name}",
                     lambda m=model: tuple(vars(an.group_probabilities(m)).values()))
-        for use_mean in (False, True):
+        for use_mean, law in ((False, base), (True, an._mean_model(base))):
             add("nonzero", f"p|use_mean={use_mean}",
-                lambda u=use_mean: an.nonzero_gain_probability(an._mean_model(base) if u else base, with_error=True))
+                lambda m=law: an.nonzero_gain_probability(m, with_error=True))
             for k_min in (0, 1, 10, 20):
                 add("nonzero", f"tail|use_mean={use_mean}|k_min={k_min}",
-                    lambda u=use_mean, k=k_min: an.nonzero_count_tail(an._mean_model(base) if u else base, k))
+                    lambda m=law, k=k_min: an.nonzero_count_tail(m, k))
         for k, k_min in ((0, 0), (3, 0), (5, 10), (10, 10), (20, 10), (14, 1)):
-            add("nonzero", f"pmf|k={k},k_min={k_min}", lambda k=k, m=k_min: an.nonzero_count_pmf(base, k, m))
+            add("nonzero", f"pmf|k={k},k_min={k_min}", lambda k=k, m=k_min, b=base: an.nonzero_count_pmf(b, k, m))
     return out
 
 
 PINNED = {
-    'unordered|dphi=0|instant|x=0.0': ('0x0.0p+0', '0x1.6e0830b3d9522p-36'),
-    'unordered|dphi=0|mean|x=0.0': ('0x0.0p+0', '0x1.9b1bcf79ed48ap-40'),
-    'ordered|dphi=0|r=1,k=10|x=0.0': ('0x0.0p+0', '0x1.c98a3ce0cfa6ap-32'),
-    'ordered|dphi=0|r=10,k=10|x=0.0': ('0x0.0p+0', '0x1.c98a3ce0cfa6ap-32'),
-    'ordered|dphi=0|r=3,k=5|x=0.0': ('0x0.0p+0', '0x1.c98a3ce0cfa6ap-32'),
+    'unordered|dphi=0|instant|x=0.0': ('0x0.0p+0', '0x1.01d333a4449e9p-36'),
+    'unordered|dphi=0|mean|x=0.0': ('0x0.0p+0', '0x1.01d333a4449e9p-36'),
+    'ordered|dphi=0|r=1,k=10|x=0.0': ('0x0.0p+0', '0x1.4248008d55c63p-32'),
+    'ordered|dphi=0|r=10,k=10|x=0.0': ('0x0.0p+0', '0x1.4248008d55c63p-32'),
+    'ordered|dphi=0|r=3,k=5|x=0.0': ('0x0.0p+0', '0x1.4248008d55c63p-32'),
     'group_cdf_instant|dphi=0|paper|weak|x=0.0': ('0x0.0p+0', '0x1.5653433f9fb4bp-36'),
     'group_cdf_mean|dphi=0|paper|weak|x=0.0': ('0x1.0000000000000p-53', '0x1.565318070324ap-36'),
     'group_success|dphi=0|paper|instant|weak|x=0.0': ('0x1.83aba0bd9e703p-2', '0x1.037e6721beaecp-38'),
@@ -104,11 +104,11 @@ PINNED = {
     'group_cdf_mean|dphi=0|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=0|wide|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=0|wide|mean|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=0|instant|x=5e-15': ('0x1.317d421c68c30p-4', '0x1.632679c05b254p-32'),
-    'unordered|dphi=0|mean|x=5e-15': ('0x1.3953808045030p-4', '0x1.5a08c1f690dd8p-28'),
-    'ordered|dphi=0|r=1,k=10|x=5e-15': ('0x1.2430a5a630950p-1', '0x1.bbf0183071ee9p-28'),
-    'ordered|dphi=0|r=10,k=10|x=5e-15': ('0x1.b1f41aa7431b6p-32', '0x1.bbf0183071ee9p-28'),
-    'ordered|dphi=0|r=3,k=5|x=5e-15': ('0x1.8775b81a95d76p-6', '0x1.bbf0183071ee9p-28'),
+    'unordered|dphi=0|instant|x=5e-15': ('0x1.2b7a624ce7d90p-4', '0x1.ed58b3fc6ddd1p-29'),
+    'unordered|dphi=0|mean|x=5e-15': ('0x1.2b7a624ce7d90p-4', '0x1.ed58b3fc6ddd1p-29'),
+    'ordered|dphi=0|r=1,k=10|x=5e-15': ('0x1.2147c260f9ea2p-1', '0x1.3457707dc4aa3p-24'),
+    'ordered|dphi=0|r=10,k=10|x=5e-15': ('0x1.98b687615b020p-32', '0x1.3457707dc4aa3p-24'),
+    'ordered|dphi=0|r=3,k=5|x=5e-15': ('0x1.8a1aca8046154p-6', '0x1.3457707dc4aa3p-24'),
     'group_cdf_instant|dphi=0|paper|weak|x=5e-15': ('0x1.6649445bc9148p-4', '0x1.215ee08291c40p-33'),
     'group_cdf_mean|dphi=0|paper|weak|x=5e-15': ('0x1.6649445bc9148p-4', '0x1.215ee0e1984d5p-33'),
     'group_success|dphi=0|paper|instant|weak|x=5e-15': ('0x1.61c29159b502ap-2', '0x1.98ac40a3fb7fbp-35'),
@@ -125,11 +125,11 @@ PINNED = {
     'group_cdf_mean|dphi=0|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=0|wide|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=0|wide|mean|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=0|instant|x=4e-13': ('0x1.dd7f43c3abdf2p-2', '0x1.07635c3aaf343p-29'),
-    'unordered|dphi=0|mean|x=4e-13': ('0x1.d9edb96e34f80p-2', '0x1.92bc3eef3072cp-31'),
-    'ordered|dphi=0|r=1,k=10|x=4e-13': ('0x1.ff5d36444a48ep-1', '0x1.493c33495b014p-25'),
-    'ordered|dphi=0|r=10,k=10|x=4e-13': ('0x1.ca60fbcf9d97cp-8', '0x1.493c33495b014p-25'),
-    'ordered|dphi=0|r=3,k=5|x=4e-13': ('0x1.98788650c927dp-1', '0x1.493c33495b014p-25'),
+    'unordered|dphi=0|instant|x=4e-13': ('0x1.09adae7c33d3dp-1', '0x1.fa94682f36fb5p-29'),
+    'unordered|dphi=0|mean|x=4e-13': ('0x1.09adae7c33d3dp-1', '0x1.fa94682f36fb5p-29'),
+    'ordered|dphi=0|r=1,k=10|x=4e-13': ('0x1.ffca1a48555aep-1', '0x1.3c9cc11d825d1p-24'),
+    'ordered|dphi=0|r=10,k=10|x=4e-13': ('0x1.1c7bc3d47fc31p-6', '0x1.3c9cc11d825d1p-24'),
+    'ordered|dphi=0|r=3,k=5|x=4e-13': ('0x1.bdf19eb757d22p-1', '0x1.3c9cc11d825d1p-24'),
     'group_cdf_instant|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b314c98d0p-1', '0x1.d6022b18100bdp-29'),
     'group_cdf_mean|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b314c98d0p-1', '0x1.d6022b18100bdp-29'),
     'group_success|dphi=0|paper|instant|weak|x=4e-13': ('0x1.3eb5ef72c8185p-3', '0x1.6375c44cf18f7p-30'),
@@ -146,11 +146,11 @@ PINNED = {
     'group_cdf_mean|dphi=0|wide|strong|x=4e-13': ('0x0.0p+0', '0x1.8ffffffffffffp-46'),
     'group_success|dphi=0|wide|instant|strong|x=4e-13': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=0|wide|mean|strong|x=4e-13': ('0x1.0000000000000p+0', '0x1.8ffffffffffffp-46'),
-    'unordered|dphi=0|instant|x=2e-11': ('0x1.98fb5e34a3b19p-1', '0x1.ac7f1f0798058p-30'),
-    'unordered|dphi=0|mean|x=2e-11': ('0x1.94754480c850ap-1', '0x1.43ce2ae8319f4p-40'),
-    'ordered|dphi=0|r=1,k=10|x=2e-11': ('0x1.fffffe1ee229dp-1', '0x1.0bcf7364bf037p-25'),
-    'ordered|dphi=0|r=10,k=10|x=2e-11': ('0x1.3b802e006d40ap-2', '0x1.0bcf7364bf037p-25'),
-    'ordered|dphi=0|r=3,k=5|x=2e-11': ('0x1.fc976f3e7f3b9p-1', '0x1.0bcf7364bf037p-25'),
+    'unordered|dphi=0|instant|x=2e-11': ('0x1.b3305244c6306p-1', '0x1.67044e1776fcdp-38'),
+    'unordered|dphi=0|mean|x=2e-11': ('0x1.b3305244c6306p-1', '0x1.67044e1776fcdp-38'),
+    'ordered|dphi=0|r=1,k=10|x=2e-11': ('0x1.ffffffe84551fp-1', '0x1.c0c5619d54bc0p-34'),
+    'ordered|dphi=0|r=10,k=10|x=2e-11': ('0x1.cf208915aadfbp-2', '0x1.c0c5619d54bc0p-34'),
+    'ordered|dphi=0|r=3,k=5|x=2e-11': ('0x1.fedaf94d78724p-1', '0x1.c0c5619d54bc0p-34'),
     'group_cdf_instant|dphi=0|paper|weak|x=2e-11': ('0x1.f21b2b981682fp-1', '0x1.7a687ccb4ba22p-39'),
     'group_cdf_mean|dphi=0|paper|weak|x=2e-11': ('0x1.f21b2b981682fp-1', '0x1.7a6879c2bdc80p-39'),
     'group_success|dphi=0|paper|instant|weak|x=2e-11': ('0x1.50a3dac46ac26p-7', '0x1.026a84c92c78cp-40'),
@@ -167,11 +167,11 @@ PINNED = {
     'group_cdf_mean|dphi=0|wide|strong|x=2e-11': ('0x1.56c9b01bf873ep-1', '0x1.14c660401dfc0p-42'),
     'group_success|dphi=0|wide|instant|strong|x=2e-11': ('0x1.526c9fc80f184p-2', '0x1.14c660401dfc0p-42'),
     'group_success|dphi=0|wide|mean|strong|x=2e-11': ('0x1.526c9fc80f185p-2', '0x1.14c660401dfc0p-42'),
-    'unordered|dphi=0|instant|x=4.5e-11': ('0x1.de70d4235f6f6p-1', '0x1.1061d227be5b8p-39'),
-    'unordered|dphi=0|mean|x=4.5e-11': ('0x1.deafa99490178p-1', '0x1.030c9a6271932p-42'),
-    'ordered|dphi=0|r=1,k=10|x=4.5e-11': ('0x1.fffffffffe7d5p-1', '0x1.547a46b1adf26p-35'),
-    'ordered|dphi=0|r=10,k=10|x=4.5e-11': ('0x1.73669eacae6b9p-1', '0x1.547a46b1adf26p-35'),
-    'ordered|dphi=0|r=3,k=5|x=4.5e-11': ('0x1.ffe7163bb2a41p-1', '0x1.547a46b1adf26p-35'),
+    'unordered|dphi=0|instant|x=4.5e-11': ('0x1.e85ccf41a0303p-1', '0x1.85524f0229c3fp-38'),
+    'unordered|dphi=0|mean|x=4.5e-11': ('0x1.e85ccf41a0303p-1', '0x1.85524f0229c3fp-38'),
+    'ordered|dphi=0|r=1,k=10|x=4.5e-11': ('0x1.fffffffffff4ap-1', '0x1.e6a6e2c2b434fp-34'),
+    'ordered|dphi=0|r=10,k=10|x=4.5e-11': ('0x1.9e405b3c8b666p-1', '0x1.e6a6e2c2b434fp-34'),
+    'ordered|dphi=0|r=3,k=5|x=4.5e-11': ('0x1.fff8b22d6baabp-1', '0x1.e6a6e2c2b434fp-34'),
     'group_cdf_instant|dphi=0|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=0|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=0|paper|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
@@ -190,9 +190,9 @@ PINNED = {
     'group_success|dphi=0|wide|mean|strong|x=4.5e-11': ('0x1.3ca50b0913f1ep-3', '0x1.b40e16deb5f24p-40'),
     'unordered|dphi=0|instant|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'unordered|dphi=0|mean|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'ordered|dphi=0|r=1,k=10|x=1e-10': ('0x1.ffffffffffffep-1', '0x0.0p+0'),
-    'ordered|dphi=0|r=10,k=10|x=1e-10': ('0x1.ffffffffffffep-1', '0x0.0p+0'),
-    'ordered|dphi=0|r=3,k=5|x=1e-10': ('0x1.ffffffffffffbp-1', '0x0.0p+0'),
+    'ordered|dphi=0|r=1,k=10|x=1e-10': ('0x1.ffffffffffffap-1', '0x0.0p+0'),
+    'ordered|dphi=0|r=10,k=10|x=1e-10': ('0x1.ffffffffffffap-1', '0x0.0p+0'),
+    'ordered|dphi=0|r=3,k=5|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=0|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=0|paper|instant|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
@@ -209,32 +209,32 @@ PINNED = {
     'group_cdf_mean|dphi=0|wide|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.88d2c719fef12p-2', '0x1.431e3693da1b3p-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.d405f7532cd4ap-1', '0x1.0154bfc843acep-20'),
-    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.428b52ddd2350p-10', '0x1.3df262d0ea26dp-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.d0e1d4cb032f2p-1', '0x1.fcd6ce2c3474ap-21'),
-    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.00ef354972532p-23', '0x1.3df1c7a6b4f92p-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.46ef42c009cf8p-1', '0x1.02e56e5bbb3dfp-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd707b2ec0463p-2', '0x1.4202c23069e79p-17'),
+    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.0000000000000p+0', '0x1.fef2dab5faa9cp-18'),
+    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2dbcce6ac5ep-12', '0x1.41fd3e3212ad7p-17'),
+    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c2208a6155p-1', '0x1.fe5236c1a0452p-18'),
+    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7baad076e6de2p-29', '0x1.41fd4b6526726p-17'),
+    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fbc6113a90p-1', '0x1.03ce3a15da227p-17'),
     'group_probabilities|dphi=0|paper|instant': ('0x1.b333333333333p-1', '0x1.6c16c16c16c1ap-8', '0x1.afdf99fe10421p-4'),
     'group_probabilities|dphi=0|paper|mean': ('0x1.b333333333333p-1', '0x1.6c16c16c16c1ap-8', '0x1.afdf99fe10421p-4'),
     'group_probabilities|dphi=0|wide|instant': ('0x1.d7907502f8f2ep-2', '0x1.c71c71c71c71bp-4', '0x1.cf71c47933453p-1'),
     'group_probabilities|dphi=0|wide|mean': ('0x1.d7907502f8f2ep-2', '0x1.c71c71c71c71bp-4', '0x1.cf71c47933453p-1'),
-    'nonzero|dphi=0|p|use_mean=False': ('0x1.aac78f90f1078p-2', '0x1.311b7b5779f07p-38'),
+    'nonzero|dphi=0|p|use_mean=False': ('0x1.b59bd6da10a0ap-2', '0x1.b8ba7a69d95c8p-39'),
     'nonzero|dphi=0|tail|use_mean=False|k_min=0': ('0x1.0000000000000p+0',),
-    'nonzero|dphi=0|tail|use_mean=False|k_min=1': ('0x1.fffd48439e218p-1',),
-    'nonzero|dphi=0|tail|use_mean=False|k_min=10': ('0x1.2f2dd3b899e18p-2',),
-    'nonzero|dphi=0|tail|use_mean=False|k_min=20': ('0x1.ada0babaa38ecp-26',),
-    'nonzero|dphi=0|p|use_mean=True': ('0x1.adec84551afe6p-2', '0x1.5934b66accccdp-42'),
+    'nonzero|dphi=0|tail|use_mean=False|k_min=1': ('0x1.fffe1d7f1dad8p-1',),
+    'nonzero|dphi=0|tail|use_mean=False|k_min=10': ('0x1.5284e919d0d7cp-2',),
+    'nonzero|dphi=0|tail|use_mean=False|k_min=20': ('0x1.6293b8e19763ep-25',),
+    'nonzero|dphi=0|p|use_mean=True': ('0x1.b59bd6da10a0ap-2', '0x1.b8ba7a69d95c8p-39'),
     'nonzero|dphi=0|tail|use_mean=True|k_min=0': ('0x1.0000000000000p+0',),
-    'nonzero|dphi=0|tail|use_mean=True|k_min=1': ('0x1.fffd8df94fa67p-1',),
-    'nonzero|dphi=0|tail|use_mean=True|k_min=10': ('0x1.3948a307da1c8p-2',),
-    'nonzero|dphi=0|tail|use_mean=True|k_min=20': ('0x1.f19163ad7c688p-26',),
-    'nonzero|dphi=0|pmf|k=0,k_min=0': ('0x1.5bde30ef409d8p-16',),
-    'nonzero|dphi=0|pmf|k=3,k_min=0': ('0x1.1aa7915dbfcebp-7',),
+    'nonzero|dphi=0|tail|use_mean=True|k_min=1': ('0x1.fffe1d7f1dad8p-1',),
+    'nonzero|dphi=0|tail|use_mean=True|k_min=10': ('0x1.5284e919d0d7cp-2',),
+    'nonzero|dphi=0|tail|use_mean=True|k_min=20': ('0x1.6293b8e19763ep-25',),
+    'nonzero|dphi=0|pmf|k=0,k_min=0': ('0x1.e280e25278d25p-17',),
+    'nonzero|dphi=0|pmf|k=3,k_min=0': ('0x1.be827869efe00p-8',),
     'nonzero|dphi=0|pmf|k=5,k_min=10': ('0x0.0p+0',),
-    'nonzero|dphi=0|pmf|k=10,k_min=10': ('0x1.cc21e8b35c7dcp-2',),
-    'nonzero|dphi=0|pmf|k=20,k_min=10': ('0x1.6ac586527c76fp-24',),
-    'nonzero|dphi=0|pmf|k=14,k_min=1': ('0x1.dd03ca1025037p-8',),
+    'nonzero|dphi=0|pmf|k=10,k_min=10': ('0x1.b8e9301759995p-2',),
+    'nonzero|dphi=0|pmf|k=20,k_min=10': ('0x1.0c24bd2ea1314p-23',),
+    'nonzero|dphi=0|pmf|k=14,k_min=1': ('0x1.2f81f5116d41cp-7',),
     'unordered|dphi=25|instant|x=0.0': ('0x0.0p+0', '0x1.6e0830b3d9522p-36'),
     'unordered|dphi=25|mean|x=0.0': ('0x0.0p+0', '0x1.9b1bcf79ed48ap-40'),
     'ordered|dphi=25|r=1,k=10|x=0.0': ('0x0.0p+0', '0x1.c98a3ce0cfa6ap-32'),
