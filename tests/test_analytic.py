@@ -211,12 +211,13 @@ class TestGroupCdfs:
         assert an.group_gain_cdf_mean(mm, 0.0, an.STRONG) == pytest.approx(0.0, abs=1e-12)
 
     def test_upper_edges(self):
-        # above each group's gain support (from its nearest distance) the CDF is exactly 1 with no error
+        # each group's gain support ends at its nearest distance; above it the CDF is exactly 1 with no error
         for kind, cdf in ((FeedbackKind.TWO_BIT_INSTANT, an.group_gain_cdf_instant),
                           (FeedbackKind.TWO_BIT_MEAN, an.group_gain_cdf_mean)):
             model = model_with(scheme=FeedbackScheme(kind, 1.0, THETA_TH))
             for role, nearest in ((an.STRONG, 0.0), (an.WEAK, 1.0)):
                 top = float(GEOM.gain_factor(nearest) ** 2)
+                assert cdf(model, top, role) == pytest.approx(1.0), (kind, role)
                 assert cdf(model, top * 1.0001, role, with_error=True) == (1.0, 0.0), (kind, role)
 
     def test_static_deviation_collapses_mean_onto_instant(self):
