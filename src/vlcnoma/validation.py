@@ -59,25 +59,19 @@ class ValidationSizes:
         )
 
 
-# the paper's setup is the default configuration, config.DEFAULTS
-def paper_geometry():
-    return build_experiment(merge()).geom
+def paper_config(delta_phi_deg=25.0, kind=None):
+    """The paper's setup, config.DEFAULTS, at ``delta_phi_deg``; with ``kind`` it serves only that scheme."""
+    overrides = {"mobility.delta_phi_deg": str(float(delta_phi_deg))}
+    if kind is not None:
+        overrides["schemes.list"] = kind.value
+    return build_experiment(merge(overrides))
 
 
-def paper_mobility(delta_phi_deg=25.0):
-    return build_experiment(merge({"mobility.delta_phi_deg": str(float(delta_phi_deg))})).mobility
-
-
-def paper_noma():
-    return build_experiment(merge()).noma
-
-
-def paper_scheme(kind, geom):
-    """The default config's scheme of ``kind``; its angle threshold is scaled to ``geom``, the paper geometry."""
-    config = build_experiment(merge({"schemes.list": kind.value}))
-    if geom != config.geom:
-        raise ValueError("paper_scheme scales its angle threshold to the paper geometry")
-    return config.schemes[0]
+def paper_model(delta_phi_deg=25.0, kind=None):
+    """The AnalyticModel of ``paper_config``; it carries the scheme of ``kind`` when one is given."""
+    config = paper_config(delta_phi_deg, kind)
+    scheme = config.schemes[0] if kind is not None else None
+    return an.AnalyticModel(geom=config.geom, mobility=config.mobility, scheme=scheme)
 
 
 def _frequency_check(name, frac, pred, n, detail, var_floor=0.0, tol_floor=0.0):
@@ -91,22 +85,34 @@ def _frequency_check(name, frac, pred, n, detail, var_floor=0.0, tol_floor=0.0):
     return CheckResult(name, dev <= tol, dev, tol, detail)
 
 
-def _strip_users(geom, mob, rng, n, role, d_threshold):
-    """n users drawn in one group's distance strip: (g2, {two-bit kind: the incidence its reports are formed on}).
+def _strip_members(models, rng, n, role, within_fov):
+    """Squared gains of each model's ``role`` group members among n users drawn in that group's distance strip.
 
-    The weak strip lies beyond the distance threshold (d_min = d_threshold),
-    the strong strip within it (d_max = d_threshold).
+    The models share geometry, mobility and distance threshold.  The weak
+    strip lies beyond the threshold (d_min = d_threshold), the strong strip
+    within it (d_max = d_threshold).  A member's report incidence (the mean
+    one under two-bit-mean reports, the instantaneous one otherwise) lies in
+    the role's angle band; ``within_fov`` also keeps it inside the half FOV.
     """
+    geom, mob, d_threshold = models[0].geom, models[0].mobility, models[0].scheme.d_threshold
     strip = replace(mob, d_min=d_threshold) if role == an.WEAK else replace(mob, d_max=d_threshold)
     d, mean_phi, phi = sample_user_arrays(strip, rng, n)
-    incidence = {FeedbackKind.TWO_BIT_INSTANT: incidence_angle(d, phi, geom.ell),
-                 FeedbackKind.TWO_BIT_MEAN: incidence_angle(d, mean_phi, geom.ell)}
-    return channel_gain(geom, d, phi) ** 2, incidence
+    g2 = channel_gain(geom, d, phi) ** 2
+    members = []
+    for model in models:
+        report_phi = mean_phi if model.scheme.kind is FeedbackKind.TWO_BIT_MEAN else phi
+        incidence = np.abs(incidence_angle(d, report_phi, geom.ell))
+        th = model.scheme.theta_threshold
+        member = incidence > th if role == an.WEAK else incidence <= th
+        if within_fov:
+            member &= incidence <= geom.half_fov
+        members.append(g2[member])
+    return members
 
 
 def check_marginal_phi_dkw(sizes, rng):
     """Closed-form vertical-angle marginal vs the empirical CDF (DKW bound)."""
-    mob = paper_mobility()
+    mob = paper_model().mobility
     n = sizes.population_draws
     _, _, phi = sample_user_arrays(mob, rng, n)
     xs = np.quantile(phi, np.linspace(0.001, 0.999, 500))
@@ -118,8 +124,8 @@ def check_marginal_phi_dkw(sizes, rng):
 
 def check_fov_probability(sizes, rng):
     """fov_probability at a fixed distance vs conditional Monte Carlo (3 sigma)."""
-    geom, mob = paper_geometry(), paper_mobility()
-    model = an.AnalyticModel(geom=geom, mobility=mob)
+    model = paper_model()
+    geom, mob = model.geom, model.mobility
     n = max(sizes.group_draws, 200_000)
     r = 5.0
     _, _, phi = sample_user_arrays(mob, rng, n)
@@ -131,8 +137,8 @@ def check_fov_probability(sizes, rng):
 
 def check_nonzero_probability(sizes, rng):
     """Theorem-level nonzero-gain probability vs bulk gain draws (3 sigma)."""
-    geom, mob = paper_geometry(), paper_mobility()
-    model = an.AnalyticModel(geom=geom, mobility=mob)
+    model = paper_model()
+    geom, mob = model.geom, model.mobility
     n = sizes.gain_draws
     d, _, phi = sample_user_arrays(mob, rng, n)
     frac = float((channel_gain(geom, d, phi) > 0.0).mean())
@@ -141,8 +147,8 @@ def check_nonzero_probability(sizes, rng):
 
 def check_count_pmf(sizes, rng, k_min=10):
     """Truncated count PMF and its tail vs population draws (3 sigma per bin)."""
-    geom, mob = paper_geometry(), paper_mobility()
-    model = an.AnalyticModel(geom=geom, mobility=mob)
+    model = paper_model()
+    geom, mob = model.geom, model.mobility
     n = sizes.population_draws
     K = mob.num_users
     d, _, phi = sample_user_arrays(mob, rng, n * K)
@@ -167,8 +173,9 @@ def check_count_pmf(sizes, rng, k_min=10):
     return results
 
 
-def _conditioned_rank_gains(geom, mob, rng, wanted, rank_weak, rank_strong, pool_cap=5_000_000):
+def _conditioned_rank_gains(model, rng, wanted, rank_weak, rank_strong, pool_cap=5_000_000):
     """Squared gains at the two ranks from snapshots with enough nonzero users."""
+    geom, mob = model.geom, model.mobility
     K = mob.num_users
     out_w, out_s, pooled = [], [], []
     got = 0
@@ -194,9 +201,8 @@ def _conditioned_rank_gains(geom, mob, rng, wanted, rank_weak, rank_strong, pool
 
 def check_individual_cdfs(sizes, rng, rank_weak=1, rank_strong=10):
     """Unordered and ordered squared-gain CDFs vs conditioned empirical CDFs."""
-    geom, mob = paper_geometry(), paper_mobility()
-    model = an.AnalyticModel(geom=geom, mobility=mob)
-    w, s, pooled = _conditioned_rank_gains(geom, mob, rng, sizes.ordered_conditioned, rank_weak, rank_strong)
+    model = paper_model()
+    w, s, pooled = _conditioned_rank_gains(model, rng, sizes.ordered_conditioned, rank_weak, rank_strong)
     results = []
     sup = EmpiricalCdf(pooled).sup_distance(lambda x: an.unordered_gain_cdf(model, x), sizes.cdf_points)
     results.append(CheckResult("unordered-gain-cdf", sup <= 0.005, sup, 0.005, f"n={pooled.size}"))
@@ -209,43 +215,24 @@ def check_individual_cdfs(sizes, rng, rank_weak=1, rank_strong=10):
 
 def check_group_cdfs(sizes, rng, delta_phi_deg, tolerance=0.015):
     """Group-conditional CDFs for both report variants vs strip-sampled oracles."""
-    geom = paper_geometry()
-    mob = paper_mobility(delta_phi_deg)
-    scheme_i = paper_scheme(FeedbackKind.TWO_BIT_INSTANT, geom)
-    scheme_m = paper_scheme(FeedbackKind.TWO_BIT_MEAN, geom)
-    mi = an.AnalyticModel(geom=geom, mobility=mob, scheme=scheme_i)
-    mm = an.AnalyticModel(geom=geom, mobility=mob, scheme=scheme_m)
-    th, fov = scheme_i.theta_threshold, geom.half_fov
-    d_th = scheme_i.d_threshold
-    n = sizes.group_draws
+    models = tuple(paper_model(delta_phi_deg, kind) for kind in TWO_BIT_KINDS)
     results = []
-
-    g2, incidence = _strip_users(geom, mob, rng, n, an.WEAK, d_th)
-    theta, theta_bar = incidence[FeedbackKind.TWO_BIT_INSTANT], incidence[FeedbackKind.TWO_BIT_MEAN]
-    weak_i = (np.abs(theta) > th) & (g2 > 0.0)
-    sup = EmpiricalCdf(g2[weak_i]).sup_distance(lambda x: an.group_gain_cdf_instant(mi, x, an.WEAK), sizes.cdf_points)
-    results.append(CheckResult(f"group-cdf-instant-weak-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(weak_i.sum())}"))
-    weak_m = (np.abs(theta_bar) > th) & (np.abs(theta_bar) <= fov)
-    sup = EmpiricalCdf(g2[weak_m]).sup_distance(lambda x: an.group_gain_cdf_mean(mm, x, an.WEAK), sizes.cdf_points)
-    results.append(CheckResult(f"group-cdf-mean-weak-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(weak_m.sum())}"))
-
-    g2, incidence = _strip_users(geom, mob, rng, n, an.STRONG, d_th)
-    theta, theta_bar = incidence[FeedbackKind.TWO_BIT_INSTANT], incidence[FeedbackKind.TWO_BIT_MEAN]
-    strong_i = np.abs(theta) <= th
-    sup = EmpiricalCdf(g2[strong_i]).sup_distance(lambda x: an.group_gain_cdf_instant(mi, x, an.STRONG), sizes.cdf_points)
-    results.append(CheckResult(f"group-cdf-instant-strong-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(strong_i.sum())}"))
-    strong_m = np.abs(theta_bar) <= th
-    sup = EmpiricalCdf(g2[strong_m]).sup_distance(lambda x: an.group_gain_cdf_mean(mm, x, an.STRONG), sizes.cdf_points)
-    results.append(CheckResult(f"group-cdf-mean-strong-dphi{delta_phi_deg:g}", sup <= tolerance, sup, tolerance, f"n={int(strong_m.sum())}"))
+    for role in (an.WEAK, an.STRONG):
+        samples = _strip_members(models, rng, sizes.group_draws, role, within_fov=True)
+        for model, sample in zip(models, samples):
+            if model.scheme.kind is FeedbackKind.TWO_BIT_MEAN:
+                variant, cdf = "mean", an.group_gain_cdf_mean
+            else:
+                variant, cdf = "instant", an.group_gain_cdf_instant
+            sup = EmpiricalCdf(sample).sup_distance(lambda x: cdf(model, x, role), sizes.cdf_points)
+            results.append(CheckResult(f"group-cdf-{variant}-{role}-dphi{delta_phi_deg:g}", sup <= tolerance,
+                                       sup, tolerance, f"n={sample.size}"))
     return results
 
 
 def check_theorem_coincidence(sizes):
     """Mean-report CDFs collapse onto instantaneous-report CDFs when deviations vanish."""
-    geom = paper_geometry()
-    mob = paper_mobility(0.0)
-    mi = an.AnalyticModel(geom=geom, mobility=mob, scheme=paper_scheme(FeedbackKind.TWO_BIT_INSTANT, geom))
-    mm = an.AnalyticModel(geom=geom, mobility=mob, scheme=paper_scheme(FeedbackKind.TWO_BIT_MEAN, geom))
+    mi, mm = (paper_model(0.0, kind) for kind in TWO_BIT_KINDS)
     xs = np.geomspace(1e-17, 1e-10, 80)
     worst = 0.0
     for x in xs:
@@ -256,10 +243,8 @@ def check_theorem_coincidence(sizes):
 
 def check_group_conditioning(sizes, rng, delta_phi_deg=25.0):
     """Both-groups-nonempty probability vs population draws (3 sigma)."""
-    geom = paper_geometry()
-    mob = paper_mobility(delta_phi_deg)
-    scheme = paper_scheme(FeedbackKind.TWO_BIT_INSTANT, geom)
-    model = an.AnalyticModel(geom=geom, mobility=mob, scheme=scheme)
+    model = paper_model(delta_phi_deg, FeedbackKind.TWO_BIT_INSTANT)
+    geom, mob, scheme = model.geom, model.mobility, model.scheme
     n = sizes.population_draws
     K = mob.num_users
     d, _, phi = sample_user_arrays(mob, rng, n * K)
@@ -273,10 +258,9 @@ def check_group_conditioning(sizes, rng, delta_phi_deg=25.0):
 
 def check_outage_individual(sizes, rng, gamma_db=(160.0, 185.0)):
     """Conditional outage pair vs conditioned Monte Carlo at mid-sweep SNRs."""
-    geom, mob = paper_geometry(), paper_mobility()
-    model = an.AnalyticModel(geom=geom, mobility=mob)
-    noma = paper_noma()
-    w, s, _ = _conditioned_rank_gains(geom, mob, rng, max(sizes.ordered_conditioned // 2, 50_000), 1, 10)
+    model = paper_model()
+    noma = paper_config().noma
+    w, s, _ = _conditioned_rank_gains(model, rng, max(sizes.ordered_conditioned // 2, 50_000), 1, 10)
     results = []
     for gdb in gamma_db:
         gamma = 10.0 ** (gdb / 10.0)
@@ -294,19 +278,11 @@ def check_outage_group(sizes, rng, kind, gamma_db=(165.0, 185.5), delta_phi_deg=
     # 185.5 dB sits inside the strong group's outage transition (gain span
     # g(d_th)^2 cos^2(theta_th) ... g(0)^2), so neither probability is trivial
     """Group-conditional outage vs a member-sampling oracle at mid-sweep SNRs."""
-    geom = paper_geometry()
-    mob = paper_mobility(delta_phi_deg)
     variant = "mean" if kind is FeedbackKind.TWO_BIT_MEAN else "instant"
-    scheme = paper_scheme(kind, geom)
-    model = an.AnalyticModel(geom=geom, mobility=mob, scheme=scheme)
-    noma = paper_noma()
-    n = sizes.group_draws
-    th = scheme.theta_threshold
-
-    g2, incidence = _strip_users(geom, mob, rng, n, an.WEAK, scheme.d_threshold)
-    weak_gains = g2[np.abs(incidence[kind]) > th]
-    g2, incidence = _strip_users(geom, mob, rng, n, an.STRONG, scheme.d_threshold)
-    strong_gains = g2[np.abs(incidence[kind]) <= th]
+    model = paper_model(delta_phi_deg, kind)
+    noma = paper_config().noma
+    [weak_gains] = _strip_members((model,), rng, sizes.group_draws, an.WEAK, within_fov=False)
+    [strong_gains] = _strip_members((model,), rng, sizes.group_draws, an.STRONG, within_fov=False)
 
     results = []
     for gdb in gamma_db:
@@ -325,11 +301,10 @@ def check_outage_group(sizes, rng, kind, gamma_db=(165.0, 185.5), delta_phi_deg=
 
 def check_strong_group_degeneracy():
     """theta_th = FOV and d_th = d_max reduce the strong-group CDF to the unordered CDF."""
-    geom = paper_geometry()
-    mob = paper_mobility()
-    scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, d_threshold=mob.d_max, theta_threshold=geom.half_fov)
-    mi = an.AnalyticModel(geom=geom, mobility=mob, scheme=scheme)
-    base = an.AnalyticModel(geom=geom, mobility=mob)
+    base = paper_model()
+    scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, d_threshold=base.mobility.d_max,
+                            theta_threshold=base.geom.half_fov)
+    mi = replace(base, scheme=scheme)
     xs = np.geomspace(1e-16, 1e-10, 60)
     worst = max(abs(an.group_gain_cdf_instant(mi, x, an.STRONG) - an.unordered_gain_cdf(base, x)) for x in xs)
     return CheckResult("strong-group-degeneracy", worst <= 1e-9, worst, 1e-9, f"{xs.size} levels")
@@ -337,9 +312,8 @@ def check_strong_group_degeneracy():
 
 def check_quadrature_stability(sizes, rng):
     """Halving quadrature tolerances moves results by less than the reported error."""
-    geom, mob = paper_geometry(), paper_mobility()
-    model = an.AnalyticModel(geom=geom, mobility=mob)
-    half = an.AnalyticModel(geom=geom, mobility=mob, quad=model.quad.halved())
+    model = paper_model()
+    half = replace(model, quad=model.quad.halved())
     xs = 10.0 ** rng.uniform(-16.0, -10.5, sizes.probe_points)
     worst_ratio = 0.0
     ok = True

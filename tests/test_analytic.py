@@ -15,7 +15,7 @@ from vlcnoma.population import MobilityConfig, conditional_phi_cdf, sample_user_
 from vlcnoma.quadrature import QuadratureConfig, integrate_adaptive
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import EmpiricalCdf, ExperimentConfig
-from vlcnoma.validation import paper_geometry, paper_mobility
+from vlcnoma.validation import paper_model
 
 GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
 MOB = MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
@@ -232,7 +232,8 @@ class TestGroupCdfs:
     def test_static_deviation_collapses_mean_success_onto_instant(self):
         # the success probabilities read the same bands as the CDFs; 1e-6 is the bound of
         # validate's theorem-coincidence-zero-deviation check, over its level span
-        geom, mob = paper_geometry(), paper_mobility(0.0)
+        base = paper_model(0.0)
+        geom, mob = base.geom, base.mobility
         levels = LEVELS + tuple(np.geomspace(1e-17, 1e-10, 40))
         for thresholds in ("paper", "wide"):
             instant, mean = _group_models(geom, mob, thresholds)

@@ -14,7 +14,7 @@ import pytest
 
 from vlcnoma import analytic as an
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
-from vlcnoma.validation import paper_geometry, paper_mobility, paper_scheme
+from vlcnoma.validation import paper_model
 
 DELTA_PHI_DEG = (0.0, 25.0)
 # squared-gain levels: zero, inside the support (the last one inside the paper
@@ -27,7 +27,7 @@ WIDE_THRESHOLDS = (4.0, 0.5)
 def _group_models(geom, mob, name):
     def scheme(kind):
         if name == "paper":
-            return paper_scheme(kind, geom)
+            return paper_model(kind=kind).scheme
         d_th, th = WIDE_THRESHOLDS
         return FeedbackScheme(kind, d_threshold=d_th, theta_threshold=th * geom.half_fov)
 
@@ -39,8 +39,8 @@ def cases():
     """(family, key, thunk) of every pinned evaluation; each thunk binds its own deviation's models."""
     out = []
     for dphi in DELTA_PHI_DEG:
-        geom, mob = paper_geometry(), paper_mobility(dphi)
-        base = an.AnalyticModel(geom=geom, mobility=mob)
+        base = paper_model(dphi)
+        geom, mob = base.geom, base.mobility
         tag = f"dphi={dphi:g}"
 
         def add(family, key, thunk):
