@@ -6,15 +6,17 @@ angle ``phi`` sees the ray under the incidence angle
 
     theta = pi - atan(ell / d) - phi        (signed, atan(ell/0) := pi/2)
 
-and the DC gain is
+With a Lambertian LED of order m facing down, the irradiance cosine is
+ell/sqrt(ell^2 + d^2), so the DC gain of a detector of area A_r factors into
+a distance part and an orientation part:
 
-    h = (m + 1) * A_r / (2*pi*(ell^2 + d^2)) * cos^m(phi_irr) * cos(theta)
+    h = g(d) * cos(theta),   g(d) = h_c^2 / (ell^2 + d^2)^((m+2)/2),
+    h_c^2 = (m+1) * A_r * ell^m / (2*pi),
 
-gated to zero whenever |theta| exceeds the detector half field of view.  With
-the LED facing down, the irradiance cosine is cos(phi_irr) = ell/sqrt(ell^2+d^2),
-which lets the in-FOV gain factor as h = g(d) * cos(theta) with
-
-    g(d) = h_c^2 / (ell^2 + d^2)^((m+2)/2),   h_c^2 = (m+1) * A_r * ell^m / (2*pi).
+gated to zero whenever |theta| exceeds the detector half field of view.  Both
+engines use this one law: the simulator evaluates it in ``channel_gain``, and
+the closed form inverts it through ``LedGeometry.channel_constant`` and
+``LedGeometry.gain_factor``.
 
 All angles are radians, distances meters.
 """
@@ -40,11 +42,6 @@ def lambertian_order(hpbw):
 def incidence_angle(d, phi, ell):
     """Signed incidence angle at the detector; arctan2 handles d = 0 as pi/2."""
     return math.pi - np.arctan2(ell, d) - phi
-
-
-def irradiance_cosine(d, ell):
-    """Cosine of the emission angle for a downward-facing LED: ell/sqrt(ell^2 + d^2)."""
-    return ell / np.sqrt(ell * ell + d * d)
 
 
 @dataclass(frozen=True)
@@ -93,11 +90,8 @@ class LedGeometry:
 
 def channel_gain(geom, d, phi):
     """Instantaneous DC channel gain; exactly 0 outside the FOV.  Array friendly."""
-    d = np.asarray(d, float)
     theta = incidence_angle(d, phi, geom.ell)
-    inside = np.abs(theta) <= geom.half_fov
-    base = (geom.m + 1.0) * geom.detector_area / (TWO_PI * (geom.ell**2 + d * d))
-    h = base * irradiance_cosine(d, geom.ell) ** geom.m * np.cos(theta) * inside
+    h = geom.gain_factor(d) * np.cos(theta) * (np.abs(theta) <= geom.half_fov)
     if h.ndim == 0:
         return float(h)
     return h

@@ -7,7 +7,6 @@ from vlcnoma.channel import (
     LedGeometry,
     channel_gain,
     incidence_angle,
-    irradiance_cosine,
     lambertian_order,
     mean_channel_gain,
 )
@@ -50,17 +49,6 @@ class TestIncidenceAngle:
         assert incidence_angle(0.0, math.pi * 0.75, 2.0) < 0.0
 
 
-class TestIrradianceCosine:
-    def test_below_led(self):
-        assert irradiance_cosine(0.0, 2.0) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert irradiance_cosine(2.0, 2.0) == pytest.approx(0.70711, abs=1e-5)
-
-    def test_far(self):
-        assert irradiance_cosine(10.0, 2.0) == pytest.approx(2.0 / math.sqrt(104.0), abs=1e-9)
-
-
 class TestChannelGain:
     def test_peak_below_led(self, geom):
         # (m+1) A_r / (2 pi ell^2) with m = 1
@@ -86,7 +74,10 @@ class TestChannelGain:
         theta = incidence_angle(d, phi, geom.ell)
         h = channel_gain(geom, d, phi)
         inside = np.abs(theta) <= geom.half_fov
-        expected = geom.gain_factor(d) * np.cos(theta)
+        # the Lambertian form, with irradiance cosine ell / sqrt(ell^2 + d^2)
+        ell, m, area = geom.ell, geom.m, geom.detector_area
+        expected = ((m + 1.0) * area / (2.0 * math.pi * (ell**2 + d**2))
+                    * (ell / np.sqrt(ell**2 + d**2)) ** m * np.cos(theta))
         assert np.allclose(h[inside], expected[inside], rtol=1e-12)
         assert np.all(h[~inside] == 0.0)
 
