@@ -243,11 +243,11 @@ def cmd_plot(args):
     paths = [Path(p) for p in args.csv]
     for path in paths:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 reader = csv.reader(fh)
                 header = next(reader, None)
                 first = next(reader, None)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         if header != CSV_COLUMNS:
             offending = set(header or []) ^ set(CSV_COLUMNS)

@@ -47,8 +47,6 @@ DEFAULTS = {
     "noma.rate_weak": "2.0",
     "noma.rate_strong": "10.0",
     "noma.oma_time_share": "2",
-    "noma.include_oma": "true",
-    "noma.oma_base": "",
     "schemes.list": "full-csi",
     "schemes.d_threshold_coeff": "0.1",
     "schemes.theta_threshold_coeff": "0.1",
@@ -82,22 +80,8 @@ PRESETS = {
     ],
     # group-based scheduling with two-bit and one-bit reports
     "fig3": [
-        RunGroup(
-            "dphi=0",
-            {
-                "mobility.delta_phi_deg": "0",
-                "schemes.list": "two-bit-instant,two-bit-mean,one-bit",
-                "noma.oma_base": "two-bit-instant",
-            },
-        ),
-        RunGroup(
-            "dphi=25",
-            {
-                "mobility.delta_phi_deg": "25",
-                "schemes.list": "two-bit-instant,two-bit-mean,one-bit",
-                "noma.oma_base": "two-bit-instant",
-            },
-        ),
+        RunGroup("dphi=0", {"mobility.delta_phi_deg": "0", "schemes.list": "two-bit-instant,two-bit-mean,one-bit"}),
+        RunGroup("dphi=25", {"mobility.delta_phi_deg": "25", "schemes.list": "two-bit-instant,two-bit-mean,one-bit"}),
     ],
     # individual scheduling with noisy distance/angle estimates
     "fig4": [
@@ -117,11 +101,11 @@ PRESETS = {
 
 def read_config_file(path):
     """Flat {'section.key': raw string} map from an INI file."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a value is its text: "%" is no interpolation
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
@@ -178,15 +162,6 @@ def _get_int(flat, key):
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-
-
-def _get_bool(flat, key):
-    raw = flat[key].strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {flat[key]!r}")
 
 
 def _get_int_in(flat, key, lo, hi):
@@ -321,12 +296,6 @@ def build_experiment(flat):
         noise = _make("noise", NoiseConfig, sigma_d=_get_float(flat, "noise.sigma_d_m", 0.0),
                       sigma_phi=math.radians(_get_float(flat, "noise.sigma_phi_deg", 0.0)))
     _get_int_in(flat, "sweep.workers", 1, MAX_WORKERS)  # read by cmd_simulate
-    oma_base_raw = flat["noma.oma_base"].strip()
-    oma_base = None
-    if oma_base_raw:
-        oma_base = _KIND_BY_NAME.get(oma_base_raw)
-        if oma_base is None:
-            raise ConfigError(f"noma.oma_base: unknown scheme {oma_base_raw!r}")
     try:
         return ExperimentConfig(
             geom=geom,
@@ -339,8 +308,6 @@ def build_experiment(flat):
             trials=_get_int_in(flat, "sweep.trials", 1, MAX_TRIALS),
             root_seed=seed,
             noise=noise,
-            include_oma=_get_bool(flat, "noma.include_oma"),
-            oma_base=oma_base,
             oma_time_share=oma_time_share,
         )
     except ValueError as exc:

@@ -72,8 +72,6 @@ class ExperimentConfig:
     trials: int = 100_000
     root_seed: int = 0
     noise: Optional[NoiseConfig] = None
-    include_oma: bool = True
-    oma_base: Optional[FeedbackKind] = None
     oma_time_share: int = 2
 
     def __post_init__(self):
@@ -91,30 +89,19 @@ class ExperimentConfig:
         for scheme in self.schemes:
             if scheme.theta_threshold is not None and scheme.theta_threshold > self.geom.half_fov + 1e-12:
                 raise ValueError("angle threshold cannot exceed the detector half FOV")
-        if self.include_oma and self.oma_base is not None:
-            if self.oma_base not in [s.kind for s in self.schemes]:
-                raise ValueError("oma_base must reference a configured scheme")
-
-    @property
-    def oma_kind(self):
-        """Scheme kind whose scheduled pairs the OMA baseline serves; None without a baseline."""
-        if not self.include_oma:
-            return None
-        return self.oma_base or self.schemes[0].kind
 
     @property
     def curves(self):
         """The output curves as (label, scheme kind served, gain thresholds at a linear SNR).
 
-        One NOMA curve per scheme, plus the OMA baseline on ``oma_kind``; both
-        engines sweep this one table.
+        One NOMA curve per scheme, plus the OMA baseline on the pairs that the
+        first listed scheme schedules; both engines sweep this one table.
         """
         targets, alloc = self.noma.targets, self.noma.alloc
         table = [(f"noma-{s.kind.value}", s.kind, lambda gamma: eta_thresholds(targets, alloc, gamma))
                  for s in self.schemes]
-        if self.oma_kind is not None:
-            table.append(("oma", self.oma_kind,
-                          lambda gamma: oma_gain_thresholds(targets, gamma, self.oma_time_share)))
+        table.append(("oma", self.schemes[0].kind,
+                      lambda gamma: oma_gain_thresholds(targets, gamma, self.oma_time_share)))
         return table
 
 

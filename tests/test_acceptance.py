@@ -99,7 +99,6 @@ def fig3_mc():
         config = ExperimentConfig(
             geom=GEOM, mobility=mobility(dphi), noma=NOMA, schemes=GROUP_SCHEMES,
             gamma_db_grid=GAMMA_GRID, trials=200_000, root_seed=2025,
-            oma_base=FeedbackKind.TWO_BIT_INSTANT,
         )
         curves[dphi] = run_sweep(config)
     return curves

@@ -29,10 +29,9 @@ def model_with(delta_phi_deg=25.0, scheme=None):
     return AnalyticModel(geom=GEOM, mobility=mob, scheme=scheme)
 
 
-def sweep(grid, *schemes, noma=NOMA, include_oma=True):
+def sweep(grid, *schemes, noma=NOMA):
     """Closed-form curves of the paper setup with ``schemes``; fails on any quadrature failure."""
-    config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=noma, schemes=schemes, gamma_db_grid=grid,
-                              include_oma=include_oma)
+    config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=noma, schemes=schemes, gamma_db_grid=grid)
     curves, failures = an.sum_rate_sweep(config, QuadratureConfig())
     assert not failures
     return curves
@@ -407,8 +406,8 @@ class TestMeanAngleRoute:
             assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / served.shape[0])
 
     def test_sweep_labels_and_conditioning(self):
-        curves = sweep((215.0,), FeedbackScheme(FeedbackKind.MEAN_ANGLE), include_oma=False)
-        assert set(curves) == {"noma-mean-angle"}
+        curves = sweep((215.0,), FeedbackScheme(FeedbackKind.MEAN_ANGLE))
+        assert set(curves) == {"noma-mean-angle", "oma"}
         point = curves["noma-mean-angle"][0]
         assert point.conditioning_rate == pytest.approx(an.nonzero_count_tail(an._mean_model(MODEL), 10))
         # the plateau keeps the zero-true-gain loss of both slots, over 1 bit/s/Hz
@@ -431,12 +430,12 @@ class TestSweep:
             assert noma_pt.sum_rate >= oma_pt.sum_rate - 1e-9
 
     def test_single_point_grid(self):
-        curves = sweep((170.0,), FeedbackScheme(FeedbackKind.FULL_CSI), include_oma=False)
+        curves = sweep((170.0,), FeedbackScheme(FeedbackKind.FULL_CSI))
         assert len(curves["noma-full-csi"]) == 1
 
     def test_group_sweep_conditioning_rate(self):
         scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH)
-        curves = sweep((170.0, 215.0), scheme, include_oma=False)
+        curves = sweep((170.0, 215.0), scheme)
         stats = an.group_probabilities(model_with(scheme=scheme))
         assert curves["noma-two-bit-instant"][0].conditioning_rate == pytest.approx(stats.both_nonempty)
 

@@ -78,7 +78,7 @@ class TestChannelGain:
         ell, m, area = geom.ell, geom.m, geom.detector_area
         expected = ((m + 1.0) * area / (2.0 * math.pi * (ell**2 + d**2))
                     * (ell / np.sqrt(ell**2 + d**2)) ** m * np.cos(theta))
-        assert np.allclose(h[inside], expected[inside], rtol=1e-12)
+        assert np.allclose(h[inside], expected[inside], rtol=1e-12, atol=0.0)
         assert np.all(h[~inside] == 0.0)
 
     def test_gain_bounded_by_peak(self, geom):

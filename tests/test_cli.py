@@ -184,6 +184,28 @@ class TestConfigLayer:
 
         assert read_config_file(path)["sweep.trials"] == "777"
 
+    @pytest.mark.parametrize("override", [
+        "noma.include_oma=true", "noma.oma_base=two-bit-instant", "noma.power_interpretation=amplitude",
+    ])
+    def test_removed_key_is_refused_as_unknown(self, monkeypatch, capsys, tmp_path, override):
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("the sweep must not start"))
+        assert run_cli("simulate", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
+        assert f"unknown config key {override.split('=')[0]!r}" in capsys.readouterr().err
+
+    def test_percent_in_config_file_is_refused_naming_the_key(self, monkeypatch, capsys, tmp_path):
+        # a value is its text: "%" starts no interpolation, so 150% is refused as a number
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("the sweep must not start"))
+        path = tmp_path / "run.ini"
+        path.write_text("[sweep]\ngamma_db = 150%\n")
+        assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")) == 1
+        assert "sweep.gamma_db" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_is_refused_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("[sweep]\n# d\xe9j\xe0 vu\ntrials = 10\n".encode("latin-1"))
+        assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")) == 1
+        assert str(path) in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_csv_schema_and_manifest(self, tmp_path):
@@ -343,6 +365,13 @@ class TestPlotCommand:
         empty = tmp_path / "empty.csv"
         empty.write_text("scheme,gamma_db,sum_rate,ci_halfwidth,outage_weak,outage_strong,conditioning_rate\n")
         assert run_cli("plot", str(empty), "--out", str(tmp_path / "p.py")) == 1
+
+    def test_rejects_csv_not_utf8_naming_the_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("scheme,gamma_db,sum_rate,ci_halfwidth,outage_weak,outage_strong,conditioning_rate\n"
+                        "noma-\xe9,180,1,0,0,0,1\n".encode("latin-1"))
+        assert run_cli("plot", str(bad), "--out", str(tmp_path / "p.py")) == 1
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestValidateCommand:

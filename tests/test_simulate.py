@@ -239,10 +239,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(rank_strong=21)
 
-    def test_oma_base_must_be_configured(self):
-        with pytest.raises(ValueError):
-            make_config(oma_base=FeedbackKind.TWO_BIT_INSTANT)
-
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             NoiseConfig(sigma_d=-0.1, sigma_phi=0.0)
