@@ -184,14 +184,6 @@ class TestConfigLayer:
 
         assert read_config_file(path)["sweep.trials"] == "777"
 
-    @pytest.mark.parametrize("override", [
-        "noma.include_oma=true", "noma.oma_base=two-bit-instant", "noma.power_interpretation=amplitude",
-    ])
-    def test_removed_key_is_refused_as_unknown(self, monkeypatch, capsys, tmp_path, override):
-        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("the sweep must not start"))
-        assert run_cli("simulate", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
-        assert f"unknown config key {override.split('=')[0]!r}" in capsys.readouterr().err
-
     def test_percent_in_config_file_is_refused_naming_the_key(self, monkeypatch, capsys, tmp_path):
         # a value is its text: "%" starts no interpolation, so 150% is refused as a number
         monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("the sweep must not start"))
