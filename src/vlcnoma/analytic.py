@@ -471,11 +471,9 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
         return _integral(mean, lambda r: inner(r, panels), lo, hi, (theta,), level=threshold, caps=(theta,))
 
     num, num_err = outer(_MEAN_PANELS)
-    if not with_error:
-        return clamp(num / (den * span), 0.0, 1.0)
     coarse, _ = outer(_MEAN_PANELS // 2)
     value, err = _share((num, num_err + abs(num - coarse)), (den * span, den_err * span))
-    return value, err + variation * cdf_err
+    return _result(value, err + variation * cdf_err, with_error)
 
 
 # ---------------------------------------------------------------------------
@@ -522,24 +520,14 @@ def group_gain_cdf_mean(model, x, role, with_error=False):
     return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_MEAN,)), with_error)
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    """Per-user membership probabilities and the both-groups-formed probability."""
-
-    p_weak: float
-    p_strong: float
-    both_nonempty: float
-
-
-def group_probabilities(model):
-    """Membership probabilities of the weak/strong groups of the model's two-bit scheme."""
+def both_groups_probability(model):
+    """Probability that both groups of the model's two-bit scheme have a member among the K users."""
     scheme = _require_group_scheme(model, TWO_BIT_KINDS)
     report, mob, th = _report_model(model), model.mobility, scheme.theta_threshold
     p_w = _band_mass(report, th, math.pi, scheme.d_threshold, mob.d_max)[0] / mob.d_span
     p_s = _band_mass(report, 0.0, th, mob.d_min, scheme.d_threshold)[0] / mob.d_span
     K = mob.num_users
-    both = 1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K
-    return GroupStats(p_weak=p_w, p_strong=p_s, both_nonempty=clamp(both, 0.0, 1.0))
+    return clamp(1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K, 0.0, 1.0)
 
 
 def group_success_probability(model, threshold, role, with_error=False):
@@ -590,7 +578,7 @@ def _ranked_route(model, kind, rank_weak, rank_strong):
 
 
 def _group_route(model, kind, rank_weak, rank_strong):
-    return group_probabilities(model).both_nonempty, lambda thr: group_outage(model, thr)
+    return both_groups_probability(model), lambda thr: group_outage(model, thr)
 
 
 # the scheme kinds with a closed-form route; each route returns

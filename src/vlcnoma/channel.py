@@ -78,11 +78,6 @@ class LedGeometry:
         """h_c^2 = (m+1) * A_r * ell^m / (2*pi), the distance-free part of g(d)."""
         return (self.m + 1.0) * self.detector_area * self.ell**self.m / TWO_PI
 
-    @property
-    def peak_gain(self):
-        """Gain ceiling (m+1)*A_r/(2*pi*ell^2), attained under the LED at theta = 0."""
-        return (self.m + 1.0) * self.detector_area / (TWO_PI * self.ell**2)
-
     def gain_factor(self, d):
         """FOV-independent factor g(d) so that h = g(d)*cos(theta) inside the FOV."""
         return self.channel_constant / (self.ell**2 + np.asarray(d, float) ** 2) ** ((self.m + 2.0) / 2.0)
@@ -91,10 +86,7 @@ class LedGeometry:
 def channel_gain(geom, d, phi):
     """Instantaneous DC channel gain; exactly 0 outside the FOV.  Array friendly."""
     theta = incidence_angle(d, phi, geom.ell)
-    h = geom.gain_factor(d) * np.cos(theta) * (np.abs(theta) <= geom.half_fov)
-    if h.ndim == 0:
-        return float(h)
-    return h
+    return geom.gain_factor(d) * np.cos(theta) * (np.abs(theta) <= geom.half_fov)
 
 
 def mean_channel_gain(geom, d, mean_phi):

@@ -186,6 +186,8 @@ def cmd_analytic(args):
 
 
 def cmd_validate(args):
+    if args.out:  # made before the checks run, so the report is not lost at the end
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     results = run_validation(quick=args.quick)
     for result in results:
         print(result.line())

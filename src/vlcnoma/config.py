@@ -46,7 +46,6 @@ DEFAULTS = {
     "noma.power_strong": "0.015625",
     "noma.rate_weak": "2.0",
     "noma.rate_strong": "10.0",
-    "noma.oma_time_share": "2",
     "schemes.list": "full-csi",
     "schemes.d_threshold_coeff": "0.1",
     "schemes.theta_threshold_coeff": "0.1",
@@ -266,17 +265,14 @@ def build_experiment(flat):
                   share_strong=_get_float(flat, "noma.power_strong"))
     targets = _make("noma", TargetRates, rate_weak=_get_float(flat, "noma.rate_weak"),
                     rate_strong=_get_float(flat, "noma.rate_strong"))
-    oma_time_share = _get_int(flat, "noma.oma_time_share")
-    if oma_time_share < 1:
-        raise ConfigError(f"noma.oma_time_share: must be at least 1, got {oma_time_share}")
     for key, rate in (("noma.rate_weak", targets.rate_weak), ("noma.rate_strong", targets.rate_strong)):
-        # the OMA threshold at time_share * rate bounds the NOMA thresholds too
+        # OMA serves each user half of the frame at twice its rate; that threshold bounds the NOMA ones too
         try:
-            eps = epsilon_threshold(oma_time_share * rate)
+            eps = epsilon_threshold(2.0 * rate)
         except OverflowError:
             eps = math.inf
         if not math.isfinite(eps):
-            raise ConfigError(f"{key}: {rate} with noma.oma_time_share={oma_time_share} overflows the SINR threshold")
+            raise ConfigError(f"{key}: {rate} overflows the SINR threshold of the OMA rate 2 x {rate}")
     try:
         eta_thresholds(targets, alloc, 1.0)  # whether the split can serve the weak rate does not depend on the SNR
     except InfeasibleAllocationError as exc:
@@ -308,7 +304,6 @@ def build_experiment(flat):
             trials=_get_int_in(flat, "sweep.trials", 1, MAX_TRIALS),
             root_seed=seed,
             noise=noise,
-            oma_time_share=oma_time_share,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

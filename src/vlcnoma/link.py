@@ -1,4 +1,4 @@
-"""SINR, rate, threshold and sum-rate arithmetic for a two-user NOMA pair plus OMA.
+"""SINR thresholds, gain thresholds and sum-rate arithmetic for a two-user NOMA pair plus OMA.
 
 Power-domain superposition with successive interference cancellation: the
 stronger user first decodes the weaker user's message (cross SINR), removes it,
@@ -49,11 +49,6 @@ def epsilon_threshold(target_rate):
     return (2.0 ** (2.0 * target_rate) - 1.0) / RATE_SCALE
 
 
-def rate_from_sinr(sinr):
-    """Achievable spectral efficiency 1/2 * log2(1 + (e/2pi)*sinr)."""
-    return 0.5 * np.log2(1.0 + RATE_SCALE * np.asarray(sinr, float))
-
-
 @dataclass(frozen=True)
 class TargetRates:
     """Per-user QoS target rates [bit/s/Hz]; SINR thresholds derive from them."""
@@ -73,11 +68,6 @@ class TargetRates:
     def eps_strong(self):
         return epsilon_threshold(self.rate_strong)
 
-    @property
-    def ceiling(self):
-        """Sum rate when neither user is in outage."""
-        return self.rate_weak + self.rate_strong
-
 
 @dataclass(frozen=True)
 class NomaConfig:
@@ -93,28 +83,6 @@ class GainThresholds:
 
     eta_weak: float
     eta_strong: float
-
-
-def sinr_cross(h_strong_sq, alloc, gamma):
-    """SINR at the strong user while decoding the weak user's message."""
-    if gamma <= 0.0:
-        raise ValueError("transmit SNR must be positive")
-    h_sq = np.asarray(h_strong_sq, float)
-    return h_sq * alloc.share_weak / (h_sq * alloc.share_strong + 1.0 / gamma)
-
-
-def sinr_own(h_sq, alloc, gamma, is_strongest):
-    """SINR of a user decoding its own message.
-
-    The strongest user has cancelled all interference; the weak user sees the
-    strong user's share as interference (identical to the cross SINR for L=2).
-    """
-    if gamma <= 0.0:
-        raise ValueError("transmit SNR must be positive")
-    h_sq = np.asarray(h_sq, float)
-    if is_strongest:
-        return h_sq * alloc.share_strong * gamma
-    return sinr_cross(h_sq, alloc, gamma)
 
 
 def eta_thresholds(targets, alloc, gamma):
@@ -133,11 +101,8 @@ def eta_thresholds(targets, alloc, gamma):
 
 def noma_pair_outcome(h_weak_sq, h_strong_sq, thresholds):
     """(weak_in_outage, strong_in_outage); success requires strictly exceeding eta."""
-    weak_out = np.asarray(h_weak_sq, float) <= thresholds.eta_weak
-    strong_out = np.asarray(h_strong_sq, float) <= thresholds.eta_strong
-    if weak_out.ndim == 0:
-        return bool(weak_out), bool(strong_out)
-    return weak_out, strong_out
+    return (np.asarray(h_weak_sq, float) <= thresholds.eta_weak,
+            np.asarray(h_strong_sq, float) <= thresholds.eta_strong)
 
 
 def noma_sum_rate(outage_probs, targets):
@@ -160,19 +125,18 @@ class CurvePoint:
     conditioning_rate: float
 
 
-def oma_gain_thresholds(targets, gamma, time_share=2):
+def oma_gain_thresholds(targets, gamma):
     """Squared-gain outage thresholds for the OMA baseline.
 
-    Each user holds the channel alone for 1/time_share of the frame, so meeting
-    the target overall requires rate time_share*Rt while active:
-    h^2 > epsilon_threshold(time_share*Rt)/gamma.  time_share=1 recovers the
-    uncompensated single-user threshold.
+    The two users of the pair each hold the channel alone for half of the
+    frame, so meeting the target overall requires rate 2*Rt while active:
+    h^2 > epsilon_threshold(2*Rt)/gamma.
     """
     if gamma <= 0.0:
         raise ValueError("transmit SNR must be positive")
     return GainThresholds(
-        eta_weak=epsilon_threshold(time_share * targets.rate_weak) / gamma,
-        eta_strong=epsilon_threshold(time_share * targets.rate_strong) / gamma,
+        eta_weak=epsilon_threshold(2.0 * targets.rate_weak) / gamma,
+        eta_strong=epsilon_threshold(2.0 * targets.rate_strong) / gamma,
     )
 
 

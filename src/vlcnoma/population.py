@@ -84,13 +84,9 @@ def conditional_phi_cdf(mean_phi, delta_phi, x):
     """
     x = np.asarray(x, float)
     if delta_phi == 0.0:
-        out = (x >= mean_phi).astype(float)
-    else:
-        # np.minimum/np.maximum give np.clip's values without its dispatch overhead
-        out = np.minimum(np.maximum((x - (mean_phi - delta_phi)) / (2.0 * delta_phi), 0.0), 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return (x >= mean_phi).astype(float)
+    # np.minimum/np.maximum give np.clip's values without its dispatch overhead
+    return np.minimum(np.maximum((x - (mean_phi - delta_phi)) / (2.0 * delta_phi), 0.0), 1.0)
 
 
 def deviation_cdf_integral(t, half_width):

@@ -34,11 +34,6 @@ def __getattr__(name):
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message, value, error_estimate):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -80,8 +75,5 @@ def integrate_adaptive(f, a, b, config, breakpoints=()):
     bound = max(config.abs_tol, config.rel_tol * abs(value))
     if message and err > max(bound * 100.0, 1e-7):
         raise QuadratureError(
-            f"quadrature did not converge: estimate {err:.3e} for value {value:.6e} ({message[0]})",
-            value,
-            err,
-        )
+            f"quadrature did not converge: estimate {err:.3e} for value {value:.6e} ({message[0]})")
     return value, err

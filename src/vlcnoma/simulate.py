@@ -72,7 +72,6 @@ class ExperimentConfig:
     trials: int = 100_000
     root_seed: int = 0
     noise: Optional[NoiseConfig] = None
-    oma_time_share: int = 2
 
     def __post_init__(self):
         if self.trials < 1:
@@ -100,8 +99,7 @@ class ExperimentConfig:
         targets, alloc = self.noma.targets, self.noma.alloc
         table = [(f"noma-{s.kind.value}", s.kind, lambda gamma: eta_thresholds(targets, alloc, gamma))
                  for s in self.schemes]
-        table.append(("oma", self.schemes[0].kind,
-                      lambda gamma: oma_gain_thresholds(targets, gamma, self.oma_time_share)))
+        table.append(("oma", self.schemes[0].kind, lambda gamma: oma_gain_thresholds(targets, gamma)))
         return table
 
 
@@ -255,10 +253,7 @@ class EmpiricalCdf:
         self.n = samples.size
 
     def __call__(self, x):
-        out = np.searchsorted(self.sorted, np.asarray(x, float), side="right") / self.n
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return np.searchsorted(self.sorted, np.asarray(x, float), side="right") / self.n
 
     def sup_distance(self, cdf, num_points=1000):
         """Max |ECDF - cdf| over a quantile grid of evaluation points.

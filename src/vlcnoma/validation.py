@@ -253,7 +253,7 @@ def check_group_conditioning(sizes, rng, delta_phi_deg=25.0):
     weak = (d > scheme.d_threshold) & (np.abs(theta) > scheme.theta_threshold)
     strong = (d <= scheme.d_threshold) & (np.abs(theta) <= scheme.theta_threshold)
     frac = float((weak.any(axis=1) & strong.any(axis=1)).mean())
-    return _frequency_check("group-conditioning-rate", frac, an.group_probabilities(model).both_nonempty, n, f"n={n}")
+    return _frequency_check("group-conditioning-rate", frac, an.both_groups_probability(model), n, f"n={n}")
 
 
 def check_outage_individual(sizes, rng, gamma_db=(160.0, 185.0)):

@@ -10,19 +10,12 @@ import time
 
 import numpy as np
 import pytest
+from test_link import sic_success
 
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain
-from vlcnoma.link import (
-    NomaConfig,
-    PowerAllocation,
-    TargetRates,
-    eta_thresholds,
-    rate_from_sinr,
-    sinr_cross,
-    sinr_own,
-)
+from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
 from vlcnoma.population import MobilityConfig, sample_user_arrays
 from vlcnoma.quadrature import QuadratureConfig
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
@@ -257,6 +250,23 @@ class TestA7GroupRobustness:
             f"|SchemeI(0)-SchemeI(25)|={diff_orientation:.3f}; SchemeI-SchemeII@25={degradation:+.3f}",
         )
 
+    def test_two_bit_outperforms_one_bit(self, fig3_mc):
+        # The paper: two-bit feedback "significantly outperforms" one-bit feedback.
+        # Sum rates are conditional on both groups being formed, so the
+        # conditioning rates are printed with them.  Gaps at seed 2025 are
+        # 2.74 bit/s/Hz or more, against CIs of 0.024 or less; the bound of
+        # 1.0 is 36 % of the smallest gap.
+        gaps, parts = [], []
+        for dphi in (0.0, 25.0):
+            one_bit = fig3_mc[dphi]["noma-one-bit"][-1]
+            for label in ("noma-two-bit-instant", "noma-two-bit-mean"):
+                two_bit = fig3_mc[dphi][label][-1]
+                gaps.append(two_bit.sum_rate - one_bit.sum_rate)
+                parts.append(f"dphi={dphi:g} {label[5:]} {two_bit.sum_rate:.3f} (cond {two_bit.conditioning_rate:.3f}) "
+                             f"vs one-bit {one_bit.sum_rate:.3f} (cond {one_bit.conditioning_rate:.3f})")
+        report("A7 two-bit plateaus exceed one-bit by >= 1.0 bit/s/Hz", min(gaps) >= 1.0,
+               f"smallest gap {min(gaps):.3f}; " + "; ".join(parts))
+
 
 class TestA8NoisyEstimates:
     def test_a8(self, fig4_mc):
@@ -277,21 +287,13 @@ class TestA9EtaReductionOracle:
         h_w = 10.0 ** rng.uniform(-16.0, -9.0, n)
         h_s = 10.0 ** rng.uniform(-16.0, -9.0, n)
         gammas = 10.0 ** rng.uniform(12.0, 22.0, n)
-        # put a slice of tuples right at the thresholds to exercise boundaries
         alloc, targets = NOMA.alloc, NOMA.targets
-        mismatches = 0
-        for i in range(n):
-            gamma = float(gammas[i])
-            thr = eta_thresholds(targets, alloc, gamma)
-            weak_out = h_w[i] <= thr.eta_weak
-            strong_out = h_s[i] <= thr.eta_strong
-            # independent oracle: the SIC rate conditions evaluated directly
-            weak_ok = rate_from_sinr(sinr_own(h_w[i], alloc, gamma, is_strongest=False)) > targets.rate_weak
-            strong_ok = (
-                rate_from_sinr(sinr_cross(h_s[i], alloc, gamma)) > targets.rate_weak
-                and rate_from_sinr(sinr_own(h_s[i], alloc, gamma, is_strongest=True)) > targets.rate_strong
-            )
-            mismatches += int(weak_out != (not weak_ok)) + int(strong_out != (not strong_ok))
+        thresholds = [eta_thresholds(targets, alloc, float(gamma)) for gamma in gammas]
+        weak_out = h_w <= np.array([thr.eta_weak for thr in thresholds])
+        strong_out = h_s <= np.array([thr.eta_strong for thr in thresholds])
+        # independent oracle: the SIC rate conditions evaluated directly
+        weak_ok, strong_ok = sic_success(h_w, h_s, alloc, targets, gammas)
+        mismatches = int(np.count_nonzero(weak_out == weak_ok) + np.count_nonzero(strong_out == strong_ok))
         report("A9 gain-threshold reduction vs direct rate conditions", mismatches == 0, f"{mismatches} mismatches in {n} tuples")
 
 

@@ -303,24 +303,33 @@ class TestMeanBand:
         assert inside == pytest.approx(an.fov_probability(model, r, y), abs=1e-12)
 
 
+def membership_probabilities(model):
+    """(weak, strong) per-user membership probabilities of the model's two-bit groups, from the band masses."""
+    scheme, mob = model.scheme, model.mobility
+    th, d_th = scheme.theta_threshold, scheme.d_threshold
+    p_w = an._band_mass(model, th, math.pi, d_th, mob.d_max)[0] / mob.d_span
+    p_s = an._band_mass(model, 0.0, th, mob.d_min, d_th)[0] / mob.d_span
+    return p_w, p_s
+
+
 class TestGroupProbabilities:
     def test_strong_membership_plateau_value(self):
         # 10 deg window inside the flat part of the angle law: 0.1 * 10/130
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        stats = an.group_probabilities(mi)
-        assert stats.p_strong == pytest.approx(0.1 * 10.0 / 130.0, rel=1e-6)
+        _, p_strong = membership_probabilities(mi)
+        assert p_strong == pytest.approx(0.1 * 10.0 / 130.0, rel=1e-6)
 
     def test_membership_monte_carlo(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        stats = an.group_probabilities(mi)
+        p_weak, p_strong = membership_probabilities(mi)
         rng = np.random.default_rng(4)
         n = 500_000
         d, _, phi = sample_user_arrays(MOB, rng, n)
         theta = incidence_angle(d, phi, GEOM.ell)
         w = ((d > 1.0) & (np.abs(theta) > THETA_TH)).mean()
         s = ((d <= 1.0) & (np.abs(theta) <= THETA_TH)).mean()
-        assert abs(w - stats.p_weak) <= 3.0 * math.sqrt(stats.p_weak * (1 - stats.p_weak) / n)
-        assert abs(s - stats.p_strong) <= 3.0 * math.sqrt(stats.p_strong * (1 - stats.p_strong) / n)
+        assert abs(w - p_weak) <= 3.0 * math.sqrt(p_weak * (1 - p_weak) / n)
+        assert abs(s - p_strong) <= 3.0 * math.sqrt(p_strong * (1 - p_strong) / n)
 
 
 def thresholds(gamma):
@@ -436,8 +445,8 @@ class TestSweep:
     def test_group_sweep_conditioning_rate(self):
         scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH)
         curves = sweep((170.0, 215.0), scheme)
-        stats = an.group_probabilities(model_with(scheme=scheme))
-        assert curves["noma-two-bit-instant"][0].conditioning_rate == pytest.approx(stats.both_nonempty)
+        both = an.both_groups_probability(model_with(scheme=scheme))
+        assert curves["noma-two-bit-instant"][0].conditioning_rate == pytest.approx(both)
 
     def test_unknown_strategy(self):
         # a kind without a closed-form route is left out, and so is the OMA curve it serves

@@ -70,7 +70,7 @@ def cases():
         for scheme in ("paper", "wide"):
             for name, model in zip(("instant", "mean"), _group_models(geom, mob, scheme)):
                 add("group_probabilities", f"{scheme}|{name}",
-                    lambda m=model: tuple(vars(an.group_probabilities(m)).values()))
+                    lambda m=model: an.both_groups_probability(m))
         for use_mean, law in ((False, base), (True, an._mean_model(base))):
             add("nonzero", f"p|use_mean={use_mean}",
                 lambda m=law: an.nonzero_gain_probability(m, with_error=True))
@@ -215,10 +215,10 @@ PINNED = {
     'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c2208a6155p-1', '0x1.fe5236c1a0452p-18'),
     'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7baad076e6de2p-29', '0x1.41fd4b6526726p-17'),
     'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fbc6113a90p-1', '0x1.03ce3a15da227p-17'),
-    'group_probabilities|dphi=0|paper|instant': ('0x1.b333333333333p-1', '0x1.6c16c16c16c1ap-8', '0x1.afdf99fe10421p-4'),
-    'group_probabilities|dphi=0|paper|mean': ('0x1.b333333333333p-1', '0x1.6c16c16c16c1ap-8', '0x1.afdf99fe10421p-4'),
-    'group_probabilities|dphi=0|wide|instant': ('0x1.d7907502f8f2ep-2', '0x1.c71c71c71c71bp-4', '0x1.cf71c47933453p-1'),
-    'group_probabilities|dphi=0|wide|mean': ('0x1.d7907502f8f2ep-2', '0x1.c71c71c71c71bp-4', '0x1.cf71c47933453p-1'),
+    'group_probabilities|dphi=0|paper|instant': ('0x1.afdf99fe10421p-4',),
+    'group_probabilities|dphi=0|paper|mean': ('0x1.afdf99fe10421p-4',),
+    'group_probabilities|dphi=0|wide|instant': ('0x1.cf71c47933453p-1',),
+    'group_probabilities|dphi=0|wide|mean': ('0x1.cf71c47933453p-1',),
     'nonzero|dphi=0|p|use_mean=False': ('0x1.b59bd6da10a0ap-2', '0x1.b8ba7a69d95c8p-39'),
     'nonzero|dphi=0|tail|use_mean=False|k_min=0': ('0x1.0000000000000p+0',),
     'nonzero|dphi=0|tail|use_mean=False|k_min=1': ('0x1.fffe1d7f1dad8p-1',),
@@ -367,10 +367,10 @@ PINNED = {
     'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d4cb032f2p-1', '0x1.fcd6ce2c3474ap-21'),
     'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef354972532p-23', '0x1.3df1c7a6b4f92p-20'),
     'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef42c009cf8p-1', '0x1.02e56e5bbb3dfp-20'),
-    'group_probabilities|dphi=25|paper|instant': ('0x1.bb8cf871c51ddp-1', '0x1.f81f81f81f823p-8', '0x1.2514b2d624bb8p-3'),
-    'group_probabilities|dphi=25|paper|mean': ('0x1.bf99ae4f20f3ap-1', '0x1.f81f81f81f823p-8', '0x1.2514b2d624bb8p-3'),
-    'group_probabilities|dphi=25|wide|instant': ('0x1.0953deb66f9c6p-1', '0x1.fc4a3b58a9f45p-4', '0x1.dbd2f1fed3073p-1'),
-    'group_probabilities|dphi=25|wide|mean': ('0x1.0b4da2d76cddbp-1', '0x1.088f7400772bap-3', '0x1.dfcd10d84adb0p-1'),
+    'group_probabilities|dphi=25|paper|instant': ('0x1.2514b2d624bb8p-3',),
+    'group_probabilities|dphi=25|paper|mean': ('0x1.2514b2d624bb8p-3',),
+    'group_probabilities|dphi=25|wide|instant': ('0x1.dbd2f1fed3073p-1',),
+    'group_probabilities|dphi=25|wide|mean': ('0x1.dfcd10d84adb0p-1',),
     'nonzero|dphi=25|p|use_mean=False': ('0x1.aac78f90f1078p-2', '0x1.311b7b5779f07p-38'),
     'nonzero|dphi=25|tail|use_mean=False|k_min=0': ('0x1.0000000000000p+0',),
     'nonzero|dphi=25|tail|use_mean=False|k_min=1': ('0x1.fffd48439e218p-1',),

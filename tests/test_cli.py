@@ -16,7 +16,7 @@ from vlcnoma.config import (
     parse_overrides,
     resolve_groups,
 )
-from vlcnoma.validation import ValidationSizes, check_individual_cdfs
+from vlcnoma.validation import CheckResult, ValidationSizes, check_individual_cdfs
 
 
 # every config key read as a number with a fraction
@@ -92,9 +92,8 @@ class TestConfigLayer:
         ("schemes.d_threshold_coeff", "2"), ("schemes.d_threshold_coeff", "-0.5"),
         ("schemes.theta_threshold_coeff", "0"), ("schemes.theta_threshold_coeff", "1.01"),
         ("schemes.theta_threshold_coeff", "5"),
-        ("noma.oma_time_share", "0"), ("noma.oma_time_share", "-1"),
-        # 2^(2 * time share * rate) overflows a float
-        ("noma.oma_time_share", "1000"), ("noma.rate_strong", "1000"), ("noma.rate_weak", "256"),
+        # 2^(2 * 2 * rate), the SINR threshold of the OMA rate, overflows a float
+        ("noma.rate_strong", "1000"), ("noma.rate_weak", "256"),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -102,18 +101,31 @@ class TestConfigLayer:
 
     def test_range_ends_that_are_accepted(self):
         flat = merge({"schemes.list": "two-bit-instant", "schemes.theta_threshold_coeff": "1",
-                      "schemes.d_threshold_coeff": "0.99", "noma.oma_time_share": "1"})
+                      "schemes.d_threshold_coeff": "0.99"})
         config = build_experiment(flat)
         assert config.schemes[0].theta_threshold == config.geom.half_fov
         assert config.schemes[0].d_threshold == pytest.approx(9.9)
-        assert config.oma_time_share == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_removed_key_exits_1_naming_it(self, monkeypatch, capsys, tmp_path, source, command):
+        # OMA always splits its frame between the two users of the pair; the share is no longer a key
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        monkeypatch.setattr(cli, "sum_rate_sweep", never)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[noma]\noma_time_share = 2\n")
+        argv = ("--set", "noma.oma_time_share=2") if source == "set" else ("--config", str(ini))
+        assert run_cli(command, *argv, "--out", str(tmp_path / "x.csv")) == 1
+        assert "noma.oma_time_share" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     @pytest.mark.parametrize("override", [
-        "geometry.ell_m=inf", "noma.rate_weak=nan", "noise.sigma_d_m=nan", "noma.oma_time_share=-1",
-        "noma.oma_time_share=1000", "noma.rate_strong=1000", "schemes.d_threshold_coeff=2",
-        "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5", "sweep.seed=-1",
-        "strategy.rank_weak=0", "strategy.rank_strong=50",
+        "geometry.ell_m=inf", "noma.rate_weak=nan", "noise.sigma_d_m=nan", "noma.rate_strong=1000",
+        "schemes.d_threshold_coeff=2", "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5",
+        "sweep.seed=-1", "strategy.rank_weak=0", "strategy.rank_strong=50",
     ])
     def test_refusal_exits_1_naming_the_key(self, monkeypatch, capsys, tmp_path, command, override):
         def never(*args, **kwargs):
@@ -291,7 +303,7 @@ class TestAnalyticCommand:
         from vlcnoma.quadrature import QuadratureError
 
         def failing(*args, **kwargs):
-            raise QuadratureError("forced failure", math.nan, math.inf)
+            raise QuadratureError("forced failure")
 
         monkeypatch.setattr(analytic, "mean_angle_success_probability", failing)
         out = tmp_path / "an.csv"
@@ -402,6 +414,12 @@ class TestCommandFlags:
         # refused while parsing, before any configuration is read or work starts
         assert run_cli(*argv) == 1
         assert argv[1] in capsys.readouterr().err
+
+    def test_validate_out_makes_the_missing_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "run_validation", lambda quick: [CheckResult("stub", True, 0.0, 1.0)])
+        out = tmp_path / "nodir" / "sub" / "r.json"
+        assert run_cli("validate", "--quick", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["checks"][0]["name"] == "stub"
 
     @pytest.mark.parametrize("command", ["simulate", "analytic", "validate"])
     def test_every_command_accepts_seed(self, command):
