@@ -92,6 +92,8 @@ class TestConfigLayer:
         ("schemes.d_threshold_coeff", "2"), ("schemes.d_threshold_coeff", "-0.5"),
         ("schemes.theta_threshold_coeff", "0"), ("schemes.theta_threshold_coeff", "1.01"),
         ("schemes.theta_threshold_coeff", "5"),
+        # the removed OMA time-share key is refused by name whatever its value
+        ("noma.oma_time_share", "0"), ("noma.oma_time_share", "-1"), ("noma.oma_time_share", "1000"),
         # 2^(2 * 2 * rate), the SINR threshold of the OMA rate, overflows a float
         ("noma.rate_strong", "1000"), ("noma.rate_weak", "256"),
     ])
@@ -123,9 +125,10 @@ class TestConfigLayer:
 
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     @pytest.mark.parametrize("override", [
-        "geometry.ell_m=inf", "noma.rate_weak=nan", "noise.sigma_d_m=nan", "noma.rate_strong=1000",
-        "schemes.d_threshold_coeff=2", "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5",
-        "sweep.seed=-1", "strategy.rank_weak=0", "strategy.rank_strong=50",
+        "geometry.ell_m=inf", "noma.rate_weak=nan", "noise.sigma_d_m=nan", "noma.oma_time_share=-1",
+        "noma.oma_time_share=1000", "noma.rate_strong=1000", "schemes.d_threshold_coeff=2",
+        "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5", "sweep.seed=-1",
+        "strategy.rank_weak=0", "strategy.rank_strong=50",
     ])
     def test_refusal_exits_1_naming_the_key(self, monkeypatch, capsys, tmp_path, command, override):
         def never(*args, **kwargs):
