@@ -24,6 +24,10 @@ whose squared gain exceeds x is one integral ``_mass_above``.  Each CDF is
 mean reports the average over the mean angle is closed form (``_mean_band``).
 The nonzero-gain count is Binomial(K, p); order statistics of the scheduled
 ranks mix the per-user CDF over a truncated Binomial count.
+
+Every closed-form probability and CDF returns (value, propagated quadrature
+error estimate).  ``ROUTES[kind](model, rank_weak, rank_strong)`` gives one
+scheme kind's conditioning rate and outage pair, on a model of that kind's scheme.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ WEAK, STRONG = "weak", "strong"
 
 @dataclass(frozen=True)
 class AnalyticModel:
-    """Geometry, mobility and (optionally) a group feedback scheme plus quadrature config."""
+    """Geometry, mobility and (optionally) a feedback scheme plus quadrature config."""
 
     geom: LedGeometry
     mobility: MobilityConfig
@@ -93,10 +97,6 @@ def gain_boundary_distance(geom, x, cos_sq_scale=1.0):
     if t <= 0.0:
         return 0.0
     return math.sqrt(t)
-
-
-def _result(value, err, with_error):
-    return (value, err) if with_error else value
 
 
 @lru_cache(maxsize=None)
@@ -245,17 +245,17 @@ def _mass_above(model, x, inner, outer, lo, hi):
 # ---------------------------------------------------------------------------
 
 
-def nonzero_gain_probability(model, with_error=False):
-    """Probability that a single user's channel gain is nonzero."""
+def nonzero_gain_probability(model):
+    """Probability that a single user's channel gain is nonzero, with its error."""
     value, err = _fov_normalizer(model)
-    return _result(clamp(value / model.mobility.d_span, 0.0, 1.0), err / model.mobility.d_span, with_error)
+    return clamp(value / model.mobility.d_span, 0.0, 1.0), err / model.mobility.d_span
 
 
 def nonzero_count_tail(model, k_min):
     """Pr(at least k_min users have nonzero gain)."""
     from scipy.stats import binom
 
-    p = nonzero_gain_probability(model)
+    p = nonzero_gain_probability(model)[0]
     return float(binom.sf(k_min - 1, model.mobility.num_users, p))
 
 
@@ -264,7 +264,7 @@ def _count_weights(model, n, k_min):
     from scipy.stats import binom
 
     K = model.mobility.num_users
-    p = nonzero_gain_probability(model)
+    p = nonzero_gain_probability(model)[0]
     return binom.pmf(n, K, p) / binom.sf(k_min - 1, K, p)
 
 
@@ -289,25 +289,25 @@ def _share(num, den):
     return clamp(q, 0.0, 1.0), (num[1] + q * den[1]) / den[0]
 
 
-def _cdf(model, x, inner, outer, lo, hi, with_error):
-    """Squared-gain CDF of the users reported in a band with a nonzero report gain.
+def _cdf(model, x, inner, outer, lo, hi):
+    """Squared-gain CDF of the users reported in a band with a nonzero report gain, with its error.
 
     1 - (mass above x) / (members), both over the band within the FOV.
     """
     band = (inner, min(outer, model.geom.half_fov), lo, hi)
     members = _members(model, *band)
     if x < 0.0:
-        return _result(0.0, 0.0, with_error)
+        return 0.0, 0.0
     q, err = _share(_mass_above(model, x, *band), members)
-    return _result(1.0 - q, err, with_error)
+    return 1.0 - q, err
 
 
-def unordered_gain_cdf(model, x, with_error=False):
-    """CDF of the squared gain of one user conditioned on the gain being nonzero.
+def unordered_gain_cdf(model, x):
+    """CDF of the squared gain of one user conditioned on the gain being nonzero, with its error.
 
     On ``_mean_model(model)`` this is the law of the mean-angle feedback report.
     """
-    return _cdf(model, x, 0.0, math.pi, model.mobility.d_min, model.mobility.d_max, with_error)
+    return _cdf(model, x, 0.0, math.pi, model.mobility.d_min, model.mobility.d_max)
 
 
 def _check_rank(model, rank, min_count):
@@ -318,8 +318,8 @@ def _check_rank(model, rank, min_count):
         raise ValueError("min_count must lie in [rank, K]")
 
 
-def ordered_gain_cdf(model, x, rank, min_count, with_error=False):
-    """CDF of the rank-th smallest nonzero squared gain, given at least min_count nonzero users.
+def ordered_gain_cdf(model, x, rank, min_count):
+    """CDF of the rank-th smallest nonzero squared gain, given at least min_count nonzero users, with its error.
 
     Mixture over the truncated Binomial count n of the probability that at
     least ``rank`` of n independent nonzero gains fall at or below x.
@@ -328,12 +328,12 @@ def ordered_gain_cdf(model, x, rank, min_count, with_error=False):
 
     _check_rank(model, rank, min_count)
     K = model.mobility.num_users
-    u, u_err = unordered_gain_cdf(model, x, with_error=True)
+    u, u_err = unordered_gain_cdf(model, x)
     n = np.arange(min_count, K + 1)
     orders = binom.sf(rank - 1, n, u)
     value = float(np.clip(np.sum(_count_weights(model, n, min_count) * orders), 0.0, 1.0))
     # |d/du of the binomial tail| <= n <= K bounds the error amplification
-    return _result(value, K * u_err, with_error)
+    return value, K * u_err
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ def _mean_gain_cdf_table(model):
     hi = math.log(float(geom.gain_factor(mob.d_min)) ** 2)
 
     def exact(levels):
-        pairs = [unordered_gain_cdf(mean, math.exp(t), with_error=True) for t in levels]
+        pairs = [unordered_gain_cdf(mean, math.exp(t)) for t in levels]
         return np.array([v for v, _ in pairs]), max(e for _, e in pairs)
 
     grid = np.linspace(lo, hi, 257)
@@ -419,8 +419,8 @@ def _rank_density(model, rank, min_count):
     return density, float(np.sum(weights * n * variation))
 
 
-def mean_angle_success_probability(model, threshold, rank, min_count, with_error=False):
-    """Pr(squared gain > threshold) for the user at ``rank`` of the mean-angle ordering.
+def mean_angle_success_probability(model, threshold, rank, min_count):
+    """Pr(squared gain > threshold) for the user at ``rank`` of the mean-angle ordering, with its error.
 
     The transmitter ranks the users with nonzero mean-angle gain by that gain
     and serves ``rank`` only when at least ``min_count`` of them exist.  The
@@ -473,7 +473,7 @@ def mean_angle_success_probability(model, threshold, rank, min_count, with_error
     num, num_err = outer(_MEAN_PANELS)
     coarse, _ = outer(_MEAN_PANELS // 2)
     value, err = _share((num, num_err + abs(num - coarse)), (den * span, den_err * span))
-    return _result(value, err + variation * cdf_err, with_error)
+    return value, err + variation * cdf_err
 
 
 # ---------------------------------------------------------------------------
@@ -505,19 +505,19 @@ def _role_band(model, role, kinds):
     raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
 
 
-def group_gain_cdf_instant(model, x, role, with_error=False):
-    """Squared-gain CDF inside one instantaneous-report group, zero gains excluded."""
-    return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_INSTANT,)), with_error)
+def group_gain_cdf_instant(model, x, role):
+    """Squared-gain CDF inside one instantaneous-report group, zero gains excluded, with its error."""
+    return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_INSTANT,)))
 
 
-def group_gain_cdf_mean(model, x, role, with_error=False):
-    """Squared-gain CDF inside one mean-report group, conditioned on nonzero MEAN gain.
+def group_gain_cdf_mean(model, x, role):
+    """Squared-gain CDF inside one mean-report group, conditioned on nonzero MEAN gain, with its error.
 
     Groups are formed on the mean incidence angle while the gain keeps its
     instantaneous fluctuation, so the distribution carries an atom at zero
     (members whose instantaneous angle leaves the FOV).
     """
-    return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_MEAN,)), with_error)
+    return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_MEAN,)))
 
 
 def both_groups_probability(model):
@@ -530,15 +530,15 @@ def both_groups_probability(model):
     return clamp(1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K, 0.0, 1.0)
 
 
-def group_success_probability(model, threshold, role, with_error=False):
-    """Pr(squared gain > threshold) for a uniformly picked member of one group.
+def group_success_probability(model, threshold, role):
+    """Pr(squared gain > threshold) for a uniformly picked member of one group, with its error.
 
     This is the quantity the scheduler realizes: membership comes from the
     report of the model's scheme (instantaneous or mean angle), the gain stays
     instantaneous, and zero gains count as failures.
     """
     band = _role_band(model, role, TWO_BIT_KINDS)
-    return _result(*_share(_mass_above(model, threshold, *band), _members(model, *band)), with_error)
+    return _share(_mass_above(model, threshold, *band), _members(model, *band))
 
 
 # ---------------------------------------------------------------------------
@@ -551,41 +551,40 @@ def individual_outage(model, thresholds, rank_weak, rank_strong):
 
     Conditional on at least ``rank_strong`` users with nonzero gain.
     """
-    pw, ew = ordered_gain_cdf(model, thresholds.eta_weak, rank_weak, rank_strong, with_error=True)
-    ps, es = ordered_gain_cdf(model, thresholds.eta_strong, rank_strong, rank_strong, with_error=True)
+    pw, ew = ordered_gain_cdf(model, thresholds.eta_weak, rank_weak, rank_strong)
+    ps, es = ordered_gain_cdf(model, thresholds.eta_strong, rank_strong, rank_strong)
     return pw, ew, ps, es
-
-
-def mean_angle_outage(model, thresholds, rank_weak, rank_strong):
-    """Outage pair with errors of the pair ranked by mean-angle gain, as individual_outage."""
-    sw, ew = mean_angle_success_probability(model, thresholds.eta_weak, rank_weak, rank_strong, with_error=True)
-    ss, es = mean_angle_success_probability(model, thresholds.eta_strong, rank_strong, rank_strong, with_error=True)
-    return 1.0 - sw, ew, 1.0 - ss, es
 
 
 def group_outage(model, thresholds):
     """Outage pair with errors of the model's two-bit group scheduling, given both groups formed."""
-    sw, ew = group_success_probability(model, thresholds.eta_weak, WEAK, with_error=True)
-    ss, es = group_success_probability(model, thresholds.eta_strong, STRONG, with_error=True)
+    sw, ew = group_success_probability(model, thresholds.eta_weak, WEAK)
+    ss, es = group_success_probability(model, thresholds.eta_strong, STRONG)
     return 1.0 - sw, ew, 1.0 - ss, es
 
 
-def _ranked_route(model, kind, rank_weak, rank_strong):
-    by_mean = kind is FeedbackKind.MEAN_ANGLE
-    pair = mean_angle_outage if by_mean else individual_outage
-    cond = nonzero_count_tail(_mean_model(model) if by_mean else model, rank_strong)
-    return cond, lambda thr: pair(model, thr, rank_weak, rank_strong)
+def _full_csi_route(model, rank_weak, rank_strong):
+    return nonzero_count_tail(model, rank_strong), lambda thr: individual_outage(model, thr, rank_weak, rank_strong)
 
 
-def _group_route(model, kind, rank_weak, rank_strong):
+def _mean_angle_route(model, rank_weak, rank_strong):
+    def outage(thr):
+        sw, ew = mean_angle_success_probability(model, thr.eta_weak, rank_weak, rank_strong)
+        ss, es = mean_angle_success_probability(model, thr.eta_strong, rank_strong, rank_strong)
+        return 1.0 - sw, ew, 1.0 - ss, es
+
+    return nonzero_count_tail(_mean_model(model), rank_strong), outage
+
+
+def _group_route(model, rank_weak, rank_strong):
     return both_groups_probability(model), lambda thr: group_outage(model, thr)
 
 
-# the scheme kinds with a closed-form route; each route returns
-# (conditioning rate, outage pair with errors as a function of the gain thresholds)
+# the scheme kinds with a closed-form route; ROUTES[kind](model, rank_weak, rank_strong)
+# returns (conditioning rate, outage pair with errors as a function of the gain thresholds)
 ROUTES = {
-    FeedbackKind.FULL_CSI: _ranked_route,
-    FeedbackKind.MEAN_ANGLE: _ranked_route,
+    FeedbackKind.FULL_CSI: _full_csi_route,
+    FeedbackKind.MEAN_ANGLE: _mean_angle_route,
     FeedbackKind.TWO_BIT_INSTANT: _group_route,
     FeedbackKind.TWO_BIT_MEAN: _group_route,
 }
@@ -595,8 +594,9 @@ def sum_rate_sweep(config, quad):
     """Closed-form sum-rate curves of ``config.curves`` (an ExperimentConfig), keyed by label as run_sweep.
 
     Curves served by a kind without a route in ROUTES are left out.  Each
-    kind's AnalyticModel is built from the config's own scheme with the
-    quadrature settings ``quad``.  CurvePoint.ci_halfwidth carries the
+    kind's AnalyticModel carries that kind's scheme from the config and the
+    quadrature settings ``quad``, and its route is built once and swept over
+    the table's gain thresholds.  CurvePoint.ci_halfwidth carries the
     propagated quadrature error estimate, and conditioning_rate the
     probability of the scheduling precondition (enough nonzero-gain reports /
     both groups nonempty).  A QuadratureError turns only the curve it hit
@@ -606,19 +606,17 @@ def sum_rate_sweep(config, quad):
     schemes = {s.kind: s for s in config.schemes}
     targets, grid = config.noma.targets, config.gamma_db_grid
     routes, curves, failures = {}, {}, {}
-    for label, kind, thresholds_for in config.curves:
+    for label, kind, thresholds in config.curves:
         if kind not in ROUTES:
             continue
         try:
             if kind not in routes:
-                # the individual kinds share one model, and so its cached normalizers
-                scheme = schemes[kind] if schemes[kind].is_group else None
-                model = AnalyticModel(geom=config.geom, mobility=config.mobility, scheme=scheme, quad=quad)
-                routes[kind] = ROUTES[kind](model, kind, config.rank_weak, config.rank_strong)
+                model = AnalyticModel(geom=config.geom, mobility=config.mobility, scheme=schemes[kind], quad=quad)
+                routes[kind] = ROUTES[kind](model, config.rank_weak, config.rank_strong)
             cond, outage = routes[kind]
             points = []
-            for gamma_db in grid:
-                pw, ew, ps, es = outage(thresholds_for(10.0 ** (gamma_db / 10.0)))
+            for gamma_db, thr in zip(grid, thresholds):
+                pw, ew, ps, es = outage(thr)
                 points.append(CurvePoint(
                     gamma_db=float(gamma_db),
                     sum_rate=float(noma_sum_rate((pw, ps), targets)),

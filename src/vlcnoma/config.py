@@ -173,7 +173,8 @@ def _get_int_in(flat, key, lo, hi):
 def parse_gamma_grid(raw):
     """Either 'start:step:stop' (inclusive) or a comma-separated dB list of finite values.
 
-    The point count is checked against MAX_GRID_POINTS before a range is materialized.
+    The point count is checked against MAX_GRID_POINTS before a range is materialized.  The grid
+    must be strictly increasing, with a finite positive linear SNR 10^(dB/10) at every point.
     """
     raw = raw.strip()
     is_range = ":" in raw
@@ -197,9 +198,17 @@ def parse_gamma_grid(raw):
         count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count > MAX_GRID_POINTS:
         raise ConfigError(f"sweep.gamma_db: {raw!r} has more than {MAX_GRID_POINTS} points")
-    if is_range:
-        return tuple(start + i * step for i in range(count))
-    return tuple(values)
+    grid = tuple(start + i * step for i in range(count)) if is_range else tuple(values)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"sweep.gamma_db: {raw!r} is not strictly increasing")
+    for gamma_db in grid:  # 10^(dB/10) overflows above about 3082.5 dB and rounds to 0 below about -3233 dB
+        try:
+            gamma = 10.0 ** (gamma_db / 10.0)
+        except OverflowError:
+            gamma = math.inf
+        if not 0.0 < gamma < math.inf:
+            raise ConfigError(f"sweep.gamma_db: {gamma_db:g} dB has no finite positive linear SNR")
+    return grid
 
 
 _KIND_BY_NAME = {k.value: k for k in FeedbackKind}

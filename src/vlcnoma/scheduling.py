@@ -34,7 +34,6 @@ class FeedbackKind(Enum):
 
 
 TWO_BIT_KINDS = (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN)
-GROUP_KINDS = (*TWO_BIT_KINDS, FeedbackKind.ONE_BIT_DISTANCE)
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,6 @@ class FeedbackScheme:
             raise ValueError("d_threshold must be positive")
         if self.theta_threshold is not None and self.theta_threshold <= 0.0:
             raise ValueError("theta_threshold must be positive")
-
-    @property
-    def is_group(self):
-        return self.kind in GROUP_KINDS
 
 
 @dataclass(frozen=True)

@@ -91,15 +91,17 @@ class ExperimentConfig:
 
     @property
     def curves(self):
-        """The output curves as (label, scheme kind served, gain thresholds at a linear SNR).
+        """The output curves as (label, scheme kind served, gain thresholds at each grid point).
 
         One NOMA curve per scheme, plus the OMA baseline on the pairs that the
-        first listed scheme schedules; both engines sweep this one table.
+        first listed scheme schedules; both engines sweep this one table.  The
+        dB grid becomes linear SNRs here and nowhere else.
         """
         targets, alloc = self.noma.targets, self.noma.alloc
-        table = [(f"noma-{s.kind.value}", s.kind, lambda gamma: eta_thresholds(targets, alloc, gamma))
-                 for s in self.schemes]
-        table.append(("oma", self.schemes[0].kind, lambda gamma: oma_gain_thresholds(targets, gamma)))
+        gammas = [10.0 ** (gamma_db / 10.0) for gamma_db in self.gamma_db_grid]
+        noma = tuple(eta_thresholds(targets, alloc, gamma) for gamma in gammas)
+        table = [(f"noma-{s.kind.value}", s.kind, noma) for s in self.schemes]
+        table.append(("oma", self.schemes[0].kind, tuple(oma_gain_thresholds(targets, gamma) for gamma in gammas)))
         return table
 
 
@@ -199,14 +201,12 @@ def _bernoulli_ci_bound(targets, n):
     return 1.96 * np.sqrt(var / max(n, 1))
 
 
-def _curve(config, records, thresholds_for):
+def _curve(config, records, thresholds):
     targets, mask = config.noma.targets, records.scheduled
     n_cond = int(mask.sum())
     cond_rate = n_cond / config.trials
     points = []
-    for gamma_db in config.gamma_db_grid:
-        gamma = 10.0 ** (gamma_db / 10.0)
-        thr = thresholds_for(gamma)
+    for gamma_db, thr in zip(config.gamma_db_grid, thresholds):
         if n_cond == 0:
             points.append(CurvePoint(gamma_db, 0.0, _bernoulli_ci_bound(targets, 0), 1.0, 1.0, 0.0))
             continue
@@ -239,7 +239,7 @@ def run_sweep(config, n_workers=1):
     groups nonempty); conditioning_rate reports the fraction of trials kept.
     """
     records = collect_records(config, n_workers=n_workers)
-    return {label: _curve(config, records[kind], thresholds_for) for label, kind, thresholds_for in config.curves}
+    return {label: _curve(config, records[kind], thresholds) for label, kind, thresholds in config.curves}
 
 
 class EmpiricalCdf:

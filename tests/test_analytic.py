@@ -79,7 +79,7 @@ class TestNonzeroProbability:
         # a tight cone around the boresight keeps every draw inside the FOV
         mob = MobilityConfig.from_degrees(0.0, 1.0, 85.0, 95.0, 2.0, 5)
         model = AnalyticModel(geom=GEOM, mobility=mob)
-        assert an.nonzero_gain_probability(model) == pytest.approx(1.0, abs=1e-9)
+        assert an.nonzero_gain_probability(model)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_layers_reduce_to_length_fraction(self):
         geom = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 30.0)
@@ -87,14 +87,14 @@ class TestNonzeroProbability:
         model = AnalyticModel(geom=geom, mobility=mob)
         # |teta| <= 30 deg at mean angle 120 deg requires atan(ell/r) >= 30 deg
         r_edge = 2.0 / math.tan(math.radians(30.0))
-        assert an.nonzero_gain_probability(model) == pytest.approx(r_edge / 10.0, abs=1e-9)
+        assert an.nonzero_gain_probability(model)[0] == pytest.approx(r_edge / 10.0, abs=1e-9)
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(1)
         n = 2_000_000
         d, _, phi = sample_user_arrays(MOB, rng, n)
         frac = (channel_gain(GEOM, d, phi) > 0.0).mean()
-        pred = an.nonzero_gain_probability(MODEL)
+        pred, _ = an.nonzero_gain_probability(MODEL)
         assert abs(frac - pred) <= 3.0 * math.sqrt(pred * (1.0 - pred) / n)
 
 
@@ -102,7 +102,7 @@ class TestCountPmf:
     def test_untruncated_is_plain_binomial(self):
         from scipy.stats import binom
 
-        p = an.nonzero_gain_probability(MODEL)
+        p, _ = an.nonzero_gain_probability(MODEL)
         for k in (0, 3, 10, 20):
             assert an.nonzero_count_pmf(MODEL, k, 0) == pytest.approx(binom.pmf(k, 20, p), rel=1e-12)
 
@@ -150,23 +150,23 @@ class TestBoundaryAngles:
 
 class TestUnorderedCdf:
     def test_zero_at_origin(self):
-        assert an.unordered_gain_cdf(MODEL, 0.0) == 0.0
+        assert an.unordered_gain_cdf(MODEL, 0.0)[0] == 0.0
 
     def test_one_beyond_support(self):
         # nothing is left to integrate above the support, so the value does not depend on the normalizer
         top = float(GEOM.gain_factor(MOB.d_min) ** 2)
-        assert an.unordered_gain_cdf(MODEL, top * 1.0001, with_error=True) == (1.0, 0.0)
+        assert an.unordered_gain_cdf(MODEL, top * 1.0001) == (1.0, 0.0)
 
     def test_monte_carlo_sup_distance(self):
         rng = np.random.default_rng(3)
         d, _, phi = sample_user_arrays(MOB, rng, 400_000)
         g2 = channel_gain(GEOM, d, phi) ** 2
-        sup = EmpiricalCdf(g2[g2 > 0.0]).sup_distance(lambda x: an.unordered_gain_cdf(MODEL, x), 250)
+        sup = EmpiricalCdf(g2[g2 > 0.0]).sup_distance(lambda x: an.unordered_gain_cdf(MODEL, x)[0], 250)
         assert sup <= 0.008
 
     def test_monotone_on_grid(self):
         xs = np.geomspace(1e-17, 1e-9, 200)
-        vals = [an.unordered_gain_cdf(MODEL, float(x)) for x in xs]
+        vals = [an.unordered_gain_cdf(MODEL, float(x))[0] for x in xs]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -174,21 +174,21 @@ class TestUnorderedCdf:
 class TestOrderedCdf:
     def test_forced_full_count_gives_max_power(self):
         x = 1e-12
-        u = an.unordered_gain_cdf(MODEL, x)
-        assert an.ordered_gain_cdf(MODEL, x, 20, 20) == pytest.approx(u**20, rel=1e-9)
+        u, _ = an.unordered_gain_cdf(MODEL, x)
+        assert an.ordered_gain_cdf(MODEL, x, 20, 20)[0] == pytest.approx(u**20, rel=1e-9)
 
     def test_one_beyond_support(self):
         top = float(GEOM.gain_factor(MOB.d_min) ** 2)
-        value, err = an.ordered_gain_cdf(MODEL, top * 1.01, 10, 10, with_error=True)
+        value, err = an.ordered_gain_cdf(MODEL, top * 1.01, 10, 10)
         assert value == pytest.approx(1.0)
         assert err == 0.0
 
     def test_stochastic_ordering(self):
         xs = np.geomspace(1e-16, 1e-10, 40)
         for x in xs:
-            f1 = an.ordered_gain_cdf(MODEL, float(x), 1, 10)
-            f5 = an.ordered_gain_cdf(MODEL, float(x), 5, 10)
-            f10 = an.ordered_gain_cdf(MODEL, float(x), 10, 10)
+            f1, _ = an.ordered_gain_cdf(MODEL, float(x), 1, 10)
+            f5, _ = an.ordered_gain_cdf(MODEL, float(x), 5, 10)
+            f10, _ = an.ordered_gain_cdf(MODEL, float(x), 10, 10)
             assert f1 >= f5 - 1e-12 >= f10 - 2e-12
 
     def test_rank_validation(self):
@@ -202,12 +202,12 @@ class TestGroupCdfs:
     def test_lower_edges(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
         mm = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
-        assert an.group_gain_cdf_instant(mi, 0.0, an.WEAK) == 0.0
-        assert an.group_gain_cdf_instant(mi, 0.0, an.STRONG) == 0.0
-        assert an.group_gain_cdf_mean(mm, -1e-30, an.WEAK) == 0.0
+        assert an.group_gain_cdf_instant(mi, 0.0, an.WEAK)[0] == 0.0
+        assert an.group_gain_cdf_instant(mi, 0.0, an.STRONG)[0] == 0.0
+        assert an.group_gain_cdf_mean(mm, -1e-30, an.WEAK) == (0.0, 0.0)
         # mean-report weak group keeps an atom at zero for nonzero deviation
-        assert an.group_gain_cdf_mean(mm, 0.0, an.WEAK) > 0.1
-        assert an.group_gain_cdf_mean(mm, 0.0, an.STRONG) == pytest.approx(0.0, abs=1e-12)
+        assert an.group_gain_cdf_mean(mm, 0.0, an.WEAK)[0] > 0.1
+        assert an.group_gain_cdf_mean(mm, 0.0, an.STRONG)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_upper_edges(self):
         # each group's gain support ends at its nearest distance; above it the CDF is exactly 1 with no error
@@ -216,16 +216,16 @@ class TestGroupCdfs:
             model = model_with(scheme=FeedbackScheme(kind, 1.0, THETA_TH))
             for role, nearest in ((an.STRONG, 0.0), (an.WEAK, 1.0)):
                 top = float(GEOM.gain_factor(nearest) ** 2)
-                assert cdf(model, top, role) == pytest.approx(1.0), (kind, role)
-                assert cdf(model, top * 1.0001, role, with_error=True) == (1.0, 0.0), (kind, role)
+                assert cdf(model, top, role)[0] == pytest.approx(1.0), (kind, role)
+                assert cdf(model, top * 1.0001, role) == (1.0, 0.0), (kind, role)
 
     def test_static_deviation_collapses_mean_onto_instant(self):
         mi = model_with(0.0, FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
         mm = model_with(0.0, FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
         for x in np.geomspace(1e-16, 1e-10, 25):
             for role in (an.WEAK, an.STRONG):
-                a = an.group_gain_cdf_mean(mm, float(x), role)
-                b = an.group_gain_cdf_instant(mi, float(x), role)
+                a, _ = an.group_gain_cdf_mean(mm, float(x), role)
+                b, _ = an.group_gain_cdf_instant(mi, float(x), role)
                 assert abs(a - b) <= 1e-6
 
     def test_static_deviation_collapses_mean_success_onto_instant(self):
@@ -238,16 +238,16 @@ class TestGroupCdfs:
             instant, mean = _group_models(geom, mob, thresholds)
             for x in levels:
                 for role in (an.WEAK, an.STRONG):
-                    a = an.group_success_probability(mean, float(x), role)
-                    b = an.group_success_probability(instant, float(x), role)
+                    a, _ = an.group_success_probability(mean, float(x), role)
+                    b, _ = an.group_success_probability(instant, float(x), role)
                     assert abs(a - b) <= 1e-6, (thresholds, role, x)
 
     def test_strong_group_degeneracy_matches_unordered(self):
         scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, d_threshold=MOB.d_max, theta_threshold=GEOM.half_fov)
         mi = model_with(scheme=scheme)
         for x in np.geomspace(1e-16, 1e-10, 20):
-            assert an.group_gain_cdf_instant(mi, float(x), an.STRONG) == pytest.approx(
-                an.unordered_gain_cdf(MODEL, float(x)), abs=1e-9
+            assert an.group_gain_cdf_instant(mi, float(x), an.STRONG)[0] == pytest.approx(
+                an.unordered_gain_cdf(MODEL, float(x))[0], abs=1e-9
             )
 
     def test_requires_matching_scheme(self):
@@ -396,8 +396,8 @@ class TestMeanAngleRoute:
         for gdb in range(140, 216, 5):
             thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (gdb / 10.0))
             for eta, rank in ((thr.eta_weak, 1), (thr.eta_strong, 10)):
-                s, es = an.mean_angle_success_probability(model, eta, rank, 10, with_error=True)
-                f, ef = an.ordered_gain_cdf(model, eta, rank, 10, with_error=True)
+                s, es = an.mean_angle_success_probability(model, eta, rank, 10)
+                f, ef = an.ordered_gain_cdf(model, eta, rank, 10)
                 assert abs((1.0 - s) - f) <= es + ef, (gdb, rank, 1.0 - s, f, es + ef)
 
     def test_monte_carlo_per_slot(self):
@@ -410,7 +410,7 @@ class TestMeanAngleRoute:
         served = np.take_along_axis(h2, order[:, [0, 9]], axis=1)[keep]
         thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (190.0 / 10.0))
         for col, eta, rank in ((0, thr.eta_weak, 1), (1, thr.eta_strong, 10)):
-            p = an.mean_angle_success_probability(MODEL, eta, rank, 10)
+            p, _ = an.mean_angle_success_probability(MODEL, eta, rank, 10)
             freq = (served[:, col] > eta).mean()
             assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / served.shape[0])
 
@@ -460,6 +460,6 @@ class TestQuadratureStability:
         half = AnalyticModel(geom=GEOM, mobility=MOB, quad=QuadratureConfig().halved())
         rng = np.random.default_rng(6)
         for x in 10.0 ** rng.uniform(-16, -10.5, 10):
-            v1, e1 = an.unordered_gain_cdf(MODEL, float(x), with_error=True)
-            v2, _ = an.unordered_gain_cdf(half, float(x), with_error=True)
+            v1, e1 = an.unordered_gain_cdf(MODEL, float(x))
+            v2, _ = an.unordered_gain_cdf(half, float(x))
             assert abs(v2 - v1) <= max(e1, 1e-14)

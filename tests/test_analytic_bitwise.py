@@ -47,33 +47,32 @@ def cases():
             out.append((family, f"{family}|{tag}|{key}", thunk))
 
         for x in LEVELS:
-            add("unordered", f"instant|x={x!r}", lambda x=x, b=base: an.unordered_gain_cdf(b, x, with_error=True))
+            add("unordered", f"instant|x={x!r}", lambda x=x, b=base: an.unordered_gain_cdf(b, x))
             add("unordered", f"mean|x={x!r}",
-                lambda x=x, b=base: an.unordered_gain_cdf(an._mean_model(b), x, with_error=True))
+                lambda x=x, b=base: an.unordered_gain_cdf(an._mean_model(b), x))
             for rank, min_count in ((1, 10), (10, 10), (3, 5)):
                 add("ordered", f"r={rank},k={min_count}|x={x!r}",
-                    lambda x=x, r=rank, k=min_count, b=base: an.ordered_gain_cdf(b, x, r, k, with_error=True))
+                    lambda x=x, r=rank, k=min_count, b=base: an.ordered_gain_cdf(b, x, r, k))
             for role, scheme in itertools.product((an.WEAK, an.STRONG), ("paper", "wide")):
                 instant, mean = _group_models(geom, mob, scheme)
                 add("group_cdf_instant", f"{scheme}|{role}|x={x!r}",
-                    lambda x=x, role=role, m=instant: an.group_gain_cdf_instant(m, x, role, with_error=True))
+                    lambda x=x, role=role, m=instant: an.group_gain_cdf_instant(m, x, role))
                 add("group_cdf_mean", f"{scheme}|{role}|x={x!r}",
-                    lambda x=x, role=role, m=mean: an.group_gain_cdf_mean(m, x, role, with_error=True))
+                    lambda x=x, role=role, m=mean: an.group_gain_cdf_mean(m, x, role))
                 for name, model in (("instant", instant), ("mean", mean)):
                     add("group_success", f"{scheme}|{name}|{role}|x={x!r}",
-                        lambda x=x, role=role, m=model: an.group_success_probability(m, x, role, with_error=True))
+                        lambda x=x, role=role, m=model: an.group_success_probability(m, x, role))
         for x in (5e-15, 4e-13, 2e-11):
             for rank, min_count in ((1, 10), (10, 10)):
                 add("mean_angle", f"r={rank},k={min_count}|x={x!r}",
-                    lambda x=x, r=rank, k=min_count, b=base: an.mean_angle_success_probability(
-                        b, x, r, k, with_error=True))
+                    lambda x=x, r=rank, k=min_count, b=base: an.mean_angle_success_probability(b, x, r, k))
         for scheme in ("paper", "wide"):
             for name, model in zip(("instant", "mean"), _group_models(geom, mob, scheme)):
                 add("group_probabilities", f"{scheme}|{name}",
                     lambda m=model: an.both_groups_probability(m))
         for use_mean, law in ((False, base), (True, an._mean_model(base))):
             add("nonzero", f"p|use_mean={use_mean}",
-                lambda m=law: an.nonzero_gain_probability(m, with_error=True))
+                lambda m=law: an.nonzero_gain_probability(m))
             for k_min in (0, 1, 10, 20):
                 add("nonzero", f"tail|use_mean={use_mean}|k_min={k_min}",
                     lambda m=law, k=k_min: an.nonzero_count_tail(m, k))

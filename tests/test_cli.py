@@ -39,6 +39,7 @@ class TestConfigLayer:
 
     def test_gamma_list_syntax(self):
         assert parse_gamma_grid("150,170.5,190") == (150.0, 170.5, 190.0)
+        assert parse_gamma_grid("-3200,3000") == (-3200.0, 3000.0)  # extreme but representable linear SNRs
 
     def test_gamma_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -49,8 +50,15 @@ class TestConfigLayer:
         with pytest.raises(ConfigError, match="sweep.gamma_db"):
             parse_gamma_grid(raw)
 
+    # the linear SNR 10^(dB/10) overflows above about 3082.5 dB and rounds to 0 below about -3233 dB
+    @pytest.mark.parametrize("raw", ["170,160", "150,150", "4000", "-4000", "140:5:3100", "-3300:5:150"])
+    def test_gamma_rejects_disorder_and_unrepresentable_snr(self, raw):
+        with pytest.raises(ConfigError, match="sweep.gamma_db"):
+            parse_gamma_grid(raw)
+
     def test_gamma_point_cap(self):
-        assert len(parse_gamma_grid(f"0:1:{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
+        # half-dB steps: whole-dB points this many would leave the representable linear SNRs
+        assert len(parse_gamma_grid(f"-2000:0.5:{-2000 + (MAX_GRID_POINTS - 1) / 2}")) == MAX_GRID_POINTS
         # one point over the cap, and a count that overflows to inf, are both refused from the count alone
         for raw in (f"0:1:{MAX_GRID_POINTS}", "-1e308:1e-300:1e308"):
             with pytest.raises(ConfigError, match="sweep.gamma_db"):
@@ -128,7 +136,8 @@ class TestConfigLayer:
         "geometry.ell_m=inf", "noma.rate_weak=nan", "noise.sigma_d_m=nan", "noma.oma_time_share=-1",
         "noma.oma_time_share=1000", "noma.rate_strong=1000", "schemes.d_threshold_coeff=2",
         "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5", "sweep.seed=-1",
-        "strategy.rank_weak=0", "strategy.rank_strong=50",
+        "strategy.rank_weak=0", "strategy.rank_strong=50", "sweep.gamma_db=4000", "sweep.gamma_db=-4000",
+        "sweep.gamma_db=170,160",
     ])
     def test_refusal_exits_1_naming_the_key(self, monkeypatch, capsys, tmp_path, command, override):
         def never(*args, **kwargs):

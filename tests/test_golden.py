@@ -1,4 +1,4 @@
-"""Golden CSV hashes: the bytes the CLI writes for fixed presets, seeds and grids.
+"""Golden hashes: the bytes the CLI writes for fixed presets, seeds and grids.
 
 A refactor that claims to keep results identical must keep these hashes.  A
 change that alters results on purpose (a new random-stream version, a new
@@ -6,6 +6,9 @@ quadrature rule) updates the hashes in the same commit and says why.  The
 simulate hashes are those of random-stream version 2 (one stream per chunk of
 trials, ``simulate.STREAM_VERSION``).  Both commands write each run group's
 rows sorted by curve label; the analytic hashes are those of that order.
+``VALIDATE_QUICK`` is the hash of the ``validate --quick --out`` JSON report
+(32 checks, all passing), which holds every check's measured value to the
+last digit: the closed-form values of ``validation`` are pinned through it.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ GOLDEN = {
     ("analytic", "fig2"): "0d37637d8ea9f778fa9e1bb3823a97cc3a5dc19a4f93ad598bba24c433e943eb",
     ("analytic", "fig3"): "c56f910a873cfa7ca5da6a45e06920eb8e8a824645984215ec46e418ea0f941e",
 }
+VALIDATE_QUICK = "d43473f1fe8e28290c95561134282979ee2620bfbf81e5b5ca85719d0007cd6e"
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
     "analytic": ["--set", "sweep.gamma_db=150,185,215"],
@@ -35,13 +39,24 @@ def csv_sha256(directory, command, preset):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def validate_quick_sha256(directory):
+    """sha256 of the report that ``validate --quick --out`` writes into ``directory``; the run must pass."""
+    out = Path(directory) / "validate-quick.json"
+    assert main(["validate", "--quick", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("command,preset", sorted(GOLDEN))
 def test_csv_bytes_match_golden_hash(tmp_path, command, preset):
     assert csv_sha256(tmp_path, command, preset) == GOLDEN[(command, preset)]
 
 
+def test_validate_quick_report_matches_golden_hash(tmp_path):
+    assert validate_quick_sha256(tmp_path) == VALIDATE_QUICK
+
+
 if __name__ == "__main__":
-    # prints the GOLDEN dict for the current code; paste it over GOLDEN after a deliberate change
+    # prints GOLDEN and VALIDATE_QUICK for the current code; paste them over the pins after a deliberate change
     import contextlib
     import sys
     import tempfile
@@ -49,7 +64,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(sys.stderr):
             hashes = {key: csv_sha256(tmp, *key) for key in GOLDEN}
+            validate_quick = validate_quick_sha256(tmp)
     print("GOLDEN = {")
     for (command, preset), digest in hashes.items():
         print(f'    ("{command}", "{preset}"): "{digest}",')
     print("}")
+    print(f'VALIDATE_QUICK = "{validate_quick}"')
