@@ -78,11 +78,13 @@ def inverse_squared_gain(geom, r):
 
 
 def gain_boundary_angle(geom, x, r):
-    """|incidence| at which the squared gain equals x at distance r, clamped to [0, pi/2]."""
-    # conditional expressions instead of min/max: the same floats, a fraction of the call cost
+    """|incidence| at which the squared gain equals x at distance r, clamped to [0, pi/2]; r may be an array."""
     scaled = x * inverse_squared_gain(geom, r)
-    arg = 2.0 * (1.0 if scaled > 1.0 else scaled) - 1.0
-    return 0.5 * math.acos(-1.0 if arg < -1.0 else arg)
+    if isinstance(scaled, float):
+        # conditional expressions instead of min/max: the same floats, a fraction of the call cost
+        arg = 2.0 * (1.0 if scaled > 1.0 else scaled) - 1.0
+        return 0.5 * math.acos(-1.0 if arg < -1.0 else arg)
+    return 0.5 * np.arccos(2.0 * np.clip(scaled, 0.0, 1.0) - 1.0)
 
 
 def gain_boundary_distance(geom, x, cos_sq_scale=1.0):
@@ -123,25 +125,66 @@ def fov_probability(model, r, half_angle):
     return clamp(value, 0.0, 1.0)
 
 
-def _integral(model, f, lo, hi, half_angles, level=None, caps=()):
-    """Integral of f over the distances [lo, hi] with its error, split at every kink.
+def _corners(mob):
+    """The corners of the instantaneous angle CDF: each end of the mean-angle range +/- delta_phi."""
+    return [m + t for m in (mob.mean_phi_min, mob.mean_phi_max) for t in (-mob.delta_phi, mob.delta_phi)]
 
-    The kinks are the distances where c(r) +/- each of ``half_angles`` crosses
-    a corner of the angle CDF and, for a gain ``level``, where its boundary
-    angle reaches 0 or one of ``caps``.  ``integrate_adaptive`` keeps only the
-    points inside (lo, hi) and sorts them, so their order does not matter.
+
+def _breakpoints(model, half_angles, level=None, caps=()):
+    """The fixed kinks of a distance integrand, unsorted and possibly outside the range of integration.
+
+    They are the distances where c(r) +/- each of ``half_angles`` crosses a
+    corner of the angle CDF and, for a gain ``level``, where its boundary
+    angle reaches 0 or one of ``caps``.
     """
-    mob, geom = model.mobility, model.geom
-    corners = [m + t for m in (mob.mean_phi_min, mob.mean_phi_max) for t in (-mob.delta_phi, mob.delta_phi)]
+    geom = model.geom
     pts = []
     for s in [a * sign for a in half_angles for sign in (1.0, -1.0)]:
-        for t in corners:
+        for t in _corners(model.mobility):
             beta = math.pi + s - t  # the corner is crossed where atan(ell/r) = beta
             if 1e-12 < beta < math.pi / 2.0 - 1e-12:
                 pts.append(geom.ell / math.tan(beta))
     if level is not None:
         pts += [gain_boundary_distance(geom, level, scale) for scale in [1.0] + [math.cos(c) ** 2 for c in caps]]
-    return integrate_adaptive(f, lo, hi, model.quad, pts)
+    return pts
+
+
+_CROSSING_SCAN = 401  # scan points per corner in _corner_crossings
+
+
+def _corner_crossings(geom, x, corners, lo, hi):
+    """The distances in (lo, hi) where c(r) +/- the boundary angle of the level x meets one of ``corners``.
+
+    There cos^2(t - c(r)) = x / g(r)^2, that is (r cos t - ell sin t)^2 =
+    x (ell^2 + r^2)^(m+3) / h_c^4 for a corner t.  The difference of the two
+    sides is scanned on _CROSSING_SCAN points of [lo, hi], and each sign
+    change is solved with brentq.  Roots where c(r) - t exceeds pi/2 solve the
+    squared equation only; they are returned too, as harmless extra splits.
+    """
+    from scipy.optimize import brentq
+
+    if not (x > 0.0 and hi > lo):
+        return []
+
+    def gap(r, cos_t, sin_t):
+        return (r * cos_t - geom.ell * sin_t) ** 2 / (geom.ell**2 + r * r) - x * inverse_squared_gain(geom, r)
+
+    r = np.linspace(lo, hi, _CROSSING_SCAN)
+    roots = []
+    for t in corners:
+        args = (math.cos(t), math.sin(t))
+        below = np.signbit(gap(r, *args))
+        roots += [brentq(gap, r[i], r[i + 1], args=args) for i in np.flatnonzero(below[:-1] != below[1:])]
+    return roots
+
+
+def _integral(model, f, lo, hi, half_angles, level=None, caps=()):
+    """Integral of f over the distances [lo, hi] with its error, split at every kink of ``_breakpoints``.
+
+    ``integrate_adaptive`` keeps only the points inside (lo, hi) and sorts
+    them, so their order does not matter.
+    """
+    return integrate_adaptive(f, lo, hi, model.quad, _breakpoints(model, half_angles, level, caps))
 
 
 def _band_edges(inner, outer):
@@ -251,21 +294,57 @@ def nonzero_gain_probability(model):
     return clamp(value / model.mobility.d_span, 0.0, 1.0), err / model.mobility.d_span
 
 
+@lru_cache(maxsize=None)
+def _log_binomial_row(n):
+    """log C(n, k) for k = 0..n, each from the exact integer (C(1000, 500) < 1e300 still converts to a float)."""
+    row, c = np.zeros(n + 1), 1
+    for k in range(1, n + 1):
+        c = c * (n - k + 1) // k
+        row[k] = math.log(c)
+    return row
+
+
+def _binomial_pmf(k, n, p):
+    """Binomial(n, p) PMF at k, elementwise over broadcast integer k, n and probability p; 0 outside 0 <= k <= n.
+
+    exp(log C(n, k) + k log p + (n - k) log(1 - p)) with 0 * log 0 = 0, so it is
+    exact at p = 0 and p = 1.
+    """
+    k, n, p = np.broadcast_arrays(np.asarray(k, int), np.asarray(n, int), np.asarray(p, float))
+    inside = (k >= 0) & (k <= n)
+    k, n = np.where(inside, k, 0), np.where(inside, n, 0)
+    log_comb = np.array([_log_binomial_row(b)[a] for a, b in zip(k.ravel().tolist(), n.ravel().tolist())])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.where(k > 0, k * np.log(p), 0.0) + np.where(n > k, (n - k) * np.log1p(-p), 0.0)
+    return np.where(inside, np.exp(log_comb.reshape(k.shape) + log_p), 0.0)
+
+
+def _binomial_tail(k, n, p):
+    """Pr(Binomial(n, p) >= k) for one count k and probability p, elementwise over the trial counts n.
+
+    One more trial adds p * Pr(k - 1 successes so far), so the tail at n is p
+    times a running sum of PMF terms over 0..n-1 trials: positive terms only,
+    so small tails keep their relative accuracy.
+    """
+    n = np.asarray(n, int)
+    if k <= 0:
+        return np.ones(n.shape)
+    trials = np.arange(k - 1, max(int(n.max()), k))
+    running = np.concatenate(([0.0], np.cumsum(_binomial_pmf(k - 1, trials, p))))
+    return p * running[np.maximum(n - k + 1, 0)]
+
+
 def nonzero_count_tail(model, k_min):
     """Pr(at least k_min users have nonzero gain)."""
-    from scipy.stats import binom
-
     p = nonzero_gain_probability(model)[0]
-    return float(binom.sf(k_min - 1, model.mobility.num_users, p))
+    return float(_binomial_tail(k_min, model.mobility.num_users, p))
 
 
 def _count_weights(model, n, k_min):
     """Binomial(K, p) PMF of the nonzero-gain count at n, truncated and renormalized below k_min."""
-    from scipy.stats import binom
-
     K = model.mobility.num_users
     p = nonzero_gain_probability(model)[0]
-    return binom.pmf(n, K, p) / binom.sf(k_min - 1, K, p)
+    return _binomial_pmf(n, K, p) / _binomial_tail(k_min, K, p)
 
 
 def nonzero_count_pmf(model, k, k_min=0):
@@ -324,13 +403,11 @@ def ordered_gain_cdf(model, x, rank, min_count):
     Mixture over the truncated Binomial count n of the probability that at
     least ``rank`` of n independent nonzero gains fall at or below x.
     """
-    from scipy.stats import binom
-
     _check_rank(model, rank, min_count)
     K = model.mobility.num_users
     u, u_err = unordered_gain_cdf(model, x)
     n = np.arange(min_count, K + 1)
-    orders = binom.sf(rank - 1, n, u)
+    orders = _binomial_tail(rank, n, u)
     value = float(np.clip(np.sum(_count_weights(model, n, min_count) * orders), 0.0, 1.0))
     # |d/du of the binomial tail| <= n <= K bounds the error amplification
     return value, K * u_err
@@ -342,28 +419,27 @@ def ordered_gain_cdf(model, x, rank, min_count):
 
 _MEAN_CDF_TOL = 1e-7  # interpolation tolerance of the tabulated mean-gain CDF
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_MEAN_PANELS = 4  # Gauss panels per kink-free mean-angle piece; the error estimate halves it
+# equal Gauss panels of the mean-angle rule over distance and over the mean incidence, each
+# split again at the kinks; its error estimate halves both counts
+_DISTANCE_PANELS, _ANGLE_PANELS = 8, 8
+_BLOCK_ROWS = 128  # distance nodes evaluated together: every temporary of the rule stays a few hundred kB
 
 
 @lru_cache(maxsize=None)
-def _panel_steps(panels):
-    """np.arange(panels), built once per panel count for the mean-angle inner integrand."""
-    return np.arange(panels)
-
-
-@lru_cache(maxsize=None)
-def _mean_gain_cdf_table(model):
+def _mean_gain_cdf_table(mean):
     """The mean-angle report's squared-gain CDF as (interpolant, error), tabulated in log level.
 
-    Levels start log-spaced over [g(d_max)^2 cos^2(half_fov), g(d_min)^2]; every
-    interval is bisected while the exact CDF at its midpoint misses the
-    interpolant through the current levels by more than _MEAN_CDF_TOL, which
-    concentrates levels at the CDF's kinks.  The error is the worst tabulated
-    quadrature error plus the worst accepted midpoint miss.
+    ``mean`` is the mean model (``_mean_model``), so the models that differ only
+    in delta_phi share one table.  Levels start log-spaced over
+    [g(d_max)^2 cos^2(half_fov), g(d_min)^2]; every interval is bisected while
+    the exact CDF at its midpoint misses the interpolant through the current
+    levels by more than _MEAN_CDF_TOL, which concentrates levels at the CDF's
+    kinks.  The error is the worst tabulated quadrature error plus the worst
+    accepted midpoint miss.
     """
     from scipy.interpolate import PchipInterpolator
 
-    geom, mob, mean = model.geom, model.mobility, _mean_model(model)
+    geom, mob = mean.geom, mean.mobility
     lo = math.log(float(geom.gain_factor(mob.d_max)) ** 2 * math.cos(geom.half_fov) ** 2)
     hi = math.log(float(geom.gain_factor(mob.d_min)) ** 2)
 
@@ -401,22 +477,97 @@ def _rank_density(model, rank, min_count):
     rank-th smallest of n, and the total variation of W on [0, 1], which
     bounds how far an error in u moves the integral of W over a uniform u.
     """
-    from scipy.stats import binom
-
     n = np.arange(min_count, model.mobility.num_users + 1)
     weights = _count_weights(_mean_model(model), n, min_count)
-    coef = weights * n * np.array([math.comb(int(v) - 1, rank - 1) for v in n], float)
-    powers = n - rank
+    k = rank - 1
+    coef = weights * n * np.exp([_log_binomial_row(v - 1)[k] for v in n.tolist()])
 
     def density(u):
-        u = np.asarray(u, float)
-        return u ** (rank - 1) * (np.power.outer(1.0 - u, powers) @ coef)
+        # Horner in 1 - u over the powers min_count - rank .. K - rank, in place on arrays of u's shape
+        v = 1.0 - u
+        total = np.full(v.shape, coef[-1])
+        for c in coef[-2::-1]:
+            total *= v
+            total += c
+        return total * u**k * v ** (min_count - rank)
 
     # each Bernstein term is unimodal: variation = 2 * mode value - end values
-    mode = (rank - 1) / np.maximum(n - 1, 1)
-    k = rank - 1
-    variation = 2.0 * binom.pmf(k, n - 1, mode) - binom.pmf(k, n - 1, 0.0) - binom.pmf(k, n - 1, 1.0)
+    mode = k / np.maximum(n - 1, 1)
+    variation = 2.0 * _binomial_pmf(k, n - 1, mode) - _binomial_pmf(k, n - 1, 0.0) - _binomial_pmf(k, n - 1, 1.0)
     return density, float(np.sum(weights * n * variation))
+
+
+@lru_cache(maxsize=None)
+def _rank_weight_kinks(mean):
+    """The distances where the rank weight W(F(g(r)^2 cos^2 u)) of the mean-angle rule gains or loses a kink in u.
+
+    The mean-gain CDF F of the mean model ``mean`` kinks at the levels where a
+    kink of its distance integrand that moves with the level (the boundary
+    angle reaching 0 or half_fov, or c(r) +/- it meeting a corner) passes a
+    fixed one (a corner crossing at half_fov) or an end of the distance range.
+    At such a distance r_f the boundary angle is 0, half_fov or |t - c(r_f)|
+    for a corner t, so the level is y = g(r_f)^2 cos^2 of that angle.  The
+    curve g(r)^2 cos^2 u = y appears at u = 0 where g(r)^2 = y, and leaves the
+    mean-incidence range where it meets u = +/- half_fov or an end c(r) - m of
+    the mean-angle range.
+    """
+    geom, mob, theta = mean.geom, mean.mobility, mean.geom.half_fov
+    ends = (mob.mean_phi_min, mob.mean_phi_max)
+    fixed = [r for r in _breakpoints(mean, (theta,)) if mob.d_min < r < mob.d_max]
+    kinks = []
+    for r_f in [mob.d_min, mob.d_max, *fixed]:
+        c = boresight_angle(geom, r_f)
+        for a in [0.0, theta, *[abs(t - c) for t in ends if abs(t - c) < theta]]:
+            y = float(geom.gain_factor(r_f)) ** 2 * math.cos(a) ** 2
+            kinks += _breakpoints(mean, (), y, (theta,)) + _corner_crossings(geom, y, ends, mob.d_min, mob.d_max)
+    return tuple(kinks)
+
+
+def _gauss_rule(lo, hi, kinks, panels):
+    """(nodes, weights) of 16-point Gauss-Legendre on ``panels`` equal panels of [lo, hi], split again at ``kinks``.
+
+    Broadcasts over rows: ``lo`` and ``hi`` have one entry per row and
+    ``kinks`` one row of points each (clipped into the row's range), and the
+    nodes of a row lie along the last axis.  Every kink is a panel edge, so
+    the rule never integrates across one.
+    """
+    lo, hi = np.asarray(lo, float)[..., None], np.asarray(hi, float)[..., None]
+    grid = lo + (hi - lo) * np.linspace(0.0, 1.0, panels + 1)
+    edges = np.sort(np.concatenate([grid, np.clip(kinks, lo, hi)], axis=-1), axis=-1)
+    mid, half = (0.5 * (edges[..., 1:] + edges[..., :-1]))[..., None], (0.5 * np.diff(edges))[..., None]
+    shape = (*edges.shape[:-1], -1)
+    return (mid + half * _GAUSS_NODES).reshape(shape), (half * _GAUSS_WEIGHTS).reshape(shape)
+
+
+def _mean_angle_rows(model, threshold, cdf, density, r, panels):
+    """Inner integrals over the mean incidence u = c(r) - m at the distance nodes r, by composite Gauss.
+
+    u runs over [max(-half_fov, c - m_max), min(half_fov, c - m_min)], split
+    where the band probability Pr(|c(r) - phi| < cap | m) kinks, at
+    u = +/- cap +/- delta_phi; cap is the boundary angle of the threshold
+    within the FOV.  The band is piecewise linear in u, or a step when
+    delta_phi = 0, and is weighted by the rank density at the mean gain's CDF.
+    """
+    geom, mob = model.geom, model.mobility
+    theta, dphi = geom.half_fov, mob.delta_phi
+    c = math.pi - np.arctan2(geom.ell, r)
+    cap = np.minimum(gain_boundary_angle(geom, threshold, r), theta)[:, None]
+    u_lo = np.maximum(-theta, c - mob.mean_phi_max)
+    u_hi = np.maximum(np.minimum(theta, c - mob.mean_phi_min), u_lo)
+    kinks = np.hstack([cap + dphi, cap - dphi, dphi - cap, -dphi - cap] if dphi else [cap, -cap])
+    u, w = _gauss_rule(u_lo, u_hi, kinks, panels)
+    band = conditional_phi_cdf(0.0, dphi, u + cap) - conditional_phi_cdf(0.0, dphi, u - cap)
+    weight = density(cdf(geom.gain_factor(r)[:, None] ** 2 * np.cos(u) ** 2))
+    return np.einsum("ij,ij,ij->i", w, weight, band)
+
+
+def _mean_angle_integral(model, threshold, cdf, density, lo, hi, kinks, panels):
+    """The tensor-product Gauss rule over (distance, mean incidence), distance nodes in blocks of _BLOCK_ROWS."""
+    distance_panels, angle_panels = panels
+    r, w = _gauss_rule(lo, hi, kinks, distance_panels)
+    rows = [_mean_angle_rows(model, threshold, cdf, density, r[i:i + _BLOCK_ROWS], angle_panels)
+            for i in range(0, r.size, _BLOCK_ROWS)]
+    return float(w @ np.concatenate(rows))
 
 
 def mean_angle_success_probability(model, threshold, rank, min_count):
@@ -427,52 +578,43 @@ def mean_angle_success_probability(model, threshold, rank, min_count):
     served user's instantaneous angle still deviates from its mean, so the
     success probability integrates the rank's order-statistic density against
     the closed-form probability that the instantaneous incidence stays inside
-    the boundary angle b(r) = min(gain_boundary_angle, half_fov):
+    the boundary angle cap(r) = min(gain_boundary_angle, half_fov):
 
-        1/Z * int dr int dm  W(F(g(r)^2 cos^2(c(r) - m))) * Pr(|c(r) - phi| < b(r) | m)
+        1/Z * int dr int du  W(F(g(r)^2 cos^2 u)) * Pr(|c(r) - phi| < cap(r) | m = c(r) - u)
 
-    over mean angles m with |c(r) - m| <= half_fov.  F is the mean-gain CDF
+    over mean incidences |u| <= half_fov.  F is the mean-gain CDF
     (tabulated), W the rank density over the truncated Binomial count of
-    nonzero mean gains, Z the normalizer of the nonzero-mean-gain law.  The
-    inner integral is composite Gauss-Legendre between the kinks
-    m = c +/- b +/- delta_phi of the band probability; the outer distance
-    integral is adaptive.  The error sums the outer quadrature error, the
-    change when the inner panels are halved, and the table error times the
-    total variation of W.
+    nonzero mean gains, Z the normalizer of the nonzero-mean-gain law.  Both
+    integrals are one tensor-product composite Gauss-Legendre rule
+    (``_mean_angle_integral``) on equal panels split again at every kink.
+    Over distance the kinks are the fixed ones of ``_breakpoints`` (the
+    corners at half_fov, and where cap reaches 0, half_fov or
+    |half_fov - delta_phi|), the moving ones where c(r) +/- cap meets a corner
+    m +/- delta_phi (``_corner_crossings``), and those of the rank weight
+    (``_rank_weight_kinks``); over the mean incidence they are the band's.
+    The error sums the change when both panel counts are halved, the
+    normalizer's error, and the table error times the total variation of W.
     """
     _check_rank(model, rank, min_count)
     _require_mean_span(model)
-    geom, mob = model.geom, model.mobility
-    theta, dphi = geom.half_fov, mob.delta_phi
-    cdf, cdf_err = _mean_gain_cdf_table(model)
+    geom, mob, mean = model.geom, model.mobility, _mean_model(model)
+    theta = geom.half_fov
+    cdf, cdf_err = _mean_gain_cdf_table(mean)
     density, variation = _rank_density(model, rank, min_count)
-
-    def inner(r, panels):
-        c = boresight_angle(geom, r)
-        m_lo, m_hi = max(mob.mean_phi_min, c - theta), min(mob.mean_phi_max, c + theta)
-        if m_hi <= m_lo:
-            return 0.0
-        cap = min(gain_boundary_angle(geom, threshold, r), theta)
-        kinks = [c + s * cap + t * dphi for s in (-1.0, 1.0) for t in (-1.0, 1.0)]
-        pieces = np.array(sorted({m_lo, m_hi, *[k for k in kinks if m_lo < k < m_hi]}))
-        step = (pieces[1:] - pieces[:-1]) / panels
-        edges = np.concatenate(((pieces[:-1, None] + step[:, None] * _panel_steps(panels)).ravel(), [m_hi]))
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        m = (mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()
-        band = conditional_phi_cdf(m, dphi, c + cap) - conditional_phi_cdf(m, dphi, c - cap)
-        weight = density(cdf(float(geom.gain_factor(r)) ** 2 * np.cos(c - m) ** 2))
-        return float(((half[:, None] * _GAUSS_WEIGHTS).ravel() * weight * band).sum())
-
-    mean, span = _mean_model(model), mob.mean_phi_span
     den, den_err = _fov_normalizer(mean)
-    lo, hi = mob.d_min, min(mob.d_max, gain_boundary_distance(geom, threshold))
-
-    def outer(panels):
-        return _integral(mean, lambda r: inner(r, panels), lo, hi, (theta,), level=threshold, caps=(theta,))
-
-    num, num_err = outer(_MEAN_PANELS)
-    coarse, _ = outer(_MEAN_PANELS // 2)
-    value, err = _share((num, num_err + abs(num - coarse)), (den * span, den_err * span))
+    lo = mob.d_min
+    hi = max(lo, min(mob.d_max, gain_boundary_distance(geom, threshold)))
+    kinks = (_breakpoints(mean, (theta,), threshold, (theta, abs(theta - mob.delta_phi)))
+             + _corner_crossings(geom, threshold, _corners(mob), lo, hi) + list(_rank_weight_kinks(mean)))
+    # kinks found twice (to rounding) or at an end would only add empty panels
+    edges = [lo]
+    for r in sorted(kinks):
+        if edges[-1] + 1e-9 * (hi - lo) < r < hi - 1e-9 * (hi - lo):
+            edges.append(r)
+    fine, coarse = (_mean_angle_integral(model, threshold, cdf, density, lo, hi, edges[1:], panels)
+                    for panels in ((_DISTANCE_PANELS, _ANGLE_PANELS), (_DISTANCE_PANELS // 2, _ANGLE_PANELS // 2)))
+    span = mob.mean_phi_span
+    value, err = _share((fine, abs(fine - coarse)), (den * span, den_err * span))
     return value, err + variation * cdf_err
 
 

@@ -235,6 +235,27 @@ class TestA6MeanAngleNearOptimality:
             detail += "; " + "; ".join(problems)
         report("A6 mean-angle plateau loss matches its closed form (gap and per-slot outage)", ok, detail)
 
+    def test_curve_matches_monte_carlo(self, fig2_mc):
+        # the whole closed-form mean-angle curve, at both deviations, within A4's max(CI, 0.05)
+        problems, worst = [], 0.0
+        for dphi in (0.0, 25.0):
+            config = ExperimentConfig(
+                geom=GEOM, mobility=mobility(dphi), noma=NOMA, schemes=(FeedbackScheme(FeedbackKind.MEAN_ANGLE),),
+                gamma_db_grid=GAMMA_GRID,
+            )
+            curves, failures = an.sum_rate_sweep(config, QuadratureConfig())
+            assert not failures
+            for mc_pt, an_pt in zip(fig2_mc[dphi]["noma-mean-angle"], curves["noma-mean-angle"], strict=True):
+                tol = max(mc_pt.ci_halfwidth, 0.05)
+                gap = abs(mc_pt.sum_rate - an_pt.sum_rate)
+                worst = max(worst, gap / tol)
+                if gap > tol:
+                    problems.append(f"dphi={dphi} {mc_pt.gamma_db} dB: |MC-analytic|={gap:.3f} > {tol:.3f}")
+        detail = f"worst engine gap ratio {worst:.2f} over {2 * len(GAMMA_GRID)} points"
+        if problems:
+            detail += "; " + "; ".join(problems[:4])
+        report("A6 mean-angle curve: closed form vs Monte Carlo within max(CI, 0.05)", not problems, detail)
+
 
 class TestA7GroupRobustness:
     def test_a7(self, fig3_mc):

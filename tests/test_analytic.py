@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from test_analytic_bitwise import LEVELS, _group_models
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle
+from vlcnoma.config import MAX_USERS
 from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
 from vlcnoma.population import MobilityConfig, conditional_phi_cdf, sample_user_arrays
 from vlcnoma.quadrature import QuadratureConfig, integrate_adaptive
@@ -96,6 +98,43 @@ class TestNonzeroProbability:
         frac = (channel_gain(GEOM, d, phi) > 0.0).mean()
         pred, _ = an.nonzero_gain_probability(MODEL)
         assert abs(frac - pred) <= 3.0 * math.sqrt(pred * (1.0 - pred) / n)
+
+
+def assert_close(got, want):
+    """Elementwise within relative 1e-12 of the reference, or within 1e-300 where the reference is that small."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    tiny = np.abs(want) <= 1e-300
+    assert np.all(np.abs(got - want)[tiny] <= 1e-300)
+    assert np.all(np.abs(got - want)[~tiny] <= 1e-12 * np.abs(want)[~tiny])
+
+
+class TestBinomial:
+    """The binomial helpers of the closed form against scipy.stats.binom, up to config.MAX_USERS."""
+
+    @pytest.mark.parametrize("K", (2, 20, MAX_USERS))
+    @pytest.mark.parametrize("p", (0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0))
+    def test_pmf_and_upper_tail_match_scipy(self, K, p):
+        from scipy.stats import binom
+
+        k = np.arange(K + 1)
+        assert_close(an._binomial_pmf(k, K, p), binom.pmf(k, K, p))
+        # Pr(X >= k) = binom.sf(k - 1)
+        assert_close([an._binomial_tail(int(j), K, p) for j in k], binom.sf(k - 1, K, p))
+
+    def test_tail_over_trial_counts_and_out_of_range_counts(self):
+        from scipy.stats import binom
+
+        n = np.arange(0, 31)
+        assert_close(an._binomial_tail(10, n, 0.4), binom.sf(9, n, 0.4))
+        assert_close(an._binomial_pmf([-1, 21], 20, 0.4), [0.0, 0.0])
+
+    @pytest.mark.parametrize("K", (2, 20, MAX_USERS))
+    def test_exact_at_certain_outcomes(self, K):
+        k = np.arange(K + 1)
+        assert an._binomial_pmf(k, K, 0.0).tolist() == [1.0] + [0.0] * K
+        assert an._binomial_pmf(k, K, 1.0).tolist() == [0.0] * K + [1.0]
+        assert [float(an._binomial_tail(int(j), K, 1.0)) for j in k] == [1.0] * (K + 1)
+        assert [float(an._binomial_tail(int(j), K, 0.0)) for j in k] == [1.0] + [0.0] * K
 
 
 class TestCountPmf:
@@ -387,6 +426,59 @@ class TestOutage:
             sweep((150.0,), FeedbackScheme(FeedbackKind.FULL_CSI), noma=bad)
 
 
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def adaptive_mean_angle(model, threshold, rank, min_count, panels=16):
+    """The mean-angle success probability by an independent rule: (value, error of the distance integral).
+
+    QUADPACK integrates over distance (abs 1e-14, rel 1e-12, 2000
+    subdivisions), split only at the fixed kinks of ``an._breakpoints``, so it
+    must find the moving ones itself.  At each distance a composite Gauss rule
+    with ``panels`` panels per piece integrates over the mean angle m, split
+    where the band probability kinks.  It shares the integrand's parts (the
+    mean-gain CDF table, the rank density and the normalizer) with
+    ``an.mean_angle_success_probability``, not its quadrature.
+    """
+    geom, mob, mean = model.geom, model.mobility, an._mean_model(model)
+    theta, dphi = geom.half_fov, mob.delta_phi
+    cdf, _ = an._mean_gain_cdf_table(mean)
+    density, _ = an._rank_density(model, rank, min_count)
+    steps = np.arange(panels)
+
+    def inner(r):
+        c = an.boresight_angle(geom, r)
+        m_lo, m_hi = max(mob.mean_phi_min, c - theta), min(mob.mean_phi_max, c + theta)
+        if m_hi <= m_lo:
+            return 0.0
+        cap = min(an.gain_boundary_angle(geom, threshold, r), theta)
+        kinks = [c + s * cap + t * dphi for s in (-1.0, 1.0) for t in (-1.0, 1.0)]
+        pieces = np.array(sorted({m_lo, m_hi, *[k for k in kinks if m_lo < k < m_hi]}))
+        step = (pieces[1:] - pieces[:-1]) / panels
+        edges = np.concatenate(((pieces[:-1, None] + step[:, None] * steps).ravel(), [m_hi]))
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        m = (mid[:, None] + half[:, None] * GAUSS_NODES).ravel()
+        band = conditional_phi_cdf(m, dphi, c + cap) - conditional_phi_cdf(m, dphi, c - cap)
+        weight = density(cdf(float(geom.gain_factor(r)) ** 2 * np.cos(c - m) ** 2))
+        return float(((half[:, None] * GAUSS_WEIGHTS).ravel() * weight * band).sum())
+
+    lo, hi = mob.d_min, min(mob.d_max, an.gain_boundary_distance(geom, threshold))
+    if hi <= lo:
+        return 0.0, 0.0
+    points = sorted({p for p in an._breakpoints(mean, (theta,), threshold, (theta,)) if lo < p < hi})
+    num, num_err = quad(inner, lo, hi, points=points or None, epsabs=1e-14, epsrel=1e-12, limit=2000,
+                        full_output=1)[:2]
+    scale = an._fov_normalizer(mean)[0] * mob.mean_phi_span
+    return num / scale, num_err / scale
+
+
+def assert_within_reported_error(model, threshold, rank):
+    value, err = an.mean_angle_success_probability(model, threshold, rank, 10)
+    ref, ref_err = adaptive_mean_angle(model, threshold, rank, 10)
+    assert ref_err <= 0.1 * err, (threshold, rank, ref_err, err)
+    assert abs(value - ref) <= err, (threshold, rank, value, ref, err)
+
+
 class TestMeanAngleRoute:
     def test_zero_deviation_matches_full_csi(self):
         # without tilt deviation the mean angle is the instantaneous angle, so the
@@ -425,6 +517,31 @@ class TestMeanAngleRoute:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             an.mean_angle_success_probability(MODEL, 1e-12, 11, 10)
+
+    def test_models_differing_only_in_deviation_share_one_table(self):
+        static = AnalyticModel(geom=GEOM, mobility=replace(MOB, delta_phi=0.0))
+        misses = an._mean_gain_cdf_table.cache_info().misses
+        for model in (static, MODEL):
+            an.mean_angle_success_probability(model, 1e-12, 1, 10)
+        assert an._mean_gain_cdf_table.cache_info().misses - misses <= 1
+
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_within_reported_error_of_adaptive_rule_at_pinned_levels(self, dphi):
+        # the levels and ranks of the mean_angle family of tests/test_analytic_bitwise.py
+        model = paper_model(dphi)
+        for x in (5e-15, 4e-13, 2e-11):
+            for rank in (1, 10):
+                assert_within_reported_error(model, x, rank)
+
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_within_reported_error_of_adaptive_rule_across_the_gain_range(self, dphi):
+        # 40 levels from below the gain support (weak-user thresholds at high SNR) to above it
+        # (strong-user thresholds at low SNR); each deviation takes every other one, at ranks 1 and 10
+        levels = np.geomspace(1e-17, 1e-10, 40)[int(dphi > 0)::2]
+        model = paper_model(dphi)
+        for x in levels:
+            for rank in (1, 10):
+                assert_within_reported_error(model, float(x), rank)
 
 
 class TestSweep:

@@ -1,8 +1,10 @@
 """Import-time pins: SciPy is loaded by the closed-form engine only, on its first use.
 
 ``simulate`` and ``plot`` never integrate, so neither they nor ``import
-vlcnoma.cli`` may load any ``scipy`` module.  Each check runs in a fresh
-interpreter, since this test process has SciPy loaded already.
+vlcnoma.cli`` may load any ``scipy`` module.  The closed form computes its
+binomial laws itself, so ``analytic`` never loads ``scipy.stats``.  Each
+check runs in a fresh interpreter, since this test process has SciPy loaded
+already.
 """
 
 import json
@@ -46,6 +48,21 @@ print(json.dumps(seen))
 def test_cli_import_simulate_and_plot_load_no_scipy(tmp_path):
     seen = run_fresh(SIMULATE_AND_PLOT, tmp_path)
     assert seen == {"import": [], "simulate": [], "plot": []}
+
+
+ANALYTIC = """
+import json, sys
+from vlcnoma import cli
+seen = {}
+for preset in ("fig2", "fig3"):
+    assert cli.main(["analytic", "--preset", preset, "--out", preset + ".csv"]) == 0
+    seen[preset] = "scipy.stats" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_analytic_loads_no_scipy_stats(tmp_path):
+    assert run_fresh(ANALYTIC, tmp_path) == {"fig2": False, "fig3": False}
 
 
 LAZY_INTEGRATE = """
