@@ -732,12 +732,12 @@ ROUTES = {
 }
 
 
-def sum_rate_sweep(config, quad):
+def sum_rate_sweep(config):
     """Closed-form sum-rate curves of ``config.curves`` (an ExperimentConfig), keyed by label as run_sweep.
 
     Curves served by a kind without a route in ROUTES are left out.  Each
     kind's AnalyticModel carries that kind's scheme from the config and the
-    quadrature settings ``quad``, and its route is built once and swept over
+    default quadrature settings, and its route is built once and swept over
     the table's gain thresholds.  CurvePoint.ci_halfwidth carries the
     propagated quadrature error estimate, and conditioning_rate the
     probability of the scheduling precondition (enough nonzero-gain reports /
@@ -753,7 +753,7 @@ def sum_rate_sweep(config, quad):
             continue
         try:
             if kind not in routes:
-                model = AnalyticModel(geom=config.geom, mobility=config.mobility, scheme=schemes[kind], quad=quad)
+                model = AnalyticModel(geom=config.geom, mobility=config.mobility, scheme=schemes[kind])
                 routes[kind] = ROUTES[kind](model, config.rank_weak, config.rank_strong)
             cond, outage = routes[kind]
             points = []

@@ -26,7 +26,6 @@ from .analytic import ROUTES, sum_rate_sweep
 from .config import (
     ConfigError,
     build_experiment,
-    build_quadrature,
     parse_overrides,
     read_config_file,
     resolve_groups,
@@ -174,7 +173,7 @@ def cmd_analytic(args):
         for scheme in config.schemes:
             if scheme.kind not in ROUTES:
                 print(f"note: no closed-form route for scheme {scheme.kind.value!r}; skipped", file=sys.stderr)
-        curves, failed = sum_rate_sweep(config, build_quadrature(flat))
+        curves, failed = sum_rate_sweep(config)
         for label, exc in failed.items():
             print(f"numerical failure for {_label(label, suffix)}: {exc}", file=sys.stderr)
         failures += len(failed)

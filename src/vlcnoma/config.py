@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .channel import LedGeometry
 from .link import InfeasibleAllocationError, NomaConfig, PowerAllocation, TargetRates, epsilon_threshold, eta_thresholds
 from .population import MobilityConfig
-from .quadrature import QuadratureConfig
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from .simulate import ExperimentConfig, NoiseConfig
 
@@ -57,9 +56,6 @@ DEFAULTS = {
     "sweep.workers": "1",
     "noise.sigma_d_m": "",
     "noise.sigma_phi_deg": "",
-    "quadrature.abs_tol": "1e-10",
-    "quadrature.rel_tol": "1e-8",
-    "quadrature.max_subdivisions": "200",
 }
 
 
@@ -316,15 +312,6 @@ def build_experiment(flat):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def build_quadrature(flat):
-    return _make(
-        "quadrature", QuadratureConfig,
-        abs_tol=_get_float(flat, "quadrature.abs_tol"),
-        rel_tol=_get_float(flat, "quadrature.rel_tol"),
-        max_subdivisions=_get_int(flat, "quadrature.max_subdivisions"),
-    )
 
 
 def resolve_groups(preset, file_flat, set_flat):

@@ -56,30 +56,6 @@ class FeedbackScheme:
             raise ValueError("theta_threshold must be positive")
 
 
-@dataclass(frozen=True)
-class ScheduleDecision:
-    """Selected weak/strong user indices (None marks no transmission for a slot)."""
-
-    weak_index: Optional[int]
-    strong_index: Optional[int]
-
-    def __post_init__(self):
-        if self.weak_index is not None and self.weak_index == self.strong_index:
-            raise ValueError("weak and strong slots must pick distinct users")
-
-    @property
-    def complete(self):
-        return self.weak_index is not None and self.strong_index is not None
-
-
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Index sets of the all-zeros (weak) and all-ones (strong) reporters."""
-
-    weak_group: np.ndarray
-    strong_group: np.ndarray
-
-
 def order_by_gain_arrays(gains):
     """Ascending order of a raw (possibly estimated) gain array, zeros excluded.
 
@@ -96,12 +72,14 @@ def order_by_distance_array(d):
 
 
 def select_individual(ordering, rank_weak, rank_strong):
-    """Pick the users at the two ranks, or no transmission if too few candidates."""
-    if not 1 <= rank_weak < rank_strong:
-        raise ValueError("need 1 <= rank_weak < rank_strong")
+    """(weak, strong) user indices at the two ranks, or (None, None) if too few candidates.
+
+    The ranks satisfy 1 <= rank_weak < rank_strong (ExperimentConfig checks),
+    so two filled slots name different users.
+    """
     if len(ordering) < rank_strong:
-        return ScheduleDecision(None, None)
-    return ScheduleDecision(int(ordering[rank_weak - 1]), int(ordering[rank_strong - 1]))
+        return None, None
+    return int(ordering[rank_weak - 1]), int(ordering[rank_strong - 1])
 
 
 def two_bit_feedback(d, angle, scheme, geom):
@@ -125,22 +103,19 @@ def one_bit_feedback(d, d_threshold):
 
 
 def group_users(bit_d, bit_theta):
-    """Split reporters into the all-zeros (weak) and all-ones (strong) groups.
+    """(weak, strong) member indices: the all-zeros and the all-ones reporters.
 
     Mixed reports (0,1)/(1,0) join neither group and are never scheduled.
     """
     bit_d = np.asarray(bit_d, bool)
     bit_theta = np.asarray(bit_theta, bool)
-    return GroupAssignment(
-        weak_group=np.flatnonzero(~bit_d & ~bit_theta),
-        strong_group=np.flatnonzero(bit_d & bit_theta),
-    )
+    return np.flatnonzero(~bit_d & ~bit_theta), np.flatnonzero(bit_d & bit_theta)
 
 
 def group_users_one_bit(bit_d):
-    """One-bit grouping: distance bit 0 -> weak group, 1 -> strong group."""
+    """One-bit (weak, strong) member indices: distance bit 0 -> weak, 1 -> strong."""
     bit_d = np.asarray(bit_d, bool)
-    return GroupAssignment(weak_group=np.flatnonzero(~bit_d), strong_group=np.flatnonzero(bit_d))
+    return np.flatnonzero(~bit_d), np.flatnonzero(bit_d)
 
 
 def _pick(group, u):
@@ -150,9 +125,12 @@ def _pick(group, u):
 
 
 def select_group_pair(groups, u):
-    """Uniformly pick one member per nonempty group; an empty group leaves its slot open.
+    """(weak, strong): one uniform member per group of the (weak, strong) pair ``groups``.
 
-    ``u`` holds two uniforms in [0, 1), the weak pick's then the strong pick's;
-    a group of n members serves member min(int(u * n), n - 1).
+    An empty group leaves its slot None.  ``u`` holds two uniforms in [0, 1),
+    the weak pick's then the strong pick's; a group of n members serves member
+    min(int(u * n), n - 1).  The groups are disjoint, so two filled slots name
+    different users.
     """
-    return ScheduleDecision(_pick(groups.weak_group, u[0]), _pick(groups.strong_group, u[1]))
+    weak, strong = groups
+    return _pick(weak, u[0]), _pick(strong, u[1])

@@ -30,7 +30,6 @@ from .channel import LedGeometry, channel_gain, mean_channel_gain
 from .link import CurvePoint, NomaConfig, eta_thresholds, noma_pair_outcome, oma_gain_thresholds
 from .population import MobilityConfig, noisy_estimate_arrays, sample_user_arrays
 from .scheduling import (
-    TWO_BIT_KINDS,
     FeedbackKind,
     group_users,
     group_users_one_bit,
@@ -128,24 +127,22 @@ def run_trial(config, users, reports, picks):
         kind = scheme.kind
         if kind is FeedbackKind.FULL_CSI:
             reported = channel_gain(config.geom, d_fb, phi_fb) if config.noise is not None else gains
-            decision = select_individual(order_by_gain_arrays(reported), config.rank_weak, config.rank_strong)
+            weak, strong = select_individual(order_by_gain_arrays(reported), config.rank_weak, config.rank_strong)
         elif kind is FeedbackKind.MEAN_ANGLE:
             reported = mean_channel_gain(config.geom, d_fb, mean_phi_fb)
-            decision = select_individual(order_by_gain_arrays(reported), config.rank_weak, config.rank_strong)
+            weak, strong = select_individual(order_by_gain_arrays(reported), config.rank_weak, config.rank_strong)
         elif kind is FeedbackKind.DISTANCE_ONLY:
-            decision = select_individual(order_by_distance_array(d_fb), config.rank_weak, config.rank_strong)
-        elif kind in TWO_BIT_KINDS:
+            weak, strong = select_individual(order_by_distance_array(d_fb), config.rank_weak, config.rank_strong)
+        elif kind is FeedbackKind.ONE_BIT_DISTANCE:
+            weak, strong = select_group_pair(group_users_one_bit(one_bit_feedback(d_fb, scheme.d_threshold)), u)
+        else:  # the two-bit kinds
             angles = phi_fb if kind is FeedbackKind.TWO_BIT_INSTANT else mean_phi_fb
             bit_d, bit_theta = two_bit_feedback(d_fb, angles, scheme, config.geom)
-            decision = select_group_pair(group_users(bit_d, bit_theta), u)
-        elif kind is FeedbackKind.ONE_BIT_DISTANCE:
-            decision = select_group_pair(group_users_one_bit(one_bit_feedback(d_fb, scheme.d_threshold)), u)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unhandled feedback kind {kind}")
-        if decision.complete:
-            record.append((True, float(gains[decision.weak_index] ** 2), float(gains[decision.strong_index] ** 2)))
-        else:
+            weak, strong = select_group_pair(group_users(bit_d, bit_theta), u)
+        if weak is None or strong is None:
             record.append((False, 0.0, 0.0))
+        else:
+            record.append((True, float(gains[weak] ** 2), float(gains[strong] ** 2)))
     return record
 
 
@@ -169,7 +166,7 @@ def _collect_chunk(config, start, stop):
     rows = zip(zip(*users), zip(*reports), picks[: stop - start])  # stops after the chunk's first n rows
     for i, (user, report, u) in enumerate(rows):
         out[i] = run_trial(config, user, report, u)
-    return {s.kind: _Records(out[:, j, 0] != 0.0, out[:, j, 1], out[:, j, 2]) for j, s in enumerate(config.schemes)}
+    return out
 
 
 def collect_records(config, n_workers=1):
@@ -184,15 +181,8 @@ def collect_records(config, n_workers=1):
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             chunks = list(pool.map(_collect_chunk, [config] * len(spans), *zip(*spans)))
-    kinds = [s.kind for s in config.schemes]
-    return {
-        k: _Records(
-            np.concatenate([c[k].scheduled for c in chunks]),
-            np.concatenate([c[k].h2_weak for c in chunks]),
-            np.concatenate([c[k].h2_strong for c in chunks]),
-        )
-        for k in kinds
-    }
+    out = np.concatenate(chunks)
+    return {s.kind: _Records(out[:, j, 0] != 0.0, out[:, j, 1], out[:, j, 2]) for j, s in enumerate(config.schemes)}
 
 
 def _bernoulli_ci_bound(targets, n):

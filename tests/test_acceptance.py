@@ -17,7 +17,6 @@ from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain
 from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
 from vlcnoma.population import MobilityConfig, sample_user_arrays
-from vlcnoma.quadrature import QuadratureConfig
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import ExperimentConfig, NoiseConfig, collect_records, run_sweep
 from vlcnoma.validation import (
@@ -80,7 +79,7 @@ def fig2_analytic():
             geom=GEOM, mobility=mobility(dphi), noma=NOMA, schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),),
             gamma_db_grid=GAMMA_GRID,
         )
-        curves[dphi], failures = an.sum_rate_sweep(config, QuadratureConfig())
+        curves[dphi], failures = an.sum_rate_sweep(config)
         assert not failures
     return curves
 
@@ -243,7 +242,7 @@ class TestA6MeanAngleNearOptimality:
                 geom=GEOM, mobility=mobility(dphi), noma=NOMA, schemes=(FeedbackScheme(FeedbackKind.MEAN_ANGLE),),
                 gamma_db_grid=GAMMA_GRID,
             )
-            curves, failures = an.sum_rate_sweep(config, QuadratureConfig())
+            curves, failures = an.sum_rate_sweep(config)
             assert not failures
             for mc_pt, an_pt in zip(fig2_mc[dphi]["noma-mean-angle"], curves["noma-mean-angle"], strict=True):
                 tol = max(mc_pt.ci_halfwidth, 0.05)
@@ -405,3 +404,13 @@ class TestA10PropertySuite:
     def test_quadrature_halving(self):
         result = check_quadrature_stability(ValidationSizes(), np.random.default_rng(110))
         report("A10e quadrature halving stability (50 probes)", result.passed, f"worst |delta|/err = {result.measured:.3f} (<= 1)")
+
+    # seed 1 reads 2.39: _integral's error estimates miss the kinks that move with distance
+    @pytest.mark.parametrize("seed", [
+        pytest.param(1, marks=pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: the unordered CDF's "
+                                                "error estimate is too small until the moving kinks are breakpoints")),
+        *range(2, 17),
+    ])
+    def test_quadrature_halving_quick_seeds(self, seed):
+        result = check_quadrature_stability(ValidationSizes.quick(), np.random.default_rng(seed))
+        assert result.passed, f"seed {seed}: worst |delta|/err = {result.measured:.3f} (<= 1)"

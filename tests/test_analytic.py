@@ -34,7 +34,7 @@ def model_with(delta_phi_deg=25.0, scheme=None):
 def sweep(grid, *schemes, noma=NOMA):
     """Closed-form curves of the paper setup with ``schemes``; fails on any quadrature failure."""
     config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=noma, schemes=schemes, gamma_db_grid=grid)
-    curves, failures = an.sum_rate_sweep(config, QuadratureConfig())
+    curves, failures = an.sum_rate_sweep(config)
     assert not failures
     return curves
 

@@ -10,7 +10,6 @@ from vlcnoma.config import (
     MAX_GRID_POINTS,
     ConfigError,
     build_experiment,
-    build_quadrature,
     merge,
     parse_gamma_grid,
     parse_overrides,
@@ -25,8 +24,9 @@ FLOAT_KEYS = [
     "mobility.d_min_m", "mobility.d_max_m", "mobility.delta_phi_deg", "mobility.mean_phi_min_deg",
     "mobility.mean_phi_max_deg", "noma.power_weak", "noma.power_strong", "noma.rate_weak", "noma.rate_strong",
     "schemes.d_threshold_coeff", "schemes.theta_threshold_coeff", "noise.sigma_d_m", "noise.sigma_phi_deg",
-    "quadrature.abs_tol", "quadrature.rel_tol",
 ]
+# removed keys, refused by name whatever their value: the closed-form engine always uses QuadratureConfig's defaults
+REMOVED_KEYS = ["quadrature.abs_tol", "quadrature.rel_tol", "quadrature.max_subdivisions"]
 
 
 def run_cli(*argv):
@@ -88,12 +88,10 @@ class TestConfigLayer:
             assert run_cli("simulate", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("key", FLOAT_KEYS + REMOVED_KEYS)
     def test_non_finite_float_rejected(self, key, value):
-        flat = merge({key: value})
         with pytest.raises(ConfigError, match=key):
-            build_experiment(flat)
-            build_quadrature(flat)
+            build_experiment(merge({key: value}))
 
     @pytest.mark.parametrize("key,value", [
         ("schemes.d_threshold_coeff", "0"), ("schemes.d_threshold_coeff", "1"),
@@ -137,7 +135,8 @@ class TestConfigLayer:
         "noma.oma_time_share=1000", "noma.rate_strong=1000", "schemes.d_threshold_coeff=2",
         "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5", "sweep.seed=-1",
         "strategy.rank_weak=0", "strategy.rank_strong=50", "sweep.gamma_db=4000", "sweep.gamma_db=-4000",
-        "sweep.gamma_db=170,160",
+        "sweep.gamma_db=170,160", "quadrature.abs_tol=1e-10", "quadrature.rel_tol=1e-8",
+        "quadrature.max_subdivisions=200",  # the removed keys at their former defaults
     ])
     def test_refusal_exits_1_naming_the_key(self, monkeypatch, capsys, tmp_path, command, override):
         def never(*args, **kwargs):

@@ -3,14 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle, mean_channel_gain
 from vlcnoma.population import MobilityConfig, sample_user_arrays
 from vlcnoma.scheduling import (
     FeedbackKind,
     FeedbackScheme,
-    GroupAssignment,
-    ScheduleDecision,
     group_users,
     group_users_one_bit,
     one_bit_feedback,
@@ -104,27 +104,19 @@ class TestOrderings:
             snap = snapshot(mobility, geom, seed)
             order = order_by_gain_arrays(snap.gains)
             if len(order) >= 10:
-                decision = select_individual(order, 1, 10)
-                assert snap.gains[decision.weak_index] <= snap.gains[decision.strong_index]
+                weak, strong = select_individual(order, 1, 10)
+                assert snap.gains[weak] <= snap.gains[strong]
 
 
 class TestSelectIndividual:
     def test_too_few_candidates(self):
-        decision = select_individual(np.arange(9), 1, 10)
-        assert not decision.complete
-        assert decision.weak_index is None and decision.strong_index is None
+        assert select_individual(np.arange(9), 1, 10) == (None, None)
 
     def test_selects_requested_ranks(self):
-        decision = select_individual(np.arange(100, 115), 1, 10)
-        assert (decision.weak_index, decision.strong_index) == (100, 109)
+        assert select_individual(np.arange(100, 115), 1, 10) == (100, 109)
 
     def test_exact_fit(self):
-        decision = select_individual(np.array([4, 7]), 1, 2)
-        assert (decision.weak_index, decision.strong_index) == (4, 7)
-
-    def test_rejects_bad_ranks(self):
-        with pytest.raises(ValueError):
-            select_individual(np.arange(5), 2, 2)
+        assert select_individual(np.array([4, 7]), 1, 2) == (4, 7)
 
 
 class TestTwoBitFeedback:
@@ -177,12 +169,12 @@ class TestTwoBitFeedback:
     def test_membership_implies_conditions(self, geom, mobility):
         scheme = self.scheme()
         snap = snapshot(mobility, geom, 9)
-        groups = group_users(*two_bit_feedback(snap.d, snap.phi, scheme, geom))
         theta = incidence_angle(snap.d, snap.phi, geom.ell)
-        assert np.all(snap.d[groups.weak_group] > scheme.d_threshold)
-        assert np.all(np.abs(theta[groups.weak_group]) > scheme.theta_threshold)
-        assert np.all(snap.d[groups.strong_group] <= scheme.d_threshold)
-        assert np.all(np.abs(theta[groups.strong_group]) <= scheme.theta_threshold)
+        weak, strong = group_users(*two_bit_feedback(snap.d, snap.phi, scheme, geom))
+        assert np.all(snap.d[weak] > scheme.d_threshold)
+        assert np.all(np.abs(theta[weak]) > scheme.theta_threshold)
+        assert np.all(snap.d[strong] <= scheme.d_threshold)
+        assert np.all(np.abs(theta[strong]) <= scheme.theta_threshold)
 
     def test_mean_membership_discrepancy_bounded(self, geom, mobility):
         scheme = self.scheme(FeedbackKind.TWO_BIT_MEAN)
@@ -194,14 +186,14 @@ class TestTwoBitFeedback:
 
 class TestGrouping:
     def test_all_strong_leaves_weak_empty(self):
-        groups = group_users([True, True], [True, True])
-        assert groups.weak_group.size == 0
-        assert groups.strong_group.tolist() == [0, 1]
+        weak, strong = group_users([True, True], [True, True])
+        assert weak.size == 0
+        assert strong.tolist() == [0, 1]
 
     def test_mixed_reports_unscheduled(self):
-        groups = group_users([False, True, True], [False, True, False])
-        assert groups.weak_group.tolist() == [0]
-        assert groups.strong_group.tolist() == [1]
+        weak, strong = group_users([False, True, True], [False, True, False])
+        assert weak.tolist() == [0]
+        assert strong.tolist() == [1]
 
     def test_one_bit_examples(self):
         assert bool(one_bit_feedback(0.0, 1.0))
@@ -209,32 +201,26 @@ class TestGrouping:
         assert bool(one_bit_feedback(0.99, 1.0))
 
     def test_one_bit_grouping(self):
-        groups = group_users_one_bit(one_bit_feedback(np.array([0.5, 2.0, 0.2]), 1.0))
-        assert groups.weak_group.tolist() == [1]
-        assert groups.strong_group.tolist() == [0, 2]
+        weak, strong = group_users_one_bit(one_bit_feedback(np.array([0.5, 2.0, 0.2]), 1.0))
+        assert weak.tolist() == [1]
+        assert strong.tolist() == [0, 2]
 
 
 class TestSelectGroupPair:
     def test_singletons_deterministic(self):
-        groups = GroupAssignment(np.array([3]), np.array([7]))
-        decision = select_group_pair(groups, (0.0, 0.5))
-        assert (decision.weak_index, decision.strong_index) == (3, 7)
-        assert decision.complete
+        assert select_group_pair((np.array([3]), np.array([7])), (0.0, 0.5)) == (3, 7)
 
     def test_empty_strong_leaves_slot_open(self):
-        groups = GroupAssignment(np.array([3, 4]), np.array([], dtype=int))
-        decision = select_group_pair(groups, (0.7, 0.2))
-        assert decision.strong_index is None
-        assert decision.weak_index == 4  # int(0.7 * 2) = 1
-        assert not decision.complete
+        groups = (np.array([3, 4]), np.array([], dtype=int))
+        assert select_group_pair(groups, (0.7, 0.2)) == (4, None)  # int(0.7 * 2) = 1
 
     def test_uniform_pick_frequencies(self):
-        groups = GroupAssignment(np.arange(5), np.array([9]))
+        groups = (np.arange(5), np.array([9]))
         rng = np.random.default_rng(11)
         n = 100_000
         counts = np.zeros(5)
         for _ in range(n):
-            counts[select_group_pair(groups, rng.random(2)).weak_index] += 1
+            counts[select_group_pair(groups, rng.random(2))[0]] += 1
         expected = n / 5.0
         sigma = math.sqrt(n * 0.2 * 0.8)
         assert np.all(np.abs(counts - expected) <= 3.0 * sigma)
@@ -244,12 +230,39 @@ class TestSelectGroupPair:
         u = np.nextafter(1.0, 0.0)
         for n in range(1, 65):
             members = np.arange(100, 100 + n)
-            decision = select_group_pair(GroupAssignment(members, members + 1000), (u, u))
-            assert (decision.weak_index, decision.strong_index) == (100 + n - 1, 1100 + n - 1)
+            assert select_group_pair((members, members + 1000), (u, u)) == (100 + n - 1, 1100 + n - 1)
 
-    def test_schedule_decision_rejects_same_user(self):
-        with pytest.raises(ValueError):
-            ScheduleDecision(2, 2)
+
+UNIFORM = st.floats(0.0, 1.0, exclude_max=True)
+
+
+class TestSlotInvariants:
+    """A slot is None exactly when it has no candidate; filled slots name distinct members of their sets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ordering=st.lists(st.integers(0, 999), unique=True, max_size=40), rank_weak=st.integers(1, 30),
+           gap=st.integers(1, 30))
+    def test_individual_slots(self, ordering, rank_weak, gap):
+        rank_strong = rank_weak + gap
+        weak, strong = select_individual(np.array(ordering, dtype=int), rank_weak, rank_strong)
+        if len(ordering) < rank_strong:
+            assert (weak, strong) == (None, None)
+        else:
+            assert weak in ordering and strong in ordering
+            assert weak != strong
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40), u=st.tuples(UNIFORM, UNIFORM))
+    def test_group_slots(self, bits, u):
+        bit_d = np.array([b for b, _ in bits], bool)
+        bit_theta = np.array([b for _, b in bits], bool)
+        for groups in (group_users(bit_d, bit_theta), group_users_one_bit(bit_d)):
+            picks = select_group_pair(groups, u)
+            for pick, members in zip(picks, groups):
+                assert (pick is None) == (members.size == 0)
+                assert pick is None or pick in members.tolist()
+            if None not in picks:
+                assert picks[0] != picks[1]
 
 
 class TestSchemeValidation:
