@@ -48,6 +48,10 @@ from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 WEAK, STRONG = "weak", "strong"
 
 
+class UndefinedLawError(ValueError):
+    """The configured mobility law leaves a closed form undefined; the message names the mobility keys that set it."""
+
+
 @dataclass(frozen=True)
 class AnalyticModel:
     """Geometry, mobility and (optionally) a feedback scheme plus quadrature config."""
@@ -130,12 +134,31 @@ def _corners(mob):
     return [m + t for m in (mob.mean_phi_min, mob.mean_phi_max) for t in (-mob.delta_phi, mob.delta_phi)]
 
 
-def _breakpoints(model, half_angles, level=None, caps=()):
-    """The fixed kinks of a distance integrand, unsorted and possibly outside the range of integration.
+_CROSSING_SCAN = 401  # scan points per corner for the moving kinks of _breakpoints
 
-    They are the distances where c(r) +/- each of ``half_angles`` crosses a
-    corner of the angle CDF and, for a gain ``level``, where its boundary
-    angle reaches 0 or one of ``caps``.
+
+def _merged(points, lo, hi):
+    """``points`` inside (lo, hi), sorted; one within 1e-9 of the range of the last kept point or an end is dropped."""
+    tol = 1e-9 * (hi - lo)
+    kept = [lo]
+    for r in sorted(points):
+        if kept[-1] + tol < r < hi - tol:
+            kept.append(r)
+    return kept[1:]
+
+
+def _breakpoints(model, lo, hi, half_angles, level=None, caps=(), corners=()):
+    """Every kink of a distance integrand inside (lo, hi), sorted and ``_merged``.
+
+    The fixed kinks are where c(r) +/- each of ``half_angles`` crosses a corner
+    of the angle CDF and, for a gain ``level``, where its boundary angle
+    b(r, level) reaches 0 or one of ``caps``.  The moving kinks, for a level,
+    are where c(r) +/- b(r, level) meets one of ``corners``: there
+    (r cos t - ell sin t)^2 = level (ell^2 + r^2)^(m+3) / h_c^4 for a corner t.
+    The difference of the two sides, over ell^2 + r^2, is scanned on
+    _CROSSING_SCAN points of [lo, hi] once per distinct corner, and each sign
+    change is solved with brentq.  Roots where c(r) - t exceeds pi/2 solve the
+    squared equation only; they are kept as harmless extra splits.
     """
     geom = model.geom
     pts = []
@@ -146,45 +169,24 @@ def _breakpoints(model, half_angles, level=None, caps=()):
                 pts.append(geom.ell / math.tan(beta))
     if level is not None:
         pts += [gain_boundary_distance(geom, level, scale) for scale in [1.0] + [math.cos(c) ** 2 for c in caps]]
-    return pts
+        if corners and level > 0.0 and hi > lo:
+            from scipy.optimize import brentq
+
+            def gap(r, cos_t, sin_t):
+                cos_sq = (r * cos_t - geom.ell * sin_t) ** 2 / (geom.ell**2 + r * r)  # cos^2(t - c(r))
+                return cos_sq - level * inverse_squared_gain(geom, r)
+
+            r = np.linspace(lo, hi, _CROSSING_SCAN)
+            for t in dict.fromkeys(corners):
+                args = (math.cos(t), math.sin(t))
+                below = np.signbit(gap(r, *args))
+                pts += [brentq(gap, r[i], r[i + 1], args=args) for i in np.flatnonzero(below[:-1] != below[1:])]
+    return _merged(pts, lo, hi)
 
 
-_CROSSING_SCAN = 401  # scan points per corner in _corner_crossings
-
-
-def _corner_crossings(geom, x, corners, lo, hi):
-    """The distances in (lo, hi) where c(r) +/- the boundary angle of the level x meets one of ``corners``.
-
-    There cos^2(t - c(r)) = x / g(r)^2, that is (r cos t - ell sin t)^2 =
-    x (ell^2 + r^2)^(m+3) / h_c^4 for a corner t.  The difference of the two
-    sides is scanned on _CROSSING_SCAN points of [lo, hi], and each sign
-    change is solved with brentq.  Roots where c(r) - t exceeds pi/2 solve the
-    squared equation only; they are returned too, as harmless extra splits.
-    """
-    from scipy.optimize import brentq
-
-    if not (x > 0.0 and hi > lo):
-        return []
-
-    def gap(r, cos_t, sin_t):
-        return (r * cos_t - geom.ell * sin_t) ** 2 / (geom.ell**2 + r * r) - x * inverse_squared_gain(geom, r)
-
-    r = np.linspace(lo, hi, _CROSSING_SCAN)
-    roots = []
-    for t in corners:
-        args = (math.cos(t), math.sin(t))
-        below = np.signbit(gap(r, *args))
-        roots += [brentq(gap, r[i], r[i + 1], args=args) for i in np.flatnonzero(below[:-1] != below[1:])]
-    return roots
-
-
-def _integral(model, f, lo, hi, half_angles, level=None, caps=()):
-    """Integral of f over the distances [lo, hi] with its error, split at every kink of ``_breakpoints``.
-
-    ``integrate_adaptive`` keeps only the points inside (lo, hi) and sorts
-    them, so their order does not matter.
-    """
-    return integrate_adaptive(f, lo, hi, model.quad, _breakpoints(model, half_angles, level, caps))
+def _integral(model, f, lo, hi, half_angles, level=None, caps=(), corners=()):
+    """Integral of f over the distances [lo, hi] with its error, split at every kink of ``_breakpoints``."""
+    return integrate_adaptive(f, lo, hi, model.quad, _breakpoints(model, lo, hi, half_angles, level, caps, corners))
 
 
 def _band_edges(inner, outer):
@@ -218,7 +220,8 @@ def _members(model, inner, outer, lo, hi):
     """Band mass of the users whose report lies in the band, on the law of ``_report_model``; raises when zero."""
     mass = _band_mass(_report_model(model), inner, outer, lo, hi)
     if mass[0] <= 0.0:
-        raise ValueError("the band has zero probability under this configuration")
+        raise UndefinedLawError("the band has zero probability under the angle law of mobility.mean_phi_min_deg, "
+                                "mobility.mean_phi_max_deg and mobility.delta_phi_deg")
     return mass
 
 
@@ -229,7 +232,7 @@ def _fov_normalizer(model):
 
 
 def _mean_band(model, r, inner, outer, y):
-    """(Pr(report in band), Pr(report in band and |incidence| <= y)) at d = r, for mean-angle reports.
+    """Pr(report in band and |incidence| <= y) at d = r, for mean-angle reports.
 
     The report band inner < |mean incidence| <= outer is at most two intervals
     [a, b] of the uniform mean angle m, one each side of the boresight c(r).
@@ -240,15 +243,13 @@ def _mean_band(model, r, inner, outer, y):
     mob = model.mobility
     c, dphi = boresight_angle(model.geom, r), mob.delta_phi
     m_min, m_max = mob.mean_phi_min, mob.mean_phi_max
-    members = inside = 0.0
+    inside = 0.0
     for a, b in ((c - outer, c - inner), (c + inner, c + outer)):
         a, b = (m_min if a < m_min else a), (m_max if b > m_max else b)
         if b > a:
-            members += b - a
             inside += (deviation_cdf_integral(c + y - a, dphi) - deviation_cdf_integral(c + y - b, dphi)
                        - deviation_cdf_integral(c - y - a, dphi) + deviation_cdf_integral(c - y - b, dphi))
-    span = mob.mean_phi_span
-    return members / span, inside / span
+    return inside / mob.mean_phi_span
 
 
 def _mass_above(model, x, inner, outer, lo, hi):
@@ -267,7 +268,7 @@ def _mass_above(model, x, inner, outer, lo, hi):
     if report is not model:
         # the one mixed law: membership by the mean angle, gain by the instantaneous one
         def above(r):
-            return _mean_band(model, r, inner, outer, min(gain_boundary_angle(geom, x, r), theta))[1]
+            return _mean_band(model, r, inner, outer, min(gain_boundary_angle(geom, x, r), theta))
 
         edges = _band_edges(inner, outer)
         return _integral(report, above, lo, hi, edges, level=x, caps=(theta, *edges))
@@ -280,7 +281,7 @@ def _mass_above(model, x, inner, outer, lo, hi):
         return fov_probability(model, r, top if b > top else b) - (fov_probability(model, r, inner) if inner else 0.0)
 
     edges = _band_edges(inner, top)
-    return _integral(model, above, lo, hi, edges, level=x, caps=edges)
+    return _integral(model, above, lo, hi, edges, level=x, caps=edges, corners=_corners(model.mobility))
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +514,12 @@ def _rank_weight_kinks(mean):
     """
     geom, mob, theta = mean.geom, mean.mobility, mean.geom.half_fov
     ends = (mob.mean_phi_min, mob.mean_phi_max)
-    fixed = [r for r in _breakpoints(mean, (theta,)) if mob.d_min < r < mob.d_max]
     kinks = []
-    for r_f in [mob.d_min, mob.d_max, *fixed]:
+    for r_f in [mob.d_min, mob.d_max, *_breakpoints(mean, mob.d_min, mob.d_max, (theta,))]:
         c = boresight_angle(geom, r_f)
         for a in [0.0, theta, *[abs(t - c) for t in ends if abs(t - c) < theta]]:
             y = float(geom.gain_factor(r_f)) ** 2 * math.cos(a) ** 2
-            kinks += _breakpoints(mean, (), y, (theta,)) + _corner_crossings(geom, y, ends, mob.d_min, mob.d_max)
+            kinks += _breakpoints(mean, mob.d_min, mob.d_max, (), y, (theta,), ends)
     return tuple(kinks)
 
 
@@ -587,11 +587,10 @@ def mean_angle_success_probability(model, threshold, rank, min_count):
     nonzero mean gains, Z the normalizer of the nonzero-mean-gain law.  Both
     integrals are one tensor-product composite Gauss-Legendre rule
     (``_mean_angle_integral``) on equal panels split again at every kink.
-    Over distance the kinks are the fixed ones of ``_breakpoints`` (the
-    corners at half_fov, and where cap reaches 0, half_fov or
-    |half_fov - delta_phi|), the moving ones where c(r) +/- cap meets a corner
-    m +/- delta_phi (``_corner_crossings``), and those of the rank weight
-    (``_rank_weight_kinks``); over the mean incidence they are the band's.
+    Over distance the kinks are those of ``_breakpoints`` (the corners at
+    half_fov, where cap reaches 0, half_fov or |half_fov - delta_phi|, and
+    where c(r) +/- cap meets a corner m +/- delta_phi) and those of the rank
+    weight (``_rank_weight_kinks``); over the mean incidence they are the band's.
     The error sums the change when both panel counts are halved, the
     normalizer's error, and the table error times the total variation of W.
     """
@@ -604,14 +603,10 @@ def mean_angle_success_probability(model, threshold, rank, min_count):
     den, den_err = _fov_normalizer(mean)
     lo = mob.d_min
     hi = max(lo, min(mob.d_max, gain_boundary_distance(geom, threshold)))
-    kinks = (_breakpoints(mean, (theta,), threshold, (theta, abs(theta - mob.delta_phi)))
-             + _corner_crossings(geom, threshold, _corners(mob), lo, hi) + list(_rank_weight_kinks(mean)))
-    # kinks found twice (to rounding) or at an end would only add empty panels
-    edges = [lo]
-    for r in sorted(kinks):
-        if edges[-1] + 1e-9 * (hi - lo) < r < hi - 1e-9 * (hi - lo):
-            edges.append(r)
-    fine, coarse = (_mean_angle_integral(model, threshold, cdf, density, lo, hi, edges[1:], panels)
+    # a kink found twice (to rounding) or at an end would only add an empty panel
+    kinks = _merged(_breakpoints(mean, lo, hi, (theta,), threshold, (theta, abs(theta - mob.delta_phi)), _corners(mob))
+                    + list(_rank_weight_kinks(mean)), lo, hi)
+    fine, coarse = (_mean_angle_integral(model, threshold, cdf, density, lo, hi, kinks, panels)
                     for panels in ((_DISTANCE_PANELS, _ANGLE_PANELS), (_DISTANCE_PANELS // 2, _ANGLE_PANELS // 2)))
     span = mob.mean_phi_span
     value, err = _share((fine, abs(fine - coarse)), (den * span, den_err * span))
@@ -631,7 +626,8 @@ def _require_group_scheme(model, kinds):
 
 def _require_mean_span(model):
     if model.mobility.mean_phi_span == 0.0:
-        raise ValueError("mean-angle closed forms need a nondegenerate mean-angle range")
+        raise UndefinedLawError("mean-angle closed forms need a nondegenerate mean-angle range: "
+                                "mobility.mean_phi_min_deg must lie below mobility.mean_phi_max_deg")
 
 
 def _role_band(model, role, kinds):
@@ -742,7 +738,8 @@ def sum_rate_sweep(config):
     propagated quadrature error estimate, and conditioning_rate the
     probability of the scheduling precondition (enough nonzero-gain reports /
     both groups nonempty).  A QuadratureError turns only the curve it hit
-    into NaN points.  Returns (curves, {label: QuadratureError} of the failed
+    into NaN points, and an UndefinedLawError is raised again naming the
+    scheme it hit.  Returns (curves, {label: QuadratureError} of the failed
     curves).
     """
     schemes = {s.kind: s for s in config.schemes}
@@ -767,6 +764,8 @@ def sum_rate_sweep(config):
                     outage_strong=float(ps),
                     conditioning_rate=float(cond),
                 ))
+        except UndefinedLawError as exc:
+            raise UndefinedLawError(f"scheme {kind.value!r}: {exc}") from exc
         except QuadratureError as exc:
             failures[label] = exc
             points = [CurvePoint(g, math.nan, math.nan, math.nan, math.nan, math.nan) for g in grid]

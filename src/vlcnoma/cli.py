@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analytic import ROUTES, sum_rate_sweep
+from .analytic import ROUTES, UndefinedLawError, sum_rate_sweep
 from .config import (
     ConfigError,
     build_experiment,
@@ -173,7 +173,10 @@ def cmd_analytic(args):
         for scheme in config.schemes:
             if scheme.kind not in ROUTES:
                 print(f"note: no closed-form route for scheme {scheme.kind.value!r}; skipped", file=sys.stderr)
-        curves, failed = sum_rate_sweep(config)
+        try:
+            curves, failed = sum_rate_sweep(config)
+        except UndefinedLawError as exc:
+            raise ConfigError(f"run group {suffix or 'default'!r}, {exc}") from exc
         for label, exc in failed.items():
             print(f"numerical failure for {_label(label, suffix)}: {exc}", file=sys.stderr)
         failures += len(failed)

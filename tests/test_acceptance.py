@@ -405,12 +405,7 @@ class TestA10PropertySuite:
         result = check_quadrature_stability(ValidationSizes(), np.random.default_rng(110))
         report("A10e quadrature halving stability (50 probes)", result.passed, f"worst |delta|/err = {result.measured:.3f} (<= 1)")
 
-    # seed 1 reads 2.39: _integral's error estimates miss the kinks that move with distance
-    @pytest.mark.parametrize("seed", [
-        pytest.param(1, marks=pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: the unordered CDF's "
-                                                "error estimate is too small until the moving kinks are breakpoints")),
-        *range(2, 17),
-    ])
+    @pytest.mark.parametrize("seed", range(1, 17))
     def test_quadrature_halving_quick_seeds(self, seed):
         result = check_quadrature_stability(ValidationSizes.quick(), np.random.default_rng(seed))
         assert result.passed, f"seed {seed}: worst |delta|/err = {result.measured:.3f} (<= 1)"

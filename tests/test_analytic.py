@@ -315,8 +315,7 @@ def _quad_mean_band(model, r, inner, outer, y):
     kinks = [c + s * a + t * dphi for s in (-1.0, 1.0) for a in (inner, outer, y) for t in (-1.0, 0.0, 1.0)]
     lo, hi = mob.mean_phi_min, mob.mean_phi_max
     points = sorted({k for k in kinks if lo < k < hi})
-    return tuple(quad(f, lo, hi, points=points, limit=200, epsabs=1e-13, epsrel=1e-12)[0] / mob.mean_phi_span
-                 for f in (in_band, inside))
+    return quad(inside, lo, hi, points=points, limit=200, epsabs=1e-13, epsrel=1e-12)[0] / mob.mean_phi_span
 
 
 class TestMeanBand:
@@ -325,21 +324,15 @@ class TestMeanBand:
            width=st.floats(0.0, math.pi), y=st.floats(0.0, math.pi / 2.0), dphi=st.sampled_from((0.0, 25.0)))
     def test_matches_quadrature_over_the_mean_angle(self, r, inner, width, y, dphi):
         model, outer = model_with(dphi), inner + width
-        members, inside = an._mean_band(model, r, inner, outer, y)
-        ref_members, ref_inside = _quad_mean_band(model, r, inner, outer, y)
-        assert members == pytest.approx(ref_members, abs=1e-9)
-        assert inside == pytest.approx(ref_inside, abs=1e-9)
-        top, bottom = (an.fov_probability(an._mean_model(model), r, a) for a in (outer, inner))
-        assert members == pytest.approx(top - bottom, abs=1e-12)
+        assert an._mean_band(model, r, inner, outer, y) == pytest.approx(_quad_mean_band(model, r, inner, outer, y),
+                                                                         abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(r=st.floats(0.0, 10.0), outer=st.floats(math.pi, 4.0), y=st.floats(0.0, math.pi / 2.0),
            dphi=st.sampled_from((0.0, 25.0)))
     def test_open_band_is_the_instantaneous_fov_probability(self, r, outer, y, dphi):
         model = model_with(dphi)
-        members, inside = an._mean_band(model, r, 0.0, outer, y)
-        assert members == pytest.approx(1.0, abs=1e-12)
-        assert inside == pytest.approx(an.fov_probability(model, r, y), abs=1e-12)
+        assert an._mean_band(model, r, 0.0, outer, y) == pytest.approx(an.fov_probability(model, r, y), abs=1e-12)
 
 
 def membership_probabilities(model):
@@ -433,10 +426,10 @@ def adaptive_mean_angle(model, threshold, rank, min_count, panels=16):
     """The mean-angle success probability by an independent rule: (value, error of the distance integral).
 
     QUADPACK integrates over distance (abs 1e-14, rel 1e-12, 2000
-    subdivisions), split only at the fixed kinks of ``an._breakpoints``, so it
-    must find the moving ones itself.  At each distance a composite Gauss rule
-    with ``panels`` panels per piece integrates over the mean angle m, split
-    where the band probability kinks.  It shares the integrand's parts (the
+    subdivisions), split only at the fixed kinks of ``an._breakpoints`` (no
+    corners are passed), so it must find the moving ones itself.  At each
+    distance a composite Gauss rule with ``panels`` panels per piece
+    integrates over the mean angle m, split where the band probability kinks.  It shares the integrand's parts (the
     mean-gain CDF table, the rank density and the normalizer) with
     ``an.mean_angle_success_probability``, not its quadrature.
     """
@@ -465,7 +458,7 @@ def adaptive_mean_angle(model, threshold, rank, min_count, panels=16):
     lo, hi = mob.d_min, min(mob.d_max, an.gain_boundary_distance(geom, threshold))
     if hi <= lo:
         return 0.0, 0.0
-    points = sorted({p for p in an._breakpoints(mean, (theta,), threshold, (theta,)) if lo < p < hi})
+    points = an._breakpoints(mean, lo, hi, (theta,), threshold, (theta,))
     num, num_err = quad(inner, lo, hi, points=points or None, epsabs=1e-14, epsrel=1e-12, limit=2000,
                         full_output=1)[:2]
     scale = an._fov_normalizer(mean)[0] * mob.mean_phi_span
@@ -580,3 +573,49 @@ class TestQuadratureStability:
             v1, e1 = an.unordered_gain_cdf(MODEL, float(x))
             v2, _ = an.unordered_gain_cdf(half, float(x))
             assert abs(v2 - v1) <= max(e1, 1e-14)
+
+
+# the tight reference: tolerances far below QuadratureConfig's defaults, subdivisions far above
+TIGHT = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=5000)
+HONESTY_LEVELS = np.geomspace(1e-16, 10**-10.5, 150)
+# ROADMAP direction 1: the mean-report integrand also kinks where c(r) +/- min(b, half_fov) +/- delta_phi
+# meets a band edge or an end of the range, and no breakpoint marks those distances yet
+MEAN_REPORT_KINKS = pytest.mark.xfail(strict=True, reason="ROADMAP direction 1 (mean-report kinks): the mean-report "
+                                      "integrand's kinks are not breakpoints, so its error estimate is too small")
+
+
+def assert_within_error_of_tight_reference(model, f, levels):
+    """|f(model, x) - f at TIGHT| <= the error f reports, at every level."""
+    tight = replace(model, quad=TIGHT)
+    for x in levels:
+        value, err = f(model, float(x))
+        ref, _ = f(tight, float(x))
+        assert abs(value - ref) <= err, (float(x), value, ref, err)
+
+
+class TestErrorHonesty:
+    """Every reported quadrature error covers the distance to a tight-tolerance reference, on the paper model."""
+
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_unordered_cdf(self, dphi):
+        assert_within_error_of_tight_reference(paper_model(dphi), an.unordered_gain_cdf, HONESTY_LEVELS)
+
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    @pytest.mark.parametrize("role", (an.WEAK, an.STRONG))
+    @pytest.mark.parametrize("family", ("group_gain_cdf_instant", "group_success_probability"))
+    def test_instantaneous_report_groups(self, family, role, dphi):
+        f = getattr(an, family)
+        assert_within_error_of_tight_reference(paper_model(dphi, FeedbackKind.TWO_BIT_INSTANT),
+                                               lambda m, x: f(m, x, role), HONESTY_LEVELS)
+
+    # measured |value - reference| / reported error in the comments
+    @pytest.mark.parametrize("family,dphi,index", [
+        pytest.param("group_gain_cdf_mean", 0.0, 48, marks=MEAN_REPORT_KINKS),  # 20.4
+        pytest.param("group_gain_cdf_mean", 25.0, 139, marks=MEAN_REPORT_KINKS),  # 2.68
+        pytest.param("group_success_probability", 0.0, 85, marks=MEAN_REPORT_KINKS),  # 6.43
+        pytest.param("group_success_probability", 25.0, 59, marks=MEAN_REPORT_KINKS),  # 11.4
+    ])
+    def test_mean_report_weak_group(self, family, dphi, index):
+        f = getattr(an, family)
+        assert_within_error_of_tight_reference(paper_model(dphi, FeedbackKind.TWO_BIT_MEAN),
+                                               lambda m, x: f(m, x, an.WEAK), HONESTY_LEVELS[index:index + 1])

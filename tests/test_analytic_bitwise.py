@@ -103,43 +103,43 @@ PINNED = {
     'group_cdf_mean|dphi=0|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=0|wide|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=0|wide|mean|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=0|instant|x=5e-15': ('0x1.2b7a624ce7d90p-4', '0x1.ed58b3fc6ddd1p-29'),
-    'unordered|dphi=0|mean|x=5e-15': ('0x1.2b7a624ce7d90p-4', '0x1.ed58b3fc6ddd1p-29'),
-    'ordered|dphi=0|r=1,k=10|x=5e-15': ('0x1.2147c260f9eabp-1', '0x1.3457707dc4aa3p-24'),
-    'ordered|dphi=0|r=10,k=10|x=5e-15': ('0x1.98b687615b020p-32', '0x1.3457707dc4aa3p-24'),
-    'ordered|dphi=0|r=3,k=5|x=5e-15': ('0x1.8a1aca804615cp-6', '0x1.3457707dc4aa3p-24'),
-    'group_cdf_instant|dphi=0|paper|weak|x=5e-15': ('0x1.6649445bc9148p-4', '0x1.215ee08291c40p-33'),
+    'unordered|dphi=0|instant|x=5e-15': ('0x1.2b7a623dacb58p-4', '0x1.e99340f994dbep-38'),
+    'unordered|dphi=0|mean|x=5e-15': ('0x1.2b7a623dacb58p-4', '0x1.e99340f994dbep-38'),
+    'ordered|dphi=0|r=1,k=10|x=5e-15': ('0x1.2147c25738fc6p-1', '0x1.31fc089bfd097p-33'),
+    'ordered|dphi=0|r=10,k=10|x=5e-15': ('0x1.98b686978da3cp-32', '0x1.31fc089bfd097p-33'),
+    'ordered|dphi=0|r=3,k=5|x=5e-15': ('0x1.8a1aca4c1b755p-6', '0x1.31fc089bfd097p-33'),
+    'group_cdf_instant|dphi=0|paper|weak|x=5e-15': ('0x1.6649445ab8770p-4', '0x1.56a302cebd2fdp-34'),
     'group_cdf_mean|dphi=0|paper|weak|x=5e-15': ('0x1.6649445bc9148p-4', '0x1.215ee0e1984d5p-33'),
-    'group_success|dphi=0|paper|instant|weak|x=5e-15': ('0x1.61c29159b502ap-2', '0x1.98ac40a3fb7fbp-35'),
+    'group_success|dphi=0|paper|instant|weak|x=5e-15': ('0x1.61c29159cecffp-2', '0x1.cbcdc99f0ee29p-36'),
     'group_success|dphi=0|paper|mean|weak|x=5e-15': ('0x1.61c2915901db9p-2', '0x1.4dd80ed18bc55p-30'),
     'group_cdf_instant|dphi=0|wide|weak|x=5e-15': ('0x1.c28e90a047ba0p-3', '0x1.baa4692d6576ap-46'),
     'group_cdf_mean|dphi=0|wide|weak|x=5e-15': ('0x1.c28e90a047ba4p-3', '0x1.baa5cdbd55902p-46'),
     'group_success|dphi=0|wide|instant|weak|x=5e-15': ('0x1.217f6c40af8cdp-3', '0x1.40df62375beb5p-48'),
     'group_success|dphi=0|wide|mean|weak|x=5e-15': ('0x1.217f6c40af8ccp-3', '0x1.40e064b07115bp-48'),
-    'group_cdf_instant|dphi=0|paper|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
     'group_cdf_mean|dphi=0|paper|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=0|paper|instant|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
     'group_success|dphi=0|paper|mean|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
-    'group_cdf_instant|dphi=0|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=0|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000001p-46'),
     'group_cdf_mean|dphi=0|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=0|wide|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=0|wide|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000001p-46'),
     'group_success|dphi=0|wide|mean|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=0|instant|x=4e-13': ('0x1.09adae7c33d3dp-1', '0x1.fa94682f36fb5p-29'),
-    'unordered|dphi=0|mean|x=4e-13': ('0x1.09adae7c33d3dp-1', '0x1.fa94682f36fb5p-29'),
-    'ordered|dphi=0|r=1,k=10|x=4e-13': ('0x1.ffca1a48555bfp-1', '0x1.3c9cc11d825d1p-24'),
-    'ordered|dphi=0|r=10,k=10|x=4e-13': ('0x1.1c7bc3d47fc3dp-6', '0x1.3c9cc11d825d1p-24'),
-    'ordered|dphi=0|r=3,k=5|x=4e-13': ('0x1.bdf19eb757d28p-1', '0x1.3c9cc11d825d1p-24'),
-    'group_cdf_instant|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b314c98d0p-1', '0x1.d6022b18100bdp-29'),
+    'unordered|dphi=0|instant|x=4e-13': ('0x1.09adae7c445d0p-1', '0x1.f54d9898dfc3dp-39'),
+    'unordered|dphi=0|mean|x=4e-13': ('0x1.09adae7c445d0p-1', '0x1.f54d9898dfc3dp-39'),
+    'ordered|dphi=0|r=1,k=10|x=4e-13': ('0x1.ffca1a4855817p-1', '0x1.39507f5f8bda6p-34'),
+    'ordered|dphi=0|r=10,k=10|x=4e-13': ('0x1.1c7bc3d50554ep-6', '0x1.39507f5f8bda6p-34'),
+    'ordered|dphi=0|r=3,k=5|x=4e-13': ('0x1.bdf19eb7686ccp-1', '0x1.39507f5f8bda6p-34'),
+    'group_cdf_instant|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b31644987p-1', '0x1.991113921975fp-32'),
     'group_cdf_mean|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b314c98d0p-1', '0x1.d6022b18100bdp-29'),
-    'group_success|dphi=0|paper|instant|weak|x=4e-13': ('0x1.3eb5ef72c8185p-3', '0x1.6375c44cf18f7p-30'),
+    'group_success|dphi=0|paper|instant|weak|x=4e-13': ('0x1.3eb5ef708a17dp-3', '0x1.3268237cc480ep-33'),
     'group_success|dphi=0|paper|mean|weak|x=4e-13': ('0x1.3eb5ef70b1d51p-3', '0x1.46ab00a7ccb24p-30'),
-    'group_cdf_instant|dphi=0|wide|weak|x=4e-13': ('0x1.ffc069d03c5aap-1', '0x1.b3ff8cacd76f0p-36'),
+    'group_cdf_instant|dphi=0|wide|weak|x=4e-13': ('0x1.ffc069d03c03ep-1', '0x1.8d6aaa88e7befp-57'),
     'group_cdf_mean|dphi=0|wide|weak|x=4e-13': ('0x1.ffc069d03c5aap-1', '0x1.b3ff8cbc7cc0ap-36'),
-    'group_success|dphi=0|wide|instant|weak|x=4e-13': ('0x1.70c0d30c802d4p-14', '0x1.3c0e6cacaaf4ep-38'),
+    'group_success|dphi=0|wide|instant|weak|x=4e-13': ('0x1.70c0d30e7765fp-14', '0x1.2016a4e34d47bp-59'),
     'group_success|dphi=0|wide|mean|weak|x=4e-13': ('0x1.70c0d30c802d5p-14', '0x1.3c0e6cb8026c5p-38'),
-    'group_cdf_instant|dphi=0|paper|strong|x=4e-13': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=4e-13': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
     'group_cdf_mean|dphi=0|paper|strong|x=4e-13': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=4e-13': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=0|paper|instant|strong|x=4e-13': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
     'group_success|dphi=0|paper|mean|strong|x=4e-13': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
     'group_cdf_instant|dphi=0|wide|strong|x=4e-13': ('0x0.0p+0', '0x1.9000000000000p-46'),
     'group_cdf_mean|dphi=0|wide|strong|x=4e-13': ('0x0.0p+0', '0x1.8ffffffffffffp-46'),
@@ -208,12 +208,12 @@ PINNED = {
     'group_cdf_mean|dphi=0|wide|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd708d4ec44aep-2', '0x1.41fd69f8e1649p-17'),
-    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.fffffecc857fap-1', '0x1.01dccb416d31ap-17'),
-    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2e74ac0c25dp-12', '0x1.41fd3f9d74018p-17'),
-    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c2454c27b2p-1', '0x1.fe90c749be4d0p-18'),
-    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7baca239798c8p-29', '0x1.41fd3bc5e26ccp-17'),
-    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fd74b42c81p-1', '0x1.0624bc9647e78p-17'),
+    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd708d63b8ca1p-2', '0x1.2e18bcee2382ep-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.fffffec6a53d0p-1', '0x1.055e5f1804162p-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2e75317c1dfp-12', '0x1.2e180231b8532p-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c2452bc24bp-1', '0x1.e15f97627693ep-21'),
+    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7baca239798c8p-29', '0x1.2e18001cfc1a4p-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fd74b42c81p-1', '0x1.278f238d6f534p-20'),
     'group_probabilities|dphi=0|paper|instant': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|paper|mean': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|wide|instant': ('0x1.cf71c47933453p-1',),
@@ -255,68 +255,68 @@ PINNED = {
     'group_cdf_mean|dphi=25|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=25|wide|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.4c7819e2a3138p-44'),
     'group_success|dphi=25|wide|mean|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=25|instant|x=5e-15': ('0x1.317d421c68c30p-4', '0x1.632679c05b254p-32'),
-    'unordered|dphi=25|mean|x=5e-15': ('0x1.3953808045030p-4', '0x1.5a08c1f690dd8p-28'),
-    'ordered|dphi=25|r=1,k=10|x=5e-15': ('0x1.2430a5a63094ep-1', '0x1.bbf0183071ee9p-28'),
-    'ordered|dphi=25|r=10,k=10|x=5e-15': ('0x1.b1f41aa7431bcp-32', '0x1.bbf0183071ee9p-28'),
-    'ordered|dphi=25|r=3,k=5|x=5e-15': ('0x1.8775b81a95d7ap-6', '0x1.bbf0183071ee9p-28'),
-    'group_cdf_instant|dphi=25|paper|weak|x=5e-15': ('0x1.8c2d359e25860p-4', '0x1.ad2a242623b36p-29'),
+    'unordered|dphi=25|instant|x=5e-15': ('0x1.317d421e54b20p-4', '0x1.52cfaaa33a200p-37'),
+    'unordered|dphi=25|mean|x=5e-15': ('0x1.3953801805db0p-4', '0x1.432497fbdb7f1p-34'),
+    'ordered|dphi=25|r=1,k=10|x=5e-15': ('0x1.2430a5a7667c8p-1', '0x1.a783954c08a80p-33'),
+    'ordered|dphi=25|r=10,k=10|x=5e-15': ('0x1.b1f41ac1c45ebp-32', '0x1.a783954c08a80p-33'),
+    'ordered|dphi=25|r=3,k=5|x=5e-15': ('0x1.8775b820ffad0p-6', '0x1.a783954c08a80p-33'),
+    'group_cdf_instant|dphi=25|paper|weak|x=5e-15': ('0x1.8c2d35a8939c0p-4', '0x1.0c973ee6f9027p-36'),
     'group_cdf_mean|dphi=25|paper|weak|x=5e-15': ('0x1.b0bfe8b92de3cp-3', '0x1.d9a79b1baaa4fp-28'),
-    'group_success|dphi=25|paper|instant|weak|x=5e-15': ('0x1.4c1e8560c7d60p-2', '0x1.3411273d9a9abp-30'),
+    'group_success|dphi=25|paper|instant|weak|x=5e-15': ('0x1.4c1e855fd8270p-2', '0x1.60c25f0cfba00p-38'),
     'group_success|dphi=25|paper|mean|weak|x=5e-15': ('0x1.5135ec92ff3d0p-2', '0x1.bbeb2ff39a2b3p-29'),
-    'group_cdf_instant|dphi=25|wide|weak|x=5e-15': ('0x1.babaf95bc6440p-3', '0x1.492f20a346fcfp-29'),
+    'group_cdf_instant|dphi=25|wide|weak|x=5e-15': ('0x1.babaf9582e168p-3', '0x1.39877b4cc6ffap-46'),
     'group_cdf_mean|dphi=25|wide|weak|x=5e-15': ('0x1.8f2ca04a0bf46p-2', '0x1.2cd7119e7f1b3p-46'),
-    'group_success|dphi=25|wide|instant|weak|x=5e-15': ('0x1.597885a9b051bp-3', '0x1.1b601b5c75b40p-31'),
+    'group_success|dphi=25|wide|instant|weak|x=5e-15': ('0x1.597885aa7659ep-3', '0x1.0de6286d2c764p-48'),
     'group_success|dphi=25|wide|mean|weak|x=5e-15': ('0x1.692b0bb9c1ddcp-3', '0x1.1a29a1291f754p-48'),
-    'group_cdf_instant|dphi=25|paper|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=25|paper|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000003p-46'),
     'group_cdf_mean|dphi=25|paper|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=25|paper|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=25|paper|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000003p-46'),
     'group_success|dphi=25|paper|mean|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.8fffffffffffep-46'),
-    'group_cdf_instant|dphi=25|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.4c7819e2a3138p-44'),
+    'group_cdf_instant|dphi=25|wide|strong|x=5e-15': ('0x1.8000000000000p-52', '0x1.b07819e2a3135p-45'),
     'group_cdf_mean|dphi=25|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=25|wide|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.4c7819e2a3138p-44'),
+    'group_success|dphi=25|wide|instant|strong|x=5e-15': ('0x1.ffffffffffffdp-1', '0x1.b07819e2a3135p-45'),
     'group_success|dphi=25|wide|mean|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=25|instant|x=4e-13': ('0x1.dd7f43c3abdf2p-2', '0x1.07635c3aaf343p-29'),
-    'unordered|dphi=25|mean|x=4e-13': ('0x1.d9edb96e34f80p-2', '0x1.92bc3eef3072cp-31'),
-    'ordered|dphi=25|r=1,k=10|x=4e-13': ('0x1.ff5d36444a48cp-1', '0x1.493c33495b014p-25'),
-    'ordered|dphi=25|r=10,k=10|x=4e-13': ('0x1.ca60fbcf9d983p-8', '0x1.493c33495b014p-25'),
-    'ordered|dphi=25|r=3,k=5|x=4e-13': ('0x1.98788650c9286p-1', '0x1.493c33495b014p-25'),
-    'group_cdf_instant|dphi=25|paper|weak|x=4e-13': ('0x1.2789cd0bfc24ep-1', '0x1.cab3089c23c28p-30'),
+    'unordered|dphi=25|instant|x=4e-13': ('0x1.dd7f43c41678cp-2', '0x1.895c3001fc14ap-38'),
+    'unordered|dphi=25|mean|x=4e-13': ('0x1.d9edb96b20698p-2', '0x1.d1c6bc93fb959p-29'),
+    'ordered|dphi=25|r=1,k=10|x=4e-13': ('0x1.ff5d36444b93fp-1', '0x1.ebb33c027b19cp-34'),
+    'ordered|dphi=25|r=10,k=10|x=4e-13': ('0x1.ca60fbd2c6211p-8', '0x1.ebb33c027b19cp-34'),
+    'ordered|dphi=25|r=3,k=5|x=4e-13': ('0x1.987886511278ap-1', '0x1.ebb33c027b19cp-34'),
+    'group_cdf_instant|dphi=25|paper|weak|x=4e-13': ('0x1.2789cd0c41047p-1', '0x1.21f34f512e3a2p-35'),
     'group_cdf_mean|dphi=25|paper|weak|x=4e-13': ('0x1.488ba6483e88ap-1', '0x1.79c7258184595p-29'),
-    'group_success|dphi=25|paper|instant|weak|x=4e-13': ('0x1.36e52f841f212p-3', '0x1.4948f72764bc1p-31'),
+    'group_success|dphi=25|paper|instant|weak|x=4e-13': ('0x1.36e52f83bc359p-3', '0x1.98b840bfece91p-37'),
     'group_success|dphi=25|paper|mean|weak|x=4e-13': ('0x1.2a6fc6a59a470p-3', '0x1.4eb12598ecbcep-30'),
-    'group_cdf_instant|dphi=25|wide|weak|x=4e-13': ('0x1.ffdc85464642ep-1', '0x1.1cc6fb3021c2ap-36'),
+    'group_cdf_instant|dphi=25|wide|weak|x=4e-13': ('0x1.ffdc85463d479p-1', '0x1.bb7e120201c3ap-58'),
     'group_cdf_mean|dphi=25|wide|weak|x=4e-13': ('0x1.fd701328b511ap-1', '0x1.00388419451dfp-53'),
-    'group_success|dphi=25|wide|instant|weak|x=4e-13': ('0x1.e8aca1e304de4p-15', '0x1.ea4bdd02e4238p-39'),
+    'group_success|dphi=25|wide|instant|weak|x=4e-13': ('0x1.e8aca25ebac17p-15', '0x1.7dc6deda01e73p-60'),
     'group_success|dphi=25|wide|mean|weak|x=4e-13': ('0x1.222a19c125fa2p-10', '0x1.c561c83dcb56ep-56'),
-    'group_cdf_instant|dphi=25|paper|strong|x=4e-13': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=25|paper|strong|x=4e-13': ('0x1.8000000000000p-52', '0x1.8fffffffffffdp-46'),
     'group_cdf_mean|dphi=25|paper|strong|x=4e-13': ('0x1.0000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=25|paper|instant|strong|x=4e-13': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=25|paper|instant|strong|x=4e-13': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffdp-46'),
     'group_success|dphi=25|paper|mean|strong|x=4e-13': ('0x1.ffffffffffffep-1', '0x1.8fffffffffffep-46'),
-    'group_cdf_instant|dphi=25|wide|strong|x=4e-13': ('0x0.0p+0', '0x1.4c7819e2a3138p-44'),
+    'group_cdf_instant|dphi=25|wide|strong|x=4e-13': ('0x1.8000000000000p-52', '0x1.b07819e2a3135p-45'),
     'group_cdf_mean|dphi=25|wide|strong|x=4e-13': ('0x1.1ca4328f79280p-8', '0x1.8e433f70ffd2ap-46'),
-    'group_success|dphi=25|wide|instant|strong|x=4e-13': ('0x1.0000000000000p+0', '0x1.4c7819e2a3138p-44'),
+    'group_success|dphi=25|wide|instant|strong|x=4e-13': ('0x1.ffffffffffffdp-1', '0x1.b07819e2a3135p-45'),
     'group_success|dphi=25|wide|mean|strong|x=4e-13': ('0x1.fdc6b79ae10dbp-1', '0x1.8e433f70ffd2ap-46'),
-    'unordered|dphi=25|instant|x=2e-11': ('0x1.98fb5e34a3b19p-1', '0x1.ac7f1f0798058p-30'),
-    'unordered|dphi=25|mean|x=2e-11': ('0x1.94754480c850ap-1', '0x1.43ce2ae8319f4p-40'),
-    'ordered|dphi=25|r=1,k=10|x=2e-11': ('0x1.fffffe1ee229dp-1', '0x1.0bcf7364bf037p-25'),
-    'ordered|dphi=25|r=10,k=10|x=2e-11': ('0x1.3b802e006d408p-2', '0x1.0bcf7364bf037p-25'),
-    'ordered|dphi=25|r=3,k=5|x=2e-11': ('0x1.fc976f3e7f3c1p-1', '0x1.0bcf7364bf037p-25'),
-    'group_cdf_instant|dphi=25|paper|weak|x=2e-11': ('0x1.eda32b1a4a0e4p-1', '0x1.46b324c4d9a91p-38'),
+    'unordered|dphi=25|instant|x=2e-11': ('0x1.98fb5e349f543p-1', '0x1.65772d2687ccep-33'),
+    'unordered|dphi=25|mean|x=2e-11': ('0x1.94754480e25cap-1', '0x1.43d999aef76cep-40'),
+    'ordered|dphi=25|r=1,k=10|x=2e-11': ('0x1.fffffe1ee2299p-1', '0x1.bed4f87029c02p-29'),
+    'ordered|dphi=25|r=10,k=10|x=2e-11': ('0x1.3b802e0059595p-2', '0x1.bed4f87029c02p-29'),
+    'ordered|dphi=25|r=3,k=5|x=2e-11': ('0x1.fc976f3e7ec20p-1', '0x1.bed4f87029c02p-29'),
+    'group_cdf_instant|dphi=25|paper|weak|x=2e-11': ('0x1.eda32b1a5909cp-1', '0x1.5609989c05e97p-32'),
     'group_cdf_mean|dphi=25|paper|weak|x=2e-11': ('0x1.edb7674068b02p-1', '0x1.6ee2ff8e2cbe7p-32'),
-    'group_success|dphi=25|paper|instant|weak|x=2e-11': ('0x1.a5f9d8cacdb5cp-7', '0x1.cffbce49b06fap-40'),
+    'group_success|dphi=25|paper|instant|weak|x=2e-11': ('0x1.a5f9d8c975690p-7', '0x1.eb2c3b0f52e61p-34'),
     'group_success|dphi=25|paper|mean|weak|x=2e-11': ('0x1.afbacc56a19a2p-7', '0x1.d8a892a4ab6c9p-35'),
     'group_cdf_instant|dphi=25|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=25|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|instant|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|mean|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=25|paper|strong|x=2e-11': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=25|paper|strong|x=2e-11': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
     'group_cdf_mean|dphi=25|paper|strong|x=2e-11': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=25|paper|instant|strong|x=2e-11': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=25|paper|instant|strong|x=2e-11': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
     'group_success|dphi=25|paper|mean|strong|x=2e-11': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
-    'group_cdf_instant|dphi=25|wide|strong|x=2e-11': ('0x1.30e2095fe99cap-1', '0x1.348a1b5c5593dp-31'),
+    'group_cdf_instant|dphi=25|wide|strong|x=2e-11': ('0x1.30e209602c434p-1', '0x1.71414e5ec8947p-43'),
     'group_cdf_mean|dphi=25|wide|strong|x=2e-11': ('0x1.3ea772b2c7cf4p-1', '0x1.49382e7af20a5p-42'),
-    'group_success|dphi=25|wide|instant|strong|x=2e-11': ('0x1.9e3bed402cc6bp-2', '0x1.348a1b5c5593dp-31'),
+    'group_success|dphi=25|wide|instant|strong|x=2e-11': ('0x1.9e3bed3fa7798p-2', '0x1.71414e5ec8947p-43'),
     'group_success|dphi=25|wide|mean|strong|x=2e-11': ('0x1.82b11a9a70618p-2', '0x1.49382e7af20a5p-42'),
     'unordered|dphi=25|instant|x=4.5e-11': ('0x1.de70d4235f6f6p-1', '0x1.1061d227be5b8p-39'),
     'unordered|dphi=25|mean|x=4.5e-11': ('0x1.deafa99490178p-1', '0x1.030c9a6271932p-42'),
@@ -360,12 +360,12 @@ PINNED = {
     'group_cdf_mean|dphi=25|wide|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2cdc30aa96p-2', '0x1.3e311744f9392p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405fa23cbeefp-1', '0x1.0452f755c894cp-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b9cf090bc0p-10', '0x1.3df1bfc2bcf3fp-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d572198d3p-1', '0x1.06ef9b879bd3ep-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef1e22608b8p-23', '0x1.3df1bc6f1d985p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef4307c033bp-1', '0x1.08c9693febc07p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2cd970e947p-2', '0x1.374db2dae7ad5p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405fa229272ep-1', '0x1.fddb0cd491f8dp-21'),
+    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b9d00f0fc7p-10', '0x1.37223c88d7261p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d57181029p-1', '0x1.017c484a18894p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef1dff6f973p-23', '0x1.3722391f443e0p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef430831181p-1', '0x1.0357585cda071p-20'),
     'group_probabilities|dphi=25|paper|instant': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|paper|mean': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|wide|instant': ('0x1.dbd2f1fed3073p-1',),

@@ -310,6 +310,29 @@ class TestAnalyticCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("overrides,scheme,keys", [
+        # a mean-angle law with one mean angle has no density to integrate over
+        pytest.param(("mobility.mean_phi_min_deg=90", "mobility.mean_phi_max_deg=90", "schemes.list=mean-angle"),
+                     "mean-angle", ("mobility.mean_phi_min_deg", "mobility.mean_phi_max_deg"),
+                     id="one-mean-angle-mean-angle"),
+        # every vertical angle in [0, 10] deg leaves the FOV, so no user has a nonzero gain
+        *[pytest.param(("mobility.mean_phi_min_deg=0", "mobility.mean_phi_max_deg=10", "mobility.delta_phi_deg=0",
+                        f"schemes.list={scheme}"), scheme,
+                       ("mobility.mean_phi_min_deg", "mobility.mean_phi_max_deg", "mobility.delta_phi_deg"),
+                       id=f"no-user-in-fov-{scheme}")
+          for scheme in ("full-csi", "mean-angle", "two-bit-instant", "two-bit-mean")],
+    ])
+    def test_undefined_closed_form_exits_1_naming_group_scheme_and_keys(self, tmp_path, capsys, overrides, scheme,
+                                                                        keys):
+        argv = [arg for pair in overrides for arg in ("--set", pair)] + ["--set", "sweep.gamma_db=170"]
+        assert run_cli("analytic", *argv, "--out", str(tmp_path / "an.csv")) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run group 'default', ")
+        assert f"scheme {scheme!r}" in err[0]
+        assert all(key in err[0] for key in keys)
+        # the Monte Carlo engine needs no density, so the same config still runs
+        assert run_cli("simulate", *argv, "--trials", "200", "--out", str(tmp_path / "sim.csv")) == 0
+
     def test_quadrature_failure_turns_only_its_curve_into_nan(self, tmp_path, monkeypatch, capsys):
         from vlcnoma.quadrature import QuadratureError
 

@@ -22,10 +22,10 @@ GOLDEN = {
     ("simulate", "fig2"): "5ce190141531f7f1aca1ba352e4366ae2141c78a60ff0976beaea64090667e29",
     ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
     ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
-    ("analytic", "fig2"): "2049c5d0d444cc92b34773133fb7ee87f5fc1363dc2b748c99d824e154fbc966",
-    ("analytic", "fig3"): "c56f910a873cfa7ca5da6a45e06920eb8e8a824645984215ec46e418ea0f941e",
+    ("analytic", "fig2"): "2848ef5557a169e60799fabc551123a16d74bf96d40a5a357b5696f6bd0b932a",
+    ("analytic", "fig3"): "85a5664e29b72342c1478b8a9c286ffdc168ed5882f437d03b89507ad2649765",
 }
-VALIDATE_QUICK = "dc5cc63b4d5c8ccaa758c6ec2acd1c1a8ea9a8d71df2ccc14347e78f66c8d7f7"
+VALIDATE_QUICK = "9b1631261eb7acbd45f6e1fe52d8eef2f406efea6f7ef68797234c0e2955da08"
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
     "analytic": ["--set", "sweep.gamma_db=150,185,215"],
