@@ -27,11 +27,25 @@ ranks mix the per-user CDF over a truncated Binomial count.
 
 Every closed-form probability and CDF returns (value, propagated quadrature
 error estimate).  ``ROUTES[kind](model, rank_weak, rank_strong)`` gives one
-scheme kind's conditioning rate and outage pair, on a model of that kind's scheme.
+scheme kind's conditioning rate and outage arrays over a threshold table, on
+a model of that kind's scheme.
+
+Two rules integrate over distance.  A band mass is one QUADPACK integral
+(``integrate_adaptive``); the perfbench harness counts quadrature work
+through that call, so the band masses stay there until it counts the batched
+rule's work.  The level families (``unordered_gain_cdf``,
+``ordered_gain_cdf``, ``group_gain_cdf_instant``, ``group_gain_cdf_mean``,
+``group_success_probability``) take a 1-D array of levels and return
+(values, errors) arrays: every level of a call is one row of a single
+``integrate_levels`` pass, the batched adaptive Gauss-Kronrod rule of
+``quadrature``, split at that level's own kinks, with its own tolerance and
+its own summed error estimate.  A float level is the one-element case of the
+same path and returns floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -42,7 +56,7 @@ import numpy as np
 from .channel import LedGeometry
 from .link import CurvePoint, noma_sum_rate
 from .population import MobilityConfig, clamp, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf
-from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive
+from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive, integrate_levels
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 
 WEAK, STRONG = "weak", "strong"
@@ -72,8 +86,10 @@ class AnalyticModel:
 
 
 def boresight_angle(geom, r):
-    """Vertical angle at which the incidence is exactly zero for distance r."""
-    return math.pi - math.atan2(geom.ell, r)
+    """Vertical angle at which the incidence is exactly zero for distance r; r may be an array."""
+    if isinstance(r, float):
+        return math.pi - math.atan2(geom.ell, r)
+    return math.pi - np.arctan2(geom.ell, r)
 
 
 def inverse_squared_gain(geom, r):
@@ -121,12 +137,12 @@ def _mean_model(model):
 
 
 def fov_probability(model, r, half_angle):
-    """Pr(|incidence angle| <= half_angle | d = r) for the instantaneous angle."""
-    if half_angle < 0.0:
+    """Pr(|incidence angle| <= half_angle | d = r) for the instantaneous angle; elementwise over arrays too."""
+    if not isinstance(half_angle, np.ndarray) and half_angle < 0.0:
         raise ValueError("half_angle must be nonnegative")
     c = boresight_angle(model.geom, r)
     value = marginal_phi_cdf(model.mobility, c + half_angle) - marginal_phi_cdf(model.mobility, c - half_angle)
-    return clamp(value, 0.0, 1.0)
+    return clamp(value, 0.0, 1.0) if isinstance(value, float) else np.clip(value, 0.0, 1.0)
 
 
 def _corners(mob):
@@ -134,7 +150,9 @@ def _corners(mob):
     return [m + t for m in (mob.mean_phi_min, mob.mean_phi_max) for t in (-mob.delta_phi, mob.delta_phi)]
 
 
-_CROSSING_SCAN = 401  # scan points per corner for the moving kinks of _breakpoints
+_CROSSING_SCAN = 401  # scan points per level for the moving kinks of _breakpoints
+_SCAN_ROWS = 256  # levels scanned together: each (levels x _CROSSING_SCAN) temporary stays below 1 MB
+_BISECTIONS = 60  # halvings of a bracket of at most (hi - lo) / 400: past adjacent floats at every distance
 
 
 def _merged(points, lo, hi):
@@ -147,46 +165,64 @@ def _merged(points, lo, hi):
     return kept[1:]
 
 
-def _breakpoints(model, lo, hi, half_angles, level=None, caps=(), corners=()):
-    """Every kink of a distance integrand inside (lo, hi), sorted and ``_merged``.
+def _breakpoints(model, lo, hi, half_angles, levels=None, caps=(), corners=()):
+    """Every kink of a distance integrand inside (lo, hi), sorted and ``_merged``: one list per gain level.
 
     The fixed kinks are where c(r) +/- each of ``half_angles`` crosses a corner
-    of the angle CDF and, for a gain ``level``, where its boundary angle
-    b(r, level) reaches 0 or one of ``caps``.  The moving kinks, for a level,
-    are where c(r) +/- b(r, level) meets one of ``corners``: there
-    (r cos t - ell sin t)^2 = level (ell^2 + r^2)^(m+3) / h_c^4 for a corner t.
+    of the angle CDF and, for each gain level x of ``levels``, where its
+    boundary angle b(r, x) reaches 0 or one of ``caps``.  The moving kinks of
+    a level are where c(r) +/- b(r, x) meets one of ``corners``: there
+    (r cos t - ell sin t)^2 = x (ell^2 + r^2)^(m+3) / h_c^4 for a corner t.
     The difference of the two sides, over ell^2 + r^2, is scanned on
-    _CROSSING_SCAN points of [lo, hi] once per distinct corner, and each sign
-    change is solved with brentq.  Roots where c(r) - t exceeds pi/2 solve the
-    squared equation only; they are kept as harmless extra splits.
+    _CROSSING_SCAN points of each level's [lo, hi] (``hi`` has one entry per
+    level, or one for all), every distinct corner at once, and every sign
+    change is bisected _BISECTIONS times, all brackets together.  Roots where
+    c(r) - t exceeds pi/2 solve the squared equation only; they are kept as
+    harmless extra splits.  Without ``levels`` the one list holds the fixed
+    kinks of the half angles.
     """
     geom = model.geom
-    pts = []
+    fixed = []
     for s in [a * sign for a in half_angles for sign in (1.0, -1.0)]:
         for t in _corners(model.mobility):
             beta = math.pi + s - t  # the corner is crossed where atan(ell/r) = beta
             if 1e-12 < beta < math.pi / 2.0 - 1e-12:
-                pts.append(geom.ell / math.tan(beta))
-    if level is not None:
-        pts += [gain_boundary_distance(geom, level, scale) for scale in [1.0] + [math.cos(c) ** 2 for c in caps]]
-        if corners and level > 0.0 and hi > lo:
-            from scipy.optimize import brentq
+                fixed.append(geom.ell / math.tan(beta))
+    if levels is None:
+        return [_merged(fixed, lo, hi)]
+    levels = np.atleast_1d(np.asarray(levels, float))
+    his = np.broadcast_to(np.asarray(hi, float), levels.shape)
+    scales = [1.0] + [math.cos(c) ** 2 for c in caps]
+    pts = [fixed + [gain_boundary_distance(geom, x, scale) for scale in scales] for x in levels.tolist()]
+    corners = list(dict.fromkeys(corners))
+    rows = np.flatnonzero((levels > 0.0) & (his > lo)) if corners else np.empty(0, int)
+    cos_t, sin_t = np.cos(corners), np.sin(corners)
 
-            def gap(r, cos_t, sin_t):
-                cos_sq = (r * cos_t - geom.ell * sin_t) ** 2 / (geom.ell**2 + r * r)  # cos^2(t - c(r))
-                return cos_sq - level * inverse_squared_gain(geom, r)
+    def gap(r, x, t):
+        cos_sq = (r * cos_t[t] - geom.ell * sin_t[t]) ** 2 / (geom.ell**2 + r * r)  # cos^2(t - c(r))
+        return cos_sq - x * inverse_squared_gain(geom, r)
 
-            r = np.linspace(lo, hi, _CROSSING_SCAN)
-            for t in dict.fromkeys(corners):
-                args = (math.cos(t), math.sin(t))
-                below = np.signbit(gap(r, *args))
-                pts += [brentq(gap, r[i], r[i + 1], args=args) for i in np.flatnonzero(below[:-1] != below[1:])]
-    return _merged(pts, lo, hi)
-
-
-def _integral(model, f, lo, hi, half_angles, level=None, caps=(), corners=()):
-    """Integral of f over the distances [lo, hi] with its error, split at every kink of ``_breakpoints``."""
-    return integrate_adaptive(f, lo, hi, model.quad, _breakpoints(model, lo, hi, half_angles, level, caps, corners))
+    brackets = []
+    steps = np.linspace(0.0, 1.0, _CROSSING_SCAN)
+    for i in range(0, rows.size, _SCAN_ROWS):
+        block = rows[i:i + _SCAN_ROWS]
+        r = lo + (his[block] - lo)[:, None] * steps
+        x = levels[block][:, None]
+        for t in range(len(corners)):
+            below = np.signbit(gap(r, x, t))
+            row, col = np.nonzero(below[:, :-1] != below[:, 1:])
+            brackets.append((block[row], np.full(row.size, t), r[row, col], r[row, col + 1]))
+    if brackets:
+        row, t, a, b = (np.concatenate(parts) for parts in zip(*brackets))
+        x = levels[row]
+        a_below = np.signbit(gap(a, x, t))
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (a + b)
+            left = np.signbit(gap(mid, x, t)) != a_below  # the sign changes in [a, mid]
+            a, b = np.where(left, a, mid), np.where(left, mid, b)
+        for i, root in zip(row.tolist(), (0.5 * (a + b)).tolist()):
+            pts[i].append(root)
+    return [_merged(p, lo, h) for p, h in zip(pts, his.tolist())]
 
 
 def _band_edges(inner, outer):
@@ -201,13 +237,14 @@ def _band_mass(model, inner, outer, lo, hi):
     An ``outer`` of pi or more leaves the band open above.  Every membership
     mass of the closed form (the nonzero-gain law, both groups, the
     conditioning rates, every CDF and success denominator) is one of these
-    integrals, on the law of ``_report_model``.
+    integrals, on the law of ``_report_model``.  It is one QUADPACK integral
+    (``integrate_adaptive``), split at the fixed kinks of ``_breakpoints``.
     """
     def band(r):
         top = 1.0 if outer >= math.pi else fov_probability(model, r, outer)
         return top - fov_probability(model, r, inner)
 
-    return _integral(model, band, lo, hi, _band_edges(inner, outer))
+    return integrate_adaptive(band, lo, hi, model.quad, _breakpoints(model, lo, hi, _band_edges(inner, outer))[0])
 
 
 def _report_model(model):
@@ -232,7 +269,7 @@ def _fov_normalizer(model):
 
 
 def _mean_band(model, r, inner, outer, y):
-    """Pr(report in band and |incidence| <= y) at d = r, for mean-angle reports.
+    """Pr(report in band and |incidence| <= y) at d = r, for mean-angle reports; elementwise over arrays r, y.
 
     The report band inner < |mean incidence| <= outer is at most two intervals
     [a, b] of the uniform mean angle m, one each side of the boresight c(r).
@@ -241,20 +278,20 @@ def _mean_band(model, r, inner, outer, y):
     deviation-CDF antiderivative of ``population``.
     """
     mob = model.mobility
-    c, dphi = boresight_angle(model.geom, r), mob.delta_phi
-    m_min, m_max = mob.mean_phi_min, mob.mean_phi_max
+    c, dphi, G = boresight_angle(model.geom, r), mob.delta_phi, deviation_cdf_integral
     inside = 0.0
     for a, b in ((c - outer, c - inner), (c + inner, c + outer)):
-        a, b = (m_min if a < m_min else a), (m_max if b > m_max else b)
-        if b > a:
-            inside += (deviation_cdf_integral(c + y - a, dphi) - deviation_cdf_integral(c + y - b, dphi)
-                       - deviation_cdf_integral(c - y - a, dphi) + deviation_cdf_integral(c - y - b, dphi))
+        a, b = np.maximum(a, mob.mean_phi_min), np.minimum(b, mob.mean_phi_max)
+        inside = inside + np.where(b > a, G(c + y - a, dphi) - G(c + y - b, dphi) - G(c - y - a, dphi)
+                                   + G(c - y - b, dphi), 0.0)
     return inside / mob.mean_phi_span
 
 
 def _mass_above(model, x, inner, outer, lo, hi):
-    """Integral over the distances [lo, hi] of Pr(inner < |band angle| <= outer and h^2 > x | r), with its error.
+    """Integrals over the distances [lo, hi] of Pr(inner < |band angle| <= outer and h^2 > x | r), with their errors.
 
+    ``x`` is a 1-D array of gain levels; every level is one row of one
+    ``integrate_levels`` call, split at its own kinks of ``_breakpoints``.
     The band angle is the incidence the users are grouped by: the
     instantaneous one, or for a mean-report scheme the mean one while the gain
     stays instantaneous.  h^2 > x where |incidence| is below the boundary
@@ -264,24 +301,51 @@ def _mass_above(model, x, inner, outer, lo, hi):
     over a band mass.
     """
     geom, theta, report = model.geom, model.geom.half_fov, _report_model(model)
-    hi = min(hi, gain_boundary_distance(geom, x))
+    his = np.array([min(hi, gain_boundary_distance(geom, level)) for level in x.tolist()])
     if report is not model:
         # the one mixed law: membership by the mean angle, gain by the instantaneous one
-        def above(r):
-            return _mean_band(model, r, inner, outer, min(gain_boundary_angle(geom, x, r), theta))
+        def above(r, rows):
+            return _mean_band(model, r, inner, outer, np.minimum(gain_boundary_angle(geom, x[rows, None], r), theta))
 
         edges = _band_edges(inner, outer)
-        return _integral(report, above, lo, hi, edges, level=x, caps=(theta, *edges))
-    top = min(outer, theta)
+        kinks = _breakpoints(report, lo, his, edges, x, (theta, *edges))
+    else:
+        top = min(outer, theta)
 
-    def above(r):
-        b = gain_boundary_angle(geom, x, r)
-        if b <= inner:
-            return 0.0
-        return fov_probability(model, r, top if b > top else b) - (fov_probability(model, r, inner) if inner else 0.0)
+        def above(r, rows):
+            b = gain_boundary_angle(geom, x[rows, None], r)
+            inside = fov_probability(model, r, np.minimum(b, top))
+            if inner:
+                inside = inside - fov_probability(model, r, inner)
+            return np.where(b > inner, inside, 0.0)
 
-    edges = _band_edges(inner, top)
-    return _integral(model, above, lo, hi, edges, level=x, caps=edges, corners=_corners(model.mobility))
+        edges = _band_edges(inner, top)
+        kinks = _breakpoints(model, lo, his, edges, x, edges, _corners(model.mobility))
+    return integrate_levels(above, np.full(x.shape, float(lo)), his, kinks, model.quad)
+
+
+def _over_levels(family):
+    """``family(model, levels, ...)`` on a 1-D array of gain levels, returning (values, errors) arrays.
+
+    A float level is the one-element case of the same path and gives a float
+    pair.  A QuadratureError of ``integrate_levels`` is raised again naming
+    the family and the level that failed.
+    """
+    @functools.wraps(family)
+    def over_levels(model, x, *args):
+        levels = np.asarray(x, float)
+        flat = np.atleast_1d(levels)
+        try:
+            values, errors = family(model, flat, *args)
+        except QuadratureError as exc:
+            if exc.row is None:
+                raise
+            raise QuadratureError(f"{family.__name__} at level x={float(flat[exc.row])!r}: {exc}") from exc
+        if levels.ndim == 0:
+            return float(values[0]), float(errors[0])
+        return values, errors
+
+    return over_levels
 
 
 # ---------------------------------------------------------------------------
@@ -309,30 +373,36 @@ def _binomial_pmf(k, n, p):
     """Binomial(n, p) PMF at k, elementwise over broadcast integer k, n and probability p; 0 outside 0 <= k <= n.
 
     exp(log C(n, k) + k log p + (n - k) log(1 - p)) with 0 * log 0 = 0, so it is
-    exact at p = 0 and p = 1.
+    exact at p = 0 and p = 1.  log C(n, k) is looked up once per (k, n) pair,
+    however many probabilities p broadcasts against.
     """
-    k, n, p = np.broadcast_arrays(np.asarray(k, int), np.asarray(n, int), np.asarray(p, float))
+    k, n = np.broadcast_arrays(np.asarray(k, int), np.asarray(n, int))
     inside = (k >= 0) & (k <= n)
     k, n = np.where(inside, k, 0), np.where(inside, n, 0)
-    log_comb = np.array([_log_binomial_row(b)[a] for a, b in zip(k.ravel().tolist(), n.ravel().tolist())])
+    log_comb = np.array([_log_binomial_row(b)[a] for a, b in zip(k.ravel().tolist(), n.ravel().tolist())], float)
+    p = np.asarray(p, float)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.where(k > 0, k * np.log(p), 0.0) + np.where(n > k, (n - k) * np.log1p(-p), 0.0)
     return np.where(inside, np.exp(log_comb.reshape(k.shape) + log_p), 0.0)
 
 
 def _binomial_tail(k, n, p):
-    """Pr(Binomial(n, p) >= k) for one count k and probability p, elementwise over the trial counts n.
+    """Pr(Binomial(n, p) >= k) for one count k, elementwise over the trial counts n (last axis) and probabilities p.
 
     One more trial adds p * Pr(k - 1 successes so far), so the tail at n is p
     times a running sum of PMF terms over 0..n-1 trials: positive terms only,
-    so small tails keep their relative accuracy.
+    so small tails keep their relative accuracy.  A column of probabilities
+    ``p`` (shape (L, 1)) gives one row of tails per probability, each summed
+    along its own row.
     """
     n = np.asarray(n, int)
     if k <= 0:
-        return np.ones(n.shape)
+        return np.ones(np.broadcast_shapes(n.shape, np.shape(p)))
     trials = np.arange(k - 1, max(int(n.max()), k))
-    running = np.concatenate(([0.0], np.cumsum(_binomial_pmf(k - 1, trials, p))))
-    return p * running[np.maximum(n - k + 1, 0)]
+    pmf = _binomial_pmf(k - 1, trials, p)
+    running = np.concatenate((np.zeros((*pmf.shape[:-1], 1)), np.cumsum(pmf, axis=-1)), axis=-1)
+    # np.take keeps rows C-contiguous, so a row's later sums do not depend on the row count
+    return p * np.take(running, np.maximum(n - k + 1, 0), axis=-1)
 
 
 def nonzero_count_tail(model, k_min):
@@ -366,22 +436,22 @@ def nonzero_count_pmf(model, k, k_min=0):
 def _share(num, den):
     """num / den clamped to [0, 1] with its error, for (value, error) pairs; d(n/d) = (dn + n/d dd) / d."""
     q = num[0] / den[0]
-    return clamp(q, 0.0, 1.0), (num[1] + q * den[1]) / den[0]
+    return np.clip(q, 0.0, 1.0), (num[1] + q * den[1]) / den[0]
 
 
 def _cdf(model, x, inner, outer, lo, hi):
-    """Squared-gain CDF of the users reported in a band with a nonzero report gain, with its error.
+    """Squared-gain CDF at the levels ``x`` of the users reported in a band with a nonzero report gain, with errors.
 
-    1 - (mass above x) / (members), both over the band within the FOV.
+    1 - (mass above x) / (members), both over the band within the FOV; (0, 0) at a negative level.
     """
     band = (inner, min(outer, model.geom.half_fov), lo, hi)
     members = _members(model, *band)
-    if x < 0.0:
-        return 0.0, 0.0
     q, err = _share(_mass_above(model, x, *band), members)
-    return 1.0 - q, err
+    below = x < 0.0
+    return np.where(below, 0.0, 1.0 - q), np.where(below, 0.0, err)
 
 
+@_over_levels
 def unordered_gain_cdf(model, x):
     """CDF of the squared gain of one user conditioned on the gain being nonzero, with its error.
 
@@ -398,6 +468,7 @@ def _check_rank(model, rank, min_count):
         raise ValueError("min_count must lie in [rank, K]")
 
 
+@_over_levels
 def ordered_gain_cdf(model, x, rank, min_count):
     """CDF of the rank-th smallest nonzero squared gain, given at least min_count nonzero users, with its error.
 
@@ -408,8 +479,8 @@ def ordered_gain_cdf(model, x, rank, min_count):
     K = model.mobility.num_users
     u, u_err = unordered_gain_cdf(model, x)
     n = np.arange(min_count, K + 1)
-    orders = _binomial_tail(rank, n, u)
-    value = float(np.clip(np.sum(_count_weights(model, n, min_count) * orders), 0.0, 1.0))
+    orders = _binomial_tail(rank, n, u[:, None])
+    value = np.clip((_count_weights(model, n, min_count) * orders).sum(axis=1), 0.0, 1.0)
     # |d/du of the binomial tail| <= n <= K bounds the error amplification
     return value, K * u_err
 
@@ -445,8 +516,8 @@ def _mean_gain_cdf_table(mean):
     hi = math.log(float(geom.gain_factor(mob.d_min)) ** 2)
 
     def exact(levels):
-        pairs = [unordered_gain_cdf(mean, math.exp(t)) for t in levels]
-        return np.array([v for v, _ in pairs]), max(e for _, e in pairs)
+        values, errors = unordered_gain_cdf(mean, np.exp(levels))
+        return values, float(errors.max())
 
     grid = np.linspace(lo, hi, 257)
     values, quad_err = exact(grid)
@@ -514,13 +585,12 @@ def _rank_weight_kinks(mean):
     """
     geom, mob, theta = mean.geom, mean.mobility, mean.geom.half_fov
     ends = (mob.mean_phi_min, mob.mean_phi_max)
-    kinks = []
-    for r_f in [mob.d_min, mob.d_max, *_breakpoints(mean, mob.d_min, mob.d_max, (theta,))]:
+    levels = []
+    for r_f in [mob.d_min, mob.d_max, *_breakpoints(mean, mob.d_min, mob.d_max, (theta,))[0]]:
         c = boresight_angle(geom, r_f)
         for a in [0.0, theta, *[abs(t - c) for t in ends if abs(t - c) < theta]]:
-            y = float(geom.gain_factor(r_f)) ** 2 * math.cos(a) ** 2
-            kinks += _breakpoints(mean, mob.d_min, mob.d_max, (), y, (theta,), ends)
-    return tuple(kinks)
+            levels.append(float(geom.gain_factor(r_f)) ** 2 * math.cos(a) ** 2)
+    return tuple(r for row in _breakpoints(mean, mob.d_min, mob.d_max, (), levels, (theta,), ends) for r in row)
 
 
 def _gauss_rule(lo, hi, kinks, panels):
@@ -550,7 +620,7 @@ def _mean_angle_rows(model, threshold, cdf, density, r, panels):
     """
     geom, mob = model.geom, model.mobility
     theta, dphi = geom.half_fov, mob.delta_phi
-    c = math.pi - np.arctan2(geom.ell, r)
+    c = boresight_angle(geom, r)
     cap = np.minimum(gain_boundary_angle(geom, threshold, r), theta)[:, None]
     u_lo = np.maximum(-theta, c - mob.mean_phi_max)
     u_hi = np.maximum(np.minimum(theta, c - mob.mean_phi_min), u_lo)
@@ -604,8 +674,8 @@ def mean_angle_success_probability(model, threshold, rank, min_count):
     lo = mob.d_min
     hi = max(lo, min(mob.d_max, gain_boundary_distance(geom, threshold)))
     # a kink found twice (to rounding) or at an end would only add an empty panel
-    kinks = _merged(_breakpoints(mean, lo, hi, (theta,), threshold, (theta, abs(theta - mob.delta_phi)), _corners(mob))
-                    + list(_rank_weight_kinks(mean)), lo, hi)
+    [crossings] = _breakpoints(mean, lo, hi, (theta,), threshold, (theta, abs(theta - mob.delta_phi)), _corners(mob))
+    kinks = _merged(crossings + list(_rank_weight_kinks(mean)), lo, hi)
     fine, coarse = (_mean_angle_integral(model, threshold, cdf, density, lo, hi, kinks, panels)
                     for panels in ((_DISTANCE_PANELS, _ANGLE_PANELS), (_DISTANCE_PANELS // 2, _ANGLE_PANELS // 2)))
     span = mob.mean_phi_span
@@ -643,11 +713,13 @@ def _role_band(model, role, kinds):
     raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
 
 
+@_over_levels
 def group_gain_cdf_instant(model, x, role):
     """Squared-gain CDF inside one instantaneous-report group, zero gains excluded, with its error."""
     return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_INSTANT,)))
 
 
+@_over_levels
 def group_gain_cdf_mean(model, x, role):
     """Squared-gain CDF inside one mean-report group, conditioned on nonzero MEAN gain, with its error.
 
@@ -668,6 +740,7 @@ def both_groups_probability(model):
     return clamp(1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K, 0.0, 1.0)
 
 
+@_over_levels
 def group_success_probability(model, threshold, role):
     """Pr(squared gain > threshold) for a uniformly picked member of one group, with its error.
 
@@ -684,42 +757,52 @@ def group_success_probability(model, threshold, role):
 # ---------------------------------------------------------------------------
 
 
-def individual_outage(model, thresholds, rank_weak, rank_strong):
-    """Outage pair with errors (p_weak, err_weak, p_strong, err_strong) of the full-CSI ranked pair.
+def _etas(thresholds):
+    """The weak and the strong gain thresholds of a table of GainThresholds, as two level arrays."""
+    return np.array([t.eta_weak for t in thresholds], float), np.array([t.eta_strong for t in thresholds], float)
 
-    Conditional on at least ``rank_strong`` users with nonzero gain.
+
+def individual_outage(model, thresholds, rank_weak, rank_strong):
+    """Outage arrays with errors (p_weak, err_weak, p_strong, err_strong) of the full-CSI ranked pair.
+
+    One entry per row of the threshold table ``thresholds``; conditional on at
+    least ``rank_strong`` users with nonzero gain.
     """
-    pw, ew = ordered_gain_cdf(model, thresholds.eta_weak, rank_weak, rank_strong)
-    ps, es = ordered_gain_cdf(model, thresholds.eta_strong, rank_strong, rank_strong)
+    eta_weak, eta_strong = _etas(thresholds)
+    pw, ew = ordered_gain_cdf(model, eta_weak, rank_weak, rank_strong)
+    ps, es = ordered_gain_cdf(model, eta_strong, rank_strong, rank_strong)
     return pw, ew, ps, es
 
 
 def group_outage(model, thresholds):
-    """Outage pair with errors of the model's two-bit group scheduling, given both groups formed."""
-    sw, ew = group_success_probability(model, thresholds.eta_weak, WEAK)
-    ss, es = group_success_probability(model, thresholds.eta_strong, STRONG)
+    """Outage arrays with errors of the model's two-bit group scheduling over a threshold table, both groups formed."""
+    eta_weak, eta_strong = _etas(thresholds)
+    sw, ew = group_success_probability(model, eta_weak, WEAK)
+    ss, es = group_success_probability(model, eta_strong, STRONG)
     return 1.0 - sw, ew, 1.0 - ss, es
 
 
 def _full_csi_route(model, rank_weak, rank_strong):
-    return nonzero_count_tail(model, rank_strong), lambda thr: individual_outage(model, thr, rank_weak, rank_strong)
+    return nonzero_count_tail(model, rank_strong), lambda table: individual_outage(model, table, rank_weak, rank_strong)
 
 
 def _mean_angle_route(model, rank_weak, rank_strong):
-    def outage(thr):
-        sw, ew = mean_angle_success_probability(model, thr.eta_weak, rank_weak, rank_strong)
-        ss, es = mean_angle_success_probability(model, thr.eta_strong, rank_strong, rank_strong)
+    def outage(table):
+        # the mean-angle rule evaluates one level per call
+        weak = [mean_angle_success_probability(model, thr.eta_weak, rank_weak, rank_strong) for thr in table]
+        strong = [mean_angle_success_probability(model, thr.eta_strong, rank_strong, rank_strong) for thr in table]
+        (sw, ew), (ss, es) = (np.array(pairs, float).reshape(-1, 2).T for pairs in (weak, strong))
         return 1.0 - sw, ew, 1.0 - ss, es
 
     return nonzero_count_tail(_mean_model(model), rank_strong), outage
 
 
 def _group_route(model, rank_weak, rank_strong):
-    return both_groups_probability(model), lambda thr: group_outage(model, thr)
+    return both_groups_probability(model), lambda table: group_outage(model, table)
 
 
-# the scheme kinds with a closed-form route; ROUTES[kind](model, rank_weak, rank_strong)
-# returns (conditioning rate, outage pair with errors as a function of the gain thresholds)
+# the scheme kinds with a closed-form route; ROUTES[kind](model, rank_weak, rank_strong) returns
+# (conditioning rate, outage arrays with errors as a function of a curve's threshold table)
 ROUTES = {
     FeedbackKind.FULL_CSI: _full_csi_route,
     FeedbackKind.MEAN_ANGLE: _mean_angle_route,
@@ -733,8 +816,8 @@ def sum_rate_sweep(config):
 
     Curves served by a kind without a route in ROUTES are left out.  Each
     kind's AnalyticModel carries that kind's scheme from the config and the
-    default quadrature settings, and its route is built once and swept over
-    the table's gain thresholds.  CurvePoint.ci_halfwidth carries the
+    default quadrature settings, and its route is built once and evaluated
+    on each curve's whole threshold table in one call.  CurvePoint.ci_halfwidth carries the
     propagated quadrature error estimate, and conditioning_rate the
     probability of the scheduling precondition (enough nonzero-gain reports /
     both groups nonempty).  A QuadratureError turns only the curve it hit
@@ -753,17 +836,17 @@ def sum_rate_sweep(config):
                 model = AnalyticModel(geom=config.geom, mobility=config.mobility, scheme=schemes[kind])
                 routes[kind] = ROUTES[kind](model, config.rank_weak, config.rank_strong)
             cond, outage = routes[kind]
-            points = []
-            for gamma_db, thr in zip(grid, thresholds):
-                pw, ew, ps, es = outage(thr)
-                points.append(CurvePoint(
+            points = [
+                CurvePoint(
                     gamma_db=float(gamma_db),
                     sum_rate=float(noma_sum_rate((pw, ps), targets)),
                     ci_halfwidth=float(targets.rate_weak * ew + targets.rate_strong * es),
-                    outage_weak=float(pw),
-                    outage_strong=float(ps),
+                    outage_weak=pw,
+                    outage_strong=ps,
                     conditioning_rate=float(cond),
-                ))
+                )
+                for gamma_db, pw, ew, ps, es in zip(grid, *(np.asarray(v, float).tolist() for v in outage(thresholds)))
+            ]
         except UndefinedLawError as exc:
             raise UndefinedLawError(f"scheme {kind.value!r}: {exc}") from exc
         except QuadratureError as exc:

@@ -96,6 +96,10 @@ def deviation_cdf_integral(t, half_width):
     G(t - a) - G(t - b); both the marginal law below and the mean-report group
     bands of the closed form are built on it.
     """
+    if not isinstance(t, float):  # an array of points, elementwise
+        if half_width == 0.0:
+            return np.where(t > 0.0, t, 0.0)
+        return np.where(t <= -half_width, 0.0, np.where(t >= half_width, t, (t + half_width) ** 2 / (4.0 * half_width)))
     if half_width == 0.0:
         return t if t > 0.0 else 0.0
     if t <= -half_width:
@@ -106,20 +110,23 @@ def deviation_cdf_integral(t, half_width):
 
 
 def marginal_phi_cdf(config, x):
-    """Marginal CDF of the instantaneous vertical angle at one point (trapezoidal closed form).
+    """Marginal CDF of the instantaneous vertical angle at x, elementwise over an array x (trapezoidal closed form).
 
     The angle is mean + deviation with mean ~ U[mean_phi_min, mean_phi_max] and
     deviation ~ U[-delta_phi, delta_phi]; integrating the conditional CDF over
     the mean gives [G(x - lo) - G(x - hi)] / (hi - lo) with G above.  Degenerate
     layers (delta_phi = 0 and/or lo = hi) reduce to uniform / step CDFs.
     """
-    lo, hi = config.mean_phi_min, config.mean_phi_max
+    lo, hi, dphi = config.mean_phi_min, config.mean_phi_max, config.delta_phi
+    if hi == lo and dphi == 0.0:
+        step = x >= lo
+        return (1.0 if step else 0.0) if isinstance(step, bool) else step.astype(float)
     if hi == lo:
-        if config.delta_phi == 0.0:
-            return 1.0 if x >= lo else 0.0
-        return clamp((x - lo + config.delta_phi) / (2.0 * config.delta_phi), 0.0, 1.0)
-    G = deviation_cdf_integral
-    return clamp((G(x - lo, config.delta_phi) - G(x - hi, config.delta_phi)) / (hi - lo), 0.0, 1.0)
+        value = (x - lo + dphi) / (2.0 * dphi)
+    else:
+        G = deviation_cdf_integral
+        value = (G(x - lo, dphi) - G(x - hi, dphi)) / (hi - lo)
+    return clamp(value, 0.0, 1.0) if isinstance(value, float) else np.clip(value, 0.0, 1.0)
 
 
 def noisy_estimate_arrays(d, mean_phi, phi, sigma_d, sigma_phi, rng):

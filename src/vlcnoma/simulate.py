@@ -251,13 +251,14 @@ class EmpiricalCdf:
         Both one-sided gaps around each step are checked (the left side against
         the reference's left limit, so reference atoms are handled), making the
         measured value the Kolmogorov-Smirnov statistic up to the grid
-        resolution ~1/num_points.
+        resolution ~1/num_points.  ``cdf`` maps an array of points to an array
+        of values; it is called once, on the grid points and their left
+        neighbours together.
         """
         idx = np.unique(np.linspace(0, self.n - 1, min(num_points, self.n)).astype(int))
         xs = self.sorted[idx]
         # resolve ties to the last occurrence so the inclusive step height is right
         high = np.searchsorted(self.sorted, xs, side="right") / self.n
         low = np.searchsorted(self.sorted, xs, side="left") / self.n
-        target_high = np.asarray([cdf(x) for x in xs])
-        target_low = np.asarray([cdf(np.nextafter(x, -np.inf)) for x in xs])
+        target_high, target_low = np.split(np.asarray(cdf(np.concatenate((xs, np.nextafter(xs, -np.inf)))), float), 2)
         return float(np.max(np.maximum(np.abs(target_high - high), np.abs(target_low - low))))

@@ -10,6 +10,7 @@ to keep its numbers must keep these values to the last bit.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from vlcnoma import analytic as an
@@ -36,32 +37,39 @@ def _group_models(geom, mob, name):
 
 
 def cases():
-    """(family, key, thunk) of every pinned evaluation; each thunk binds its own deviation's models."""
+    """(family, keys, thunk) of every pinned evaluation; each thunk returns one value tuple per key.
+
+    A level family is one call over all of LEVELS.  Each thunk binds its own
+    deviation's models.
+    """
     out = []
+    levels = np.array(LEVELS)
     for dphi in DELTA_PHI_DEG:
         base = paper_model(dphi)
         geom, mob = base.geom, base.mobility
         tag = f"dphi={dphi:g}"
 
         def add(family, key, thunk):
-            out.append((family, f"{family}|{tag}|{key}", thunk))
+            out.append((family, [f"{family}|{tag}|{key}"], lambda thunk=thunk: [thunk()]))
 
-        for x in LEVELS:
-            add("unordered", f"instant|x={x!r}", lambda x=x, b=base: an.unordered_gain_cdf(b, x))
-            add("unordered", f"mean|x={x!r}",
-                lambda x=x, b=base: an.unordered_gain_cdf(an._mean_model(b), x))
-            for rank, min_count in ((1, 10), (10, 10), (3, 5)):
-                add("ordered", f"r={rank},k={min_count}|x={x!r}",
-                    lambda x=x, r=rank, k=min_count, b=base: an.ordered_gain_cdf(b, x, r, k))
-            for role, scheme in itertools.product((an.WEAK, an.STRONG), ("paper", "wide")):
-                instant, mean = _group_models(geom, mob, scheme)
-                add("group_cdf_instant", f"{scheme}|{role}|x={x!r}",
-                    lambda x=x, role=role, m=instant: an.group_gain_cdf_instant(m, x, role))
-                add("group_cdf_mean", f"{scheme}|{role}|x={x!r}",
-                    lambda x=x, role=role, m=mean: an.group_gain_cdf_mean(m, x, role))
-                for name, model in (("instant", instant), ("mean", mean)):
-                    add("group_success", f"{scheme}|{name}|{role}|x={x!r}",
-                        lambda x=x, role=role, m=model: an.group_success_probability(m, x, role))
+        def add_levels(family, key, thunk):
+            keys = [f"{family}|{tag}|{key}|x={x!r}" for x in LEVELS]
+            out.append((family, keys, lambda thunk=thunk: list(zip(*thunk(levels)))))
+
+        add_levels("unordered", "instant", lambda x, b=base: an.unordered_gain_cdf(b, x))
+        add_levels("unordered", "mean", lambda x, b=base: an.unordered_gain_cdf(an._mean_model(b), x))
+        for rank, min_count in ((1, 10), (10, 10), (3, 5)):
+            add_levels("ordered", f"r={rank},k={min_count}",
+                       lambda x, r=rank, k=min_count, b=base: an.ordered_gain_cdf(b, x, r, k))
+        for role, scheme in itertools.product((an.WEAK, an.STRONG), ("paper", "wide")):
+            instant, mean = _group_models(geom, mob, scheme)
+            add_levels("group_cdf_instant", f"{scheme}|{role}",
+                       lambda x, role=role, m=instant: an.group_gain_cdf_instant(m, x, role))
+            add_levels("group_cdf_mean", f"{scheme}|{role}",
+                       lambda x, role=role, m=mean: an.group_gain_cdf_mean(m, x, role))
+            for name, model in (("instant", instant), ("mean", mean)):
+                add_levels("group_success", f"{scheme}|{name}|{role}",
+                           lambda x, role=role, m=model: an.group_success_probability(m, x, role))
         for x in (5e-15, 4e-13, 2e-11):
             for rank, min_count in ((1, 10), (10, 10)):
                 add("mean_angle", f"r={rank},k={min_count}|x={x!r}",
@@ -82,138 +90,138 @@ def cases():
 
 
 PINNED = {
-    'unordered|dphi=0|instant|x=0.0': ('0x0.0p+0', '0x1.01d333a4449e9p-36'),
-    'unordered|dphi=0|mean|x=0.0': ('0x0.0p+0', '0x1.01d333a4449e9p-36'),
-    'ordered|dphi=0|r=1,k=10|x=0.0': ('0x0.0p+0', '0x1.4248008d55c63p-32'),
-    'ordered|dphi=0|r=10,k=10|x=0.0': ('0x0.0p+0', '0x1.4248008d55c63p-32'),
-    'ordered|dphi=0|r=3,k=5|x=0.0': ('0x0.0p+0', '0x1.4248008d55c63p-32'),
-    'group_cdf_instant|dphi=0|paper|weak|x=0.0': ('0x0.0p+0', '0x1.5653433f9fb4bp-36'),
-    'group_cdf_mean|dphi=0|paper|weak|x=0.0': ('0x1.0000000000000p-53', '0x1.565318070324ap-36'),
-    'group_success|dphi=0|paper|instant|weak|x=0.0': ('0x1.83aba0bd9e703p-2', '0x1.037e6721beaecp-38'),
-    'group_success|dphi=0|paper|mean|weak|x=0.0': ('0x1.83aba0bd937afp-2', '0x1.2783ce71f591ap-33'),
-    'group_cdf_instant|dphi=0|wide|weak|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_cdf_mean|dphi=0|wide|weak|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=0|wide|instant|weak|x=0.0': ('0x1.732675c0b0c9dp-3', '0x1.21f60bfe8a1dbp-48'),
-    'group_success|dphi=0|wide|mean|weak|x=0.0': ('0x1.732675c0b0c9dp-3', '0x1.21f60bfe8a1dbp-48'),
-    'group_cdf_instant|dphi=0|paper|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_cdf_mean|dphi=0|paper|strong|x=0.0': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=0|paper|mean|strong|x=0.0': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
-    'group_cdf_instant|dphi=0|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_cdf_mean|dphi=0|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=0|wide|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=0|wide|mean|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=0|instant|x=5e-15': ('0x1.2b7a623dacb58p-4', '0x1.e99340f994dbep-38'),
-    'unordered|dphi=0|mean|x=5e-15': ('0x1.2b7a623dacb58p-4', '0x1.e99340f994dbep-38'),
-    'ordered|dphi=0|r=1,k=10|x=5e-15': ('0x1.2147c25738fc6p-1', '0x1.31fc089bfd097p-33'),
-    'ordered|dphi=0|r=10,k=10|x=5e-15': ('0x1.98b686978da3cp-32', '0x1.31fc089bfd097p-33'),
-    'ordered|dphi=0|r=3,k=5|x=5e-15': ('0x1.8a1aca4c1b755p-6', '0x1.31fc089bfd097p-33'),
-    'group_cdf_instant|dphi=0|paper|weak|x=5e-15': ('0x1.6649445ab8770p-4', '0x1.56a302cebd2fdp-34'),
-    'group_cdf_mean|dphi=0|paper|weak|x=5e-15': ('0x1.6649445bc9148p-4', '0x1.215ee0e1984d5p-33'),
-    'group_success|dphi=0|paper|instant|weak|x=5e-15': ('0x1.61c29159cecffp-2', '0x1.cbcdc99f0ee29p-36'),
-    'group_success|dphi=0|paper|mean|weak|x=5e-15': ('0x1.61c2915901db9p-2', '0x1.4dd80ed18bc55p-30'),
-    'group_cdf_instant|dphi=0|wide|weak|x=5e-15': ('0x1.c28e90a047ba0p-3', '0x1.baa4692d6576ap-46'),
-    'group_cdf_mean|dphi=0|wide|weak|x=5e-15': ('0x1.c28e90a047ba4p-3', '0x1.baa5cdbd55902p-46'),
-    'group_success|dphi=0|wide|instant|weak|x=5e-15': ('0x1.217f6c40af8cdp-3', '0x1.40df62375beb5p-48'),
-    'group_success|dphi=0|wide|mean|weak|x=5e-15': ('0x1.217f6c40af8ccp-3', '0x1.40e064b07115bp-48'),
-    'group_cdf_instant|dphi=0|paper|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
-    'group_cdf_mean|dphi=0|paper|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|mean|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
-    'group_cdf_instant|dphi=0|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000001p-46'),
-    'group_cdf_mean|dphi=0|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=0|wide|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000001p-46'),
-    'group_success|dphi=0|wide|mean|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=0|instant|x=4e-13': ('0x1.09adae7c445d0p-1', '0x1.f54d9898dfc3dp-39'),
-    'unordered|dphi=0|mean|x=4e-13': ('0x1.09adae7c445d0p-1', '0x1.f54d9898dfc3dp-39'),
-    'ordered|dphi=0|r=1,k=10|x=4e-13': ('0x1.ffca1a4855817p-1', '0x1.39507f5f8bda6p-34'),
-    'ordered|dphi=0|r=10,k=10|x=4e-13': ('0x1.1c7bc3d50554ep-6', '0x1.39507f5f8bda6p-34'),
-    'ordered|dphi=0|r=3,k=5|x=4e-13': ('0x1.bdf19eb7686ccp-1', '0x1.39507f5f8bda6p-34'),
-    'group_cdf_instant|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b31644987p-1', '0x1.991113921975fp-32'),
-    'group_cdf_mean|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b314c98d0p-1', '0x1.d6022b18100bdp-29'),
-    'group_success|dphi=0|paper|instant|weak|x=4e-13': ('0x1.3eb5ef708a17dp-3', '0x1.3268237cc480ep-33'),
-    'group_success|dphi=0|paper|mean|weak|x=4e-13': ('0x1.3eb5ef70b1d51p-3', '0x1.46ab00a7ccb24p-30'),
-    'group_cdf_instant|dphi=0|wide|weak|x=4e-13': ('0x1.ffc069d03c03ep-1', '0x1.8d6aaa88e7befp-57'),
-    'group_cdf_mean|dphi=0|wide|weak|x=4e-13': ('0x1.ffc069d03c5aap-1', '0x1.b3ff8cbc7cc0ap-36'),
-    'group_success|dphi=0|wide|instant|weak|x=4e-13': ('0x1.70c0d30e7765fp-14', '0x1.2016a4e34d47bp-59'),
-    'group_success|dphi=0|wide|mean|weak|x=4e-13': ('0x1.70c0d30c802d5p-14', '0x1.3c0e6cb8026c5p-38'),
-    'group_cdf_instant|dphi=0|paper|strong|x=4e-13': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
-    'group_cdf_mean|dphi=0|paper|strong|x=4e-13': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=4e-13': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|mean|strong|x=4e-13': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
-    'group_cdf_instant|dphi=0|wide|strong|x=4e-13': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_cdf_mean|dphi=0|wide|strong|x=4e-13': ('0x0.0p+0', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|wide|instant|strong|x=4e-13': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=0|wide|mean|strong|x=4e-13': ('0x1.0000000000000p+0', '0x1.8ffffffffffffp-46'),
-    'unordered|dphi=0|instant|x=2e-11': ('0x1.b3305244c6306p-1', '0x1.67044e1776fcdp-38'),
-    'unordered|dphi=0|mean|x=2e-11': ('0x1.b3305244c6306p-1', '0x1.67044e1776fcdp-38'),
-    'ordered|dphi=0|r=1,k=10|x=2e-11': ('0x1.ffffffe84552dp-1', '0x1.c0c5619d54bc0p-34'),
-    'ordered|dphi=0|r=10,k=10|x=2e-11': ('0x1.cf208915aae0bp-2', '0x1.c0c5619d54bc0p-34'),
-    'ordered|dphi=0|r=3,k=5|x=2e-11': ('0x1.fedaf94d7872ap-1', '0x1.c0c5619d54bc0p-34'),
-    'group_cdf_instant|dphi=0|paper|weak|x=2e-11': ('0x1.f21b2b981682fp-1', '0x1.7a687ccb4ba22p-39'),
-    'group_cdf_mean|dphi=0|paper|weak|x=2e-11': ('0x1.f21b2b981682fp-1', '0x1.7a6879c2bdc80p-39'),
-    'group_success|dphi=0|paper|instant|weak|x=2e-11': ('0x1.50a3dac46ac26p-7', '0x1.026a84c92c78cp-40'),
-    'group_success|dphi=0|paper|mean|weak|x=2e-11': ('0x1.50a3dac46ac26p-7', '0x1.026a827d30f14p-40'),
-    'group_cdf_instant|dphi=0|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_cdf_mean|dphi=0|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_success|dphi=0|wide|instant|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_success|dphi=0|wide|mean|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=0|paper|strong|x=2e-11': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_cdf_mean|dphi=0|paper|strong|x=2e-11': ('0x0.0p+0', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=2e-11': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=0|paper|mean|strong|x=2e-11': ('0x1.0000000000000p+0', '0x1.8ffffffffffffp-46'),
-    'group_cdf_instant|dphi=0|wide|strong|x=2e-11': ('0x1.56c9b01bf873ep-1', '0x1.14c660401dfc0p-42'),
-    'group_cdf_mean|dphi=0|wide|strong|x=2e-11': ('0x1.56c9b01bf873ep-1', '0x1.14c660401dfc0p-42'),
-    'group_success|dphi=0|wide|instant|strong|x=2e-11': ('0x1.526c9fc80f184p-2', '0x1.14c660401dfc0p-42'),
-    'group_success|dphi=0|wide|mean|strong|x=2e-11': ('0x1.526c9fc80f185p-2', '0x1.14c660401dfc0p-42'),
-    'unordered|dphi=0|instant|x=4.5e-11': ('0x1.e85ccf41a0303p-1', '0x1.85524f0229c3fp-38'),
-    'unordered|dphi=0|mean|x=4.5e-11': ('0x1.e85ccf41a0303p-1', '0x1.85524f0229c3fp-38'),
-    'ordered|dphi=0|r=1,k=10|x=4.5e-11': ('0x1.fffffffffff58p-1', '0x1.e6a6e2c2b434fp-34'),
-    'ordered|dphi=0|r=10,k=10|x=4.5e-11': ('0x1.9e405b3c8b673p-1', '0x1.e6a6e2c2b434fp-34'),
-    'ordered|dphi=0|r=3,k=5|x=4.5e-11': ('0x1.fff8b22d6baafp-1', '0x1.e6a6e2c2b434fp-34'),
-    'group_cdf_instant|dphi=0|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_cdf_mean|dphi=0|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_success|dphi=0|paper|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_success|dphi=0|paper|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=0|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_cdf_mean|dphi=0|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_success|dphi=0|wide|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_success|dphi=0|wide|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfb416ep-2', '0x1.df3d65311da70p-47'),
-    'group_cdf_mean|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfb4176p-2', '0x1.df3d65311da6cp-47'),
-    'group_success|dphi=0|paper|instant|strong|x=4.5e-11': ('0x1.623a1b2025f49p-1', '0x1.df3d65311da70p-47'),
-    'group_success|dphi=0|paper|mean|strong|x=4.5e-11': ('0x1.623a1b2025f45p-1', '0x1.df3d65311da6cp-47'),
-    'group_cdf_instant|dphi=0|wide|strong|x=4.5e-11': ('0x1.b0d6bd3dbb038p-1', '0x1.b40e16deb5f24p-40'),
-    'group_cdf_mean|dphi=0|wide|strong|x=4.5e-11': ('0x1.b0d6bd3dbb038p-1', '0x1.b40e16deb5f24p-40'),
-    'group_success|dphi=0|wide|instant|strong|x=4.5e-11': ('0x1.3ca50b0913f1ep-3', '0x1.b40e16deb5f24p-40'),
-    'group_success|dphi=0|wide|mean|strong|x=4.5e-11': ('0x1.3ca50b0913f1ep-3', '0x1.b40e16deb5f24p-40'),
+    'unordered|dphi=0|instant|x=0.0': ('0x0.0p+0', '0x1.01d3235e6fe9ep-36'),
+    'unordered|dphi=0|instant|x=5e-15': ('0x1.2b7a623d27808p-4', '0x1.0eeae0407371ap-27'),
+    'unordered|dphi=0|instant|x=4e-13': ('0x1.09adae7c40278p-1', '0x1.105ce8b62ae06p-29'),
+    'unordered|dphi=0|instant|x=2e-11': ('0x1.b3305244c48adp-1', '0x1.aa1a0e9359babp-31'),
+    'unordered|dphi=0|instant|x=4.5e-11': ('0x1.e85ccf419fc55p-1', '0x1.b0520448f74b2p-33'),
     'unordered|dphi=0|instant|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'unordered|dphi=0|mean|x=0.0': ('0x0.0p+0', '0x1.01d3235e6fe9ep-36'),
+    'unordered|dphi=0|mean|x=5e-15': ('0x1.2b7a623d27808p-4', '0x1.0eeae0407371ap-27'),
+    'unordered|dphi=0|mean|x=4e-13': ('0x1.09adae7c40278p-1', '0x1.105ce8b62ae06p-29'),
+    'unordered|dphi=0|mean|x=2e-11': ('0x1.b3305244c48adp-1', '0x1.aa1a0e9359babp-31'),
+    'unordered|dphi=0|mean|x=4.5e-11': ('0x1.e85ccf419fc55p-1', '0x1.b0520448f74b2p-33'),
     'unordered|dphi=0|mean|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'ordered|dphi=0|r=1,k=10|x=0.0': ('0x0.0p+0', '0x1.4247ec360be46p-32'),
+    'ordered|dphi=0|r=1,k=10|x=5e-15': ('0x1.2147c256e3aecp-1', '0x1.52a59850904e0p-23'),
+    'ordered|dphi=0|r=1,k=10|x=4e-13': ('0x1.ffca1a485577ep-1', '0x1.547422e3b5988p-25'),
+    'ordered|dphi=0|r=1,k=10|x=2e-11': ('0x1.ffffffe84552fp-1', '0x1.0a50491c1814bp-26'),
+    'ordered|dphi=0|r=1,k=10|x=4.5e-11': ('0x1.fffffffffff57p-1', '0x1.0e3342ad9a8efp-28'),
     'ordered|dphi=0|r=1,k=10|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'ordered|dphi=0|r=10,k=10|x=0.0': ('0x0.0p+0', '0x1.4247ec360be46p-32'),
+    'ordered|dphi=0|r=10,k=10|x=5e-15': ('0x1.98b68690a8ba6p-32', '0x1.52a59850904e0p-23'),
+    'ordered|dphi=0|r=10,k=10|x=4e-13': ('0x1.1c7bc3d4e3553p-6', '0x1.547422e3b5988p-25'),
+    'ordered|dphi=0|r=10,k=10|x=2e-11': ('0x1.cf208915a1636p-2', '0x1.0a50491c1814bp-26'),
+    'ordered|dphi=0|r=10,k=10|x=4.5e-11': ('0x1.9e405b3c89c13p-1', '0x1.0e3342ad9a8efp-28'),
     'ordered|dphi=0|r=10,k=10|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'ordered|dphi=0|r=3,k=5|x=0.0': ('0x0.0p+0', '0x1.4247ec360be46p-32'),
+    'ordered|dphi=0|r=3,k=5|x=5e-15': ('0x1.8a1aca4a53393p-6', '0x1.52a59850904e0p-23'),
+    'ordered|dphi=0|r=3,k=5|x=4e-13': ('0x1.bdf19eb76432ep-1', '0x1.547422e3b5988p-25'),
+    'ordered|dphi=0|r=3,k=5|x=2e-11': ('0x1.fedaf94d785e4p-1', '0x1.0a50491c1814bp-26'),
+    'ordered|dphi=0|r=3,k=5|x=4.5e-11': ('0x1.fff8b22d6baaap-1', '0x1.0e3342ad9a8efp-28'),
     'ordered|dphi=0|r=3,k=5|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=0|paper|weak|x=0.0': ('0x1.0000000000000p-53', '0x1.56532da350f83p-36'),
+    'group_cdf_instant|dphi=0|paper|weak|x=5e-15': ('0x1.6649445ab8770p-4', '0x1.56a303e034c60p-34'),
+    'group_cdf_instant|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b31644987p-1', '0x1.9911139219751p-32'),
+    'group_cdf_instant|dphi=0|paper|weak|x=2e-11': ('0x1.f21b2b981682ep-1', '0x1.7a687ac64b179p-39'),
+    'group_cdf_instant|dphi=0|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=0|paper|weak|x=0.0': ('0x1.0000000000000p-53', '0x1.56532da350f84p-36'),
+    'group_cdf_mean|dphi=0|paper|weak|x=5e-15': ('0x1.6649445bc9148p-4', '0x1.215ee0a9d6c70p-33'),
+    'group_cdf_mean|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b3164073dp-1', '0x1.371d528bd637ep-29'),
+    'group_cdf_mean|dphi=0|paper|weak|x=2e-11': ('0x1.f21b2b981682ep-1', '0x1.7a6876bcdb2fdp-39'),
+    'group_cdf_mean|dphi=0|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=0|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_success|dphi=0|paper|instant|weak|x=0.0': ('0x1.83aba0bd9e702p-2', '0x1.037e4667f6ad8p-38'),
+    'group_success|dphi=0|paper|instant|weak|x=5e-15': ('0x1.61c29159cecffp-2', '0x1.cbcdcb3d2e012p-36'),
+    'group_success|dphi=0|paper|instant|weak|x=4e-13': ('0x1.3eb5ef708a17dp-3', '0x1.3268237cc4804p-33'),
+    'group_success|dphi=0|paper|instant|weak|x=2e-11': ('0x1.50a3dac46ac27p-7', '0x1.026a8341b7421p-40'),
+    'group_success|dphi=0|paper|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|paper|instant|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=0|paper|mean|weak|x=0.0': ('0x1.83aba0bd937afp-2', '0x1.2783cec44b645p-33'),
+    'group_success|dphi=0|paper|mean|weak|x=5e-15': ('0x1.61c2915901db8p-2', '0x1.4dd80ed5a6e74p-30'),
+    'group_success|dphi=0|paper|mean|weak|x=4e-13': ('0x1.3eb5ef708ba2ap-3', '0x1.3cfa2a08bbe9ep-30'),
+    'group_success|dphi=0|paper|mean|weak|x=2e-11': ('0x1.50a3dac46ac28p-7', '0x1.026a80333ac11p-40'),
+    'group_success|dphi=0|paper|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|paper|mean|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=0|wide|weak|x=0.0': ('0x0.0p+0', '0x1.9000000000003p-46'),
+    'group_cdf_instant|dphi=0|wide|weak|x=5e-15': ('0x1.c28e90a047ba0p-3', '0x1.baa4692d6576ap-46'),
+    'group_cdf_instant|dphi=0|wide|weak|x=4e-13': ('0x1.ffc069d03c03ep-1', '0x1.8d6aaa88e7b92p-57'),
+    'group_cdf_instant|dphi=0|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=0|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|wide|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=0|wide|weak|x=0.0': ('0x1.0000000000000p-53', '0x1.8fffffffffffep-46'),
+    'group_cdf_mean|dphi=0|wide|weak|x=5e-15': ('0x1.c28e90a047ba8p-3', '0x1.baa3049e8f788p-46'),
+    'group_cdf_mean|dphi=0|wide|weak|x=4e-13': ('0x1.ffc069d03c5aap-1', '0x1.b3ff8c8ad3526p-36'),
+    'group_cdf_mean|dphi=0|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=0|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=0|wide|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_success|dphi=0|wide|instant|weak|x=0.0': ('0x1.732675c0b0c9fp-3', '0x1.21f60bfe8a1ddp-48'),
+    'group_success|dphi=0|wide|instant|weak|x=5e-15': ('0x1.217f6c40af8cdp-3', '0x1.40df62375beb5p-48'),
+    'group_success|dphi=0|wide|instant|weak|x=4e-13': ('0x1.70c0d30e77608p-14', '0x1.2016a4e34d437p-59'),
+    'group_success|dphi=0|wide|instant|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=0|wide|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|instant|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=0|wide|mean|weak|x=0.0': ('0x1.732675c0b0c9cp-3', '0x1.21f60bfe8a1d9p-48'),
+    'group_success|dphi=0|wide|mean|weak|x=5e-15': ('0x1.217f6c40af8cbp-3', '0x1.40de5fbf1340fp-48'),
+    'group_success|dphi=0|wide|mean|weak|x=4e-13': ('0x1.70c0d30c802ddp-14', '0x1.3c0e6c94026c0p-38'),
+    'group_success|dphi=0|wide|mean|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=0|wide|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|mean|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=0|paper|strong|x=0.0': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=5e-15': ('0x1.0000000000000p-51', '0x1.8fffffffffffdp-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=4e-13': ('0x1.c000000000000p-51', '0x1.8fffffffffffap-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=2e-11': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfa510cp-2', '0x1.e549aa16354b8p-29'),
     'group_cdf_instant|dphi=0|paper|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=0|paper|strong|x=0.0': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
+    'group_cdf_mean|dphi=0|paper|strong|x=5e-15': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
+    'group_cdf_mean|dphi=0|paper|strong|x=4e-13': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
+    'group_cdf_mean|dphi=0|paper|strong|x=2e-11': ('0x1.0000000000000p-51', '0x1.8fffffffffffdp-46'),
+    'group_cdf_mean|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfa5110p-2', '0x1.e549aa15e0b48p-29'),
     'group_cdf_mean|dphi=0|paper|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_success|dphi=0|paper|instant|strong|x=0.0': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
+    'group_success|dphi=0|paper|instant|strong|x=5e-15': ('0x1.ffffffffffffcp-1', '0x1.8fffffffffffdp-46'),
+    'group_success|dphi=0|paper|instant|strong|x=4e-13': ('0x1.ffffffffffff9p-1', '0x1.8fffffffffffap-46'),
+    'group_success|dphi=0|paper|instant|strong|x=2e-11': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
+    'group_success|dphi=0|paper|instant|strong|x=4.5e-11': ('0x1.623a1b202d77ap-1', '0x1.e549aa16354b8p-29'),
     'group_success|dphi=0|paper|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=0|paper|mean|strong|x=0.0': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
+    'group_success|dphi=0|paper|mean|strong|x=5e-15': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
+    'group_success|dphi=0|paper|mean|strong|x=4e-13': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
+    'group_success|dphi=0|paper|mean|strong|x=2e-11': ('0x1.ffffffffffffcp-1', '0x1.8fffffffffffdp-46'),
+    'group_success|dphi=0|paper|mean|strong|x=4.5e-11': ('0x1.623a1b202d778p-1', '0x1.e549aa15e0b48p-29'),
     'group_success|dphi=0|paper|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=0|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=0|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.8ffffffffffffp-46'),
+    'group_cdf_instant|dphi=0|wide|strong|x=4e-13': ('0x0.0p+0', '0x1.8ffffffffffffp-46'),
+    'group_cdf_instant|dphi=0|wide|strong|x=2e-11': ('0x1.56c9b01bf441cp-1', '0x1.0f066b2e92266p-29'),
+    'group_cdf_instant|dphi=0|wide|strong|x=4.5e-11': ('0x1.b0d6bd3db83e8p-1', '0x1.65d410dbcbac2p-30'),
     'group_cdf_instant|dphi=0|wide|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=0|wide|strong|x=0.0': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
+    'group_cdf_mean|dphi=0|wide|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
+    'group_cdf_mean|dphi=0|wide|strong|x=4e-13': ('0x1.0000000000000p-52', '0x1.8fffffffffffep-46'),
+    'group_cdf_mean|dphi=0|wide|strong|x=2e-11': ('0x1.56c9b01bf441dp-1', '0x1.0f066b2eb9e2bp-29'),
+    'group_cdf_mean|dphi=0|wide|strong|x=4.5e-11': ('0x1.b0d6bd3db83e8p-1', '0x1.65d410dbff747p-30'),
     'group_cdf_mean|dphi=0|wide|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_success|dphi=0|wide|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=0|wide|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.8ffffffffffffp-46'),
+    'group_success|dphi=0|wide|instant|strong|x=4e-13': ('0x1.0000000000000p+0', '0x1.8ffffffffffffp-46'),
+    'group_success|dphi=0|wide|instant|strong|x=2e-11': ('0x1.526c9fc8177c7p-2', '0x1.0f066b2e92266p-29'),
+    'group_success|dphi=0|wide|instant|strong|x=4.5e-11': ('0x1.3ca50b091f061p-3', '0x1.65d410dbcbac2p-30'),
     'group_success|dphi=0|wide|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=0|wide|mean|strong|x=0.0': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
+    'group_success|dphi=0|wide|mean|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
+    'group_success|dphi=0|wide|mean|strong|x=4e-13': ('0x1.ffffffffffffep-1', '0x1.8fffffffffffep-46'),
+    'group_success|dphi=0|wide|mean|strong|x=2e-11': ('0x1.526c9fc8177c6p-2', '0x1.0f066b2eb9e2bp-29'),
+    'group_success|dphi=0|wide|mean|strong|x=4.5e-11': ('0x1.3ca50b091f061p-3', '0x1.65d410dbff747p-30'),
     'group_success|dphi=0|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd708d63b8ca1p-2', '0x1.2e18bcee2382ep-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.fffffec6a53d0p-1', '0x1.055e5f1804162p-20'),
-    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2e75317c1dfp-12', '0x1.2e180231b8532p-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c2452bc24bp-1', '0x1.e15f97627693ep-21'),
-    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7baca239798c8p-29', '0x1.2e18001cfc1a4p-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fd74b42c81p-1', '0x1.278f238d6f534p-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd708d667ddcbp-2', '0x1.393617e8168fap-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.fffffec696b09p-1', '0x1.0e2d306505691p-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2e7531d8df7p-12', '0x1.3935df7dfd42ep-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c2452b1723p-1', '0x1.f2fd40a118b5ep-21'),
+    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7baca239cfd86p-29', '0x1.3935dd694bc3cp-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fd74b41829p-1', '0x1.305df8174cd24p-20'),
     'group_probabilities|dphi=0|paper|instant': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|paper|mean': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|wide|instant': ('0x1.cf71c47933453p-1',),
@@ -234,138 +242,138 @@ PINNED = {
     'nonzero|dphi=0|pmf|k=10,k_min=10': ('0x1.b8e93017599a3p-2',),
     'nonzero|dphi=0|pmf|k=20,k_min=10': ('0x1.0c24bd2ea1311p-23',),
     'nonzero|dphi=0|pmf|k=14,k_min=1': ('0x1.2f81f5116d41fp-7',),
-    'unordered|dphi=25|instant|x=0.0': ('0x0.0p+0', '0x1.6e0830b3d9522p-36'),
-    'unordered|dphi=25|mean|x=0.0': ('0x0.0p+0', '0x1.9b1bcf79ed48ap-40'),
-    'ordered|dphi=25|r=1,k=10|x=0.0': ('0x0.0p+0', '0x1.c98a3ce0cfa6ap-32'),
-    'ordered|dphi=25|r=10,k=10|x=0.0': ('0x0.0p+0', '0x1.c98a3ce0cfa6ap-32'),
-    'ordered|dphi=25|r=3,k=5|x=0.0': ('0x0.0p+0', '0x1.c98a3ce0cfa6ap-32'),
-    'group_cdf_instant|dphi=25|paper|weak|x=0.0': ('0x0.0p+0', '0x1.bf87d652ae475p-39'),
-    'group_cdf_mean|dphi=25|paper|weak|x=0.0': ('0x1.176cee798bb40p-3', '0x1.936bb3382993bp-28'),
-    'group_success|dphi=25|paper|instant|weak|x=0.0': ('0x1.6faeb8a66b01dp-2', '0x1.5e70a199762b3p-41'),
-    'group_success|dphi=25|paper|mean|weak|x=0.0': ('0x1.759eda37ec050p-2', '0x1.26a7bb0e31b49p-29'),
-    'group_cdf_instant|dphi=25|wide|weak|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_cdf_mean|dphi=25|wide|weak|x=0.0': ('0x1.ffffffffffffcp-3', '0x1.2c00000000001p-46'),
-    'group_success|dphi=25|wide|instant|weak|x=0.0': ('0x1.b8c040c3fefc8p-3', '0x1.585632991f355p-48'),
-    'group_success|dphi=25|wide|mean|weak|x=0.0': ('0x1.c4a156ad1e549p-3', '0x1.619e0bb73fb21p-48'),
-    'group_cdf_instant|dphi=25|paper|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_cdf_mean|dphi=25|paper|strong|x=0.0': ('0x1.0000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=25|paper|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=25|paper|mean|strong|x=0.0': ('0x1.ffffffffffffep-1', '0x1.8fffffffffffep-46'),
-    'group_cdf_instant|dphi=25|wide|strong|x=0.0': ('0x0.0p+0', '0x1.4c7819e2a3138p-44'),
-    'group_cdf_mean|dphi=25|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=25|wide|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.4c7819e2a3138p-44'),
-    'group_success|dphi=25|wide|mean|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=25|instant|x=5e-15': ('0x1.317d421e54b20p-4', '0x1.52cfaaa33a200p-37'),
-    'unordered|dphi=25|mean|x=5e-15': ('0x1.3953801805db0p-4', '0x1.432497fbdb7f1p-34'),
-    'ordered|dphi=25|r=1,k=10|x=5e-15': ('0x1.2430a5a7667c8p-1', '0x1.a783954c08a80p-33'),
-    'ordered|dphi=25|r=10,k=10|x=5e-15': ('0x1.b1f41ac1c45ebp-32', '0x1.a783954c08a80p-33'),
-    'ordered|dphi=25|r=3,k=5|x=5e-15': ('0x1.8775b820ffad0p-6', '0x1.a783954c08a80p-33'),
-    'group_cdf_instant|dphi=25|paper|weak|x=5e-15': ('0x1.8c2d35a8939c0p-4', '0x1.0c973ee6f9027p-36'),
-    'group_cdf_mean|dphi=25|paper|weak|x=5e-15': ('0x1.b0bfe8b92de3cp-3', '0x1.d9a79b1baaa4fp-28'),
-    'group_success|dphi=25|paper|instant|weak|x=5e-15': ('0x1.4c1e855fd8270p-2', '0x1.60c25f0cfba00p-38'),
-    'group_success|dphi=25|paper|mean|weak|x=5e-15': ('0x1.5135ec92ff3d0p-2', '0x1.bbeb2ff39a2b3p-29'),
-    'group_cdf_instant|dphi=25|wide|weak|x=5e-15': ('0x1.babaf9582e168p-3', '0x1.39877b4cc6ffap-46'),
-    'group_cdf_mean|dphi=25|wide|weak|x=5e-15': ('0x1.8f2ca04a0bf46p-2', '0x1.2cd7119e7f1b3p-46'),
-    'group_success|dphi=25|wide|instant|weak|x=5e-15': ('0x1.597885aa7659ep-3', '0x1.0de6286d2c764p-48'),
-    'group_success|dphi=25|wide|mean|weak|x=5e-15': ('0x1.692b0bb9c1ddcp-3', '0x1.1a29a1291f754p-48'),
-    'group_cdf_instant|dphi=25|paper|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000003p-46'),
-    'group_cdf_mean|dphi=25|paper|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=25|paper|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000003p-46'),
-    'group_success|dphi=25|paper|mean|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.8fffffffffffep-46'),
-    'group_cdf_instant|dphi=25|wide|strong|x=5e-15': ('0x1.8000000000000p-52', '0x1.b07819e2a3135p-45'),
-    'group_cdf_mean|dphi=25|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_success|dphi=25|wide|instant|strong|x=5e-15': ('0x1.ffffffffffffdp-1', '0x1.b07819e2a3135p-45'),
-    'group_success|dphi=25|wide|mean|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
-    'unordered|dphi=25|instant|x=4e-13': ('0x1.dd7f43c41678cp-2', '0x1.895c3001fc14ap-38'),
-    'unordered|dphi=25|mean|x=4e-13': ('0x1.d9edb96b20698p-2', '0x1.d1c6bc93fb959p-29'),
-    'ordered|dphi=25|r=1,k=10|x=4e-13': ('0x1.ff5d36444b93fp-1', '0x1.ebb33c027b19cp-34'),
-    'ordered|dphi=25|r=10,k=10|x=4e-13': ('0x1.ca60fbd2c6211p-8', '0x1.ebb33c027b19cp-34'),
-    'ordered|dphi=25|r=3,k=5|x=4e-13': ('0x1.987886511278ap-1', '0x1.ebb33c027b19cp-34'),
-    'group_cdf_instant|dphi=25|paper|weak|x=4e-13': ('0x1.2789cd0c41047p-1', '0x1.21f34f512e3a2p-35'),
-    'group_cdf_mean|dphi=25|paper|weak|x=4e-13': ('0x1.488ba6483e88ap-1', '0x1.79c7258184595p-29'),
-    'group_success|dphi=25|paper|instant|weak|x=4e-13': ('0x1.36e52f83bc359p-3', '0x1.98b840bfece91p-37'),
-    'group_success|dphi=25|paper|mean|weak|x=4e-13': ('0x1.2a6fc6a59a470p-3', '0x1.4eb12598ecbcep-30'),
-    'group_cdf_instant|dphi=25|wide|weak|x=4e-13': ('0x1.ffdc85463d479p-1', '0x1.bb7e120201c3ap-58'),
-    'group_cdf_mean|dphi=25|wide|weak|x=4e-13': ('0x1.fd701328b511ap-1', '0x1.00388419451dfp-53'),
-    'group_success|dphi=25|wide|instant|weak|x=4e-13': ('0x1.e8aca25ebac17p-15', '0x1.7dc6deda01e73p-60'),
-    'group_success|dphi=25|wide|mean|weak|x=4e-13': ('0x1.222a19c125fa2p-10', '0x1.c561c83dcb56ep-56'),
-    'group_cdf_instant|dphi=25|paper|strong|x=4e-13': ('0x1.8000000000000p-52', '0x1.8fffffffffffdp-46'),
-    'group_cdf_mean|dphi=25|paper|strong|x=4e-13': ('0x1.0000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=25|paper|instant|strong|x=4e-13': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffdp-46'),
-    'group_success|dphi=25|paper|mean|strong|x=4e-13': ('0x1.ffffffffffffep-1', '0x1.8fffffffffffep-46'),
-    'group_cdf_instant|dphi=25|wide|strong|x=4e-13': ('0x1.8000000000000p-52', '0x1.b07819e2a3135p-45'),
-    'group_cdf_mean|dphi=25|wide|strong|x=4e-13': ('0x1.1ca4328f79280p-8', '0x1.8e433f70ffd2ap-46'),
-    'group_success|dphi=25|wide|instant|strong|x=4e-13': ('0x1.ffffffffffffdp-1', '0x1.b07819e2a3135p-45'),
-    'group_success|dphi=25|wide|mean|strong|x=4e-13': ('0x1.fdc6b79ae10dbp-1', '0x1.8e433f70ffd2ap-46'),
-    'unordered|dphi=25|instant|x=2e-11': ('0x1.98fb5e349f543p-1', '0x1.65772d2687ccep-33'),
-    'unordered|dphi=25|mean|x=2e-11': ('0x1.94754480e25cap-1', '0x1.43d999aef76cep-40'),
-    'ordered|dphi=25|r=1,k=10|x=2e-11': ('0x1.fffffe1ee2299p-1', '0x1.bed4f87029c02p-29'),
-    'ordered|dphi=25|r=10,k=10|x=2e-11': ('0x1.3b802e0059595p-2', '0x1.bed4f87029c02p-29'),
-    'ordered|dphi=25|r=3,k=5|x=2e-11': ('0x1.fc976f3e7ec20p-1', '0x1.bed4f87029c02p-29'),
-    'group_cdf_instant|dphi=25|paper|weak|x=2e-11': ('0x1.eda32b1a5909cp-1', '0x1.5609989c05e97p-32'),
-    'group_cdf_mean|dphi=25|paper|weak|x=2e-11': ('0x1.edb7674068b02p-1', '0x1.6ee2ff8e2cbe7p-32'),
-    'group_success|dphi=25|paper|instant|weak|x=2e-11': ('0x1.a5f9d8c975690p-7', '0x1.eb2c3b0f52e61p-34'),
-    'group_success|dphi=25|paper|mean|weak|x=2e-11': ('0x1.afbacc56a19a2p-7', '0x1.d8a892a4ab6c9p-35'),
-    'group_cdf_instant|dphi=25|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_cdf_mean|dphi=25|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_success|dphi=25|wide|instant|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_success|dphi=25|wide|mean|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=25|paper|strong|x=2e-11': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_cdf_mean|dphi=25|paper|strong|x=2e-11': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=25|paper|instant|strong|x=2e-11': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=25|paper|mean|strong|x=2e-11': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
-    'group_cdf_instant|dphi=25|wide|strong|x=2e-11': ('0x1.30e209602c434p-1', '0x1.71414e5ec8947p-43'),
-    'group_cdf_mean|dphi=25|wide|strong|x=2e-11': ('0x1.3ea772b2c7cf4p-1', '0x1.49382e7af20a5p-42'),
-    'group_success|dphi=25|wide|instant|strong|x=2e-11': ('0x1.9e3bed3fa7798p-2', '0x1.71414e5ec8947p-43'),
-    'group_success|dphi=25|wide|mean|strong|x=2e-11': ('0x1.82b11a9a70618p-2', '0x1.49382e7af20a5p-42'),
-    'unordered|dphi=25|instant|x=4.5e-11': ('0x1.de70d4235f6f6p-1', '0x1.1061d227be5b8p-39'),
-    'unordered|dphi=25|mean|x=4.5e-11': ('0x1.deafa99490178p-1', '0x1.030c9a6271932p-42'),
-    'ordered|dphi=25|r=1,k=10|x=4.5e-11': ('0x1.fffffffffe7d4p-1', '0x1.547a46b1adf26p-35'),
-    'ordered|dphi=25|r=10,k=10|x=4.5e-11': ('0x1.73669eacae6b5p-1', '0x1.547a46b1adf26p-35'),
-    'ordered|dphi=25|r=3,k=5|x=4.5e-11': ('0x1.ffe7163bb2a4cp-1', '0x1.547a46b1adf26p-35'),
-    'group_cdf_instant|dphi=25|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_cdf_mean|dphi=25|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_success|dphi=25|paper|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_success|dphi=25|paper|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=25|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_cdf_mean|dphi=25|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_success|dphi=25|wide|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_success|dphi=25|wide|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=25|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfb4178p-2', '0x1.ee7d65311da6bp-47'),
-    'group_cdf_mean|dphi=25|paper|strong|x=4.5e-11': ('0x1.8b2e7f2d37de2p-2', '0x1.0fa37da43aca3p-28'),
-    'group_success|dphi=25|paper|instant|strong|x=4.5e-11': ('0x1.623a1b2025f44p-1', '0x1.ee7d65311da6bp-47'),
-    'group_success|dphi=25|paper|mean|strong|x=4.5e-11': ('0x1.3a68c0696410fp-1', '0x1.0fa37da43aca3p-28'),
-    'group_cdf_instant|dphi=25|wide|strong|x=4.5e-11': ('0x1.9ddc16bb8501ap-1', '0x1.5fa0878f08577p-41'),
-    'group_cdf_mean|dphi=25|wide|strong|x=4.5e-11': ('0x1.b1a3c2c82984ap-1', '0x1.0397778b88c37p-39'),
-    'group_success|dphi=25|wide|instant|strong|x=4.5e-11': ('0x1.888fa511ebf96p-3', '0x1.5fa0878f08577p-41'),
-    'group_success|dphi=25|wide|mean|strong|x=4.5e-11': ('0x1.3970f4df59ed6p-3', '0x1.0397778b88c37p-39'),
+    'unordered|dphi=25|instant|x=0.0': ('0x0.0p+0', '0x1.6e08416362414p-36'),
+    'unordered|dphi=25|instant|x=5e-15': ('0x1.317d421dd4cd8p-4', '0x1.02d2e43462d7ap-27'),
+    'unordered|dphi=25|instant|x=4e-13': ('0x1.dd7f43c40a360p-2', '0x1.8cbb765e0a655p-29'),
+    'unordered|dphi=25|instant|x=2e-11': ('0x1.98fb5e349c286p-1', '0x1.9930e8df04453p-30'),
+    'unordered|dphi=25|instant|x=4.5e-11': ('0x1.de70d4235edb2p-1', '0x1.2c0d088b838ecp-32'),
     'unordered|dphi=25|instant|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'unordered|dphi=25|mean|x=0.0': ('0x0.0p+0', '0x1.9b1c106990ca9p-40'),
+    'unordered|dphi=25|mean|x=5e-15': ('0x1.3953801805dc0p-4', '0x1.432497fbdb808p-34'),
+    'unordered|dphi=25|mean|x=4e-13': ('0x1.d9edb96aee9fcp-2', '0x1.38bbb4e306009p-30'),
+    'unordered|dphi=25|mean|x=2e-11': ('0x1.94754480e00a6p-1', '0x1.2be9c9b4c2035p-30'),
+    'unordered|dphi=25|mean|x=4.5e-11': ('0x1.deafa9948f93ep-1', '0x1.09bfa06dbe5dfp-32'),
     'unordered|dphi=25|mean|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'ordered|dphi=25|r=1,k=10|x=0.0': ('0x0.0p+0', '0x1.c98a51bc3ad19p-32'),
+    'ordered|dphi=25|r=1,k=10|x=5e-15': ('0x1.2430a5a715eadp-1', '0x1.43879d417b8d8p-23'),
+    'ordered|dphi=25|r=1,k=10|x=4e-13': ('0x1.ff5d36444b6dep-1', '0x1.efea53f58cfeap-25'),
+    'ordered|dphi=25|r=1,k=10|x=2e-11': ('0x1.fffffe1ee2299p-1', '0x1.ff7d2316c5568p-26'),
+    'ordered|dphi=25|r=1,k=10|x=4.5e-11': ('0x1.fffffffffe7d5p-1', '0x1.77104aae64727p-28'),
     'ordered|dphi=25|r=1,k=10|x=1e-10': ('0x1.ffffffffffffbp-1', '0x0.0p+0'),
+    'ordered|dphi=25|r=10,k=10|x=0.0': ('0x0.0p+0', '0x1.c98a51bc3ad19p-32'),
+    'ordered|dphi=25|r=10,k=10|x=5e-15': ('0x1.b1f41abae0581p-32', '0x1.43879d417b8d8p-23'),
+    'ordered|dphi=25|r=10,k=10|x=4e-13': ('0x1.ca60fbd269226p-8', '0x1.efea53f58cfeap-25'),
+    'ordered|dphi=25|r=10,k=10|x=2e-11': ('0x1.3b802e004ae37p-2', '0x1.ff7d2316c5568p-26'),
+    'ordered|dphi=25|r=10,k=10|x=4.5e-11': ('0x1.73669eacac2f7p-1', '0x1.77104aae64727p-28'),
     'ordered|dphi=25|r=10,k=10|x=1e-10': ('0x1.ffffffffffffbp-1', '0x0.0p+0'),
+    'ordered|dphi=25|r=3,k=5|x=0.0': ('0x0.0p+0', '0x1.c98a51bc3ad19p-32'),
+    'ordered|dphi=25|r=3,k=5|x=5e-15': ('0x1.8775b81f54d55p-6', '0x1.43879d417b8d8p-23'),
+    'ordered|dphi=25|r=3,k=5|x=4e-13': ('0x1.987886510a0a0p-1', '0x1.efea53f58cfeap-25'),
+    'ordered|dphi=25|r=3,k=5|x=2e-11': ('0x1.fc976f3e7e698p-1', '0x1.ff7d2316c5568p-26'),
+    'ordered|dphi=25|r=3,k=5|x=4.5e-11': ('0x1.ffe7163bb2a37p-1', '0x1.77104aae64727p-28'),
     'ordered|dphi=25|r=3,k=5|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=25|paper|weak|x=0.0': ('0x1.8000000000000p-52', '0x1.bf8718e115343p-39'),
+    'group_cdf_instant|dphi=25|paper|weak|x=5e-15': ('0x1.8c2d35a8939c0p-4', '0x1.0c973db49fe65p-36'),
+    'group_cdf_instant|dphi=25|paper|weak|x=4e-13': ('0x1.2789cd0c41046p-1', '0x1.21f34f512e36bp-35'),
+    'group_cdf_instant|dphi=25|paper|weak|x=2e-11': ('0x1.eda32b1a5909cp-1', '0x1.560998b6b3497p-32'),
+    'group_cdf_instant|dphi=25|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=25|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=25|paper|weak|x=0.0': ('0x1.176cee798bb40p-3', '0x1.936bb35326256p-28'),
+    'group_cdf_mean|dphi=25|paper|weak|x=5e-15': ('0x1.b0bfe8bc8f674p-3', '0x1.6568984ebfb83p-29'),
+    'group_cdf_mean|dphi=25|paper|weak|x=4e-13': ('0x1.488ba6472f4b2p-1', '0x1.5b71ccde01a16p-29'),
+    'group_cdf_mean|dphi=25|paper|weak|x=2e-11': ('0x1.edb76741982d7p-1', '0x1.681e74e6bc420p-33'),
+    'group_cdf_mean|dphi=25|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=25|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_success|dphi=25|paper|instant|weak|x=0.0': ('0x1.6faeb8a66b01bp-2', '0x1.5e6f91824fde0p-41'),
+    'group_success|dphi=25|paper|instant|weak|x=5e-15': ('0x1.4c1e855fd8270p-2', '0x1.60c25d54fccb1p-38'),
+    'group_success|dphi=25|paper|instant|weak|x=4e-13': ('0x1.36e52f83bc35ap-3', '0x1.98b840bfece42p-37'),
+    'group_success|dphi=25|paper|instant|weak|x=2e-11': ('0x1.a5f9d8c97568fp-7', '0x1.eb2c3b35a3a7dp-34'),
+    'group_success|dphi=25|paper|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|paper|instant|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=25|paper|mean|weak|x=0.0': ('0x1.759eda37ec04fp-2', '0x1.26a7bafa7b84ap-29'),
+    'group_success|dphi=25|paper|mean|weak|x=5e-15': ('0x1.5135ec92cd3f3p-2', '0x1.f4ab12cd24061p-31'),
+    'group_success|dphi=25|paper|mean|weak|x=4e-13': ('0x1.2a6fc6a726802p-3', '0x1.39511ddff2905p-30'),
+    'group_success|dphi=25|paper|mean|weak|x=2e-11': ('0x1.afbacc3a3cd14p-7', '0x1.0746eec8316b9p-34'),
+    'group_success|dphi=25|paper|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|paper|mean|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=25|wide|weak|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=25|wide|weak|x=5e-15': ('0x1.babaf9582e16cp-3', '0x1.39877b4cc6ffap-46'),
+    'group_cdf_instant|dphi=25|wide|weak|x=4e-13': ('0x1.ffdc85463d479p-1', '0x1.bb7e120201c12p-58'),
+    'group_cdf_instant|dphi=25|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=25|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=25|wide|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=25|wide|weak|x=0.0': ('0x1.ffffffffffffcp-3', '0x1.2c00000000001p-46'),
+    'group_cdf_mean|dphi=25|wide|weak|x=5e-15': ('0x1.8f2ca04a0bf46p-2', '0x1.2cd60fb91b085p-46'),
+    'group_cdf_mean|dphi=25|wide|weak|x=4e-13': ('0x1.fd701328b511ap-1', '0x1.00388419451dfp-53'),
+    'group_cdf_mean|dphi=25|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=25|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=25|wide|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_success|dphi=25|wide|instant|weak|x=0.0': ('0x1.b8c040c3fefc8p-3', '0x1.585632991f355p-48'),
+    'group_success|dphi=25|wide|instant|weak|x=5e-15': ('0x1.597885aa7659dp-3', '0x1.0de6286d2c764p-48'),
+    'group_success|dphi=25|wide|instant|weak|x=4e-13': ('0x1.e8aca25ebabecp-15', '0x1.7dc6deda01e50p-60'),
+    'group_success|dphi=25|wide|instant|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=25|wide|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|instant|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=25|wide|mean|weak|x=0.0': ('0x1.c4a156ad1e549p-3', '0x1.619e0bb73fb21p-48'),
+    'group_success|dphi=25|wide|mean|weak|x=5e-15': ('0x1.692b0bb9c1ddcp-3', '0x1.1a29a1291f754p-48'),
+    'group_success|dphi=25|wide|mean|weak|x=4e-13': ('0x1.222a19c125fa3p-10', '0x1.c561c83dcb56fp-56'),
+    'group_success|dphi=25|wide|mean|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=25|wide|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|mean|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=25|paper|strong|x=0.0': ('0x1.8000000000000p-52', '0x1.8fffffffffffdp-46'),
+    'group_cdf_instant|dphi=25|paper|strong|x=5e-15': ('0x1.8000000000000p-52', '0x1.8fffffffffffdp-46'),
+    'group_cdf_instant|dphi=25|paper|strong|x=4e-13': ('0x1.0000000000000p-50', '0x1.8fffffffffff9p-46'),
+    'group_cdf_instant|dphi=25|paper|strong|x=2e-11': ('0x1.8000000000000p-51', '0x1.8fffffffffffbp-46'),
+    'group_cdf_instant|dphi=25|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfa5114p-2', '0x1.e549aa1510c8ep-29'),
     'group_cdf_instant|dphi=25|paper|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=25|paper|strong|x=0.0': ('0x1.4000000000000p-51', '0x1.8fffffffffffcp-46'),
+    'group_cdf_mean|dphi=25|paper|strong|x=5e-15': ('0x1.4000000000000p-51', '0x1.8fffffffffffcp-46'),
+    'group_cdf_mean|dphi=25|paper|strong|x=4e-13': ('0x1.4000000000000p-51', '0x1.8fffffffffffcp-46'),
+    'group_cdf_mean|dphi=25|paper|strong|x=2e-11': ('0x1.4000000000000p-51', '0x1.8fffffffffffcp-46'),
+    'group_cdf_mean|dphi=25|paper|strong|x=4.5e-11': ('0x1.8b2e7f30e637ap-2', '0x1.568d7f8055a84p-29'),
     'group_cdf_mean|dphi=25|paper|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_success|dphi=25|paper|instant|strong|x=0.0': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffdp-46'),
+    'group_success|dphi=25|paper|instant|strong|x=5e-15': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffdp-46'),
+    'group_success|dphi=25|paper|instant|strong|x=4e-13': ('0x1.ffffffffffff8p-1', '0x1.8fffffffffff9p-46'),
+    'group_success|dphi=25|paper|instant|strong|x=2e-11': ('0x1.ffffffffffffap-1', '0x1.8fffffffffffbp-46'),
+    'group_success|dphi=25|paper|instant|strong|x=4.5e-11': ('0x1.623a1b202d776p-1', '0x1.e549aa1510c8ep-29'),
     'group_success|dphi=25|paper|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=25|paper|mean|strong|x=0.0': ('0x1.ffffffffffffbp-1', '0x1.8fffffffffffcp-46'),
+    'group_success|dphi=25|paper|mean|strong|x=5e-15': ('0x1.ffffffffffffbp-1', '0x1.8fffffffffffcp-46'),
+    'group_success|dphi=25|paper|mean|strong|x=4e-13': ('0x1.ffffffffffffbp-1', '0x1.8fffffffffffcp-46'),
+    'group_success|dphi=25|paper|mean|strong|x=2e-11': ('0x1.ffffffffffffbp-1', '0x1.8fffffffffffcp-46'),
+    'group_success|dphi=25|paper|mean|strong|x=4.5e-11': ('0x1.3a68c0678ce43p-1', '0x1.568d7f8055a84p-29'),
     'group_success|dphi=25|paper|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=25|wide|strong|x=0.0': ('0x1.0000000000000p-52', '0x1.4c7b7671c3de7p-44'),
+    'group_cdf_instant|dphi=25|wide|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.b07819e2a3135p-45'),
+    'group_cdf_instant|dphi=25|wide|strong|x=4e-13': ('0x1.0000000000000p-52', '0x1.b07819e2a3135p-45'),
+    'group_cdf_instant|dphi=25|wide|strong|x=2e-11': ('0x1.30e209602881ep-1', '0x1.f4146329c905ep-30'),
+    'group_cdf_instant|dphi=25|wide|strong|x=4.5e-11': ('0x1.9ddc16bb83445p-1', '0x1.c175ebf3b4f05p-31'),
     'group_cdf_instant|dphi=25|wide|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_cdf_mean|dphi=25|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_mean|dphi=25|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_mean|dphi=25|wide|strong|x=4e-13': ('0x1.1ca4328f79280p-8', '0x1.8e433f70ffd2ap-46'),
+    'group_cdf_mean|dphi=25|wide|strong|x=2e-11': ('0x1.3ea772b2c2d00p-1', '0x1.440c838a02191p-29'),
+    'group_cdf_mean|dphi=25|wide|strong|x=4.5e-11': ('0x1.b1a3c2c8285a2p-1', '0x1.2dea8c386ed67p-31'),
     'group_cdf_mean|dphi=25|wide|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
+    'group_success|dphi=25|wide|instant|strong|x=0.0': ('0x1.ffffffffffffep-1', '0x1.4c7b7671c3de7p-44'),
+    'group_success|dphi=25|wide|instant|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.b07819e2a3135p-45'),
+    'group_success|dphi=25|wide|instant|strong|x=4e-13': ('0x1.ffffffffffffep-1', '0x1.b07819e2a3135p-45'),
+    'group_success|dphi=25|wide|instant|strong|x=2e-11': ('0x1.9e3bed3faefc5p-2', '0x1.f4146329c905ep-30'),
+    'group_success|dphi=25|wide|instant|strong|x=4.5e-11': ('0x1.888fa511f2eebp-3', '0x1.c175ebf3b4f05p-31'),
     'group_success|dphi=25|wide|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
+    'group_success|dphi=25|wide|mean|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=25|wide|mean|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=25|wide|mean|strong|x=4e-13': ('0x1.fdc6b79ae10dbp-1', '0x1.8e433f70ffd2ap-46'),
+    'group_success|dphi=25|wide|mean|strong|x=2e-11': ('0x1.82b11a9a7a5ffp-2', '0x1.440c838a02191p-29'),
+    'group_success|dphi=25|wide|mean|strong|x=4.5e-11': ('0x1.3970f4df5e978p-3', '0x1.2dea8c386ed67p-31'),
     'group_success|dphi=25|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2cd970e947p-2', '0x1.374db2dae7ad5p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405fa229272ep-1', '0x1.fddb0cd491f8dp-21'),
-    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b9d00f0fc7p-10', '0x1.37223c88d7261p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d57181029p-1', '0x1.017c484a18894p-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef1dff6f973p-23', '0x1.3722391f443e0p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef430831181p-1', '0x1.0357585cda071p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2cd970bc2dp-2', '0x1.374db508c1871p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405fa22815d8p-1', '0x1.fddb1d05d73a0p-21'),
+    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b9d004424bp-10', '0x1.37223c5014424p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d5716d712p-1', '0x1.017c179303f26p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef1dffaa249p-23', '0x1.37223928b9d58p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef43082e992p-1', '0x1.03575863920d0p-20'),
     'group_probabilities|dphi=25|paper|instant': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|paper|mean': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|wide|instant': ('0x1.dbd2f1fed3073p-1',),
@@ -392,11 +400,11 @@ PINNED = {
 def recorded(family=None):
     """{key: hex tuple} of what the closed-form engine returns now for ``family`` (default all), in case order."""
     out = {}
-    for fam, key, thunk in cases():
+    for fam, keys, thunk in cases():
         if family not in (None, fam):
             continue
-        value = thunk()
-        out[key] = tuple(float(v).hex() for v in (value if isinstance(value, tuple) else (value,)))
+        for key, value in zip(keys, thunk(), strict=True):
+            out[key] = tuple(float(v).hex() for v in (value if isinstance(value, tuple) else (value,)))
     return out
 
 

@@ -289,6 +289,17 @@ class TestAnalyticCommand:
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
         assert "stream_version" not in manifest and "trials_per_s" not in manifest
 
+    def test_one_point_grid_writes_its_rows_of_the_full_grid(self, tmp_path):
+        # every level of a batched closed-form call is computed as if alone, so a one-point
+        # grid gives the same bytes as that point's rows of the full-grid run
+        full, single = tmp_path / "full.csv", tmp_path / "single.csv"
+        assert run_cli("analytic", "--preset", "fig3", "--out", str(full)) == 0
+        assert run_cli("analytic", "--preset", "fig3", "--set", "sweep.gamma_db=170:5:170", "--out", str(single)) == 0
+        header, *rows = full.read_text().splitlines(keepends=True)
+        kept = [row for row in rows if row.split(",")[1] == "170.0"]
+        assert len(kept) == 6
+        assert single.read_text() == header + "".join(kept)
+
     def test_noisy_run_groups_are_skipped(self, tmp_path, capsys):
         # the closed-form engine has no estimation-noise model
         out = tmp_path / "fig4.csv"

@@ -22,10 +22,10 @@ GOLDEN = {
     ("simulate", "fig2"): "5ce190141531f7f1aca1ba352e4366ae2141c78a60ff0976beaea64090667e29",
     ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
     ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
-    ("analytic", "fig2"): "2848ef5557a169e60799fabc551123a16d74bf96d40a5a357b5696f6bd0b932a",
-    ("analytic", "fig3"): "85a5664e29b72342c1478b8a9c286ffdc168ed5882f437d03b89507ad2649765",
+    ("analytic", "fig2"): "c5245d4a9202dcd3fccec703d4b75eb08caf061ce42a3f7047557cde5e64a9ce",
+    ("analytic", "fig3"): "dadef752bf74a14f58b82a5ea8217f49647c55909f5fcc9bb55a6066ccb99c21",
 }
-VALIDATE_QUICK = "9b1631261eb7acbd45f6e1fe52d8eef2f406efea6f7ef68797234c0e2955da08"
+VALIDATE_QUICK = "0ae6c1ad96a93c75640fe7ea604f74687480e5e0041051de7ae36dd8dc4af351"
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
     "analytic": ["--set", "sweep.gamma_db=150,185,215"],

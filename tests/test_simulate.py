@@ -186,8 +186,8 @@ class TestSweepStatistics:
             pt = run_sweep(config, n_workers=1)["noma-full-csi"][0]
             if truth is None:
                 thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (gamma_db / 10.0))
-                pw, _, ps, _ = an.individual_outage(model, thr, 1, 10)
-                truth = (1.0 - pw) * 2.0 + (1.0 - ps) * 10.0
+                pw, _, ps, _ = an.individual_outage(model, (thr,), 1, 10)
+                truth = (1.0 - pw[0]) * 2.0 + (1.0 - ps[0]) * 10.0
             if abs(pt.sum_rate - truth) <= pt.ci_halfwidth:
                 hits += 1
         assert hits >= int(0.9 * reps)
@@ -204,7 +204,7 @@ class TestEmpiricalCdf:
         rng = np.random.default_rng(0)
         n = 1_000_000
         cdf = EmpiricalCdf(rng.uniform(0.0, 1.0, n))
-        sup = cdf.sup_distance(lambda x: min(max(x, 0.0), 1.0), 2000)
+        sup = cdf.sup_distance(lambda x: np.clip(x, 0.0, 1.0), 2000)
         assert sup <= 0.002
 
     def test_empty_rejected(self):
@@ -216,9 +216,7 @@ class TestEmpiricalCdf:
         samples = np.concatenate([np.zeros(5000), np.random.default_rng(1).uniform(0, 1, 5000)])
 
         def ref(x):
-            if x < 0.0:
-                return 0.0
-            return 0.5 + 0.5 * min(max(x, 0.0), 1.0)
+            return np.where(x < 0.0, 0.0, 0.5 + 0.5 * np.clip(x, 0.0, 1.0))
 
         sup = EmpiricalCdf(samples).sup_distance(ref, 500)
         assert sup < 0.02
