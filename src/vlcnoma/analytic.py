@@ -45,10 +45,9 @@ same path and returns floats.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional
 
 import numpy as np
@@ -321,7 +320,7 @@ def _mass_above(model, x, inner, outer, lo, hi):
 
         edges = _band_edges(inner, top)
         kinks = _breakpoints(model, lo, his, edges, x, edges, _corners(model.mobility))
-    return integrate_levels(above, np.full(x.shape, float(lo)), his, kinks, model.quad)
+    return integrate_levels(above, np.full(x.shape, float(lo)), his, model.quad, kinks)
 
 
 def _over_levels(family):
@@ -331,7 +330,7 @@ def _over_levels(family):
     pair.  A QuadratureError of ``integrate_levels`` is raised again naming
     the family and the level that failed.
     """
-    @functools.wraps(family)
+    @wraps(family)
     def over_levels(model, x, *args):
         levels = np.asarray(x, float)
         flat = np.atleast_1d(levels)

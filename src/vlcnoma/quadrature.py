@@ -152,7 +152,7 @@ def _kronrod(f, a, b, rows):
     return np.concatenate(values), np.concatenate(errors)
 
 
-def integrate_levels(f, lo, hi, breakpoints, config):
+def integrate_levels(f, lo, hi, config, breakpoints):
     """Integrals of ``f`` over [lo[i], hi[i]] for every row i, with per-row error estimates; raises on non-convergence.
 
     ``f(r, rows)`` evaluates the integrand of row ``rows[k]`` at the distances

@@ -63,7 +63,7 @@ class TestQuadratureWrapper:
         c = np.array([0.3, 1.0, 2.5])
         config = QuadratureConfig()
         values, errors = integrate_levels(lambda r, rows: np.sqrt(np.abs(r - c[rows, None])), np.zeros(3),
-                                          np.full(3, 3.0), [[], [], []], config)
+                                          np.full(3, 3.0), config, [[], [], []])
         exact = (c**1.5 + (3.0 - c) ** 1.5) * 2.0 / 3.0
         assert np.all(np.abs(values - exact) <= errors)
         assert np.all(errors <= np.maximum(config.abs_tol, config.rel_tol * exact))
@@ -71,7 +71,7 @@ class TestQuadratureWrapper:
     def test_level_rows_split_at_their_breakpoints_and_empty_rows(self):
         steps = np.array([1.0 / 3.0, 0.5])
         values, errors = integrate_levels(lambda r, rows: (r < steps[rows, None]).astype(float), np.zeros(3),
-                                          np.array([1.0, 1.0, 0.0]), [[steps[0]], [steps[1]], []], QuadratureConfig())
+                                          np.array([1.0, 1.0, 0.0]), QuadratureConfig(), [[steps[0]], [steps[1]], []])
         assert values[:2] == pytest.approx(steps, abs=1e-12)
         assert (values[2], errors[2]) == (0.0, 0.0)
 
