@@ -87,6 +87,8 @@ class AnalyticModel:
 def boresight_angle(geom, r):
     """Vertical angle at which the incidence is exactly zero for distance r; r may be an array."""
     if isinstance(r, float):
+        # QUADPACK hands the band-mass integrands one float at a time; NumPy's vectorised arctan2 differs
+        # from math.atan2 in the last bit at about 5 % of points, so this branch keeps the band-mass bits
         return math.pi - math.atan2(geom.ell, r)
     return math.pi - np.arctan2(geom.ell, r)
 
@@ -141,6 +143,7 @@ def fov_probability(model, r, half_angle):
         raise ValueError("half_angle must be nonnegative")
     c = boresight_angle(model.geom, r)
     value = marginal_phi_cdf(model.mobility, c + half_angle) - marginal_phi_cdf(model.mobility, c - half_angle)
+    # a float stays a Python float (np.clip would return np.float64, whose comparisons give np.bool_)
     return clamp(value, 0.0, 1.0) if isinstance(value, float) else np.clip(value, 0.0, 1.0)
 
 
@@ -286,18 +289,28 @@ def _mean_band(model, r, inner, outer, y):
     return inside / mob.mean_phi_span
 
 
-def _mass_above(model, x, inner, outer, lo, hi):
+def _mass_above(family, model, x, inner, outer, lo, hi):
     """Integrals over the distances [lo, hi] of Pr(inner < |band angle| <= outer and h^2 > x | r), with their errors.
 
     ``x`` is a 1-D array of gain levels; every level is one row of one
     ``integrate_levels`` call, split at its own kinks of ``_breakpoints``.
+    A level whose integral does not converge raises QuadratureError naming
+    the level and ``family``, the name of the closed form it serves.
     The band angle is the incidence the users are grouped by: the
     instantaneous one, or for a mean-report scheme the mean one while the gain
     stays instantaneous.  h^2 > x where |incidence| is below the boundary
     angle and inside the FOV, so beyond the level crossing g(r)^2 = x the
-    integrand is zero and the integral stops there.  Every CDF and success
-    probability of the closed form but the mean-angle route is one of these
-    over a band mass.
+    integrand is zero and the integral stops there.  Near that crossing the
+    boundary angle, and with it the integrand, vanishes like
+    sqrt(crossing - r); under instantaneous reports a level whose crossing
+    lies inside the strip is integrated in the square root of the distance
+    to it (``root_end`` of ``integrate_levels``), which makes its error
+    estimate sharp.  The mixed law of mean reports keeps the distance
+    variable: its integrand kinks where c(r) +/- the boundary angle meets a
+    mean-angle corner, no breakpoint marks those distances (ROADMAP
+    direction 1), and only the looser estimate of the square-root edge
+    covers them.  Every CDF and success probability of the closed form but
+    the mean-angle route is one of these over a band mass.
     """
     geom, theta, report = model.geom, model.geom.half_fov, _report_model(model)
     his = np.array([min(hi, gain_boundary_distance(geom, level)) for level in x.tolist()])
@@ -308,6 +321,7 @@ def _mass_above(model, x, inner, outer, lo, hi):
 
         edges = _band_edges(inner, outer)
         kinks = _breakpoints(report, lo, his, edges, x, (theta, *edges))
+        root_end = None
     else:
         top = min(outer, theta)
 
@@ -320,26 +334,21 @@ def _mass_above(model, x, inner, outer, lo, hi):
 
         edges = _band_edges(inner, top)
         kinks = _breakpoints(model, lo, his, edges, x, edges, _corners(model.mobility))
-    return integrate_levels(above, np.full(x.shape, float(lo)), his, model.quad, kinks)
+        root_end = his < hi
+    return integrate_levels(above, np.full(x.shape, float(lo)), his, model.quad, kinks,
+                            lambda row: f"{family} at level x={float(x[row])!r}", root_end)
 
 
 def _over_levels(family):
     """``family(model, levels, ...)`` on a 1-D array of gain levels, returning (values, errors) arrays.
 
     A float level is the one-element case of the same path and gives a float
-    pair.  A QuadratureError of ``integrate_levels`` is raised again naming
-    the family and the level that failed.
+    pair.
     """
     @wraps(family)
     def over_levels(model, x, *args):
         levels = np.asarray(x, float)
-        flat = np.atleast_1d(levels)
-        try:
-            values, errors = family(model, flat, *args)
-        except QuadratureError as exc:
-            if exc.row is None:
-                raise
-            raise QuadratureError(f"{family.__name__} at level x={float(flat[exc.row])!r}: {exc}") from exc
+        values, errors = family(model, np.atleast_1d(levels), *args)
         if levels.ndim == 0:
             return float(values[0]), float(errors[0])
         return values, errors
@@ -438,15 +447,18 @@ def _share(num, den):
     return np.clip(q, 0.0, 1.0), (num[1] + q * den[1]) / den[0]
 
 
-def _cdf(model, x, inner, outer, lo, hi):
+def _cdf(family, model, x, inner, outer, lo, hi):
     """Squared-gain CDF at the levels ``x`` of the users reported in a band with a nonzero report gain, with errors.
 
-    1 - (mass above x) / (members), both over the band within the FOV; (0, 0) at a negative level.
+    1 - (mass above x) / (members), both over the band within the FOV; (0, 0)
+    at a negative level.  When the report is the instantaneous angle every
+    member has a nonzero gain, so the CDF is also exactly (0, 0) at x = 0
+    (its two integrals go through different rules and would not cancel).
     """
     band = (inner, min(outer, model.geom.half_fov), lo, hi)
     members = _members(model, *band)
-    q, err = _share(_mass_above(model, x, *band), members)
-    below = x < 0.0
+    q, err = _share(_mass_above(family, model, x, *band), members)
+    below = x <= 0.0 if _report_model(model) is model else x < 0.0
     return np.where(below, 0.0, 1.0 - q), np.where(below, 0.0, err)
 
 
@@ -456,7 +468,7 @@ def unordered_gain_cdf(model, x):
 
     On ``_mean_model(model)`` this is the law of the mean-angle feedback report.
     """
-    return _cdf(model, x, 0.0, math.pi, model.mobility.d_min, model.mobility.d_max)
+    return _cdf("unordered_gain_cdf", model, x, 0.0, math.pi, model.mobility.d_min, model.mobility.d_max)
 
 
 def _check_rank(model, rank, min_count):
@@ -715,7 +727,7 @@ def _role_band(model, role, kinds):
 @_over_levels
 def group_gain_cdf_instant(model, x, role):
     """Squared-gain CDF inside one instantaneous-report group, zero gains excluded, with its error."""
-    return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_INSTANT,)))
+    return _cdf("group_gain_cdf_instant", model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_INSTANT,)))
 
 
 @_over_levels
@@ -726,7 +738,7 @@ def group_gain_cdf_mean(model, x, role):
     instantaneous fluctuation, so the distribution carries an atom at zero
     (members whose instantaneous angle leaves the FOV).
     """
-    return _cdf(model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_MEAN,)))
+    return _cdf("group_gain_cdf_mean", model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_MEAN,)))
 
 
 def both_groups_probability(model):
@@ -748,7 +760,7 @@ def group_success_probability(model, threshold, role):
     instantaneous, and zero gains count as failures.
     """
     band = _role_band(model, role, TWO_BIT_KINDS)
-    return _share(_mass_above(model, threshold, *band), _members(model, *band))
+    return _share(_mass_above("group_success_probability", model, threshold, *band), _members(model, *band))
 
 
 # ---------------------------------------------------------------------------

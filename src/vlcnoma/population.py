@@ -96,6 +96,8 @@ def deviation_cdf_integral(t, half_width):
     G(t - a) - G(t - b); both the marginal law below and the mean-report group
     bands of the closed form are built on it.
     """
+    # the float branch serves QUADPACK's one-point band-mass integrands: Python's t ** 2 and NumPy's
+    # squaring of an array differ in the last bit at some points, so it keeps the band-mass bits
     if not isinstance(t, float):  # an array of points, elementwise
         if half_width == 0.0:
             return np.where(t > 0.0, t, 0.0)
@@ -126,6 +128,7 @@ def marginal_phi_cdf(config, x):
     else:
         G = deviation_cdf_integral
         value = (G(x - lo, dphi) - G(x - hi, dphi)) / (hi - lo)
+    # a float stays a Python float (np.clip would return np.float64, whose comparisons give np.bool_)
     return clamp(value, 0.0, 1.0) if isinstance(value, float) else np.clip(value, 0.0, 1.0)
 
 

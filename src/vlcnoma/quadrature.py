@@ -19,7 +19,10 @@ Each row keeps its own tolerance, subdivision budget and error estimate (the
 sum of its panels' estimates; no norm is shared across rows), and every
 (row, panel) pair is evaluated elementwise in blocks of bounded size, with
 every sum taken along one panel or one row, so a row's (value, error) is
-bitwise the same whichever other rows share the call.
+bitwise the same whichever other rows share the call.  It has no
+extrapolation, so where an integrand ends in a square-root edge, which
+QUADPACK's epsilon algorithm would accelerate, the caller flags the row and
+the rule integrates it in t = sqrt(hi - r), where that edge is smooth.
 
 Integrands here are piecewise smooth with kinks at analytically known radii
 (clamp points of the effective-angle helpers, corner crossings of the
@@ -50,13 +53,7 @@ def __getattr__(name):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    ``row`` is the index of the level row of ``integrate_levels`` that failed;
-    it is None for every other failure, and once a caller has named the level.
-    """
-
-    row = None
+    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -152,28 +149,47 @@ def _kronrod(f, a, b, rows):
     return np.concatenate(values), np.concatenate(errors)
 
 
-def integrate_levels(f, lo, hi, config, breakpoints):
+def integrate_levels(f, lo, hi, config, breakpoints, label, root_end=None):
     """Integrals of ``f`` over [lo[i], hi[i]] for every row i, with per-row error estimates; raises on non-convergence.
 
     ``f(r, rows)`` evaluates the integrand of row ``rows[k]`` at the distances
     ``r[k, :]`` (a (panels, 21) array).  ``breakpoints[i]`` lists row i's
     kinks, sorted and inside (lo[i], hi[i]); they are the edges of its first
-    panels.  A row with hi <= lo integrates to (0, 0).  Each round bisects, in
-    every row whose summed error exceeds max(abs_tol, rel_tol * |value|), its
-    panels in order of decreasing error until the errors left unsplit sum to
-    at most an eighth of that tolerance, within the row's max_subdivisions
-    panels.  Returns (values, errors).  A row that stops short of its
-    tolerance raises QuadratureError, carrying the row and naming its worst
-    panel, when its error exceeds 100 times the tolerance and 1e-7 (the rule
-    of ``integrate_adaptive``); within that margin its result is returned.
+    panels.  A row with hi <= lo integrates to (0, 0).  The rows flagged in
+    ``root_end`` behave like sqrt(hi - r) at hi; they are integrated in
+    t = sqrt(hi - r), as 2 t f(hi - t^2) over [0, sqrt(hi - lo)] split at
+    the images of their kinks.  There that edge, and the steep stretch
+    before it, are smooth, so their error does not stall on bisecting
+    them.  Each round bisects, in every row whose summed
+    error exceeds max(abs_tol, rel_tol * |value|), its panels in order of
+    decreasing error until the errors left unsplit sum to at most an eighth
+    of that tolerance, within the row's max_subdivisions panels.  Returns
+    (values, errors).  A row that stops short of its tolerance raises
+    QuadratureError when its error exceeds 100 times the tolerance and 1e-7
+    (the rule of ``integrate_adaptive``); within that margin its result is
+    returned.  The message starts with ``label(row)`` and names the distance
+    interval of the row's worst panel.
     """
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     n = lo.size
-    edges = [np.concatenate(([lo[i]], breakpoints[i], [hi[i]])) if hi[i] > lo[i] else np.empty(0) for i in range(n)]
+    root = np.zeros(n, bool) if root_end is None else np.asarray(root_end, bool)
+
+    def panel_edges(i):
+        if hi[i] <= lo[i]:
+            return np.empty(0)
+        edges = np.concatenate(([lo[i]], breakpoints[i], [hi[i]]))
+        return np.sqrt(hi[i] - edges[::-1]) if root[i] else edges
+
+    def g(u, rows):
+        # the other rows multiply by 1.0 at r = u: their bits are those of f alone
+        sub = root[rows, None]
+        return np.where(sub, 2.0 * u, 1.0) * f(np.where(sub, hi[rows, None] - u * u, u), rows)
+
+    edges = [panel_edges(i) for i in range(n)]
     owner = np.repeat(np.arange(n), [max(e.size - 1, 0) for e in edges])
     a = np.concatenate([e[:-1] for e in edges] + [np.empty(0)])
     b = np.concatenate([e[1:] for e in edges] + [np.empty(0)])
-    val, err = _kronrod(f, a, b, owner)
+    val, err = _kronrod(g, a, b, owner)
     while True:
         # bincount adds each row's panels in array order, which one row's history alone sets
         value, error = np.bincount(owner, val, n), np.bincount(owner, err, n)
@@ -188,8 +204,7 @@ def integrate_levels(f, lo, hi, config, breakpoints):
         pick = _largest_errors(candidates, owner, err, error - tol / 8.0, config.max_subdivisions - count)
         mid = 0.5 * (a[pick] + b[pick])
         halves_a, halves_b = np.concatenate((a[pick], mid)), np.concatenate((mid, b[pick]))
-        halves_rows = np.concatenate((owner[pick], owner[pick]))
-        halves_val, halves_err = _kronrod(f, halves_a, halves_b, halves_rows)
+        halves_val, halves_err = _kronrod(g, halves_a, halves_b, np.tile(owner[pick], 2))
         # the left half takes its parent's place, the right half is appended
         b[pick], val[pick], err[pick] = mid, halves_val[:pick.size], halves_err[:pick.size]
         a, b = np.concatenate((a, mid)), np.concatenate((b, halves_b[pick.size:]))
@@ -199,11 +214,10 @@ def integrate_levels(f, lo, hi, config, breakpoints):
     if failed.size:
         row = int(failed[0])
         worst = np.flatnonzero(owner == row)[np.argmax(err[owner == row])]
-        failure = QuadratureError(
-            f"quadrature did not converge on [{a[worst]:.9g}, {b[worst]:.9g}] m of [{lo[row]:.9g}, {hi[row]:.9g}] m: "
-            f"estimate {error[row]:.3e} for value {value[row]:.6e}")
-        failure.row = row
-        raise failure
+        start, stop = (hi[row] - b[worst] ** 2, hi[row] - a[worst] ** 2) if root[row] else (a[worst], b[worst])
+        raise QuadratureError(
+            f"{label(row)}: quadrature did not converge on [{start:.9g}, {stop:.9g}] m of [{lo[row]:.9g}, "
+            f"{hi[row]:.9g}] m: estimate {error[row]:.3e} for value {value[row]:.6e}")
     return value, error
 
 

@@ -63,7 +63,7 @@ class TestQuadratureWrapper:
         c = np.array([0.3, 1.0, 2.5])
         config = QuadratureConfig()
         values, errors = integrate_levels(lambda r, rows: np.sqrt(np.abs(r - c[rows, None])), np.zeros(3),
-                                          np.full(3, 3.0), config, [[], [], []])
+                                          np.full(3, 3.0), config, [[], [], []], str)
         exact = (c**1.5 + (3.0 - c) ** 1.5) * 2.0 / 3.0
         assert np.all(np.abs(values - exact) <= errors)
         assert np.all(errors <= np.maximum(config.abs_tol, config.rel_tol * exact))
@@ -71,9 +71,30 @@ class TestQuadratureWrapper:
     def test_level_rows_split_at_their_breakpoints_and_empty_rows(self):
         steps = np.array([1.0 / 3.0, 0.5])
         values, errors = integrate_levels(lambda r, rows: (r < steps[rows, None]).astype(float), np.zeros(3),
-                                          np.array([1.0, 1.0, 0.0]), QuadratureConfig(), [[steps[0]], [steps[1]], []])
+                                          np.array([1.0, 1.0, 0.0]), QuadratureConfig(), [[steps[0]], [steps[1]], []],
+                                          str)
         assert values[:2] == pytest.approx(steps, abs=1e-12)
         assert (values[2], errors[2]) == (0.0, 0.0)
+
+    def test_root_end_rows_integrate_a_square_root_edge_sharply(self):
+        # sqrt(1 - r) * (1 + r) on [0, 1], plus sqrt(1 - r) past the breakpoint 0.5
+        f = lambda r, rows: np.sqrt(np.maximum(1.0 - r, 0.0)) * np.where(r < 0.5, 1.0 + r, 2.0 + r)
+        exact = 14.0 / 15.0 + 2.0 / 3.0 * 0.5**1.5
+        config = QuadratureConfig()
+        loose, tight = (integrate_levels(f, np.zeros(1), np.ones(1), config, [[0.5]], str, root)
+                        for root in (None, np.array([True])))
+        assert abs(tight[0][0] - exact) <= tight[1][0] <= 1e-13
+        assert abs(loose[0][0] - exact) <= loose[1][0]
+        assert tight[1][0] < loose[1][0] / 100.0
+
+    def test_failure_names_the_label_and_the_distance_interval(self):
+        rough = lambda r, rows: np.sin(1e7 * r)
+        with pytest.raises(QuadratureError, match=r"^level 1: quadrature did not converge on \[") as failure:
+            integrate_levels(rough, np.zeros(2), np.array([0.0, 2.0]), QuadratureConfig(), [[], []],
+                             lambda row: f"level {row}", np.array([False, True]))
+        interval = str(failure.value).split(" did not converge on [", 1)[1].split("] m", 1)[0]
+        lo, hi = (float(v) for v in interval.split(", "))
+        assert 0.0 <= lo < hi <= 2.0
 
 
 class TestFovProbability:
@@ -255,11 +276,8 @@ class TestGroupCdfs:
     def test_lower_edges(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
         mm = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
-        # zero up to its reported error: the level integral (batched rule) and the member mass (QUADPACK)
-        # integrate the same function at x = 0 by two rules
-        for role in (an.WEAK, an.STRONG):
-            value, err = an.group_gain_cdf_instant(mi, 0.0, role)
-            assert 0.0 <= value <= err, (role, value, err)
+        assert an.group_gain_cdf_instant(mi, 0.0, an.WEAK)[0] == 0.0
+        assert an.group_gain_cdf_instant(mi, 0.0, an.STRONG)[0] == 0.0
         assert an.group_gain_cdf_mean(mm, -1e-30, an.WEAK) == (0.0, 0.0)
         # mean-report weak group keeps an atom at zero for nonzero deviation
         assert an.group_gain_cdf_mean(mm, 0.0, an.WEAK)[0] > 0.1

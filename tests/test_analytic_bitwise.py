@@ -90,40 +90,40 @@ def cases():
 
 
 PINNED = {
-    'unordered|dphi=0|instant|x=0.0': ('0x0.0p+0', '0x1.01d3235e6fe9ep-36'),
-    'unordered|dphi=0|instant|x=5e-15': ('0x1.2b7a623d27808p-4', '0x1.0eeae0407371ap-27'),
-    'unordered|dphi=0|instant|x=4e-13': ('0x1.09adae7c40278p-1', '0x1.105ce8b62ae06p-29'),
-    'unordered|dphi=0|instant|x=2e-11': ('0x1.b3305244c48adp-1', '0x1.aa1a0e9359babp-31'),
-    'unordered|dphi=0|instant|x=4.5e-11': ('0x1.e85ccf419fc55p-1', '0x1.b0520448f74b2p-33'),
+    'unordered|dphi=0|instant|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'unordered|dphi=0|instant|x=5e-15': ('0x1.2b7a623dacb50p-4', '0x1.5f2d86698e5bdp-35'),
+    'unordered|dphi=0|instant|x=4e-13': ('0x1.09adae7c445d2p-1', '0x1.f0e8270d76ceep-39'),
+    'unordered|dphi=0|instant|x=2e-11': ('0x1.b3305244c6306p-1', '0x1.35e774ceb2ec0p-40'),
+    'unordered|dphi=0|instant|x=4.5e-11': ('0x1.e85ccf41a0303p-1', '0x1.7d78ff4030d23p-42'),
     'unordered|dphi=0|instant|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'unordered|dphi=0|mean|x=0.0': ('0x0.0p+0', '0x1.01d3235e6fe9ep-36'),
-    'unordered|dphi=0|mean|x=5e-15': ('0x1.2b7a623d27808p-4', '0x1.0eeae0407371ap-27'),
-    'unordered|dphi=0|mean|x=4e-13': ('0x1.09adae7c40278p-1', '0x1.105ce8b62ae06p-29'),
-    'unordered|dphi=0|mean|x=2e-11': ('0x1.b3305244c48adp-1', '0x1.aa1a0e9359babp-31'),
-    'unordered|dphi=0|mean|x=4.5e-11': ('0x1.e85ccf419fc55p-1', '0x1.b0520448f74b2p-33'),
+    'unordered|dphi=0|mean|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'unordered|dphi=0|mean|x=5e-15': ('0x1.2b7a623dacb50p-4', '0x1.5f2d86698e5bdp-35'),
+    'unordered|dphi=0|mean|x=4e-13': ('0x1.09adae7c445d2p-1', '0x1.f0e8270d76ceep-39'),
+    'unordered|dphi=0|mean|x=2e-11': ('0x1.b3305244c6306p-1', '0x1.35e774ceb2ec0p-40'),
+    'unordered|dphi=0|mean|x=4.5e-11': ('0x1.e85ccf41a0303p-1', '0x1.7d78ff4030d23p-42'),
     'unordered|dphi=0|mean|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'ordered|dphi=0|r=1,k=10|x=0.0': ('0x0.0p+0', '0x1.4247ec360be46p-32'),
-    'ordered|dphi=0|r=1,k=10|x=5e-15': ('0x1.2147c256e3aecp-1', '0x1.52a59850904e0p-23'),
-    'ordered|dphi=0|r=1,k=10|x=4e-13': ('0x1.ffca1a485577ep-1', '0x1.547422e3b5988p-25'),
-    'ordered|dphi=0|r=1,k=10|x=2e-11': ('0x1.ffffffe84552fp-1', '0x1.0a50491c1814bp-26'),
-    'ordered|dphi=0|r=1,k=10|x=4.5e-11': ('0x1.fffffffffff57p-1', '0x1.0e3342ad9a8efp-28'),
+    'ordered|dphi=0|r=1,k=10|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'ordered|dphi=0|r=1,k=10|x=5e-15': ('0x1.2147c25738fc1p-1', '0x1.b6f8e803f1f2cp-31'),
+    'ordered|dphi=0|r=1,k=10|x=4e-13': ('0x1.ffca1a4855817p-1', '0x1.369118686a415p-34'),
+    'ordered|dphi=0|r=1,k=10|x=2e-11': ('0x1.ffffffe84552dp-1', '0x1.836152025fa70p-36'),
+    'ordered|dphi=0|r=1,k=10|x=4.5e-11': ('0x1.fffffffffff58p-1', '0x1.dcd73f103d06cp-38'),
     'ordered|dphi=0|r=1,k=10|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'ordered|dphi=0|r=10,k=10|x=0.0': ('0x0.0p+0', '0x1.4247ec360be46p-32'),
-    'ordered|dphi=0|r=10,k=10|x=5e-15': ('0x1.98b68690a8ba6p-32', '0x1.52a59850904e0p-23'),
-    'ordered|dphi=0|r=10,k=10|x=4e-13': ('0x1.1c7bc3d4e3553p-6', '0x1.547422e3b5988p-25'),
-    'ordered|dphi=0|r=10,k=10|x=2e-11': ('0x1.cf208915a1636p-2', '0x1.0a50491c1814bp-26'),
-    'ordered|dphi=0|r=10,k=10|x=4.5e-11': ('0x1.9e405b3c89c13p-1', '0x1.0e3342ad9a8efp-28'),
+    'ordered|dphi=0|r=10,k=10|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'ordered|dphi=0|r=10,k=10|x=5e-15': ('0x1.98b686978d9ccp-32', '0x1.b6f8e803f1f2cp-31'),
+    'ordered|dphi=0|r=10,k=10|x=4e-13': ('0x1.1c7bc3d50555dp-6', '0x1.369118686a415p-34'),
+    'ordered|dphi=0|r=10,k=10|x=2e-11': ('0x1.cf208915aae0bp-2', '0x1.836152025fa70p-36'),
+    'ordered|dphi=0|r=10,k=10|x=4.5e-11': ('0x1.9e405b3c8b673p-1', '0x1.dcd73f103d06cp-38'),
     'ordered|dphi=0|r=10,k=10|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'ordered|dphi=0|r=3,k=5|x=0.0': ('0x0.0p+0', '0x1.4247ec360be46p-32'),
-    'ordered|dphi=0|r=3,k=5|x=5e-15': ('0x1.8a1aca4a53393p-6', '0x1.52a59850904e0p-23'),
-    'ordered|dphi=0|r=3,k=5|x=4e-13': ('0x1.bdf19eb76432ep-1', '0x1.547422e3b5988p-25'),
-    'ordered|dphi=0|r=3,k=5|x=2e-11': ('0x1.fedaf94d785e4p-1', '0x1.0a50491c1814bp-26'),
-    'ordered|dphi=0|r=3,k=5|x=4.5e-11': ('0x1.fff8b22d6baaap-1', '0x1.0e3342ad9a8efp-28'),
+    'ordered|dphi=0|r=3,k=5|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'ordered|dphi=0|r=3,k=5|x=5e-15': ('0x1.8a1aca4c1b73ep-6', '0x1.b6f8e803f1f2cp-31'),
+    'ordered|dphi=0|r=3,k=5|x=4e-13': ('0x1.bdf19eb7686cep-1', '0x1.369118686a415p-34'),
+    'ordered|dphi=0|r=3,k=5|x=2e-11': ('0x1.fedaf94d7872ap-1', '0x1.836152025fa70p-36'),
+    'ordered|dphi=0|r=3,k=5|x=4.5e-11': ('0x1.fff8b22d6baafp-1', '0x1.dcd73f103d06cp-38'),
     'ordered|dphi=0|r=3,k=5|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=0|paper|weak|x=0.0': ('0x1.0000000000000p-53', '0x1.56532da350f83p-36'),
-    'group_cdf_instant|dphi=0|paper|weak|x=5e-15': ('0x1.6649445ab8770p-4', '0x1.56a303e034c60p-34'),
-    'group_cdf_instant|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b31644987p-1', '0x1.9911139219751p-32'),
-    'group_cdf_instant|dphi=0|paper|weak|x=2e-11': ('0x1.f21b2b981682ep-1', '0x1.7a687ac64b179p-39'),
+    'group_cdf_instant|dphi=0|paper|weak|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=0|paper|weak|x=5e-15': ('0x1.6649445ab8758p-4', '0x1.e3de330eb4b33p-35'),
+    'group_cdf_instant|dphi=0|paper|weak|x=4e-13': ('0x1.2d89b31644955p-1', '0x1.19c0b49a7fffap-38'),
+    'group_cdf_instant|dphi=0|paper|weak|x=2e-11': ('0x1.f21b2b981682ep-1', '0x1.299a5fcffc771p-42'),
     'group_cdf_instant|dphi=0|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=0|paper|weak|x=0.0': ('0x1.0000000000000p-53', '0x1.56532da350f84p-36'),
@@ -133,9 +133,9 @@ PINNED = {
     'group_cdf_mean|dphi=0|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=0|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=0|paper|instant|weak|x=0.0': ('0x1.83aba0bd9e702p-2', '0x1.037e4667f6ad8p-38'),
-    'group_success|dphi=0|paper|instant|weak|x=5e-15': ('0x1.61c29159cecffp-2', '0x1.cbcdcb3d2e012p-36'),
-    'group_success|dphi=0|paper|instant|weak|x=4e-13': ('0x1.3eb5ef708a17dp-3', '0x1.3268237cc4804p-33'),
-    'group_success|dphi=0|paper|instant|weak|x=2e-11': ('0x1.50a3dac46ac27p-7', '0x1.026a8341b7421p-40'),
+    'group_success|dphi=0|paper|instant|weak|x=5e-15': ('0x1.61c29159ced02p-2', '0x1.334e4c9048d6bp-36'),
+    'group_success|dphi=0|paper|instant|weak|x=4e-13': ('0x1.3eb5ef708a1c9p-3', '0x1.f1fc461fd7cc9p-49'),
+    'group_success|dphi=0|paper|instant|weak|x=2e-11': ('0x1.50a3dac46ac2bp-7', '0x1.070002e973682p-52'),
     'group_success|dphi=0|paper|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|paper|instant|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|paper|mean|weak|x=0.0': ('0x1.83aba0bd937afp-2', '0x1.2783cec44b645p-33'),
@@ -144,9 +144,9 @@ PINNED = {
     'group_success|dphi=0|paper|mean|weak|x=2e-11': ('0x1.50a3dac46ac28p-7', '0x1.026a80333ac11p-40'),
     'group_success|dphi=0|paper|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|paper|mean|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=0|wide|weak|x=0.0': ('0x0.0p+0', '0x1.9000000000003p-46'),
-    'group_cdf_instant|dphi=0|wide|weak|x=5e-15': ('0x1.c28e90a047ba0p-3', '0x1.baa4692d6576ap-46'),
-    'group_cdf_instant|dphi=0|wide|weak|x=4e-13': ('0x1.ffc069d03c03ep-1', '0x1.8d6aaa88e7b92p-57'),
+    'group_cdf_instant|dphi=0|wide|weak|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=0|wide|weak|x=5e-15': ('0x1.c28e90a047ba8p-3', '0x1.380027c0b1fdap-46'),
+    'group_cdf_instant|dphi=0|wide|weak|x=4e-13': ('0x1.ffc069d03c03ep-1', '0x1.8d6aaa88e7c33p-57'),
     'group_cdf_instant|dphi=0|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|wide|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
@@ -157,8 +157,8 @@ PINNED = {
     'group_cdf_mean|dphi=0|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=0|wide|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|instant|weak|x=0.0': ('0x1.732675c0b0c9fp-3', '0x1.21f60bfe8a1ddp-48'),
-    'group_success|dphi=0|wide|instant|weak|x=5e-15': ('0x1.217f6c40af8cdp-3', '0x1.40df62375beb5p-48'),
-    'group_success|dphi=0|wide|instant|weak|x=4e-13': ('0x1.70c0d30e77608p-14', '0x1.2016a4e34d437p-59'),
+    'group_success|dphi=0|wide|instant|weak|x=5e-15': ('0x1.217f6c40af8cbp-3', '0x1.c4571925124bep-49'),
+    'group_success|dphi=0|wide|instant|weak|x=4e-13': ('0x1.70c0d30e7769dp-14', '0x1.2016a4e34d4abp-59'),
     'group_success|dphi=0|wide|instant|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|instant|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
@@ -168,11 +168,11 @@ PINNED = {
     'group_success|dphi=0|wide|mean|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|mean|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=0|paper|strong|x=0.0': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|paper|strong|x=5e-15': ('0x1.0000000000000p-51', '0x1.8fffffffffffdp-46'),
     'group_cdf_instant|dphi=0|paper|strong|x=4e-13': ('0x1.c000000000000p-51', '0x1.8fffffffffffap-46'),
     'group_cdf_instant|dphi=0|paper|strong|x=2e-11': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
-    'group_cdf_instant|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfa510cp-2', '0x1.e549aa16354b8p-29'),
+    'group_cdf_instant|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfb4180p-2', '0x1.14bd65311da6bp-46'),
     'group_cdf_instant|dphi=0|paper|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=0|paper|strong|x=0.0': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
     'group_cdf_mean|dphi=0|paper|strong|x=5e-15': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
@@ -184,7 +184,7 @@ PINNED = {
     'group_success|dphi=0|paper|instant|strong|x=5e-15': ('0x1.ffffffffffffcp-1', '0x1.8fffffffffffdp-46'),
     'group_success|dphi=0|paper|instant|strong|x=4e-13': ('0x1.ffffffffffff9p-1', '0x1.8fffffffffffap-46'),
     'group_success|dphi=0|paper|instant|strong|x=2e-11': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=4.5e-11': ('0x1.623a1b202d77ap-1', '0x1.e549aa16354b8p-29'),
+    'group_success|dphi=0|paper|instant|strong|x=4.5e-11': ('0x1.623a1b2025f40p-1', '0x1.14bd65311da6bp-46'),
     'group_success|dphi=0|paper|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|paper|mean|strong|x=0.0': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
     'group_success|dphi=0|paper|mean|strong|x=5e-15': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
@@ -192,11 +192,11 @@ PINNED = {
     'group_success|dphi=0|paper|mean|strong|x=2e-11': ('0x1.ffffffffffffcp-1', '0x1.8fffffffffffdp-46'),
     'group_success|dphi=0|paper|mean|strong|x=4.5e-11': ('0x1.623a1b202d778p-1', '0x1.e549aa15e0b48p-29'),
     'group_success|dphi=0|paper|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=0|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=0|wide|strong|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.8ffffffffffffp-46'),
     'group_cdf_instant|dphi=0|wide|strong|x=4e-13': ('0x0.0p+0', '0x1.8ffffffffffffp-46'),
-    'group_cdf_instant|dphi=0|wide|strong|x=2e-11': ('0x1.56c9b01bf441cp-1', '0x1.0f066b2e92266p-29'),
-    'group_cdf_instant|dphi=0|wide|strong|x=4.5e-11': ('0x1.b0d6bd3db83e8p-1', '0x1.65d410dbcbac2p-30'),
+    'group_cdf_instant|dphi=0|wide|strong|x=2e-11': ('0x1.56c9b01bf873ep-1', '0x1.0864dcd44bcafp-47'),
+    'group_cdf_instant|dphi=0|wide|strong|x=4.5e-11': ('0x1.b0d6bd3dbb038p-1', '0x1.eec1e13e2f29dp-49'),
     'group_cdf_instant|dphi=0|wide|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=0|wide|strong|x=0.0': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
     'group_cdf_mean|dphi=0|wide|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
@@ -207,8 +207,8 @@ PINNED = {
     'group_success|dphi=0|wide|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=0|wide|instant|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.8ffffffffffffp-46'),
     'group_success|dphi=0|wide|instant|strong|x=4e-13': ('0x1.0000000000000p+0', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|wide|instant|strong|x=2e-11': ('0x1.526c9fc8177c7p-2', '0x1.0f066b2e92266p-29'),
-    'group_success|dphi=0|wide|instant|strong|x=4.5e-11': ('0x1.3ca50b091f061p-3', '0x1.65d410dbcbac2p-30'),
+    'group_success|dphi=0|wide|instant|strong|x=2e-11': ('0x1.526c9fc80f184p-2', '0x1.0864dcd44bcafp-47'),
+    'group_success|dphi=0|wide|instant|strong|x=4.5e-11': ('0x1.3ca50b0913f1ep-3', '0x1.eec1e13e2f29dp-49'),
     'group_success|dphi=0|wide|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|mean|strong|x=0.0': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
     'group_success|dphi=0|wide|mean|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
@@ -216,12 +216,12 @@ PINNED = {
     'group_success|dphi=0|wide|mean|strong|x=2e-11': ('0x1.526c9fc8177c6p-2', '0x1.0f066b2eb9e2bp-29'),
     'group_success|dphi=0|wide|mean|strong|x=4.5e-11': ('0x1.3ca50b091f061p-3', '0x1.65d410dbff747p-30'),
     'group_success|dphi=0|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd708d667ddcbp-2', '0x1.393617e8168fap-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.fffffec696b09p-1', '0x1.0e2d306505691p-20'),
-    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2e7531d8df7p-12', '0x1.3935df7dfd42ep-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c2452b1723p-1', '0x1.f2fd40a118b5ep-21'),
-    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7baca239cfd86p-29', '0x1.3935dd694bc3cp-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fd74b41829p-1', '0x1.305df8174cd24p-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd708d6605285p-2', '0x1.2e183a4bb5327p-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.fffffec6a35e7p-1', '0x1.055e5bb65ff56p-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2e75317c1dcp-12', '0x1.2e18022463953p-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c2452bc2bcp-1', '0x1.e15f9762ca132p-21'),
+    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7baca239798c8p-29', '0x1.2e18000fa7494p-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fd74b42c81p-1', '0x1.278f238293044p-20'),
     'group_probabilities|dphi=0|paper|instant': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|paper|mean': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|wide|instant': ('0x1.cf71c47933453p-1',),
@@ -242,40 +242,40 @@ PINNED = {
     'nonzero|dphi=0|pmf|k=10,k_min=10': ('0x1.b8e93017599a3p-2',),
     'nonzero|dphi=0|pmf|k=20,k_min=10': ('0x1.0c24bd2ea1311p-23',),
     'nonzero|dphi=0|pmf|k=14,k_min=1': ('0x1.2f81f5116d41fp-7',),
-    'unordered|dphi=25|instant|x=0.0': ('0x0.0p+0', '0x1.6e08416362414p-36'),
-    'unordered|dphi=25|instant|x=5e-15': ('0x1.317d421dd4cd8p-4', '0x1.02d2e43462d7ap-27'),
-    'unordered|dphi=25|instant|x=4e-13': ('0x1.dd7f43c40a360p-2', '0x1.8cbb765e0a655p-29'),
-    'unordered|dphi=25|instant|x=2e-11': ('0x1.98fb5e349c286p-1', '0x1.9930e8df04453p-30'),
-    'unordered|dphi=25|instant|x=4.5e-11': ('0x1.de70d4235edb2p-1', '0x1.2c0d088b838ecp-32'),
+    'unordered|dphi=25|instant|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'unordered|dphi=25|instant|x=5e-15': ('0x1.317d421e54b28p-4', '0x1.53180dbc038efp-37'),
+    'unordered|dphi=25|instant|x=4e-13': ('0x1.dd7f43c41678ep-2', '0x1.871d81b292317p-38'),
+    'unordered|dphi=25|instant|x=2e-11': ('0x1.98fb5e349f51ep-1', '0x1.26e851bc8819ep-39'),
+    'unordered|dphi=25|instant|x=4.5e-11': ('0x1.de70d4235f6f6p-1', '0x1.8046fbf2d3a58p-41'),
     'unordered|dphi=25|instant|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'unordered|dphi=25|mean|x=0.0': ('0x0.0p+0', '0x1.9b1c106990ca9p-40'),
-    'unordered|dphi=25|mean|x=5e-15': ('0x1.3953801805dc0p-4', '0x1.432497fbdb808p-34'),
-    'unordered|dphi=25|mean|x=4e-13': ('0x1.d9edb96aee9fcp-2', '0x1.38bbb4e306009p-30'),
-    'unordered|dphi=25|mean|x=2e-11': ('0x1.94754480e00a6p-1', '0x1.2be9c9b4c2035p-30'),
-    'unordered|dphi=25|mean|x=4.5e-11': ('0x1.deafa9948f93ep-1', '0x1.09bfa06dbe5dfp-32'),
+    'unordered|dphi=25|mean|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'unordered|dphi=25|mean|x=5e-15': ('0x1.3953801805c60p-4', '0x1.362ce829eade7p-28'),
+    'unordered|dphi=25|mean|x=4e-13': ('0x1.d9edb96af0702p-2', '0x1.c06485a643ce5p-42'),
+    'unordered|dphi=25|mean|x=2e-11': ('0x1.94754480e25c9p-1', '0x1.5ea719c636a63p-43'),
+    'unordered|dphi=25|mean|x=4.5e-11': ('0x1.deafa99490178p-1', '0x1.b27e7a9c69a8cp-45'),
     'unordered|dphi=25|mean|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'ordered|dphi=25|r=1,k=10|x=0.0': ('0x0.0p+0', '0x1.c98a51bc3ad19p-32'),
-    'ordered|dphi=25|r=1,k=10|x=5e-15': ('0x1.2430a5a715eadp-1', '0x1.43879d417b8d8p-23'),
-    'ordered|dphi=25|r=1,k=10|x=4e-13': ('0x1.ff5d36444b6dep-1', '0x1.efea53f58cfeap-25'),
-    'ordered|dphi=25|r=1,k=10|x=2e-11': ('0x1.fffffe1ee2299p-1', '0x1.ff7d2316c5568p-26'),
-    'ordered|dphi=25|r=1,k=10|x=4.5e-11': ('0x1.fffffffffe7d5p-1', '0x1.77104aae64727p-28'),
+    'ordered|dphi=25|r=1,k=10|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'ordered|dphi=25|r=1,k=10|x=5e-15': ('0x1.2430a5a7667cep-1', '0x1.a7de112b0472bp-33'),
+    'ordered|dphi=25|r=1,k=10|x=4e-13': ('0x1.ff5d36444b93fp-1', '0x1.e8e4e21f36bddp-34'),
+    'ordered|dphi=25|r=1,k=10|x=2e-11': ('0x1.fffffe1ee2299p-1', '0x1.70a2662baa206p-35'),
+    'ordered|dphi=25|r=1,k=10|x=4.5e-11': ('0x1.fffffffffe7d4p-1', '0x1.e058baef888eep-37'),
     'ordered|dphi=25|r=1,k=10|x=1e-10': ('0x1.ffffffffffffbp-1', '0x0.0p+0'),
-    'ordered|dphi=25|r=10,k=10|x=0.0': ('0x0.0p+0', '0x1.c98a51bc3ad19p-32'),
-    'ordered|dphi=25|r=10,k=10|x=5e-15': ('0x1.b1f41abae0581p-32', '0x1.43879d417b8d8p-23'),
-    'ordered|dphi=25|r=10,k=10|x=4e-13': ('0x1.ca60fbd269226p-8', '0x1.efea53f58cfeap-25'),
-    'ordered|dphi=25|r=10,k=10|x=2e-11': ('0x1.3b802e004ae37p-2', '0x1.ff7d2316c5568p-26'),
-    'ordered|dphi=25|r=10,k=10|x=4.5e-11': ('0x1.73669eacac2f7p-1', '0x1.77104aae64727p-28'),
+    'ordered|dphi=25|r=10,k=10|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'ordered|dphi=25|r=10,k=10|x=5e-15': ('0x1.b1f41ac1c4673p-32', '0x1.a7de112b0472bp-33'),
+    'ordered|dphi=25|r=10,k=10|x=4e-13': ('0x1.ca60fbd2c6223p-8', '0x1.e8e4e21f36bddp-34'),
+    'ordered|dphi=25|r=10,k=10|x=2e-11': ('0x1.3b802e00594ecp-2', '0x1.70a2662baa206p-35'),
+    'ordered|dphi=25|r=10,k=10|x=4.5e-11': ('0x1.73669eacae6b5p-1', '0x1.e058baef888eep-37'),
     'ordered|dphi=25|r=10,k=10|x=1e-10': ('0x1.ffffffffffffbp-1', '0x0.0p+0'),
-    'ordered|dphi=25|r=3,k=5|x=0.0': ('0x0.0p+0', '0x1.c98a51bc3ad19p-32'),
-    'ordered|dphi=25|r=3,k=5|x=5e-15': ('0x1.8775b81f54d55p-6', '0x1.43879d417b8d8p-23'),
-    'ordered|dphi=25|r=3,k=5|x=4e-13': ('0x1.987886510a0a0p-1', '0x1.efea53f58cfeap-25'),
-    'ordered|dphi=25|r=3,k=5|x=2e-11': ('0x1.fc976f3e7e698p-1', '0x1.ff7d2316c5568p-26'),
-    'ordered|dphi=25|r=3,k=5|x=4.5e-11': ('0x1.ffe7163bb2a37p-1', '0x1.77104aae64727p-28'),
+    'ordered|dphi=25|r=3,k=5|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'ordered|dphi=25|r=3,k=5|x=5e-15': ('0x1.8775b820ffaeep-6', '0x1.a7de112b0472bp-33'),
+    'ordered|dphi=25|r=3,k=5|x=4e-13': ('0x1.987886511278cp-1', '0x1.e8e4e21f36bddp-34'),
+    'ordered|dphi=25|r=3,k=5|x=2e-11': ('0x1.fc976f3e7ec1ep-1', '0x1.70a2662baa206p-35'),
+    'ordered|dphi=25|r=3,k=5|x=4.5e-11': ('0x1.ffe7163bb2a4cp-1', '0x1.e058baef888eep-37'),
     'ordered|dphi=25|r=3,k=5|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=25|paper|weak|x=0.0': ('0x1.8000000000000p-52', '0x1.bf8718e115343p-39'),
-    'group_cdf_instant|dphi=25|paper|weak|x=5e-15': ('0x1.8c2d35a8939c0p-4', '0x1.0c973db49fe65p-36'),
-    'group_cdf_instant|dphi=25|paper|weak|x=4e-13': ('0x1.2789cd0c41046p-1', '0x1.21f34f512e36bp-35'),
-    'group_cdf_instant|dphi=25|paper|weak|x=2e-11': ('0x1.eda32b1a5909cp-1', '0x1.560998b6b3497p-32'),
+    'group_cdf_instant|dphi=25|paper|weak|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=25|paper|weak|x=5e-15': ('0x1.8c2d35a8939b0p-4', '0x1.971122facd0fdp-40'),
+    'group_cdf_instant|dphi=25|paper|weak|x=4e-13': ('0x1.2789cd0c41044p-1', '0x1.7d0dafe46a88ep-41'),
+    'group_cdf_instant|dphi=25|paper|weak|x=2e-11': ('0x1.eda32b1a5907ap-1', '0x1.0299c150cc270p-44'),
     'group_cdf_instant|dphi=25|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=25|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=25|paper|weak|x=0.0': ('0x1.176cee798bb40p-3', '0x1.936bb35326256p-28'),
@@ -285,9 +285,9 @@ PINNED = {
     'group_cdf_mean|dphi=25|paper|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=25|paper|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=25|paper|instant|weak|x=0.0': ('0x1.6faeb8a66b01bp-2', '0x1.5e6f91824fde0p-41'),
-    'group_success|dphi=25|paper|instant|weak|x=5e-15': ('0x1.4c1e855fd8270p-2', '0x1.60c25d54fccb1p-38'),
-    'group_success|dphi=25|paper|instant|weak|x=4e-13': ('0x1.36e52f83bc35ap-3', '0x1.98b840bfece42p-37'),
-    'group_success|dphi=25|paper|instant|weak|x=2e-11': ('0x1.a5f9d8c97568fp-7', '0x1.eb2c3b35a3a7dp-34'),
+    'group_success|dphi=25|paper|instant|weak|x=5e-15': ('0x1.4c1e855fd8271p-2', '0x1.c458cf2823f13p-45'),
+    'group_success|dphi=25|paper|instant|weak|x=4e-13': ('0x1.36e52f83bc35ep-3', '0x1.a77099056bf86p-46'),
+    'group_success|dphi=25|paper|instant|weak|x=2e-11': ('0x1.a5f9d8c975994p-7', '0x1.1f5db01636ef2p-49'),
     'group_success|dphi=25|paper|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|paper|instant|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|paper|mean|weak|x=0.0': ('0x1.759eda37ec04fp-2', '0x1.26a7bafa7b84ap-29'),
@@ -296,9 +296,9 @@ PINNED = {
     'group_success|dphi=25|paper|mean|weak|x=2e-11': ('0x1.afbacc3a3cd14p-7', '0x1.0746eec8316b9p-34'),
     'group_success|dphi=25|paper|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|paper|mean|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=25|wide|weak|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
-    'group_cdf_instant|dphi=25|wide|weak|x=5e-15': ('0x1.babaf9582e16cp-3', '0x1.39877b4cc6ffap-46'),
-    'group_cdf_instant|dphi=25|wide|weak|x=4e-13': ('0x1.ffdc85463d479p-1', '0x1.bb7e120201c12p-58'),
+    'group_cdf_instant|dphi=25|wide|weak|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
+    'group_cdf_instant|dphi=25|wide|weak|x=5e-15': ('0x1.babaf9582e164p-3', '0x1.39877b4cc6ffbp-46'),
+    'group_cdf_instant|dphi=25|wide|weak|x=4e-13': ('0x1.ffdc85463d479p-1', '0x1.bb7e120201c98p-58'),
     'group_cdf_instant|dphi=25|wide|weak|x=2e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=25|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=25|wide|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
@@ -309,8 +309,8 @@ PINNED = {
     'group_cdf_mean|dphi=25|wide|weak|x=4.5e-11': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=25|wide|weak|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|instant|weak|x=0.0': ('0x1.b8c040c3fefc8p-3', '0x1.585632991f355p-48'),
-    'group_success|dphi=25|wide|instant|weak|x=5e-15': ('0x1.597885aa7659dp-3', '0x1.0de6286d2c764p-48'),
-    'group_success|dphi=25|wide|instant|weak|x=4e-13': ('0x1.e8aca25ebabecp-15', '0x1.7dc6deda01e50p-60'),
+    'group_success|dphi=25|wide|instant|weak|x=5e-15': ('0x1.597885aa7659ep-3', '0x1.0de6286d2c764p-48'),
+    'group_success|dphi=25|wide|instant|weak|x=4e-13': ('0x1.e8aca25ebac80p-15', '0x1.7dc6deda01ec3p-60'),
     'group_success|dphi=25|wide|instant|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|instant|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|instant|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
@@ -320,11 +320,11 @@ PINNED = {
     'group_success|dphi=25|wide|mean|weak|x=2e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|mean|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=25|paper|strong|x=0.0': ('0x1.8000000000000p-52', '0x1.8fffffffffffdp-46'),
+    'group_cdf_instant|dphi=25|paper|strong|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=25|paper|strong|x=5e-15': ('0x1.8000000000000p-52', '0x1.8fffffffffffdp-46'),
     'group_cdf_instant|dphi=25|paper|strong|x=4e-13': ('0x1.0000000000000p-50', '0x1.8fffffffffff9p-46'),
     'group_cdf_instant|dphi=25|paper|strong|x=2e-11': ('0x1.8000000000000p-51', '0x1.8fffffffffffbp-46'),
-    'group_cdf_instant|dphi=25|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfa5114p-2', '0x1.e549aa1510c8ep-29'),
+    'group_cdf_instant|dphi=25|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfb4182p-2', '0x1.14bd65311da69p-46'),
     'group_cdf_instant|dphi=25|paper|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=25|paper|strong|x=0.0': ('0x1.4000000000000p-51', '0x1.8fffffffffffcp-46'),
     'group_cdf_mean|dphi=25|paper|strong|x=5e-15': ('0x1.4000000000000p-51', '0x1.8fffffffffffcp-46'),
@@ -336,7 +336,7 @@ PINNED = {
     'group_success|dphi=25|paper|instant|strong|x=5e-15': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffdp-46'),
     'group_success|dphi=25|paper|instant|strong|x=4e-13': ('0x1.ffffffffffff8p-1', '0x1.8fffffffffff9p-46'),
     'group_success|dphi=25|paper|instant|strong|x=2e-11': ('0x1.ffffffffffffap-1', '0x1.8fffffffffffbp-46'),
-    'group_success|dphi=25|paper|instant|strong|x=4.5e-11': ('0x1.623a1b202d776p-1', '0x1.e549aa1510c8ep-29'),
+    'group_success|dphi=25|paper|instant|strong|x=4.5e-11': ('0x1.623a1b2025f3fp-1', '0x1.14bd65311da69p-46'),
     'group_success|dphi=25|paper|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|paper|mean|strong|x=0.0': ('0x1.ffffffffffffbp-1', '0x1.8fffffffffffcp-46'),
     'group_success|dphi=25|paper|mean|strong|x=5e-15': ('0x1.ffffffffffffbp-1', '0x1.8fffffffffffcp-46'),
@@ -344,11 +344,11 @@ PINNED = {
     'group_success|dphi=25|paper|mean|strong|x=2e-11': ('0x1.ffffffffffffbp-1', '0x1.8fffffffffffcp-46'),
     'group_success|dphi=25|paper|mean|strong|x=4.5e-11': ('0x1.3a68c0678ce43p-1', '0x1.568d7f8055a84p-29'),
     'group_success|dphi=25|paper|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=25|wide|strong|x=0.0': ('0x1.0000000000000p-52', '0x1.4c7b7671c3de7p-44'),
+    'group_cdf_instant|dphi=25|wide|strong|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=25|wide|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.b07819e2a3135p-45'),
     'group_cdf_instant|dphi=25|wide|strong|x=4e-13': ('0x1.0000000000000p-52', '0x1.b07819e2a3135p-45'),
-    'group_cdf_instant|dphi=25|wide|strong|x=2e-11': ('0x1.30e209602881ep-1', '0x1.f4146329c905ep-30'),
-    'group_cdf_instant|dphi=25|wide|strong|x=4.5e-11': ('0x1.9ddc16bb83445p-1', '0x1.c175ebf3b4f05p-31'),
+    'group_cdf_instant|dphi=25|wide|strong|x=2e-11': ('0x1.30e209602c42ep-1', '0x1.5de3bb2a99b39p-46'),
+    'group_cdf_instant|dphi=25|wide|strong|x=4.5e-11': ('0x1.9ddc16bb8501ap-1', '0x1.4b9548ca974dbp-47'),
     'group_cdf_instant|dphi=25|wide|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
     'group_cdf_mean|dphi=25|wide|strong|x=0.0': ('0x0.0p+0', '0x1.9000000000000p-46'),
     'group_cdf_mean|dphi=25|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.9000000000000p-46'),
@@ -359,8 +359,8 @@ PINNED = {
     'group_success|dphi=25|wide|instant|strong|x=0.0': ('0x1.ffffffffffffep-1', '0x1.4c7b7671c3de7p-44'),
     'group_success|dphi=25|wide|instant|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.b07819e2a3135p-45'),
     'group_success|dphi=25|wide|instant|strong|x=4e-13': ('0x1.ffffffffffffep-1', '0x1.b07819e2a3135p-45'),
-    'group_success|dphi=25|wide|instant|strong|x=2e-11': ('0x1.9e3bed3faefc5p-2', '0x1.f4146329c905ep-30'),
-    'group_success|dphi=25|wide|instant|strong|x=4.5e-11': ('0x1.888fa511f2eebp-3', '0x1.c175ebf3b4f05p-31'),
+    'group_success|dphi=25|wide|instant|strong|x=2e-11': ('0x1.9e3bed3fa77a3p-2', '0x1.5de3bb2a99b39p-46'),
+    'group_success|dphi=25|wide|instant|strong|x=4.5e-11': ('0x1.888fa511ebf98p-3', '0x1.4b9548ca974dbp-47'),
     'group_success|dphi=25|wide|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=25|wide|mean|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
     'group_success|dphi=25|wide|mean|strong|x=5e-15': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
@@ -368,12 +368,12 @@ PINNED = {
     'group_success|dphi=25|wide|mean|strong|x=2e-11': ('0x1.82b11a9a7a5ffp-2', '0x1.440c838a02191p-29'),
     'group_success|dphi=25|wide|mean|strong|x=4.5e-11': ('0x1.3970f4df5e978p-3', '0x1.2dea8c386ed67p-31'),
     'group_success|dphi=25|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2cd970bc2dp-2', '0x1.374db508c1871p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405fa22815d8p-1', '0x1.fddb1d05d73a0p-21'),
-    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b9d004424bp-10', '0x1.37223c5014424p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d5716d712p-1', '0x1.017c179303f26p-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef1dffaa249p-23', '0x1.37223928b9d58p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef43082e992p-1', '0x1.03575863920d0p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2cd970be2dp-2', '0x1.3ceb622e3d23fp-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405fa228b9e0p-1', '0x1.036a5a3ce80eap-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b9d001db5ap-10', '0x1.3cbfe97a09275p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d57177b3bp-1', '0x1.05f8e4481a4ddp-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef1dff6f973p-23', '0x1.3cbfe6529e249p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef4308311f2p-1', '0x1.07d424e85e807p-20'),
     'group_probabilities|dphi=25|paper|instant': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|paper|mean': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|wide|instant': ('0x1.dbd2f1fed3073p-1',),

@@ -22,10 +22,10 @@ GOLDEN = {
     ("simulate", "fig2"): "5ce190141531f7f1aca1ba352e4366ae2141c78a60ff0976beaea64090667e29",
     ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
     ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
-    ("analytic", "fig2"): "c5245d4a9202dcd3fccec703d4b75eb08caf061ce42a3f7047557cde5e64a9ce",
-    ("analytic", "fig3"): "dadef752bf74a14f58b82a5ea8217f49647c55909f5fcc9bb55a6066ccb99c21",
+    ("analytic", "fig2"): "43d2cd7190d75eb1830a4d8e8e6c1078a0477e8d65687c786e9ad9a3691c181c",
+    ("analytic", "fig3"): "34b73b0f0056179497b809cd2be72c98bdb2ed078f866a315d043aa02ccd96b2",
 }
-VALIDATE_QUICK = "0ae6c1ad96a93c75640fe7ea604f74687480e5e0041051de7ae36dd8dc4af351"
+VALIDATE_QUICK = "f0f1aad64339a0b13b87a2ceab77a4c6135aa92a837631b41b15168f4d83f803"
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
     "analytic": ["--set", "sweep.gamma_db=150,185,215"],
