@@ -30,17 +30,17 @@ error estimate).  ``ROUTES[kind](model, rank_weak, rank_strong)`` gives one
 scheme kind's conditioning rate and outage arrays over a threshold table, on
 a model of that kind's scheme.
 
-Two rules integrate over distance.  A band mass is one QUADPACK integral
-(``integrate_adaptive``); the perfbench harness counts quadrature work
-through that call, so the band masses stay there until it counts the batched
-rule's work.  The level families (``unordered_gain_cdf``,
-``ordered_gain_cdf``, ``group_gain_cdf_instant``, ``group_gain_cdf_mean``,
-``group_success_probability``) take a 1-D array of levels and return
-(values, errors) arrays: every level of a call is one row of a single
-``integrate_levels`` pass, the batched adaptive Gauss-Kronrod rule of
-``quadrature``, split at that level's own kinks, with its own tolerance and
-its own summed error estimate.  A float level is the one-element case of the
-same path and returns floats.
+One rule integrates over distance: ``integrate_levels``, the batched
+adaptive Gauss-Kronrod rule of ``quadrature``.  A band mass is its one-row
+case (``integrate_adaptive``), with a scalar integrand.  The level families
+(``unordered_gain_cdf``, ``ordered_gain_cdf``, ``group_gain_cdf_instant``,
+``group_gain_cdf_mean``, ``group_success_probability``) take a 1-D array of
+levels and return (values, errors) arrays: every level of a call is one row
+of a single ``integrate_levels`` pass, split at that level's own kinks, with
+its own tolerance and its own summed error estimate.  A float level is the
+one-element case of the same path and returns floats.  The engine loads no
+SciPy module: its binomial laws and the interpolant of the mean-gain table
+(``_pchip``) are its own.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class AnalyticModel:
 def boresight_angle(geom, r):
     """Vertical angle at which the incidence is exactly zero for distance r; r may be an array."""
     if isinstance(r, float):
-        # QUADPACK hands the band-mass integrands one float at a time; NumPy's vectorised arctan2 differs
+        # integrate_adaptive hands the band-mass integrands one float at a time; NumPy's vectorised arctan2 differs
         # from math.atan2 in the last bit at about 5 % of points, so this branch keeps the band-mass bits
         return math.pi - math.atan2(geom.ell, r)
     return math.pi - np.arctan2(geom.ell, r)
@@ -239,8 +239,9 @@ def _band_mass(model, inner, outer, lo, hi):
     An ``outer`` of pi or more leaves the band open above.  Every membership
     mass of the closed form (the nonzero-gain law, both groups, the
     conditioning rates, every CDF and success denominator) is one of these
-    integrals, on the law of ``_report_model``.  It is one QUADPACK integral
-    (``integrate_adaptive``), split at the fixed kinks of ``_breakpoints``.
+    integrals, on the law of ``_report_model``.  It is one
+    ``integrate_adaptive`` integral, split at the fixed kinks of
+    ``_breakpoints``; the integrand is evaluated one float at a time.
     """
     def band(r):
         top = 1.0 if outer >= math.pi else fov_probability(model, r, outer)
@@ -506,6 +507,62 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # split again at the kinks; its error estimate halves both counts
 _DISTANCE_PANELS, _ANGLE_PANELS = 8, 8
 _BLOCK_ROWS = 128  # distance nodes evaluated together: every temporary of the rule stays a few hundred kB
+_PCHIP_BLOCK = 4096  # points _pchip evaluates together: each temporary stays at 32 kB, in cache
+
+
+def _pchip(x, y):
+    """The monotone cubic (PCHIP) interpolant through (x, y), x increasing with at least three points.
+
+    SciPy's ``PchipInterpolator`` rule: inside, each node's slope is the
+    weighted harmonic mean of its two secants, or zero where they change sign
+    or one is flat; at each end the one-sided three-point estimate, set to
+    zero against the first secant's sign and clamped to 3 times that secant
+    where the secants change sign.  Returns a function of an array of points,
+    evaluated in blocks of _PCHIP_BLOCK points: one ``searchsorted`` finds
+    each point's interval (the first or last one outside [x[0], x[-1]]), and
+    its cubic is summed over the powers of the offset as SciPy's ``PPoly``
+    sums them, so the values are SciPy's to the last bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    for end, (h0, h1), (m0, m1) in ((0, h[:2], m[:2]), (-1, h[:-3:-1], m[:-3:-1])):
+        slope = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(slope) != np.sign(m0):
+            slope = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(slope) > 3.0 * abs(m0):
+            slope = 3.0 * m0
+        d[end] = slope
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    # per searchsorted(x, v, "right"): the coefficients of s^3, s^2, s, 1 and the left node of the interval,
+    # the first interval's left of x[0] and the last one's from x[-1] on
+    pad = np.clip(np.arange(x.size + 1) - 1, 0, x.size - 2)
+    c0, c1, c2, c3, left = (a[pad] for a in (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]))
+
+    def block(v):
+        i = np.searchsorted(x, v, "right")
+        s = v - left.take(i)
+        s2 = s * s
+        # SciPy's order of terms, c3 + c2 s + c1 s^2 + c0 s^3 (Horner's rule misses it by up to 7 ulp)
+        value = c3.take(i)
+        value += c2.take(i) * s
+        value += c1.take(i) * s2
+        s2 *= s
+        value += c0.take(i) * s2
+        return value
+
+    def spline(v):
+        points = np.ravel(v)
+        out = np.empty(points.shape)
+        for k in range(0, points.size, _PCHIP_BLOCK):
+            out[k:k + _PCHIP_BLOCK] = block(points[k:k + _PCHIP_BLOCK])
+        return out.reshape(np.shape(v))
+
+    return spline
 
 
 @lru_cache(maxsize=None)
@@ -520,8 +577,6 @@ def _mean_gain_cdf_table(mean):
     kinks.  The error is the worst tabulated quadrature error plus the worst
     accepted midpoint miss.
     """
-    from scipy.interpolate import PchipInterpolator
-
     geom, mob = mean.geom, mean.mobility
     lo = math.log(float(geom.gain_factor(mob.d_max)) ** 2 * math.cos(geom.half_fov) ** 2)
     hi = math.log(float(geom.gain_factor(mob.d_min)) ** 2)
@@ -538,7 +593,7 @@ def _mean_gain_cdf_table(mean):
         mids = 0.5 * (grid[:-1] + grid[1:])[todo]
         mid_values, err = exact(mids)
         quad_err = max(quad_err, err)
-        miss = np.abs(PchipInterpolator(grid, values)(mids) - mid_values)
+        miss = np.abs(_pchip(grid, values)(mids) - mid_values)
         # intervals this narrow sit on a kink whose remaining miss is reported, not chased
         wide = np.diff(grid)[todo] > 1e-9 * (hi - lo)
         refine = (miss > _MEAN_CDF_TOL) & wide
@@ -548,7 +603,7 @@ def _mean_gain_cdf_table(mean):
         at = np.flatnonzero(todo) + 1
         grid, values = np.insert(grid, at, mids), np.insert(values, at, mid_values)
         todo = np.repeat(split, 1 + todo)
-    spline = PchipInterpolator(grid, np.maximum.accumulate(np.clip(values, 0.0, 1.0)))
+    spline = _pchip(grid, np.maximum.accumulate(np.clip(values, 0.0, 1.0)))
     return (lambda y: spline(np.minimum(np.maximum(np.log(y), lo), hi))), quad_err + interp_err
 
 

@@ -96,7 +96,7 @@ def deviation_cdf_integral(t, half_width):
     G(t - a) - G(t - b); both the marginal law below and the mean-report group
     bands of the closed form are built on it.
     """
-    # the float branch serves QUADPACK's one-point band-mass integrands: Python's t ** 2 and NumPy's
+    # the float branch serves the one-point band-mass integrands of integrate_adaptive: Python's t ** 2 and NumPy's
     # squaring of an array differ in the last bit at some points, so it keeps the band-mass bits
     if not isinstance(t, float):  # an array of points, elementwise
         if half_width == 0.0:

@@ -1,28 +1,24 @@
-"""Adaptive quadrature of the closed-form engine: QUADPACK for single integrals, a batched rule for level sweeps.
-
-``integrate_adaptive`` wraps QUADPACK (scipy.integrate.quad) behind the
-toolkit's tolerance config.  It integrates one function at a time and serves
-the band masses of ``analytic`` (memberships, count laws, conditioning rates).
-They stay on it because the benchmark harness (``perfbench/layers.py``)
-counts quadrature calls and integrand evaluations by wrapping
-``integrate_adaptive`` and ``scipy.integrate.quad``; they can move to the
-batched rule once that harness counts its work instead.  SciPy is imported
-on the first such integral, not with this module, so commands that never
-integrate (``simulate``, ``plot``) do not pay for loading it.
+"""Adaptive quadrature of the closed-form engine: one batched Gauss-Kronrod rule, in NumPy.
 
 ``integrate_levels`` integrates one integrand at a whole vector of levels
-(rows) together, in NumPy.  It is QUADPACK's adaptive scheme run on every row
-at once: the 21-point Kronrod / 10-point Gauss pair of dqk21 with QUADPACK's
-error formula on each panel, and bisection of the panels with the largest
-errors while the row's summed error exceeds max(abs_tol, rel_tol * |value|).
-Each row keeps its own tolerance, subdivision budget and error estimate (the
-sum of its panels' estimates; no norm is shared across rows), and every
+(rows) together.  It is QUADPACK's adaptive scheme run on every row at once:
+the 21-point Kronrod / 10-point Gauss pair of dqk21 with QUADPACK's error
+formula on each panel, and bisection of the panels with the largest errors
+while the row's summed error exceeds max(abs_tol, rel_tol * |value|).  Each
+row keeps its own tolerance, subdivision budget and error estimate (the sum
+of its panels' estimates; no norm is shared across rows), and every
 (row, panel) pair is evaluated elementwise in blocks of bounded size, with
 every sum taken along one panel or one row, so a row's (value, error) is
 bitwise the same whichever other rows share the call.  It has no
 extrapolation, so where an integrand ends in a square-root edge, which
 QUADPACK's epsilon algorithm would accelerate, the caller flags the row and
 the rule integrates it in t = sqrt(hi - r), where that edge is smooth.
+
+``integrate_adaptive`` is the one-row case for a scalar integrand: it serves
+the band masses of ``analytic`` (memberships, count laws, conditioning
+rates) and calls its integrand one float at a time, so the benchmark
+harness (``perfbench/layers.py``), which wraps this call, counts every
+integrand evaluation.  No SciPy module is loaded by either.
 
 Integrands here are piecewise smooth with kinks at analytically known radii
 (clamp points of the effective-angle helpers, corner crossings of the
@@ -32,7 +28,6 @@ not have to hunt for them.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +36,10 @@ import numpy as np
 def __getattr__(name):
     """``integrate`` (scipy.integrate), imported on first access and then kept as a module attribute.
 
-    ``integrate_adaptive`` reads the attribute at call time, so a replacement
-    assigned to ``quadrature.integrate`` (a tracing proxy, say) is honoured.
+    Nothing in the package reads it: only the benchmark harness does
+    (``perfbench/layers.py:install`` wraps it in traced runs), which is why
+    it stays.  It goes with the ``[benchmark]`` follow-up of ROADMAP
+    direction 4, which makes that harness count ``integrate_levels`` instead.
     """
     if name != "integrate":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -70,34 +67,6 @@ class QuadratureConfig:
 
     def halved(self):
         return QuadratureConfig(self.abs_tol / 2.0, self.rel_tol / 2.0, self.max_subdivisions)
-
-
-def integrate_adaptive(f, a, b, config, breakpoints=()):
-    """Integral of f over [a, b] with an error estimate; raises on non-convergence.
-
-    ``breakpoints`` are pre-split locations (values outside (a, b) are dropped).
-    Returns (value, error_estimate).  QuadratureError is raised when QUADPACK
-    flags the result and the estimate exceeds 100 times the requested
-    tolerance (and 1e-7); a flagged result within that margin is returned.
-    """
-    if b <= a:
-        return 0.0, 0.0
-    pts = np.asarray([p for p in breakpoints if a < p < b], float)
-    pts = np.unique(pts) if pts.size else None
-    # with full_output QUADPACK's flag comes back as a trailing message instead of a warning
-    value, err, _, *message = sys.modules[__name__].integrate.quad(
-        f, a, b,
-        full_output=1,
-        epsabs=config.abs_tol,
-        epsrel=config.rel_tol,
-        limit=config.max_subdivisions,
-        points=pts,
-    )
-    bound = max(config.abs_tol, config.rel_tol * abs(value))
-    if message and err > max(bound * 100.0, 1e-7):
-        raise QuadratureError(
-            f"quadrature did not converge: estimate {err:.3e} for value {value:.6e} ({message[0]})")
-    return value, err
 
 
 # dqk21 of QUADPACK on [-1, 1], nodes ascending: the 21 Kronrod nodes and weights, and the weights of the
@@ -165,10 +134,9 @@ def integrate_levels(f, lo, hi, config, breakpoints, label, root_end=None):
     decreasing error until the errors left unsplit sum to at most an eighth
     of that tolerance, within the row's max_subdivisions panels.  Returns
     (values, errors).  A row that stops short of its tolerance raises
-    QuadratureError when its error exceeds 100 times the tolerance and 1e-7
-    (the rule of ``integrate_adaptive``); within that margin its result is
-    returned.  The message starts with ``label(row)`` and names the distance
-    interval of the row's worst panel.
+    QuadratureError when its error exceeds 100 times the tolerance and 1e-7;
+    within that margin its result is returned.  The message starts with
+    ``label(row)`` and names the distance interval of the row's worst panel.
     """
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     n = lo.size
@@ -219,6 +187,24 @@ def integrate_levels(f, lo, hi, config, breakpoints, label, root_end=None):
             f"{label(row)}: quadrature did not converge on [{start:.9g}, {stop:.9g}] m of [{lo[row]:.9g}, "
             f"{hi[row]:.9g}] m: estimate {error[row]:.3e} for value {value[row]:.6e}")
     return value, error
+
+
+def integrate_adaptive(f, a, b, config, breakpoints=()):
+    """Integral of the scalar function f over [a, b] with an error estimate; raises on non-convergence.
+
+    One row of ``integrate_levels``: ``f`` is called one float at a time, at
+    every node of the rule.  ``breakpoints`` are pre-split locations (values
+    outside (a, b) are dropped).  Returns (value, error_estimate) as Python
+    floats; an empty interval gives (0.0, 0.0).  QuadratureError follows the
+    rule of ``integrate_levels`` and names the distance interval of the worst
+    panel.
+    """
+    def rows(r, _):
+        return np.array([f(v) for v in r.ravel().tolist()], float).reshape(r.shape)
+
+    kinks = sorted({float(p) for p in breakpoints if a < p < b})
+    values, errors = integrate_levels(rows, [a], [b], config, [kinks], lambda _: "integral")
+    return float(values[0]), float(errors[0])
 
 
 def _largest_errors(candidates, owner, err, budget, room):

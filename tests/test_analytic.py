@@ -54,6 +54,22 @@ class TestQuadratureWrapper:
         val, _ = integrate_adaptive(f, 0.0, 1.0, QuadratureConfig(), breakpoints=(1.0 / 3.0,))
         assert val == pytest.approx(1.0 / 3.0, abs=1e-9)
 
+    def test_adaptive_is_one_row_of_the_level_rule_on_floats(self):
+        # a kink at 1/3 marked, one at 0.6 hunted; the integrand sees Python floats only
+        seen = set()
+
+        def f(x):
+            seen.add(type(x))
+            return abs(x - 1.0 / 3.0) * (x - 0.6) * (x - 0.6) + (x > 0.6)
+
+        config = QuadratureConfig()
+        value, err = integrate_adaptive(f, 0.0, 1.0, config, breakpoints=(-1.0, 1.0 / 3.0, 1.0 / 3.0, 2.0))
+        rows = lambda r, _: np.abs(r - 1.0 / 3.0) * (r - 0.6) * (r - 0.6) + (r > 0.6)
+        values, errors = integrate_levels(rows, [0.0], [1.0], config, [[1.0 / 3.0]], str)
+        assert seen == {float} and type(value) is float and type(err) is float
+        assert (value, err) == (values[0], errors[0])
+        assert abs(value - 0.42613168724279843) <= err <= config.rel_tol * value
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
@@ -658,6 +674,52 @@ class TestQuadratureFailure:
         lo, hi = (float(v) for v in interval.split(", "))
         assert 0.0 <= lo < hi <= paper_model(25.0).mobility.d_max
 
+    def test_band_mass_failure_names_a_distance_interval_inside_the_range(self, monkeypatch):
+        # a planted fault in the band-mass integrand: a FOV probability that oscillates far faster than any panel
+        fov = an.fov_probability
+        monkeypatch.setattr(an, "fov_probability", lambda model, r, y: fov(model, r, y) + 0.2 * y * math.sin(1e7 * r))
+        model = model_with(17.0)  # a model of its own, so no band mass of it is cached
+        with pytest.raises(QuadratureError) as failure:
+            an.nonzero_gain_probability(model)
+        interval = str(failure.value).split(" did not converge on [", 1)[1].split("] m", 1)[0]
+        lo, hi = (float(v) for v in interval.split(", "))
+        assert model.mobility.d_min <= lo < hi <= model.mobility.d_max
+
+
+class TestPchip:
+    """``an._pchip`` against ``scipy.interpolate.PchipInterpolator``, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise_scipy(x, y):
+        from scipy.interpolate import PchipInterpolator
+
+        h = np.diff(x)
+        # the nodes, the midpoints, and a point beyond each end
+        points = np.concatenate((x, x[:-1] + 0.5 * h, [x[0] - h[0] / 2.0, x[-1] + h[-1] / 2.0]))
+        got, want = an._pchip(x, y)(points), PchipInterpolator(x, y)(points)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    def test_every_grid_of_the_fig2_mean_gain_table(self, monkeypatch):
+        # fig2's mean-angle curve runs on the paper model at delta_phi = 25 degrees; every refinement round counts
+        grids, pchip = [], an._pchip
+        monkeypatch.setattr(an, "_pchip", lambda x, y: grids.append((x, y)) or pchip(x, y))
+        an._mean_gain_cdf_table.__wrapped__(an._mean_model(paper_model(25.0)))
+        monkeypatch.undo()
+        assert len(grids) > 2 and grids[-1][0].size > 257
+        for x, y in grids:
+            self.assert_bitwise_scipy(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(st.floats(1e-3, 10.0),
+                                    st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-6, 10.0))),
+                          min_size=2, max_size=40),
+           start=st.floats(-50.0, 50.0), base=st.floats(0.0, 1.0))
+    def test_monotone_data_with_flat_stretches_and_unequal_spacing(self, steps, start, base):
+        h, dy = (np.array(v) for v in zip(*steps))
+        x = start + np.concatenate(([0.0], np.cumsum(h)))
+        y = base + np.concatenate(([0.0], np.cumsum(dy)))
+        self.assert_bitwise_scipy(x, y)
+
 
 # the tight reference: tolerances far below QuadratureConfig's defaults, subdivisions far above
 TIGHT = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=5000)
@@ -668,8 +730,36 @@ MEAN_REPORT_KINKS = pytest.mark.xfail(strict=True, reason="ROADMAP direction 1 (
                                       "integrand's kinks are not breakpoints, so its error estimate is too small")
 
 
+def quadpack(f, lo, hi, config, breakpoints):
+    """(value, error) of f over [lo, hi] by QUADPACK (``scipy.integrate.quad``) split at ``breakpoints``, on ``config``.
+
+    The reference rule of ``TestErrorHonesty``, independent of the package's
+    Gauss-Kronrod rule: it has Wynn's epsilon extrapolation, and it fails
+    when QUADPACK flags a result whose estimate exceeds 100 times the
+    tolerance (and 1e-7).
+    """
+    if hi <= lo:
+        return 0.0, 0.0
+    points = sorted({p for p in breakpoints if lo < p < hi}) or None
+    value, err, _, *message = quad(f, lo, hi, full_output=1, epsabs=config.abs_tol, epsrel=config.rel_tol,
+                                   limit=config.max_subdivisions, points=points)
+    assert not (message and err > max(100.0 * max(config.abs_tol, config.rel_tol * abs(value)), 1e-7)), message
+    return value, err
+
+
+def quadpack_members(model, inner, outer, lo, hi):
+    """``an._members`` by QUADPACK: the band mass on the report law, split at its kinks of ``an._breakpoints``."""
+    report = an._report_model(model)
+
+    def band(r):
+        top = 1.0 if outer >= math.pi else an.fov_probability(report, r, outer)
+        return top - an.fov_probability(report, r, inner)
+
+    return quadpack(band, lo, hi, model.quad, an._breakpoints(report, lo, hi, an._band_edges(inner, outer))[0])
+
+
 def quadpack_mass_above(model, x, inner, outer, lo, hi):
-    """``an._mass_above`` at one level by the per-level QUADPACK route: one ``integrate_adaptive`` call.
+    """``an._mass_above`` at one level by QUADPACK, level by level.
 
     An independent rule for the batched Gauss-Kronrod one: the same integrand
     written on floats, split at the level's kinks of ``an._breakpoints``,
@@ -694,17 +784,17 @@ def quadpack_mass_above(model, x, inner, outer, lo, hi):
 
         edges = an._band_edges(inner, top)
         kinks = an._breakpoints(model, lo, hi, edges, x, edges, an._corners(model.mobility))[0]
-    return integrate_adaptive(above, lo, hi, model.quad, kinks)
+    return quadpack(above, lo, hi, model.quad, kinks)
 
 
 def quadpack_family(model, family, role=None):
-    """Level by level, the value of ``an.<family>`` from ``quadpack_mass_above`` and band masses on ``model.quad``."""
+    """Level by level, the value of ``an.<family>`` from ``quadpack_mass_above`` over ``quadpack_members``."""
     theta, mob = model.geom.half_fov, model.mobility
     band = (0.0, math.pi, mob.d_min, mob.d_max) if role is None else an._role_band(model, role, TWO_BIT_KINDS)
     cdf = family != "group_success_probability"
     if cdf:
         band = (band[0], min(band[1], theta), *band[2:])
-    members = an._members(model, *band)[0]
+    members = quadpack_members(model, *band)[0]
 
     def value(x):
         q = min(max(quadpack_mass_above(model, float(x), *band)[0] / members, 0.0), 1.0)
@@ -724,7 +814,11 @@ def assert_within_error_of_tight_reference(model, family, levels, role=None):
 
 
 class TestErrorHonesty:
-    """Every reported quadrature error covers the distance to a tight QUADPACK reference, on the paper model."""
+    """Every reported quadrature error covers the distance to a tight QUADPACK reference, on the paper model.
+
+    The reference calls ``scipy.integrate.quad`` itself for both integrals of
+    a level, so it shares no rule with the package.
+    """
 
     @pytest.mark.parametrize("dphi", (0.0, 25.0))
     def test_unordered_cdf(self, dphi):

@@ -22,10 +22,10 @@ GOLDEN = {
     ("simulate", "fig2"): "5ce190141531f7f1aca1ba352e4366ae2141c78a60ff0976beaea64090667e29",
     ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
     ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
-    ("analytic", "fig2"): "43d2cd7190d75eb1830a4d8e8e6c1078a0477e8d65687c786e9ad9a3691c181c",
-    ("analytic", "fig3"): "34b73b0f0056179497b809cd2be72c98bdb2ed078f866a315d043aa02ccd96b2",
+    ("analytic", "fig2"): "165f36787b82911a7b02e62e5ddb905de84daecb0c1911fdaf68ed334197929f",
+    ("analytic", "fig3"): "403d07bf7fc481acd2fe25f9a57e904f9fa00a7ad115b87ff1ab83f71fbdcd13",
 }
-VALIDATE_QUICK = "f0f1aad64339a0b13b87a2ceab77a4c6135aa92a837631b41b15168f4d83f803"
+VALIDATE_QUICK = "214057ecc9356646541480ab0692dee18b5e4ab2bebe020d8e787c3f84afb4b5"
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
     "analytic": ["--set", "sweep.gamma_db=150,185,215"],

@@ -1,21 +1,19 @@
-"""Import-time pins: SciPy is loaded by the closed-form engine only, on its first use.
+"""Import-time pins: no command of the CLI loads SciPy.
 
-``simulate`` and ``plot`` never integrate, so neither they nor ``import
-vlcnoma.cli`` may load any ``scipy`` module.  The closed form computes its
-binomial laws itself, so ``analytic`` never loads ``scipy.stats``.  Each
-check runs in a fresh interpreter, since this test process has SciPy loaded
-already.
+``simulate`` and ``plot`` never integrate; the closed-form engine integrates
+with its own Gauss-Kronrod rule and computes its binomial laws and its
+interpolant itself.  So neither ``import vlcnoma.cli`` nor ``simulate``,
+``plot``, ``analytic`` or ``validate`` may load any ``scipy`` module.  Only
+``quadrature.integrate``, which the benchmark harness reads, imports
+``scipy.integrate``, on first access.  Each check runs in a fresh
+interpreter, since this test process has SciPy loaded already.
 """
 
 import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
-
-from vlcnoma import quadrature
-from vlcnoma.quadrature import QuadratureConfig, integrate_adaptive
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,19 +48,24 @@ def test_cli_import_simulate_and_plot_load_no_scipy(tmp_path):
     assert seen == {"import": [], "simulate": [], "plot": []}
 
 
-ANALYTIC = """
+CLOSED_FORM = """
 import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from vlcnoma import cli
 seen = {}
-for preset in ("fig2", "fig3"):
+for preset in ("fig2", "fig3", "fig4"):
     assert cli.main(["analytic", "--preset", preset, "--out", preset + ".csv"]) == 0
-    seen[preset] = "scipy.stats" in sys.modules
+    seen["analytic " + preset] = scipy_modules()
+assert cli.main(["validate", "--quick", "--out", "validate-quick.json"]) == 0
+seen["validate --quick"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_analytic_loads_no_scipy_stats(tmp_path):
-    assert run_fresh(ANALYTIC, tmp_path) == {"fig2": False, "fig3": False}
+def test_analytic_and_validate_load_no_scipy(tmp_path):
+    seen = run_fresh(CLOSED_FORM, tmp_path)
+    assert seen == {"analytic fig2": [], "analytic fig3": [], "analytic fig4": [], "validate --quick": []}
 
 
 LAZY_INTEGRATE = """
@@ -83,16 +86,3 @@ print(json.dumps({"loaded_at_import": before, "resolved": resolved, "unknown": u
 def test_integrate_attribute_resolves_to_scipy_on_first_access(tmp_path):
     seen = run_fresh(LAZY_INTEGRATE, tmp_path)
     assert seen == {"loaded_at_import": False, "resolved": True, "unknown": "AttributeError"}
-
-
-def test_integrate_adaptive_calls_a_replacement_of_the_module_attribute(monkeypatch):
-    """A proxy assigned to ``quadrature.integrate`` (as a tracing harness does) serves every integral."""
-    calls = []
-
-    def quad(f, a, b, **kwargs):
-        calls.append((a, b, kwargs["points"]))
-        return 0.25, 1e-12, {}
-
-    monkeypatch.setattr(quadrature, "integrate", types.SimpleNamespace(quad=quad))
-    assert integrate_adaptive(lambda x: x, 0.0, 1.0, QuadratureConfig(), breakpoints=(0.5, 2.0)) == (0.25, 1e-12)
-    assert len(calls) == 1 and calls[0][:2] == (0.0, 1.0) and list(calls[0][2]) == [0.5]
