@@ -32,29 +32,30 @@ a model of that kind's scheme.
 
 One rule integrates over distance: ``integrate_levels``, the batched
 adaptive Gauss-Kronrod rule of ``quadrature``.  A band mass is its one-row
-case (``integrate_adaptive``), with a scalar integrand.  The level families
-(``unordered_gain_cdf``, ``ordered_gain_cdf``, ``group_gain_cdf_instant``,
-``group_gain_cdf_mean``, ``group_success_probability``) take a 1-D array of
-levels and return (values, errors) arrays: every level of a call is one row
-of a single ``integrate_levels`` pass, split at that level's own kinks, with
-its own tolerance and its own summed error estimate.  A float level is the
-one-element case of the same path and returns floats.  The engine loads no
-SciPy module: its binomial laws and the interpolant of the mean-gain table
-(``_pchip``) are its own.
+case (``integrate_adaptive``), whose integrand gets one distance at a time.
+The level families (``unordered_gain_cdf``, ``ordered_gain_cdf``,
+``group_gain_cdf_instant``, ``group_gain_cdf_mean``,
+``group_success_probability``) take a 1-D array of levels and return
+(values, errors) arrays: every level of a call is one row of a single
+``integrate_levels`` pass, split at that level's own kinks, with its own
+tolerance and its own summed error estimate.  Every angle law has one NumPy
+path, elementwise over arrays; a float argument is its 0-d case.  The engine
+loads no SciPy module: its binomial laws and the interpolant of the
+mean-gain table (``_pchip``) are its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .channel import LedGeometry
 from .link import CurvePoint, noma_sum_rate
-from .population import MobilityConfig, clamp, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf
+from .population import MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf
 from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive, integrate_levels
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 
@@ -85,26 +86,19 @@ class AnalyticModel:
 
 
 def boresight_angle(geom, r):
-    """Vertical angle at which the incidence is exactly zero for distance r; r may be an array."""
-    if isinstance(r, float):
-        # integrate_adaptive hands the band-mass integrands one float at a time; NumPy's vectorised arctan2 differs
-        # from math.atan2 in the last bit at about 5 % of points, so this branch keeps the band-mass bits
-        return math.pi - math.atan2(geom.ell, r)
+    """Vertical angle at which the incidence is exactly zero for distance r, elementwise over an array r."""
     return math.pi - np.arctan2(geom.ell, r)
 
 
 def inverse_squared_gain(geom, r):
     """1/g(r)^2 = (ell^2 + r^2)^(m+2) / h_c^4; multiplied by h^2 it returns cos^2(theta)."""
-    return (geom.ell**2 + r * r) ** (geom.m + 2.0) / geom.channel_constant**2
+    # np.power, not **: Python's pow of a float misses NumPy's array power in the last bit at some points
+    return np.power(geom.ell**2 + r * r, geom.m + 2.0) / geom.channel_constant**2
 
 
 def gain_boundary_angle(geom, x, r):
-    """|incidence| at which the squared gain equals x at distance r, clamped to [0, pi/2]; r may be an array."""
+    """|incidence| at which the squared gain equals x at distance r, clamped to [0, pi/2]; elementwise over arrays."""
     scaled = x * inverse_squared_gain(geom, r)
-    if isinstance(scaled, float):
-        # conditional expressions instead of min/max: the same floats, a fraction of the call cost
-        arg = 2.0 * (1.0 if scaled > 1.0 else scaled) - 1.0
-        return 0.5 * math.acos(-1.0 if arg < -1.0 else arg)
     return 0.5 * np.arccos(2.0 * np.clip(scaled, 0.0, 1.0) - 1.0)
 
 
@@ -138,13 +132,10 @@ def _mean_model(model):
 
 
 def fov_probability(model, r, half_angle):
-    """Pr(|incidence angle| <= half_angle | d = r) for the instantaneous angle; elementwise over arrays too."""
-    if not isinstance(half_angle, np.ndarray) and half_angle < 0.0:
-        raise ValueError("half_angle must be nonnegative")
+    """Pr(|incidence angle| <= half_angle | d = r) for the instantaneous angle, elementwise; a float is the 0-d case."""
     c = boresight_angle(model.geom, r)
     value = marginal_phi_cdf(model.mobility, c + half_angle) - marginal_phi_cdf(model.mobility, c - half_angle)
-    # a float stays a Python float (np.clip would return np.float64, whose comparisons give np.bool_)
-    return clamp(value, 0.0, 1.0) if isinstance(value, float) else np.clip(value, 0.0, 1.0)
+    return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
 def _corners(mob):
@@ -241,7 +232,8 @@ def _band_mass(model, inner, outer, lo, hi):
     conditioning rates, every CDF and success denominator) is one of these
     integrals, on the law of ``_report_model``.  It is one
     ``integrate_adaptive`` integral, split at the fixed kinks of
-    ``_breakpoints``; the integrand is evaluated one float at a time.
+    ``_breakpoints``; the integrand gets one float distance at a time, the
+    0-d case of ``fov_probability``.
     """
     def band(r):
         top = 1.0 if outer >= math.pi else fov_probability(model, r, outer)
@@ -340,23 +332,6 @@ def _mass_above(family, model, x, inner, outer, lo, hi):
                             lambda row: f"{family} at level x={float(x[row])!r}", root_end)
 
 
-def _over_levels(family):
-    """``family(model, levels, ...)`` on a 1-D array of gain levels, returning (values, errors) arrays.
-
-    A float level is the one-element case of the same path and gives a float
-    pair.
-    """
-    @wraps(family)
-    def over_levels(model, x, *args):
-        levels = np.asarray(x, float)
-        values, errors = family(model, np.atleast_1d(levels), *args)
-        if levels.ndim == 0:
-            return float(values[0]), float(errors[0])
-        return values, errors
-
-    return over_levels
-
-
 # ---------------------------------------------------------------------------
 # The nonzero-gain probability and the truncated count PMF
 # ---------------------------------------------------------------------------
@@ -365,7 +340,7 @@ def _over_levels(family):
 def nonzero_gain_probability(model):
     """Probability that a single user's channel gain is nonzero, with its error."""
     value, err = _fov_normalizer(model)
-    return clamp(value / model.mobility.d_span, 0.0, 1.0), err / model.mobility.d_span
+    return min(max(value / model.mobility.d_span, 0.0), 1.0), err / model.mobility.d_span
 
 
 @lru_cache(maxsize=None)
@@ -463,7 +438,6 @@ def _cdf(family, model, x, inner, outer, lo, hi):
     return np.where(below, 0.0, 1.0 - q), np.where(below, 0.0, err)
 
 
-@_over_levels
 def unordered_gain_cdf(model, x):
     """CDF of the squared gain of one user conditioned on the gain being nonzero, with its error.
 
@@ -480,7 +454,6 @@ def _check_rank(model, rank, min_count):
         raise ValueError("min_count must lie in [rank, K]")
 
 
-@_over_levels
 def ordered_gain_cdf(model, x, rank, min_count):
     """CDF of the rank-th smallest nonzero squared gain, given at least min_count nonzero users, with its error.
 
@@ -779,13 +752,11 @@ def _role_band(model, role, kinds):
     raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
 
 
-@_over_levels
 def group_gain_cdf_instant(model, x, role):
     """Squared-gain CDF inside one instantaneous-report group, zero gains excluded, with its error."""
     return _cdf("group_gain_cdf_instant", model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_INSTANT,)))
 
 
-@_over_levels
 def group_gain_cdf_mean(model, x, role):
     """Squared-gain CDF inside one mean-report group, conditioned on nonzero MEAN gain, with its error.
 
@@ -803,10 +774,9 @@ def both_groups_probability(model):
     p_w = _band_mass(report, th, math.pi, scheme.d_threshold, mob.d_max)[0] / mob.d_span
     p_s = _band_mass(report, 0.0, th, mob.d_min, scheme.d_threshold)[0] / mob.d_span
     K = mob.num_users
-    return clamp(1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K, 0.0, 1.0)
+    return min(max(1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K, 0.0), 1.0)
 
 
-@_over_levels
 def group_success_probability(model, threshold, role):
     """Pr(squared gain > threshold) for a uniformly picked member of one group, with its error.
 

@@ -72,11 +72,6 @@ def sample_user_arrays(config, rng, size):
     return d, mean_phi, phi
 
 
-def clamp(x, lo, hi):
-    """min(max(x, lo), hi) for lo <= hi, NaN and -0.0 included, without the builtins' call cost."""
-    return lo if x < lo else hi if x > hi else x
-
-
 def conditional_phi_cdf(mean_phi, delta_phi, x):
     """CDF of the instantaneous angle given its mean: U[mean - delta, mean + delta].
 
@@ -96,19 +91,10 @@ def deviation_cdf_integral(t, half_width):
     G(t - a) - G(t - b); both the marginal law below and the mean-report group
     bands of the closed form are built on it.
     """
-    # the float branch serves the one-point band-mass integrands of integrate_adaptive: Python's t ** 2 and NumPy's
-    # squaring of an array differ in the last bit at some points, so it keeps the band-mass bits
-    if not isinstance(t, float):  # an array of points, elementwise
-        if half_width == 0.0:
-            return np.where(t > 0.0, t, 0.0)
-        return np.where(t <= -half_width, 0.0, np.where(t >= half_width, t, (t + half_width) ** 2 / (4.0 * half_width)))
     if half_width == 0.0:
-        return t if t > 0.0 else 0.0
-    if t <= -half_width:
-        return 0.0
-    if t >= half_width:
-        return t
-    return (t + half_width) ** 2 / (4.0 * half_width)
+        return np.where(t > 0.0, t, 0.0)
+    # np.square, not ** 2: the scalar power of a float misses the squaring of an array in the last bit at some points
+    return np.where(t <= -half_width, 0.0, np.where(t >= half_width, t, np.square(t + half_width) / (4.0 * half_width)))
 
 
 def marginal_phi_cdf(config, x):
@@ -121,15 +107,13 @@ def marginal_phi_cdf(config, x):
     """
     lo, hi, dphi = config.mean_phi_min, config.mean_phi_max, config.delta_phi
     if hi == lo and dphi == 0.0:
-        step = x >= lo
-        return (1.0 if step else 0.0) if isinstance(step, bool) else step.astype(float)
+        return np.asarray(x >= lo, float)
     if hi == lo:
         value = (x - lo + dphi) / (2.0 * dphi)
     else:
         G = deviation_cdf_integral
         value = (G(x - lo, dphi) - G(x - hi, dphi)) / (hi - lo)
-    # a float stays a Python float (np.clip would return np.float64, whose comparisons give np.bool_)
-    return clamp(value, 0.0, 1.0) if isinstance(value, float) else np.clip(value, 0.0, 1.0)
+    return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
 def noisy_estimate_arrays(d, mean_phi, phi, sigma_d, sigma_phi, rng):

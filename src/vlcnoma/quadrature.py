@@ -14,11 +14,12 @@ extrapolation, so where an integrand ends in a square-root edge, which
 QUADPACK's epsilon algorithm would accelerate, the caller flags the row and
 the rule integrates it in t = sqrt(hi - r), where that edge is smooth.
 
-``integrate_adaptive`` is the one-row case for a scalar integrand: it serves
-the band masses of ``analytic`` (memberships, count laws, conditioning
-rates) and calls its integrand one float at a time, so the benchmark
-harness (``perfbench/layers.py``), which wraps this call, counts every
-integrand evaluation.  No SciPy module is loaded by either.
+``integrate_adaptive`` is the one-row case: it serves the band masses of
+``analytic`` (memberships, count laws, conditioning rates).  Their
+integrands are NumPy laws that would take a whole panel array, but it calls
+them one float at a time, and only for the benchmark harness
+(``perfbench/layers.py``), which wraps this call and counts every integrand
+evaluation.  No SciPy module is loaded by either.
 
 Integrands here are piecewise smooth with kinks at analytically known radii
 (clamp points of the effective-angle helpers, corner crossings of the

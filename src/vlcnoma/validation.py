@@ -77,11 +77,12 @@ def _frequency_check(name, frac, pred, n, detail, var_floor=0.0, tol_floor=0.0):
     """An empirical frequency of n draws against its predicted probability, within 3 binomial sigma.
 
     ``var_floor`` keeps sigma off zero at a prediction of 0 or 1; the
-    tolerance is at least ``tol_floor``.
+    tolerance is at least ``tol_floor``.  The result holds plain Python
+    scalars, so the report serializes to JSON whatever type ``pred`` has.
     """
     dev = abs(frac - pred)
     tol = max(3.0 * math.sqrt(max(pred * (1.0 - pred), var_floor) / n), tol_floor)
-    return CheckResult(name, dev <= tol, dev, tol, detail)
+    return CheckResult(name, bool(dev <= tol), float(dev), float(tol), detail)
 
 
 def _strip_members(models, rng, n, role, within_fov):

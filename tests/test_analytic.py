@@ -14,7 +14,8 @@ from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle
 from vlcnoma.config import MAX_USERS
 from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
-from vlcnoma.population import MobilityConfig, conditional_phi_cdf, sample_user_arrays
+from vlcnoma.population import (MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf,
+                                sample_user_arrays)
 from vlcnoma.quadrature import QuadratureConfig, QuadratureError, integrate_adaptive, integrate_levels
 from vlcnoma.scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import EmpiricalCdf, ExperimentConfig
@@ -242,14 +243,67 @@ class TestBoundaryAngles:
         assert an.gain_boundary_distance(GEOM, 0.0) == math.inf
 
 
+def assert_float_is_array_entry(law, points, *args):
+    """``law(v, *args)`` at each float v of ``points`` is bit for bit entry i of ``law(points, *args)``."""
+    points = np.asarray(points, float)
+    whole = np.broadcast_to(law(points, *args), points.shape)
+    got = [float(law(v, *args)).hex() for v in points.tolist()]
+    assert got == [v.hex() for v in whole.tolist()], law.__name__
+
+
+class TestOnePathPerLaw:
+    """Every angle law has one NumPy path: a float is its 0-d case, with the bits of the same point in an array."""
+
+    POINTS = 1000
+
+    def uniform(self, lo, hi, seed=11):
+        return np.random.default_rng(seed).uniform(lo, hi, self.POINTS)
+
+    def test_boresight_and_boundary_angles(self):
+        geom = paper_model(25.0).geom
+        r = np.concatenate(([0.0, 1.0, 10.0], self.uniform(0.0, 10.0)))
+        assert_float_is_array_entry(lambda v: an.boresight_angle(geom, v), r)
+        # levels of 0 to 1.5 times the squared gain at r = 1: the boundary angle's pi/2 and 0 clamps included
+        top = float(geom.gain_factor(1.0) ** 2)
+        for scale in (0.0, 0.3, 1.0, 1.5):
+            assert_float_is_array_entry(lambda v, x=top * scale: an.gain_boundary_angle(geom, x, v), r)
+        x = 10.0 ** self.uniform(-17.0, -9.0, seed=12)
+        assert_float_is_array_entry(lambda v: an.gain_boundary_angle(geom, v, 3.0), x)
+
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_fov_probability(self, dphi):
+        model = paper_model(dphi)
+        mob, theta = model.mobility, model.geom.half_fov
+        # the distances where c(r) +/- half_fov crosses a corner of the angle CDF, and the range ends
+        kinks = an._breakpoints(model, mob.d_min, mob.d_max, (theta,))[0]
+        r = np.concatenate(([mob.d_min, mob.d_max], kinks, self.uniform(mob.d_min, mob.d_max)))
+        for half_angle in (0.0, 0.5 * theta, theta, math.pi):
+            assert_float_is_array_entry(lambda v, y=half_angle: an.fov_probability(model, v, y), r)
+
+    @pytest.mark.parametrize("mob", (
+        MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20),
+        MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 0.0, 20),
+        MobilityConfig.from_degrees(0.0, 10.0, 90.0, 90.0, 25.0, 20),
+        MobilityConfig.from_degrees(0.0, 10.0, 90.0, 90.0, 0.0, 20),
+    ))
+    def test_marginal_phi_cdf(self, mob):
+        x = np.concatenate((an._corners(mob), [0.0, math.pi], self.uniform(-0.2, math.pi + 0.2)))
+        assert_float_is_array_entry(lambda v: marginal_phi_cdf(mob, v), x)
+
+    @pytest.mark.parametrize("half_width", (0.0, math.radians(25.0), 1.0))
+    def test_deviation_cdf_integral(self, half_width):
+        t = np.concatenate(([-half_width, half_width, 0.0], self.uniform(-2.0, 2.0)))
+        assert_float_is_array_entry(deviation_cdf_integral, t, half_width)
+
+
 class TestUnorderedCdf:
     def test_zero_at_origin(self):
-        assert an.unordered_gain_cdf(MODEL, 0.0)[0] == 0.0
+        assert an.unordered_gain_cdf(MODEL, np.array([0.0]))[0] == 0.0
 
     def test_one_beyond_support(self):
         # nothing is left to integrate above the support, so the value does not depend on the normalizer
         top = float(GEOM.gain_factor(MOB.d_min) ** 2)
-        assert an.unordered_gain_cdf(MODEL, top * 1.0001) == (1.0, 0.0)
+        assert an.unordered_gain_cdf(MODEL, np.array([top * 1.0001])) == (1.0, 0.0)
 
     def test_monte_carlo_sup_distance(self):
         rng = np.random.default_rng(3)
@@ -266,13 +320,13 @@ class TestUnorderedCdf:
 
 class TestOrderedCdf:
     def test_forced_full_count_gives_max_power(self):
-        x = 1e-12
+        x = np.array([1e-12])
         u, _ = an.unordered_gain_cdf(MODEL, x)
         assert an.ordered_gain_cdf(MODEL, x, 20, 20)[0] == pytest.approx(u**20, rel=1e-9)
 
     def test_one_beyond_support(self):
         top = float(GEOM.gain_factor(MOB.d_min) ** 2)
-        value, err = an.ordered_gain_cdf(MODEL, top * 1.01, 10, 10)
+        value, err = an.ordered_gain_cdf(MODEL, np.array([top * 1.01]), 10, 10)
         assert value == pytest.approx(1.0)
         assert err == 0.0
 
@@ -283,21 +337,21 @@ class TestOrderedCdf:
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            an.ordered_gain_cdf(MODEL, 1e-12, 0, 10)
+            an.ordered_gain_cdf(MODEL, np.array([1e-12]), 0, 10)
         with pytest.raises(ValueError):
-            an.ordered_gain_cdf(MODEL, 1e-12, 11, 10)
+            an.ordered_gain_cdf(MODEL, np.array([1e-12]), 11, 10)
 
 
 class TestGroupCdfs:
     def test_lower_edges(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
         mm = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
-        assert an.group_gain_cdf_instant(mi, 0.0, an.WEAK)[0] == 0.0
-        assert an.group_gain_cdf_instant(mi, 0.0, an.STRONG)[0] == 0.0
-        assert an.group_gain_cdf_mean(mm, -1e-30, an.WEAK) == (0.0, 0.0)
+        assert an.group_gain_cdf_instant(mi, np.array([0.0]), an.WEAK)[0] == 0.0
+        assert an.group_gain_cdf_instant(mi, np.array([0.0]), an.STRONG)[0] == 0.0
+        assert an.group_gain_cdf_mean(mm, np.array([-1e-30]), an.WEAK) == (0.0, 0.0)
         # mean-report weak group keeps an atom at zero for nonzero deviation
-        assert an.group_gain_cdf_mean(mm, 0.0, an.WEAK)[0] > 0.1
-        assert an.group_gain_cdf_mean(mm, 0.0, an.STRONG)[0] == pytest.approx(0.0, abs=1e-12)
+        assert an.group_gain_cdf_mean(mm, np.array([0.0]), an.WEAK)[0] > 0.1
+        assert an.group_gain_cdf_mean(mm, np.array([0.0]), an.STRONG)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_upper_edges(self):
         # each group's gain support ends at its nearest distance; above it the CDF is exactly 1 with no error
@@ -305,7 +359,7 @@ class TestGroupCdfs:
                           (FeedbackKind.TWO_BIT_MEAN, an.group_gain_cdf_mean)):
             model = model_with(scheme=FeedbackScheme(kind, 1.0, THETA_TH))
             for role, nearest in ((an.STRONG, 0.0), (an.WEAK, 1.0)):
-                top = float(GEOM.gain_factor(nearest) ** 2)
+                top = np.array([float(GEOM.gain_factor(nearest) ** 2)])
                 assert cdf(model, top, role)[0] == pytest.approx(1.0), (kind, role)
                 assert cdf(model, top * 1.0001, role) == (1.0, 0.0), (kind, role)
 
@@ -340,9 +394,9 @@ class TestGroupCdfs:
     def test_requires_matching_scheme(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
         with pytest.raises(ValueError):
-            an.group_gain_cdf_mean(mi, 1e-12, an.WEAK)
+            an.group_gain_cdf_mean(mi, np.array([1e-12]), an.WEAK)
         with pytest.raises(ValueError):
-            an.group_gain_cdf_instant(MODEL, 1e-12, an.WEAK)
+            an.group_gain_cdf_instant(MODEL, np.array([1e-12]), an.WEAK)
 
     def test_angle_threshold_cannot_exceed_fov(self):
         with pytest.raises(ValueError):
@@ -529,7 +583,7 @@ class TestMeanAngleRoute:
             thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (gdb / 10.0))
             for eta, rank in ((thr.eta_weak, 1), (thr.eta_strong, 10)):
                 s, es = an.mean_angle_success_probability(model, eta, rank, 10)
-                f, ef = an.ordered_gain_cdf(model, eta, rank, 10)
+                f, ef = an.ordered_gain_cdf(model, np.array([eta]), rank, 10)
                 assert abs((1.0 - s) - f) <= es + ef, (gdb, rank, 1.0 - s, f, es + ef)
 
     def test_monte_carlo_per_slot(self):
@@ -643,7 +697,7 @@ def level_families(dphi):
 def one_level_at_a_time(dphi, name):
     """float.hex() of (value, error) of family ``name`` at each of BATCH_LEVELS, each from its one-element call."""
     f = level_families(dphi)[name]
-    return [tuple(v.hex() for v in f(float(x))) for x in BATCH_LEVELS]
+    return [tuple(float(v[0]).hex() for v in f(BATCH_LEVELS[i:i + 1])) for i in range(BATCH_LEVELS.size)]
 
 
 class TestBatchInvariance:

@@ -169,28 +169,28 @@ PINNED = {
     'group_success|dphi=0|wide|mean|weak|x=4.5e-11': ('0x0.0p+0', '0x0.0p+0'),
     'group_success|dphi=0|wide|mean|weak|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|paper|strong|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
-    'group_cdf_instant|dphi=0|paper|strong|x=5e-15': ('0x1.0000000000000p-51', '0x1.8fffffffffffdp-46'),
-    'group_cdf_instant|dphi=0|paper|strong|x=4e-13': ('0x1.c000000000000p-51', '0x1.8fffffffffffap-46'),
-    'group_cdf_instant|dphi=0|paper|strong|x=2e-11': ('0x1.0000000000000p-52', '0x1.8ffffffffffffp-46'),
-    'group_cdf_instant|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfb4180p-2', '0x1.14bd65311da6bp-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=5e-15': ('0x1.0000000000000p-52', '0x1.8fffffffffffep-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=4e-13': ('0x1.0000000000000p-51', '0x1.8fffffffffffcp-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=2e-11': ('0x0.0p+0', '0x1.9000000000000p-46'),
+    'group_cdf_instant|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfb417cp-2', '0x1.14bd65311da6cp-46'),
     'group_cdf_instant|dphi=0|paper|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_cdf_mean|dphi=0|paper|strong|x=0.0': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_cdf_mean|dphi=0|paper|strong|x=5e-15': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_cdf_mean|dphi=0|paper|strong|x=4e-13': ('0x1.8000000000000p-52', '0x1.8fffffffffffep-46'),
-    'group_cdf_mean|dphi=0|paper|strong|x=2e-11': ('0x1.0000000000000p-51', '0x1.8fffffffffffdp-46'),
-    'group_cdf_mean|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfa5110p-2', '0x1.e549aa15e0b48p-29'),
+    'group_cdf_mean|dphi=0|paper|strong|x=0.0': ('0x1.0000000000000p-53', '0x1.8fffffffffffep-46'),
+    'group_cdf_mean|dphi=0|paper|strong|x=5e-15': ('0x1.0000000000000p-53', '0x1.8fffffffffffep-46'),
+    'group_cdf_mean|dphi=0|paper|strong|x=4e-13': ('0x1.0000000000000p-53', '0x1.8fffffffffffep-46'),
+    'group_cdf_mean|dphi=0|paper|strong|x=2e-11': ('0x1.0000000000000p-52', '0x1.8fffffffffffep-46'),
+    'group_cdf_mean|dphi=0|paper|strong|x=4.5e-11': ('0x1.3b8bc9bfa510cp-2', '0x1.e549aa15e0b4ap-29'),
     'group_cdf_mean|dphi=0|paper|strong|x=1e-10': ('0x1.0000000000000p+0', '0x0.0p+0'),
-    'group_success|dphi=0|paper|instant|strong|x=0.0': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=5e-15': ('0x1.ffffffffffffcp-1', '0x1.8fffffffffffdp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=4e-13': ('0x1.ffffffffffff9p-1', '0x1.8fffffffffffap-46'),
-    'group_success|dphi=0|paper|instant|strong|x=2e-11': ('0x1.ffffffffffffep-1', '0x1.8ffffffffffffp-46'),
-    'group_success|dphi=0|paper|instant|strong|x=4.5e-11': ('0x1.623a1b2025f40p-1', '0x1.14bd65311da6bp-46'),
+    'group_success|dphi=0|paper|instant|strong|x=0.0': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=0|paper|instant|strong|x=5e-15': ('0x1.ffffffffffffep-1', '0x1.8fffffffffffep-46'),
+    'group_success|dphi=0|paper|instant|strong|x=4e-13': ('0x1.ffffffffffffcp-1', '0x1.8fffffffffffcp-46'),
+    'group_success|dphi=0|paper|instant|strong|x=2e-11': ('0x1.0000000000000p+0', '0x1.9000000000000p-46'),
+    'group_success|dphi=0|paper|instant|strong|x=4.5e-11': ('0x1.623a1b2025f42p-1', '0x1.14bd65311da6cp-46'),
     'group_success|dphi=0|paper|instant|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'group_success|dphi=0|paper|mean|strong|x=0.0': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=0|paper|mean|strong|x=5e-15': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=0|paper|mean|strong|x=4e-13': ('0x1.ffffffffffffdp-1', '0x1.8fffffffffffep-46'),
-    'group_success|dphi=0|paper|mean|strong|x=2e-11': ('0x1.ffffffffffffcp-1', '0x1.8fffffffffffdp-46'),
-    'group_success|dphi=0|paper|mean|strong|x=4.5e-11': ('0x1.623a1b202d778p-1', '0x1.e549aa15e0b48p-29'),
+    'group_success|dphi=0|paper|mean|strong|x=0.0': ('0x1.fffffffffffffp-1', '0x1.8fffffffffffep-46'),
+    'group_success|dphi=0|paper|mean|strong|x=5e-15': ('0x1.fffffffffffffp-1', '0x1.8fffffffffffep-46'),
+    'group_success|dphi=0|paper|mean|strong|x=4e-13': ('0x1.fffffffffffffp-1', '0x1.8fffffffffffep-46'),
+    'group_success|dphi=0|paper|mean|strong|x=2e-11': ('0x1.ffffffffffffep-1', '0x1.8fffffffffffep-46'),
+    'group_success|dphi=0|paper|mean|strong|x=4.5e-11': ('0x1.623a1b202d77ap-1', '0x1.e549aa15e0b4ap-29'),
     'group_success|dphi=0|paper|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|wide|strong|x=0.0': ('0x0.0p+0', '0x0.0p+0'),
     'group_cdf_instant|dphi=0|wide|strong|x=5e-15': ('0x0.0p+0', '0x1.8ffffffffffffp-46'),

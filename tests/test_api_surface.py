@@ -5,6 +5,9 @@ that the program never runs.  References are collected with ``ast``: names
 and attribute accesses in ``src/``, plus attribute accesses and string
 constants in ``perfbench/*.py``, which reaches names through ``setattr``
 strings.  Definitions, imports, docstrings and comments are not references.
+The angle laws also keep one NumPy path each: no function of ``analytic``,
+``population`` or ``channel`` branches on ``isinstance(..., float)`` or
+``bool``.
 """
 
 import ast
@@ -110,3 +113,18 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
                    for count, names in calls.get(function, ()))
     )
     assert not unset, f"defaulted parameters no call in src/ or perfbench/ passes: {unset}"
+
+
+def test_angle_laws_have_no_scalar_twin():
+    # a branch on float or bool beside the NumPy path is a second implementation of the same law, and its bits drift
+    twins = []
+    for stem in ("analytic", "population", "channel"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        for function in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Call) and _bare_name(node.func) == "isinstance" and len(node.args) == 2):
+                    continue
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(_bare_name(kind) in ("float", "bool") for kind in kinds):
+                    twins.append(f"{stem}.{function.name} (line {node.lineno})")
+    assert not twins, f"isinstance checks on float or bool: {sorted(set(twins))}"

@@ -23,7 +23,7 @@ GOLDEN = {
     ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
     ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
     ("analytic", "fig2"): "165f36787b82911a7b02e62e5ddb905de84daecb0c1911fdaf68ed334197929f",
-    ("analytic", "fig3"): "403d07bf7fc481acd2fe25f9a57e904f9fa00a7ad115b87ff1ab83f71fbdcd13",
+    ("analytic", "fig3"): "827fb0b5ab833b160f3210ecf67993339f46ab46b7aed892b0e9699f0f38d643",
 }
 VALIDATE_QUICK = "214057ecc9356646541480ab0692dee18b5e4ab2bebe020d8e787c3f84afb4b5"
 ARGS = {
