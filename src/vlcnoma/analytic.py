@@ -233,13 +233,18 @@ def _band_mass(model, inner, outer, lo, hi):
     integrals, on the law of ``_report_model``.  It is one
     ``integrate_adaptive`` integral, split at the fixed kinks of
     ``_breakpoints``; the integrand gets one float distance at a time, the
-    0-d case of ``fov_probability``.
+    0-d case of ``fov_probability``.  A QuadratureError names the band and
+    the strip.
     """
     def band(r):
         top = 1.0 if outer >= math.pi else fov_probability(model, r, outer)
         return top - fov_probability(model, r, inner)
 
-    return integrate_adaptive(band, lo, hi, model.quad, _breakpoints(model, lo, hi, _band_edges(inner, outer))[0])
+    try:
+        return integrate_adaptive(band, lo, hi, model.quad, _breakpoints(model, lo, hi, _band_edges(inner, outer))[0])
+    except QuadratureError as exc:
+        raise QuadratureError(f"band mass of ({inner:.9g}, {outer:.9g}] rad over the strip [{lo:.9g}, {hi:.9g}] m: "
+                              f"{exc}") from exc
 
 
 def _report_model(model):
@@ -858,9 +863,13 @@ def sum_rate_sweep(config):
     probability of the scheduling precondition (enough nonzero-gain reports /
     both groups nonempty).  A QuadratureError turns only the curve it hit
     into NaN points, and an UndefinedLawError is raised again naming the
-    scheme it hit.  Returns (curves, {label: QuadratureError} of the failed
+    scheme it hit.  A config with estimation noise is refused: no route
+    models it.  Returns (curves, {label: QuadratureError} of the failed
     curves).
     """
+    if config.noise is not None:
+        raise ValueError("the closed-form engine does not model estimation noise (noise.sigma_d_m, "
+                         "noise.sigma_phi_deg); give a config without noise")
     schemes = {s.kind: s for s in config.schemes}
     targets, grid = config.noma.targets, config.gamma_db_grid
     routes, curves, failures = {}, {}, {}

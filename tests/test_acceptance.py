@@ -7,6 +7,8 @@ deterministic.
 
 import math
 import time
+from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain
 from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
 from vlcnoma.population import MobilityConfig, sample_user_arrays
-from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
+from vlcnoma.scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import ExperimentConfig, NoiseConfig, collect_records, run_sweep
 from vlcnoma.validation import (
     ValidationSizes,
@@ -43,10 +45,28 @@ GROUP_SCHEMES = (
     FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH),
     FeedbackScheme(FeedbackKind.ONE_BIT_DISTANCE, 1.0),
 )
+DPHIS = (0.0, 25.0)
+# Conditioning-rate bound of the engine comparison: a family-wise false-alarm rate of 1e-3, two-sided, over
+# the 17 curves compared (fig2 and fig3 at both deviations, fig4 noiseless: 3 each; the CLI overlay: 2),
+# Phi^-1(1 - 1e-3 / 34), about 4.0 binomial sigma.
+Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-3 / 34)
 
 
 def mobility(delta_phi_deg):
     return MobilityConfig.from_degrees(0.0, 10.0, delta_phi_deg, 180.0 - delta_phi_deg, delta_phi_deg, 20)
+
+
+def experiment(delta_phi_deg, schemes, trials, seed, noise=None):
+    return ExperimentConfig(geom=GEOM, mobility=mobility(delta_phi_deg), noma=NOMA, schemes=schemes,
+                            gamma_db_grid=GAMMA_GRID, trials=trials, root_seed=seed, noise=noise)
+
+
+FIG2 = {dphi: experiment(dphi, INDIVIDUAL_SCHEMES, 500_000, 2024) for dphi in DPHIS}
+FIG3 = {dphi: experiment(dphi, GROUP_SCHEMES, 200_000, 2025) for dphi in DPHIS}
+FIG4 = {
+    label: experiment(25.0, INDIVIDUAL_SCHEMES, 200_000, 2026, noise)
+    for label, noise in (("noiseless", None), ("noisy", NoiseConfig(sigma_d=0.05, sigma_phi=math.radians(2.5))))
+}
 
 
 def report(name, passed, detail):
@@ -59,53 +79,63 @@ def plateau(points):
     return points[-1].sum_rate
 
 
+def closed_form(config):
+    curves, failures = an.sum_rate_sweep(config)
+    assert not failures, failures
+    return curves
+
+
+def engine_gaps(config, mc, cf):
+    """Per curve of ``config`` with a closed-form route: (worst sum-rate gap ratio, conditioning-rate z-score).
+
+    ``mc`` holds the ``run_sweep`` curves of ``config`` and ``cf`` the
+    ``an.sum_rate_sweep`` curves; the closed form must return exactly the
+    curves whose kind is in ``an.ROUTES``.  The gap ratio is the worst
+    |MC - closed form| sum rate over max(MC CI, 0.05); the z-score is
+    |p_mc - p| / sqrt(p (1 - p) / trials), with p the closed-form
+    conditioning rate.  A NaN point gives a NaN, which no bound passes.
+    """
+    routed = {label for label, kind, _ in config.curves if kind in an.ROUTES}
+    assert set(cf) == routed, f"closed-form curves {sorted(cf)}, curves with a route {sorted(routed)}"
+    gaps = {}
+    for label in sorted(routed):
+        assert [p.gamma_db for p in mc[label]] == [p.gamma_db for p in cf[label]], label
+        m_rate, m_ci, m_cond = np.array([(p.sum_rate, p.ci_halfwidth, p.conditioning_rate) for p in mc[label]]).T
+        c_rate, c_cond = np.array([(p.sum_rate, p.conditioning_rate) for p in cf[label]]).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.abs(m_cond - c_cond) / np.sqrt(c_cond * (1.0 - c_cond) / config.trials)
+        # a closed-form rate of exactly 0 or 1 has no binomial spread: only an exact match passes
+        z = np.where(m_cond == c_cond, 0.0, z)
+        gaps[label] = (float(np.max(np.abs(m_rate - c_rate) / np.maximum(m_ci, 0.05))), float(np.max(z)))
+    return gaps
+
+
+def contract_check(runs):
+    """(whether every curve of {run: engine_gaps(...)} has gap ratio <= 1 and z <= Z_BOUND, one line of numbers)."""
+    rows = [(run, label, gap, z) for run, gaps in runs.items() for label, (gap, z) in gaps.items()]
+    ok = all(gap <= 1.0 and z <= Z_BOUND for _, _, gap, z in rows)
+    detail = "; ".join(f"{run} {label} gap {gap:.3f} z {z:.2f}" for run, label, gap, z in rows)
+    return ok, f"bounds gap <= 1, z <= {Z_BOUND:.2f}: {detail}"
+
+
 @pytest.fixture(scope="module")
 def fig2_mc():
-    curves = {}
-    for dphi in (0.0, 25.0):
-        config = ExperimentConfig(
-            geom=GEOM, mobility=mobility(dphi), noma=NOMA, schemes=INDIVIDUAL_SCHEMES,
-            gamma_db_grid=GAMMA_GRID, trials=500_000, root_seed=2024,
-        )
-        curves[dphi] = run_sweep(config)
-    return curves
+    return {dphi: run_sweep(config) for dphi, config in FIG2.items()}
 
 
 @pytest.fixture(scope="module")
 def fig2_analytic():
-    curves = {}
-    for dphi in (0.0, 25.0):
-        config = ExperimentConfig(
-            geom=GEOM, mobility=mobility(dphi), noma=NOMA, schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),),
-            gamma_db_grid=GAMMA_GRID,
-        )
-        curves[dphi], failures = an.sum_rate_sweep(config)
-        assert not failures
-    return curves
+    return {dphi: closed_form(config) for dphi, config in FIG2.items()}
 
 
 @pytest.fixture(scope="module")
 def fig3_mc():
-    curves = {}
-    for dphi in (0.0, 25.0):
-        config = ExperimentConfig(
-            geom=GEOM, mobility=mobility(dphi), noma=NOMA, schemes=GROUP_SCHEMES,
-            gamma_db_grid=GAMMA_GRID, trials=200_000, root_seed=2025,
-        )
-        curves[dphi] = run_sweep(config)
-    return curves
+    return {dphi: run_sweep(config) for dphi, config in FIG3.items()}
 
 
 @pytest.fixture(scope="module")
 def fig4_mc():
-    out = {}
-    for label, noise in (("noiseless", None), ("noisy", NoiseConfig(sigma_d=0.05, sigma_phi=math.radians(2.5)))):
-        config = ExperimentConfig(
-            geom=GEOM, mobility=mobility(25.0), noma=NOMA, schemes=INDIVIDUAL_SCHEMES,
-            gamma_db_grid=GAMMA_GRID, trials=200_000, root_seed=2026, noise=noise,
-        )
-        out[label] = run_sweep(config)
-    return out
+    return {label: run_sweep(config) for label, config in FIG4.items()}
 
 
 class TestA1OrderedCdfCorrectness:
@@ -153,32 +183,22 @@ class TestA4Fig2Reproduction:
         start = time.perf_counter()
         problems = []
         # NOMA dominates OMA beyond CI overlap, at every grid point and deviation
-        for dphi in (0.0, 25.0):
+        for dphi in DPHIS:
             for noma_pt, oma_pt in zip(fig2_mc[dphi]["noma-full-csi"], fig2_mc[dphi]["oma"]):
                 slack = noma_pt.ci_halfwidth + oma_pt.ci_halfwidth
                 if noma_pt.sum_rate < oma_pt.sum_rate - slack:
                     problems.append(f"NOMA<OMA at {noma_pt.gamma_db} dB (dphi={dphi})")
         # both full-CSI curves saturate at the target ceiling
-        plateaus = {dphi: plateau(fig2_mc[dphi]["noma-full-csi"]) for dphi in (0.0, 25.0)}
+        plateaus = {dphi: plateau(fig2_mc[dphi]["noma-full-csi"]) for dphi in DPHIS}
         for dphi, value in plateaus.items():
             if abs(value - 12.0) > 0.05:
                 problems.append(f"plateau {value:.3f} != 12 (dphi={dphi})")
-        # engines agree within max(CI, 0.05) everywhere
-        worst_gap = 0.0
-        for dphi in (0.0, 25.0):
-            for label in ("noma-full-csi", "oma"):
-                for mc_pt, an_pt in zip(fig2_mc[dphi][label], fig2_analytic[dphi][label]):
-                    tol = max(mc_pt.ci_halfwidth, 0.05)
-                    gap = abs(mc_pt.sum_rate - an_pt.sum_rate)
-                    worst_gap = max(worst_gap, gap / tol)
-                    if gap > tol:
-                        problems.append(f"{label} dphi={dphi} {mc_pt.gamma_db} dB: |MC-analytic|={gap:.3f} > {tol:.3f}")
+        # every curve with a route agrees across the engines at both deviations
+        agree, agreement = contract_check(
+            {f"dphi={dphi:g}": engine_gaps(FIG2[dphi], fig2_mc[dphi], fig2_analytic[dphi]) for dphi in DPHIS})
         elapsed = time.perf_counter() - start
-        ok = not problems and elapsed <= 600.0
-        detail = (
-            f"plateaus {plateaus[0.0]:.3f}/{plateaus[25.0]:.3f}; worst engine gap ratio {worst_gap:.2f}; "
-            f"check runtime {elapsed:.0f}s"
-        )
+        ok = not problems and agree and elapsed <= 600.0
+        detail = f"plateaus {plateaus[0.0]:.3f}/{plateaus[25.0]:.3f}; check runtime {elapsed:.0f}s; {agreement}"
         if problems:
             detail += "; " + "; ".join(problems[:4])
         report("A4 individual-scheduling reproduction (NOMA>=OMA, plateau 12, engines agree)", ok, detail)
@@ -234,28 +254,6 @@ class TestA6MeanAngleNearOptimality:
             detail += "; " + "; ".join(problems)
         report("A6 mean-angle plateau loss matches its closed form (gap and per-slot outage)", ok, detail)
 
-    def test_curve_matches_monte_carlo(self, fig2_mc):
-        # the whole closed-form mean-angle curve, at both deviations, within A4's max(CI, 0.05)
-        problems, worst = [], 0.0
-        for dphi in (0.0, 25.0):
-            config = ExperimentConfig(
-                geom=GEOM, mobility=mobility(dphi), noma=NOMA, schemes=(FeedbackScheme(FeedbackKind.MEAN_ANGLE),),
-                gamma_db_grid=GAMMA_GRID,
-            )
-            curves, failures = an.sum_rate_sweep(config)
-            assert not failures
-            for mc_pt, an_pt in zip(fig2_mc[dphi]["noma-mean-angle"], curves["noma-mean-angle"], strict=True):
-                tol = max(mc_pt.ci_halfwidth, 0.05)
-                gap = abs(mc_pt.sum_rate - an_pt.sum_rate)
-                worst = max(worst, gap / tol)
-                if gap > tol:
-                    problems.append(f"dphi={dphi} {mc_pt.gamma_db} dB: |MC-analytic|={gap:.3f} > {tol:.3f}")
-        detail = f"worst engine gap ratio {worst:.2f} over {2 * len(GAMMA_GRID)} points"
-        if problems:
-            detail += "; " + "; ".join(problems[:4])
-        report("A6 mean-angle curve: closed form vs Monte Carlo within max(CI, 0.05)", not problems, detail)
-
-
 class TestA7GroupRobustness:
     def test_a7(self, fig3_mc):
         s1_static = plateau(fig3_mc[0.0]["noma-two-bit-instant"])
@@ -298,6 +296,35 @@ class TestA8NoisyEstimates:
             ok,
             f"mean-angle shift={mean_shift:.4f}; full-CSI degradation={full_degradation:.4f}",
         )
+
+
+class TestDualEngineContract:
+    """fig3 and fig4 noiseless through engine_gaps: the Monte Carlo is the fixtures', the closed form is cheap."""
+
+    def test_fig3_group_curves(self, fig3_mc):
+        agree, detail = contract_check(
+            {f"dphi={dphi:g}": engine_gaps(config, fig3_mc[dphi], closed_form(config)) for dphi, config in FIG3.items()})
+        report("fig3 two-bit and OMA curves: Monte Carlo vs closed form", agree, detail)
+
+    def test_fig4_noiseless_curves(self, fig4_mc, fig2_analytic):
+        # the fig4 noiseless run differs from fig2's dphi = 25 run only in trials and seed, which the closed form ignores
+        config = FIG4["noiseless"]
+        assert replace(config, trials=FIG2[25.0].trials, root_seed=FIG2[25.0].root_seed) == FIG2[25.0]
+        agree, detail = contract_check({"noiseless": engine_gaps(config, fig4_mc["noiseless"], fig2_analytic[25.0])})
+        report("fig4 noiseless curves: Monte Carlo vs closed form", agree, detail)
+
+    @pytest.mark.parametrize("offset_deg", [1.0, -1.0])
+    def test_planted_threshold_error_fails(self, fig3_mc, offset_deg):
+        # the closed form alone gets a two-bit angle threshold 1 degree off; the Monte Carlo stays the fixture's
+        runs = {}
+        for dphi, config in FIG3.items():
+            schemes = tuple(replace(s, theta_threshold=s.theta_threshold + math.radians(offset_deg))
+                            if s.kind in TWO_BIT_KINDS else s for s in config.schemes)
+            runs[f"dphi={dphi:g}"] = engine_gaps(config, fig3_mc[dphi], closed_form(replace(config, schemes=schemes)))
+        agree, detail = contract_check(runs)
+        assert not agree, detail
+        # the conditioning rate catches the offset whichever way it points
+        assert max(z for gaps in runs.values() for _, z in gaps.values()) > Z_BOUND, detail
 
 
 class TestA9EtaReductionOracle:

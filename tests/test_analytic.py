@@ -18,7 +18,7 @@ from vlcnoma.population import (MobilityConfig, conditional_phi_cdf, deviation_c
                                 sample_user_arrays)
 from vlcnoma.quadrature import QuadratureConfig, QuadratureError, integrate_adaptive, integrate_levels
 from vlcnoma.scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
-from vlcnoma.simulate import EmpiricalCdf, ExperimentConfig
+from vlcnoma.simulate import EmpiricalCdf, ExperimentConfig, NoiseConfig
 from vlcnoma.validation import paper_model
 
 GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
@@ -665,6 +665,13 @@ class TestSweep:
         distance_first = sweep((170.0,), FeedbackScheme(FeedbackKind.DISTANCE_ONLY), FeedbackScheme(FeedbackKind.FULL_CSI))
         assert set(distance_first) == {"noma-full-csi"}
 
+    def test_estimation_noise_is_refused_naming_the_keys(self):
+        # no route models noisy reports, so a noisy config must not come back as the noiseless curves
+        config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=NOMA, schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),),
+                                  gamma_db_grid=(170.0,), noise=NoiseConfig(sigma_d=0.05, sigma_phi=0.0))
+        with pytest.raises(ValueError, match=r"noise\.sigma_d_m, noise\.sigma_phi_deg"):
+            an.sum_rate_sweep(config)
+
 
 class TestQuadratureStability:
     def test_halving_within_reported_error(self):
@@ -735,7 +742,10 @@ class TestQuadratureFailure:
         model = model_with(17.0)  # a model of its own, so no band mass of it is cached
         with pytest.raises(QuadratureError) as failure:
             an.nonzero_gain_probability(model)
-        interval = str(failure.value).split(" did not converge on [", 1)[1].split("] m", 1)[0]
+        message = str(failure.value)
+        # the band of the nonzero-gain law, (0, half FOV], and its strip, the whole distance range
+        assert f"band mass of (0, {model.geom.half_fov:.9g}] rad over the strip [0, 10] m: " in message
+        interval = message.split(" did not converge on [", 1)[1].split("] m", 1)[0]
         lo, hi = (float(v) for v in interval.split(", "))
         assert model.mobility.d_min <= lo < hi <= model.mobility.d_max
 

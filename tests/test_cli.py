@@ -1,8 +1,11 @@
+import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from test_acceptance import contract_check, engine_gaps
 
 from vlcnoma import analytic, cli
 from vlcnoma.cli import main
@@ -15,6 +18,7 @@ from vlcnoma.config import (
     parse_overrides,
     resolve_groups,
 )
+from vlcnoma.link import CurvePoint
 from vlcnoma.validation import CheckResult, ValidationSizes, check_individual_cdfs
 
 
@@ -374,22 +378,26 @@ class TestAnalyticCommand:
         assert "full-csi" not in err
 
     def test_overlays_simulation(self, tmp_path):
+        # the default run group through both commands, compared by the acceptance suite's engine check
+        flat = {"sweep.gamma_db": "160,215", "sweep.trials": "40000", "sweep.seed": "2"}
         sim_out, an_out = tmp_path / "sim.csv", tmp_path / "an.csv"
         assert run_cli("simulate", "--trials", "40000", "--seed", "2",
                        "--set", "sweep.gamma_db=160,215", "--out", str(sim_out)) == 0
         assert run_cli("analytic", "--set", "sweep.gamma_db=160,215", "--out", str(an_out)) == 0
-        import csv as csvmod
 
-        def rates(path):
-            out = {}
-            with open(path) as fh:
-                for row in csvmod.DictReader(fh):
-                    out[(row["scheme"], row["gamma_db"])] = float(row["sum_rate"])
+        def curves(path):
+            # the columns after scheme are the fields of CurvePoint, in order
+            with open(path, newline="") as fh:
+                rows = csv.reader(fh)
+                assert next(rows) == ["scheme", *(f.name for f in fields(CurvePoint))]
+                out = {}
+                for scheme, *values in rows:
+                    out.setdefault(scheme, []).append(CurvePoint(*map(float, values)))
             return out
 
-        sim, ana = rates(sim_out), rates(an_out)
-        for key, value in ana.items():
-            assert abs(sim[key] - value) <= 0.12
+        agree, detail = contract_check({"default": engine_gaps(build_experiment(merge(flat)), curves(sim_out),
+                                                               curves(an_out))})
+        assert agree, detail
 
 
 class TestPlotCommand:
