@@ -28,7 +28,8 @@ ranks mix the per-user CDF over a truncated Binomial count.
 Every closed-form probability and CDF returns (value, propagated quadrature
 error estimate).  ``ROUTES[kind](model, rank_weak, rank_strong)`` gives one
 scheme kind's conditioning rate and outage arrays over a threshold table, on
-a model of that kind's scheme.
+a model of that kind's scheme; it is the one entry point of the sweep and of
+``validation``.
 
 One rule integrates over distance: ``integrate_levels``, the batched
 adaptive Gauss-Kronrod rule of ``quadrature``.  A band mass is its one-row
@@ -38,9 +39,11 @@ The level families (``unordered_gain_cdf``, ``ordered_gain_cdf``,
 ``group_success_probability``) take a 1-D array of levels and return
 (values, errors) arrays: every level of a call is one row of a single
 ``integrate_levels`` pass, split at that level's own kinks, with its own
-tolerance and its own summed error estimate.  Every angle law has one NumPy
-path, elementwise over arrays; a float argument is its 0-d case.  The engine
-loads no SciPy module: its binomial laws and the interpolant of the
+tolerance and its own summed error estimate.  The mean-angle family
+(``mean_angle_success_probability``) takes a level array too: its Gauss rule
+runs the distance nodes of all levels together.  Every angle law has one
+NumPy path, elementwise over arrays; a float argument is its 0-d case.  The
+engine loads no SciPy module: its binomial laws and the interpolant of the
 mean-gain table (``_pchip``) are its own.
 """
 
@@ -53,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import LedGeometry
+from .channel import LedGeometry, incidence_angle
 from .link import CurvePoint, noma_sum_rate
 from .population import MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf
 from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive, integrate_levels
@@ -83,11 +86,6 @@ class AnalyticModel:
             # d_threshold = d_max degenerates the weak group away but keeps the strong one valid
             if not self.mobility.d_min < self.scheme.d_threshold <= self.mobility.d_max:
                 raise ValueError("distance threshold must lie inside the distance range")
-
-
-def boresight_angle(geom, r):
-    """Vertical angle at which the incidence is exactly zero for distance r, elementwise over an array r."""
-    return math.pi - np.arctan2(geom.ell, r)
 
 
 def inverse_squared_gain(geom, r):
@@ -133,7 +131,7 @@ def _mean_model(model):
 
 def fov_probability(model, r, half_angle):
     """Pr(|incidence angle| <= half_angle | d = r) for the instantaneous angle, elementwise; a float is the 0-d case."""
-    c = boresight_angle(model.geom, r)
+    c = incidence_angle(r, 0.0, model.geom.ell)
     value = marginal_phi_cdf(model.mobility, c + half_angle) - marginal_phi_cdf(model.mobility, c - half_angle)
     return np.minimum(np.maximum(value, 0.0), 1.0)
 
@@ -278,7 +276,7 @@ def _mean_band(model, r, inner, outer, y):
     deviation-CDF antiderivative of ``population``.
     """
     mob = model.mobility
-    c, dphi, G = boresight_angle(model.geom, r), mob.delta_phi, deviation_cdf_integral
+    c, dphi, G = incidence_angle(r, 0.0, model.geom.ell), mob.delta_phi, deviation_cdf_integral
     inside = 0.0
     for a, b in ((c - outer, c - inner), (c + inner, c + outer)):
         a, b = np.maximum(a, mob.mean_phi_min), np.minimum(b, mob.mean_phi_max)
@@ -408,13 +406,12 @@ def _count_weights(model, n, k_min):
 
 
 def nonzero_count_pmf(model, k, k_min=0):
-    """PMF of the nonzero-gain user count, truncated and renormalized below k_min."""
+    """PMF of the nonzero-gain user count at the counts ``k``, elementwise, truncated and renormalized below k_min."""
     K = model.mobility.num_users
-    if not 0 <= k <= K:
+    k = np.asarray(k)
+    if np.any((k < 0) | (k > K)):
         raise ValueError(f"count must lie in [0, {K}]")
-    if k < k_min:
-        return 0.0
-    return float(_count_weights(model, k, k_min))
+    return np.where(k < k_min, 0.0, _count_weights(model, k, k_min))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +628,7 @@ def _rank_weight_kinks(mean):
     ends = (mob.mean_phi_min, mob.mean_phi_max)
     levels = []
     for r_f in [mob.d_min, mob.d_max, *_breakpoints(mean, mob.d_min, mob.d_max, (theta,))[0]]:
-        c = boresight_angle(geom, r_f)
+        c = incidence_angle(r_f, 0.0, geom.ell)
         for a in [0.0, theta, *[abs(t - c) for t in ends if abs(t - c) < theta]]:
             levels.append(float(geom.gain_factor(r_f)) ** 2 * math.cos(a) ** 2)
     return tuple(r for row in _breakpoints(mean, mob.d_min, mob.d_max, (), levels, (theta,), ends) for r in row)
@@ -653,19 +650,20 @@ def _gauss_rule(lo, hi, kinks, panels):
     return (mid + half * _GAUSS_NODES).reshape(shape), (half * _GAUSS_WEIGHTS).reshape(shape)
 
 
-def _mean_angle_rows(model, threshold, cdf, density, r, panels):
+def _mean_angle_rows(model, x, cdf, density, r, panels):
     """Inner integrals over the mean incidence u = c(r) - m at the distance nodes r, by composite Gauss.
 
-    u runs over [max(-half_fov, c - m_max), min(half_fov, c - m_min)], split
-    where the band probability Pr(|c(r) - phi| < cap | m) kinks, at
+    ``x`` holds each node's threshold.  u runs over
+    [max(-half_fov, c - m_max), min(half_fov, c - m_min)], split where the
+    band probability Pr(|c(r) - phi| < cap | m) kinks, at
     u = +/- cap +/- delta_phi; cap is the boundary angle of the threshold
     within the FOV.  The band is piecewise linear in u, or a step when
     delta_phi = 0, and is weighted by the rank density at the mean gain's CDF.
     """
     geom, mob = model.geom, model.mobility
     theta, dphi = geom.half_fov, mob.delta_phi
-    c = boresight_angle(geom, r)
-    cap = np.minimum(gain_boundary_angle(geom, threshold, r), theta)[:, None]
+    c = incidence_angle(r, 0.0, geom.ell)
+    cap = np.minimum(gain_boundary_angle(geom, x, r), theta)[:, None]
     u_lo = np.maximum(-theta, c - mob.mean_phi_max)
     u_hi = np.maximum(np.minimum(theta, c - mob.mean_phi_min), u_lo)
     kinks = np.hstack([cap + dphi, cap - dphi, dphi - cap, -dphi - cap] if dphi else [cap, -cap])
@@ -675,17 +673,24 @@ def _mean_angle_rows(model, threshold, cdf, density, r, panels):
     return np.einsum("ij,ij,ij->i", w, weight, band)
 
 
-def _mean_angle_integral(model, threshold, cdf, density, lo, hi, kinks, panels):
-    """The tensor-product Gauss rule over (distance, mean incidence), distance nodes in blocks of _BLOCK_ROWS."""
+def _mean_angle_integral(model, x, cdf, density, lo, his, kinks, panels):
+    """The tensor-product Gauss rule over (distance, mean incidence) at each level of ``x``.
+
+    Each level has its own distance rule over [lo, hi] split at its own
+    kinks; the distance nodes of all levels go through ``_mean_angle_rows``
+    together, in blocks of _BLOCK_ROWS, and each level sums only its own.
+    """
     distance_panels, angle_panels = panels
-    r, w = _gauss_rule(lo, hi, kinks, distance_panels)
-    rows = [_mean_angle_rows(model, threshold, cdf, density, r[i:i + _BLOCK_ROWS], angle_panels)
-            for i in range(0, r.size, _BLOCK_ROWS)]
-    return float(w @ np.concatenate(rows))
+    rules = [_gauss_rule(lo, hi, k, distance_panels) for hi, k in zip(his.tolist(), kinks)]
+    sizes = [w.size for _, w in rules]
+    r, thresholds = np.concatenate([nodes for nodes, _ in rules]), np.repeat(x, sizes)
+    rows = np.concatenate([_mean_angle_rows(model, thresholds[i:i + _BLOCK_ROWS], cdf, density, r[i:i + _BLOCK_ROWS],
+                                            angle_panels) for i in range(0, r.size, _BLOCK_ROWS)])
+    return np.array([w @ part for (_, w), part in zip(rules, np.split(rows, np.cumsum(sizes)[:-1]))])
 
 
-def mean_angle_success_probability(model, threshold, rank, min_count):
-    """Pr(squared gain > threshold) for the user at ``rank`` of the mean-angle ordering, with its error.
+def mean_angle_success_probability(model, x, rank, min_count):
+    """Pr(squared gain > x) for the user at ``rank`` of the mean-angle ordering at each level of ``x``, with errors.
 
     The transmitter ranks the users with nonzero mean-angle gain by that gain
     and serves ``rank`` only when at least ``min_count`` of them exist.  The
@@ -705,6 +710,8 @@ def mean_angle_success_probability(model, threshold, rank, min_count):
     half_fov, where cap reaches 0, half_fov or |half_fov - delta_phi|, and
     where c(r) +/- cap meets a corner m +/- delta_phi) and those of the rank
     weight (``_rank_weight_kinks``); over the mean incidence they are the band's.
+    ``x`` is a 1-D array of levels, each with its own distance range and
+    kinks, and each level's value and error are those of its one-level call.
     The error sums the change when both panel counts are halved, the
     normalizer's error, and the table error times the total variation of W.
     """
@@ -716,14 +723,14 @@ def mean_angle_success_probability(model, threshold, rank, min_count):
     density, variation = _rank_density(model, rank, min_count)
     den, den_err = _fov_normalizer(mean)
     lo = mob.d_min
-    hi = max(lo, min(mob.d_max, gain_boundary_distance(geom, threshold)))
+    his = np.array([max(lo, min(mob.d_max, gain_boundary_distance(geom, level))) for level in x.tolist()])
     # a kink found twice (to rounding) or at an end would only add an empty panel
-    [crossings] = _breakpoints(mean, lo, hi, (theta,), threshold, (theta, abs(theta - mob.delta_phi)), _corners(mob))
-    kinks = _merged(crossings + list(_rank_weight_kinks(mean)), lo, hi)
-    fine, coarse = (_mean_angle_integral(model, threshold, cdf, density, lo, hi, kinks, panels)
+    crossings = _breakpoints(mean, lo, his, (theta,), x, (theta, abs(theta - mob.delta_phi)), _corners(mob))
+    kinks = [_merged(points + list(_rank_weight_kinks(mean)), lo, hi) for points, hi in zip(crossings, his.tolist())]
+    fine, coarse = (_mean_angle_integral(model, x, cdf, density, lo, his, kinks, panels)
                     for panels in ((_DISTANCE_PANELS, _ANGLE_PANELS), (_DISTANCE_PANELS // 2, _ANGLE_PANELS // 2)))
     span = mob.mean_phi_span
-    value, err = _share((fine, abs(fine - coarse)), (den * span, den_err * span))
+    value, err = _share((fine, np.abs(fine - coarse)), (den * span, den_err * span))
     return value, err + variation * cdf_err
 
 
@@ -774,10 +781,8 @@ def group_gain_cdf_mean(model, x, role):
 
 def both_groups_probability(model):
     """Probability that both groups of the model's two-bit scheme have a member among the K users."""
-    scheme = _require_group_scheme(model, TWO_BIT_KINDS)
-    report, mob, th = _report_model(model), model.mobility, scheme.theta_threshold
-    p_w = _band_mass(report, th, math.pi, scheme.d_threshold, mob.d_max)[0] / mob.d_span
-    p_s = _band_mass(report, 0.0, th, mob.d_min, scheme.d_threshold)[0] / mob.d_span
+    report, mob = _report_model(model), model.mobility
+    p_w, p_s = (_band_mass(report, *_role_band(model, role, TWO_BIT_KINDS))[0] / mob.d_span for role in (WEAK, STRONG))
     K = mob.num_users
     return min(max(1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K, 0.0), 1.0)
 
@@ -803,43 +808,36 @@ def _etas(thresholds):
     return np.array([t.eta_weak for t in thresholds], float), np.array([t.eta_strong for t in thresholds], float)
 
 
-def individual_outage(model, thresholds, rank_weak, rank_strong):
-    """Outage arrays with errors (p_weak, err_weak, p_strong, err_strong) of the full-CSI ranked pair.
+def _route(conditioning, weak, strong):
+    """A route's (conditioning rate, outage); ``weak`` and ``strong`` map a level array to a slot's outage and error."""
+    def outage(table):
+        eta_weak, eta_strong = _etas(table)
+        return (*weak(eta_weak), *strong(eta_strong))
 
-    One entry per row of the threshold table ``thresholds``; conditional on at
-    least ``rank_strong`` users with nonzero gain.
-    """
-    eta_weak, eta_strong = _etas(thresholds)
-    pw, ew = ordered_gain_cdf(model, eta_weak, rank_weak, rank_strong)
-    ps, es = ordered_gain_cdf(model, eta_strong, rank_strong, rank_strong)
-    return pw, ew, ps, es
+    return conditioning, outage
 
 
-def group_outage(model, thresholds):
-    """Outage arrays with errors of the model's two-bit group scheduling over a threshold table, both groups formed."""
-    eta_weak, eta_strong = _etas(thresholds)
-    sw, ew = group_success_probability(model, eta_weak, WEAK)
-    ss, es = group_success_probability(model, eta_strong, STRONG)
-    return 1.0 - sw, ew, 1.0 - ss, es
+def _failure(success):
+    """(1 - value, error) of a (success probability, error) pair."""
+    return 1.0 - success[0], success[1]
 
 
 def _full_csi_route(model, rank_weak, rank_strong):
-    return nonzero_count_tail(model, rank_strong), lambda table: individual_outage(model, table, rank_weak, rank_strong)
+    return _route(nonzero_count_tail(model, rank_strong),
+                  lambda x: ordered_gain_cdf(model, x, rank_weak, rank_strong),
+                  lambda x: ordered_gain_cdf(model, x, rank_strong, rank_strong))
 
 
 def _mean_angle_route(model, rank_weak, rank_strong):
-    def outage(table):
-        # the mean-angle rule evaluates one level per call
-        weak = [mean_angle_success_probability(model, thr.eta_weak, rank_weak, rank_strong) for thr in table]
-        strong = [mean_angle_success_probability(model, thr.eta_strong, rank_strong, rank_strong) for thr in table]
-        (sw, ew), (ss, es) = (np.array(pairs, float).reshape(-1, 2).T for pairs in (weak, strong))
-        return 1.0 - sw, ew, 1.0 - ss, es
-
-    return nonzero_count_tail(_mean_model(model), rank_strong), outage
+    return _route(nonzero_count_tail(_mean_model(model), rank_strong),
+                  lambda x: _failure(mean_angle_success_probability(model, x, rank_weak, rank_strong)),
+                  lambda x: _failure(mean_angle_success_probability(model, x, rank_strong, rank_strong)))
 
 
 def _group_route(model, rank_weak, rank_strong):
-    return both_groups_probability(model), lambda table: group_outage(model, table)
+    return _route(both_groups_probability(model),
+                  lambda x: _failure(group_success_probability(model, x, WEAK)),
+                  lambda x: _failure(group_success_probability(model, x, STRONG)))
 
 
 # the scheme kinds with a closed-form route; ROUTES[kind](model, rank_weak, rank_strong) returns

@@ -221,8 +221,8 @@ class TestA6MeanAngleNearOptimality:
         start = time.perf_counter()
         model = AnalyticModel(geom=GEOM, mobility=mobility(25.0))
         thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (GAMMA_GRID[-1] / 10.0))
-        sw, ew = an.mean_angle_success_probability(model, thr.eta_weak, 1, 10)
-        ss, es = an.mean_angle_success_probability(model, thr.eta_strong, 10, 10)
+        [sw], [ew] = an.mean_angle_success_probability(model, np.array([thr.eta_weak]), 1, 10)
+        [ss], [es] = an.mean_angle_success_probability(model, np.array([thr.eta_strong]), 10, 10)
         elapsed = time.perf_counter() - start
         rates = NOMA.targets
         full_cf = fig2_analytic[25.0]["noma-full-csi"][-1]

@@ -262,7 +262,7 @@ class TestOnePathPerLaw:
     def test_boresight_and_boundary_angles(self):
         geom = paper_model(25.0).geom
         r = np.concatenate(([0.0, 1.0, 10.0], self.uniform(0.0, 10.0)))
-        assert_float_is_array_entry(lambda v: an.boresight_angle(geom, v), r)
+        assert_float_is_array_entry(lambda v: incidence_angle(v, 0.0, geom.ell), r)
         # levels of 0 to 1.5 times the squared gain at r = 1: the boundary angle's pi/2 and 0 clamps included
         top = float(geom.gain_factor(1.0) ** 2)
         for scale in (0.0, 0.3, 1.0, 1.5):
@@ -406,7 +406,7 @@ class TestGroupCdfs:
 def _quad_mean_band(model, r, inner, outer, y):
     """_mean_band by adaptive quadrature over the uniform mean angle of conditional_phi_cdf."""
     mob = model.mobility
-    c, dphi = an.boresight_angle(model.geom, r), mob.delta_phi
+    c, dphi = incidence_angle(r, 0.0, model.geom.ell), mob.delta_phi
 
     def in_band(m):
         return 1.0 if inner < abs(c - m) <= outer else 0.0
@@ -465,19 +465,32 @@ class TestGroupProbabilities:
         assert abs(w - p_weak) <= 3.0 * math.sqrt(p_weak * (1 - p_weak) / n)
         assert abs(s - p_strong) <= 3.0 * math.sqrt(p_strong * (1 - p_strong) / n)
 
+    def test_mean_report_groups_need_a_mean_angle_range(self):
+        # one mean angle leaves the mean-report memberships undefined, as it leaves the group CDFs
+        one_angle = replace(MOB, mean_phi_min=math.pi / 2.0, mean_phi_max=math.pi / 2.0, delta_phi=0.0)
+        scheme = FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH)
+        mm = AnalyticModel(geom=GEOM, mobility=one_angle, scheme=scheme)
+        with pytest.raises(an.UndefinedLawError, match="mobility.mean_phi_min_deg"):
+            an.both_groups_probability(mm)
+
 
 def thresholds(gamma):
     return eta_thresholds(NOMA.targets, NOMA.alloc, gamma)
 
 
+def route_outage(model, kind, table):
+    """(p_weak, err_weak, p_strong, err_strong) arrays of the closed-form route of ``kind`` at ranks 1 and 10."""
+    return an.ROUTES[kind](model, 1, 10)[1](table)
+
+
 class TestOutage:
     def test_individual_high_snr_limit(self):
-        pw, _, ps, _ = (v[0] for v in an.individual_outage(MODEL, (thresholds(1e30),), 1, 10))
+        pw, _, ps, _ = (v[0] for v in route_outage(MODEL, FeedbackKind.FULL_CSI, (thresholds(1e30),)))
         assert pw == pytest.approx(0.0, abs=1e-12)
         assert ps == pytest.approx(0.0, abs=1e-12)
 
     def test_individual_low_snr_limit(self):
-        pw, _, ps, _ = (v[0] for v in an.individual_outage(MODEL, (thresholds(1e-6),), 1, 10))
+        pw, _, ps, _ = (v[0] for v in route_outage(MODEL, FeedbackKind.FULL_CSI, (thresholds(1e-6),)))
         assert pw == pytest.approx(1.0, abs=1e-12)
         assert ps == pytest.approx(1.0, abs=1e-12)
 
@@ -491,14 +504,14 @@ class TestOutage:
         keep = (g2 > 0.0).sum(axis=1) >= 10
         w, s = masked[keep, 0], masked[keep, 9]
         table = [thresholds(10.0 ** (gdb / 10.0)) for gdb in (160.0, 185.0)]
-        outage = an.individual_outage(MODEL, table, 1, 10)
+        outage = route_outage(MODEL, FeedbackKind.FULL_CSI, table)
         for thr, pw, ps in zip(table, outage[0], outage[2]):
             assert abs((w <= thr.eta_weak).mean() - pw) <= max(3.0 * math.sqrt(pw * (1 - pw) / w.size), 1e-4)
             assert abs((s <= thr.eta_strong).mean() - ps) <= max(3.0 * math.sqrt(ps * (1 - ps) / s.size), 1e-4)
 
     def test_group_high_snr_floor_is_fov_mismatch(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        pw, _, ps, _ = (v[0] for v in an.group_outage(mi, (thresholds(1e28),)))
+        pw, _, ps, _ = (v[0] for v in route_outage(mi, FeedbackKind.TWO_BIT_INSTANT, (thresholds(1e28),)))
         # strong group members always have nonzero gain; weak keeps the out-of-FOV share
         assert ps == pytest.approx(0.0, abs=1e-9)
         d_max = mi.mobility.d_max
@@ -508,7 +521,7 @@ class TestOutage:
 
     def test_group_low_snr_limit(self):
         mm = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
-        pw, _, ps, _ = (v[0] for v in an.group_outage(mm, (thresholds(1e-6),)))
+        pw, _, ps, _ = (v[0] for v in route_outage(mm, FeedbackKind.TWO_BIT_MEAN, (thresholds(1e-6),)))
         assert pw == pytest.approx(1.0, abs=1e-12)
         assert ps == pytest.approx(1.0, abs=1e-12)
 
@@ -541,7 +554,7 @@ def adaptive_mean_angle(model, threshold, rank, min_count, panels=16):
     steps = np.arange(panels)
 
     def inner(r):
-        c = an.boresight_angle(geom, r)
+        c = incidence_angle(r, 0.0, geom.ell)
         m_lo, m_hi = max(mob.mean_phi_min, c - theta), min(mob.mean_phi_max, c + theta)
         if m_hi <= m_lo:
             return 0.0
@@ -566,11 +579,12 @@ def adaptive_mean_angle(model, threshold, rank, min_count, panels=16):
     return num / scale, num_err / scale
 
 
-def assert_within_reported_error(model, threshold, rank):
-    value, err = an.mean_angle_success_probability(model, threshold, rank, 10)
-    ref, ref_err = adaptive_mean_angle(model, threshold, rank, 10)
-    assert ref_err <= 0.1 * err, (threshold, rank, ref_err, err)
-    assert abs(value - ref) <= err, (threshold, rank, value, ref, err)
+def assert_within_reported_error(model, levels, rank):
+    values, errors = an.mean_angle_success_probability(model, np.asarray(levels, float), rank, 10)
+    for threshold, value, err in zip(levels, values.tolist(), errors.tolist()):
+        ref, ref_err = adaptive_mean_angle(model, float(threshold), rank, 10)
+        assert ref_err <= 0.1 * err, (threshold, rank, ref_err, err)
+        assert abs(value - ref) <= err, (threshold, rank, value, ref, err)
 
 
 class TestMeanAngleRoute:
@@ -579,12 +593,13 @@ class TestMeanAngleRoute:
         # mean-angle ordering is the full-CSI ordering and success = 1 - ordered CDF
         model = model_with(0.0)
         assert an.nonzero_count_tail(an._mean_model(model), 10) == an.nonzero_count_tail(model, 10)
-        for gdb in range(140, 216, 5):
-            thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (gdb / 10.0))
-            for eta, rank in ((thr.eta_weak, 1), (thr.eta_strong, 10)):
-                s, es = an.mean_angle_success_probability(model, eta, rank, 10)
-                f, ef = an.ordered_gain_cdf(model, np.array([eta]), rank, 10)
-                assert abs((1.0 - s) - f) <= es + ef, (gdb, rank, 1.0 - s, f, es + ef)
+        grid = range(140, 216, 5)
+        eta_weak, eta_strong = an._etas([thresholds(10.0 ** (gdb / 10.0)) for gdb in grid])
+        for eta, rank in ((eta_weak, 1), (eta_strong, 10)):
+            s, es = an.mean_angle_success_probability(model, eta, rank, 10)
+            f, ef = an.ordered_gain_cdf(model, eta, rank, 10)
+            for gdb, outage, cdf, tol in zip(grid, (1.0 - s).tolist(), f.tolist(), (es + ef).tolist()):
+                assert abs(outage - cdf) <= tol, (gdb, rank, outage, cdf, tol)
 
     def test_monte_carlo_per_slot(self):
         rng = np.random.default_rng(7)
@@ -596,7 +611,7 @@ class TestMeanAngleRoute:
         served = np.take_along_axis(h2, order[:, [0, 9]], axis=1)[keep]
         thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (190.0 / 10.0))
         for col, eta, rank in ((0, thr.eta_weak, 1), (1, thr.eta_strong, 10)):
-            p, _ = an.mean_angle_success_probability(MODEL, eta, rank, 10)
+            [p], _ = an.mean_angle_success_probability(MODEL, np.array([eta]), rank, 10)
             freq = (served[:, col] > eta).mean()
             assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / served.shape[0])
 
@@ -610,22 +625,21 @@ class TestMeanAngleRoute:
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            an.mean_angle_success_probability(MODEL, 1e-12, 11, 10)
+            an.mean_angle_success_probability(MODEL, np.array([1e-12]), 11, 10)
 
     def test_models_differing_only_in_deviation_share_one_table(self):
         static = AnalyticModel(geom=GEOM, mobility=replace(MOB, delta_phi=0.0))
         misses = an._mean_gain_cdf_table.cache_info().misses
         for model in (static, MODEL):
-            an.mean_angle_success_probability(model, 1e-12, 1, 10)
+            an.mean_angle_success_probability(model, np.array([1e-12]), 1, 10)
         assert an._mean_gain_cdf_table.cache_info().misses - misses <= 1
 
     @pytest.mark.parametrize("dphi", (0.0, 25.0))
     def test_within_reported_error_of_adaptive_rule_at_pinned_levels(self, dphi):
         # the levels and ranks of the mean_angle family of tests/test_analytic_bitwise.py
         model = paper_model(dphi)
-        for x in (5e-15, 4e-13, 2e-11):
-            for rank in (1, 10):
-                assert_within_reported_error(model, x, rank)
+        for rank in (1, 10):
+            assert_within_reported_error(model, (5e-15, 4e-13, 2e-11), rank)
 
     @pytest.mark.parametrize("dphi", (0.0, 25.0))
     def test_within_reported_error_of_adaptive_rule_across_the_gain_range(self, dphi):
@@ -633,9 +647,22 @@ class TestMeanAngleRoute:
         # (strong-user thresholds at low SNR); each deviation takes every other one, at ranks 1 and 10
         levels = np.geomspace(1e-17, 1e-10, 40)[int(dphi > 0)::2]
         model = paper_model(dphi)
-        for x in levels:
-            for rank in (1, 10):
-                assert_within_reported_error(model, float(x), rank)
+        for rank in (1, 10):
+            assert_within_reported_error(model, levels, rank)
+
+    @pytest.mark.xfail(strict=True, reason="the mean-gain table under-reports its error: a bisection round accepts an "
+                       "interval against that round's PCHIP curve, and later insertions move the slopes at its nodes "
+                       "(ROADMAP direction 4, the mean-angle table)")
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_table_error_bounds_its_interpolation_miss(self, dphi):
+        mean = an._mean_model(paper_model(dphi))
+        geom, mob = mean.geom, mean.mobility
+        cdf, err = an._mean_gain_cdf_table(mean)
+        # the table's range, [g(d_max)^2 cos^2(half_fov), g(d_min)^2]
+        lo = float(geom.gain_factor(mob.d_max)) ** 2 * math.cos(geom.half_fov) ** 2
+        x = np.geomspace(lo, float(geom.gain_factor(mob.d_min)) ** 2, 2001)
+        miss = np.abs(cdf(x) - an.unordered_gain_cdf(mean, x)[0])
+        assert np.all(miss <= err), (float(miss.max()), err, int(np.sum(miss > err)))
 
 
 class TestSweep:
@@ -719,6 +746,21 @@ class TestBatchInvariance:
             got = [(float(v).hex(), float(e).hex()) for v, e in zip(values, errors)]
             want = [one_level_at_a_time(dphi, name)[i] for i in rows]
             assert got == want, name
+
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_mean_angle_level_is_bitwise_its_one_element_call(self, dphi):
+        # zero, two levels below the gain support, three inside, two above, shuffled; outside the hypothesis
+        # loop, as each mean-angle level takes about 10 ms
+        rows = [40, 0, 63, 10, 55, 1, 25, 62]
+        model = paper_model(dphi)
+        for rank in (1, 10):
+            values, errors = an.mean_angle_success_probability(model, BATCH_LEVELS[rows], rank, 10)
+            got = [(float(v).hex(), float(e).hex()) for v, e in zip(values, errors)]
+            want = []
+            for i in rows:
+                [v], [e] = an.mean_angle_success_probability(model, BATCH_LEVELS[i:i + 1], rank, 10)
+                want.append((float(v).hex(), float(e).hex()))
+            assert got == want, rank
 
 
 class TestQuadratureFailure:

@@ -21,6 +21,7 @@ DELTA_PHI_DEG = (0.0, 25.0)
 # squared-gain levels: zero, inside the support (the last one inside the paper
 # scheme's strong group), and above g(d_min)^2 = 6.3e-11
 LEVELS = (0.0, 5e-15, 4e-13, 2e-11, 4.5e-11, 1e-10)
+MEAN_ANGLE_LEVELS = (5e-15, 4e-13, 2e-11)  # the pinned levels of the mean-angle rule: the inner three of LEVELS
 # (d_threshold m, theta_threshold as a fraction of the half FOV) besides the paper scheme's
 WIDE_THRESHOLDS = (4.0, 0.5)
 
@@ -39,11 +40,11 @@ def _group_models(geom, mob, name):
 def cases():
     """(family, keys, thunk) of every pinned evaluation; each thunk returns one value tuple per key.
 
-    A level family is one call over all of LEVELS.  Each thunk binds its own
+    A level family is one call over all of its levels: LEVELS, or
+    MEAN_ANGLE_LEVELS for the mean-angle rule.  Each thunk binds its own
     deviation's models.
     """
     out = []
-    levels = np.array(LEVELS)
     for dphi in DELTA_PHI_DEG:
         base = paper_model(dphi)
         geom, mob = base.geom, base.mobility
@@ -52,9 +53,9 @@ def cases():
         def add(family, key, thunk):
             out.append((family, [f"{family}|{tag}|{key}"], lambda thunk=thunk: [thunk()]))
 
-        def add_levels(family, key, thunk):
-            keys = [f"{family}|{tag}|{key}|x={x!r}" for x in LEVELS]
-            out.append((family, keys, lambda thunk=thunk: list(zip(*thunk(levels)))))
+        def add_levels(family, key, thunk, at=LEVELS):
+            keys = [f"{family}|{tag}|{key}|x={x!r}" for x in at]
+            out.append((family, keys, lambda thunk=thunk: list(zip(*thunk(np.array(at))))))
 
         add_levels("unordered", "instant", lambda x, b=base: an.unordered_gain_cdf(b, x))
         add_levels("unordered", "mean", lambda x, b=base: an.unordered_gain_cdf(an._mean_model(b), x))
@@ -70,10 +71,10 @@ def cases():
             for name, model in (("instant", instant), ("mean", mean)):
                 add_levels("group_success", f"{scheme}|{name}|{role}",
                            lambda x, role=role, m=model: an.group_success_probability(m, x, role))
-        for x in (5e-15, 4e-13, 2e-11):
-            for rank, min_count in ((1, 10), (10, 10)):
-                add("mean_angle", f"r={rank},k={min_count}|x={x!r}",
-                    lambda x=x, r=rank, k=min_count, b=base: an.mean_angle_success_probability(b, x, r, k))
+        for rank, min_count in ((1, 10), (10, 10)):
+            add_levels("mean_angle", f"r={rank},k={min_count}",
+                       lambda x, r=rank, k=min_count, b=base: an.mean_angle_success_probability(b, x, r, k),
+                       MEAN_ANGLE_LEVELS)
         for scheme in ("paper", "wide"):
             for name, model in zip(("instant", "mean"), _group_models(geom, mob, scheme)):
                 add("group_probabilities", f"{scheme}|{name}",

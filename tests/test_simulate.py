@@ -186,7 +186,7 @@ class TestSweepStatistics:
             pt = run_sweep(config, n_workers=1)["noma-full-csi"][0]
             if truth is None:
                 thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (gamma_db / 10.0))
-                pw, _, ps, _ = an.individual_outage(model, (thr,), 1, 10)
+                pw, _, ps, _ = an.ROUTES[FeedbackKind.FULL_CSI](model, 1, 10)[1]((thr,))
                 truth = (1.0 - pw[0]) * 2.0 + (1.0 - ps[0]) * 10.0
             if abs(pt.sum_rate - truth) <= pt.ci_halfwidth:
                 hits += 1
