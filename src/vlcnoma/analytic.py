@@ -43,8 +43,9 @@ tolerance and its own summed error estimate.  The mean-angle family
 (``mean_angle_success_probability``) takes a level array too: its Gauss rule
 runs the distance nodes of all levels together.  Every angle law has one
 NumPy path, elementwise over arrays; a float argument is its 0-d case.  The
-engine loads no SciPy module: its binomial laws and the interpolant of the
-mean-gain table (``_pchip``) are its own.
+engine loads no SciPy module: its binomial laws are its own, and the
+mean-gain table (``_mean_gain_cdf_table``) is quadratic panels of log level,
+each accepted once and never moved.
 """
 
 from __future__ import annotations
@@ -477,109 +478,90 @@ def ordered_gain_cdf(model, x, rank, min_count):
 # ---------------------------------------------------------------------------
 
 _MEAN_CDF_TOL = 1e-7  # interpolation tolerance of the tabulated mean-gain CDF
+# the cubic remainder (s^2 - 1) s of a quadratic panel peaks on [-1, 1] at 16 / (9 sqrt 3) times its value at s = 1/2
+_CUBIC_PEAK = 16.0 / (9.0 * math.sqrt(3.0))
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # equal Gauss panels of the mean-angle rule over distance and over the mean incidence, each
 # split again at the kinks; its error estimate halves both counts
 _DISTANCE_PANELS, _ANGLE_PANELS = 8, 8
 _BLOCK_ROWS = 128  # distance nodes evaluated together: every temporary of the rule stays a few hundred kB
-_PCHIP_BLOCK = 4096  # points _pchip evaluates together: each temporary stays at 32 kB, in cache
 
 
-def _pchip(x, y):
-    """The monotone cubic (PCHIP) interpolant through (x, y), x increasing with at least three points.
+@lru_cache(maxsize=None)
+def _mean_gain_kinks(mean):
+    """The levels where the mean-gain CDF F of the mean model ``mean`` kinks.
 
-    SciPy's ``PchipInterpolator`` rule: inside, each node's slope is the
-    weighted harmonic mean of its two secants, or zero where they change sign
-    or one is flat; at each end the one-sided three-point estimate, set to
-    zero against the first secant's sign and clamped to 3 times that secant
-    where the secants change sign.  Returns a function of an array of points,
-    evaluated in blocks of _PCHIP_BLOCK points: one ``searchsorted`` finds
-    each point's interval (the first or last one outside [x[0], x[-1]]), and
-    its cubic is summed over the powers of the offset as SciPy's ``PPoly``
-    sums them, so the values are SciPy's to the last bit.
+    F kinks where a kink of its distance integrand that moves with the level
+    (the boundary angle reaching 0 or half_fov, or c(r) +/- it meeting a
+    corner) passes a fixed one (a corner crossing at half_fov) or an end of
+    the distance range.  At such a distance r_f the boundary angle is 0,
+    half_fov or |t - c(r_f)| for a corner t, so the level is
+    y = g(r_f)^2 cos^2 of that angle.
     """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    d = np.zeros_like(y)
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    for end, (h0, h1), (m0, m1) in ((0, h[:2], m[:2]), (-1, h[:-3:-1], m[:-3:-1])):
-        slope = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(slope) != np.sign(m0):
-            slope = 0.0
-        elif np.sign(m0) != np.sign(m1) and abs(slope) > 3.0 * abs(m0):
-            slope = 3.0 * m0
-        d[end] = slope
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    # per searchsorted(x, v, "right"): the coefficients of s^3, s^2, s, 1 and the left node of the interval,
-    # the first interval's left of x[0] and the last one's from x[-1] on
-    pad = np.clip(np.arange(x.size + 1) - 1, 0, x.size - 2)
-    c0, c1, c2, c3, left = (a[pad] for a in (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]))
-
-    def block(v):
-        i = np.searchsorted(x, v, "right")
-        s = v - left.take(i)
-        s2 = s * s
-        # SciPy's order of terms, c3 + c2 s + c1 s^2 + c0 s^3 (Horner's rule misses it by up to 7 ulp)
-        value = c3.take(i)
-        value += c2.take(i) * s
-        value += c1.take(i) * s2
-        s2 *= s
-        value += c0.take(i) * s2
-        return value
-
-    def spline(v):
-        points = np.ravel(v)
-        out = np.empty(points.shape)
-        for k in range(0, points.size, _PCHIP_BLOCK):
-            out[k:k + _PCHIP_BLOCK] = block(points[k:k + _PCHIP_BLOCK])
-        return out.reshape(np.shape(v))
-
-    return spline
+    geom, mob, theta = mean.geom, mean.mobility, mean.geom.half_fov
+    ends = (mob.mean_phi_min, mob.mean_phi_max)
+    levels = []
+    for r_f in [mob.d_min, mob.d_max, *_breakpoints(mean, mob.d_min, mob.d_max, (theta,))[0]]:
+        c = incidence_angle(r_f, 0.0, geom.ell)
+        for a in [0.0, theta, *[abs(t - c) for t in ends if abs(t - c) < theta]]:
+            levels.append(float(geom.gain_factor(r_f)) ** 2 * math.cos(a) ** 2)
+    return tuple(levels)
 
 
 @lru_cache(maxsize=None)
 def _mean_gain_cdf_table(mean):
-    """The mean-angle report's squared-gain CDF as (interpolant, error), tabulated in log level.
+    """The mean-angle report's squared-gain CDF as (interpolant, error), in quadratic panels of log level.
 
     ``mean`` is the mean model (``_mean_model``), so the models that differ only
-    in delta_phi share one table.  Levels start log-spaced over
-    [g(d_max)^2 cos^2(half_fov), g(d_min)^2]; every interval is bisected while
-    the exact CDF at its midpoint misses the interpolant through the current
-    levels by more than _MEAN_CDF_TOL, which concentrates levels at the CDF's
-    kinks.  The error is the worst tabulated quadrature error plus the worst
-    accepted midpoint miss.
+    in delta_phi share one table.  The panel edges are 129 log-spaced levels
+    over [g(d_max)^2 cos^2(half_fov), g(d_min)^2] and the kink levels of
+    ``_mean_gain_kinks``.  A panel holds the quadratic through the exact CDF at
+    its ends and midpoint.  It is halved, its quarter points becoming the
+    midpoints of the halves, while the CDF at a quarter point misses it by
+    more than _MEAN_CDF_TOL and it is wider than 1e-9 of the range; otherwise
+    it is accepted for good, and no later split moves it.  The error is the
+    worst quadrature error plus _CUBIC_PEAK times the worst accepted miss.
     """
     geom, mob = mean.geom, mean.mobility
     lo = math.log(float(geom.gain_factor(mob.d_max)) ** 2 * math.cos(geom.half_fov) ** 2)
     hi = math.log(float(geom.gain_factor(mob.d_min)) ** 2)
+    quad_err = 0.0
 
     def exact(levels):
+        nonlocal quad_err
         values, errors = unordered_gain_cdf(mean, np.exp(levels))
-        return values, float(errors.max())
+        quad_err = max(quad_err, float(errors.max()))
+        return values
 
-    grid = np.linspace(lo, hi, 257)
-    values, quad_err = exact(grid)
-    todo = np.ones(grid.size - 1, bool)
-    interp_err = 0.0
-    while todo.any():
-        mids = 0.5 * (grid[:-1] + grid[1:])[todo]
-        mid_values, err = exact(mids)
-        quad_err = max(quad_err, err)
-        miss = np.abs(_pchip(grid, values)(mids) - mid_values)
-        # intervals this narrow sit on a kink whose remaining miss is reported, not chased
-        wide = np.diff(grid)[todo] > 1e-9 * (hi - lo)
-        refine = (miss > _MEAN_CDF_TOL) & wide
-        interp_err = max(interp_err, float(np.max(miss[~refine], initial=0.0)))
-        split = np.zeros(todo.size, bool)
-        split[todo] = refine
-        at = np.flatnonzero(todo) + 1
-        grid, values = np.insert(grid, at, mids), np.insert(values, at, mid_values)
-        todo = np.repeat(split, 1 + todo)
-    spline = _pchip(grid, np.maximum.accumulate(np.clip(values, 0.0, 1.0)))
-    return (lambda y: spline(np.minimum(np.maximum(np.log(y), lo), hi))), quad_err + interp_err
+    edges = np.array([lo, *_merged([*np.linspace(lo, hi, 129)[1:-1], *np.log(_mean_gain_kinks(mean))], lo, hi), hi])
+    center, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    ends = exact(edges)
+    f = np.column_stack((ends[:-1], exact(center), ends[1:]))  # the CDF at each open panel's s = -1, 0, 1
+    accepted, interp_err = [], 0.0
+    while center.size:
+        quarter = exact(np.concatenate((center - 0.5 * half, center + 0.5 * half))).reshape(2, -1).T
+        slope, curve = 0.5 * (f[:, 2] - f[:, 0]), 0.5 * (f[:, 2] + f[:, 0]) - f[:, 1]
+        fit = f[:, 1:2] + np.array([-0.5, 0.5]) * slope[:, None] + 0.25 * curve[:, None]
+        miss = np.abs(fit - quarter).max(axis=1)
+        split = (miss > _MEAN_CDF_TOL) & (2.0 * half > 1e-9 * (hi - lo))
+        accepted.append(np.column_stack((center, half, f[:, 1], slope, curve))[~split])
+        interp_err = max(interp_err, float(np.max(miss[~split], initial=0.0)))
+        # a halved panel's values at s = -1, -1/2, 0, 1/2, 1: its left half takes the first three, its right the last
+        five = np.column_stack((f[:, 0], quarter[:, 0], f[:, 1], quarter[:, 1], f[:, 2]))[split]
+        c, h = center[split], 0.5 * half[split]
+        center, half = np.concatenate((c - h, c + h)), np.concatenate((h, h))
+        f = np.concatenate((five[:, :3], five[:, 2:]))
+    panels = np.concatenate(accepted)
+    center, half, f_mid, slope, curve = panels[np.argsort(panels[:, 0])].T
+    starts = (center - half)[1:]  # searchsorted on these puts a level below the second panel in the first
+
+    def cdf(y):
+        v = np.minimum(np.maximum(np.log(y), lo), hi)
+        i = np.searchsorted(starts, v, "right")
+        s = (v - center.take(i)) / half.take(i)
+        return np.clip(f_mid.take(i) + s * (slope.take(i) + s * curve.take(i)), 0.0, 1.0)
+
+    return cdf, quad_err + _CUBIC_PEAK * interp_err
 
 
 def _rank_density(model, rank, min_count):
@@ -614,24 +596,15 @@ def _rank_density(model, rank, min_count):
 def _rank_weight_kinks(mean):
     """The distances where the rank weight W(F(g(r)^2 cos^2 u)) of the mean-angle rule gains or loses a kink in u.
 
-    The mean-gain CDF F of the mean model ``mean`` kinks at the levels where a
-    kink of its distance integrand that moves with the level (the boundary
-    angle reaching 0 or half_fov, or c(r) +/- it meeting a corner) passes a
-    fixed one (a corner crossing at half_fov) or an end of the distance range.
-    At such a distance r_f the boundary angle is 0, half_fov or |t - c(r_f)|
-    for a corner t, so the level is y = g(r_f)^2 cos^2 of that angle.  The
-    curve g(r)^2 cos^2 u = y appears at u = 0 where g(r)^2 = y, and leaves the
+    For a kink level y of F (``_mean_gain_kinks``), the curve
+    g(r)^2 cos^2 u = y appears at u = 0 where g(r)^2 = y, and leaves the
     mean-incidence range where it meets u = +/- half_fov or an end c(r) - m of
     the mean-angle range.
     """
-    geom, mob, theta = mean.geom, mean.mobility, mean.geom.half_fov
-    ends = (mob.mean_phi_min, mob.mean_phi_max)
-    levels = []
-    for r_f in [mob.d_min, mob.d_max, *_breakpoints(mean, mob.d_min, mob.d_max, (theta,))[0]]:
-        c = incidence_angle(r_f, 0.0, geom.ell)
-        for a in [0.0, theta, *[abs(t - c) for t in ends if abs(t - c) < theta]]:
-            levels.append(float(geom.gain_factor(r_f)) ** 2 * math.cos(a) ** 2)
-    return tuple(r for row in _breakpoints(mean, mob.d_min, mob.d_max, (), levels, (theta,), ends) for r in row)
+    mob, theta = mean.mobility, mean.geom.half_fov
+    kinks = _breakpoints(mean, mob.d_min, mob.d_max, (), _mean_gain_kinks(mean), (theta,),
+                         (mob.mean_phi_min, mob.mean_phi_max))
+    return tuple(r for row in kinks for r in row)
 
 
 def _gauss_rule(lo, hi, kinks, panels):

@@ -166,6 +166,12 @@ def _get_int_in(flat, key, lo, hi):
     return value
 
 
+def _refuse_unless(inside, key, value, interval):
+    """Refuse ``value`` of ``key`` unless ``inside``, naming the key and ``interval``, both in the key's own unit."""
+    if not inside:
+        raise ConfigError(f"{key}: must lie in {interval}, got {value:g}")
+
+
 def parse_gamma_grid(raw):
     """Either 'start:step:stop' (inclusive) or a comma-separated dB list of finite values.
 
@@ -248,21 +254,33 @@ def _make(section, make, **kwargs):
 
 
 def build_experiment(flat):
-    """Materialize an ExperimentConfig (meters/degrees/dB -> SI/radians/linear)."""
-    geom = _make(
-        "geometry", LedGeometry.from_degrees,
-        ell=_get_float(flat, "geometry.ell_m"),
-        hpbw_deg=_get_float(flat, "geometry.hpbw_deg"),
-        detector_area=_get_float(flat, "geometry.detector_area_cm2") * 1e-4,
-        half_fov_deg=_get_float(flat, "geometry.half_fov_deg"),
-    )
+    """Materialize an ExperimentConfig (meters/degrees/dB -> SI/radians/linear), refusing ranges in the keys' units."""
+    ell, area = _get_float(flat, "geometry.ell_m"), _get_float(flat, "geometry.detector_area_cm2")
+    hpbw, half_fov = _get_float(flat, "geometry.hpbw_deg"), _get_float(flat, "geometry.half_fov_deg")
+    _refuse_unless(ell > 0.0, "geometry.ell_m", ell, "(0, inf)")
+    _refuse_unless(area > 0.0, "geometry.detector_area_cm2", area, "(0, inf)")
+    _refuse_unless(0.0 < hpbw < 90.0, "geometry.hpbw_deg", hpbw, "(0, 90)")
+    _refuse_unless(0.0 < half_fov <= 90.0, "geometry.half_fov_deg", half_fov, "(0, 90]")
+    geom = _make("geometry", LedGeometry.from_degrees, ell=ell, hpbw_deg=hpbw, detector_area=area * 1e-4,
+                 half_fov_deg=half_fov)
+    d_min, d_max = _get_float(flat, "mobility.d_min_m"), _get_float(flat, "mobility.d_max_m")
+    _refuse_unless(0.0 <= d_min < d_max, "mobility.d_min_m", d_min, f"[0, mobility.d_max_m) = [0, {d_max:g})")
     delta_phi = _get_float(flat, "mobility.delta_phi_deg")
+    _refuse_unless(0.0 <= delta_phi <= 90.0, "mobility.delta_phi_deg", delta_phi, "[0, 90]")
+    # the instantaneous angle, mean +/- delta_phi, stays in [0, 180]; the mean-angle range defaults to all of it
+    mean_min = _get_float(flat, "mobility.mean_phi_min_deg", delta_phi)
+    top = 180.0 - delta_phi
+    mean_max = _get_float(flat, "mobility.mean_phi_max_deg", top)
+    _refuse_unless(delta_phi <= mean_min, "mobility.mean_phi_min_deg", mean_min,
+                   f"[mobility.delta_phi_deg, 180 - mobility.delta_phi_deg] = [{delta_phi:g}, {top:g}]")
+    _refuse_unless(mean_min <= mean_max <= top, "mobility.mean_phi_max_deg", mean_max,
+                   f"[mobility.mean_phi_min_deg, 180 - mobility.delta_phi_deg] = [{mean_min:g}, {top:g}]")
     mobility = _make(
         "mobility", MobilityConfig.from_degrees,
-        d_min=_get_float(flat, "mobility.d_min_m"),
-        d_max=_get_float(flat, "mobility.d_max_m"),
-        mean_phi_min_deg=_get_float(flat, "mobility.mean_phi_min_deg", delta_phi),
-        mean_phi_max_deg=_get_float(flat, "mobility.mean_phi_max_deg", 180.0 - delta_phi),
+        d_min=d_min,
+        d_max=d_max,
+        mean_phi_min_deg=mean_min,
+        mean_phi_max_deg=mean_max,
         delta_phi_deg=delta_phi,
         num_users=_get_int_in(flat, "mobility.num_users", 2, MAX_USERS),
     )

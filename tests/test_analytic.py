@@ -650,12 +650,15 @@ class TestMeanAngleRoute:
         for rank in (1, 10):
             assert_within_reported_error(model, levels, rank)
 
-    @pytest.mark.xfail(strict=True, reason="the mean-gain table under-reports its error: a bisection round accepts an "
-                       "interval against that round's PCHIP curve, and later insertions move the slopes at its nodes "
-                       "(ROADMAP direction 4, the mean-angle table)")
-    @pytest.mark.parametrize("dphi", (0.0, 25.0))
-    def test_table_error_bounds_its_interpolation_miss(self, dphi):
-        mean = an._mean_model(paper_model(dphi))
+    @pytest.mark.parametrize("mobility", [
+        paper_model(0.0).mobility,
+        paper_model(25.0).mobility,
+        # a model off the paper's: at 2001 levels its worst miss is 0.995 of the reported error, and it would
+        # exceed the error without the cubic-peak factor _CUBIC_PEAK
+        MobilityConfig.from_degrees(0.0, 10.0, 40.0, 120.0, 10.0, 20),
+    ], ids=["paper-dphi=0", "paper-dphi=25", "dphi=10,mean=40-120"])
+    def test_table_error_bounds_its_interpolation_miss(self, mobility):
+        mean = an._mean_model(AnalyticModel(geom=paper_model().geom, mobility=mobility))
         geom, mob = mean.geom, mean.mobility
         cdf, err = an._mean_gain_cdf_table(mean)
         # the table's range, [g(d_max)^2 cos^2(half_fov), g(d_min)^2]
@@ -790,41 +793,6 @@ class TestQuadratureFailure:
         interval = message.split(" did not converge on [", 1)[1].split("] m", 1)[0]
         lo, hi = (float(v) for v in interval.split(", "))
         assert model.mobility.d_min <= lo < hi <= model.mobility.d_max
-
-
-class TestPchip:
-    """``an._pchip`` against ``scipy.interpolate.PchipInterpolator``, bit for bit."""
-
-    @staticmethod
-    def assert_bitwise_scipy(x, y):
-        from scipy.interpolate import PchipInterpolator
-
-        h = np.diff(x)
-        # the nodes, the midpoints, and a point beyond each end
-        points = np.concatenate((x, x[:-1] + 0.5 * h, [x[0] - h[0] / 2.0, x[-1] + h[-1] / 2.0]))
-        got, want = an._pchip(x, y)(points), PchipInterpolator(x, y)(points)
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-
-    def test_every_grid_of_the_fig2_mean_gain_table(self, monkeypatch):
-        # fig2's mean-angle curve runs on the paper model at delta_phi = 25 degrees; every refinement round counts
-        grids, pchip = [], an._pchip
-        monkeypatch.setattr(an, "_pchip", lambda x, y: grids.append((x, y)) or pchip(x, y))
-        an._mean_gain_cdf_table.__wrapped__(an._mean_model(paper_model(25.0)))
-        monkeypatch.undo()
-        assert len(grids) > 2 and grids[-1][0].size > 257
-        for x, y in grids:
-            self.assert_bitwise_scipy(x, y)
-
-    @settings(max_examples=200, deadline=None)
-    @given(steps=st.lists(st.tuples(st.floats(1e-3, 10.0),
-                                    st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-6, 10.0))),
-                          min_size=2, max_size=40),
-           start=st.floats(-50.0, 50.0), base=st.floats(0.0, 1.0))
-    def test_monotone_data_with_flat_stretches_and_unequal_spacing(self, steps, start, base):
-        h, dy = (np.array(v) for v in zip(*steps))
-        x = start + np.concatenate(([0.0], np.cumsum(h)))
-        y = base + np.concatenate(([0.0], np.cumsum(dy)))
-        self.assert_bitwise_scipy(x, y)
 
 
 # the tight reference: tolerances far below QuadratureConfig's defaults, subdivisions far above

@@ -151,6 +151,24 @@ class TestConfigLayer:
         assert run_cli(command, "--preset", "fig3", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
         assert override.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,message", [
+        ("geometry.ell_m=-1", "geometry.ell_m: must lie in (0, inf), got -1"),
+        ("geometry.detector_area_cm2=0", "geometry.detector_area_cm2: must lie in (0, inf), got 0"),
+        ("geometry.hpbw_deg=105", "geometry.hpbw_deg: must lie in (0, 90), got 105"),
+        ("geometry.half_fov_deg=95", "geometry.half_fov_deg: must lie in (0, 90], got 95"),
+        ("mobility.d_min_m=12", "mobility.d_min_m: must lie in [0, mobility.d_max_m) = [0, 10), got 12"),
+        # the default mean-angle range [delta_phi, 180 - delta_phi] would be empty
+        ("mobility.delta_phi_deg=100", "mobility.delta_phi_deg: must lie in [0, 90], got 100"),
+        ("mobility.mean_phi_min_deg=10", "mobility.mean_phi_min_deg: must lie in [mobility.delta_phi_deg, "
+                                         "180 - mobility.delta_phi_deg] = [25, 155], got 10"),
+        ("mobility.mean_phi_max_deg=170", "mobility.mean_phi_max_deg: must lie in [mobility.mean_phi_min_deg, "
+                                          "180 - mobility.delta_phi_deg] = [25, 155], got 170"),
+    ])
+    def test_domain_refusal_names_the_key_in_its_unit(self, monkeypatch, capsys, tmp_path, override, message):
+        monkeypatch.setattr(cli, "sum_rate_sweep", lambda *args, **kwargs: pytest.fail("the sweep must not start"))
+        assert run_cli("analytic", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     def test_infeasible_allocation_refused_before_any_work(self, monkeypatch, capsys, tmp_path, command):
         # 0.6 - 0.4 * eps_weak < 0: no gain serves the weak user's rate at any SNR
