@@ -3,8 +3,9 @@
 Runs are driven by a preset and/or an INI config file with ``--set`` overrides
 on top.  Every simulate/analytic run writes a CSV (fixed column order) plus a
 JSON manifest holding the fully resolved configuration and seed; re-running
-from the manifest's configuration reproduces the CSV byte for byte.  A
-simulate manifest also records the random-stream version and trials per second.
+from the manifest's configuration reproduces the CSV byte for byte.  The
+manifest also records the NumPy version and the SIMD targets its ufuncs run
+on, and a simulate manifest the random-stream version and trials per second.
 
 Exit codes: 0 success, 1 usage/config error, 2 validation failure,
 3 numerical failure.
@@ -20,6 +21,13 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # NumPy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 from . import __version__
 from .analytic import ROUTES, UndefinedLawError, sum_rate_sweep
@@ -117,11 +125,23 @@ def _write_csv(path, rows):
             writer.writerow({k: str(row[k]) for k in CSV_COLUMNS})
 
 
+def _numpy_simd():
+    """The SIMD targets NumPy runs its ufuncs on here: its compiled baseline, and the dispatched targets this CPU has.
+
+    ``NPY_DISABLE_CPU_FEATURES`` switches dispatched targets off; they then read as absent from the CPU.
+    """
+    features = _umath.__cpu_features__
+    return {"baseline": list(_umath.__cpu_baseline__),
+            "dispatch": [target for target in _umath.__cpu_dispatch__ if features.get(target)]}
+
+
 def _write_manifest(path, command, args, groups, outputs, started, duration, **extra):
     manifest = {
         **extra,
         "tool": "vlcnoma",
         "version": __version__,
+        "numpy_version": np.__version__,
+        "numpy_simd": _numpy_simd(),
         "command": command,
         "preset": args.preset,
         "started_utc": started,

@@ -166,10 +166,10 @@ def _get_int_in(flat, key, lo, hi):
     return value
 
 
-def _refuse_unless(inside, key, value, interval):
-    """Refuse ``value`` of ``key`` unless ``inside``, naming the key and ``interval``, both in the key's own unit."""
+def _refuse_unless(inside, key, value, rule):
+    """Refuse ``value`` of ``key`` unless ``inside``, naming the key and the ``rule`` it breaks, in the key's own unit."""
     if not inside:
-        raise ConfigError(f"{key}: must lie in {interval}, got {value:g}")
+        raise ConfigError(f"{key}: must {rule}, got {value:.15g}")
 
 
 def parse_gamma_grid(raw):
@@ -257,24 +257,24 @@ def build_experiment(flat):
     """Materialize an ExperimentConfig (meters/degrees/dB -> SI/radians/linear), refusing ranges in the keys' units."""
     ell, area = _get_float(flat, "geometry.ell_m"), _get_float(flat, "geometry.detector_area_cm2")
     hpbw, half_fov = _get_float(flat, "geometry.hpbw_deg"), _get_float(flat, "geometry.half_fov_deg")
-    _refuse_unless(ell > 0.0, "geometry.ell_m", ell, "(0, inf)")
-    _refuse_unless(area > 0.0, "geometry.detector_area_cm2", area, "(0, inf)")
-    _refuse_unless(0.0 < hpbw < 90.0, "geometry.hpbw_deg", hpbw, "(0, 90)")
-    _refuse_unless(0.0 < half_fov <= 90.0, "geometry.half_fov_deg", half_fov, "(0, 90]")
+    _refuse_unless(ell > 0.0, "geometry.ell_m", ell, "lie in (0, inf)")
+    _refuse_unless(area > 0.0, "geometry.detector_area_cm2", area, "lie in (0, inf)")
+    _refuse_unless(0.0 < hpbw < 90.0, "geometry.hpbw_deg", hpbw, "lie in (0, 90)")
+    _refuse_unless(0.0 < half_fov <= 90.0, "geometry.half_fov_deg", half_fov, "lie in (0, 90]")
     geom = _make("geometry", LedGeometry.from_degrees, ell=ell, hpbw_deg=hpbw, detector_area=area * 1e-4,
                  half_fov_deg=half_fov)
     d_min, d_max = _get_float(flat, "mobility.d_min_m"), _get_float(flat, "mobility.d_max_m")
-    _refuse_unless(0.0 <= d_min < d_max, "mobility.d_min_m", d_min, f"[0, mobility.d_max_m) = [0, {d_max:g})")
+    _refuse_unless(0.0 <= d_min < d_max, "mobility.d_min_m", d_min, f"lie in [0, mobility.d_max_m) = [0, {d_max:g})")
     delta_phi = _get_float(flat, "mobility.delta_phi_deg")
-    _refuse_unless(0.0 <= delta_phi <= 90.0, "mobility.delta_phi_deg", delta_phi, "[0, 90]")
+    _refuse_unless(0.0 <= delta_phi <= 90.0, "mobility.delta_phi_deg", delta_phi, "lie in [0, 90]")
     # the instantaneous angle, mean +/- delta_phi, stays in [0, 180]; the mean-angle range defaults to all of it
     mean_min = _get_float(flat, "mobility.mean_phi_min_deg", delta_phi)
     top = 180.0 - delta_phi
     mean_max = _get_float(flat, "mobility.mean_phi_max_deg", top)
     _refuse_unless(delta_phi <= mean_min, "mobility.mean_phi_min_deg", mean_min,
-                   f"[mobility.delta_phi_deg, 180 - mobility.delta_phi_deg] = [{delta_phi:g}, {top:g}]")
+                   f"lie in [mobility.delta_phi_deg, 180 - mobility.delta_phi_deg] = [{delta_phi:g}, {top:g}]")
     _refuse_unless(mean_min <= mean_max <= top, "mobility.mean_phi_max_deg", mean_max,
-                   f"[mobility.mean_phi_min_deg, 180 - mobility.delta_phi_deg] = [{mean_min:g}, {top:g}]")
+                   f"lie in [mobility.mean_phi_min_deg, 180 - mobility.delta_phi_deg] = [{mean_min:g}, {top:g}]")
     mobility = _make(
         "mobility", MobilityConfig.from_degrees,
         d_min=d_min,
@@ -284,11 +284,15 @@ def build_experiment(flat):
         delta_phi_deg=delta_phi,
         num_users=_get_int_in(flat, "mobility.num_users", 2, MAX_USERS),
     )
-    alloc = _make("noma", PowerAllocation, share_weak=_get_float(flat, "noma.power_weak"),
-                  share_strong=_get_float(flat, "noma.power_strong"))
-    targets = _make("noma", TargetRates, rate_weak=_get_float(flat, "noma.rate_weak"),
-                    rate_strong=_get_float(flat, "noma.rate_strong"))
-    for key, rate in (("noma.rate_weak", targets.rate_weak), ("noma.rate_strong", targets.rate_strong)):
+    # the weak user gets the larger share: 0 < strong < weak < 1 with strong + weak = 1
+    weak, strong = _get_float(flat, "noma.power_weak"), _get_float(flat, "noma.power_strong")
+    _refuse_unless(0.5 < weak < 1.0, "noma.power_weak", weak, "lie in (0.5, 1)")
+    _refuse_unless(abs(weak + strong - 1.0) <= 1e-12, "noma.power_strong", strong,
+                   f"equal 1 - noma.power_weak = {1.0 - weak:.15g}")
+    alloc = _make("noma", PowerAllocation, share_weak=weak, share_strong=strong)
+    rates = {key: _get_float(flat, key) for key in ("noma.rate_weak", "noma.rate_strong")}
+    for key, rate in rates.items():
+        _refuse_unless(rate >= 0.0, key, rate, "lie in [0, inf)")
         # OMA serves each user half of the frame at twice its rate; that threshold bounds the NOMA ones too
         try:
             eps = epsilon_threshold(2.0 * rate)
@@ -296,6 +300,7 @@ def build_experiment(flat):
             eps = math.inf
         if not math.isfinite(eps):
             raise ConfigError(f"{key}: {rate} overflows the SINR threshold of the OMA rate 2 x {rate}")
+    targets = _make("noma", TargetRates, rate_weak=rates["noma.rate_weak"], rate_strong=rates["noma.rate_strong"])
     try:
         eta_thresholds(targets, alloc, 1.0)  # whether the split can serve the weak rate does not depend on the SNR
     except InfeasibleAllocationError as exc:
@@ -312,8 +317,10 @@ def build_experiment(flat):
         raise ConfigError(str(exc)) from exc
     noise = None
     if flat["noise.sigma_d_m"].strip() or flat["noise.sigma_phi_deg"].strip():
-        noise = _make("noise", NoiseConfig, sigma_d=_get_float(flat, "noise.sigma_d_m", 0.0),
-                      sigma_phi=math.radians(_get_float(flat, "noise.sigma_phi_deg", 0.0)))
+        sigma_d, sigma_phi = (_get_float(flat, key, 0.0) for key in ("noise.sigma_d_m", "noise.sigma_phi_deg"))
+        _refuse_unless(sigma_d >= 0.0, "noise.sigma_d_m", sigma_d, "lie in [0, inf)")
+        _refuse_unless(sigma_phi >= 0.0, "noise.sigma_phi_deg", sigma_phi, "lie in [0, inf)")
+        noise = _make("noise", NoiseConfig, sigma_d=sigma_d, sigma_phi=math.radians(sigma_phi))
     _get_int_in(flat, "sweep.workers", 1, MAX_WORKERS)  # read by cmd_simulate
     try:
         return ExperimentConfig(

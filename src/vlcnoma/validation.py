@@ -5,7 +5,10 @@ oracle: direct channel evaluation on bulk user draws, empirical CDFs, and
 conditional frequencies.  Group CDF oracles sample the distance strip of the
 group directly (distance and orientation are independent, so conditioning the
 distance draw is exact) to keep the member counts high enough for tight
-Kolmogorov-Smirnov bounds.
+Kolmogorov-Smirnov bounds.  The bulk oracles draw whole arrays but evaluate
+the channel on them in blocks of rows that fit a core's cache; every block
+op is elementwise or acts along a row, so the results are those of the
+whole arrays, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from .config import build_experiment, merge
 from .population import marginal_phi_cdf, sample_user_arrays
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from .simulate import EmpiricalCdf
+
+# values per evaluation block of the bulk oracles: each float64 temporary of a block is 1 MB, inside a core's L2
+_BLOCK_VALUES = 1 << 17
+_RANK_BATCH = 400_000  # snapshots drawn at once by the conditioned rank-gain oracle
 
 
 @dataclass
@@ -85,6 +92,25 @@ def _frequency_check(name, frac, pred, n, detail, var_floor=0.0, tol_floor=0.0):
     return CheckResult(name, bool(dev <= tol), float(dev), float(tol), detail)
 
 
+def _row_blocks(rows, width):
+    """Consecutive slices of range(rows), each of at most _BLOCK_VALUES // width rows (at least one)."""
+    step = max(_BLOCK_VALUES // width, 1)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _by_rows(f, d, phi):
+    """f(d, phi) of (rows, users) arrays, evaluated on consecutive row blocks and concatenated.
+
+    ``f`` must treat rows independently and return one result per row.
+    """
+    return np.concatenate([f(d[rows], phi[rows]) for rows in _row_blocks(*d.shape)])
+
+
+def _nonzero_counts(geom, d, phi):
+    """Users with a nonzero channel gain in each row of the (rows, users) arrays d and phi."""
+    return _by_rows(lambda d, phi: (channel_gain(geom, d, phi) > 0.0).sum(axis=1), d, phi)
+
+
 def _strip_members(models, rng, n, role, within_fov):
     """Squared gains of each model's ``role`` group members among n users drawn in that group's distance strip.
 
@@ -141,7 +167,7 @@ def check_nonzero_probability(sizes, rng):
     geom, mob = model.geom, model.mobility
     n = sizes.gain_draws
     d, _, phi = sample_user_arrays(mob, rng, n)
-    frac = float((channel_gain(geom, d, phi) > 0.0).mean())
+    frac = float(_nonzero_counts(geom, d[:, None], phi[:, None]).mean())  # one user per row: counts are 0 or 1
     return _frequency_check("nonzero-gain-probability", frac, an.nonzero_gain_probability(model)[0], n, f"n={n}")
 
 
@@ -152,7 +178,7 @@ def check_count_pmf(sizes, rng):
     n = sizes.population_draws
     K = mob.num_users
     d, _, phi = sample_user_arrays(mob, rng, n * K)
-    counts = (channel_gain(geom, d, phi).reshape(n, K) > 0.0).sum(axis=1)
+    counts = _nonzero_counts(geom, d.reshape(n, K), phi.reshape(n, K))
     tail_frac = float((counts >= k_min).mean())
     results = [_frequency_check("nonzero-count-tail", tail_frac, an.nonzero_count_tail(model, k_min), n,
                                 f"k_min={k_min}, n={n}")]
@@ -168,37 +194,50 @@ def check_count_pmf(sizes, rng):
     return results
 
 
-def _conditioned_rank_gains(config, rng, wanted):
-    """Squared gains at the config's two ranks from snapshots with enough nonzero users."""
+def _conditioned_rank_gains(config, rng, wanted, pool_size):
+    """Squared gains at the config's two ranks from snapshots with enough nonzero users, and a pool of nonzero ones.
+
+    Returns the rank-i and rank-j gains of the first ``wanted`` snapshots that
+    hold at least j nonzero gains, and the first ``pool_size`` nonzero squared
+    gains of all snapshots, both in draw order; the pool holds fewer when the
+    batches that yield ``wanted`` snapshots hold fewer nonzero gains.  Draws
+    stay whole batches of _RANK_BATCH snapshots, so the stream advances as if
+    every row were used, but their rows are evaluated in blocks, and
+    evaluation stops once ``wanted`` snapshots are kept and the pool is full.
+    """
     geom, mob, rank_weak, rank_strong = config.geom, config.mobility, config.rank_weak, config.rank_strong
     K = mob.num_users
-    out_w, out_s, pooled = [], [], []
-    got = 0
-    pooled_n = 0
-    batch, pool_cap = 400_000, 5_000_000
+    out_w, out_s = [], []
+    pooled = [np.empty(0)]  # so that a pool of size 0 concatenates to an empty array
+    got = pooled_n = 0
     while got < wanted:
-        d, _, phi = sample_user_arrays(mob, rng, batch * K)
-        g2 = channel_gain(geom, d.reshape(batch, K), phi.reshape(batch, K)) ** 2
-        if pooled_n < pool_cap:
-            nz = g2[g2 > 0.0]
-            pooled.append(nz)
-            pooled_n += nz.size
-        masked = np.where(g2 > 0.0, g2, np.inf)
-        masked.sort(axis=1)
-        keep = (g2 > 0.0).sum(axis=1) >= rank_strong
-        out_w.append(masked[keep, rank_weak - 1])
-        out_s.append(masked[keep, rank_strong - 1])
-        got += int(keep.sum())
+        d, _, phi = sample_user_arrays(mob, rng, _RANK_BATCH * K)
+        d, phi = d.reshape(_RANK_BATCH, K), phi.reshape(_RANK_BATCH, K)
+        for rows in _row_blocks(_RANK_BATCH, K):
+            if got >= wanted and pooled_n >= pool_size:
+                break
+            g2 = channel_gain(geom, d[rows], phi[rows]) ** 2
+            nonzero = g2 > 0.0
+            if pooled_n < pool_size:
+                pooled.append(g2[nonzero])
+                pooled_n += pooled[-1].size
+            if got < wanted:
+                masked = np.where(nonzero, g2, np.inf)
+                masked.sort(axis=1)
+                keep = nonzero.sum(axis=1) >= rank_strong
+                out_w.append(masked[keep, rank_weak - 1])
+                out_s.append(masked[keep, rank_strong - 1])
+                got += int(keep.sum())
     w = np.concatenate(out_w)[:wanted]
     s = np.concatenate(out_s)[:wanted]
-    return w, s, np.concatenate(pooled)[:pool_cap]
+    return w, s, np.concatenate(pooled)[:pool_size]
 
 
 def check_individual_cdfs(sizes, rng):
     """Unordered and ordered squared-gain CDFs at the paper's ranks i, j vs conditioned empirical CDFs."""
     config, model = paper_config(), paper_model()
     i, j = config.rank_weak, config.rank_strong
-    w, s, pooled = _conditioned_rank_gains(config, rng, sizes.ordered_conditioned)
+    w, s, pooled = _conditioned_rank_gains(config, rng, sizes.ordered_conditioned, 5_000_000)
     results = []
     sup = EmpiricalCdf(pooled).sup_distance(lambda x: an.unordered_gain_cdf(model, x)[0], sizes.cdf_points)
     results.append(CheckResult("unordered-gain-cdf", sup <= 0.005, sup, 0.005, f"n={pooled.size}"))
@@ -242,11 +281,14 @@ def check_group_conditioning(sizes, rng):
     n = sizes.population_draws
     K = mob.num_users
     d, _, phi = sample_user_arrays(mob, rng, n * K)
-    d = d.reshape(n, K)
-    theta = incidence_angle(d, phi.reshape(n, K), geom.ell)
-    weak = (d > scheme.d_threshold) & (np.abs(theta) > scheme.theta_threshold)
-    strong = (d <= scheme.d_threshold) & (np.abs(theta) <= scheme.theta_threshold)
-    frac = float((weak.any(axis=1) & strong.any(axis=1)).mean())
+
+    def both_groups(d, phi):
+        incidence = np.abs(incidence_angle(d, phi, geom.ell))
+        weak = (d > scheme.d_threshold) & (incidence > scheme.theta_threshold)
+        strong = (d <= scheme.d_threshold) & (incidence <= scheme.theta_threshold)
+        return weak.any(axis=1) & strong.any(axis=1)
+
+    frac = float(_by_rows(both_groups, d.reshape(n, K), phi.reshape(n, K)).mean())
     return _frequency_check("group-conditioning-rate", frac, an.both_groups_probability(model), n, f"n={n}")
 
 
@@ -260,7 +302,7 @@ def check_outage(sizes, rng, kind):
     config, model = paper_config(kind=kind), paper_model(kind=kind)
     if kind is FeedbackKind.FULL_CSI:
         name, gamma_db, tol_floor = "individual", (160.0, 185.0), 1e-4
-        weak, strong, _ = _conditioned_rank_gains(config, rng, max(sizes.ordered_conditioned // 2, 50_000))
+        weak, strong, _ = _conditioned_rank_gains(config, rng, max(sizes.ordered_conditioned // 2, 50_000), 0)
     else:
         name = "group-mean" if kind is FeedbackKind.TWO_BIT_MEAN else "group-instant"
         # 185.5 dB sits inside the strong group's outage transition (gain span

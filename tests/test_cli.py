@@ -163,6 +163,12 @@ class TestConfigLayer:
                                          "180 - mobility.delta_phi_deg] = [25, 155], got 10"),
         ("mobility.mean_phi_max_deg=170", "mobility.mean_phi_max_deg: must lie in [mobility.mean_phi_min_deg, "
                                           "180 - mobility.delta_phi_deg] = [25, 155], got 170"),
+        ("noise.sigma_d_m=-1", "noise.sigma_d_m: must lie in [0, inf), got -1"),
+        ("noise.sigma_phi_deg=-2.5", "noise.sigma_phi_deg: must lie in [0, inf), got -2.5"),
+        ("noma.power_weak=-0.1", "noma.power_weak: must lie in (0.5, 1), got -0.1"),
+        ("noma.power_strong=0.02", "noma.power_strong: must equal 1 - noma.power_weak = 0.015625, got 0.02"),
+        ("noma.rate_weak=-1", "noma.rate_weak: must lie in [0, inf), got -1"),
+        ("noma.rate_strong=-1", "noma.rate_strong: must lie in [0, inf), got -1"),
     ])
     def test_domain_refusal_names_the_key_in_its_unit(self, monkeypatch, capsys, tmp_path, override, message):
         monkeypatch.setattr(cli, "sum_rate_sweep", lambda *args, **kwargs: pytest.fail("the sweep must not start"))
@@ -268,6 +274,17 @@ class TestSimulateCommand:
         assert manifest["stream_version"] == 2
         # fig4 has two run groups of 300 trials each; duration_s is rounded to 1 ms
         assert manifest["trials_per_s"] == pytest.approx(600 / manifest["duration_s"], rel=0.05)
+
+    @pytest.mark.parametrize("argv", [("simulate", "--trials", "300"), ("analytic",)])
+    def test_manifest_records_numpy_version_and_simd_targets(self, tmp_path, argv):
+        out = tmp_path / "run.csv"
+        assert run_cli(*argv, "--set", "sweep.gamma_db=170", "--out", str(out)) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+        simd = manifest["numpy_simd"]
+        assert simd["baseline"] == list(cli._umath.__cpu_baseline__)
+        assert set(simd["dispatch"]) <= set(cli._umath.__cpu_dispatch__)
+        assert all(cli._umath.__cpu_features__[target] for target in simd["dispatch"])
 
     def test_byte_identical_reproduction(self, tmp_path):
         args = ["simulate", "--trials", "400", "--seed", "11", "--set", "sweep.gamma_db=180,200"]
