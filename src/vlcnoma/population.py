@@ -64,12 +64,42 @@ def sample_user_arrays(config, rng, size):
     """Draw ``size`` i.i.d. users (an int or a shape); returns (d, mean_phi, phi) arrays.
 
     Draw order (d, then mean angle, then deviation) is fixed so that runs with
-    equal streams stay bitwise reproducible.
+    equal streams stay bitwise reproducible.  ``rng`` is one Generator, or the
+    three Generators of ``split_user_streams``, one per draw.
     """
-    d = rng.uniform(config.d_min, config.d_max, size)
-    mean_phi = rng.uniform(config.mean_phi_min, config.mean_phi_max, size)
-    phi = mean_phi + rng.uniform(-config.delta_phi, config.delta_phi, size)
+    rng_d, rng_mean, rng_dev = rng if isinstance(rng, tuple) else (rng, rng, rng)
+    d = rng_d.uniform(config.d_min, config.d_max, size)
+    mean_phi = rng_mean.uniform(config.mean_phi_min, config.mean_phi_max, size)
+    phi = mean_phi + rng_dev.uniform(-config.delta_phi, config.delta_phi, size)
     return d, mean_phi, phi
+
+
+def split_user_streams(rng, size):
+    """Three Generators that draw ``sample_user_arrays(config, rng, size)`` piece by piece, bit for bit.
+
+    Each of the three draws of the whole array is a run of ``size``
+    consecutive outputs of the stream, one 64-bit output per double.  Each
+    returned Generator holds a copy of the stream advanced to the start of
+    its run, so successive calls ``sample_user_arrays(config, streams, m)``
+    with sizes summing to ``size`` return the consecutive pieces of the whole
+    draw.  ``rng`` itself is advanced past the whole draw now, its buffered
+    32-bit half-word kept, so it stands where the whole draw leaves it
+    however many pieces are drawn.  Only PCG64 and PCG64DXSM (``advance``
+    counts 64-bit outputs) are accepted.
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(f"user streams split only PCG64 or PCG64DXSM, got {type(bit_generator).__name__}")
+    start = bit_generator.state
+    streams = []
+    for run in range(3):
+        copy = type(bit_generator)()
+        copy.state = start
+        copy.advance(run * size)
+        streams.append(np.random.Generator(copy))
+    bit_generator.advance(3 * size)  # this also drops the buffered half-word, which the whole draw keeps
+    bit_generator.state = {**bit_generator.state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
+    return tuple(streams)
 
 
 def conditional_phi_cdf(mean_phi, delta_phi, x):

@@ -5,10 +5,12 @@ oracle: direct channel evaluation on bulk user draws, empirical CDFs, and
 conditional frequencies.  Group CDF oracles sample the distance strip of the
 group directly (distance and orientation are independent, so conditioning the
 distance draw is exact) to keep the member counts high enough for tight
-Kolmogorov-Smirnov bounds.  The bulk oracles draw whole arrays but evaluate
-the channel on them in blocks of rows that fit a core's cache; every block
-op is elementwise or acts along a row, so the results are those of the
-whole arrays, bit for bit.
+Kolmogorov-Smirnov bounds.  The bulk oracles draw and evaluate their users
+in blocks of rows that fit a core's cache, one block alive at a time.  Each
+block is drawn from copies of the stream advanced to its place in the
+whole-array draw, and every block op is elementwise or acts along a row, so
+the results and the stream position are those of the whole arrays, bit for
+bit; blocks past what an oracle needs are never drawn.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import numpy as np
 from . import analytic as an
 from .channel import channel_gain, incidence_angle
 from .config import build_experiment, merge
-from .population import marginal_phi_cdf, sample_user_arrays
+from .population import marginal_phi_cdf, sample_user_arrays, split_user_streams
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from .simulate import EmpiricalCdf
 
-# values per evaluation block of the bulk oracles: each float64 temporary of a block is 1 MB, inside a core's L2
+# values per block of the bulk oracles: each float64 array of a block is 1 MB, inside a core's L2
 _BLOCK_VALUES = 1 << 17
-_RANK_BATCH = 400_000  # snapshots drawn at once by the conditioned rank-gain oracle
+# snapshots per draw of the conditioned rank-gain oracle: only the layout of its stream, since blocks are drawn lazily
+_RANK_BATCH = 400_000
 
 
 @dataclass
@@ -98,17 +101,28 @@ def _row_blocks(rows, width):
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _by_rows(f, d, phi):
-    """f(d, phi) of (rows, users) arrays, evaluated on consecutive row blocks and concatenated.
+def _user_blocks(mob, rng, rows, width):
+    """Lazy (d, phi) row blocks, by ``_row_blocks``, of ``sample_user_arrays(mob, rng, rows * width)`` as (rows, width).
 
-    ``f`` must treat rows independently and return one result per row.
+    ``rng`` stands past the whole draw as soon as this is called, so blocks
+    left undrawn cost nothing and move nothing.
     """
-    return np.concatenate([f(d[rows], phi[rows]) for rows in _row_blocks(*d.shape)])
+    streams = split_user_streams(rng, rows * width)
+
+    def blocks():
+        for block in _row_blocks(rows, width):
+            d, _, phi = sample_user_arrays(mob, streams, len(range(rows)[block]) * width)
+            yield d.reshape(-1, width), phi.reshape(-1, width)
+
+    return blocks()
 
 
-def _nonzero_counts(geom, d, phi):
-    """Users with a nonzero channel gain in each row of the (rows, users) arrays d and phi."""
-    return _by_rows(lambda d, phi: (channel_gain(geom, d, phi) > 0.0).sum(axis=1), d, phi)
+def _count_histogram(geom, mob, rng, rows, width):
+    """Entry k: the number of rows of ``sample_user_arrays(mob, rng, rows * width)`` with k nonzero gains."""
+    histogram = np.zeros(width + 1, np.int64)
+    for d, phi in _user_blocks(mob, rng, rows, width):
+        histogram += np.bincount((channel_gain(geom, d, phi) > 0.0).sum(axis=1), minlength=width + 1)
+    return histogram
 
 
 def _strip_members(models, rng, n, role, within_fov):
@@ -166,8 +180,7 @@ def check_nonzero_probability(sizes, rng):
     model = paper_model()
     geom, mob = model.geom, model.mobility
     n = sizes.gain_draws
-    d, _, phi = sample_user_arrays(mob, rng, n)
-    frac = float(_nonzero_counts(geom, d[:, None], phi[:, None]).mean())  # one user per row: counts are 0 or 1
+    frac = int(_count_histogram(geom, mob, rng, n, 1)[1]) / n  # one user per row: a row counts 0 or 1
     return _frequency_check("nonzero-gain-probability", frac, an.nonzero_gain_probability(model)[0], n, f"n={n}")
 
 
@@ -177,17 +190,15 @@ def check_count_pmf(sizes, rng):
     geom, mob = model.geom, model.mobility
     n = sizes.population_draws
     K = mob.num_users
-    d, _, phi = sample_user_arrays(mob, rng, n * K)
-    counts = _nonzero_counts(geom, d.reshape(n, K), phi.reshape(n, K))
-    tail_frac = float((counts >= k_min).mean())
-    results = [_frequency_check("nonzero-count-tail", tail_frac, an.nonzero_count_tail(model, k_min), n,
+    rows_with = _count_histogram(geom, mob, rng, n, K).tolist()
+    kept = sum(rows_with[k_min:])  # snapshots with at least k_min nonzero gains
+    results = [_frequency_check("nonzero-count-tail", kept / n, an.nonzero_count_tail(model, k_min), n,
                                 f"k_min={k_min}, n={n}")]
-    kept = counts[counts >= k_min]
-    detail = f"bins k>={k_min}, kept={kept.size}"
+    detail = f"bins k>={k_min}, kept={kept}"
     k = np.arange(k_min, K + 1)
     q = an.nonzero_count_pmf(model, k, k_min)
-    filled = kept.size * q >= 25.0  # the normal approximation is not meaningful for near-empty bins
-    bins = [_frequency_check("nonzero-count-pmf", float((kept == j).mean()), p, kept.size, detail)
+    filled = kept * q >= 25.0  # the normal approximation is not meaningful for near-empty bins
+    bins = [_frequency_check("nonzero-count-pmf", rows_with[j] / kept, p, kept, detail)
             for j, p in zip(k[filled].tolist(), q[filled].tolist())]
     worst = max(bins, key=lambda check: check.measured / check.bound)  # the first bin of the largest ratio
     results.append(replace(worst, passed=all(check.passed for check in bins)))
@@ -200,23 +211,22 @@ def _conditioned_rank_gains(config, rng, wanted, pool_size):
     Returns the rank-i and rank-j gains of the first ``wanted`` snapshots that
     hold at least j nonzero gains, and the first ``pool_size`` nonzero squared
     gains of all snapshots, both in draw order; the pool holds fewer when the
-    batches that yield ``wanted`` snapshots hold fewer nonzero gains.  Draws
-    stay whole batches of _RANK_BATCH snapshots, so the stream advances as if
-    every row were used, but their rows are evaluated in blocks, and
-    evaluation stops once ``wanted`` snapshots are kept and the pool is full.
+    batches that yield ``wanted`` snapshots hold fewer nonzero gains.  The
+    stream advances by whole batches of _RANK_BATCH snapshots, as if every
+    row were used, but the rows are drawn and evaluated block by block, and
+    no block is drawn once ``wanted`` snapshots are kept and the pool is full.
     """
     geom, mob, rank_weak, rank_strong = config.geom, config.mobility, config.rank_weak, config.rank_strong
     K = mob.num_users
     out_w, out_s = [], []
     pooled = [np.empty(0)]  # so that a pool of size 0 concatenates to an empty array
-    got = pooled_n = 0
+    got = pooled_n = batches = 0
     while got < wanted:
-        d, _, phi = sample_user_arrays(mob, rng, _RANK_BATCH * K)
-        d, phi = d.reshape(_RANK_BATCH, K), phi.reshape(_RANK_BATCH, K)
-        for rows in _row_blocks(_RANK_BATCH, K):
-            if got >= wanted and pooled_n >= pool_size:
-                break
-            g2 = channel_gain(geom, d[rows], phi[rows]) ** 2
+        batches += 1
+        rows_seen = 0
+        for d, phi in _user_blocks(mob, rng, _RANK_BATCH, K):
+            rows_seen += len(d)
+            g2 = channel_gain(geom, d, phi) ** 2
             nonzero = g2 > 0.0
             if pooled_n < pool_size:
                 pooled.append(g2[nonzero])
@@ -228,6 +238,11 @@ def _conditioned_rank_gains(config, rng, wanted, pool_size):
                 out_w.append(masked[keep, rank_weak - 1])
                 out_s.append(masked[keep, rank_strong - 1])
                 got += int(keep.sum())
+            if got >= wanted and pooled_n >= pool_size:
+                break
+        if not rows_seen:
+            raise RuntimeError(f"batch {batches} of {_RANK_BATCH} snapshots: the block plan "
+                               f"{_row_blocks(_RANK_BATCH, K)} covers none of its rows")
     w = np.concatenate(out_w)[:wanted]
     s = np.concatenate(out_s)[:wanted]
     return w, s, np.concatenate(pooled)[:pool_size]
@@ -279,16 +294,13 @@ def check_group_conditioning(sizes, rng):
     model = paper_model(kind=FeedbackKind.TWO_BIT_INSTANT)
     geom, mob, scheme = model.geom, model.mobility, model.scheme
     n = sizes.population_draws
-    K = mob.num_users
-    d, _, phi = sample_user_arrays(mob, rng, n * K)
-
-    def both_groups(d, phi):
+    both = 0  # snapshots with both groups nonempty
+    for d, phi in _user_blocks(mob, rng, n, mob.num_users):
         incidence = np.abs(incidence_angle(d, phi, geom.ell))
         weak = (d > scheme.d_threshold) & (incidence > scheme.theta_threshold)
         strong = (d <= scheme.d_threshold) & (incidence <= scheme.theta_threshold)
-        return weak.any(axis=1) & strong.any(axis=1)
-
-    frac = float(_by_rows(both_groups, d.reshape(n, K), phi.reshape(n, K)).mean())
+        both += int((weak.any(axis=1) & strong.any(axis=1)).sum())
+    frac = both / n
     return _frequency_check("group-conditioning-rate", frac, an.both_groups_probability(model), n, f"n={n}")
 
 

@@ -1,9 +1,14 @@
-"""The bulk oracles of ``validation`` evaluated in row blocks give the bits of their whole-array forms.
+"""The bulk oracles of ``validation`` drawn and evaluated in row blocks give the bits of their whole-array forms.
 
 Each case shrinks the draw batch and the block through the module constants,
 so the blocks split a batch unevenly, the kept-snapshot quota is met partway
-through a batch, and the pool fills before or after the quota.
+through a batch, and the pool fills before or after the quota.  The block
+draws are compared with the whole draw, and the stream must stand where the
+whole draw leaves it however many blocks are drawn.  The oracles' traced
+memory must stay a few blocks, not whole draws.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,31 +85,90 @@ class TestConditionedRankGains:
         assert covered.tolist() == list(range(BATCH))
         assert BATCH % 7 and blocks[-1].stop > BATCH
 
+    def test_a_block_plan_that_covers_no_row_fails_naming_the_batch_and_the_plan(self, monkeypatch):
+        plans = []
+
+        def no_blocks(rows, width):
+            plans.append((rows, width))
+            assert len(plans) <= 3, "the oracle kept drawing batches that no block covers"
+            return []
+
+        monkeypatch.setattr(validation, "_RANK_BATCH", BATCH)
+        monkeypatch.setattr(validation, "_row_blocks", no_blocks)
+        with pytest.raises(RuntimeError, match=r"batch 1 of 500 snapshots: the block plan \[\] covers none"):
+            validation._conditioned_rank_gains(paper_config(), np.random.default_rng(7), 30, 0)
+
+
+ROWS = 3001  # splits into no whole number of the blocks below
+
+
+class TestUserBlocks:
+    @pytest.fixture
+    def mob(self):
+        return paper_config().mobility
+
+    @pytest.mark.parametrize("width", [1, 20])
+    @pytest.mark.parametrize("block_values", [13, 7 * 20, 1 << 17])
+    def test_blocks_are_the_whole_draw_bit_for_bit(self, monkeypatch, mob, width, block_values):
+        monkeypatch.setattr(validation, "_BLOCK_VALUES", block_values)
+        blocks = list(validation._user_blocks(mob, np.random.default_rng(11), ROWS, width))
+        d, _, phi = sample_user_arrays(mob, np.random.default_rng(11), ROWS * width)
+        assert len(blocks) == len(validation._row_blocks(ROWS, width))
+        assert_same_bits(np.concatenate([block_d for block_d, _ in blocks]), d.reshape(ROWS, width))
+        assert_same_bits(np.concatenate([block_phi for _, block_phi in blocks]), phi.reshape(ROWS, width))
+
+    @pytest.mark.parametrize("drawn", ["all", "one", "none"])
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_the_stream_stands_where_the_whole_draw_leaves_it(self, monkeypatch, mob, drawn, bit_generator):
+        monkeypatch.setattr(validation, "_BLOCK_VALUES", 7 * 20)
+        rng, whole_rng = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
+        for g in (rng, whole_rng):  # leaves a 32-bit half-word buffered, which the whole draw keeps
+            g.integers(0, 10, dtype=np.uint32)
+        blocks = validation._user_blocks(mob, rng, ROWS, 20)
+        first = None
+        if drawn == "all":
+            first = list(blocks)[0]
+        elif drawn == "one":
+            first = next(blocks)
+        d, _, phi = sample_user_arrays(mob, whole_rng, ROWS * 20)
+        if first is not None:
+            assert_same_bits(first[0], d.reshape(ROWS, 20)[:7])
+            assert_same_bits(first[1], phi.reshape(ROWS, 20)[:7])
+        assert rng.integers(0, 2**32, 4, dtype=np.uint32).tolist() == \
+            whole_rng.integers(0, 2**32, 4, dtype=np.uint32).tolist()
+        assert rng.random() == whole_rng.random()
+
+    def test_a_stream_without_a_counting_advance_is_refused_by_name(self, mob):
+        with pytest.raises(TypeError, match="MT19937"):
+            validation._user_blocks(mob, np.random.Generator(np.random.MT19937(1)), ROWS, 20)
+
 
 class TestBlockedCountsAndFractions:
-    N, K = 3001, 20  # rows; 3001 splits into no whole number of the blocks below
+    N, K = ROWS, 20
 
     @pytest.fixture
     def users(self):
         config = paper_config()
         d, _, phi = sample_user_arrays(config.mobility, np.random.default_rng(11), self.N * self.K)
-        return config.geom, d, phi
+        return config, d, phi
 
     @pytest.mark.parametrize("block_values", [13, 7 * 20, 1 << 17])
     def test_nonzero_counts_per_snapshot(self, monkeypatch, users, block_values):
-        geom, d, phi = users
+        config, d, phi = users
         monkeypatch.setattr(validation, "_BLOCK_VALUES", block_values)
-        counts = validation._nonzero_counts(geom, d.reshape(self.N, self.K), phi.reshape(self.N, self.K))
-        assert_same_bits(counts, (channel_gain(geom, d, phi).reshape(self.N, self.K) > 0.0).sum(axis=1))
+        histogram = validation._count_histogram(config.geom, config.mobility, np.random.default_rng(11), self.N, self.K)
+        counts = (channel_gain(config.geom, d, phi).reshape(self.N, self.K) > 0.0).sum(axis=1)
+        assert_same_bits(histogram, np.bincount(counts, minlength=self.K + 1))
 
     @pytest.mark.parametrize("block_values", [13, 7 * 20, 1 << 17])
     def test_nonzero_indicator_per_user(self, monkeypatch, users, block_values):
-        geom, d, phi = users
+        config, d, phi = users
+        n = self.N * self.K
         monkeypatch.setattr(validation, "_BLOCK_VALUES", block_values)
-        nonzero = validation._nonzero_counts(geom, d[:, None], phi[:, None])
-        whole = channel_gain(geom, d, phi) > 0.0
-        assert_same_bits(nonzero, whole.astype(nonzero.dtype))
-        assert float(nonzero.mean()) == float(whole.mean())
+        histogram = validation._count_histogram(config.geom, config.mobility, np.random.default_rng(11), n, 1)
+        whole = channel_gain(config.geom, d, phi) > 0.0
+        assert histogram.tolist() == [n - int(whole.sum()), int(whole.sum())]
+        assert int(histogram[1]) / n == float(whole.mean())
 
     def test_both_groups_fraction(self, monkeypatch):
         # the check's fraction at blocks of 13 rows is that of the whole-array expression it replaced
@@ -121,3 +185,24 @@ class TestBlockedCountsAndFractions:
         frac = float((weak.any(axis=1) & strong.any(axis=1)).mean())
         pred = validation.an.both_groups_probability(model)
         assert result.measured == abs(frac - pred)
+
+
+QUICK = ValidationSizes.quick()
+MIB = 1 << 20
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda: validation._conditioned_rank_gains(paper_config(), np.random.default_rng(7), 30, 0),
+    lambda: validation.check_count_pmf(QUICK, np.random.default_rng(7)),
+    lambda: validation.check_group_conditioning(QUICK, np.random.default_rng(7)),
+    lambda: validation.check_nonzero_probability(QUICK, np.random.default_rng(7)),
+], ids=["conditioned-rank-gains", "count-pmf", "group-conditioning", "nonzero-probability"])
+def test_bulk_oracle_memory_is_a_few_blocks_not_the_whole_draw(oracle):
+    # tracemalloc sees NumPy's data buffers; a whole-array draw of any of these oracles traces 38-187 MiB
+    tracemalloc.start()
+    try:
+        oracle()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * MIB, f"traced peak {peak / MIB:.1f} MiB"
