@@ -233,13 +233,22 @@ def run_sweep(config, n_workers=1):
 
 
 class EmpiricalCdf:
-    """Right-continuous step CDF of a sample."""
+    """Right-continuous step CDF of a sample.
+
+    The ECDF takes a float64 ndarray over: it sorts that array in place and
+    keeps it as ``sorted``, so the caller must not read its samples after
+    handing them over.  Any other input (a list, another dtype, a read-only
+    array) is first copied into a new array.
+    """
 
     def __init__(self, samples):
         samples = np.asarray(samples, float)
         if samples.size == 0:
             raise ValueError("need at least one sample")
-        self.sorted = np.sort(samples)
+        if not samples.flags.writeable:
+            samples = samples.copy()
+        samples.sort()
+        self.sorted = samples
         self.n = samples.size
 
     def __call__(self, x):

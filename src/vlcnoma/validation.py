@@ -10,7 +10,9 @@ in blocks of rows that fit a core's cache, one block alive at a time.  Each
 block is drawn from copies of the stream advanced to its place in the
 whole-array draw, and every block op is elementwise or acts along a row, so
 the results and the stream position are those of the whole arrays, bit for
-bit; blocks past what an oracle needs are never drawn.
+bit; blocks past what an oracle needs are never drawn.  The one sample that
+must be held whole, the unordered-CDF pool of nonzero gains, is a single
+preallocated array filled block by block and sorted in place by its ECDF.
 """
 
 from __future__ import annotations
@@ -118,10 +120,15 @@ def _user_blocks(mob, rng, rows, width):
 
 
 def _count_histogram(geom, mob, rng, rows, width):
-    """Entry k: the number of rows of ``sample_user_arrays(mob, rng, rows * width)`` with k nonzero gains."""
+    """Entry k: the number of rows of ``sample_user_arrays(mob, rng, rows * width)`` with k nonzero gains.
+
+    A gain is nonzero exactly when its incidence lies inside the half FOV
+    (the gate of ``channel_gain``), so only the gate is evaluated.
+    """
     histogram = np.zeros(width + 1, np.int64)
     for d, phi in _user_blocks(mob, rng, rows, width):
-        histogram += np.bincount((channel_gain(geom, d, phi) > 0.0).sum(axis=1), minlength=width + 1)
+        in_fov = np.abs(incidence_angle(d, phi, geom.ell)) <= geom.half_fov
+        histogram += np.bincount(in_fov.sum(axis=1), minlength=width + 1)
     return histogram
 
 
@@ -156,7 +163,7 @@ def check_marginal_phi_dkw(sizes, rng):
     n = sizes.population_draws
     _, _, phi = sample_user_arrays(mob, rng, n)
     xs = np.quantile(phi, np.linspace(0.001, 0.999, 500))
-    emp = EmpiricalCdf(phi)
+    emp = EmpiricalCdf(phi)  # sorts phi in place, so only after the quantiles
     sup = float(np.max(np.abs(emp(xs) - marginal_phi_cdf(mob, xs))))
     bound = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
     return CheckResult("marginal-angle-cdf-dkw", sup <= bound, sup, bound, f"n={n}")
@@ -215,12 +222,15 @@ def _conditioned_rank_gains(config, rng, wanted, pool_size):
     stream advances by whole batches of _RANK_BATCH snapshots, as if every
     row were used, but the rows are drawn and evaluated block by block, and
     no block is drawn once ``wanted`` snapshots are kept and the pool is full.
+    The pool is one preallocated array of ``pool_size`` values: each block
+    copies its nonzero gains into the next free slice, cut at ``pool_size``,
+    and the filled prefix is returned, so the pool's gains are held once.
     """
     geom, mob, rank_weak, rank_strong = config.geom, config.mobility, config.rank_weak, config.rank_strong
     K = mob.num_users
     out_w, out_s = [], []
-    pooled = [np.empty(0)]  # so that a pool of size 0 concatenates to an empty array
-    got = pooled_n = batches = 0
+    pool = np.empty(pool_size)
+    got = filled = batches = 0
     while got < wanted:
         batches += 1
         rows_seen = 0
@@ -228,9 +238,10 @@ def _conditioned_rank_gains(config, rng, wanted, pool_size):
             rows_seen += len(d)
             g2 = channel_gain(geom, d, phi) ** 2
             nonzero = g2 > 0.0
-            if pooled_n < pool_size:
-                pooled.append(g2[nonzero])
-                pooled_n += pooled[-1].size
+            if filled < pool_size:
+                gains = g2[nonzero][:pool_size - filled]
+                pool[filled:filled + gains.size] = gains
+                filled += gains.size
             if got < wanted:
                 masked = np.where(nonzero, g2, np.inf)
                 masked.sort(axis=1)
@@ -238,14 +249,14 @@ def _conditioned_rank_gains(config, rng, wanted, pool_size):
                 out_w.append(masked[keep, rank_weak - 1])
                 out_s.append(masked[keep, rank_strong - 1])
                 got += int(keep.sum())
-            if got >= wanted and pooled_n >= pool_size:
+            if got >= wanted and filled == pool_size:
                 break
         if not rows_seen:
             raise RuntimeError(f"batch {batches} of {_RANK_BATCH} snapshots: the block plan "
                                f"{_row_blocks(_RANK_BATCH, K)} covers none of its rows")
     w = np.concatenate(out_w)[:wanted]
     s = np.concatenate(out_s)[:wanted]
-    return w, s, np.concatenate(pooled)[:pool_size]
+    return w, s, pool[:filled]
 
 
 def check_individual_cdfs(sizes, rng):

@@ -193,6 +193,11 @@ class TestSweepStatistics:
         assert hits >= int(0.9 * reps)
 
 
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class TestEmpiricalCdf:
     def test_single_sample_step(self):
         cdf = EmpiricalCdf([2.5])
@@ -220,6 +225,44 @@ class TestEmpiricalCdf:
 
         sup = EmpiricalCdf(samples).sup_distance(ref, 500)
         assert sup < 0.02
+
+    def test_a_float64_array_is_sorted_in_place_and_kept(self):
+        samples = np.random.default_rng(2).uniform(0.0, 1.0, 1000)
+        expected = np.sort(samples)
+        cdf = EmpiricalCdf(samples)
+        assert np.shares_memory(cdf.sorted, samples)
+        assert samples.tobytes() == expected.tobytes()
+
+    def test_a_sorted_view_of_a_larger_buffer_sorts_only_the_view(self):
+        buffer = np.random.default_rng(3).uniform(0.0, 1.0, 1000)
+        tail = buffer[600:].copy()
+        cdf = EmpiricalCdf(buffer[:600])
+        assert np.shares_memory(cdf.sorted, buffer) and cdf.n == 600
+        assert buffer[600:].tobytes() == tail.tobytes()
+
+    @pytest.mark.parametrize("convert", [list, lambda a: a.astype(np.float32), read_only],
+                             ids=["list", "float32", "read-only"])
+    def test_other_inputs_are_copied_and_left_untouched(self, convert):
+        samples = convert(np.random.default_rng(4).uniform(0.0, 1.0, 1000))
+        before = np.array(samples).tobytes()
+        cdf = EmpiricalCdf(samples)
+        assert not np.shares_memory(cdf.sorted, samples)
+        assert np.array(samples).tobytes() == before
+        assert cdf.sorted.tobytes() == np.sort(np.asarray(samples, float)).tobytes()
+
+    def test_reads_as_on_a_sorted_copy(self):
+        rng = np.random.default_rng(5)
+        samples = np.concatenate([np.zeros(300), rng.uniform(0.0, 1.0, 2000)])
+        rng.shuffle(samples)
+        copy = samples.copy()
+        in_place, from_list = EmpiricalCdf(samples), EmpiricalCdf(copy.tolist())
+        xs = np.linspace(-0.5, 1.5, 101)
+        assert in_place(xs).tobytes() == from_list(xs).tobytes()
+
+        def ref(x):
+            return np.where(x < 0.0, 0.0, 0.1 + 0.9 * np.clip(x, 0.0, 1.0))
+
+        assert in_place.sup_distance(ref, 400) == from_list.sup_distance(ref, 400)
 
 
 class TestConfigValidation:

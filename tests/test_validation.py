@@ -78,6 +78,21 @@ class TestConditionedRankGains:
         # rows past the quota are still drawn: both streams stand at the same position
         assert rng.random() == oracle_rng.random()
 
+    @pytest.mark.parametrize("rows_per_block", [7, 64])
+    def test_a_pool_cut_inside_a_block_is_the_whole_array_prefix(self, monkeypatch, rows_per_block):
+        config = paper_config()
+        K = config.mobility.num_users
+        monkeypatch.setattr(validation, "_RANK_BATCH", BATCH)
+        monkeypatch.setattr(validation, "_BLOCK_VALUES", rows_per_block * K)
+        d, _, phi = sample_user_arrays(config.mobility, np.random.default_rng(7), BATCH * K)
+        nonzero = channel_gain(config.geom, d, phi)[:4 * rows_per_block * K] > 0.0
+        per_block = nonzero.reshape(4, -1).sum(axis=1)  # in the first four blocks
+        pool_size = int(per_block[:3].sum()) + int(per_block[3]) // 2  # cut halfway through the fourth block
+        _, _, pool = validation._conditioned_rank_gains(config, np.random.default_rng(7), 30, pool_size)
+        _, _, opool = whole_array_rank_gains(config, np.random.default_rng(7), 30, BATCH, pool_size)
+        assert 0 < int(per_block[3]) // 2 < int(per_block[3]) and pool.size == pool_size
+        assert_same_bits(pool, opool)
+
     def test_block_rows_cover_the_batch_with_an_uneven_last_block(self, monkeypatch):
         monkeypatch.setattr(validation, "_BLOCK_VALUES", 7 * 20)
         blocks = validation._row_blocks(BATCH, 20)
@@ -189,15 +204,22 @@ class TestBlockedCountsAndFractions:
 
 QUICK = ValidationSizes.quick()
 MIB = 1 << 20
+POOL_BYTES = 5_000_000 * 8  # the unordered-CDF pool of check_individual_cdfs: 38.1 MiB of float64
 
 
-@pytest.mark.parametrize("oracle", [
-    lambda: validation._conditioned_rank_gains(paper_config(), np.random.default_rng(7), 30, 0),
-    lambda: validation.check_count_pmf(QUICK, np.random.default_rng(7)),
-    lambda: validation.check_group_conditioning(QUICK, np.random.default_rng(7)),
-    lambda: validation.check_nonzero_probability(QUICK, np.random.default_rng(7)),
-], ids=["conditioned-rank-gains", "count-pmf", "group-conditioning", "nonzero-probability"])
-def test_bulk_oracle_memory_is_a_few_blocks_not_the_whole_draw(oracle):
+@pytest.mark.parametrize("oracle,bound", [
+    pytest.param(lambda: validation._conditioned_rank_gains(paper_config(), np.random.default_rng(7), 30, 0),
+                 32 * MIB, id="conditioned-rank-gains"),
+    pytest.param(lambda: validation.check_count_pmf(QUICK, np.random.default_rng(7)), 32 * MIB, id="count-pmf"),
+    pytest.param(lambda: validation.check_group_conditioning(QUICK, np.random.default_rng(7)), 32 * MIB,
+                 id="group-conditioning"),
+    pytest.param(lambda: validation.check_nonzero_probability(QUICK, np.random.default_rng(7)), 32 * MIB,
+                 id="nonzero-probability"),
+    # the pool is held once, from draw to ECDF; block pieces, their concatenation and a sorted copy traced 84.6 MiB
+    pytest.param(lambda: validation.check_individual_cdfs(QUICK, np.random.default_rng(7)), POOL_BYTES + 16 * MIB,
+                 id="individual-cdfs"),
+])
+def test_bulk_oracle_memory_is_a_few_blocks_not_the_whole_draw(oracle, bound):
     # tracemalloc sees NumPy's data buffers; a whole-array draw of any of these oracles traces 38-187 MiB
     tracemalloc.start()
     try:
@@ -205,4 +227,4 @@ def test_bulk_oracle_memory_is_a_few_blocks_not_the_whole_draw(oracle):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * MIB, f"traced peak {peak / MIB:.1f} MiB"
+    assert peak < bound, f"traced peak {peak / MIB:.1f} MiB"
