@@ -41,8 +41,10 @@ The level families (``unordered_gain_cdf``, ``ordered_gain_cdf``,
 ``integrate_levels`` pass, split at that level's own kinks, with its own
 tolerance and its own summed error estimate.  The mean-angle family
 (``mean_angle_success_probability``) takes a level array too: its Gauss rule
-runs the distance nodes of all levels together.  Every angle law has one
-NumPy path, elementwise over arrays; a float argument is its 0-d case.  The
+runs the distance nodes of all levels together, evaluates the rank weight
+only at its live nodes and writes its temporaries in place.  Every angle law
+has one NumPy path, elementwise over arrays; a float argument is its 0-d
+case, and an array result is clipped in place (``population.unit_clip``).  The
 engine loads no SciPy module: its binomial laws are its own, and the
 mean-gain table (``_mean_gain_cdf_table``) is quadratic panels of log level,
 each accepted once and never moved.
@@ -59,7 +61,7 @@ import numpy as np
 
 from .channel import LedGeometry, incidence_angle
 from .link import CurvePoint, noma_sum_rate
-from .population import MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf
+from .population import MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf, unit_clip
 from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive, integrate_levels
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 
@@ -133,8 +135,8 @@ def _mean_model(model):
 def fov_probability(model, r, half_angle):
     """Pr(|incidence angle| <= half_angle | d = r) for the instantaneous angle, elementwise; a float is the 0-d case."""
     c = incidence_angle(r, 0.0, model.geom.ell)
-    value = marginal_phi_cdf(model.mobility, c + half_angle) - marginal_phi_cdf(model.mobility, c - half_angle)
-    return np.minimum(np.maximum(value, 0.0), 1.0)
+    mob = model.mobility
+    return unit_clip(marginal_phi_cdf(mob, c + half_angle) - marginal_phi_cdf(mob, c - half_angle))
 
 
 def _corners(mob):
@@ -144,7 +146,7 @@ def _corners(mob):
 
 _CROSSING_SCAN = 401  # scan points per level for the moving kinks of _breakpoints
 _SCAN_ROWS = 256  # levels scanned together: each (levels x _CROSSING_SCAN) temporary stays below 1 MB
-_BISECTIONS = 60  # halvings of a bracket of at most (hi - lo) / 400: past adjacent floats at every distance
+_BISECTIONS = 60  # most halvings of a bracket of at most (hi - lo) / 400; most brackets reach adjacent floats sooner
 
 
 def _merged(points, lo, hi):
@@ -168,7 +170,9 @@ def _breakpoints(model, lo, hi, half_angles, levels=None, caps=(), corners=()):
     The difference of the two sides, over ell^2 + r^2, is scanned on
     _CROSSING_SCAN points of each level's [lo, hi] (``hi`` has one entry per
     level, or one for all), every distinct corner at once, and every sign
-    change is bisected _BISECTIONS times, all brackets together.  Roots where
+    change is bisected, all brackets together, until each bracket's midpoint
+    is one of its ends (a fixed point: later halvings change nothing), at
+    most _BISECTIONS times.  Roots where
     c(r) - t exceeds pi/2 solve the squared equation only; they are kept as
     harmless extra splits.  Without ``levels`` the one list holds the fixed
     kinks of the half angles.
@@ -190,27 +194,32 @@ def _breakpoints(model, lo, hi, half_angles, levels=None, caps=(), corners=()):
     rows = np.flatnonzero((levels > 0.0) & (his > lo)) if corners else np.empty(0, int)
     cos_t, sin_t = np.cos(corners), np.sin(corners)
 
-    def gap(r, x, t):
-        cos_sq = (r * cos_t[t] - geom.ell * sin_t[t]) ** 2 / (geom.ell**2 + r * r)  # cos^2(t - c(r))
-        return cos_sq - x * inverse_squared_gain(geom, r)
+    def gap(r, radius_sq, level_term, cos_c, sin_c):
+        # cos^2(t - c(r)) - x / g(r)^2 for the corner t, given ell^2 + r^2 and x / g(r)^2
+        return (r * cos_c - geom.ell * sin_c) ** 2 / radius_sq - level_term
+
+    def below(r, x, cos_c, sin_c):
+        return np.signbit(gap(r, geom.ell**2 + r * r, x * inverse_squared_gain(geom, r), cos_c, sin_c))
 
     brackets = []
     steps = np.linspace(0.0, 1.0, _CROSSING_SCAN)
     for i in range(0, rows.size, _SCAN_ROWS):
         block = rows[i:i + _SCAN_ROWS]
         r = lo + (his[block] - lo)[:, None] * steps
-        x = levels[block][:, None]
+        radius_sq, level_term = geom.ell**2 + r * r, levels[block][:, None] * inverse_squared_gain(geom, r)
         for t in range(len(corners)):
-            below = np.signbit(gap(r, x, t))
-            row, col = np.nonzero(below[:, :-1] != below[:, 1:])
+            sign = np.signbit(gap(r, radius_sq, level_term, cos_t[t], sin_t[t]))
+            row, col = np.nonzero(sign[:, :-1] != sign[:, 1:])
             brackets.append((block[row], np.full(row.size, t), r[row, col], r[row, col + 1]))
     if brackets:
         row, t, a, b = (np.concatenate(parts) for parts in zip(*brackets))
-        x = levels[row]
-        a_below = np.signbit(gap(a, x, t))
+        x, cos_c, sin_c = levels[row], cos_t[t], sin_t[t]
+        a_below = below(a, x, cos_c, sin_c)
         for _ in range(_BISECTIONS):
             mid = 0.5 * (a + b)
-            left = np.signbit(gap(mid, x, t)) != a_below  # the sign changes in [a, mid]
+            if np.all((mid == a) | (mid == b)):
+                break  # every bracket is adjacent floats or one float: further halvings change nothing
+            left = below(mid, x, cos_c, sin_c) != a_below  # the sign changes in [a, mid]
             a, b = np.where(left, a, mid), np.where(left, mid, b)
         for i, root in zip(row.tolist(), (0.5 * (a + b)).tolist()):
             pts[i].append(root)
@@ -556,10 +565,19 @@ def _mean_gain_cdf_table(mean):
     starts = (center - half)[1:]  # searchsorted on these puts a level below the second panel in the first
 
     def cdf(y):
-        v = np.minimum(np.maximum(np.log(y), lo), hi)
+        # in place on its own temporaries: v becomes the local coordinate s, then the Horner sum
+        v = np.log(y)
+        np.maximum(v, lo, out=v)
+        np.minimum(v, hi, out=v)
         i = np.searchsorted(starts, v, "right")
-        s = (v - center.take(i)) / half.take(i)
-        return np.clip(f_mid.take(i) + s * (slope.take(i) + s * curve.take(i)), 0.0, 1.0)
+        v -= center.take(i)
+        v /= half.take(i)
+        value = curve.take(i)
+        value *= v
+        value += slope.take(i)
+        value *= v
+        value += f_mid.take(i)
+        return np.clip(value, 0.0, 1.0, out=value)
 
     return cdf, quad_err + _CUBIC_PEAK * interp_err
 
@@ -584,7 +602,13 @@ def _rank_density(model, rank, min_count):
         for c in coef[-2::-1]:
             total *= v
             total += c
-        return total * u**k * v ** (min_count - rank)
+        # x**0 is exactly 1: a zero exponent's power is skipped
+        if k:
+            total *= u**k
+        if min_count > rank:
+            v **= min_count - rank
+            total *= v
+        return total
 
     # each Bernstein term is unimodal: variation = 2 * mode value - end values
     mode = k / np.maximum(n - 1, 1)
@@ -620,7 +644,9 @@ def _gauss_rule(lo, hi, kinks, panels):
     edges = np.sort(np.concatenate([grid, np.clip(kinks, lo, hi)], axis=-1), axis=-1)
     mid, half = (0.5 * (edges[..., 1:] + edges[..., :-1]))[..., None], (0.5 * np.diff(edges))[..., None]
     shape = (*edges.shape[:-1], -1)
-    return (mid + half * _GAUSS_NODES).reshape(shape), (half * _GAUSS_WEIGHTS).reshape(shape)
+    nodes = half * _GAUSS_NODES
+    nodes += mid
+    return nodes.reshape(shape), (half * _GAUSS_WEIGHTS).reshape(shape)
 
 
 def _mean_angle_rows(model, x, cdf, density, r, panels):
@@ -632,6 +658,9 @@ def _mean_angle_rows(model, x, cdf, density, r, panels):
     u = +/- cap +/- delta_phi; cap is the boundary angle of the threshold
     within the FOV.  The band is piecewise linear in u, or a step when
     delta_phi = 0, and is weighted by the rank density at the mean gain's CDF.
+    That weight is evaluated only at the live nodes, those with a nonzero
+    Gauss weight and band: every other node adds an exact 0, so the sum has
+    the dense rule's terms, bit for bit.  The temporaries are written in place.
     """
     geom, mob = model.geom, model.mobility
     theta, dphi = geom.half_fov, mob.delta_phi
@@ -641,8 +670,15 @@ def _mean_angle_rows(model, x, cdf, density, r, panels):
     u_hi = np.maximum(np.minimum(theta, c - mob.mean_phi_min), u_lo)
     kinks = np.hstack([cap + dphi, cap - dphi, dphi - cap, -dphi - cap] if dphi else [cap, -cap])
     u, w = _gauss_rule(u_lo, u_hi, kinks, panels)
-    band = conditional_phi_cdf(0.0, dphi, u + cap) - conditional_phi_cdf(0.0, dphi, u - cap)
-    weight = density(cdf(geom.gain_factor(r)[:, None] ** 2 * np.cos(u) ** 2))
+    band = conditional_phi_cdf(0.0, dphi, u + cap)
+    band -= conditional_phi_cdf(0.0, dphi, u - cap)
+    # a node of a zero-width panel or of an empty band adds an exact 0 whatever its weight: only live nodes get one
+    live = (w != 0.0) & (band != 0.0)
+    level = np.cos(u[live])
+    level *= level
+    level *= np.repeat(geom.gain_factor(r) ** 2, np.count_nonzero(live, axis=1))
+    weight = np.zeros_like(w)
+    weight[live] = density(cdf(level))
     return np.einsum("ij,ij,ij->i", w, weight, band)
 
 

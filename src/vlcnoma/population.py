@@ -102,6 +102,22 @@ def split_user_streams(rng, size):
     return tuple(streams)
 
 
+def unit_clip(value):
+    """``value`` clipped to [0, 1]: in place when it is an array, which the caller must own.
+
+    An angle law clips the fresh result of its own arithmetic, so writing into
+    it costs no temporary; a large out-of-place np.minimum(np.maximum(...))
+    pays for two.  A 0-d value (a float or NumPy scalar, as in the band
+    masses) takes that cheap out-of-place pair instead.  np.maximum then
+    np.minimum either way, so both paths give the same bits, -0.0 and NaN
+    included (np.clip keeps -0.0 where np.maximum returns 0.0).
+    """
+    if np.ndim(value) == 0:
+        return np.minimum(np.maximum(value, 0.0), 1.0)
+    np.maximum(value, 0.0, out=value)
+    return np.minimum(value, 1.0, out=value)
+
+
 def conditional_phi_cdf(mean_phi, delta_phi, x):
     """CDF of the instantaneous angle given its mean: U[mean - delta, mean + delta].
 
@@ -110,8 +126,9 @@ def conditional_phi_cdf(mean_phi, delta_phi, x):
     x = np.asarray(x, float)
     if delta_phi == 0.0:
         return (x >= mean_phi).astype(float)
-    # np.minimum/np.maximum give np.clip's values without its dispatch overhead
-    return np.minimum(np.maximum((x - (mean_phi - delta_phi)) / (2.0 * delta_phi), 0.0), 1.0)
+    value = x - (mean_phi - delta_phi)
+    value /= 2.0 * delta_phi
+    return unit_clip(value)
 
 
 def deviation_cdf_integral(t, half_width):
@@ -142,8 +159,9 @@ def marginal_phi_cdf(config, x):
         value = (x - lo + dphi) / (2.0 * dphi)
     else:
         G = deviation_cdf_integral
-        value = (G(x - lo, dphi) - G(x - hi, dphi)) / (hi - lo)
-    return np.minimum(np.maximum(value, 0.0), 1.0)
+        value = G(x - lo, dphi) - G(x - hi, dphi)
+        value /= hi - lo
+    return unit_clip(value)
 
 
 def noisy_estimate_arrays(d, mean_phi, phi, sigma_d, sigma_phi, rng):
