@@ -487,8 +487,9 @@ def ordered_gain_cdf(model, x, rank, min_count):
 # ---------------------------------------------------------------------------
 
 _MEAN_CDF_TOL = 1e-7  # interpolation tolerance of the tabulated mean-gain CDF
-# the cubic remainder (s^2 - 1) s of a quadratic panel peaks on [-1, 1] at 16 / (9 sqrt 3) times its value at s = 1/2
-_CUBIC_PEAK = 16.0 / (9.0 * math.sqrt(3.0))
+# a quadratic panel's remainder, as an odd cubic (s^2 - 1) s plus an even quartic (s^2 - 1) s^2, peaks on [-1, 1]
+# at most 16 / (9 sqrt 3) times the cubic's and 4/3 times the quartic's magnitude at s = +/- 1/2
+_CUBIC_PEAK, _QUARTIC_PEAK = 16.0 / (9.0 * math.sqrt(3.0)), 4.0 / 3.0
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # equal Gauss panels of the mean-angle rule over distance and over the mean incidence, each
 # split again at the kinks; its error estimate halves both counts
@@ -525,11 +526,13 @@ def _mean_gain_cdf_table(mean):
     in delta_phi share one table.  The panel edges are 129 log-spaced levels
     over [g(d_max)^2 cos^2(half_fov), g(d_min)^2] and the kink levels of
     ``_mean_gain_kinks``.  A panel holds the quadratic through the exact CDF at
-    its ends and midpoint.  It is halved, its quarter points becoming the
-    midpoints of the halves, while the CDF at a quarter point misses it by
-    more than _MEAN_CDF_TOL and it is wider than 1e-9 of the range; otherwise
-    it is accepted for good, and no later split moves it.  The error is the
-    worst quadrature error plus _CUBIC_PEAK times the worst accepted miss.
+    its ends and midpoint, and its miss bounds the remainder from the CDF's
+    misses at the two quarter points: _CUBIC_PEAK times their odd part plus
+    _QUARTIC_PEAK times their even part.  It is halved, its quarter points
+    becoming the midpoints of the halves, while that bound exceeds
+    _MEAN_CDF_TOL and it is wider than 1e-9 of the range; otherwise it is
+    accepted for good, and no later split moves it.  The error is the worst
+    quadrature error plus the worst accepted bound.
     """
     geom, mob = mean.geom, mean.mobility
     lo = math.log(float(geom.gain_factor(mob.d_max)) ** 2 * math.cos(geom.half_fov) ** 2)
@@ -551,7 +554,8 @@ def _mean_gain_cdf_table(mean):
         quarter = exact(np.concatenate((center - 0.5 * half, center + 0.5 * half))).reshape(2, -1).T
         slope, curve = 0.5 * (f[:, 2] - f[:, 0]), 0.5 * (f[:, 2] + f[:, 0]) - f[:, 1]
         fit = f[:, 1:2] + np.array([-0.5, 0.5]) * slope[:, None] + 0.25 * curve[:, None]
-        miss = np.abs(fit - quarter).max(axis=1)
+        left, right = (fit - quarter).T  # the misses at s = -1/2 and 1/2; their odd part is half the difference
+        miss = _CUBIC_PEAK * np.abs(0.5 * (right - left)) + _QUARTIC_PEAK * np.abs(0.5 * (right + left))
         split = (miss > _MEAN_CDF_TOL) & (2.0 * half > 1e-9 * (hi - lo))
         accepted.append(np.column_stack((center, half, f[:, 1], slope, curve))[~split])
         interp_err = max(interp_err, float(np.max(miss[~split], initial=0.0)))
@@ -579,7 +583,7 @@ def _mean_gain_cdf_table(mean):
         value += f_mid.take(i)
         return np.clip(value, 0.0, 1.0, out=value)
 
-    return cdf, quad_err + _CUBIC_PEAK * interp_err
+    return cdf, quad_err + interp_err
 
 
 def _rank_density(model, rank, min_count):

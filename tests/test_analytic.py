@@ -650,20 +650,23 @@ class TestMeanAngleRoute:
         for rank in (1, 10):
             assert_within_reported_error(model, levels, rank)
 
-    @pytest.mark.parametrize("mobility", [
-        paper_model(0.0).mobility,
-        paper_model(25.0).mobility,
-        # a model off the paper's: at 2001 levels its worst miss is 0.995 of the reported error, and it would
-        # exceed the error without the cubic-peak factor _CUBIC_PEAK
-        MobilityConfig.from_degrees(0.0, 10.0, 40.0, 120.0, 10.0, 20),
-    ], ids=["paper-dphi=0", "paper-dphi=25", "dphi=10,mean=40-120"])
-    def test_table_error_bounds_its_interpolation_miss(self, mobility):
+    @pytest.mark.parametrize("mobility,levels", [
+        (paper_model(0.0).mobility, 2001),
+        (paper_model(25.0).mobility, 2001),
+        # a model off the paper's: at 2001 levels its worst miss is 0.995 of the reported error under the
+        # cubic-peak factor alone
+        (MobilityConfig.from_degrees(0.0, 10.0, 40.0, 120.0, 10.0, 20), 2001),
+        # a model whose remainder has an even, quartic part: with the cubic-peak factor alone its worst miss
+        # over 20001 levels is 1.0002 of the reported error (9.954e-8 against 9.952e-8), 0.9991 with the even term
+        (MobilityConfig.from_degrees(1.0, 6.0, 60.0, 90.0, 0.0, 20), 20001),
+    ], ids=["paper-dphi=0", "paper-dphi=25", "dphi=10,mean=40-120", "d=1-6,mean=60-90,dphi=0"])
+    def test_table_error_bounds_its_interpolation_miss(self, mobility, levels):
         mean = an._mean_model(AnalyticModel(geom=paper_model().geom, mobility=mobility))
         geom, mob = mean.geom, mean.mobility
         cdf, err = an._mean_gain_cdf_table(mean)
         # the table's range, [g(d_max)^2 cos^2(half_fov), g(d_min)^2]
         lo = float(geom.gain_factor(mob.d_max)) ** 2 * math.cos(geom.half_fov) ** 2
-        x = np.geomspace(lo, float(geom.gain_factor(mob.d_min)) ** 2, 2001)
+        x = np.geomspace(lo, float(geom.gain_factor(mob.d_min)) ** 2, levels)
         miss = np.abs(cdf(x) - an.unordered_gain_cdf(mean, x)[0])
         assert np.all(miss <= err), (float(miss.max()), err, int(np.sum(miss > err)))
 

@@ -217,12 +217,12 @@ PINNED = {
     'group_success|dphi=0|wide|mean|strong|x=2e-11': ('0x1.526c9fc8177c6p-2', '0x1.0f066b2eb9e2bp-29'),
     'group_success|dphi=0|wide|mean|strong|x=4.5e-11': ('0x1.3ca50b091f061p-3', '0x1.65d410dbff747p-30'),
     'group_success|dphi=0|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd708d58a599fp-2', '0x1.4443e0aa01c32p-20'),
-    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2e75536e1dap-12', '0x1.4432fb10fd7cap-20'),
-    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7bacb26b5dfe2p-29', '0x1.4432eacc54b9bp-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.fffffec77c0f2p-1', '0x1.16aca4a27538cp-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c24326d495p-1', '0x1.025ab4ae9f33fp-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fd730536d6p-1', '0x1.3944ae2f253aep-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd708d58a599fp-2', '0x1.2b8438569b057p-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2e75536e1dap-12', '0x1.2b7352bd96befp-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7bacb26b5dfe2p-29', '0x1.2b734278edfc0p-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.fffffec77c0f2p-1', '0x1.0310c93f5f670p-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c24326d495p-1', '0x1.dd7db29712c46p-21'),
+    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fd730536d6p-1', '0x1.25a8d2cc0f692p-20'),
     'group_probabilities|dphi=0|paper|instant': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|paper|mean': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|wide|instant': ('0x1.cf71c47933453p-1',),
@@ -369,12 +369,12 @@ PINNED = {
     'group_success|dphi=25|wide|mean|strong|x=2e-11': ('0x1.82b11a9a7a600p-2', '0x1.440c838a02192p-29'),
     'group_success|dphi=25|wide|mean|strong|x=4.5e-11': ('0x1.3970f4df5e979p-3', '0x1.2dea8c386ed68p-31'),
     'group_success|dphi=25|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2cdaebb30fp-2', '0x1.4756c9004b4fep-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b9d07ab221p-10', '0x1.475249ceddbf1p-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef23f4dca59p-23', '0x1.4752233f8e217p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405f9d2d897ap-1', '0x1.0bed9d5f315ecp-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d53059ee3p-1', '0x1.0e8be40805b37p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef42ee4ae15p-1', '0x1.1060323da1ea3p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2cdaebb313p-2', '0x1.3d71390c2404fp-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b9d07aba2cp-10', '0x1.3d6cb9d9168a8p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef23fa016c9p-23', '0x1.3d6c934b36721p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405f9d208a0ep-1', '0x1.040e04fe17f62p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d52edd99ep-1', '0x1.06a45af787122p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef42edd0e32p-1', '0x1.087f365d8e3cep-20'),
     'group_probabilities|dphi=25|paper|instant': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|paper|mean': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|wide|instant': ('0x1.dbd2f1fed3071p-1',),

@@ -22,7 +22,7 @@ GOLDEN = {
     ("simulate", "fig2"): "5ce190141531f7f1aca1ba352e4366ae2141c78a60ff0976beaea64090667e29",
     ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
     ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
-    ("analytic", "fig2"): "f29ef3cd968012e1d8d62b952aca7f502e5a12bfe6ac74d083b357056087eafb",
+    ("analytic", "fig2"): "7642da7fef05e596afc329c5d6fc5f34d100a43a71c6e6927cb01e78d67c0d13",
     ("analytic", "fig3"): "827fb0b5ab833b160f3210ecf67993339f46ab46b7aed892b0e9699f0f38d643",
 }
 VALIDATE_QUICK = "214057ecc9356646541480ab0692dee18b5e4ab2bebe020d8e787c3f84afb4b5"
