@@ -244,15 +244,29 @@ class TestBoundaryAngles:
 
 
 def assert_float_is_array_entry(law, points, *args):
-    """``law(v, *args)`` at each float v of ``points`` is bit for bit entry i of ``law(points, *args)``."""
-    points = np.asarray(points, float)
+    """``law(v, *args)`` at each float v of ``points`` is bit for bit entry i of ``law(points, *args)``.
+
+    The array is read-only, so a law that writes into its argument fails, and
+    it must come back unchanged.  Each point is also passed as ``np.float64``
+    and as a 0-d array; every 0-d result must behave as a float.
+    """
+    points = np.array(points, float)
+    kept = points.copy()
+    points.setflags(write=False)
     whole = np.broadcast_to(law(points, *args), points.shape)
-    got = [float(law(v, *args)).hex() for v in points.tolist()]
-    assert got == [v.hex() for v in whole.tolist()], law.__name__
+    assert np.array_equal(points.view(np.int64), kept.view(np.int64)), law.__name__
+    want = [v.hex() for v in whole.tolist()]
+    for kind in (float, np.float64, np.array):
+        results = [law(kind(v), *args) for v in points.tolist()]
+        assert all(np.ndim(one) == 0 and isinstance(one + 0.0, float) for one in results), (law.__name__, kind)
+        assert [float(one).hex() for one in results] == want, (law.__name__, kind)
 
 
 class TestOnePathPerLaw:
-    """Every angle law has one NumPy path: a float is its 0-d case, with the bits of the same point in an array."""
+    """Every angle law has one NumPy path: a float is its 0-d case, with the bits of the same point in an array.
+
+    The clipping laws clip their own result in place, never their argument.
+    """
 
     POINTS = 1000
 
@@ -279,6 +293,14 @@ class TestOnePathPerLaw:
         r = np.concatenate(([mob.d_min, mob.d_max], kinks, self.uniform(mob.d_min, mob.d_max)))
         for half_angle in (0.0, 0.5 * theta, theta, math.pi):
             assert_float_is_array_entry(lambda v, y=half_angle: an.fov_probability(model, v, y), r)
+
+    @pytest.mark.parametrize("dphi", (0.0, 0.2))
+    def test_conditional_phi_cdf(self, dphi):
+        # both signs of zero and points clipped at either end; a mean of delta_phi puts the lower edge at +0.0,
+        # so x = -0.0 gives the unclipped value -0.0, which the clip must turn into +0.0 in an array too
+        x = np.concatenate(([-0.0, 0.0, -1.0, 1.0, 4.0], self.uniform(-0.5, math.pi + 0.5)))
+        for mean in (dphi, 1.0):
+            assert_float_is_array_entry(lambda v, m=mean: conditional_phi_cdf(m, dphi, v), x)
 
     @pytest.mark.parametrize("mob", (
         MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20),

@@ -2,13 +2,14 @@
 
 The mean-angle rule (``analytic._mean_angle_rows``) evaluates the rank weight
 only at its live nodes, those with a nonzero Gauss weight and band, and
-writes its temporaries in place; the angle laws clip their own results in
-place; the kink finder stops bisecting at the fixed point.  Each is checked
-here against the dense expression it replaced, kept in this file as the
-oracle, bit for bit.  NumPy picks a SIMD kernel at run time, and compressing
-to live nodes moves where a kernel's vector tail falls, so the rule and law
-tests run again in a fresh interpreter with every dispatched target above
-NumPy's baseline switched off.
+writes its temporaries in place; the kink finder stops bisecting at the
+fixed point.  Each is checked here against the dense expression it
+replaced, kept in this file as the oracle, bit for bit.  NumPy picks a SIMD
+kernel at run time, and compressing to live nodes moves where a kernel's
+vector tail falls, so the rule tests, and the in-place angle laws of
+``tests/test_analytic.py::TestOnePathPerLaw``, run again in a fresh
+interpreter with every dispatched target above NumPy's baseline switched
+off.
 """
 
 import inspect
@@ -24,7 +25,7 @@ import pytest
 from vlcnoma import analytic as an
 from vlcnoma import cli
 from vlcnoma.channel import incidence_angle
-from vlcnoma.population import MobilityConfig, conditional_phi_cdf, marginal_phi_cdf
+from vlcnoma.population import conditional_phi_cdf
 from vlcnoma.validation import paper_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,55 +127,12 @@ class TestLiveNodeRule:
         assert np.array_equal(bits(cdf(y)), bits(dense_cdf(cdf)(y)))
 
 
-def assert_float_is_array_entry(law, points):
-    """``law`` on a read-only array keeps it, and each 0-d call is a float scalar with the bits of its entry."""
-    points = np.array(points, float)
-    kept = points.copy()
-    points.setflags(write=False)
-    whole = law(points)
-    assert np.array_equal(bits(points), bits(kept))
-    for v, entry in zip(points.tolist(), whole.tolist()):
-        for arg in (v, np.float64(v), np.array(v)):
-            one = law(arg)
-            assert np.ndim(one) == 0 and isinstance(one + 0.0, float), (law, arg, type(one))
-            assert bits(one) == bits(entry), (law, v, float(one), entry)
-
-
-class TestAngleLawsInPlace:
-    """conditional_phi_cdf, marginal_phi_cdf and fov_probability clip their own results, never their argument."""
-
-    # both signs of zero, points clipped at 0 and at 1, and points inside
-    POINTS = np.concatenate(([-0.0, 0.0, -1.0, math.pi, 4.0],
-                             np.random.default_rng(3).uniform(-0.5, math.pi + 0.5, 300)))
-
-    @pytest.mark.parametrize("dphi", (0.0, 0.2))
-    def test_conditional_phi_cdf(self, dphi):
-        # a mean of delta_phi puts the lower edge at +0.0, so x = -0.0 gives the unclipped value -0.0
-        assert_float_is_array_entry(lambda x: conditional_phi_cdf(dphi, dphi, x), self.POINTS)
-        assert_float_is_array_entry(lambda x: conditional_phi_cdf(1.0, dphi, x), self.POINTS)
-
-    @pytest.mark.parametrize("mob", (
-        MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20),
-        MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 0.0, 20),
-        MobilityConfig.from_degrees(0.0, 10.0, 90.0, 90.0, 25.0, 20),
-    ))
-    def test_marginal_phi_cdf(self, mob):
-        assert_float_is_array_entry(lambda x: marginal_phi_cdf(mob, x), np.concatenate((self.POINTS, an._corners(mob))))
-
-    @pytest.mark.parametrize("dphi", (0.0, 25.0))
-    def test_fov_probability(self, dphi):
-        model = paper_model(dphi)
-        r = np.random.default_rng(4).uniform(model.mobility.d_min, model.mobility.d_max, 300)
-        for half_angle in (0.0, 0.5 * model.geom.half_fov, math.pi):
-            assert_float_is_array_entry(lambda v, y=half_angle: an.fov_probability(model, v, y), r)
-
-
 def test_rule_and_laws_keep_their_bits_under_baseline_dispatch():
     # every target NumPy dispatches to above its baseline, and that this CPU has, switched off
     above = cli._numpy_simd()["dispatch"]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(above),
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    tests = [f"{__file__}::{name}" for name in ("TestLiveNodeRule", "TestAngleLawsInPlace")]
+    tests = [f"{__file__}::TestLiveNodeRule", str(ROOT / "tests" / "test_analytic.py") + "::TestOnePathPerLaw"]
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
