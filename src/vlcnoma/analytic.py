@@ -415,7 +415,7 @@ def _count_weights(model, n, k_min):
     return _binomial_pmf(n, K, p) / _binomial_tail(k_min, K, p)
 
 
-def nonzero_count_pmf(model, k, k_min=0):
+def nonzero_count_pmf(model, k, k_min):
     """PMF of the nonzero-gain user count at the counts ``k``, elementwise, truncated and renormalized below k_min."""
     K = model.mobility.num_users
     k = np.asarray(k)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -216,10 +217,7 @@ def cmd_validate(args):
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if args.out:
-        report = [
-            {"name": r.name, "passed": r.passed, "measured": r.measured, "bound": r.bound, "detail": r.detail}
-            for r in results
-        ]
+        report = [dataclasses.asdict(r) for r in results]
         with open(args.out, "w") as fh:
             json.dump({"passed": not failed, "checks": report}, fh, indent=2)
             fh.write("\n")

@@ -173,7 +173,7 @@ def check_fov_probability(sizes, rng):
     """fov_probability at a fixed distance vs conditional Monte Carlo (3 sigma)."""
     model = paper_model()
     geom, mob = model.geom, model.mobility
-    n = max(sizes.group_draws, 200_000)
+    n = sizes.group_draws
     r = 5.0
     _, _, phi = sample_user_arrays(mob, rng, n)
     theta = incidence_angle(np.full(n, r), phi, geom.ell)
@@ -274,7 +274,7 @@ def check_individual_cdfs(sizes, rng):
     return results
 
 
-def check_group_cdfs(sizes, rng, delta_phi_deg, tolerance=0.015):
+def check_group_cdfs(sizes, rng, delta_phi_deg, tolerance):
     """Group-conditional CDFs for both report variants vs strip-sampled oracles."""
     models = tuple(paper_model(delta_phi_deg, kind) for kind in TWO_BIT_KINDS)
     results = []
