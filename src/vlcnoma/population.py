@@ -149,18 +149,15 @@ def marginal_phi_cdf(config, x):
 
     The angle is mean + deviation with mean ~ U[mean_phi_min, mean_phi_max] and
     deviation ~ U[-delta_phi, delta_phi]; integrating the conditional CDF over
-    the mean gives [G(x - lo) - G(x - hi)] / (hi - lo) with G above.  Degenerate
-    layers (delta_phi = 0 and/or lo = hi) reduce to uniform / step CDFs.
+    the mean gives [G(x - lo) - G(x - hi)] / (hi - lo) with G above.  A
+    degenerate mean range (lo = hi) is the conditional law at that mean.
     """
     lo, hi, dphi = config.mean_phi_min, config.mean_phi_max, config.delta_phi
-    if hi == lo and dphi == 0.0:
-        return np.asarray(x >= lo, float)
     if hi == lo:
-        value = (x - lo + dphi) / (2.0 * dphi)
-    else:
-        G = deviation_cdf_integral
-        value = G(x - lo, dphi) - G(x - hi, dphi)
-        value /= hi - lo
+        return conditional_phi_cdf(lo, dphi, x)
+    G = deviation_cdf_integral
+    value = G(x - lo, dphi) - G(x - hi, dphi)
+    value /= hi - lo
     return unit_clip(value)
 
 

@@ -129,6 +129,18 @@ class TestMarginalCdf:
         for x in np.linspace(0.0, math.pi, 50):
             assert marginal_phi_cdf(mob, x) == pytest.approx(x / math.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("delta_phi_deg", (25.0, 0.0))
+    def test_a_degenerate_mean_range_is_the_law_at_that_mean(self, delta_phi_deg):
+        # mean range [m, m]: uniform on [m - delta, m + delta], or the unit step at m when delta = 0
+        mob = MobilityConfig.from_degrees(0.0, 10.0, 90.0, 90.0, delta_phi_deg, 20)
+        m, delta = mob.mean_phi_min, mob.delta_phi
+        x = np.concatenate(([m - delta, m, m + delta, 0.0, math.pi], np.linspace(-0.2, math.pi + 0.2, 401)))
+        if delta:
+            expected = np.clip((x - (m - delta)) / (2.0 * delta), 0.0, 1.0)
+        else:
+            expected = (x >= m).astype(float)
+        assert marginal_phi_cdf(mob, x) == pytest.approx(expected, abs=1e-15)
+
     def test_dkw_bound(self, mobility):
         n = 1_000_000
         _, _, phi = sample_user_arrays(mobility, np.random.default_rng(3), n)
