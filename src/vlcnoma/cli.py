@@ -117,8 +117,17 @@ def _rows_from_curves(curves, suffix):
     return rows
 
 
+def _output_path(path):
+    """``path`` as a Path whose directory exists, made before any work so that a bad --out costs nothing."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def _write_csv(path, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -158,7 +167,7 @@ def _write_manifest(path, command, args, groups, outputs, started, duration, **e
 
 def cmd_simulate(args):
     groups = _resolved_groups(args, args.trials)
-    out = Path(args.out or f"{args.preset or 'run'}-simulate.csv")
+    out = _output_path(args.out or f"{args.preset or 'run'}-simulate.csv")
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     rows = []
@@ -180,7 +189,7 @@ def cmd_simulate(args):
 
 def cmd_analytic(args):
     groups = _resolved_groups(args)
-    out = Path(args.out or f"{args.preset or 'run'}-analytic.csv")
+    out = _output_path(args.out or f"{args.preset or 'run'}-analytic.csv")
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     rows = []
@@ -209,19 +218,18 @@ def cmd_analytic(args):
 
 
 def cmd_validate(args):
-    if args.out:  # made before the checks run, so the report is not lost at the end
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    out = _output_path(args.out) if args.out else None
     results = run_validation(quick=args.quick)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    if args.out:
+    if out:
         report = [dataclasses.asdict(r) for r in results]
-        with open(args.out, "w") as fh:
+        with open(out, "w") as fh:
             json.dump({"passed": not failed, "checks": report}, fh, indent=2)
             fh.write("\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {out}")
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
@@ -262,6 +270,7 @@ print("wrote", {out_png!r})
 
 
 def cmd_plot(args):
+    out = _output_path(args.out or "plot_sum_rates.py")
     paths = [Path(p) for p in args.csv]
     for path in paths:
         try:
@@ -276,10 +285,8 @@ def cmd_plot(args):
             raise ConfigError(f"{path}: unexpected CSV schema (column mismatch: {sorted(offending)})")
         if first is None:
             raise ConfigError(f"{path}: CSV has no data rows")
-    out = Path(args.out or "plot_sum_rates.py")
     png = str(out.with_suffix(".png"))
     script = PLOT_TEMPLATE.format(csv_files=[str(p) for p in paths], out_png=png)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(script)
     print(f"wrote {out}; run it with python to render {png}")
     return EXIT_OK
