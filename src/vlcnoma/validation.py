@@ -6,13 +6,11 @@ conditional frequencies.  Group CDF oracles sample the distance strip of the
 group directly (distance and orientation are independent, so conditioning the
 distance draw is exact) to keep the member counts high enough for tight
 Kolmogorov-Smirnov bounds.  The bulk oracles draw and evaluate their users
-in blocks of rows that fit a core's cache, one block alive at a time.  Each
-block is drawn from copies of the stream advanced to its place in the
-whole-array draw, and every block op is elementwise or acts along a row, so
-the results and the stream position are those of the whole arrays, bit for
-bit; blocks past what an oracle needs are never drawn.  The one sample that
-must be held whole, the unordered-CDF pool of nonzero gains, is a single
-preallocated array filled block by block and sorted in place by its ECDF.
+in blocks of rows that fit a core's cache, one block alive at a time: each
+block is its own draw from the stream, taken in turn, and an oracle stops
+drawing once it holds what it needs.  The one sample that must be held
+whole, the unordered-CDF pool of nonzero gains, is a single preallocated
+array filled block by block and sorted in place by its ECDF.
 """
 
 from __future__ import annotations
@@ -25,14 +23,13 @@ import numpy as np
 from . import analytic as an
 from .channel import channel_gain, incidence_angle
 from .config import build_experiment, merge
-from .population import marginal_phi_cdf, sample_user_arrays, split_user_streams
+from .population import marginal_phi_cdf, sample_user_arrays
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from .simulate import EmpiricalCdf
 
-# values per block of the bulk oracles: each float64 array of a block is 1 MB, inside a core's L2
+# values per block of the bulk oracles: each float64 array of a block is 1 MB, inside a core's L2.  Each block
+# is one draw, so this also fixes the oracles' stream layout: changing it changes their samples and the report
 _BLOCK_VALUES = 1 << 17
-# snapshots per draw of the conditioned rank-gain oracle: only the layout of its stream, since blocks are drawn lazily
-_RANK_BATCH = 400_000
 
 
 @dataclass
@@ -97,36 +94,30 @@ def _frequency_check(name, frac, pred, n, detail, var_floor=0.0, tol_floor=0.0):
     return CheckResult(name, bool(dev <= tol), float(dev), float(tol), detail)
 
 
-def _row_blocks(rows, width):
-    """Consecutive slices of range(rows), each of at most _BLOCK_VALUES // width rows (at least one)."""
-    step = max(_BLOCK_VALUES // width, 1)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+def _user_blocks(mob, rng, width, rows=math.inf):
+    """(d, phi) blocks of ``width`` users a row, each one ``sample_user_arrays`` draw from ``rng``, in turn.
 
-
-def _user_blocks(mob, rng, rows, width):
-    """Lazy (d, phi) row blocks, by ``_row_blocks``, of ``sample_user_arrays(mob, rng, rows * width)`` as (rows, width).
-
-    ``rng`` stands past the whole draw as soon as this is called, so blocks
-    left undrawn cost nothing and move nothing.
+    A block holds _BLOCK_VALUES // width rows (at least one).  The blocks
+    stop at ``rows`` rows, the last one short; by default they go on until
+    the caller stops drawing, so no block past what it needs is drawn.
     """
-    streams = split_user_streams(rng, rows * width)
-
-    def blocks():
-        for block in _row_blocks(rows, width):
-            d, _, phi = sample_user_arrays(mob, streams, len(range(rows)[block]) * width)
-            yield d.reshape(-1, width), phi.reshape(-1, width)
-
-    return blocks()
+    step = max(_BLOCK_VALUES // width, 1)
+    drawn = 0
+    while drawn < rows:
+        n = min(step, rows - drawn)
+        d, _, phi = sample_user_arrays(mob, rng, (n, width))
+        drawn += n
+        yield d, phi
 
 
 def _count_histogram(geom, mob, rng, rows, width):
-    """Entry k: the number of rows of ``sample_user_arrays(mob, rng, rows * width)`` with k nonzero gains.
+    """Entry k: the number of rows, of ``rows`` drawn by ``_user_blocks``, with k nonzero gains.
 
     A gain is nonzero exactly when its incidence lies inside the half FOV
     (the gate of ``channel_gain``), so only the gate is evaluated.
     """
     histogram = np.zeros(width + 1, np.int64)
-    for d, phi in _user_blocks(mob, rng, rows, width):
+    for d, phi in _user_blocks(mob, rng, width, rows):
         in_fov = np.abs(incidence_angle(d, phi, geom.ell)) <= geom.half_fov
         histogram += np.bincount(in_fov.sum(axis=1), minlength=width + 1)
     return histogram
@@ -217,46 +208,35 @@ def _conditioned_rank_gains(config, rng, wanted, pool_size):
 
     Returns the rank-i and rank-j gains of the first ``wanted`` snapshots that
     hold at least j nonzero gains, and the first ``pool_size`` nonzero squared
-    gains of all snapshots, both in draw order; the pool holds fewer when the
-    batches that yield ``wanted`` snapshots hold fewer nonzero gains.  The
-    stream advances by whole batches of _RANK_BATCH snapshots, as if every
-    row were used, but the rows are drawn and evaluated block by block, and
-    no block is drawn once ``wanted`` snapshots are kept and the pool is full.
-    The pool is one preallocated array of ``pool_size`` values: each block
-    copies its nonzero gains into the next free slice, cut at ``pool_size``,
-    and the filled prefix is returned, so the pool's gains are held once.
+    gains of all snapshots, both in draw order.  The snapshots are drawn and
+    evaluated block by block (``_user_blocks``) until both are held.  The pool
+    is one preallocated array of ``pool_size`` values: each block copies its
+    nonzero gains into the next free slice, cut at ``pool_size``, so the
+    pool's gains are held once.
     """
     geom, mob, rank_weak, rank_strong = config.geom, config.mobility, config.rank_weak, config.rank_strong
-    K = mob.num_users
     out_w, out_s = [], []
     pool = np.empty(pool_size)
-    got = filled = batches = 0
-    while got < wanted:
-        batches += 1
-        rows_seen = 0
-        for d, phi in _user_blocks(mob, rng, _RANK_BATCH, K):
-            rows_seen += len(d)
-            g2 = channel_gain(geom, d, phi) ** 2
-            nonzero = g2 > 0.0
-            if filled < pool_size:
-                gains = g2[nonzero][:pool_size - filled]
-                pool[filled:filled + gains.size] = gains
-                filled += gains.size
-            if got < wanted:
-                masked = np.where(nonzero, g2, np.inf)
-                masked.sort(axis=1)
-                keep = nonzero.sum(axis=1) >= rank_strong
-                out_w.append(masked[keep, rank_weak - 1])
-                out_s.append(masked[keep, rank_strong - 1])
-                got += int(keep.sum())
-            if got >= wanted and filled == pool_size:
-                break
-        if not rows_seen:
-            raise RuntimeError(f"batch {batches} of {_RANK_BATCH} snapshots: the block plan "
-                               f"{_row_blocks(_RANK_BATCH, K)} covers none of its rows")
+    got = filled = 0
+    for d, phi in _user_blocks(mob, rng, mob.num_users):
+        g2 = channel_gain(geom, d, phi) ** 2
+        nonzero = g2 > 0.0
+        if filled < pool_size:
+            gains = g2[nonzero][:pool_size - filled]
+            pool[filled:filled + gains.size] = gains
+            filled += gains.size
+        if got < wanted:
+            masked = np.where(nonzero, g2, np.inf)
+            masked.sort(axis=1)
+            keep = nonzero.sum(axis=1) >= rank_strong
+            out_w.append(masked[keep, rank_weak - 1])
+            out_s.append(masked[keep, rank_strong - 1])
+            got += int(keep.sum())
+        if got >= wanted and filled == pool_size:
+            break
     w = np.concatenate(out_w)[:wanted]
     s = np.concatenate(out_s)[:wanted]
-    return w, s, pool[:filled]
+    return w, s, pool
 
 
 def check_individual_cdfs(sizes, rng):
@@ -306,7 +286,7 @@ def check_group_conditioning(sizes, rng):
     geom, mob, scheme = model.geom, model.mobility, model.scheme
     n = sizes.population_draws
     both = 0  # snapshots with both groups nonempty
-    for d, phi in _user_blocks(mob, rng, n, mob.num_users):
+    for d, phi in _user_blocks(mob, rng, mob.num_users, n):
         incidence = np.abs(incidence_angle(d, phi, geom.ell))
         weak = (d > scheme.d_threshold) & (incidence > scheme.theta_threshold)
         strong = (d <= scheme.d_threshold) & (incidence <= scheme.theta_threshold)

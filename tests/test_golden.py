@@ -25,7 +25,7 @@ GOLDEN = {
     ("analytic", "fig2"): "7642da7fef05e596afc329c5d6fc5f34d100a43a71c6e6927cb01e78d67c0d13",
     ("analytic", "fig3"): "827fb0b5ab833b160f3210ecf67993339f46ab46b7aed892b0e9699f0f38d643",
 }
-VALIDATE_QUICK = "214057ecc9356646541480ab0692dee18b5e4ab2bebe020d8e787c3f84afb4b5"
+VALIDATE_QUICK = "8611f1767f60464dd2c46d087ea7fa4b02e5f9f8c2b542a57bb144207e8e39cd"
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
     "analytic": ["--set", "sweep.gamma_db=150,185,215"],
