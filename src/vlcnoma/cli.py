@@ -120,6 +120,8 @@ def _rows_from_curves(curves, suffix):
 def _output_path(path):
     """``path`` as a Path whose directory exists, made before any work so that a bad --out costs nothing."""
     path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

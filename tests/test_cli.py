@@ -509,16 +509,19 @@ class TestCommandFlags:
         assert run_cli("validate", "--quick", "--out", str(out)) == 0
         assert json.loads(out.read_text())["checks"][0]["name"] == "stub"
 
+    @pytest.mark.parametrize("under_a_file", [True, False])
     @pytest.mark.parametrize("argv", [("simulate",), ("analytic",), ("validate", "--quick"), ("plot", "missing.csv")])
-    def test_unwritable_out_exits_1_naming_it_before_any_work(self, monkeypatch, capsys, tmp_path, argv):
+    def test_unwritable_out_exits_1_naming_it_before_any_work(self, monkeypatch, capsys, tmp_path, argv, under_a_file):
         def never(*args, **kwargs):
             raise AssertionError("the work must not start")
 
         for name in ("run_sweep", "sum_rate_sweep", "run_validation"):
             monkeypatch.setattr(cli, name, never)
-        blocker = tmp_path / "FILE"  # a regular file where the output directory should be
-        blocker.write_text("")
-        out = blocker / "a.out"
+        out = tmp_path  # an existing directory
+        if under_a_file:
+            blocker = tmp_path / "FILE"  # a regular file where the output directory should be
+            blocker.write_text("")
+            out = blocker / "a.out"
         # plot names a CSV that does not exist: refusing it instead would mean the inputs were read first
         assert run_cli(*argv, "--out", str(out)) == 1
         err = capsys.readouterr().err
