@@ -121,6 +121,29 @@ class TestUserBlocks:
         assert_same_bits(np.concatenate([block_phi for _, block_phi in blocks]), phi)
         assert rng.random() == oracle_rng.random()
 
+    @pytest.mark.parametrize("drawn", ["all", "one", "none"])
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_the_stream_stands_where_the_whole_draw_leaves_it(self, monkeypatch, mob, drawn, bit_generator):
+        # the whole draw here is the sequential draw of just the blocks taken: none is drawn ahead
+        monkeypatch.setattr(validation, "_BLOCK_VALUES", 7 * 20)
+        rng, whole_rng = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
+        for g in (rng, whole_rng):  # leaves a 32-bit half-word buffered, which the block draws keep
+            g.integers(0, 10, dtype=np.uint32)
+        blocks = validation._user_blocks(mob, rng, 20, ROWS)
+        taken, sizes = [], []
+        if drawn == "all":
+            taken, sizes = list(blocks), block_sizes(ROWS, 20, 7 * 20)
+        elif drawn == "one":
+            taken, sizes = [next(blocks)], [7]
+        assert [len(block_d) for block_d, _ in taken] == sizes
+        if taken:
+            d, phi = sequential_draw(mob, whole_rng, sizes, 20)
+            assert_same_bits(np.concatenate([block_d for block_d, _ in taken]), d)
+            assert_same_bits(np.concatenate([block_phi for _, block_phi in taken]), phi)
+        assert rng.integers(0, 2**32, 4, dtype=np.uint32).tolist() == \
+            whole_rng.integers(0, 2**32, 4, dtype=np.uint32).tolist()
+        assert rng.random() == whole_rng.random()
+
 
 class TestBlockedCountsAndFractions:
     N, K = ROWS, 20
