@@ -27,9 +27,10 @@ ranks mix the per-user CDF over a truncated Binomial count.
 
 Every closed-form probability and CDF returns (value, propagated quadrature
 error estimate).  ``ROUTES[kind](model, rank_weak, rank_strong)`` gives one
-scheme kind's conditioning rate and outage arrays over a threshold table, on
-a model of that kind's scheme; it is the one entry point of the sweep and of
-``validation``.
+scheme kind's (conditioning rate, weak, strong) on a model of that kind's
+scheme, where ``weak`` and ``strong`` map an array of squared-gain thresholds
+(one slot's thresholds over a curve's SNR grid) to that slot's (outage,
+error) arrays; it is the one entry point of the sweep and of ``validation``.
 
 One rule integrates over distance: ``integrate_levels``, the batched
 adaptive Gauss-Kronrod rule of ``quadrature``.  A band mass is its one-row
@@ -816,45 +817,32 @@ def group_success_probability(model, threshold, role):
 # ---------------------------------------------------------------------------
 
 
-def _etas(thresholds):
-    """The weak and the strong gain thresholds of a table of GainThresholds, as two level arrays."""
-    return np.array([t.eta_weak for t in thresholds], float), np.array([t.eta_strong for t in thresholds], float)
-
-
-def _route(conditioning, weak, strong):
-    """A route's (conditioning rate, outage); ``weak`` and ``strong`` map a level array to a slot's outage and error."""
-    def outage(table):
-        eta_weak, eta_strong = _etas(table)
-        return (*weak(eta_weak), *strong(eta_strong))
-
-    return conditioning, outage
-
-
 def _failure(success):
     """(1 - value, error) of a (success probability, error) pair."""
     return 1.0 - success[0], success[1]
 
 
 def _full_csi_route(model, rank_weak, rank_strong):
-    return _route(nonzero_count_tail(model, rank_strong),
-                  lambda x: ordered_gain_cdf(model, x, rank_weak, rank_strong),
-                  lambda x: ordered_gain_cdf(model, x, rank_strong, rank_strong))
+    return (nonzero_count_tail(model, rank_strong),
+            lambda x: ordered_gain_cdf(model, x, rank_weak, rank_strong),
+            lambda x: ordered_gain_cdf(model, x, rank_strong, rank_strong))
 
 
 def _mean_angle_route(model, rank_weak, rank_strong):
-    return _route(nonzero_count_tail(_mean_model(model), rank_strong),
-                  lambda x: _failure(mean_angle_success_probability(model, x, rank_weak, rank_strong)),
-                  lambda x: _failure(mean_angle_success_probability(model, x, rank_strong, rank_strong)))
+    return (nonzero_count_tail(_mean_model(model), rank_strong),
+            lambda x: _failure(mean_angle_success_probability(model, x, rank_weak, rank_strong)),
+            lambda x: _failure(mean_angle_success_probability(model, x, rank_strong, rank_strong)))
 
 
 def _group_route(model, rank_weak, rank_strong):
-    return _route(both_groups_probability(model),
-                  lambda x: _failure(group_success_probability(model, x, WEAK)),
-                  lambda x: _failure(group_success_probability(model, x, STRONG)))
+    return (both_groups_probability(model),
+            lambda x: _failure(group_success_probability(model, x, WEAK)),
+            lambda x: _failure(group_success_probability(model, x, STRONG)))
 
 
 # the scheme kinds with a closed-form route; ROUTES[kind](model, rank_weak, rank_strong) returns
-# (conditioning rate, outage arrays with errors as a function of a curve's threshold table)
+# (conditioning rate, weak, strong), where weak and strong map an array of gain thresholds to that
+# slot's (outage, error) arrays
 ROUTES = {
     FeedbackKind.FULL_CSI: _full_csi_route,
     FeedbackKind.MEAN_ANGLE: _mean_angle_route,
@@ -868,11 +856,11 @@ def sum_rate_sweep(config):
 
     Curves served by a kind without a route in ROUTES are left out.  Each
     kind's AnalyticModel carries that kind's scheme from the config and the
-    default quadrature settings, and its route is built once and evaluated
-    on each curve's whole threshold table in one call.  CurvePoint.ci_halfwidth carries the
-    propagated quadrature error estimate, and conditioning_rate the
-    probability of the scheduling precondition (enough nonzero-gain reports /
-    both groups nonempty).  A QuadratureError turns only the curve it hit
+    default quadrature settings, and its route is built once; each slot's
+    outage is one call on that slot's threshold array of the curve.
+    CurvePoint.ci_halfwidth carries the propagated quadrature error
+    estimate, and conditioning_rate the probability of the scheduling
+    precondition (enough nonzero-gain reports / both groups nonempty).  A QuadratureError turns only the curve it hit
     into NaN points, and an UndefinedLawError is raised again naming the
     scheme it hit.  A config with estimation noise is refused: no route
     models it.  Returns (curves, {label: QuadratureError} of the failed
@@ -884,14 +872,14 @@ def sum_rate_sweep(config):
     schemes = {s.kind: s for s in config.schemes}
     targets, grid = config.noma.targets, config.gamma_db_grid
     routes, curves, failures = {}, {}, {}
-    for label, kind, thresholds in config.curves:
+    for label, kind, (eta_weak, eta_strong) in config.curves:
         if kind not in ROUTES:
             continue
         try:
             if kind not in routes:
                 model = AnalyticModel(geom=config.geom, mobility=config.mobility, scheme=schemes[kind])
                 routes[kind] = ROUTES[kind](model, config.rank_weak, config.rank_strong)
-            cond, outage = routes[kind]
+            cond, weak, strong = routes[kind]
             points = [
                 CurvePoint(
                     gamma_db=float(gamma_db),
@@ -901,7 +889,8 @@ def sum_rate_sweep(config):
                     outage_strong=ps,
                     conditioning_rate=float(cond),
                 )
-                for gamma_db, pw, ew, ps, es in zip(grid, *(np.asarray(v, float).tolist() for v in outage(thresholds)))
+                for gamma_db, pw, ew, ps, es in zip(grid, *(np.asarray(v, float).tolist()
+                                                            for v in (*weak(eta_weak), *strong(eta_strong))))
             ]
         except UndefinedLawError as exc:
             raise UndefinedLawError(f"scheme {kind.value!r}: {exc}") from exc

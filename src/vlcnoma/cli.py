@@ -204,7 +204,8 @@ def cmd_analytic(args):
             continue
         for scheme in config.schemes:
             if scheme.kind not in ROUTES:
-                print(f"note: no closed-form route for scheme {scheme.kind.value!r}; skipped", file=sys.stderr)
+                print(f"note: run group {suffix or 'default'!r} has no closed-form route for scheme "
+                      f"{scheme.kind.value!r}; skipped", file=sys.stderr)
         try:
             curves, failed = sum_rate_sweep(config)
         except UndefinedLawError as exc:
@@ -272,8 +273,13 @@ print("wrote", {out_png!r})
 
 
 def cmd_plot(args):
-    out = _output_path(args.out or "plot_sum_rates.py")
-    paths = [Path(p) for p in args.csv]
+    out, paths = Path(args.out or "plot_sum_rates.py"), [Path(p) for p in args.csv]
+    if out.suffix.lower() == ".png":
+        raise ConfigError(f"cannot write {out}: the script renders to the .png of its own path, so it would "
+                          "draw over itself; give a script path such as plot.py")
+    if out.resolve() in {p.resolve() for p in paths}:
+        raise ConfigError(f"cannot write {out}: it is one of the input CSVs")
+    out = _output_path(out)
     for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:

@@ -77,16 +77,11 @@ class NomaConfig:
     targets: TargetRates
 
 
-@dataclass(frozen=True)
-class GainThresholds:
-    """Squared-gain outage thresholds at one transmit SNR."""
-
-    eta_weak: float
-    eta_strong: float
-
-
 def eta_thresholds(targets, alloc, gamma):
-    """Squared-gain thresholds equivalent to the SINR outage conditions."""
+    """Squared-gain thresholds (eta_weak, eta_strong) equivalent to the SINR outage conditions.
+
+    Elementwise over the transmit SNR ``gamma``: an array gives two arrays of its shape.
+    """
     eps_w = targets.eps_weak
     margin = alloc.share_weak - alloc.share_strong * eps_w
     if margin <= 0.0:
@@ -94,15 +89,14 @@ def eta_thresholds(targets, alloc, gamma):
             "weak user's rate is unreachable at any gain: "
             f"share_weak - share_strong*eps_weak = {margin:.6g} <= 0"
         )
+    gamma = np.asarray(gamma, float)
     eta_weak = (eps_w / gamma) / margin
-    eta_strong = max(eta_weak, (targets.eps_strong / gamma) / alloc.share_strong)
-    return GainThresholds(eta_weak=eta_weak, eta_strong=eta_strong)
+    return eta_weak, np.maximum(eta_weak, (targets.eps_strong / gamma) / alloc.share_strong)
 
 
-def noma_pair_outcome(h_weak_sq, h_strong_sq, thresholds):
+def noma_pair_outcome(h_weak_sq, h_strong_sq, eta_weak, eta_strong):
     """(weak_in_outage, strong_in_outage); success requires strictly exceeding eta."""
-    return (np.asarray(h_weak_sq, float) <= thresholds.eta_weak,
-            np.asarray(h_strong_sq, float) <= thresholds.eta_strong)
+    return np.asarray(h_weak_sq, float) <= eta_weak, np.asarray(h_strong_sq, float) <= eta_strong
 
 
 def noma_sum_rate(outage_probs, targets):
@@ -126,18 +120,16 @@ class CurvePoint:
 
 
 def oma_gain_thresholds(targets, gamma):
-    """Squared-gain outage thresholds for the OMA baseline.
+    """Squared-gain outage thresholds (eta_weak, eta_strong) for the OMA baseline, elementwise over ``gamma``.
 
     The two users of the pair each hold the channel alone for half of the
     frame, so meeting the target overall requires rate 2*Rt while active:
     h^2 > epsilon_threshold(2*Rt)/gamma.
     """
-    if gamma <= 0.0:
+    gamma = np.asarray(gamma, float)
+    if not np.all(gamma > 0.0):
         raise ValueError("transmit SNR must be positive")
-    return GainThresholds(
-        eta_weak=epsilon_threshold(2.0 * targets.rate_weak) / gamma,
-        eta_strong=epsilon_threshold(2.0 * targets.rate_strong) / gamma,
-    )
+    return epsilon_threshold(2.0 * targets.rate_weak) / gamma, epsilon_threshold(2.0 * targets.rate_strong) / gamma
 
 
 def _check_probability(p):

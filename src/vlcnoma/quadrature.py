@@ -39,8 +39,8 @@ def __getattr__(name):
 
     Nothing in the package reads it: only the benchmark harness does
     (``perfbench/layers.py:install`` wraps it in traced runs), which is why
-    it stays.  It goes with the ``[benchmark]`` follow-up of ROADMAP
-    direction 4, which makes that harness count ``integrate_levels`` instead.
+    it stays.  It goes with ROADMAP direction 13, the benchmark change that
+    makes that harness count ``integrate_levels`` instead.
     """
     if name != "integrate":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

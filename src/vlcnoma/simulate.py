@@ -90,17 +90,17 @@ class ExperimentConfig:
 
     @property
     def curves(self):
-        """The output curves as (label, scheme kind served, gain thresholds at each grid point).
+        """The output curves as (label, scheme kind served, (eta_weak, eta_strong) arrays over the grid).
 
         One NOMA curve per scheme, plus the OMA baseline on the pairs that the
         first listed scheme schedules; both engines sweep this one table.  The
         dB grid becomes linear SNRs here and nowhere else.
         """
         targets, alloc = self.noma.targets, self.noma.alloc
-        gammas = [10.0 ** (gamma_db / 10.0) for gamma_db in self.gamma_db_grid]
-        noma = tuple(eta_thresholds(targets, alloc, gamma) for gamma in gammas)
+        gammas = np.array([10.0 ** (gamma_db / 10.0) for gamma_db in self.gamma_db_grid])
+        noma = eta_thresholds(targets, alloc, gammas)
         table = [(f"noma-{s.kind.value}", s.kind, noma) for s in self.schemes]
-        table.append(("oma", self.schemes[0].kind, tuple(oma_gain_thresholds(targets, gamma) for gamma in gammas)))
+        table.append(("oma", self.schemes[0].kind, oma_gain_thresholds(targets, gammas)))
         return table
 
 
@@ -195,12 +195,13 @@ def _curve(config, records, thresholds):
     targets, mask = config.noma.targets, records.scheduled
     n_cond = int(mask.sum())
     cond_rate = n_cond / config.trials
+    h2_weak, h2_strong = records.h2_weak[mask], records.h2_strong[mask]
     points = []
-    for gamma_db, thr in zip(config.gamma_db_grid, thresholds):
+    for gamma_db, eta_weak, eta_strong in zip(config.gamma_db_grid, *thresholds):
         if n_cond == 0:
             points.append(CurvePoint(gamma_db, 0.0, _bernoulli_ci_bound(targets, 0), 1.0, 1.0, 0.0))
             continue
-        weak_out, strong_out = noma_pair_outcome(records.h2_weak[mask], records.h2_strong[mask], thr)
+        weak_out, strong_out = noma_pair_outcome(h2_weak, h2_strong, eta_weak, eta_strong)
         ok_weak, ok_strong = ~weak_out, ~strong_out
         per_trial_rate = ok_weak * targets.rate_weak + ok_strong * targets.rate_strong
         sum_rate = float(per_trial_rate.mean())

@@ -313,13 +313,12 @@ def check_outage(sizes, rng, kind):
         gamma_db, tol_floor = (165.0, 185.5), 2e-4
         [weak] = _strip_members((model,), rng, sizes.group_draws, an.WEAK, within_fov=False)
         [strong] = _strip_members((model,), rng, sizes.group_draws, an.STRONG, within_fov=False)
-    table = replace(config, gamma_db_grid=gamma_db).curves[0][2]  # the NOMA thresholds
-    _, outage = an.ROUTES[kind](model, config.rank_weak, config.rank_strong)
-    p_weak, _, p_strong, _ = outage(table)
+    eta_weak, eta_strong = replace(config, gamma_db_grid=gamma_db).curves[0][2]  # the NOMA thresholds
+    _, weak_outage, strong_outage = an.ROUTES[kind](model, config.rank_weak, config.rank_strong)
+    (p_weak, _), (p_strong, _) = weak_outage(eta_weak), strong_outage(eta_strong)
     results = []
-    for gdb, thr, pw, ps in zip(gamma_db, table, p_weak.tolist(), p_strong.tolist()):
-        for role, sample, threshold, pred in ((an.WEAK, weak, thr.eta_weak, pw),
-                                              (an.STRONG, strong, thr.eta_strong, ps)):
+    for gdb, tw, ts, pw, ps in zip(gamma_db, *(v.tolist() for v in (eta_weak, eta_strong, p_weak, p_strong))):
+        for role, sample, threshold, pred in ((an.WEAK, weak, tw, pw), (an.STRONG, strong, ts, ps)):
             frac = float((sample <= threshold).mean())
             results.append(_frequency_check(f"outage-{name}-{role}-{gdb:g}dB", frac, pred, sample.size,
                                             f"n={sample.size}", var_floor=1e-12, tol_floor=tol_floor))

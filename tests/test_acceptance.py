@@ -220,9 +220,9 @@ class TestA6MeanAngleNearOptimality:
         # unreachable); the simulator must reproduce it in total and per slot.
         start = time.perf_counter()
         model = AnalyticModel(geom=GEOM, mobility=mobility(25.0))
-        thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (GAMMA_GRID[-1] / 10.0))
-        [sw], [ew] = an.mean_angle_success_probability(model, np.array([thr.eta_weak]), 1, 10)
-        [ss], [es] = an.mean_angle_success_probability(model, np.array([thr.eta_strong]), 10, 10)
+        eta_weak, eta_strong = eta_thresholds(NOMA.targets, NOMA.alloc, np.array([10.0 ** (GAMMA_GRID[-1] / 10.0)]))
+        [sw], [ew] = an.mean_angle_success_probability(model, eta_weak, 1, 10)
+        [ss], [es] = an.mean_angle_success_probability(model, eta_strong, 10, 10)
         elapsed = time.perf_counter() - start
         rates = NOMA.targets
         full_cf = fig2_analytic[25.0]["noma-full-csi"][-1]
@@ -335,9 +335,8 @@ class TestA9EtaReductionOracle:
         h_s = 10.0 ** rng.uniform(-16.0, -9.0, n)
         gammas = 10.0 ** rng.uniform(12.0, 22.0, n)
         alloc, targets = NOMA.alloc, NOMA.targets
-        thresholds = [eta_thresholds(targets, alloc, float(gamma)) for gamma in gammas]
-        weak_out = h_w <= np.array([thr.eta_weak for thr in thresholds])
-        strong_out = h_s <= np.array([thr.eta_strong for thr in thresholds])
+        eta_weak, eta_strong = eta_thresholds(targets, alloc, gammas)
+        weak_out, strong_out = h_w <= eta_weak, h_s <= eta_strong
         # independent oracle: the SIC rate conditions evaluated directly
         weak_ok, strong_ok = sic_success(h_w, h_s, alloc, targets, gammas)
         mismatches = int(np.count_nonzero(weak_out == weak_ok) + np.count_nonzero(strong_out == strong_ok))

@@ -496,23 +496,26 @@ class TestGroupProbabilities:
             an.both_groups_probability(mm)
 
 
-def thresholds(gamma):
-    return eta_thresholds(NOMA.targets, NOMA.alloc, gamma)
+def thresholds(*gammas):
+    """The NOMA (eta_weak, eta_strong) arrays at the transmit SNRs ``gammas``."""
+    return eta_thresholds(NOMA.targets, NOMA.alloc, np.array(gammas, float))
 
 
-def route_outage(model, kind, table):
+def route_outage(model, kind, thresholds):
     """(p_weak, err_weak, p_strong, err_strong) arrays of the closed-form route of ``kind`` at ranks 1 and 10."""
-    return an.ROUTES[kind](model, 1, 10)[1](table)
+    _, weak, strong = an.ROUTES[kind](model, 1, 10)
+    eta_weak, eta_strong = thresholds
+    return (*weak(eta_weak), *strong(eta_strong))
 
 
 class TestOutage:
     def test_individual_high_snr_limit(self):
-        pw, _, ps, _ = (v[0] for v in route_outage(MODEL, FeedbackKind.FULL_CSI, (thresholds(1e30),)))
+        pw, _, ps, _ = (v[0] for v in route_outage(MODEL, FeedbackKind.FULL_CSI, thresholds(1e30)))
         assert pw == pytest.approx(0.0, abs=1e-12)
         assert ps == pytest.approx(0.0, abs=1e-12)
 
     def test_individual_low_snr_limit(self):
-        pw, _, ps, _ = (v[0] for v in route_outage(MODEL, FeedbackKind.FULL_CSI, (thresholds(1e-6),)))
+        pw, _, ps, _ = (v[0] for v in route_outage(MODEL, FeedbackKind.FULL_CSI, thresholds(1e-6)))
         assert pw == pytest.approx(1.0, abs=1e-12)
         assert ps == pytest.approx(1.0, abs=1e-12)
 
@@ -525,15 +528,15 @@ class TestOutage:
         masked.sort(axis=1)
         keep = (g2 > 0.0).sum(axis=1) >= 10
         w, s = masked[keep, 0], masked[keep, 9]
-        table = [thresholds(10.0 ** (gdb / 10.0)) for gdb in (160.0, 185.0)]
-        outage = route_outage(MODEL, FeedbackKind.FULL_CSI, table)
-        for thr, pw, ps in zip(table, outage[0], outage[2]):
-            assert abs((w <= thr.eta_weak).mean() - pw) <= max(3.0 * math.sqrt(pw * (1 - pw) / w.size), 1e-4)
-            assert abs((s <= thr.eta_strong).mean() - ps) <= max(3.0 * math.sqrt(ps * (1 - ps) / s.size), 1e-4)
+        eta_weak, eta_strong = thresholds(*(10.0 ** (gdb / 10.0) for gdb in (160.0, 185.0)))
+        outage = route_outage(MODEL, FeedbackKind.FULL_CSI, (eta_weak, eta_strong))
+        for tw, ts, pw, ps in zip(eta_weak, eta_strong, outage[0], outage[2]):
+            assert abs((w <= tw).mean() - pw) <= max(3.0 * math.sqrt(pw * (1 - pw) / w.size), 1e-4)
+            assert abs((s <= ts).mean() - ps) <= max(3.0 * math.sqrt(ps * (1 - ps) / s.size), 1e-4)
 
     def test_group_high_snr_floor_is_fov_mismatch(self):
         mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        pw, _, ps, _ = (v[0] for v in route_outage(mi, FeedbackKind.TWO_BIT_INSTANT, (thresholds(1e28),)))
+        pw, _, ps, _ = (v[0] for v in route_outage(mi, FeedbackKind.TWO_BIT_INSTANT, thresholds(1e28)))
         # strong group members always have nonzero gain; weak keeps the out-of-FOV share
         assert ps == pytest.approx(0.0, abs=1e-9)
         d_max = mi.mobility.d_max
@@ -543,7 +546,7 @@ class TestOutage:
 
     def test_group_low_snr_limit(self):
         mm = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
-        pw, _, ps, _ = (v[0] for v in route_outage(mm, FeedbackKind.TWO_BIT_MEAN, (thresholds(1e-6),)))
+        pw, _, ps, _ = (v[0] for v in route_outage(mm, FeedbackKind.TWO_BIT_MEAN, thresholds(1e-6)))
         assert pw == pytest.approx(1.0, abs=1e-12)
         assert ps == pytest.approx(1.0, abs=1e-12)
 
@@ -616,7 +619,7 @@ class TestMeanAngleRoute:
         model = model_with(0.0)
         assert an.nonzero_count_tail(an._mean_model(model), 10) == an.nonzero_count_tail(model, 10)
         grid = range(140, 216, 5)
-        eta_weak, eta_strong = an._etas([thresholds(10.0 ** (gdb / 10.0)) for gdb in grid])
+        eta_weak, eta_strong = thresholds(*(10.0 ** (gdb / 10.0) for gdb in grid))
         for eta, rank in ((eta_weak, 1), (eta_strong, 10)):
             s, es = an.mean_angle_success_probability(model, eta, rank, 10)
             f, ef = an.ordered_gain_cdf(model, eta, rank, 10)
@@ -631,8 +634,8 @@ class TestMeanAngleRoute:
         order = np.argsort(np.where(mean_h2 > 0.0, mean_h2, np.inf), axis=1, kind="stable")
         keep = (mean_h2 > 0.0).sum(axis=1) >= 10
         served = np.take_along_axis(h2, order[:, [0, 9]], axis=1)[keep]
-        thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (190.0 / 10.0))
-        for col, eta, rank in ((0, thr.eta_weak, 1), (1, thr.eta_strong, 10)):
+        eta_weak, eta_strong = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (190.0 / 10.0))
+        for col, eta, rank in ((0, eta_weak, 1), (1, eta_strong, 10)):
             [p], _ = an.mean_angle_success_probability(MODEL, np.array([eta]), rank, 10)
             freq = (served[:, col] > eta).mean()
             assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / served.shape[0])

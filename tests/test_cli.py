@@ -350,6 +350,12 @@ class TestAnalyticCommand:
         assert schemes == {"noma-full-csi|noiseless", "noma-mean-angle|noiseless", "oma|noiseless"}
         assert "run group 'noisy' has estimation noise" in capsys.readouterr().err
 
+    def test_schemes_without_a_route_are_noted_per_run_group(self, tmp_path, capsys):
+        assert run_cli("analytic", "--preset", "fig3", "--out", str(tmp_path / "fig3.csv")) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines() if "no closed-form route" in line]
+        assert notes == [f"note: run group {group!r} has no closed-form route for scheme 'one-bit'; skipped"
+                         for group in ("dphi=0", "dphi=25")]
+
     def test_infeasible_allocation_is_usage_error(self, tmp_path):
         code = run_cli(
             "analytic",
@@ -447,6 +453,20 @@ class TestPlotCommand:
         text = script.read_text()
         assert "matplotlib" in text and str(csv_path) in text
         compile(text, str(script), "exec")  # emitted script must at least parse
+
+    @pytest.mark.parametrize("out", ["data.csv", "fig.png"])
+    def test_refuses_an_out_that_would_overwrite_an_input_or_itself(self, capsys, tmp_path, monkeypatch, out):
+        # an --out naming the input would replace the sweep with the script, and a .png --out
+        # would get a script that renders over itself
+        monkeypatch.chdir(tmp_path)
+        self._make_csv(tmp_path / "data.csv")
+        before = (tmp_path / "data.csv").read_bytes()
+        capsys.readouterr()
+        assert run_cli("plot", "data.csv", "--out", str(tmp_path / ".." / tmp_path.name / out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and out in err[0]
+        assert (tmp_path / "data.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.manifest.json"]
 
     def test_rejects_mixed_schema(self, tmp_path):
         bad = tmp_path / "bad.csv"

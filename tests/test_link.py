@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlcnoma.config import build_experiment, resolve_groups
 from vlcnoma.link import (
     InfeasibleAllocationError,
     PowerAllocation,
@@ -108,16 +109,16 @@ class TestRates:
 
 class TestEtaThresholds:
     def test_paper_weak_threshold(self):
-        thr = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1.0)
-        assert thr.eta_weak == pytest.approx(78.33, rel=1e-3)
+        eta_weak, _ = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1.0)
+        assert eta_weak == pytest.approx(78.33, rel=1e-3)
 
     def test_paper_strong_threshold(self):
-        thr = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1.0)
-        assert thr.eta_strong == pytest.approx(1.5512e8, rel=1e-4)
+        _, eta_strong = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1.0)
+        assert eta_strong == pytest.approx(1.5512e8, rel=1e-4)
 
     def test_zero_rate_weak(self):
-        thr = eta_thresholds(TargetRates(0.0, 10.0), PAPER_ALLOC, 1.0)
-        assert thr.eta_weak == 0.0
+        eta_weak, _ = eta_thresholds(TargetRates(0.0, 10.0), PAPER_ALLOC, 1.0)
+        assert eta_weak == 0.0
 
     def test_infeasible_allocation_raises(self):
         # eps_weak = 34.67 > share_weak/share_strong = 1.5 makes the margin negative
@@ -125,30 +126,45 @@ class TestEtaThresholds:
             eta_thresholds(PAPER_TARGETS, PowerAllocation(0.6, 0.4), 1.0)
 
     def test_monotone_in_gamma(self):
-        t1 = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e15)
-        t2 = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e16)
-        assert t2.eta_weak < t1.eta_weak and t2.eta_strong < t1.eta_strong
+        (w1, w2), (s1, s2) = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, np.array([1e15, 1e16]))
+        assert w2 < w1 and s2 < s1
+
+    @pytest.mark.parametrize("targets", [PAPER_TARGETS, TargetRates(2.0, 0.25)], ids=["paper", "max-binds"])
+    def test_snr_array_is_bit_for_bit_the_one_point_calls(self, targets):
+        # the curve table takes each slot's thresholds over the whole grid in one call
+        grid = build_experiment(resolve_groups("fig2", {}, {})[0][1]).gamma_db_grid
+        gammas = [10.0 ** (gamma_db / 10.0) for gamma_db in grid]
+        for thresholds in (lambda g: eta_thresholds(targets, PAPER_ALLOC, g),
+                           lambda g: oma_gain_thresholds(targets, g)):
+            whole, points = thresholds(np.array(gammas)), [thresholds(g) for g in gammas]
+            for slot in (0, 1):
+                assert whole[slot].shape == (len(gammas),)
+                assert whole[slot].tobytes() == np.array([point[slot] for point in points]).tobytes()
+        # at the paper's rates the strong user's own term sets eta_strong; at 0.25 bit/s/Hz the max takes eta_weak
+        eta_weak, eta_strong = eta_thresholds(targets, PAPER_ALLOC, np.array(gammas))
+        assert np.all(eta_strong == eta_weak) == (targets is not PAPER_TARGETS)
+        assert np.all(eta_strong >= eta_weak)
 
 
 class TestPairOutcome:
     def test_zero_gains_both_outage(self):
         thr = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e15)
-        assert noma_pair_outcome(0.0, 0.0, thr) == (True, True)
+        assert noma_pair_outcome(0.0, 0.0, *thr) == (True, True)
 
     def test_double_threshold_succeeds(self):
-        thr = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e15)
-        assert noma_pair_outcome(2.0 * thr.eta_weak, 2.0 * thr.eta_strong, thr) == (False, False)
+        eta_weak, eta_strong = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e15)
+        assert noma_pair_outcome(2.0 * eta_weak, 2.0 * eta_strong, eta_weak, eta_strong) == (False, False)
 
     def test_equality_counts_as_outage(self):
-        thr = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e15)
-        assert noma_pair_outcome(thr.eta_weak, thr.eta_strong, thr) == (True, True)
+        eta_weak, eta_strong = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e15)
+        assert noma_pair_outcome(eta_weak, eta_strong, eta_weak, eta_strong) == (True, True)
 
     def test_gamma_monotonicity_never_creates_outage(self):
         rng = np.random.default_rng(0)
         h_w = 10.0 ** rng.uniform(-15, -10, 2000)
         h_s = 10.0 ** rng.uniform(-15, -10, 2000)
-        lo = noma_pair_outcome(h_w, h_s, eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e14))
-        hi = noma_pair_outcome(h_w, h_s, eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e15))
+        lo = noma_pair_outcome(h_w, h_s, *eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e14))
+        hi = noma_pair_outcome(h_w, h_s, *eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, 1e15))
         assert not np.any(~lo[0] & hi[0])
         assert not np.any(~lo[1] & hi[1])
 
@@ -163,7 +179,7 @@ class TestPairOutcome:
             gamma = float(gammas[i])
             thr = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, gamma)
             hw, hs = h_w[i : i + 1000], h_s[i : i + 1000]
-            weak_out, strong_out = noma_pair_outcome(hw, hs, thr)
+            weak_out, strong_out = noma_pair_outcome(hw, hs, *thr)
             weak_rate_ok, strong_rate_ok = sic_success(hw, hs, PAPER_ALLOC, PAPER_TARGETS, gamma)
             assert np.array_equal(weak_out, ~weak_rate_ok)
             assert np.array_equal(strong_out, ~strong_rate_ok)
@@ -189,17 +205,22 @@ class TestSumRates:
 
     def test_oma_thresholds_embed_time_share(self):
         # each user of the pair holds the channel for half of the frame, so it needs twice its rate
-        thr = oma_gain_thresholds(PAPER_TARGETS, 1.0)
-        assert thr.eta_weak == pytest.approx(epsilon_threshold(4.0), rel=1e-12)
-        assert thr.eta_strong == pytest.approx(epsilon_threshold(20.0), rel=1e-12)
+        eta_weak, eta_strong = oma_gain_thresholds(PAPER_TARGETS, 1.0)
+        assert eta_weak == pytest.approx(epsilon_threshold(4.0), rel=1e-12)
+        assert eta_strong == pytest.approx(epsilon_threshold(20.0), rel=1e-12)
 
     def test_oma_thresholds_dominate_noma(self):
         # the baseline pays the slot penalty: its gain thresholds exceed NOMA's
         gamma = 1e15
-        noma_thr = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, gamma)
-        oma_thr = oma_gain_thresholds(PAPER_TARGETS, gamma)
-        assert oma_thr.eta_weak > noma_thr.eta_weak
-        assert oma_thr.eta_strong > noma_thr.eta_strong
+        noma_weak, noma_strong = eta_thresholds(PAPER_TARGETS, PAPER_ALLOC, gamma)
+        oma_weak, oma_strong = oma_gain_thresholds(PAPER_TARGETS, gamma)
+        assert oma_weak > noma_weak
+        assert oma_strong > noma_strong
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.array([1e15, 0.0]), np.array([1e15, -1e15, 1e16])])
+    def test_oma_thresholds_refuse_a_nonpositive_snr(self, gamma):
+        with pytest.raises(ValueError, match="transmit SNR must be positive"):
+            oma_gain_thresholds(PAPER_TARGETS, gamma)
 
 
 class TestPowerAllocation:

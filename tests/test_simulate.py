@@ -68,11 +68,11 @@ class TestTrials:
         config = make_config(trials=300)
         records = collect_records(config)
         rec = records[FeedbackKind.FULL_CSI]
-        thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (230.0 / 10.0))
+        eta_weak, eta_strong = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (230.0 / 10.0))
         ok = rec.scheduled
         assert ok.any()
-        assert np.all(rec.h2_weak[ok] > thr.eta_weak)
-        assert np.all(rec.h2_strong[ok] > thr.eta_strong)
+        assert np.all(rec.h2_weak[ok] > eta_weak)
+        assert np.all(rec.h2_strong[ok] > eta_strong)
 
     def test_distance_scheme_always_schedules(self):
         config = make_config(trials=200)
@@ -185,8 +185,9 @@ class TestSweepStatistics:
             config = make_config(trials=3000, gamma_db_grid=(gamma_db,), schemes=(INDIVIDUAL[0],), root_seed=500 + rep)
             pt = run_sweep(config, n_workers=1)["noma-full-csi"][0]
             if truth is None:
-                thr = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (gamma_db / 10.0))
-                pw, _, ps, _ = an.ROUTES[FeedbackKind.FULL_CSI](model, 1, 10)[1]((thr,))
+                eta_weak, eta_strong = eta_thresholds(NOMA.targets, NOMA.alloc, np.array([10.0 ** (gamma_db / 10.0)]))
+                _, weak, strong = an.ROUTES[FeedbackKind.FULL_CSI](model, 1, 10)
+                (pw, _), (ps, _) = weak(eta_weak), strong(eta_strong)
                 truth = (1.0 - pw[0]) * 2.0 + (1.0 - ps[0]) * 10.0
             if abs(pt.sum_rate - truth) <= pt.ci_halfwidth:
                 hits += 1
