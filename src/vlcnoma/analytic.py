@@ -23,7 +23,8 @@ whose squared gain exceeds x is one integral ``_mass_above``.  Each CDF is
 1 - above / members and each group success probability above / members.  For
 mean reports the average over the mean angle is closed form (``_mean_band``).
 The nonzero-gain count is Binomial(K, p); order statistics of the scheduled
-ranks mix the per-user CDF over a truncated Binomial count.
+ranks mix the per-user CDF over a truncated Binomial count, whose one law
+``nonzero_count_pmf`` refuses a truncation with a tail of 0 in float64.
 
 Every closed-form probability and CDF returns (value, propagated quadrature
 error estimate).  ``ROUTES[kind](model, rank_weak, rank_strong)`` gives one
@@ -32,9 +33,13 @@ scheme, where ``weak`` and ``strong`` map an array of squared-gain thresholds
 (one slot's thresholds over a curve's SNR grid) to that slot's (outage,
 error) arrays; it is the one entry point of the sweep and of ``validation``.
 
-One rule integrates over distance: ``integrate_levels``, the batched
-adaptive Gauss-Kronrod rule of ``quadrature``.  A band mass is its one-row
-case (``integrate_adaptive``), whose integrand gets one distance at a time.
+Two rules integrate over distance.  The mean-angle route's integral over
+distance and mean incidence is a fixed tensor-product Gauss rule
+(``_mean_angle_integral``).  Every other distance integral, that route's
+mean-gain table and normalizer included, is ``integrate_levels``, the
+batched adaptive Gauss-Kronrod rule of ``quadrature``.  A band mass is its
+one-row case (``integrate_adaptive``), whose integrand gets one distance at
+a time.
 The level families (``unordered_gain_cdf``, ``ordered_gain_cdf``,
 ``group_gain_cdf_instant``, ``group_gain_cdf_mean``,
 ``group_success_probability``) take a 1-D array of levels and return
@@ -409,20 +414,23 @@ def nonzero_count_tail(model, k_min):
     return float(_binomial_tail(k_min, model.mobility.num_users, p))
 
 
-def _count_weights(model, n, k_min):
-    """Binomial(K, p) PMF of the nonzero-gain count at n, truncated and renormalized below k_min."""
-    K = model.mobility.num_users
-    p = nonzero_gain_probability(model)[0]
-    return _binomial_pmf(n, K, p) / _binomial_tail(k_min, K, p)
-
-
 def nonzero_count_pmf(model, k, k_min):
-    """PMF of the nonzero-gain user count at the counts ``k``, elementwise, truncated and renormalized below k_min."""
+    """PMF of the nonzero-gain user count at the counts ``k``, elementwise, truncated and renormalized below k_min.
+
+    Raises UndefinedLawError when Pr(count >= k_min) is 0 in float64: the
+    truncated law then has no mass to renormalize.
+    """
     K = model.mobility.num_users
     k = np.asarray(k)
     if np.any((k < 0) | (k > K)):
         raise ValueError(f"count must lie in [0, {K}]")
-    return np.where(k < k_min, 0.0, _count_weights(model, k, k_min))
+    p = nonzero_gain_probability(model)[0]
+    tail = _binomial_tail(k_min, K, p)
+    if tail <= 0.0:
+        raise UndefinedLawError(f"the scheduled ranks need at least strategy.rank_strong = {k_min} of "
+                                f"mobility.num_users = {K} users with a nonzero gain, and the probability of that "
+                                "count underflows to 0 in float64")
+    return np.where(k < k_min, 0.0, _binomial_pmf(k, K, p) / tail)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +486,7 @@ def ordered_gain_cdf(model, x, rank, min_count):
     u, u_err = unordered_gain_cdf(model, x)
     n = np.arange(min_count, K + 1)
     orders = _binomial_tail(rank, n, u[:, None])
-    value = np.clip((_count_weights(model, n, min_count) * orders).sum(axis=1), 0.0, 1.0)
+    value = np.clip((nonzero_count_pmf(model, n, min_count) * orders).sum(axis=1), 0.0, 1.0)
     # |d/du of the binomial tail| <= n <= K bounds the error amplification
     return value, K * u_err
 
@@ -596,7 +604,7 @@ def _rank_density(model, rank, min_count):
     bounds how far an error in u moves the integral of W over a uniform u.
     """
     n = np.arange(min_count, model.mobility.num_users + 1)
-    weights = _count_weights(_mean_model(model), n, min_count)
+    weights = nonzero_count_pmf(_mean_model(model), n, min_count)
     k = rank - 1
     coef = weights * n * np.exp([_log_binomial_row(v - 1)[k] for v in n.tolist()])
 
@@ -870,7 +878,7 @@ def sum_rate_sweep(config):
         raise ValueError("the closed-form engine does not model estimation noise (noise.sigma_d_m, "
                          "noise.sigma_phi_deg); give a config without noise")
     schemes = {s.kind: s for s in config.schemes}
-    targets, grid = config.noma.targets, config.gamma_db_grid
+    noma, grid = config.noma, config.gamma_db_grid
     routes, curves, failures = {}, {}, {}
     for label, kind, (eta_weak, eta_strong) in config.curves:
         if kind not in ROUTES:
@@ -883,8 +891,8 @@ def sum_rate_sweep(config):
             points = [
                 CurvePoint(
                     gamma_db=float(gamma_db),
-                    sum_rate=float(noma_sum_rate((pw, ps), targets)),
-                    ci_halfwidth=float(targets.rate_weak * ew + targets.rate_strong * es),
+                    sum_rate=float(noma_sum_rate((pw, ps), noma)),
+                    ci_halfwidth=float(noma.rate_weak * ew + noma.rate_strong * es),
                     outage_weak=pw,
                     outage_strong=ps,
                     conditioning_rate=float(cond),

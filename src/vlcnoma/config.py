@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import LedGeometry
-from .link import InfeasibleAllocationError, NomaConfig, PowerAllocation, TargetRates, epsilon_threshold, eta_thresholds
+from .link import InfeasibleAllocationError, NomaConfig, epsilon_threshold
 from .population import MobilityConfig
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from .simulate import ExperimentConfig, NoiseConfig
@@ -42,7 +42,6 @@ DEFAULTS = {
     "mobility.mean_phi_max_deg": "",
     "mobility.num_users": "20",
     "noma.power_weak": "0.984375",
-    "noma.power_strong": "0.015625",
     "noma.rate_weak": "2.0",
     "noma.rate_strong": "10.0",
     "schemes.list": "full-csi",
@@ -284,12 +283,9 @@ def build_experiment(flat):
         delta_phi_deg=delta_phi,
         num_users=_get_int_in(flat, "mobility.num_users", 2, MAX_USERS),
     )
-    # the weak user gets the larger share: 0 < strong < weak < 1 with strong + weak = 1
-    weak, strong = _get_float(flat, "noma.power_weak"), _get_float(flat, "noma.power_strong")
+    # the weak user gets the larger share; the strong user gets the rest of the power
+    weak = _get_float(flat, "noma.power_weak")
     _refuse_unless(0.5 < weak < 1.0, "noma.power_weak", weak, "lie in (0.5, 1)")
-    _refuse_unless(abs(weak + strong - 1.0) <= 1e-12, "noma.power_strong", strong,
-                   f"equal 1 - noma.power_weak = {1.0 - weak:.15g}")
-    alloc = _make("noma", PowerAllocation, share_weak=weak, share_strong=strong)
     rates = {key: _get_float(flat, key) for key in ("noma.rate_weak", "noma.rate_strong")}
     for key, rate in rates.items():
         _refuse_unless(rate >= 0.0, key, rate, "lie in [0, inf)")
@@ -300,12 +296,10 @@ def build_experiment(flat):
             eps = math.inf
         if not math.isfinite(eps):
             raise ConfigError(f"{key}: {rate} overflows the SINR threshold of the OMA rate 2 x {rate}")
-    targets = _make("noma", TargetRates, rate_weak=rates["noma.rate_weak"], rate_strong=rates["noma.rate_strong"])
     try:
-        eta_thresholds(targets, alloc, 1.0)  # whether the split can serve the weak rate does not depend on the SNR
+        noma = NomaConfig(weak, rates["noma.rate_weak"], rates["noma.rate_strong"])
     except InfeasibleAllocationError as exc:
-        raise ConfigError(f"noma.power_weak: {alloc.share_weak} with noma.power_strong={alloc.share_strong} "
-                          f"and noma.rate_weak={targets.rate_weak}: {exc}") from exc
+        raise ConfigError(f"noma.power_weak: {weak} with noma.rate_weak={rates['noma.rate_weak']}: {exc}") from exc
     seed = _get_int(flat, "sweep.seed")
     if seed < 0:  # SeedSequence takes no negative entropy
         raise ConfigError(f"sweep.seed: must be nonnegative, got {seed}")
@@ -326,7 +320,7 @@ def build_experiment(flat):
         return ExperimentConfig(
             geom=geom,
             mobility=mobility,
-            noma=NomaConfig(alloc, targets),
+            noma=noma,
             schemes=schemes,
             gamma_db_grid=parse_gamma_grid(flat["sweep.gamma_db"]),
             rank_weak=rank_weak,

@@ -11,7 +11,8 @@ Both outage conditions reduce to squared-gain thresholds:
     weak user   h^2 > eta_weak  = (eps_w/gamma) / (share_w - share_s*eps_w)
     strong user h^2 > eta_strong = max(eta_weak, (eps_s/gamma)/share_s)
 
-feasible only while share_w - share_s*eps_w > 0.
+with share_s = 1 - share_w, feasible only while share_w - share_s*eps_w > 0;
+NomaConfig refuses any other pair.
 """
 
 from __future__ import annotations
@@ -28,20 +29,6 @@ class InfeasibleAllocationError(ValueError):
     """The weak user's target rate is unreachable under the given power split."""
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Power shares (beta^2 values) of the weak and strong NOMA users."""
-
-    share_weak: float
-    share_strong: float
-
-    def __post_init__(self):
-        if abs(self.share_weak + self.share_strong - 1.0) > 1e-12:
-            raise ValueError("power shares must sum to 1")
-        if not (0.0 < self.share_strong < self.share_weak < 1.0):
-            raise ValueError("need 0 < share_strong < share_weak < 1")
-
-
 def epsilon_threshold(target_rate):
     """SINR threshold (2^(2*rate) - 1) * 2*pi/e for a spectral-efficiency target."""
     if target_rate < 0.0:
@@ -50,15 +37,32 @@ def epsilon_threshold(target_rate):
 
 
 @dataclass(frozen=True)
-class TargetRates:
-    """Per-user QoS target rates [bit/s/Hz]; SINR thresholds derive from them."""
+class NomaConfig:
+    """One NOMA pair: the weak user's power share (beta_w^2) and the two QoS target rates [bit/s/Hz].
 
+    The strong user gets the rest of the power, share_strong = 1 - share_weak.
+    A pair whose split cannot serve the weak user's rate at any gain is refused
+    with InfeasibleAllocationError.
+    """
+
+    share_weak: float
     rate_weak: float
     rate_strong: float
 
     def __post_init__(self):
-        if self.rate_weak < 0.0 or self.rate_strong < 0.0:
+        if not 0.5 < self.share_weak < 1.0:
+            raise ValueError("need 1/2 < share_weak < 1")
+        if not (self.rate_weak >= 0.0 and self.rate_strong >= 0.0):
             raise ValueError("target rates must be nonnegative")
+        if self._margin <= 0.0:
+            raise InfeasibleAllocationError(
+                "weak user's rate is unreachable at any gain: "
+                f"share_weak - share_strong*eps_weak = {self._margin:.6g} <= 0"
+            )
+
+    @property
+    def share_strong(self):
+        return 1.0 - self.share_weak
 
     @property
     def eps_weak(self):
@@ -68,30 +72,19 @@ class TargetRates:
     def eps_strong(self):
         return epsilon_threshold(self.rate_strong)
 
-
-@dataclass(frozen=True)
-class NomaConfig:
-    """Power split plus target rates for one NOMA pair."""
-
-    alloc: PowerAllocation
-    targets: TargetRates
+    @property
+    def _margin(self):
+        return self.share_weak - self.share_strong * self.eps_weak
 
 
-def eta_thresholds(targets, alloc, gamma):
-    """Squared-gain thresholds (eta_weak, eta_strong) equivalent to the SINR outage conditions.
+def eta_thresholds(noma, gamma):
+    """Squared-gain thresholds (eta_weak, eta_strong) of the pair ``noma`` equivalent to the SINR outage conditions.
 
     Elementwise over the transmit SNR ``gamma``: an array gives two arrays of its shape.
     """
-    eps_w = targets.eps_weak
-    margin = alloc.share_weak - alloc.share_strong * eps_w
-    if margin <= 0.0:
-        raise InfeasibleAllocationError(
-            "weak user's rate is unreachable at any gain: "
-            f"share_weak - share_strong*eps_weak = {margin:.6g} <= 0"
-        )
     gamma = np.asarray(gamma, float)
-    eta_weak = (eps_w / gamma) / margin
-    return eta_weak, np.maximum(eta_weak, (targets.eps_strong / gamma) / alloc.share_strong)
+    eta_weak = (noma.eps_weak / gamma) / noma._margin
+    return eta_weak, np.maximum(eta_weak, (noma.eps_strong / gamma) / noma.share_strong)
 
 
 def noma_pair_outcome(h_weak_sq, h_strong_sq, eta_weak, eta_strong):
@@ -99,12 +92,12 @@ def noma_pair_outcome(h_weak_sq, h_strong_sq, eta_weak, eta_strong):
     return np.asarray(h_weak_sq, float) <= eta_weak, np.asarray(h_strong_sq, float) <= eta_strong
 
 
-def noma_sum_rate(outage_probs, targets):
+def noma_sum_rate(outage_probs, noma):
     """Sum over the pair of (1 - outage) * target rate."""
     p_weak, p_strong = outage_probs
     _check_probability(p_weak)
     _check_probability(p_strong)
-    return (1.0 - p_weak) * targets.rate_weak + (1.0 - p_strong) * targets.rate_strong
+    return (1.0 - p_weak) * noma.rate_weak + (1.0 - p_strong) * noma.rate_strong
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ class CurvePoint:
     conditioning_rate: float
 
 
-def oma_gain_thresholds(targets, gamma):
+def oma_gain_thresholds(noma, gamma):
     """Squared-gain outage thresholds (eta_weak, eta_strong) for the OMA baseline, elementwise over ``gamma``.
 
     The two users of the pair each hold the channel alone for half of the
@@ -129,7 +122,7 @@ def oma_gain_thresholds(targets, gamma):
     gamma = np.asarray(gamma, float)
     if not np.all(gamma > 0.0):
         raise ValueError("transmit SNR must be positive")
-    return epsilon_threshold(2.0 * targets.rate_weak) / gamma, epsilon_threshold(2.0 * targets.rate_strong) / gamma
+    return epsilon_threshold(2.0 * noma.rate_weak) / gamma, epsilon_threshold(2.0 * noma.rate_strong) / gamma
 
 
 def _check_probability(p):

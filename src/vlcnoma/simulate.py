@@ -96,11 +96,10 @@ class ExperimentConfig:
         first listed scheme schedules; both engines sweep this one table.  The
         dB grid becomes linear SNRs here and nowhere else.
         """
-        targets, alloc = self.noma.targets, self.noma.alloc
         gammas = np.array([10.0 ** (gamma_db / 10.0) for gamma_db in self.gamma_db_grid])
-        noma = eta_thresholds(targets, alloc, gammas)
-        table = [(f"noma-{s.kind.value}", s.kind, noma) for s in self.schemes]
-        table.append(("oma", self.schemes[0].kind, oma_gain_thresholds(targets, gammas)))
+        thresholds = eta_thresholds(self.noma, gammas)
+        table = [(f"noma-{s.kind.value}", s.kind, thresholds) for s in self.schemes]
+        table.append(("oma", self.schemes[0].kind, oma_gain_thresholds(self.noma, gammas)))
         return table
 
 
@@ -185,30 +184,30 @@ def collect_records(config, n_workers=1):
     return {s.kind: _Records(out[:, j, 0] != 0.0, out[:, j, 1], out[:, j, 2]) for j, s in enumerate(config.schemes)}
 
 
-def _bernoulli_ci_bound(targets, n):
+def _bernoulli_ci_bound(noma, n):
     # worst-case binomial variance per user, for degenerate sample sizes
-    var = (targets.rate_weak**2 + targets.rate_strong**2) / 4.0
+    var = (noma.rate_weak**2 + noma.rate_strong**2) / 4.0
     return 1.96 * np.sqrt(var / max(n, 1))
 
 
 def _curve(config, records, thresholds):
-    targets, mask = config.noma.targets, records.scheduled
+    noma, mask = config.noma, records.scheduled
     n_cond = int(mask.sum())
     cond_rate = n_cond / config.trials
     h2_weak, h2_strong = records.h2_weak[mask], records.h2_strong[mask]
     points = []
     for gamma_db, eta_weak, eta_strong in zip(config.gamma_db_grid, *thresholds):
         if n_cond == 0:
-            points.append(CurvePoint(gamma_db, 0.0, _bernoulli_ci_bound(targets, 0), 1.0, 1.0, 0.0))
+            points.append(CurvePoint(gamma_db, 0.0, _bernoulli_ci_bound(noma, 0), 1.0, 1.0, 0.0))
             continue
         weak_out, strong_out = noma_pair_outcome(h2_weak, h2_strong, eta_weak, eta_strong)
         ok_weak, ok_strong = ~weak_out, ~strong_out
-        per_trial_rate = ok_weak * targets.rate_weak + ok_strong * targets.rate_strong
+        per_trial_rate = ok_weak * noma.rate_weak + ok_strong * noma.rate_strong
         sum_rate = float(per_trial_rate.mean())
         if n_cond >= 2:
             ci = 1.96 * float(per_trial_rate.std(ddof=1)) / np.sqrt(n_cond)
         else:
-            ci = _bernoulli_ci_bound(targets, n_cond)
+            ci = _bernoulli_ci_bound(noma, n_cond)
         points.append(
             CurvePoint(
                 gamma_db=float(gamma_db),

@@ -8,16 +8,15 @@ deterministic.
 import math
 import time
 from dataclasses import replace
-from statistics import NormalDist
 
 import numpy as np
 import pytest
-from test_link import sic_success
+from helpers import Z_BOUND, contract_check, engine_gaps, sic_success
 
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain
-from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
+from vlcnoma.link import NomaConfig, eta_thresholds
 from vlcnoma.population import MobilityConfig, sample_user_arrays
 from vlcnoma.scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import ExperimentConfig, NoiseConfig, collect_records, run_sweep
@@ -32,7 +31,7 @@ from vlcnoma.validation import (
 )
 
 GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
-NOMA = NomaConfig(PowerAllocation(63.0 / 64.0, 1.0 / 64.0), TargetRates(2.0, 10.0))
+NOMA = NomaConfig(63.0 / 64.0, 2.0, 10.0)
 GAMMA_GRID = tuple(float(g) for g in range(140, 216, 5))
 THETA_TH = math.radians(5.0)
 INDIVIDUAL_SCHEMES = (
@@ -46,10 +45,6 @@ GROUP_SCHEMES = (
     FeedbackScheme(FeedbackKind.ONE_BIT_DISTANCE, 1.0),
 )
 DPHIS = (0.0, 25.0)
-# Conditioning-rate bound of the engine comparison: a family-wise false-alarm rate of 1e-3, two-sided, over
-# the 17 curves compared (fig2 and fig3 at both deviations, fig4 noiseless: 3 each; the CLI overlay: 2),
-# Phi^-1(1 - 1e-3 / 34), about 4.0 binomial sigma.
-Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-3 / 34)
 
 
 def mobility(delta_phi_deg):
@@ -83,39 +78,6 @@ def closed_form(config):
     curves, failures = an.sum_rate_sweep(config)
     assert not failures, failures
     return curves
-
-
-def engine_gaps(config, mc, cf):
-    """Per curve of ``config`` with a closed-form route: (worst sum-rate gap ratio, conditioning-rate z-score).
-
-    ``mc`` holds the ``run_sweep`` curves of ``config`` and ``cf`` the
-    ``an.sum_rate_sweep`` curves; the closed form must return exactly the
-    curves whose kind is in ``an.ROUTES``.  The gap ratio is the worst
-    |MC - closed form| sum rate over max(MC CI, 0.05); the z-score is
-    |p_mc - p| / sqrt(p (1 - p) / trials), with p the closed-form
-    conditioning rate.  A NaN point gives a NaN, which no bound passes.
-    """
-    routed = {label for label, kind, _ in config.curves if kind in an.ROUTES}
-    assert set(cf) == routed, f"closed-form curves {sorted(cf)}, curves with a route {sorted(routed)}"
-    gaps = {}
-    for label in sorted(routed):
-        assert [p.gamma_db for p in mc[label]] == [p.gamma_db for p in cf[label]], label
-        m_rate, m_ci, m_cond = np.array([(p.sum_rate, p.ci_halfwidth, p.conditioning_rate) for p in mc[label]]).T
-        c_rate, c_cond = np.array([(p.sum_rate, p.conditioning_rate) for p in cf[label]]).T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.abs(m_cond - c_cond) / np.sqrt(c_cond * (1.0 - c_cond) / config.trials)
-        # a closed-form rate of exactly 0 or 1 has no binomial spread: only an exact match passes
-        z = np.where(m_cond == c_cond, 0.0, z)
-        gaps[label] = (float(np.max(np.abs(m_rate - c_rate) / np.maximum(m_ci, 0.05))), float(np.max(z)))
-    return gaps
-
-
-def contract_check(runs):
-    """(whether every curve of {run: engine_gaps(...)} has gap ratio <= 1 and z <= Z_BOUND, one line of numbers)."""
-    rows = [(run, label, gap, z) for run, gaps in runs.items() for label, (gap, z) in gaps.items()]
-    ok = all(gap <= 1.0 and z <= Z_BOUND for _, _, gap, z in rows)
-    detail = "; ".join(f"{run} {label} gap {gap:.3f} z {z:.2f}" for run, label, gap, z in rows)
-    return ok, f"bounds gap <= 1, z <= {Z_BOUND:.2f}: {detail}"
 
 
 @pytest.fixture(scope="module")
@@ -220,11 +182,11 @@ class TestA6MeanAngleNearOptimality:
         # unreachable); the simulator must reproduce it in total and per slot.
         start = time.perf_counter()
         model = AnalyticModel(geom=GEOM, mobility=mobility(25.0))
-        eta_weak, eta_strong = eta_thresholds(NOMA.targets, NOMA.alloc, np.array([10.0 ** (GAMMA_GRID[-1] / 10.0)]))
+        eta_weak, eta_strong = eta_thresholds(NOMA, np.array([10.0 ** (GAMMA_GRID[-1] / 10.0)]))
         [sw], [ew] = an.mean_angle_success_probability(model, eta_weak, 1, 10)
         [ss], [es] = an.mean_angle_success_probability(model, eta_strong, 10, 10)
         elapsed = time.perf_counter() - start
-        rates = NOMA.targets
+        rates = NOMA
         full_cf = fig2_analytic[25.0]["noma-full-csi"][-1]
         cf_gap = full_cf.sum_rate - (sw * rates.rate_weak + ss * rates.rate_strong)
         cf_err = full_cf.ci_halfwidth + ew * rates.rate_weak + es * rates.rate_strong
@@ -334,11 +296,10 @@ class TestA9EtaReductionOracle:
         h_w = 10.0 ** rng.uniform(-16.0, -9.0, n)
         h_s = 10.0 ** rng.uniform(-16.0, -9.0, n)
         gammas = 10.0 ** rng.uniform(12.0, 22.0, n)
-        alloc, targets = NOMA.alloc, NOMA.targets
-        eta_weak, eta_strong = eta_thresholds(targets, alloc, gammas)
+        eta_weak, eta_strong = eta_thresholds(NOMA, gammas)
         weak_out, strong_out = h_w <= eta_weak, h_s <= eta_strong
         # independent oracle: the SIC rate conditions evaluated directly
-        weak_ok, strong_ok = sic_success(h_w, h_s, alloc, targets, gammas)
+        weak_ok, strong_ok = sic_success(h_w, h_s, NOMA, gammas)
         mismatches = int(np.count_nonzero(weak_out == weak_ok) + np.count_nonzero(strong_out == strong_ok))
         report("A9 gain-threshold reduction vs direct rate conditions", mismatches == 0, f"{mismatches} mismatches in {n} tuples")
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from test_analytic_bitwise import LEVELS, _group_models
+from helpers import LEVELS, group_models
 
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle
 from vlcnoma.config import MAX_USERS
-from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
+from vlcnoma.link import NomaConfig, eta_thresholds
 from vlcnoma.population import (MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf,
                                 sample_user_arrays)
 from vlcnoma.quadrature import QuadratureConfig, QuadratureError, integrate_adaptive, integrate_levels
@@ -24,7 +24,7 @@ from vlcnoma.validation import paper_model
 GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
 MOB = MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
 MODEL = AnalyticModel(geom=GEOM, mobility=MOB)
-NOMA = NomaConfig(PowerAllocation(63.0 / 64.0, 1.0 / 64.0), TargetRates(2.0, 10.0))
+NOMA = NomaConfig(63.0 / 64.0, 2.0, 10.0)
 THETA_TH = math.radians(5.0)
 
 
@@ -33,9 +33,9 @@ def model_with(delta_phi_deg=25.0, scheme=None):
     return AnalyticModel(geom=GEOM, mobility=mob, scheme=scheme)
 
 
-def sweep(grid, *schemes, noma=NOMA):
+def sweep(grid, *schemes):
     """Closed-form curves of the paper setup with ``schemes``; fails on any quadrature failure."""
-    config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=noma, schemes=schemes, gamma_db_grid=grid)
+    config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=NOMA, schemes=schemes, gamma_db_grid=grid)
     curves, failures = an.sum_rate_sweep(config)
     assert not failures
     return curves
@@ -400,7 +400,7 @@ class TestGroupCdfs:
         geom, mob = base.geom, base.mobility
         levels = np.array(LEVELS + tuple(np.geomspace(1e-17, 1e-10, 40)))
         for thresholds in ("paper", "wide"):
-            instant, mean = _group_models(geom, mob, thresholds)
+            instant, mean = group_models(geom, mob, thresholds)
             for role in (an.WEAK, an.STRONG):
                 a, _ = an.group_success_probability(mean, levels, role)
                 b, _ = an.group_success_probability(instant, levels, role)
@@ -498,7 +498,7 @@ class TestGroupProbabilities:
 
 def thresholds(*gammas):
     """The NOMA (eta_weak, eta_strong) arrays at the transmit SNRs ``gammas``."""
-    return eta_thresholds(NOMA.targets, NOMA.alloc, np.array(gammas, float))
+    return eta_thresholds(NOMA, np.array(gammas, float))
 
 
 def route_outage(model, kind, thresholds):
@@ -549,13 +549,6 @@ class TestOutage:
         pw, _, ps, _ = (v[0] for v in route_outage(mm, FeedbackKind.TWO_BIT_MEAN, thresholds(1e-6)))
         assert pw == pytest.approx(1.0, abs=1e-12)
         assert ps == pytest.approx(1.0, abs=1e-12)
-
-    def test_infeasible_allocation_propagates(self):
-        from vlcnoma.link import InfeasibleAllocationError
-
-        bad = NomaConfig(PowerAllocation(0.6, 0.4), TargetRates(2.0, 10.0))
-        with pytest.raises(InfeasibleAllocationError):
-            sweep((150.0,), FeedbackScheme(FeedbackKind.FULL_CSI), noma=bad)
 
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -634,7 +627,7 @@ class TestMeanAngleRoute:
         order = np.argsort(np.where(mean_h2 > 0.0, mean_h2, np.inf), axis=1, kind="stable")
         keep = (mean_h2 > 0.0).sum(axis=1) >= 10
         served = np.take_along_axis(h2, order[:, [0, 9]], axis=1)[keep]
-        eta_weak, eta_strong = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (190.0 / 10.0))
+        eta_weak, eta_strong = eta_thresholds(NOMA, 10.0 ** (190.0 / 10.0))
         for col, eta, rank in ((0, eta_weak, 1), (1, eta_strong, 10)):
             [p], _ = an.mean_angle_success_probability(MODEL, np.array([eta]), rank, 10)
             freq = (served[:, col] > eta).mean()

@@ -12,29 +12,13 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import LEVELS, group_models
 
 from vlcnoma import analytic as an
-from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
 from vlcnoma.validation import paper_model
 
 DELTA_PHI_DEG = (0.0, 25.0)
-# squared-gain levels: zero, inside the support (the last one inside the paper
-# scheme's strong group), and above g(d_min)^2 = 6.3e-11
-LEVELS = (0.0, 5e-15, 4e-13, 2e-11, 4.5e-11, 1e-10)
 MEAN_ANGLE_LEVELS = (5e-15, 4e-13, 2e-11)  # the pinned levels of the mean-angle rule: the inner three of LEVELS
-# (d_threshold m, theta_threshold as a fraction of the half FOV) besides the paper scheme's
-WIDE_THRESHOLDS = (4.0, 0.5)
-
-
-def _group_models(geom, mob, name):
-    def scheme(kind):
-        if name == "paper":
-            return paper_model(kind=kind).scheme
-        d_th, th = WIDE_THRESHOLDS
-        return FeedbackScheme(kind, d_threshold=d_th, theta_threshold=th * geom.half_fov)
-
-    return tuple(an.AnalyticModel(geom=geom, mobility=mob, scheme=scheme(kind))
-                 for kind in (FeedbackKind.TWO_BIT_INSTANT, FeedbackKind.TWO_BIT_MEAN))
 
 
 def cases():
@@ -63,7 +47,7 @@ def cases():
             add_levels("ordered", f"r={rank},k={min_count}",
                        lambda x, r=rank, k=min_count, b=base: an.ordered_gain_cdf(b, x, r, k))
         for role, scheme in itertools.product((an.WEAK, an.STRONG), ("paper", "wide")):
-            instant, mean = _group_models(geom, mob, scheme)
+            instant, mean = group_models(geom, mob, scheme)
             add_levels("group_cdf_instant", f"{scheme}|{role}",
                        lambda x, role=role, m=instant: an.group_gain_cdf_instant(m, x, role))
             add_levels("group_cdf_mean", f"{scheme}|{role}",
@@ -76,7 +60,7 @@ def cases():
                        lambda x, r=rank, k=min_count, b=base: an.mean_angle_success_probability(b, x, r, k),
                        MEAN_ANGLE_LEVELS)
         for scheme in ("paper", "wide"):
-            for name, model in zip(("instant", "mean"), _group_models(geom, mob, scheme)):
+            for name, model in zip(("instant", "mean"), group_models(geom, mob, scheme)):
                 add("group_probabilities", f"{scheme}|{name}",
                     lambda m=model: an.both_groups_probability(m))
         for use_mean, law in ((False, base), (True, an._mean_model(base))):

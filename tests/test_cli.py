@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from test_acceptance import contract_check, engine_gaps
+from helpers import contract_check, engine_gaps
 
 from vlcnoma import analytic, cli
 from vlcnoma.cli import main
@@ -26,11 +26,12 @@ from vlcnoma.validation import CheckResult, ValidationSizes, check_individual_cd
 FLOAT_KEYS = [
     "geometry.ell_m", "geometry.hpbw_deg", "geometry.detector_area_cm2", "geometry.half_fov_deg",
     "mobility.d_min_m", "mobility.d_max_m", "mobility.delta_phi_deg", "mobility.mean_phi_min_deg",
-    "mobility.mean_phi_max_deg", "noma.power_weak", "noma.power_strong", "noma.rate_weak", "noma.rate_strong",
+    "mobility.mean_phi_max_deg", "noma.power_weak", "noma.rate_weak", "noma.rate_strong",
     "schemes.d_threshold_coeff", "schemes.theta_threshold_coeff", "noise.sigma_d_m", "noise.sigma_phi_deg",
 ]
-# removed keys, refused by name whatever their value: the closed-form engine always uses QuadratureConfig's defaults
-REMOVED_KEYS = ["quadrature.abs_tol", "quadrature.rel_tol", "quadrature.max_subdivisions"]
+# removed keys, refused by name whatever their value: the closed-form engine always uses QuadratureConfig's defaults,
+# and the strong user's power share is always 1 - noma.power_weak
+REMOVED_KEYS = ["quadrature.abs_tol", "quadrature.rel_tol", "quadrature.max_subdivisions", "noma.power_strong"]
 
 
 def run_cli(*argv):
@@ -140,7 +141,7 @@ class TestConfigLayer:
         "schemes.d_threshold_coeff=1", "schemes.theta_threshold_coeff=5", "sweep.seed=-1",
         "strategy.rank_weak=0", "strategy.rank_strong=50", "sweep.gamma_db=4000", "sweep.gamma_db=-4000",
         "sweep.gamma_db=170,160", "quadrature.abs_tol=1e-10", "quadrature.rel_tol=1e-8",
-        "quadrature.max_subdivisions=200",  # the removed keys at their former defaults
+        "quadrature.max_subdivisions=200", "noma.power_strong=0.015625",  # the removed keys at their former defaults
     ])
     def test_refusal_exits_1_naming_the_key(self, monkeypatch, capsys, tmp_path, command, override):
         def never(*args, **kwargs):
@@ -166,7 +167,8 @@ class TestConfigLayer:
         ("noise.sigma_d_m=-1", "noise.sigma_d_m: must lie in [0, inf), got -1"),
         ("noise.sigma_phi_deg=-2.5", "noise.sigma_phi_deg: must lie in [0, inf), got -2.5"),
         ("noma.power_weak=-0.1", "noma.power_weak: must lie in (0.5, 1), got -0.1"),
-        ("noma.power_strong=0.02", "noma.power_strong: must equal 1 - noma.power_weak = 0.015625, got 0.02"),
+        # the strong user's share is always 1 - noma.power_weak
+        ("noma.power_strong=0.02", "unknown config key 'noma.power_strong'"),
         ("noma.rate_weak=-1", "noma.rate_weak: must lie in [0, inf), got -1"),
         ("noma.rate_strong=-1", "noma.rate_strong: must lie in [0, inf), got -1"),
     ])
@@ -183,9 +185,9 @@ class TestConfigLayer:
 
         monkeypatch.setattr(cli, "run_sweep", never)
         monkeypatch.setattr(cli, "sum_rate_sweep", never)
-        assert run_cli(command, "--set", "noma.power_weak=0.6", "--set", "noma.power_strong=0.4",
-                       "--out", str(tmp_path / "x.csv")) == 1
-        assert "noma.power_weak" in capsys.readouterr().err
+        assert run_cli(command, "--set", "noma.power_weak=0.6", "--out", str(tmp_path / "x.csv")) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: noma.power_weak: 0.6 with noma.rate_weak=2.0: ")
 
     def test_repeated_scheme_rejected(self):
         with pytest.raises(ConfigError, match="schemes.list"):
@@ -202,7 +204,7 @@ class TestConfigLayer:
         config = build_experiment(merge())
         assert config.mobility.num_users == 20
         assert config.geom.half_fov == pytest.approx(math.radians(50.0))
-        assert config.noma.alloc.share_weak == pytest.approx(63.0 / 64.0)
+        assert config.noma.share_weak == pytest.approx(63.0 / 64.0)
         # the mean-angle range tracks delta_phi so the angle spans [0, pi]
         assert config.mobility.mean_phi_min == pytest.approx(math.radians(25.0))
 
@@ -360,7 +362,6 @@ class TestAnalyticCommand:
         code = run_cli(
             "analytic",
             "--set", "noma.power_weak=0.6",
-            "--set", "noma.power_strong=0.4",
             "--set", "sweep.gamma_db=170",
             "--out", str(tmp_path / "x.csv"),
         )
@@ -377,6 +378,10 @@ class TestAnalyticCommand:
                        ("mobility.mean_phi_min_deg", "mobility.mean_phi_max_deg", "mobility.delta_phi_deg"),
                        id=f"no-user-in-fov-{scheme}")
           for scheme in ("full-csi", "mean-angle", "two-bit-instant", "two-bit-mean")],
+        # Pr(all 1000 users have a nonzero gain) = p^1000 underflows to 0: the truncated count law has no mass
+        *[pytest.param(("mobility.num_users=1000", "strategy.rank_strong=1000", f"schemes.list={scheme}"), scheme,
+                       ("mobility.num_users", "strategy.rank_strong"), id=f"count-tail-underflow-{scheme}")
+          for scheme in ("full-csi", "mean-angle")],
     ])
     def test_undefined_closed_form_exits_1_naming_group_scheme_and_keys(self, tmp_path, capsys, overrides, scheme,
                                                                         keys):

@@ -53,7 +53,7 @@ def dense_cdf(cdf):
 def dense_density(model, rank, min_count):
     """The rank density with both powers taken, zero exponents included."""
     n = np.arange(min_count, model.mobility.num_users + 1)
-    weights = an._count_weights(an._mean_model(model), n, min_count)
+    weights = an.nonzero_count_pmf(an._mean_model(model), n, min_count)
     k = rank - 1
     coef = weights * n * np.exp([an._log_binomial_row(v - 1)[k] for v in n.tolist()])
 

@@ -14,7 +14,7 @@ from vlcnoma.population import (
     noisy_estimate_arrays,
     sample_user_arrays,
 )
-from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates
+from vlcnoma.link import NomaConfig
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme, order_by_gain_arrays
 from vlcnoma.simulate import _CHUNK, ExperimentConfig, collect_records, trial_rng
 
@@ -77,7 +77,7 @@ class TestSampling:
 
     def test_gains_consistent_with_channel(self, geom, mobility):
         # trial t records the channel's squared gains of the users in row t of its chunk's draws
-        noma = NomaConfig(PowerAllocation(63.0 / 64.0, 1.0 / 64.0), TargetRates(2.0, 10.0))
+        noma = NomaConfig(63.0 / 64.0, 2.0, 10.0)
         config = ExperimentConfig(geom=geom, mobility=mobility, noma=noma,
                                   schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),), gamma_db_grid=(170.0,),
                                   trials=10, root_seed=5)

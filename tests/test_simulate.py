@@ -6,7 +6,7 @@ import pytest
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry
-from vlcnoma.link import NomaConfig, PowerAllocation, TargetRates, eta_thresholds
+from vlcnoma.link import NomaConfig, eta_thresholds
 from vlcnoma.population import MobilityConfig
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
 from vlcnoma.simulate import (
@@ -20,7 +20,7 @@ from vlcnoma.simulate import (
 
 GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
 MOB = MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
-NOMA = NomaConfig(PowerAllocation(63.0 / 64.0, 1.0 / 64.0), TargetRates(2.0, 10.0))
+NOMA = NomaConfig(63.0 / 64.0, 2.0, 10.0)
 INDIVIDUAL = (
     FeedbackScheme(FeedbackKind.FULL_CSI),
     FeedbackScheme(FeedbackKind.MEAN_ANGLE),
@@ -68,7 +68,7 @@ class TestTrials:
         config = make_config(trials=300)
         records = collect_records(config)
         rec = records[FeedbackKind.FULL_CSI]
-        eta_weak, eta_strong = eta_thresholds(NOMA.targets, NOMA.alloc, 10.0 ** (230.0 / 10.0))
+        eta_weak, eta_strong = eta_thresholds(NOMA, 10.0 ** (230.0 / 10.0))
         ok = rec.scheduled
         assert ok.any()
         assert np.all(rec.h2_weak[ok] > eta_weak)
@@ -185,7 +185,7 @@ class TestSweepStatistics:
             config = make_config(trials=3000, gamma_db_grid=(gamma_db,), schemes=(INDIVIDUAL[0],), root_seed=500 + rep)
             pt = run_sweep(config, n_workers=1)["noma-full-csi"][0]
             if truth is None:
-                eta_weak, eta_strong = eta_thresholds(NOMA.targets, NOMA.alloc, np.array([10.0 ** (gamma_db / 10.0)]))
+                eta_weak, eta_strong = eta_thresholds(NOMA, np.array([10.0 ** (gamma_db / 10.0)]))
                 _, weak, strong = an.ROUTES[FeedbackKind.FULL_CSI](model, 1, 10)
                 (pw, _), (ps, _) = weak(eta_weak), strong(eta_strong)
                 truth = (1.0 - pw[0]) * 2.0 + (1.0 - ps[0]) * 10.0
