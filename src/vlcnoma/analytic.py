@@ -417,8 +417,9 @@ def nonzero_count_tail(model, k_min):
 def nonzero_count_pmf(model, k, k_min):
     """PMF of the nonzero-gain user count at the counts ``k``, elementwise, truncated and renormalized below k_min.
 
-    Raises UndefinedLawError when Pr(count >= k_min) is 0 in float64: the
-    truncated law then has no mass to renormalize.
+    Raises UndefinedLawError when Pr(count >= k_min) is below the smallest
+    normal float64: dividing by a subnormal tail loses the law (at K = 1000
+    a tail of 1e-320 leaves weights that sum to 0.9995), and by 0 leaves none.
     """
     K = model.mobility.num_users
     k = np.asarray(k)
@@ -426,10 +427,10 @@ def nonzero_count_pmf(model, k, k_min):
         raise ValueError(f"count must lie in [0, {K}]")
     p = nonzero_gain_probability(model)[0]
     tail = _binomial_tail(k_min, K, p)
-    if tail <= 0.0:
+    if tail < np.finfo(float).tiny:
         raise UndefinedLawError(f"the scheduled ranks need at least strategy.rank_strong = {k_min} of "
                                 f"mobility.num_users = {K} users with a nonzero gain, and the probability of that "
-                                "count underflows to 0 in float64")
+                                f"count, {tail:.3g}, is below the smallest normal float64")
     return np.where(k < k_min, 0.0, _binomial_pmf(k, K, p) / tail)
 
 

@@ -120,8 +120,6 @@ def parse_overrides(pairs):
         key = key.strip()
         if "." not in key:
             raise ConfigError(f"--set key must be section.key, got {key!r}")
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
         flat[key] = value.strip()
     return flat
 
@@ -136,39 +134,33 @@ def merge(*layers):
     return flat
 
 
-def _get_float(flat, key, default=None):
-    """The finite number under ``key``; an empty value reads as ``default`` when one is given."""
+def _get(flat, key, left, lo, hi, right, names=(None, None), parse=float, empty=None):
+    """The number ``parse`` reads under ``key`` (``empty`` if blank), refused unless finite and in the interval.
+
+    The interval is ``left`` lo, hi ``right``, with "[" "]" closed and "(" ")" open; ``names`` gives either end by
+    its keys, and a refusal prints it by name and by value.
+    """
     raw = flat[key]
-    if default is not None and not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {raw!r}")
-    return value
+    if empty is not None and not raw.strip():
+        value = empty
+    else:
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected {'an integer' if parse is int else 'a number'}, got {raw!r}") from exc
+        if parse is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    if (lo <= value if left == "[" else lo < value) and (value <= hi if right == "]" else value < hi):
+        return value
 
+    def text(x):  # an int prints whole: .15g would round 10**20, and overflows past float range
+        return str(x) if isinstance(x, int) else f"{x:.15g}"
 
-def _get_int(flat, key):
-    raw = flat[key]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-
-
-def _get_int_in(flat, key, lo, hi):
-    value = _get_int(flat, key)
-    if not lo <= value <= hi:
-        raise ConfigError(f"{key}: must lie in [{lo}, {hi}], got {value}")
-    return value
-
-
-def _refuse_unless(inside, key, value, rule):
-    """Refuse ``value`` of ``key`` unless ``inside``, naming the key and the ``rule`` it breaks, in the key's own unit."""
-    if not inside:
-        raise ConfigError(f"{key}: must {rule}, got {value:.15g}")
+    interval = f"{left}{text(lo)}, {text(hi)}{right}"
+    if names != (None, None):
+        named = [text(end) if name is None else name for name, end in zip(names, (lo, hi))]
+        interval = f"{left}{named[0]}, {named[1]}{right} = {interval}"
+    raise ConfigError(f"{key}: must lie in {interval}, got {text(value)}")
 
 
 def parse_gamma_grid(raw):
@@ -222,12 +214,9 @@ def _build_schemes(flat, geom, mobility):
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"schemes.list: {', '.join(repeated)} listed more than once")
-    d_coeff = _get_float(flat, "schemes.d_threshold_coeff")
-    if not 0.0 < d_coeff < 1.0:  # both distance groups must be possible
-        raise ConfigError(f"schemes.d_threshold_coeff: must lie in (0, 1), got {d_coeff}")
-    theta_coeff = _get_float(flat, "schemes.theta_threshold_coeff")
-    if not 0.0 < theta_coeff <= 1.0:  # the angle threshold lies inside the half FOV
-        raise ConfigError(f"schemes.theta_threshold_coeff: must lie in (0, 1], got {theta_coeff}")
+    d_coeff = _get(flat, "schemes.d_threshold_coeff", "(", 0.0, 1.0, ")")  # both distance groups must be possible
+    # the angle threshold lies inside the half FOV
+    theta_coeff = _get(flat, "schemes.theta_threshold_coeff", "(", 0.0, 1.0, "]")
     d_th = mobility.d_min + d_coeff * mobility.d_span
     theta_th = theta_coeff * geom.half_fov
     schemes = []
@@ -254,41 +243,28 @@ def _make(section, make, **kwargs):
 
 def build_experiment(flat):
     """Materialize an ExperimentConfig (meters/degrees/dB -> SI/radians/linear), refusing ranges in the keys' units."""
-    ell, area = _get_float(flat, "geometry.ell_m"), _get_float(flat, "geometry.detector_area_cm2")
-    hpbw, half_fov = _get_float(flat, "geometry.hpbw_deg"), _get_float(flat, "geometry.half_fov_deg")
-    _refuse_unless(ell > 0.0, "geometry.ell_m", ell, "lie in (0, inf)")
-    _refuse_unless(area > 0.0, "geometry.detector_area_cm2", area, "lie in (0, inf)")
-    _refuse_unless(0.0 < hpbw < 90.0, "geometry.hpbw_deg", hpbw, "lie in (0, 90)")
-    _refuse_unless(0.0 < half_fov <= 90.0, "geometry.half_fov_deg", half_fov, "lie in (0, 90]")
+    ell = _get(flat, "geometry.ell_m", "(", 0.0, math.inf, ")")
+    area = _get(flat, "geometry.detector_area_cm2", "(", 0.0, math.inf, ")")
+    hpbw = _get(flat, "geometry.hpbw_deg", "(", 0.0, 90.0, ")")
+    half_fov = _get(flat, "geometry.half_fov_deg", "(", 0.0, 90.0, "]")
     geom = _make("geometry", LedGeometry.from_degrees, ell=ell, hpbw_deg=hpbw, detector_area=area * 1e-4,
                  half_fov_deg=half_fov)
-    d_min, d_max = _get_float(flat, "mobility.d_min_m"), _get_float(flat, "mobility.d_max_m")
-    _refuse_unless(0.0 <= d_min < d_max, "mobility.d_min_m", d_min, f"lie in [0, mobility.d_max_m) = [0, {d_max:g})")
-    delta_phi = _get_float(flat, "mobility.delta_phi_deg")
-    _refuse_unless(0.0 <= delta_phi <= 90.0, "mobility.delta_phi_deg", delta_phi, "lie in [0, 90]")
+    d_max = _get(flat, "mobility.d_max_m", "(", 0.0, math.inf, ")")
+    d_min = _get(flat, "mobility.d_min_m", "[", 0.0, d_max, ")", names=(None, "mobility.d_max_m"))
+    delta_phi = _get(flat, "mobility.delta_phi_deg", "[", 0.0, 90.0, "]")
     # the instantaneous angle, mean +/- delta_phi, stays in [0, 180]; the mean-angle range defaults to all of it
-    mean_min = _get_float(flat, "mobility.mean_phi_min_deg", delta_phi)
-    top = 180.0 - delta_phi
-    mean_max = _get_float(flat, "mobility.mean_phi_max_deg", top)
-    _refuse_unless(delta_phi <= mean_min, "mobility.mean_phi_min_deg", mean_min,
-                   f"lie in [mobility.delta_phi_deg, 180 - mobility.delta_phi_deg] = [{delta_phi:g}, {top:g}]")
-    _refuse_unless(mean_min <= mean_max <= top, "mobility.mean_phi_max_deg", mean_max,
-                   f"lie in [mobility.mean_phi_min_deg, 180 - mobility.delta_phi_deg] = [{mean_min:g}, {top:g}]")
-    mobility = _make(
-        "mobility", MobilityConfig.from_degrees,
-        d_min=d_min,
-        d_max=d_max,
-        mean_phi_min_deg=mean_min,
-        mean_phi_max_deg=mean_max,
-        delta_phi_deg=delta_phi,
-        num_users=_get_int_in(flat, "mobility.num_users", 2, MAX_USERS),
-    )
+    top, top_name = 180.0 - delta_phi, "180 - mobility.delta_phi_deg"
+    mean_min = _get(flat, "mobility.mean_phi_min_deg", "[", delta_phi, top, "]",
+                    names=("mobility.delta_phi_deg", top_name), empty=delta_phi)
+    mean_max = _get(flat, "mobility.mean_phi_max_deg", "[", mean_min, top, "]",
+                    names=("mobility.mean_phi_min_deg", top_name), empty=top)
+    num_users = _get(flat, "mobility.num_users", "[", 2, MAX_USERS, "]", parse=int)
+    mobility = _make("mobility", MobilityConfig.from_degrees, d_min=d_min, d_max=d_max, mean_phi_min_deg=mean_min,
+                     mean_phi_max_deg=mean_max, delta_phi_deg=delta_phi, num_users=num_users)
     # the weak user gets the larger share; the strong user gets the rest of the power
-    weak = _get_float(flat, "noma.power_weak")
-    _refuse_unless(0.5 < weak < 1.0, "noma.power_weak", weak, "lie in (0.5, 1)")
-    rates = {key: _get_float(flat, key) for key in ("noma.rate_weak", "noma.rate_strong")}
+    weak = _get(flat, "noma.power_weak", "(", 0.5, 1.0, ")")
+    rates = {key: _get(flat, key, "[", 0.0, math.inf, ")") for key in ("noma.rate_weak", "noma.rate_strong")}
     for key, rate in rates.items():
-        _refuse_unless(rate >= 0.0, key, rate, "lie in [0, inf)")
         # OMA serves each user half of the frame at twice its rate; that threshold bounds the NOMA ones too
         try:
             eps = epsilon_threshold(2.0 * rate)
@@ -300,22 +276,21 @@ def build_experiment(flat):
         noma = NomaConfig(weak, rates["noma.rate_weak"], rates["noma.rate_strong"])
     except InfeasibleAllocationError as exc:
         raise ConfigError(f"noma.power_weak: {weak} with noma.rate_weak={rates['noma.rate_weak']}: {exc}") from exc
-    seed = _get_int(flat, "sweep.seed")
-    if seed < 0:  # SeedSequence takes no negative entropy
-        raise ConfigError(f"sweep.seed: must be nonnegative, got {seed}")
-    rank_weak = _get_int_in(flat, "strategy.rank_weak", 1, mobility.num_users - 1)
-    rank_strong = _get_int_in(flat, "strategy.rank_strong", rank_weak + 1, mobility.num_users)
+    seed = _get(flat, "sweep.seed", "[", 0, math.inf, ")", parse=int)  # SeedSequence takes no negative entropy
+    rank_weak = _get(flat, "strategy.rank_weak", "[", 1, num_users - 1, "]", names=(None, "mobility.num_users - 1"),
+                     parse=int)
+    rank_strong = _get(flat, "strategy.rank_strong", "[", rank_weak + 1, num_users, "]",
+                       names=("strategy.rank_weak + 1", "mobility.num_users"), parse=int)
     try:
         schemes = _build_schemes(flat, geom, mobility)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     noise = None
     if flat["noise.sigma_d_m"].strip() or flat["noise.sigma_phi_deg"].strip():
-        sigma_d, sigma_phi = (_get_float(flat, key, 0.0) for key in ("noise.sigma_d_m", "noise.sigma_phi_deg"))
-        _refuse_unless(sigma_d >= 0.0, "noise.sigma_d_m", sigma_d, "lie in [0, inf)")
-        _refuse_unless(sigma_phi >= 0.0, "noise.sigma_phi_deg", sigma_phi, "lie in [0, inf)")
+        sigma_d, sigma_phi = (_get(flat, key, "[", 0.0, math.inf, ")", empty=0.0)
+                              for key in ("noise.sigma_d_m", "noise.sigma_phi_deg"))
         noise = _make("noise", NoiseConfig, sigma_d=sigma_d, sigma_phi=math.radians(sigma_phi))
-    _get_int_in(flat, "sweep.workers", 1, MAX_WORKERS)  # read by cmd_simulate
+    _get(flat, "sweep.workers", "[", 1, MAX_WORKERS, "]", parse=int)  # read by cmd_simulate
     try:
         return ExperimentConfig(
             geom=geom,
@@ -325,7 +300,7 @@ def build_experiment(flat):
             gamma_db_grid=parse_gamma_grid(flat["sweep.gamma_db"]),
             rank_weak=rank_weak,
             rank_strong=rank_strong,
-            trials=_get_int_in(flat, "sweep.trials", 1, MAX_TRIALS),
+            trials=_get(flat, "sweep.trials", "[", 1, MAX_TRIALS, "]", parse=int),
             root_seed=seed,
             noise=noise,
         )

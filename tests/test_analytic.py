@@ -205,6 +205,12 @@ class TestCountPmf:
         total = sum(an.nonzero_count_pmf(MODEL, k, 10) for k in range(21))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_normalization_down_to_the_smallest_normal_tail(self):
+        # at K = 1000 the tail Pr(count >= 960) is 3.2e-303, still a normal float
+        model = replace(MODEL, mobility=replace(MOB, num_users=MAX_USERS))
+        weights = an.nonzero_count_pmf(model, np.arange(960, MAX_USERS + 1), 960)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-13)
+
     def test_zero_below_minimum(self):
         assert an.nonzero_count_pmf(MODEL, 9, 10) == 0.0
 

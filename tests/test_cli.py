@@ -12,6 +12,7 @@ from vlcnoma.cli import main
 from vlcnoma.config import (
     MAX_GRID_POINTS,
     ConfigError,
+    DEFAULTS,
     build_experiment,
     merge,
     parse_gamma_grid,
@@ -107,6 +108,8 @@ class TestConfigLayer:
         ("noma.oma_time_share", "0"), ("noma.oma_time_share", "-1"), ("noma.oma_time_share", "1000"),
         # 2^(2 * 2 * rate), the SINR threshold of the OMA rate, overflows a float
         ("noma.rate_strong", "1000"), ("noma.rate_weak", "256"),
+        # the open ends of intervals
+        ("geometry.hpbw_deg", "90"), ("noma.power_weak", "0.5"), ("noma.power_weak", "1"), ("mobility.d_min_m", "10"),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -118,6 +121,18 @@ class TestConfigLayer:
         config = build_experiment(flat)
         assert config.schemes[0].theta_threshold == config.geom.half_fov
         assert config.schemes[0].d_threshold == pytest.approx(9.9)
+        # the closed ends of intervals
+        for overrides in ({"geometry.half_fov_deg": "90"}, {"mobility.delta_phi_deg": "0"},
+                          {"mobility.delta_phi_deg": "90"}, {"noma.rate_weak": "0"}, {"sweep.seed": "0"},
+                          {"mobility.num_users": "1000"},
+                          {"mobility.mean_phi_min_deg": "25", "mobility.mean_phi_max_deg": "155"},
+                          {"mobility.mean_phi_min_deg": "155", "mobility.mean_phi_max_deg": "155"}):
+            build_experiment(merge(overrides))
+
+    @pytest.mark.parametrize("key", sorted(DEFAULTS))
+    def test_every_key_refuses_garbage_by_its_own_name(self, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            build_experiment(merge({key: "nan"}))
 
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     @pytest.mark.parametrize("source", ["set", "config"])
@@ -171,6 +186,12 @@ class TestConfigLayer:
         ("noma.power_strong=0.02", "unknown config key 'noma.power_strong'"),
         ("noma.rate_weak=-1", "noma.rate_weak: must lie in [0, inf), got -1"),
         ("noma.rate_strong=-1", "noma.rate_strong: must lie in [0, inf), got -1"),
+        # each refusal names the key whose value lies outside, not a key whose interval it bounds
+        ("mobility.mean_phi_min_deg=170", "mobility.mean_phi_min_deg: must lie in [mobility.delta_phi_deg, "
+                                          "180 - mobility.delta_phi_deg] = [25, 155], got 170"),
+        ("mobility.d_max_m=-5", "mobility.d_max_m: must lie in (0, inf), got -5"),
+        ("mobility.num_users=5", "strategy.rank_strong: must lie in [strategy.rank_weak + 1, mobility.num_users] = "
+                                 "[2, 5], got 10"),
     ])
     def test_domain_refusal_names_the_key_in_its_unit(self, monkeypatch, capsys, tmp_path, override, message):
         monkeypatch.setattr(cli, "sum_rate_sweep", lambda *args, **kwargs: pytest.fail("the sweep must not start"))
@@ -197,8 +218,8 @@ class TestConfigLayer:
         assert parse_overrides(["sweep.trials=99"]) == {"sweep.trials": "99"}
         with pytest.raises(ConfigError):
             parse_overrides(["sweeptrials=99"])
-        with pytest.raises(ConfigError):
-            parse_overrides(["sweep.unknown=1"])
+        with pytest.raises(ConfigError, match="unknown config key 'sweep.unknown'"):
+            merge(parse_overrides(["sweep.unknown=1"]))
 
     def test_defaults_materialize(self):
         config = build_experiment(merge())
@@ -358,15 +379,6 @@ class TestAnalyticCommand:
         assert notes == [f"note: run group {group!r} has no closed-form route for scheme 'one-bit'; skipped"
                          for group in ("dphi=0", "dphi=25")]
 
-    def test_infeasible_allocation_is_usage_error(self, tmp_path):
-        code = run_cli(
-            "analytic",
-            "--set", "noma.power_weak=0.6",
-            "--set", "sweep.gamma_db=170",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 1
-
     @pytest.mark.parametrize("overrides,scheme,keys", [
         # a mean-angle law with one mean angle has no density to integrate over
         pytest.param(("mobility.mean_phi_min_deg=90", "mobility.mean_phi_max_deg=90", "schemes.list=mean-angle"),
@@ -382,6 +394,10 @@ class TestAnalyticCommand:
         *[pytest.param(("mobility.num_users=1000", "strategy.rank_strong=1000", f"schemes.list={scheme}"), scheme,
                        ("mobility.num_users", "strategy.rank_strong"), id=f"count-tail-underflow-{scheme}")
           for scheme in ("full-csi", "mean-angle")],
+        # at K = 1000 the tail Pr(count >= 965) is 5.6e-311, subnormal: renormalizing by it would lose the law
+        *[pytest.param(("mobility.num_users=1000", f"strategy.rank_strong={rank}", "schemes.list=full-csi"),
+                       "full-csi", ("mobility.num_users", "strategy.rank_strong"), id=f"count-tail-subnormal-{rank}")
+          for rank in (965, 971)],
     ])
     def test_undefined_closed_form_exits_1_naming_group_scheme_and_keys(self, tmp_path, capsys, overrides, scheme,
                                                                         keys):
