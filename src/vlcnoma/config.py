@@ -134,7 +134,7 @@ def merge(*layers):
     return flat
 
 
-def _get(flat, key, left, lo, hi, right, names=(None, None), parse=float, empty=None):
+def _get(flat, key, left, lo, hi, right, names=None, parse=float, empty=None):
     """The number ``parse`` reads under ``key`` (``empty`` if blank), refused unless finite and in the interval.
 
     The interval is ``left`` lo, hi ``right``, with "[" "]" closed and "(" ")" open; ``names`` gives either end by
@@ -153,11 +153,11 @@ def _get(flat, key, left, lo, hi, right, names=(None, None), parse=float, empty=
     if (lo <= value if left == "[" else lo < value) and (value <= hi if right == "]" else value < hi):
         return value
 
-    def text(x):  # an int prints whole: .15g would round 10**20, and overflows past float range
+    def text(x):  # an int prints in full: .15g would round a long one, and overflow past the float range
         return str(x) if isinstance(x, int) else f"{x:.15g}"
 
     interval = f"{left}{text(lo)}, {text(hi)}{right}"
-    if names != (None, None):
+    if names:
         named = [text(end) if name is None else name for name, end in zip(names, (lo, hi))]
         interval = f"{left}{named[0]}, {named[1]}{right} = {interval}"
     raise ConfigError(f"{key}: must lie in {interval}, got {text(value)}")

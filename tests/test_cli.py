@@ -10,9 +10,9 @@ from helpers import contract_check, engine_gaps
 from vlcnoma import analytic, cli
 from vlcnoma.cli import main
 from vlcnoma.config import (
+    DEFAULTS,
     MAX_GRID_POINTS,
     ConfigError,
-    DEFAULTS,
     build_experiment,
     merge,
     parse_gamma_grid,
