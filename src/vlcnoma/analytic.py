@@ -863,24 +863,25 @@ ROUTES = {
 def sum_rate_sweep(config):
     """Closed-form sum-rate curves of ``config.curves`` (an ExperimentConfig), keyed by label as run_sweep.
 
-    Curves served by a kind without a route in ROUTES are left out.  Each
-    kind's AnalyticModel carries that kind's scheme from the config and the
-    default quadrature settings, and its route is built once; each slot's
+    Each kind's AnalyticModel carries that kind's scheme from the config and
+    the default quadrature settings, and its route is built once; each slot's
     outage is one call on that slot's threshold array of the curve.
     CurvePoint.ci_halfwidth carries the propagated quadrature error
     estimate, and conditioning_rate the probability of the scheduling
     precondition (enough nonzero-gain reports / both groups nonempty).  A QuadratureError turns only the curve it hit
     into NaN points, and an UndefinedLawError is raised again naming the
-    scheme it hit.  A config with estimation noise is refused: no route
-    models it.  Returns (curves, {label: QuadratureError} of the failed
-    curves).
+    scheme it hit.  Returns (curves, {label: QuadratureError} of the failed
+    curves, skipped), where ``skipped`` names what no route evaluates: one
+    phrase per scheme kind without a route in ROUTES, whose curves are left
+    out, or one for estimation noise, which no route models, with no curves.
     """
     if config.noise is not None:
-        raise ValueError("the closed-form engine does not model estimation noise (noise.sigma_d_m, "
-                         "noise.sigma_phi_deg); give a config without noise")
+        return {}, {}, ["estimation noise (noise.sigma_d_m, noise.sigma_phi_deg), which the closed-form engine "
+                        "does not model"]
     schemes = {s.kind: s for s in config.schemes}
     noma, grid = config.noma, config.gamma_db_grid
     routes, curves, failures = {}, {}, {}
+    skipped = [f"no closed-form route for scheme {s.kind.value!r}" for s in config.schemes if s.kind not in ROUTES]
     for label, kind, (eta_weak, eta_strong) in config.curves:
         if kind not in ROUTES:
             continue
@@ -907,4 +908,4 @@ def sum_rate_sweep(config):
             failures[label] = exc
             points = [CurvePoint(g, math.nan, math.nan, math.nan, math.nan, math.nan) for g in grid]
         curves[label] = points
-    return curves, failures
+    return curves, failures, skipped

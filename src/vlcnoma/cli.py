@@ -32,7 +32,7 @@ except ImportError:  # NumPy 1.x
     from numpy.core import _multiarray_umath as _umath
 
 from . import __version__
-from .analytic import ROUTES, UndefinedLawError, sum_rate_sweep
+from .analytic import UndefinedLawError, sum_rate_sweep
 from .config import (
     ConfigError,
     build_experiment,
@@ -77,25 +77,30 @@ def build_parser():
     simulate = subs.add_parser("simulate", help="Monte Carlo sum-rate sweep")
     _add_sweep_flags(simulate)
     simulate.add_argument("--trials", type=int, help="Monte Carlo trials per run group")
-    _add_sweep_flags(subs.add_parser("analytic", help="closed-form sum-rate sweep"))
+    simulate.set_defaults(handler=cmd_sweep)
+    analytic = subs.add_parser("analytic", help="closed-form sum-rate sweep")
+    _add_sweep_flags(analytic)
+    analytic.set_defaults(handler=cmd_sweep, trials=None)  # the closed form draws no trials
     validate = subs.add_parser("validate", help="analytic-vs-sampling cross validation")
     validate.add_argument("--seed", type=int,
                           help="accepted and ignored: the checks always draw from the fixed seed 20240")
     validate.add_argument("--out", help="output JSON report path")
     validate.add_argument("--quick", action="store_true", help="reduced sample sizes for a fast pass")
+    validate.set_defaults(handler=cmd_validate)
     plot = subs.add_parser("plot", help="emit a plotting script for sweep CSVs")
     plot.add_argument("csv", nargs="+", help="CSV files produced by simulate/analytic")
     plot.add_argument("--out", help="path of the generated plot script")
+    plot.set_defaults(handler=cmd_plot)
     return parser
 
 
-def _resolved_groups(args, trials=None):
+def _resolved_groups(args):
     file_flat = read_config_file(args.config) if args.config else {}
     set_flat = parse_overrides(args.overrides)
     if args.seed is not None:
         set_flat["sweep.seed"] = str(args.seed)
-    if trials is not None:
-        set_flat["sweep.trials"] = str(trials)
+    if args.trials is not None:
+        set_flat["sweep.trials"] = str(args.trials)
     return resolve_groups(args.preset, file_flat, set_flat)
 
 
@@ -136,14 +141,14 @@ def _numpy_simd():
             "dispatch": [target for target in _umath.__cpu_dispatch__ if features.get(target)]}
 
 
-def _write_manifest(path, command, args, groups, outputs, started, duration, **extra):
+def _write_manifest(path, args, groups, outputs, started, duration, **extra):
     manifest = {
         **extra,
         "tool": "vlcnoma",
         "version": __version__,
         "numpy_version": np.__version__,
         "numpy_simd": _numpy_simd(),
-        "command": command,
+        "command": args.command,
         "preset": args.preset,
         "started_utc": started,
         "duration_s": round(duration, 3),
@@ -156,56 +161,39 @@ def _write_manifest(path, command, args, groups, outputs, started, duration, **e
         fh.write("\n")
 
 
-def cmd_simulate(args):
-    groups = _resolved_groups(args, args.trials)
-    out = _output_path(args.out or f"{args.preset or 'run'}-simulate.csv")
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.perf_counter()
-    rows = []
-    trials = 0
-    for suffix, flat in groups:
-        config = build_experiment(flat)
-        workers = int(flat["sweep.workers"])
-        curves = run_sweep(config, n_workers=workers)
-        rows.extend(_rows_from_curves(curves, suffix))
-        trials += config.trials
-    _write_csv(out, rows)
-    duration = time.perf_counter() - t0
-    # trials summed over run groups per second of the whole command
-    _write_manifest(out.with_suffix(".manifest.json"), "simulate", args, groups, [out], started, duration,
-                    stream_version=STREAM_VERSION, trials_per_s=round(trials / duration, 1))
-    print(f"wrote {out} ({len(rows)} rows) and {out.with_suffix('.manifest.json')}")
-    return EXIT_OK
-
-
-def cmd_analytic(args):
+def cmd_sweep(args):
+    """``simulate`` or ``analytic``: every run group through the command's engine, into one CSV and its manifest."""
     groups = _resolved_groups(args)
-    out = _output_path(args.out or f"{args.preset or 'run'}-analytic.csv")
+    out = _output_path(args.out or f"{args.preset or 'run'}-{args.command}.csv")
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     rows = []
-    failures = 0
+    failures = trials = 0
     for suffix, flat in groups:
         config = build_experiment(flat)
-        if config.noise is not None:
-            print(f"note: run group {suffix or 'default'!r} has estimation noise, which the closed-form engine "
-                  "does not model; skipped", file=sys.stderr)
-            continue
-        for scheme in config.schemes:
-            if scheme.kind not in ROUTES:
-                print(f"note: run group {suffix or 'default'!r} has no closed-form route for scheme "
-                      f"{scheme.kind.value!r}; skipped", file=sys.stderr)
+        group = suffix or "default"
         try:
-            curves, failed = sum_rate_sweep(config)
+            if args.command == "simulate":
+                curves, failed, skipped = run_sweep(config), {}, ()
+            else:
+                curves, failed, skipped = sum_rate_sweep(config)
         except UndefinedLawError as exc:
-            raise ConfigError(f"run group {suffix or 'default'!r}, {exc}") from exc
+            raise ConfigError(f"run group {group!r}, {exc}") from exc
+        for reason in skipped:
+            print(f"note: run group {group!r} has {reason}; skipped", file=sys.stderr)
         for label, exc in failed.items():
             print(f"numerical failure for {_label(label, suffix)}: {exc}", file=sys.stderr)
         failures += len(failed)
+        trials += config.trials
         rows.extend(_rows_from_curves(curves, suffix))
     _write_csv(out, rows)
-    _write_manifest(out.with_suffix(".manifest.json"), "analytic", args, groups, [out], started, time.perf_counter() - t0)
-    print(f"wrote {out} ({len(rows)} rows) and {out.with_suffix('.manifest.json')}")
+    duration = time.perf_counter() - t0
+    # a simulate manifest adds its stream version, and trials summed over run groups per second of the whole command
+    extra = ({"stream_version": STREAM_VERSION, "trials_per_s": round(trials / duration, 1)}
+             if args.command == "simulate" else {})
+    manifest = out.with_suffix(".manifest.json")
+    _write_manifest(manifest, args, groups, [out], started, duration, **extra)
+    print(f"wrote {out} ({len(rows)} rows) and {manifest}")
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
@@ -293,15 +281,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "analytic":
-            return cmd_analytic(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "plot":
-            return cmd_plot(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import LedGeometry
-from .link import InfeasibleAllocationError, NomaConfig, epsilon_threshold
+from .link import RATE_END, InfeasibleAllocationError, NomaConfig
 from .population import MobilityConfig
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from .simulate import ExperimentConfig, NoiseConfig
@@ -263,19 +263,13 @@ def build_experiment(flat):
                      mean_phi_max_deg=mean_max, delta_phi_deg=delta_phi, num_users=num_users)
     # the weak user gets the larger share; the strong user gets the rest of the power
     weak = _get(flat, "noma.power_weak", "(", 0.5, 1.0, ")")
-    rates = {key: _get(flat, key, "[", 0.0, math.inf, ")") for key in ("noma.rate_weak", "noma.rate_strong")}
-    for key, rate in rates.items():
-        # OMA serves each user half of the frame at twice its rate; that threshold bounds the NOMA ones too
-        try:
-            eps = epsilon_threshold(2.0 * rate)
-        except OverflowError:
-            eps = math.inf
-        if not math.isfinite(eps):
-            raise ConfigError(f"{key}: {rate} overflows the SINR threshold of the OMA rate 2 x {rate}")
+    # OMA serves each user half of the frame at twice its rate; that threshold must stay a float
+    rate_weak, rate_strong = (_get(flat, key, "[", 0.0, RATE_END, ")")
+                              for key in ("noma.rate_weak", "noma.rate_strong"))
     try:
-        noma = NomaConfig(weak, rates["noma.rate_weak"], rates["noma.rate_strong"])
+        noma = NomaConfig(weak, rate_weak, rate_strong)
     except InfeasibleAllocationError as exc:
-        raise ConfigError(f"noma.power_weak: {weak} with noma.rate_weak={rates['noma.rate_weak']}: {exc}") from exc
+        raise ConfigError(f"noma.power_weak: {weak} with noma.rate_weak={rate_weak}: {exc}") from exc
     seed = _get(flat, "sweep.seed", "[", 0, math.inf, ")", parse=int)  # SeedSequence takes no negative entropy
     rank_weak = _get(flat, "strategy.rank_weak", "[", 1, num_users - 1, "]", names=(None, "mobility.num_users - 1"),
                      parse=int)
@@ -290,7 +284,6 @@ def build_experiment(flat):
         sigma_d, sigma_phi = (_get(flat, key, "[", 0.0, math.inf, ")", empty=0.0)
                               for key in ("noise.sigma_d_m", "noise.sigma_phi_deg"))
         noise = _make("noise", NoiseConfig, sigma_d=sigma_d, sigma_phi=math.radians(sigma_phi))
-    _get(flat, "sweep.workers", "[", 1, MAX_WORKERS, "]", parse=int)  # read by cmd_simulate
     try:
         return ExperimentConfig(
             geom=geom,
@@ -303,6 +296,7 @@ def build_experiment(flat):
             trials=_get(flat, "sweep.trials", "[", 1, MAX_TRIALS, "]", parse=int),
             root_seed=seed,
             noise=noise,
+            workers=_get(flat, "sweep.workers", "[", 1, MAX_WORKERS, "]", parse=int),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

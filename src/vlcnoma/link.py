@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 RATE_SCALE = math.e / (2.0 * math.pi)  # SINR prefactor of the intensity-channel rate
+# the target rates lie below this: from it on, epsilon_threshold(2 * rate) of the OMA rate overflows a float
+RATE_END = math.log2(np.finfo(float).max * RATE_SCALE) / 4.0
 
 
 class InfeasibleAllocationError(ValueError):

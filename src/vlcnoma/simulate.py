@@ -71,6 +71,7 @@ class ExperimentConfig:
     trials: int = 100_000
     root_seed: int = 0
     noise: Optional[NoiseConfig] = None
+    workers: int = 1  # processes that collect the trial chunks; the records do not depend on it
 
     def __post_init__(self):
         if self.trials < 1:
@@ -168,17 +169,17 @@ def _collect_chunk(config, start, stop):
     return out
 
 
-def collect_records(config, n_workers=1):
+def collect_records(config):
     """Scheduled-pair squared gains for every trial, per scheme kind.
 
-    Trials are processed in fixed chunks; the worker count only changes who
+    Trials are processed in fixed chunks; ``config.workers`` only changes who
     computes a chunk, never its contents, so results are bitwise stable.
     """
     spans = [(s, min(s + _CHUNK, config.trials)) for s in range(0, config.trials, _CHUNK)]
-    if n_workers <= 1 or len(spans) == 1:
+    if config.workers <= 1 or len(spans) == 1:
         chunks = [_collect_chunk(config, a, b) for a, b in spans]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunks = list(pool.map(_collect_chunk, [config] * len(spans), *zip(*spans)))
     out = np.concatenate(chunks)
     return {s.kind: _Records(out[:, j, 0] != 0.0, out[:, j, 1], out[:, j, 2]) for j, s in enumerate(config.schemes)}
@@ -221,14 +222,14 @@ def _curve(config, records, thresholds):
     return points
 
 
-def run_sweep(config, n_workers=1):
+def run_sweep(config):
     """Monte Carlo sum-rate curves of ``config.curves``, keyed by label.
 
     Sum rates and outage frequencies are conditional on the scheduling
     precondition of each scheme (enough ranked candidates, or both candidate
     groups nonempty); conditioning_rate reports the fraction of trials kept.
     """
-    records = collect_records(config, n_workers=n_workers)
+    records = collect_records(config)
     return {label: _curve(config, records[kind], thresholds) for label, kind, thresholds in config.curves}
 
 

@@ -75,7 +75,7 @@ def plateau(points):
 
 
 def closed_form(config):
-    curves, failures = an.sum_rate_sweep(config)
+    curves, failures, _ = an.sum_rate_sweep(config)
     assert not failures, failures
     return curves
 
@@ -346,8 +346,8 @@ class TestA10PropertySuite:
             geom=GEOM, mobility=mobility(25.0), noma=NOMA, schemes=INDIVIDUAL_SCHEMES,
             gamma_db_grid=(170.0, 200.0), trials=9000, root_seed=77,
         )
-        serial = collect_records(config, n_workers=1)
-        parallel = collect_records(config, n_workers=4)
+        serial = collect_records(replace(config, workers=1))
+        parallel = collect_records(replace(config, workers=4))
         ok = all(
             np.array_equal(serial[k].scheduled, parallel[k].scheduled)
             and np.array_equal(serial[k].h2_weak, parallel[k].h2_weak)

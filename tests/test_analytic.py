@@ -12,7 +12,7 @@ from helpers import LEVELS, group_models
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle
-from vlcnoma.config import MAX_USERS
+from vlcnoma.config import MAX_USERS, build_experiment, resolve_groups
 from vlcnoma.link import NomaConfig, eta_thresholds
 from vlcnoma.population import (MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf,
                                 sample_user_arrays)
@@ -36,7 +36,7 @@ def model_with(delta_phi_deg=25.0, scheme=None):
 def sweep(grid, *schemes):
     """Closed-form curves of the paper setup with ``schemes``; fails on any quadrature failure."""
     config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=NOMA, schemes=schemes, gamma_db_grid=grid)
-    curves, failures = an.sum_rate_sweep(config)
+    curves, failures, _ = an.sum_rate_sweep(config)
     assert not failures
     return curves
 
@@ -726,8 +726,15 @@ class TestSweep:
         # no route models noisy reports, so a noisy config must not come back as the noiseless curves
         config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=NOMA, schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),),
                                   gamma_db_grid=(170.0,), noise=NoiseConfig(sigma_d=0.05, sigma_phi=0.0))
-        with pytest.raises(ValueError, match=r"noise\.sigma_d_m, noise\.sigma_phi_deg"):
-            an.sum_rate_sweep(config)
+        curves, failures, skipped = an.sum_rate_sweep(config)
+        assert curves == {} and failures == {}
+        assert len(skipped) == 1 and "noise.sigma_d_m, noise.sigma_phi_deg" in skipped[0]
+
+    def test_fig3_run_group_skips_the_one_bit_scheme(self):
+        (_, flat), _ = resolve_groups("fig3", {}, {"sweep.gamma_db": "170"})
+        curves, failures, skipped = an.sum_rate_sweep(build_experiment(flat))
+        assert skipped == ["no closed-form route for scheme 'one-bit'"]
+        assert set(curves) == {"noma-two-bit-instant", "noma-two-bit-mean", "oma"} and not failures
 
 
 class TestQuadratureStability:

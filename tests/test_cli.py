@@ -85,6 +85,17 @@ class TestConfigLayer:
         with pytest.raises(ConfigError, match="mobility.num_users"):
             build_experiment(merge({"mobility.num_users": value}))
 
+    def test_worker_count_reaches_the_engine_in_the_config(self, monkeypatch, tmp_path):
+        workers = []
+
+        def engine(config):
+            workers.append(config.workers)
+            return {}
+
+        monkeypatch.setattr(cli, "run_sweep", engine)
+        assert run_cli("simulate", "--set", "sweep.workers=2", "--out", str(tmp_path / "x.csv")) == 0
+        assert workers == [2]
+
     def test_sweep_size_bounds_stop_the_command_before_any_work(self, monkeypatch, tmp_path):
         def never(*args, **kwargs):
             raise AssertionError("the sweep must not start")
@@ -106,8 +117,8 @@ class TestConfigLayer:
         ("schemes.theta_threshold_coeff", "5"),
         # the removed OMA time-share key is refused by name whatever its value
         ("noma.oma_time_share", "0"), ("noma.oma_time_share", "-1"), ("noma.oma_time_share", "1000"),
-        # 2^(2 * 2 * rate), the SINR threshold of the OMA rate, overflows a float
-        ("noma.rate_strong", "1000"), ("noma.rate_weak", "256"),
+        # 2^(2 * 2 * rate), the SINR threshold of the OMA rate, overflows a float: the end of the rates' interval
+        ("noma.rate_strong", "1000"), ("noma.rate_weak", "256"), ("noma.rate_strong", "255.69779972785417"),
         # the open ends of intervals
         ("geometry.hpbw_deg", "90"), ("noma.power_weak", "0.5"), ("noma.power_weak", "1"), ("mobility.d_min_m", "10"),
     ])
@@ -124,6 +135,7 @@ class TestConfigLayer:
         # the closed ends of intervals
         for overrides in ({"geometry.half_fov_deg": "90"}, {"mobility.delta_phi_deg": "0"},
                           {"mobility.delta_phi_deg": "90"}, {"noma.rate_weak": "0"}, {"sweep.seed": "0"},
+                          {"noma.rate_strong": "255.69779972785415"},  # the float below the rates' open end
                           {"mobility.num_users": "1000"},
                           {"mobility.mean_phi_min_deg": "25", "mobility.mean_phi_max_deg": "155"},
                           {"mobility.mean_phi_min_deg": "155", "mobility.mean_phi_max_deg": "155"}):
@@ -184,8 +196,8 @@ class TestConfigLayer:
         ("noma.power_weak=-0.1", "noma.power_weak: must lie in (0.5, 1), got -0.1"),
         # the strong user's share is always 1 - noma.power_weak
         ("noma.power_strong=0.02", "unknown config key 'noma.power_strong'"),
-        ("noma.rate_weak=-1", "noma.rate_weak: must lie in [0, inf), got -1"),
-        ("noma.rate_strong=-1", "noma.rate_strong: must lie in [0, inf), got -1"),
+        ("noma.rate_weak=-1", "noma.rate_weak: must lie in [0, 255.697799727854), got -1"),
+        ("noma.rate_strong=-1", "noma.rate_strong: must lie in [0, 255.697799727854), got -1"),
         # each refusal names the key whose value lies outside, not a key whose interval it bounds
         ("mobility.mean_phi_min_deg=170", "mobility.mean_phi_min_deg: must lie in [mobility.delta_phi_deg, "
                                           "180 - mobility.delta_phi_deg] = [25, 155], got 170"),
@@ -460,6 +472,30 @@ class TestAnalyticCommand:
         agree, detail = contract_check({"default": engine_gaps(build_experiment(merge(flat)), curves(sim_out),
                                                                curves(an_out))})
         assert agree, detail
+
+
+class TestSweepEngines:
+    def test_each_command_writes_its_engine_curves_notes_and_failures(self, monkeypatch, capsys, tmp_path):
+        # the loop reaches both engines through the cli module's names: the benchmark harness wraps them there
+        from vlcnoma.quadrature import QuadratureError
+
+        point = CurvePoint(170.0, 1.5, 0.25, 0.125, 0.5, 0.75)
+        monkeypatch.setattr(cli, "run_sweep", lambda config: {"stub-mc": [point]})
+        monkeypatch.setattr(cli, "sum_rate_sweep", lambda config: (
+            {"stub-cf": [point]}, {"stub-cf": QuadratureError("stub failure")}, ["a stub reason"]))
+        sim_out, an_out = tmp_path / "sim.csv", tmp_path / "an.csv"
+        assert run_cli("simulate", "--preset", "fig2", "--out", str(sim_out)) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli("analytic", "--preset", "fig2", "--out", str(an_out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            line for group in ("dphi=0", "dphi=25")
+            for line in (f"note: run group {group!r} has a stub reason; skipped",
+                         f"numerical failure for stub-cf|{group}: stub failure")
+        ]
+        values = ["170.0", "1.5", "0.25", "0.125", "0.5", "0.75"]
+        for path, label in ((sim_out, "stub-mc"), (an_out, "stub-cf")):
+            with open(path, newline="") as fh:
+                assert list(csv.reader(fh))[1:] == [[f"{label}|{group}", *values] for group in ("dphi=0", "dphi=25")]
 
 
 class TestPlotCommand:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,8 +111,8 @@ class TestTrials:
 class TestParallelism:
     def test_worker_count_is_bitwise_invariant(self):
         config = make_config(trials=9000)
-        serial = collect_records(config, n_workers=1)
-        parallel = collect_records(config, n_workers=3)
+        serial = collect_records(replace(config, workers=1))
+        parallel = collect_records(replace(config, workers=3))
         for kind in serial:
             assert np.array_equal(serial[kind].scheduled, parallel[kind].scheduled)
             assert np.array_equal(serial[kind].h2_weak, parallel[kind].h2_weak)
@@ -183,7 +184,7 @@ class TestSweepStatistics:
         reps = 40
         for rep in range(reps):
             config = make_config(trials=3000, gamma_db_grid=(gamma_db,), schemes=(INDIVIDUAL[0],), root_seed=500 + rep)
-            pt = run_sweep(config, n_workers=1)["noma-full-csi"][0]
+            pt = run_sweep(config)["noma-full-csi"][0]
             if truth is None:
                 eta_weak, eta_strong = eta_thresholds(NOMA, np.array([10.0 ** (gamma_db / 10.0)]))
                 _, weak, strong = an.ROUTES[FeedbackKind.FULL_CSI](model, 1, 10)
