@@ -87,15 +87,6 @@ class AnalyticModel:
     scheme: Optional[FeedbackScheme] = None
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
-    def __post_init__(self):
-        if self.scheme is not None and self.scheme.theta_threshold is not None:
-            if self.scheme.theta_threshold > self.geom.half_fov + 1e-12:
-                raise ValueError("angle threshold cannot exceed the detector half FOV")
-        if self.scheme is not None and self.scheme.d_threshold is not None:
-            # d_threshold = d_max degenerates the weak group away but keeps the strong one valid
-            if not self.mobility.d_min < self.scheme.d_threshold <= self.mobility.d_max:
-                raise ValueError("distance threshold must lie inside the distance range")
-
 
 def inverse_squared_gain(geom, r):
     """1/g(r)^2 = (ell^2 + r^2)^(m+2) / h_c^4; multiplied by h^2 it returns cos^2(theta)."""

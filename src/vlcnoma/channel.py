@@ -24,7 +24,7 @@ All angles are radians, distances meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,9 +33,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def lambertian_order(hpbw):
-    """Beam-shape exponent -1/log2(cos(hpbw)) for a half-power beamwidth in (0, pi/2)."""
-    if not 0.0 < hpbw < math.pi / 2.0:
-        raise ValueError(f"half-power beamwidth must lie in (0, pi/2), got {hpbw!r}")
+    """Beam-shape exponent -1/log2(cos(hpbw)) of a half-power beamwidth hpbw [rad]."""
     return -1.0 / math.log2(math.cos(hpbw))
 
 
@@ -58,20 +56,15 @@ class LedGeometry:
     hpbw: float
     detector_area: float
     half_fov: float
-    m: float = field(init=False)
-
-    def __post_init__(self):
-        if self.ell <= 0.0:
-            raise ValueError("LED height must be positive")
-        if self.detector_area <= 0.0:
-            raise ValueError("detector area must be positive")
-        if not 0.0 < self.half_fov <= math.pi / 2.0:
-            raise ValueError("half FOV must lie in (0, pi/2]")
-        object.__setattr__(self, "m", lambertian_order(self.hpbw))
 
     @classmethod
     def from_degrees(cls, ell, hpbw_deg, detector_area, half_fov_deg):
         return cls(ell, math.radians(hpbw_deg), detector_area, math.radians(half_fov_deg))
+
+    @cached_property
+    def m(self):
+        """Lambertian order of the LED beam."""
+        return lambertian_order(self.hpbw)
 
     @cached_property
     def channel_constant(self):

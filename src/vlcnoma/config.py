@@ -12,6 +12,8 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .channel import LedGeometry
 from .link import RATE_END, InfeasibleAllocationError, NomaConfig
 from .population import MobilityConfig
@@ -24,7 +26,7 @@ class ConfigError(ValueError):
 
 
 MAX_GRID_POINTS = 10_000
-MAX_TRIALS = 10_000_000  # the per-trial records of 10^7 trials take about 1 GB
+MAX_TRIALS = 10_000_000  # a run's peak memory grows by about 290 B a trial with all six schemes: about 3 GB at 10^7
 MAX_WORKERS = 64
 MAX_USERS = 1000  # a Monte Carlo chunk draws 4096 x K values per array: 33 MB each at K = 1000
 
@@ -233,12 +235,29 @@ def _build_schemes(flat, geom, mobility):
     return tuple(schemes)
 
 
-def _make(section, make, **kwargs):
-    """make(**kwargs), its ValueError reported under ``section``; the values are parsed before the call."""
+def _check_gain_law(geom, d_max, hpbw_deg, area_cm2, half_fov_deg):
+    """Refuse a geometry whose smallest nonzero squared gain, (g(d_max) cos(half_fov))^2, is not a normal float64.
+
+    Both engines compare squared gains with their thresholds, and the closed form's mean-angle table starts at
+    this level.  A narrow beam has a large Lambertian order m: ell**m overflows, m is infinite once cos(hpbw)
+    rounds to 1, or the level underflows, so that a run would see zero gains that the gain law does not have.
+    The bound on the beamwidth depends on four other keys, so no interval of one key states it.
+    """
     try:
-        return make(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        with np.errstate(all="ignore"):  # the check below reads an overflow, an underflow and a NaN alike
+            gain = float(geom.gain_factor(d_max)) * math.cos(geom.half_fov)
+    except OverflowError:
+        got = "an overflow of ell**m"
+    except ZeroDivisionError:  # cos(hpbw) rounds to 1
+        got = "an infinite Lambertian order m"
+    else:
+        if np.finfo(float).tiny <= gain * gain < math.inf:
+            return
+        got = f"{gain * gain:.3g}"
+    raise ConfigError(f"geometry.hpbw_deg: {hpbw_deg:.15g} with geometry.ell_m={geom.ell:.15g}, "
+                      f"geometry.detector_area_cm2={area_cm2:.15g}, geometry.half_fov_deg={half_fov_deg:.15g} and "
+                      f"mobility.d_max_m={d_max:.15g}: the smallest nonzero squared gain, "
+                      f"(g(mobility.d_max_m) cos(geometry.half_fov_deg))^2, must be a normal float64, got {got}")
 
 
 def build_experiment(flat):
@@ -247,9 +266,9 @@ def build_experiment(flat):
     area = _get(flat, "geometry.detector_area_cm2", "(", 0.0, math.inf, ")")
     hpbw = _get(flat, "geometry.hpbw_deg", "(", 0.0, 90.0, ")")
     half_fov = _get(flat, "geometry.half_fov_deg", "(", 0.0, 90.0, "]")
-    geom = _make("geometry", LedGeometry.from_degrees, ell=ell, hpbw_deg=hpbw, detector_area=area * 1e-4,
-                 half_fov_deg=half_fov)
+    geom = LedGeometry.from_degrees(ell, hpbw, area * 1e-4, half_fov)
     d_max = _get(flat, "mobility.d_max_m", "(", 0.0, math.inf, ")")
+    _check_gain_law(geom, d_max, hpbw, area, half_fov)
     d_min = _get(flat, "mobility.d_min_m", "[", 0.0, d_max, ")", names=(None, "mobility.d_max_m"))
     delta_phi = _get(flat, "mobility.delta_phi_deg", "[", 0.0, 90.0, "]")
     # the instantaneous angle, mean +/- delta_phi, stays in [0, 180]; the mean-angle range defaults to all of it
@@ -259,8 +278,7 @@ def build_experiment(flat):
     mean_max = _get(flat, "mobility.mean_phi_max_deg", "[", mean_min, top, "]",
                     names=("mobility.mean_phi_min_deg", top_name), empty=top)
     num_users = _get(flat, "mobility.num_users", "[", 2, MAX_USERS, "]", parse=int)
-    mobility = _make("mobility", MobilityConfig.from_degrees, d_min=d_min, d_max=d_max, mean_phi_min_deg=mean_min,
-                     mean_phi_max_deg=mean_max, delta_phi_deg=delta_phi, num_users=num_users)
+    mobility = MobilityConfig.from_degrees(d_min, d_max, mean_min, mean_max, delta_phi, num_users)
     # the weak user gets the larger share; the strong user gets the rest of the power
     weak = _get(flat, "noma.power_weak", "(", 0.5, 1.0, ")")
     # OMA serves each user half of the frame at twice its rate; that threshold must stay a float
@@ -275,31 +293,25 @@ def build_experiment(flat):
                      parse=int)
     rank_strong = _get(flat, "strategy.rank_strong", "[", rank_weak + 1, num_users, "]",
                        names=("strategy.rank_weak + 1", "mobility.num_users"), parse=int)
-    try:
-        schemes = _build_schemes(flat, geom, mobility)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    schemes = _build_schemes(flat, geom, mobility)
     noise = None
     if flat["noise.sigma_d_m"].strip() or flat["noise.sigma_phi_deg"].strip():
         sigma_d, sigma_phi = (_get(flat, key, "[", 0.0, math.inf, ")", empty=0.0)
                               for key in ("noise.sigma_d_m", "noise.sigma_phi_deg"))
-        noise = _make("noise", NoiseConfig, sigma_d=sigma_d, sigma_phi=math.radians(sigma_phi))
-    try:
-        return ExperimentConfig(
-            geom=geom,
-            mobility=mobility,
-            noma=noma,
-            schemes=schemes,
-            gamma_db_grid=parse_gamma_grid(flat["sweep.gamma_db"]),
-            rank_weak=rank_weak,
-            rank_strong=rank_strong,
-            trials=_get(flat, "sweep.trials", "[", 1, MAX_TRIALS, "]", parse=int),
-            root_seed=seed,
-            noise=noise,
-            workers=_get(flat, "sweep.workers", "[", 1, MAX_WORKERS, "]", parse=int),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        noise = NoiseConfig(sigma_d, math.radians(sigma_phi))
+    return ExperimentConfig(
+        geom=geom,
+        mobility=mobility,
+        noma=noma,
+        schemes=schemes,
+        gamma_db_grid=parse_gamma_grid(flat["sweep.gamma_db"]),
+        rank_weak=rank_weak,
+        rank_strong=rank_strong,
+        trials=_get(flat, "sweep.trials", "[", 1, MAX_TRIALS, "]", parse=int),
+        root_seed=seed,
+        noise=noise,
+        workers=_get(flat, "sweep.workers", "[", 1, MAX_WORKERS, "]", parse=int),
+    )
 
 
 def resolve_groups(preset, file_flat, set_flat):

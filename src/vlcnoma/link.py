@@ -33,8 +33,6 @@ class InfeasibleAllocationError(ValueError):
 
 def epsilon_threshold(target_rate):
     """SINR threshold (2^(2*rate) - 1) * 2*pi/e for a spectral-efficiency target."""
-    if target_rate < 0.0:
-        raise ValueError("target rate must be nonnegative")
     return (2.0 ** (2.0 * target_rate) - 1.0) / RATE_SCALE
 
 
@@ -52,10 +50,6 @@ class NomaConfig:
     rate_strong: float
 
     def __post_init__(self):
-        if not 0.5 < self.share_weak < 1.0:
-            raise ValueError("need 1/2 < share_weak < 1")
-        if not (self.rate_weak >= 0.0 and self.rate_strong >= 0.0):
-            raise ValueError("target rates must be nonnegative")
         if self._margin <= 0.0:
             raise InfeasibleAllocationError(
                 "weak user's rate is unreachable at any gain: "
@@ -122,8 +116,6 @@ def oma_gain_thresholds(noma, gamma):
     h^2 > epsilon_threshold(2*Rt)/gamma.
     """
     gamma = np.asarray(gamma, float)
-    if not np.all(gamma > 0.0):
-        raise ValueError("transmit SNR must be positive")
     return epsilon_threshold(2.0 * noma.rate_weak) / gamma, epsilon_threshold(2.0 * noma.rate_strong) / gamma
 
 

@@ -26,20 +26,6 @@ class MobilityConfig:
     delta_phi: float
     num_users: int
 
-    def __post_init__(self):
-        if not self.d_min < self.d_max:
-            raise ValueError("need d_min < d_max")
-        if self.d_min < 0.0:
-            raise ValueError("distances must be nonnegative")
-        if self.mean_phi_min > self.mean_phi_max:
-            raise ValueError("need mean_phi_min <= mean_phi_max")
-        if self.delta_phi < 0.0:
-            raise ValueError("delta_phi must be nonnegative")
-        if self.mean_phi_min - self.delta_phi < -1e-12 or self.mean_phi_max + self.delta_phi > math.pi + 1e-12:
-            raise ValueError("instantaneous angle support must stay within [0, pi]")
-        if self.num_users < 2:
-            raise ValueError("need at least two users")
-
     @classmethod
     def from_degrees(cls, d_min, d_max, mean_phi_min_deg, mean_phi_max_deg, delta_phi_deg, num_users):
         return cls(
@@ -140,8 +126,6 @@ def noisy_estimate_arrays(d, mean_phi, phi, sigma_d, sigma_phi, rng):
     true channel is never evaluated on the estimates.  Draw order: distance
     errors, instantaneous-angle errors, mean-angle errors.
     """
-    if sigma_d < 0.0 or sigma_phi < 0.0:
-        raise ValueError("noise standard deviations must be nonnegative")
     shape = np.shape(d)
     d_hat = np.maximum(0.0, d + sigma_d * rng.standard_normal(shape))
     phi_hat = phi + sigma_phi * rng.standard_normal(shape)

@@ -50,10 +50,6 @@ class FeedbackScheme:
                 raise ValueError(f"{self.kind.value} needs d_threshold and theta_threshold")
         if self.kind is FeedbackKind.ONE_BIT_DISTANCE and self.d_threshold is None:
             raise ValueError("one-bit feedback needs d_threshold")
-        if self.d_threshold is not None and self.d_threshold <= 0.0:
-            raise ValueError("d_threshold must be positive")
-        if self.theta_threshold is not None and self.theta_threshold <= 0.0:
-            raise ValueError("theta_threshold must be positive")
 
 
 def order_by_gain_arrays(gains):
@@ -74,7 +70,7 @@ def order_by_distance_array(d):
 def select_individual(ordering, rank_weak, rank_strong):
     """(weak, strong) user indices at the two ranks, or (None, None) if too few candidates.
 
-    The ranks satisfy 1 <= rank_weak < rank_strong (ExperimentConfig checks),
+    The ranks satisfy 1 <= rank_weak < rank_strong (config.build_experiment checks),
     so two filled slots name different users.
     """
     if len(ordering) < rank_strong:

@@ -52,10 +52,6 @@ class NoiseConfig:
     sigma_d: float
     sigma_phi: float
 
-    def __post_init__(self):
-        if self.sigma_d < 0.0 or self.sigma_phi < 0.0:
-            raise ValueError("noise standard deviations must be nonnegative")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -72,22 +68,6 @@ class ExperimentConfig:
     root_seed: int = 0
     noise: Optional[NoiseConfig] = None
     workers: int = 1  # processes that collect the trial chunks; the records do not depend on it
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        grid = np.asarray(self.gamma_db_grid, float)
-        if grid.size == 0:
-            raise ValueError("gamma grid must not be empty")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-            raise ValueError("gamma grid must be strictly increasing")
-        if not 1 <= self.rank_weak < self.rank_strong <= self.mobility.num_users:
-            raise ValueError("need 1 <= rank_weak < rank_strong <= num_users")
-        if not self.schemes:
-            raise ValueError("need at least one feedback scheme")
-        for scheme in self.schemes:
-            if scheme.theta_threshold is not None and scheme.theta_threshold > self.geom.half_fov + 1e-12:
-                raise ValueError("angle threshold cannot exceed the detector half FOV")
 
     @property
     def curves(self):

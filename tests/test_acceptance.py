@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The Monte Carlo sweeps are
-shared through module-scoped fixtures; seeds are fixed so the suite is
-deterministic.
+Run with ``pytest tests/test_acceptance.py -v -s``.  The configs are the CLI's
+presets, built as ``--preset`` builds them, at fixed seeds and trial counts, so
+the suite is deterministic and checks the runs the CLI makes.  The Monte Carlo
+sweeps are shared through module-scoped fixtures.
 """
 
 import math
@@ -15,11 +16,12 @@ from helpers import Z_BOUND, contract_check, engine_gaps, sic_success
 
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
-from vlcnoma.channel import LedGeometry, channel_gain
-from vlcnoma.link import NomaConfig, eta_thresholds
-from vlcnoma.population import MobilityConfig, sample_user_arrays
+from vlcnoma.channel import channel_gain
+from vlcnoma.config import build_experiment, resolve_groups
+from vlcnoma.link import eta_thresholds
+from vlcnoma.population import sample_user_arrays
 from vlcnoma.scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
-from vlcnoma.simulate import ExperimentConfig, NoiseConfig, collect_records, run_sweep
+from vlcnoma.simulate import collect_records, run_sweep
 from vlcnoma.validation import (
     ValidationSizes,
     check_count_pmf,
@@ -30,38 +32,24 @@ from vlcnoma.validation import (
     check_theorem_coincidence,
 )
 
-GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
-NOMA = NomaConfig(63.0 / 64.0, 2.0, 10.0)
-GAMMA_GRID = tuple(float(g) for g in range(140, 216, 5))
-THETA_TH = math.radians(5.0)
-INDIVIDUAL_SCHEMES = (
-    FeedbackScheme(FeedbackKind.FULL_CSI),
-    FeedbackScheme(FeedbackKind.MEAN_ANGLE),
-    FeedbackScheme(FeedbackKind.DISTANCE_ONLY),
-)
-GROUP_SCHEMES = (
-    FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH),
-    FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH),
-    FeedbackScheme(FeedbackKind.ONE_BIT_DISTANCE, 1.0),
-)
-DPHIS = (0.0, 25.0)
+
+def preset(name, trials, seed, schemes=None):
+    """{run group suffix: ExperimentConfig} of ``--preset name`` as the CLI builds it, at this seed and trial count.
+
+    ``schemes`` sets ``schemes.list`` on every run group, for a gate that runs more schemes than the preset.
+    """
+    overrides = {"sweep.trials": str(trials), "sweep.seed": str(seed)}
+    if schemes is not None:
+        overrides["schemes.list"] = schemes
+    return {suffix: build_experiment(flat) for suffix, flat in resolve_groups(name, {}, overrides)}
 
 
-def mobility(delta_phi_deg):
-    return MobilityConfig.from_degrees(0.0, 10.0, delta_phi_deg, 180.0 - delta_phi_deg, delta_phi_deg, 20)
-
-
-def experiment(delta_phi_deg, schemes, trials, seed, noise=None):
-    return ExperimentConfig(geom=GEOM, mobility=mobility(delta_phi_deg), noma=NOMA, schemes=schemes,
-                            gamma_db_grid=GAMMA_GRID, trials=trials, root_seed=seed, noise=noise)
-
-
-FIG2 = {dphi: experiment(dphi, INDIVIDUAL_SCHEMES, 500_000, 2024) for dphi in DPHIS}
-FIG3 = {dphi: experiment(dphi, GROUP_SCHEMES, 200_000, 2025) for dphi in DPHIS}
-FIG4 = {
-    label: experiment(25.0, INDIVIDUAL_SCHEMES, 200_000, 2026, noise)
-    for label, noise in (("noiseless", None), ("noisy", NoiseConfig(sigma_d=0.05, sigma_phi=math.radians(2.5))))
-}
+STATIC, DYNAMIC = "dphi=0", "dphi=25"
+# fig2's static run group serves full CSI alone; the gate runs the dynamic group's three schemes on both
+FIG2 = preset("fig2", 500_000, 2024, "full-csi,mean-angle,distance")
+FIG3 = preset("fig3", 200_000, 2025)
+FIG4 = preset("fig4", 200_000, 2026)
+PAPER = FIG2[DYNAMIC]  # the paper's geometry, mobility at delta_phi = 25 deg, NOMA pair and grid
 
 
 def report(name, passed, detail):
@@ -145,22 +133,22 @@ class TestA4Fig2Reproduction:
         start = time.perf_counter()
         problems = []
         # NOMA dominates OMA beyond CI overlap, at every grid point and deviation
-        for dphi in DPHIS:
-            for noma_pt, oma_pt in zip(fig2_mc[dphi]["noma-full-csi"], fig2_mc[dphi]["oma"]):
+        for group, curves in fig2_mc.items():
+            for noma_pt, oma_pt in zip(curves["noma-full-csi"], curves["oma"]):
                 slack = noma_pt.ci_halfwidth + oma_pt.ci_halfwidth
                 if noma_pt.sum_rate < oma_pt.sum_rate - slack:
-                    problems.append(f"NOMA<OMA at {noma_pt.gamma_db} dB (dphi={dphi})")
+                    problems.append(f"NOMA<OMA at {noma_pt.gamma_db} dB ({group})")
         # both full-CSI curves saturate at the target ceiling
-        plateaus = {dphi: plateau(fig2_mc[dphi]["noma-full-csi"]) for dphi in DPHIS}
-        for dphi, value in plateaus.items():
+        plateaus = {group: plateau(curves["noma-full-csi"]) for group, curves in fig2_mc.items()}
+        for group, value in plateaus.items():
             if abs(value - 12.0) > 0.05:
-                problems.append(f"plateau {value:.3f} != 12 (dphi={dphi})")
+                problems.append(f"plateau {value:.3f} != 12 ({group})")
         # every curve with a route agrees across the engines at both deviations
         agree, agreement = contract_check(
-            {f"dphi={dphi:g}": engine_gaps(FIG2[dphi], fig2_mc[dphi], fig2_analytic[dphi]) for dphi in DPHIS})
+            {group: engine_gaps(config, fig2_mc[group], fig2_analytic[group]) for group, config in FIG2.items()})
         elapsed = time.perf_counter() - start
         ok = not problems and agree and elapsed <= 600.0
-        detail = f"plateaus {plateaus[0.0]:.3f}/{plateaus[25.0]:.3f}; check runtime {elapsed:.0f}s; {agreement}"
+        detail = f"plateaus {plateaus[STATIC]:.3f}/{plateaus[DYNAMIC]:.3f}; check runtime {elapsed:.0f}s; {agreement}"
         if problems:
             detail += "; " + "; ".join(problems[:4])
         report("A4 individual-scheduling reproduction (NOMA>=OMA, plateau 12, engines agree)", ok, detail)
@@ -168,7 +156,7 @@ class TestA4Fig2Reproduction:
 
 class TestA5DistanceOnlyPenalty:
     def test_a5(self, fig2_mc):
-        gap = plateau(fig2_mc[25.0]["noma-full-csi"]) - plateau(fig2_mc[25.0]["noma-distance"])
+        gap = plateau(fig2_mc[DYNAMIC]["noma-full-csi"]) - plateau(fig2_mc[DYNAMIC]["noma-distance"])
         ok = 6.5 <= gap <= 9.5
         report("A5 distance-only plateau penalty = 8 +/- 1.5", ok, f"gap={gap:.3f} bit/s/Hz")
 
@@ -181,22 +169,22 @@ class TestA6MeanAngleNearOptimality:
         # predicts that loss (about 1.27 bit/s/Hz, so a 1 bit/s/Hz bound is
         # unreachable); the simulator must reproduce it in total and per slot.
         start = time.perf_counter()
-        model = AnalyticModel(geom=GEOM, mobility=mobility(25.0))
-        eta_weak, eta_strong = eta_thresholds(NOMA, np.array([10.0 ** (GAMMA_GRID[-1] / 10.0)]))
+        model = AnalyticModel(geom=PAPER.geom, mobility=PAPER.mobility)
+        eta_weak, eta_strong = eta_thresholds(PAPER.noma, np.array([10.0 ** (PAPER.gamma_db_grid[-1] / 10.0)]))
         [sw], [ew] = an.mean_angle_success_probability(model, eta_weak, 1, 10)
         [ss], [es] = an.mean_angle_success_probability(model, eta_strong, 10, 10)
         elapsed = time.perf_counter() - start
-        rates = NOMA
-        full_cf = fig2_analytic[25.0]["noma-full-csi"][-1]
+        rates = PAPER.noma
+        full_cf = fig2_analytic[DYNAMIC]["noma-full-csi"][-1]
         cf_gap = full_cf.sum_rate - (sw * rates.rate_weak + ss * rates.rate_strong)
         cf_err = full_cf.ci_halfwidth + ew * rates.rate_weak + es * rates.rate_strong
-        full_mc, mean_mc = fig2_mc[25.0]["noma-full-csi"][-1], fig2_mc[25.0]["noma-mean-angle"][-1]
+        full_mc, mean_mc = fig2_mc[DYNAMIC]["noma-full-csi"][-1], fig2_mc[DYNAMIC]["noma-mean-angle"][-1]
         mc_gap = full_mc.sum_rate - mean_mc.sum_rate
         gap_tol = max(full_mc.ci_halfwidth + mean_mc.ci_halfwidth, 0.05)
         problems = []
         if abs(mc_gap - cf_gap) > gap_tol:
             problems.append(f"|MC gap - closed-form gap| = {abs(mc_gap - cf_gap):.3f} > {gap_tol:.3f}")
-        n_cond = mean_mc.conditioning_rate * 500_000
+        n_cond = mean_mc.conditioning_rate * PAPER.trials
         for slot, mc_out, cf_out, cf_e in (
             ("weak", mean_mc.outage_weak, 1.0 - sw, ew),
             ("strong", mean_mc.outage_strong, 1.0 - ss, es),
@@ -218,9 +206,9 @@ class TestA6MeanAngleNearOptimality:
 
 class TestA7GroupRobustness:
     def test_a7(self, fig3_mc):
-        s1_static = plateau(fig3_mc[0.0]["noma-two-bit-instant"])
-        s1_dynamic = plateau(fig3_mc[25.0]["noma-two-bit-instant"])
-        s2_dynamic = plateau(fig3_mc[25.0]["noma-two-bit-mean"])
+        s1_static = plateau(fig3_mc[STATIC]["noma-two-bit-instant"])
+        s1_dynamic = plateau(fig3_mc[DYNAMIC]["noma-two-bit-instant"])
+        s2_dynamic = plateau(fig3_mc[DYNAMIC]["noma-two-bit-mean"])
         diff_orientation = abs(s1_static - s1_dynamic)
         degradation = s1_dynamic - s2_dynamic
         ok = diff_orientation <= 0.2 and degradation <= 0.3
@@ -237,12 +225,12 @@ class TestA7GroupRobustness:
         # 2.74 bit/s/Hz or more, against CIs of 0.024 or less; the bound of
         # 1.0 is 36 % of the smallest gap.
         gaps, parts = [], []
-        for dphi in (0.0, 25.0):
-            one_bit = fig3_mc[dphi]["noma-one-bit"][-1]
+        for group, curves in fig3_mc.items():
+            one_bit = curves["noma-one-bit"][-1]
             for label in ("noma-two-bit-instant", "noma-two-bit-mean"):
-                two_bit = fig3_mc[dphi][label][-1]
+                two_bit = curves[label][-1]
                 gaps.append(two_bit.sum_rate - one_bit.sum_rate)
-                parts.append(f"dphi={dphi:g} {label[5:]} {two_bit.sum_rate:.3f} (cond {two_bit.conditioning_rate:.3f}) "
+                parts.append(f"{group} {label[5:]} {two_bit.sum_rate:.3f} (cond {two_bit.conditioning_rate:.3f}) "
                              f"vs one-bit {one_bit.sum_rate:.3f} (cond {one_bit.conditioning_rate:.3f})")
         report("A7 two-bit plateaus exceed one-bit by >= 1.0 bit/s/Hz", min(gaps) >= 1.0,
                f"smallest gap {min(gaps):.3f}; " + "; ".join(parts))
@@ -265,24 +253,24 @@ class TestDualEngineContract:
 
     def test_fig3_group_curves(self, fig3_mc):
         agree, detail = contract_check(
-            {f"dphi={dphi:g}": engine_gaps(config, fig3_mc[dphi], closed_form(config)) for dphi, config in FIG3.items()})
+            {group: engine_gaps(config, fig3_mc[group], closed_form(config)) for group, config in FIG3.items()})
         report("fig3 two-bit and OMA curves: Monte Carlo vs closed form", agree, detail)
 
     def test_fig4_noiseless_curves(self, fig4_mc, fig2_analytic):
         # the fig4 noiseless run differs from fig2's dphi = 25 run only in trials and seed, which the closed form ignores
         config = FIG4["noiseless"]
-        assert replace(config, trials=FIG2[25.0].trials, root_seed=FIG2[25.0].root_seed) == FIG2[25.0]
-        agree, detail = contract_check({"noiseless": engine_gaps(config, fig4_mc["noiseless"], fig2_analytic[25.0])})
+        assert replace(config, trials=PAPER.trials, root_seed=PAPER.root_seed) == PAPER
+        agree, detail = contract_check({"noiseless": engine_gaps(config, fig4_mc["noiseless"], fig2_analytic[DYNAMIC])})
         report("fig4 noiseless curves: Monte Carlo vs closed form", agree, detail)
 
     @pytest.mark.parametrize("offset_deg", [1.0, -1.0])
     def test_planted_threshold_error_fails(self, fig3_mc, offset_deg):
         # the closed form alone gets a two-bit angle threshold 1 degree off; the Monte Carlo stays the fixture's
         runs = {}
-        for dphi, config in FIG3.items():
+        for group, config in FIG3.items():
             schemes = tuple(replace(s, theta_threshold=s.theta_threshold + math.radians(offset_deg))
                             if s.kind in TWO_BIT_KINDS else s for s in config.schemes)
-            runs[f"dphi={dphi:g}"] = engine_gaps(config, fig3_mc[dphi], closed_form(replace(config, schemes=schemes)))
+            runs[group] = engine_gaps(config, fig3_mc[group], closed_form(replace(config, schemes=schemes)))
         agree, detail = contract_check(runs)
         assert not agree, detail
         # the conditioning rate catches the offset whichever way it points
@@ -296,21 +284,21 @@ class TestA9EtaReductionOracle:
         h_w = 10.0 ** rng.uniform(-16.0, -9.0, n)
         h_s = 10.0 ** rng.uniform(-16.0, -9.0, n)
         gammas = 10.0 ** rng.uniform(12.0, 22.0, n)
-        eta_weak, eta_strong = eta_thresholds(NOMA, gammas)
+        eta_weak, eta_strong = eta_thresholds(PAPER.noma, gammas)
         weak_out, strong_out = h_w <= eta_weak, h_s <= eta_strong
         # independent oracle: the SIC rate conditions evaluated directly
-        weak_ok, strong_ok = sic_success(h_w, h_s, NOMA, gammas)
+        weak_ok, strong_ok = sic_success(h_w, h_s, PAPER.noma, gammas)
         mismatches = int(np.count_nonzero(weak_out == weak_ok) + np.count_nonzero(strong_out == strong_ok))
         report("A9 gain-threshold reduction vs direct rate conditions", mismatches == 0, f"{mismatches} mismatches in {n} tuples")
 
 
 class TestA10PropertySuite:
     def test_cdf_shape_scan(self):
-        model = AnalyticModel(geom=GEOM, mobility=mobility(25.0))
-        mi = AnalyticModel(geom=GEOM, mobility=mobility(25.0), scheme=GROUP_SCHEMES[0])
-        mm = AnalyticModel(geom=GEOM, mobility=mobility(25.0), scheme=GROUP_SCHEMES[1])
+        group = FIG3[DYNAMIC]
+        model = AnalyticModel(geom=group.geom, mobility=group.mobility)
+        mi, mm = (replace(model, scheme=scheme) for scheme in group.schemes[:2])
         xs = np.geomspace(1e-17, 1e-9, 200)
-        top = float(GEOM.gain_factor(0.0) ** 2) * 1.01
+        top = float(group.geom.gain_factor(0.0) ** 2) * 1.01
         curves = {
             "unordered": lambda x: an.unordered_gain_cdf(model, x)[0],
             "ordered-1": lambda x: an.ordered_gain_cdf(model, x, 1, 10)[0],
@@ -335,17 +323,14 @@ class TestA10PropertySuite:
         report("A10a CDF monotonicity/normalization scan (200 levels x 7 curves)", not problems, "; ".join(problems) or "all curves monotone in [0, 1] with correct edges")
 
     def test_stochastic_ordering(self):
-        model = AnalyticModel(geom=GEOM, mobility=mobility(25.0))
+        model = AnalyticModel(geom=PAPER.geom, mobility=PAPER.mobility)
         xs = np.geomspace(1e-16, 1e-10, 60)
         f = [an.ordered_gain_cdf(model, xs, k, 10)[0] for k in (1, 4, 7, 10)]
         ok = all(bool(np.all(a >= b - 1e-10)) for a, b in zip(f, f[1:]))
         report("A10b rank stochastic ordering", ok, "F_rank(x) nonincreasing in rank across 60 levels")
 
     def test_parallel_determinism(self):
-        config = ExperimentConfig(
-            geom=GEOM, mobility=mobility(25.0), noma=NOMA, schemes=INDIVIDUAL_SCHEMES,
-            gamma_db_grid=(170.0, 200.0), trials=9000, root_seed=77,
-        )
+        config = replace(PAPER, gamma_db_grid=(170.0, 200.0), trials=9000, root_seed=77)
         serial = collect_records(replace(config, workers=1))
         parallel = collect_records(replace(config, workers=4))
         ok = all(
@@ -360,20 +345,21 @@ class TestA10PropertySuite:
         from vlcnoma.channel import mean_channel_gain
         from vlcnoma.scheduling import order_by_gain_arrays, two_bit_feedback
 
-        mob0 = mobility(0.0)
+        geom, mob0 = FIG3[STATIC].geom, FIG3[STATIC].mobility
         ordering_ok = True
         bits_ok = True
         for seed in range(100):
             d, mean_phi, phi = sample_user_arrays(mob0, np.random.default_rng(seed), mob0.num_users)
-            ordering_ok = ordering_ok and (order_by_gain_arrays(mean_channel_gain(GEOM, d, mean_phi)).tolist()
-                                           == order_by_gain_arrays(channel_gain(GEOM, d, phi)).tolist())
-            bi = two_bit_feedback(d, phi, GROUP_SCHEMES[0], GEOM)
-            bm = two_bit_feedback(d, mean_phi, GROUP_SCHEMES[1], GEOM)
+            ordering_ok = ordering_ok and (order_by_gain_arrays(mean_channel_gain(geom, d, mean_phi)).tolist()
+                                           == order_by_gain_arrays(channel_gain(geom, d, phi)).tolist())
+            bi = two_bit_feedback(d, phi, FIG3[STATIC].schemes[0], geom)
+            bm = two_bit_feedback(d, mean_phi, FIG3[STATIC].schemes[1], geom)
             bits_ok = bits_ok and np.array_equal(bi[0], bm[0]) and np.array_equal(bi[1], bm[1])
         coincidence = check_theorem_coincidence()
-        scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, d_threshold=10.0, theta_threshold=GEOM.half_fov)
-        mi = AnalyticModel(geom=GEOM, mobility=mobility(25.0), scheme=scheme)
-        base = AnalyticModel(geom=GEOM, mobility=mobility(25.0))
+        scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, d_threshold=PAPER.mobility.d_max,
+                                 theta_threshold=PAPER.geom.half_fov)
+        base = AnalyticModel(geom=PAPER.geom, mobility=PAPER.mobility)
+        mi = replace(base, scheme=scheme)
         xs = np.geomspace(1e-16, 1e-10, 30)
         strong_degen = bool(np.all(np.abs(an.group_gain_cdf_instant(mi, xs, an.STRONG)[0]
                                           - an.unordered_gain_cdf(base, xs)[0]) <= 1e-9))

@@ -12,7 +12,7 @@ from helpers import LEVELS, group_models
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle
-from vlcnoma.config import MAX_USERS, build_experiment, resolve_groups
+from vlcnoma.config import MAX_USERS, ConfigError, build_experiment, merge, resolve_groups
 from vlcnoma.link import NomaConfig, eta_thresholds
 from vlcnoma.population import (MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf,
                                 sample_user_arrays)
@@ -427,8 +427,9 @@ class TestGroupCdfs:
             an.group_gain_cdf_instant(MODEL, np.array([1e-12]), an.WEAK)
 
     def test_angle_threshold_cannot_exceed_fov(self):
-        with pytest.raises(ValueError):
-            model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, math.radians(60.0)))
+        # 60 deg against the 50 deg half FOV: config refuses the coefficient before a model is built
+        with pytest.raises(ConfigError, match="schemes.theta_threshold_coeff"):
+            build_experiment(merge({"schemes.list": "two-bit-instant", "schemes.theta_threshold_coeff": "1.2"}))
 
 
 def _quad_mean_band(model, r, inner, outer, y):

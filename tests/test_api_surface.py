@@ -7,7 +7,8 @@ constants in ``perfbench/*.py``, which reaches names through ``setattr``
 strings.  Definitions, imports, docstrings and comments are not references.
 The angle laws also keep one NumPy path each: no function of ``analytic``,
 ``population`` or ``channel`` branches on ``isinstance(..., float)`` or
-``bool``.
+``bool``.  And ``config`` is the one place a config value is checked: no
+``__post_init__`` raises, except where it checks what no key's interval states.
 """
 
 import ast
@@ -128,3 +129,19 @@ def test_angle_laws_have_no_scalar_twin():
                 if any(_bare_name(kind) in ("float", "bool") for kind in kinds):
                     twins.append(f"{stem}.{function.name} (line {node.lineno})")
     assert not twins, f"isinstance checks on float or bool: {sorted(set(twins))}"
+
+
+# the NomaConfig margin and a scheme without its thresholds span several values; QuadratureConfig has no key
+POST_INIT_CHECKS = {"link.NomaConfig", "scheduling.FeedbackScheme", "quadrature.QuadratureConfig"}
+
+
+def test_domain_types_leave_intervals_to_config():
+    # a __post_init__ that restates a key's interval is a second statement of it, in other units and words
+    raising = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in (node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if (isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+                        and any(isinstance(node, ast.Raise) for node in ast.walk(method))):
+                    raising.add(f"{path.stem}.{cls.name}")
+    assert raising <= POST_INIT_CHECKS, f"__post_init__ methods that raise: {sorted(raising - POST_INIT_CHECKS)}"

@@ -10,6 +10,7 @@ from vlcnoma.channel import (
     lambertian_order,
     mean_channel_gain,
 )
+from vlcnoma.config import ConfigError, build_experiment, merge
 
 
 @pytest.fixture
@@ -36,8 +37,9 @@ class TestLambertianOrder:
 
     @pytest.mark.parametrize("bad", [0.0, math.pi / 2.0, math.pi, -0.1])
     def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            lambertian_order(bad)
+        # a beamwidth outside lambertian_order's domain (0, pi/2) never reaches it: config refuses the key
+        with pytest.raises(ConfigError, match="geometry.hpbw_deg"):
+            build_experiment(merge({"geometry.hpbw_deg": repr(math.degrees(bad))}))
 
 
 class TestIncidenceAngle:
@@ -120,17 +122,18 @@ class TestMeanChannelGain:
 
 
 class TestGeometryValidation:
+    # LedGeometry takes checked values: config refuses each geometry key by name
     def test_rejects_bad_height(self):
-        with pytest.raises(ValueError):
-            LedGeometry.from_degrees(0.0, 60.0, 1e-4, 50.0)
+        with pytest.raises(ConfigError, match="geometry.ell_m"):
+            build_experiment(merge({"geometry.ell_m": "0"}))
 
     def test_rejects_bad_fov(self):
-        with pytest.raises(ValueError):
-            LedGeometry.from_degrees(2.0, 60.0, 1e-4, 120.0)
+        with pytest.raises(ConfigError, match="geometry.half_fov_deg"):
+            build_experiment(merge({"geometry.half_fov_deg": "120"}))
 
     def test_rejects_bad_area(self):
-        with pytest.raises(ValueError):
-            LedGeometry.from_degrees(2.0, 60.0, -1e-4, 50.0)
+        with pytest.raises(ConfigError, match="geometry.detector_area_cm2"):
+            build_experiment(merge({"geometry.detector_area_cm2": "-1"}))
 
     def test_channel_constant_matches_definition(self, geom):
         expected = (geom.m + 1.0) * geom.detector_area * geom.ell**geom.m / (2.0 * math.pi)

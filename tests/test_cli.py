@@ -121,6 +121,9 @@ class TestConfigLayer:
         ("noma.rate_strong", "1000"), ("noma.rate_weak", "256"), ("noma.rate_strong", "255.69779972785417"),
         # the open ends of intervals
         ("geometry.hpbw_deg", "90"), ("noma.power_weak", "0.5"), ("noma.power_weak", "1"), ("mobility.d_min_m", "10"),
+        ("geometry.ell_m", "0"), ("geometry.hpbw_deg", "0"),
+        # just below the closed ends
+        ("mobility.d_min_m", "-1"), ("mobility.delta_phi_deg", "-1"),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -138,7 +141,10 @@ class TestConfigLayer:
                           {"noma.rate_strong": "255.69779972785415"},  # the float below the rates' open end
                           {"mobility.num_users": "1000"},
                           {"mobility.mean_phi_min_deg": "25", "mobility.mean_phi_max_deg": "155"},
-                          {"mobility.mean_phi_min_deg": "155", "mobility.mean_phi_max_deg": "155"}):
+                          {"mobility.mean_phi_min_deg": "155", "mobility.mean_phi_max_deg": "155"},
+                          # beams whose smallest nonzero squared gain is a normal float64
+                          {"geometry.hpbw_deg": "4.75"}, {"geometry.hpbw_deg": "5"}, {"geometry.hpbw_deg": "60"},
+                          {"geometry.hpbw_deg": "5", "geometry.half_fov_deg": "90"}):
             build_experiment(merge(overrides))
 
     @pytest.mark.parametrize("key", sorted(DEFAULTS))
@@ -209,6 +215,32 @@ class TestConfigLayer:
         monkeypatch.setattr(cli, "sum_rate_sweep", lambda *args, **kwargs: pytest.fail("the sweep must not start"))
         assert run_cli("analytic", "--set", override, "--out", str(tmp_path / "x.csv")) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    @pytest.mark.parametrize("hpbw,ell,half_fov,got", [
+        ("1", "2", "50", "an overflow of ell**m"),
+        ("1e-8", "2", "50", "an infinite Lambertian order m"),  # cos(hpbw) rounds to 1
+        # the far users' gains underflow: the simulator counts them as zero, the closed form as nonzero
+        ("3", "2", "50", "0"),
+        ("1", "0.5", "50", "0"),  # ell**m underflows, so that the gain constant is 0
+        # the squared gain underflows: the mean-angle closed form takes the log of its smallest level
+        ("4", "2", "50", "0"),
+        ("4.75", "2", "90", "0"),  # accepted at a half FOV of 50 deg
+    ], ids=["1deg", "1e-8deg", "3deg", "1deg-ell0.5", "4deg", "4.75deg-fov90"])
+    def test_gain_law_leaving_float64_refused_before_any_work(self, monkeypatch, capsys, tmp_path, command, hpbw, ell,
+                                                             half_fov, got):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        monkeypatch.setattr(cli, "sum_rate_sweep", never)
+        argv = ("--set", f"geometry.hpbw_deg={hpbw}", "--set", f"geometry.ell_m={ell}",
+                "--set", f"geometry.half_fov_deg={half_fov}")
+        assert run_cli(command, *argv, "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: geometry.hpbw_deg: {float(hpbw):.15g} with geometry.ell_m={ell}, geometry.detector_area_cm2=1, "
+            f"geometry.half_fov_deg={half_fov} and mobility.d_max_m=10: the smallest nonzero squared gain, "
+            f"(g(mobility.d_max_m) cos(geometry.half_fov_deg))^2, must be a normal float64, got {got}"]
 
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     def test_infeasible_allocation_refused_before_any_work(self, monkeypatch, capsys, tmp_path, command):

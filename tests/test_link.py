@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import rate_from_sinr, sic_success, sinr_cross, sinr_own
 
-from vlcnoma.config import build_experiment, resolve_groups
+from vlcnoma.config import ConfigError, build_experiment, merge, parse_gamma_grid, resolve_groups
 from vlcnoma.link import (
     InfeasibleAllocationError,
     NomaConfig,
@@ -182,8 +182,11 @@ class TestSumRates:
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.array([1e15, 0.0]), np.array([1e15, -1e15, 1e16])])
     def test_oma_thresholds_refuse_a_nonpositive_snr(self, gamma):
-        with pytest.raises(ValueError, match="transmit SNR must be positive"):
-            oma_gain_thresholds(PAPER_NOMA, gamma)
+        # oma_gain_thresholds takes a positive SNR: no dB grid that config accepts maps to a nonpositive one
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = ",".join(f"{v:.17g}" for v in 10.0 * np.log10(np.atleast_1d(gamma)))
+        with pytest.raises(ConfigError, match="sweep.gamma_db"):
+            parse_gamma_grid(raw)
 
 
 class TestNomaConfig:
@@ -193,13 +196,19 @@ class TestNomaConfig:
 
     @pytest.mark.parametrize("share_weak", [0.2, 0.5, 1.0, 1.5, math.nan])
     def test_rejects_inverted_shares(self, share_weak):
-        with pytest.raises(ValueError, match="share_weak"):
-            NomaConfig(share_weak, 2.0, 10.0)
+        # config refuses every share outside (0.5, 1) by key; the margin of NomaConfig also refuses those <= 1/2
+        with pytest.raises(ConfigError, match="noma.power_weak"):
+            build_experiment(merge({"noma.power_weak": repr(share_weak), "noma.rate_weak": "2",
+                                    "noma.rate_strong": "10"}))
+        if share_weak <= 0.5:
+            with pytest.raises(ValueError, match="share_weak"):
+                NomaConfig(share_weak, 2.0, 10.0)
 
     @pytest.mark.parametrize("rates", [(-1.0, 10.0), (2.0, -0.5), (math.nan, 10.0)])
     def test_rejects_a_negative_rate(self, rates):
-        with pytest.raises(ValueError, match="nonnegative"):
-            NomaConfig(63.0 / 64.0, *rates)
+        # NomaConfig takes checked rates: config refuses each rate key by name
+        with pytest.raises(ConfigError, match="noma.rate_"):
+            build_experiment(merge({"noma.rate_weak": repr(rates[0]), "noma.rate_strong": repr(rates[1])}))
 
     def test_infeasible_allocation_raises(self):
         # eps_weak = 34.67 > share_weak/share_strong = 1.5 makes the margin negative

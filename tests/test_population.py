@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from vlcnoma.channel import LedGeometry, channel_gain
+from vlcnoma.config import ConfigError, build_experiment, merge
 from vlcnoma.population import (
     MobilityConfig,
     conditional_phi_cdf,
@@ -209,25 +210,26 @@ class TestNoisyEstimates:
         assert np.array_equal(mean_phi_hat, mean_phi + 0.04 * e_mean)
 
     def test_rejects_negative_sigma(self):
-        one = np.ones(1)
-        with pytest.raises(ValueError):
-            noisy_estimate_arrays(one, one, one, -0.1, 0.0, np.random.default_rng(0))
+        # noisy_estimate_arrays takes checked deviations: config refuses each noise key by name
+        with pytest.raises(ConfigError, match="noise.sigma_phi_deg"):
+            build_experiment(merge({"noise.sigma_d_m": "0", "noise.sigma_phi_deg": "-0.1"}))
 
 
 class TestMobilityValidation:
+    # MobilityConfig takes checked values: config refuses each mobility key by name
     def test_rejects_inverted_distances(self):
-        with pytest.raises(ValueError):
-            MobilityConfig.from_degrees(5.0, 1.0, 25.0, 155.0, 25.0, 20)
+        with pytest.raises(ConfigError, match="mobility.d_min_m"):
+            build_experiment(merge({"mobility.d_min_m": "5", "mobility.d_max_m": "1"}))
 
     def test_rejects_support_overflow(self):
-        # 20 - 25 < 0: instantaneous angle would leave [0, pi]
-        with pytest.raises(ValueError):
-            MobilityConfig.from_degrees(0.0, 10.0, 20.0, 155.0, 25.0, 20)
+        # 20 - 25 < 0: instantaneous angle would leave [0, 180] deg
+        with pytest.raises(ConfigError, match="mobility.mean_phi_min_deg"):
+            build_experiment(merge({"mobility.mean_phi_min_deg": "20", "mobility.delta_phi_deg": "25"}))
 
     def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            MobilityConfig.from_degrees(-1.0, 10.0, 25.0, 155.0, 25.0, 20)
+        with pytest.raises(ConfigError, match="mobility.d_min_m"):
+            build_experiment(merge({"mobility.d_min_m": "-1"}))
 
     def test_rejects_single_user(self):
-        with pytest.raises(ValueError):
-            MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 1)
+        with pytest.raises(ConfigError, match="mobility.num_users"):
+            build_experiment(merge({"mobility.num_users": "1"}))

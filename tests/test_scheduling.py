@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle, mean_channel_gain
+from vlcnoma.config import ConfigError, build_experiment, merge
 from vlcnoma.population import MobilityConfig, sample_user_arrays
 from vlcnoma.scheduling import (
     FeedbackKind,
@@ -275,8 +276,9 @@ class TestSchemeValidation:
             FeedbackScheme(FeedbackKind.ONE_BIT_DISTANCE)
 
     def test_thresholds_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, d_threshold=-1.0, theta_threshold=0.1)
+        # a -1 m distance threshold: config refuses the coefficient before a scheme is built
+        with pytest.raises(ConfigError, match="schemes.d_threshold_coeff"):
+            build_experiment(merge({"schemes.list": "two-bit-instant", "schemes.d_threshold_coeff": "-0.1"}))
 
     def test_plain_kinds_need_no_thresholds(self):
         # neither construction raises

@@ -7,6 +7,7 @@ import pytest
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry
+from vlcnoma.config import ConfigError, build_experiment, merge
 from vlcnoma.link import NomaConfig, eta_thresholds
 from vlcnoma.population import MobilityConfig
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
@@ -268,20 +269,21 @@ class TestEmpiricalCdf:
 
 
 class TestConfigValidation:
+    # ExperimentConfig and NoiseConfig take checked values: config refuses each key by name
     def test_empty_gamma_grid(self):
-        with pytest.raises(ValueError):
-            make_config(gamma_db_grid=())
+        with pytest.raises(ConfigError, match="sweep.gamma_db"):
+            build_experiment(merge({"sweep.gamma_db": ""}))
 
     def test_non_increasing_grid(self):
-        with pytest.raises(ValueError):
-            make_config(gamma_db_grid=(170.0, 160.0))
+        with pytest.raises(ConfigError, match="sweep.gamma_db"):
+            build_experiment(merge({"sweep.gamma_db": "170,160"}))
 
     def test_bad_ranks(self):
-        with pytest.raises(ValueError):
-            make_config(rank_weak=10, rank_strong=10)
-        with pytest.raises(ValueError):
-            make_config(rank_strong=21)
+        with pytest.raises(ConfigError, match="strategy.rank_strong"):
+            build_experiment(merge({"strategy.rank_weak": "10", "strategy.rank_strong": "10"}))
+        with pytest.raises(ConfigError, match="strategy.rank_strong"):
+            build_experiment(merge({"strategy.rank_strong": "21"}))
 
     def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(sigma_d=-0.1, sigma_phi=0.0)
+        with pytest.raises(ConfigError, match="noise.sigma_d_m"):
+            build_experiment(merge({"noise.sigma_d_m": "-0.1", "noise.sigma_phi_deg": "0"}))
