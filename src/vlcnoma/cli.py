@@ -164,13 +164,15 @@ def _write_manifest(path, args, groups, outputs, started, duration, **extra):
 def cmd_sweep(args):
     """``simulate`` or ``analytic``: every run group through the command's engine, into one CSV and its manifest."""
     groups = _resolved_groups(args)
+    # a refused run group or output path costs no work; the groups are built before --out's directory is made
+    configs = [build_experiment(flat) for _, flat in groups]
     out = _output_path(args.out or f"{args.preset or 'run'}-{args.command}.csv")
+    manifest = _output_path(out.with_suffix(".manifest.json"))
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     rows = []
     failures = trials = 0
-    for suffix, flat in groups:
-        config = build_experiment(flat)
+    for (suffix, _), config in zip(groups, configs):
         group = suffix or "default"
         try:
             if args.command == "simulate":
@@ -191,7 +193,6 @@ def cmd_sweep(args):
     # a simulate manifest adds its stream version, and trials summed over run groups per second of the whole command
     extra = ({"stream_version": STREAM_VERSION, "trials_per_s": round(trials / duration, 1)}
              if args.command == "simulate" else {})
-    manifest = out.with_suffix(".manifest.json")
     _write_manifest(manifest, args, groups, [out], started, duration, **extra)
     print(f"wrote {out} ({len(rows)} rows) and {manifest}")
     return EXIT_NUMERICAL if failures else EXIT_OK

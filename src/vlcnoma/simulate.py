@@ -21,6 +21,7 @@ precondition failed (too few ranked candidates, or an empty candidate group).
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,13 +154,17 @@ def collect_records(config):
     """Scheduled-pair squared gains for every trial, per scheme kind.
 
     Trials are processed in fixed chunks; ``config.workers`` only changes who
-    computes a chunk, never its contents, so results are bitwise stable.
+    computes a chunk, never its contents, so results are bitwise stable.  A
+    forked pool starts all its workers at once, so it gets no more than there
+    are chunks and CPUs this process may run on.
     """
     spans = [(s, min(s + _CHUNK, config.trials)) for s in range(0, config.trials, _CHUNK)]
-    if config.workers <= 1 or len(spans) == 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(config.workers, len(spans), cpus)
+    if workers <= 1:
         chunks = [_collect_chunk(config, a, b) for a, b in spans]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_collect_chunk, [config] * len(spans), *zip(*spans)))
     out = np.concatenate(chunks)
     return {s.kind: _Records(out[:, j, 0] != 0.0, out[:, j, 1], out[:, j, 2]) for j, s in enumerate(config.schemes)}

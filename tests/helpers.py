@@ -2,12 +2,31 @@
 
 import math
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 
 from vlcnoma import analytic as an
+from vlcnoma.channel import channel_gain, mean_channel_gain
+from vlcnoma.population import sample_user_arrays
 from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
-from vlcnoma.validation import paper_model
+from vlcnoma.validation import paper_config, paper_model
+
+# ---------------------------------------------------------------------------
+# The paper's experiment, as the CLI builds it
+# ---------------------------------------------------------------------------
+
+# config.DEFAULTS through build_experiment: delta_phi = 25 deg, full CSI.  Another deviation or scheme is
+# paper_model(delta_phi_deg, kind); a config off the paper's is dataclasses.replace(PAPER, ...).
+PAPER = paper_config()
+
+
+def snapshot(seed, mobility=PAPER.mobility):
+    """A snapshot's user arrays and true / mean-angle gains on the paper geometry, drawn as the simulator draws them."""
+    d, mean_phi, phi = sample_user_arrays(mobility, np.random.default_rng(seed), mobility.num_users)
+    gains, mean_gains = channel_gain(PAPER.geom, d, phi), mean_channel_gain(PAPER.geom, d, mean_phi)
+    return SimpleNamespace(d=d, mean_phi=mean_phi, phi=phi, gains=gains, mean_gains=mean_gains)
+
 
 # ---------------------------------------------------------------------------
 # Independent SIC oracle: the SINR and rate conditions that link.eta_thresholds

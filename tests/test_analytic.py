@@ -7,36 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from helpers import LEVELS, group_models
+from helpers import LEVELS, PAPER, group_models, paper_model
 
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle
 from vlcnoma.config import MAX_USERS, ConfigError, build_experiment, merge, resolve_groups
-from vlcnoma.link import NomaConfig, eta_thresholds
+from vlcnoma.link import eta_thresholds
 from vlcnoma.population import (MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf,
                                 sample_user_arrays)
 from vlcnoma.quadrature import QuadratureConfig, QuadratureError, integrate_adaptive, integrate_levels
 from vlcnoma.scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
-from vlcnoma.simulate import EmpiricalCdf, ExperimentConfig, NoiseConfig
-from vlcnoma.validation import paper_model
+from vlcnoma.simulate import EmpiricalCdf, NoiseConfig
 
-GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
-MOB = MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
-MODEL = AnalyticModel(geom=GEOM, mobility=MOB)
-NOMA = NomaConfig(63.0 / 64.0, 2.0, 10.0)
-THETA_TH = math.radians(5.0)
-
-
-def model_with(delta_phi_deg=25.0, scheme=None):
-    mob = MobilityConfig.from_degrees(0.0, 10.0, delta_phi_deg, 180.0 - delta_phi_deg, delta_phi_deg, 20)
-    return AnalyticModel(geom=GEOM, mobility=mob, scheme=scheme)
+INSTANT, MEAN = TWO_BIT_KINDS
 
 
 def sweep(grid, *schemes):
     """Closed-form curves of the paper setup with ``schemes``; fails on any quadrature failure."""
-    config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=NOMA, schemes=schemes, gamma_db_grid=grid)
-    curves, failures, _ = an.sum_rate_sweep(config)
+    curves, failures, _ = an.sum_rate_sweep(replace(PAPER, schemes=schemes, gamma_db_grid=grid))
     assert not failures
     return curves
 
@@ -116,19 +105,19 @@ class TestQuadratureWrapper:
 
 class TestFovProbability:
     def test_zero_half_angle(self):
-        assert an.fov_probability(MODEL, 5.0, 0.0) == 0.0
+        assert an.fov_probability(paper_model(), 5.0, 0.0) == 0.0
 
     def test_full_half_angle(self):
-        assert an.fov_probability(MODEL, 5.0, math.pi) == pytest.approx(1.0)
+        assert an.fov_probability(paper_model(), 5.0, math.pi) == pytest.approx(1.0)
 
     def test_conditional_monte_carlo_oracle(self):
         rng = np.random.default_rng(0)
         n = 400_000
         r = 5.0
-        _, _, phi = sample_user_arrays(MOB, rng, n)
-        theta = incidence_angle(np.full(n, r), phi, GEOM.ell)
-        frac = (np.abs(theta) <= GEOM.half_fov).mean()
-        pred = an.fov_probability(MODEL, r, GEOM.half_fov)
+        _, _, phi = sample_user_arrays(PAPER.mobility, rng, n)
+        theta = incidence_angle(np.full(n, r), phi, PAPER.geom.ell)
+        frac = (np.abs(theta) <= PAPER.geom.half_fov).mean()
+        pred = an.fov_probability(paper_model(), r, PAPER.geom.half_fov)
         assert abs(frac - pred) <= 3.0 * math.sqrt(pred * (1.0 - pred) / n)
 
 
@@ -136,7 +125,7 @@ class TestNonzeroProbability:
     def test_all_inside_config(self):
         # a tight cone around the boresight keeps every draw inside the FOV
         mob = MobilityConfig.from_degrees(0.0, 1.0, 85.0, 95.0, 2.0, 5)
-        model = AnalyticModel(geom=GEOM, mobility=mob)
+        model = AnalyticModel(geom=PAPER.geom, mobility=mob)
         assert an.nonzero_gain_probability(model)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_layers_reduce_to_length_fraction(self):
@@ -150,9 +139,9 @@ class TestNonzeroProbability:
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(1)
         n = 2_000_000
-        d, _, phi = sample_user_arrays(MOB, rng, n)
-        frac = (channel_gain(GEOM, d, phi) > 0.0).mean()
-        pred, _ = an.nonzero_gain_probability(MODEL)
+        d, _, phi = sample_user_arrays(PAPER.mobility, rng, n)
+        frac = (channel_gain(PAPER.geom, d, phi) > 0.0).mean()
+        pred, _ = an.nonzero_gain_probability(paper_model())
         assert abs(frac - pred) <= 3.0 * math.sqrt(pred * (1.0 - pred) / n)
 
 
@@ -197,31 +186,31 @@ class TestCountPmf:
     def test_untruncated_is_plain_binomial(self):
         from scipy.stats import binom
 
-        p, _ = an.nonzero_gain_probability(MODEL)
+        p, _ = an.nonzero_gain_probability(paper_model())
         for k in (0, 3, 10, 20):
-            assert an.nonzero_count_pmf(MODEL, k, 0) == pytest.approx(binom.pmf(k, 20, p), rel=1e-12)
+            assert an.nonzero_count_pmf(paper_model(), k, 0) == pytest.approx(binom.pmf(k, 20, p), rel=1e-12)
 
     def test_normalization(self):
-        total = sum(an.nonzero_count_pmf(MODEL, k, 10) for k in range(21))
+        total = sum(an.nonzero_count_pmf(paper_model(), k, 10) for k in range(21))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization_down_to_the_smallest_normal_tail(self):
         # at K = 1000 the tail Pr(count >= 960) is 3.2e-303, still a normal float
-        model = replace(MODEL, mobility=replace(MOB, num_users=MAX_USERS))
+        model = replace(paper_model(), mobility=replace(PAPER.mobility, num_users=MAX_USERS))
         weights = an.nonzero_count_pmf(model, np.arange(960, MAX_USERS + 1), 960)
         assert weights.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_zero_below_minimum(self):
-        assert an.nonzero_count_pmf(MODEL, 9, 10) == 0.0
+        assert an.nonzero_count_pmf(paper_model(), 9, 10) == 0.0
 
     def test_conditional_histogram(self):
         rng = np.random.default_rng(2)
         n = 150_000
-        d, _, phi = sample_user_arrays(MOB, rng, n * 20)
-        counts = (channel_gain(GEOM, d.reshape(n, 20), phi.reshape(n, 20)) > 0.0).sum(axis=1)
+        d, _, phi = sample_user_arrays(PAPER.mobility, rng, n * 20)
+        counts = (channel_gain(PAPER.geom, d.reshape(n, 20), phi.reshape(n, 20)) > 0.0).sum(axis=1)
         kept = counts[counts >= 10]
         for k in (10, 11, 12):
-            q = an.nonzero_count_pmf(MODEL, k, 10)
+            q = an.nonzero_count_pmf(paper_model(), k, 10)
             freq = (kept == k).mean()
             assert abs(freq - q) <= 3.0 * math.sqrt(q * (1.0 - q) / kept.size)
 
@@ -229,24 +218,24 @@ class TestCountPmf:
 class TestBoundaryAngles:
     def test_zero_level_gives_cap(self):
         # every incidence clears a zero level, so the boundary sits at the arccos clamp
-        assert an.gain_boundary_angle(GEOM, 0.0, 3.0) == pytest.approx(math.pi / 2.0)
+        assert an.gain_boundary_angle(PAPER.geom, 0.0, 3.0) == pytest.approx(math.pi / 2.0)
 
     def test_saturated_level(self):
-        x = GEOM.gain_factor(3.0) ** 2 * 1.5  # above the max squared gain at r = 3
-        assert an.gain_boundary_angle(GEOM, float(x), 3.0) == 0.0
+        x = PAPER.geom.gain_factor(3.0) ** 2 * 1.5  # above the max squared gain at r = 3
+        assert an.gain_boundary_angle(PAPER.geom, float(x), 3.0) == 0.0
 
     def test_recovers_incidence_angle(self):
         # by construction h^2 / g^2 = cos^2(theta)
         target = math.radians(20.0)
-        x = float(GEOM.gain_factor(4.0) ** 2) * math.cos(target) ** 2
-        assert an.gain_boundary_angle(GEOM, x, 4.0) == pytest.approx(target, abs=1e-12)
+        x = float(PAPER.geom.gain_factor(4.0) ** 2) * math.cos(target) ** 2
+        assert an.gain_boundary_angle(PAPER.geom, x, 4.0) == pytest.approx(target, abs=1e-12)
 
     def test_boundary_distance_round_trip(self):
         x = 1e-13
-        r = an.gain_boundary_distance(GEOM, x)
-        assert float(GEOM.gain_factor(r) ** 2) == pytest.approx(x, rel=1e-10)
-        assert an.gain_boundary_distance(GEOM, 1.0) == 0.0
-        assert an.gain_boundary_distance(GEOM, 0.0) == math.inf
+        r = an.gain_boundary_distance(PAPER.geom, x)
+        assert float(PAPER.geom.gain_factor(r) ** 2) == pytest.approx(x, rel=1e-10)
+        assert an.gain_boundary_distance(PAPER.geom, 1.0) == 0.0
+        assert an.gain_boundary_distance(PAPER.geom, 0.0) == math.inf
 
 
 def assert_float_is_array_entry(law, points, *args):
@@ -309,7 +298,7 @@ class TestOnePathPerLaw:
             assert_float_is_array_entry(lambda v, m=mean: conditional_phi_cdf(m, dphi, v), x)
 
     @pytest.mark.parametrize("mob", (
-        MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20),
+        PAPER.mobility,
         MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 0.0, 20),
         MobilityConfig.from_degrees(0.0, 10.0, 90.0, 90.0, 25.0, 20),
         MobilityConfig.from_degrees(0.0, 10.0, 90.0, 90.0, 0.0, 20),
@@ -326,22 +315,22 @@ class TestOnePathPerLaw:
 
 class TestUnorderedCdf:
     def test_zero_at_origin(self):
-        assert an.unordered_gain_cdf(MODEL, np.array([0.0]))[0] == 0.0
+        assert an.unordered_gain_cdf(paper_model(), np.array([0.0]))[0] == 0.0
 
     def test_one_beyond_support(self):
         # nothing is left to integrate above the support, so the value does not depend on the normalizer
-        top = float(GEOM.gain_factor(MOB.d_min) ** 2)
-        assert an.unordered_gain_cdf(MODEL, np.array([top * 1.0001])) == (1.0, 0.0)
+        top = float(PAPER.geom.gain_factor(PAPER.mobility.d_min) ** 2)
+        assert an.unordered_gain_cdf(paper_model(), np.array([top * 1.0001])) == (1.0, 0.0)
 
     def test_monte_carlo_sup_distance(self):
         rng = np.random.default_rng(3)
-        d, _, phi = sample_user_arrays(MOB, rng, 400_000)
-        g2 = channel_gain(GEOM, d, phi) ** 2
-        sup = EmpiricalCdf(g2[g2 > 0.0]).sup_distance(lambda x: an.unordered_gain_cdf(MODEL, x)[0], 250)
+        d, _, phi = sample_user_arrays(PAPER.mobility, rng, 400_000)
+        g2 = channel_gain(PAPER.geom, d, phi) ** 2
+        sup = EmpiricalCdf(g2[g2 > 0.0]).sup_distance(lambda x: an.unordered_gain_cdf(paper_model(), x)[0], 250)
         assert sup <= 0.008
 
     def test_monotone_on_grid(self):
-        vals, _ = an.unordered_gain_cdf(MODEL, np.geomspace(1e-17, 1e-9, 200))
+        vals, _ = an.unordered_gain_cdf(paper_model(), np.geomspace(1e-17, 1e-9, 200))
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all((0.0 <= vals) & (vals <= 1.0))
 
@@ -349,31 +338,30 @@ class TestUnorderedCdf:
 class TestOrderedCdf:
     def test_forced_full_count_gives_max_power(self):
         x = np.array([1e-12])
-        u, _ = an.unordered_gain_cdf(MODEL, x)
-        assert an.ordered_gain_cdf(MODEL, x, 20, 20)[0] == pytest.approx(u**20, rel=1e-9)
+        u, _ = an.unordered_gain_cdf(paper_model(), x)
+        assert an.ordered_gain_cdf(paper_model(), x, 20, 20)[0] == pytest.approx(u**20, rel=1e-9)
 
     def test_one_beyond_support(self):
-        top = float(GEOM.gain_factor(MOB.d_min) ** 2)
-        value, err = an.ordered_gain_cdf(MODEL, np.array([top * 1.01]), 10, 10)
+        top = float(PAPER.geom.gain_factor(PAPER.mobility.d_min) ** 2)
+        value, err = an.ordered_gain_cdf(paper_model(), np.array([top * 1.01]), 10, 10)
         assert value == pytest.approx(1.0)
         assert err == 0.0
 
     def test_stochastic_ordering(self):
         xs = np.geomspace(1e-16, 1e-10, 40)
-        f1, f5, f10 = (an.ordered_gain_cdf(MODEL, xs, rank, 10)[0] for rank in (1, 5, 10))
+        f1, f5, f10 = (an.ordered_gain_cdf(paper_model(), xs, rank, 10)[0] for rank in (1, 5, 10))
         assert np.all(f1 >= f5 - 1e-12) and np.all(f5 - 1e-12 >= f10 - 2e-12)
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            an.ordered_gain_cdf(MODEL, np.array([1e-12]), 0, 10)
+            an.ordered_gain_cdf(paper_model(), np.array([1e-12]), 0, 10)
         with pytest.raises(ValueError):
-            an.ordered_gain_cdf(MODEL, np.array([1e-12]), 11, 10)
+            an.ordered_gain_cdf(paper_model(), np.array([1e-12]), 11, 10)
 
 
 class TestGroupCdfs:
     def test_lower_edges(self):
-        mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        mm = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
+        mi, mm = (paper_model(kind=kind) for kind in TWO_BIT_KINDS)
         assert an.group_gain_cdf_instant(mi, np.array([0.0]), an.WEAK)[0] == 0.0
         assert an.group_gain_cdf_instant(mi, np.array([0.0]), an.STRONG)[0] == 0.0
         assert an.group_gain_cdf_mean(mm, np.array([-1e-30]), an.WEAK) == (0.0, 0.0)
@@ -385,15 +373,14 @@ class TestGroupCdfs:
         # each group's gain support ends at its nearest distance; above it the CDF is exactly 1 with no error
         for kind, cdf in ((FeedbackKind.TWO_BIT_INSTANT, an.group_gain_cdf_instant),
                           (FeedbackKind.TWO_BIT_MEAN, an.group_gain_cdf_mean)):
-            model = model_with(scheme=FeedbackScheme(kind, 1.0, THETA_TH))
-            for role, nearest in ((an.STRONG, 0.0), (an.WEAK, 1.0)):
-                top = np.array([float(GEOM.gain_factor(nearest) ** 2)])
+            model = paper_model(kind=kind)
+            for role, nearest in ((an.STRONG, model.mobility.d_min), (an.WEAK, model.scheme.d_threshold)):
+                top = np.array([float(model.geom.gain_factor(nearest) ** 2)])
                 assert cdf(model, top, role)[0] == pytest.approx(1.0), (kind, role)
                 assert cdf(model, top * 1.0001, role) == (1.0, 0.0), (kind, role)
 
     def test_static_deviation_collapses_mean_onto_instant(self):
-        mi = model_with(0.0, FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        mm = model_with(0.0, FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
+        mi, mm = (paper_model(0.0, kind) for kind in TWO_BIT_KINDS)
         xs = np.geomspace(1e-16, 1e-10, 25)
         for role in (an.WEAK, an.STRONG):
             assert np.all(np.abs(an.group_gain_cdf_mean(mm, xs, role)[0] - an.group_gain_cdf_instant(mi, xs, role)[0])
@@ -413,18 +400,18 @@ class TestGroupCdfs:
                 assert np.all(np.abs(a - b) <= 1e-6), (thresholds, role, levels[np.abs(a - b) > 1e-6])
 
     def test_strong_group_degeneracy_matches_unordered(self):
-        scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, d_threshold=MOB.d_max, theta_threshold=GEOM.half_fov)
-        mi = model_with(scheme=scheme)
+        model = paper_model()
+        scheme = FeedbackScheme(INSTANT, d_threshold=model.mobility.d_max, theta_threshold=model.geom.half_fov)
+        mi = replace(model, scheme=scheme)
         xs = np.geomspace(1e-16, 1e-10, 20)
-        assert an.group_gain_cdf_instant(mi, xs, an.STRONG)[0] == pytest.approx(an.unordered_gain_cdf(MODEL, xs)[0],
+        assert an.group_gain_cdf_instant(mi, xs, an.STRONG)[0] == pytest.approx(an.unordered_gain_cdf(model, xs)[0],
                                                                                 abs=1e-9)
 
     def test_requires_matching_scheme(self):
-        mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
         with pytest.raises(ValueError):
-            an.group_gain_cdf_mean(mi, np.array([1e-12]), an.WEAK)
+            an.group_gain_cdf_mean(paper_model(kind=INSTANT), np.array([1e-12]), an.WEAK)
         with pytest.raises(ValueError):
-            an.group_gain_cdf_instant(MODEL, np.array([1e-12]), an.WEAK)
+            an.group_gain_cdf_instant(paper_model(), np.array([1e-12]), an.WEAK)
 
     def test_angle_threshold_cannot_exceed_fov(self):
         # 60 deg against the 50 deg half FOV: config refuses the coefficient before a model is built
@@ -454,7 +441,7 @@ class TestMeanBand:
     @given(r=st.floats(0.0, 10.0), inner=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
            width=st.floats(0.0, math.pi), y=st.floats(0.0, math.pi / 2.0), dphi=st.sampled_from((0.0, 25.0)))
     def test_matches_quadrature_over_the_mean_angle(self, r, inner, width, y, dphi):
-        model, outer = model_with(dphi), inner + width
+        model, outer = paper_model(dphi), inner + width
         assert an._mean_band(model, r, inner, outer, y) == pytest.approx(_quad_mean_band(model, r, inner, outer, y),
                                                                          abs=1e-9)
 
@@ -462,7 +449,7 @@ class TestMeanBand:
     @given(r=st.floats(0.0, 10.0), outer=st.floats(math.pi, 4.0), y=st.floats(0.0, math.pi / 2.0),
            dphi=st.sampled_from((0.0, 25.0)))
     def test_open_band_is_the_instantaneous_fov_probability(self, r, outer, y, dphi):
-        model = model_with(dphi)
+        model = paper_model(dphi)
         assert an._mean_band(model, r, 0.0, outer, y) == pytest.approx(an.fov_probability(model, r, y), abs=1e-12)
 
 
@@ -478,34 +465,33 @@ def membership_probabilities(model):
 class TestGroupProbabilities:
     def test_strong_membership_plateau_value(self):
         # 10 deg window inside the flat part of the angle law: 0.1 * 10/130
-        mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        _, p_strong = membership_probabilities(mi)
+        _, p_strong = membership_probabilities(paper_model(kind=INSTANT))
         assert p_strong == pytest.approx(0.1 * 10.0 / 130.0, rel=1e-6)
 
     def test_membership_monte_carlo(self):
-        mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
+        mi = paper_model(kind=INSTANT)
         p_weak, p_strong = membership_probabilities(mi)
         rng = np.random.default_rng(4)
         n = 500_000
-        d, _, phi = sample_user_arrays(MOB, rng, n)
-        theta = incidence_angle(d, phi, GEOM.ell)
-        w = ((d > 1.0) & (np.abs(theta) > THETA_TH)).mean()
-        s = ((d <= 1.0) & (np.abs(theta) <= THETA_TH)).mean()
+        d, _, phi = sample_user_arrays(mi.mobility, rng, n)
+        theta = incidence_angle(d, phi, mi.geom.ell)
+        d_th, th = mi.scheme.d_threshold, mi.scheme.theta_threshold
+        w = ((d > d_th) & (np.abs(theta) > th)).mean()
+        s = ((d <= d_th) & (np.abs(theta) <= th)).mean()
         assert abs(w - p_weak) <= 3.0 * math.sqrt(p_weak * (1 - p_weak) / n)
         assert abs(s - p_strong) <= 3.0 * math.sqrt(p_strong * (1 - p_strong) / n)
 
     def test_mean_report_groups_need_a_mean_angle_range(self):
         # one mean angle leaves the mean-report memberships undefined, as it leaves the group CDFs
-        one_angle = replace(MOB, mean_phi_min=math.pi / 2.0, mean_phi_max=math.pi / 2.0, delta_phi=0.0)
-        scheme = FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH)
-        mm = AnalyticModel(geom=GEOM, mobility=one_angle, scheme=scheme)
+        one_angle = replace(PAPER.mobility, mean_phi_min=math.pi / 2.0, mean_phi_max=math.pi / 2.0, delta_phi=0.0)
+        mm = replace(paper_model(kind=MEAN), mobility=one_angle)
         with pytest.raises(an.UndefinedLawError, match="mobility.mean_phi_min_deg"):
             an.both_groups_probability(mm)
 
 
 def thresholds(*gammas):
     """The NOMA (eta_weak, eta_strong) arrays at the transmit SNRs ``gammas``."""
-    return eta_thresholds(NOMA, np.array(gammas, float))
+    return eta_thresholds(PAPER.noma, np.array(gammas, float))
 
 
 def route_outage(model, kind, thresholds):
@@ -517,43 +503,42 @@ def route_outage(model, kind, thresholds):
 
 class TestOutage:
     def test_individual_high_snr_limit(self):
-        pw, _, ps, _ = (v[0] for v in route_outage(MODEL, FeedbackKind.FULL_CSI, thresholds(1e30)))
+        pw, _, ps, _ = (v[0] for v in route_outage(paper_model(), FeedbackKind.FULL_CSI, thresholds(1e30)))
         assert pw == pytest.approx(0.0, abs=1e-12)
         assert ps == pytest.approx(0.0, abs=1e-12)
 
     def test_individual_low_snr_limit(self):
-        pw, _, ps, _ = (v[0] for v in route_outage(MODEL, FeedbackKind.FULL_CSI, thresholds(1e-6)))
+        pw, _, ps, _ = (v[0] for v in route_outage(paper_model(), FeedbackKind.FULL_CSI, thresholds(1e-6)))
         assert pw == pytest.approx(1.0, abs=1e-12)
         assert ps == pytest.approx(1.0, abs=1e-12)
 
     def test_individual_monte_carlo_midpoint(self):
         rng = np.random.default_rng(5)
         n = 150_000
-        d, _, phi = sample_user_arrays(MOB, rng, n * 20)
-        g2 = channel_gain(GEOM, d.reshape(n, 20), phi.reshape(n, 20)) ** 2
+        d, _, phi = sample_user_arrays(PAPER.mobility, rng, n * 20)
+        g2 = channel_gain(PAPER.geom, d.reshape(n, 20), phi.reshape(n, 20)) ** 2
         masked = np.where(g2 > 0.0, g2, np.inf)
         masked.sort(axis=1)
         keep = (g2 > 0.0).sum(axis=1) >= 10
         w, s = masked[keep, 0], masked[keep, 9]
         eta_weak, eta_strong = thresholds(*(10.0 ** (gdb / 10.0) for gdb in (160.0, 185.0)))
-        outage = route_outage(MODEL, FeedbackKind.FULL_CSI, (eta_weak, eta_strong))
+        outage = route_outage(paper_model(), FeedbackKind.FULL_CSI, (eta_weak, eta_strong))
         for tw, ts, pw, ps in zip(eta_weak, eta_strong, outage[0], outage[2]):
             assert abs((w <= tw).mean() - pw) <= max(3.0 * math.sqrt(pw * (1 - pw) / w.size), 1e-4)
             assert abs((s <= ts).mean() - ps) <= max(3.0 * math.sqrt(ps * (1 - ps) / s.size), 1e-4)
 
     def test_group_high_snr_floor_is_fov_mismatch(self):
-        mi = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH))
-        pw, _, ps, _ = (v[0] for v in route_outage(mi, FeedbackKind.TWO_BIT_INSTANT, thresholds(1e28)))
+        mi = paper_model(kind=INSTANT)
+        pw, _, ps, _ = (v[0] for v in route_outage(mi, INSTANT, thresholds(1e28)))
         # strong group members always have nonzero gain; weak keeps the out-of-FOV share
         assert ps == pytest.approx(0.0, abs=1e-9)
-        d_max = mi.mobility.d_max
-        den, _ = an._band_mass(mi, THETA_TH, math.pi, 1.0, d_max)
-        num, _ = an._band_mass(mi, THETA_TH, GEOM.half_fov, 1.0, d_max)
+        th, d_th, d_max = mi.scheme.theta_threshold, mi.scheme.d_threshold, mi.mobility.d_max
+        den, _ = an._band_mass(mi, th, math.pi, d_th, d_max)
+        num, _ = an._band_mass(mi, th, mi.geom.half_fov, d_th, d_max)
         assert pw == pytest.approx(1.0 - num / den, abs=1e-9)
 
     def test_group_low_snr_limit(self):
-        mm = model_with(scheme=FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, THETA_TH))
-        pw, _, ps, _ = (v[0] for v in route_outage(mm, FeedbackKind.TWO_BIT_MEAN, thresholds(1e-6)))
+        pw, _, ps, _ = (v[0] for v in route_outage(paper_model(kind=MEAN), MEAN, thresholds(1e-6)))
         assert pw == pytest.approx(1.0, abs=1e-12)
         assert ps == pytest.approx(1.0, abs=1e-12)
 
@@ -616,7 +601,7 @@ class TestMeanAngleRoute:
     def test_zero_deviation_matches_full_csi(self):
         # without tilt deviation the mean angle is the instantaneous angle, so the
         # mean-angle ordering is the full-CSI ordering and success = 1 - ordered CDF
-        model = model_with(0.0)
+        model = paper_model(0.0)
         assert an.nonzero_count_tail(an._mean_model(model), 10) == an.nonzero_count_tail(model, 10)
         grid = range(140, 216, 5)
         eta_weak, eta_strong = thresholds(*(10.0 ** (gdb / 10.0) for gdb in grid))
@@ -629,14 +614,14 @@ class TestMeanAngleRoute:
     def test_monte_carlo_per_slot(self):
         rng = np.random.default_rng(7)
         n = 150_000
-        d, mean_phi, phi = (a.reshape(n, 20) for a in sample_user_arrays(MOB, rng, n * 20))
-        h2, mean_h2 = channel_gain(GEOM, d, phi) ** 2, channel_gain(GEOM, d, mean_phi) ** 2
+        d, mean_phi, phi = (a.reshape(n, 20) for a in sample_user_arrays(PAPER.mobility, rng, n * 20))
+        h2, mean_h2 = channel_gain(PAPER.geom, d, phi) ** 2, channel_gain(PAPER.geom, d, mean_phi) ** 2
         order = np.argsort(np.where(mean_h2 > 0.0, mean_h2, np.inf), axis=1, kind="stable")
         keep = (mean_h2 > 0.0).sum(axis=1) >= 10
         served = np.take_along_axis(h2, order[:, [0, 9]], axis=1)[keep]
-        eta_weak, eta_strong = eta_thresholds(NOMA, 10.0 ** (190.0 / 10.0))
+        eta_weak, eta_strong = eta_thresholds(PAPER.noma, 10.0 ** (190.0 / 10.0))
         for col, eta, rank in ((0, eta_weak, 1), (1, eta_strong, 10)):
-            [p], _ = an.mean_angle_success_probability(MODEL, np.array([eta]), rank, 10)
+            [p], _ = an.mean_angle_success_probability(paper_model(), np.array([eta]), rank, 10)
             freq = (served[:, col] > eta).mean()
             assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / served.shape[0])
 
@@ -644,18 +629,19 @@ class TestMeanAngleRoute:
         curves = sweep((215.0,), FeedbackScheme(FeedbackKind.MEAN_ANGLE))
         assert set(curves) == {"noma-mean-angle", "oma"}
         point = curves["noma-mean-angle"][0]
-        assert point.conditioning_rate == pytest.approx(an.nonzero_count_tail(an._mean_model(MODEL), 10))
+        assert point.conditioning_rate == pytest.approx(an.nonzero_count_tail(an._mean_model(paper_model()), 10))
         # the plateau keeps the zero-true-gain loss of both slots, over 1 bit/s/Hz
         assert 10.0 < point.sum_rate < 11.0
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            an.mean_angle_success_probability(MODEL, np.array([1e-12]), 11, 10)
+            an.mean_angle_success_probability(paper_model(), np.array([1e-12]), 11, 10)
 
     def test_models_differing_only_in_deviation_share_one_table(self):
-        static = AnalyticModel(geom=GEOM, mobility=replace(MOB, delta_phi=0.0))
+        paper = paper_model()
+        static = replace(paper, mobility=replace(paper.mobility, delta_phi=0.0))
         misses = an._mean_gain_cdf_table.cache_info().misses
-        for model in (static, MODEL):
+        for model in (static, paper):
             an.mean_angle_success_probability(model, np.array([1e-12]), 1, 10)
         assert an._mean_gain_cdf_table.cache_info().misses - misses <= 1
 
@@ -712,9 +698,9 @@ class TestSweep:
         assert len(curves["noma-full-csi"]) == 1
 
     def test_group_sweep_conditioning_rate(self):
-        scheme = FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, THETA_TH)
-        curves = sweep((170.0, 215.0), scheme)
-        both = an.both_groups_probability(model_with(scheme=scheme))
+        model = paper_model(kind=INSTANT)
+        curves = sweep((170.0, 215.0), model.scheme)
+        both = an.both_groups_probability(model)
         assert curves["noma-two-bit-instant"][0].conditioning_rate == pytest.approx(both)
 
     def test_unknown_strategy(self):
@@ -725,8 +711,7 @@ class TestSweep:
 
     def test_estimation_noise_is_refused_naming_the_keys(self):
         # no route models noisy reports, so a noisy config must not come back as the noiseless curves
-        config = ExperimentConfig(geom=GEOM, mobility=MOB, noma=NOMA, schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),),
-                                  gamma_db_grid=(170.0,), noise=NoiseConfig(sigma_d=0.05, sigma_phi=0.0))
+        config = replace(PAPER, gamma_db_grid=(170.0,), noise=NoiseConfig(sigma_d=0.05, sigma_phi=0.0))
         curves, failures, skipped = an.sum_rate_sweep(config)
         assert curves == {} and failures == {}
         assert len(skipped) == 1 and "noise.sigma_d_m, noise.sigma_phi_deg" in skipped[0]
@@ -740,9 +725,10 @@ class TestSweep:
 
 class TestQuadratureStability:
     def test_halving_within_reported_error(self):
-        half = AnalyticModel(geom=GEOM, mobility=MOB, quad=QuadratureConfig().halved())
+        model = paper_model()
+        half = replace(model, quad=QuadratureConfig().halved())
         xs = 10.0 ** np.random.default_rng(6).uniform(-16, -10.5, 10)
-        v1, e1 = an.unordered_gain_cdf(MODEL, xs)
+        v1, e1 = an.unordered_gain_cdf(model, xs)
         v2, _ = an.unordered_gain_cdf(half, xs)
         assert np.all(np.abs(v2 - v1) <= np.maximum(e1, 1e-14))
 
@@ -819,7 +805,7 @@ class TestQuadratureFailure:
         # a planted fault in the band-mass integrand: a FOV probability that oscillates far faster than any panel
         fov = an.fov_probability
         monkeypatch.setattr(an, "fov_probability", lambda model, r, y: fov(model, r, y) + 0.2 * y * math.sin(1e7 * r))
-        model = model_with(17.0)  # a model of its own, so no band mass of it is cached
+        model = paper_model(17.0)  # a model of its own, so no band mass of it is cached
         with pytest.raises(QuadratureError) as failure:
             an.nonzero_gain_probability(model)
         message = str(failure.value)

@@ -2,21 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from helpers import PAPER
 
-from vlcnoma.channel import (
-    LedGeometry,
-    channel_gain,
-    incidence_angle,
-    lambertian_order,
-    mean_channel_gain,
-)
+from vlcnoma.channel import channel_gain, incidence_angle, lambertian_order, mean_channel_gain
 from vlcnoma.config import ConfigError, build_experiment, merge
-
-
-@pytest.fixture
-def geom():
-    # LED 2 m above the user plane, 60 deg half-power beamwidth, 1 cm^2 detector, 50 deg half FOV
-    return LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
 
 
 def peak_gain(geom):
@@ -57,68 +46,69 @@ class TestIncidenceAngle:
 
 
 class TestChannelGain:
-    def test_peak_below_led(self, geom):
+    # the paper geometry: LED 2 m above the user plane, 60 deg half-power beamwidth, 1 cm^2 detector, 50 deg half FOV
+    def test_peak_below_led(self):
         # (m+1) A_r / (2 pi ell^2) with m = 1
-        assert channel_gain(geom, 0.0, math.pi / 2.0) == pytest.approx(7.9577e-6, rel=1e-4)
-        assert channel_gain(geom, 0.0, math.pi / 2.0) == pytest.approx(peak_gain(geom), rel=1e-12)
+        assert channel_gain(PAPER.geom, 0.0, math.pi / 2.0) == pytest.approx(7.9577e-6, rel=1e-4)
+        assert channel_gain(PAPER.geom, 0.0, math.pi / 2.0) == pytest.approx(peak_gain(PAPER.geom), rel=1e-12)
 
-    def test_fov_gate_zero(self, geom):
+    def test_fov_gate_zero(self):
         # theta = 90 deg - 0 = ... pick phi so |theta| > 50 deg
-        assert channel_gain(geom, 0.0, math.radians(30.0)) == 0.0
+        assert channel_gain(PAPER.geom, 0.0, math.radians(30.0)) == 0.0
 
-    def test_hand_value_at_2m(self, geom):
-        assert channel_gain(geom, 2.0, math.pi / 2.0) == pytest.approx(1.9894e-6, rel=1e-4)
+    def test_hand_value_at_2m(self):
+        assert channel_gain(PAPER.geom, 2.0, math.pi / 2.0) == pytest.approx(1.9894e-6, rel=1e-4)
 
-    def test_gate_boundary_inclusive(self, geom):
+    def test_gate_boundary_inclusive(self):
         # |theta| exactly at the half FOV still passes the gate
-        phi = math.pi / 2.0 - geom.half_fov  # theta = +half_fov at d = 0
-        assert channel_gain(geom, 0.0, phi) > 0.0
+        phi = math.pi / 2.0 - PAPER.geom.half_fov  # theta = +half_fov at d = 0
+        assert channel_gain(PAPER.geom, 0.0, phi) > 0.0
 
-    def test_factorization_inside_fov(self, geom):
+    def test_factorization_inside_fov(self):
         rng = np.random.default_rng(1)
         d = rng.uniform(0.0, 10.0, 500)
         phi = rng.uniform(0.0, math.pi, 500)
-        theta = incidence_angle(d, phi, geom.ell)
-        h = channel_gain(geom, d, phi)
-        inside = np.abs(theta) <= geom.half_fov
+        theta = incidence_angle(d, phi, PAPER.geom.ell)
+        h = channel_gain(PAPER.geom, d, phi)
+        inside = np.abs(theta) <= PAPER.geom.half_fov
         # the Lambertian form, with irradiance cosine ell / sqrt(ell^2 + d^2)
-        ell, m, area = geom.ell, geom.m, geom.detector_area
+        ell, m, area = PAPER.geom.ell, PAPER.geom.m, PAPER.geom.detector_area
         expected = ((m + 1.0) * area / (2.0 * math.pi * (ell**2 + d**2))
                     * (ell / np.sqrt(ell**2 + d**2)) ** m * np.cos(theta))
         assert np.allclose(h[inside], expected[inside], rtol=1e-12, atol=0.0)
         assert np.all(h[~inside] == 0.0)
 
-    def test_gain_bounded_by_peak(self, geom):
+    def test_gain_bounded_by_peak(self):
         rng = np.random.default_rng(2)
         d = rng.uniform(0.0, 10.0, 2000)
         phi = rng.uniform(0.0, math.pi, 2000)
-        h = channel_gain(geom, d, phi)
+        h = channel_gain(PAPER.geom, d, phi)
         assert np.all(h >= 0.0)
-        assert np.all(h <= peak_gain(geom) * (1.0 + 1e-12))
+        assert np.all(h <= peak_gain(PAPER.geom) * (1.0 + 1e-12))
 
-    def test_gain_factor_strictly_decreasing(self, geom):
+    def test_gain_factor_strictly_decreasing(self):
         d = np.linspace(0.0, 10.0, 200)
-        g = geom.gain_factor(d)
+        g = PAPER.geom.gain_factor(d)
         assert np.all(np.diff(g) < 0.0)
         assert np.all(g > 0.0)
 
 
 class TestMeanChannelGain:
-    def test_matches_instantaneous_at_same_angle(self, geom):
+    def test_matches_instantaneous_at_same_angle(self):
         rng = np.random.default_rng(3)
         d = rng.uniform(0.0, 10.0, 1000)
         phi = rng.uniform(0.0, math.pi, 1000)
-        assert np.array_equal(mean_channel_gain(geom, d, phi), channel_gain(geom, d, phi))
+        assert np.array_equal(mean_channel_gain(PAPER.geom, d, phi), channel_gain(PAPER.geom, d, phi))
 
-    def test_below_led(self, geom):
-        assert mean_channel_gain(geom, 0.0, math.pi / 2.0) == pytest.approx(7.9577e-6, rel=1e-4)
+    def test_below_led(self):
+        assert mean_channel_gain(PAPER.geom, 0.0, math.pi / 2.0) == pytest.approx(7.9577e-6, rel=1e-4)
 
-    def test_fov_gate_on_mean_angle(self, geom):
+    def test_fov_gate_on_mean_angle(self):
         # mean incidence 60 deg > 50 deg half FOV
-        assert mean_channel_gain(geom, 0.0, math.radians(30.0)) == 0.0
+        assert mean_channel_gain(PAPER.geom, 0.0, math.radians(30.0)) == 0.0
 
-    def test_at_2m(self, geom):
-        assert mean_channel_gain(geom, 2.0, math.pi / 2.0) == pytest.approx(1.9894e-6, rel=1e-4)
+    def test_at_2m(self):
+        assert mean_channel_gain(PAPER.geom, 2.0, math.pi / 2.0) == pytest.approx(1.9894e-6, rel=1e-4)
 
 
 class TestGeometryValidation:
@@ -135,6 +125,6 @@ class TestGeometryValidation:
         with pytest.raises(ConfigError, match="geometry.detector_area_cm2"):
             build_experiment(merge({"geometry.detector_area_cm2": "-1"}))
 
-    def test_channel_constant_matches_definition(self, geom):
-        expected = (geom.m + 1.0) * geom.detector_area * geom.ell**geom.m / (2.0 * math.pi)
-        assert geom.channel_constant == pytest.approx(expected, rel=1e-15)
+    def test_channel_constant_matches_definition(self):
+        expected = (PAPER.geom.m + 1.0) * PAPER.geom.detector_area * PAPER.geom.ell**PAPER.geom.m / (2.0 * math.pi)
+        assert PAPER.geom.channel_constant == pytest.approx(expected, rel=1e-15)

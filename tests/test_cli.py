@@ -20,7 +20,7 @@ from vlcnoma.config import (
     resolve_groups,
 )
 from vlcnoma.link import CurvePoint
-from vlcnoma.validation import CheckResult, ValidationSizes, check_individual_cdfs
+from vlcnoma.validation import CheckResult, ValidationSizes, check_individual_cdfs, paper_config, paper_model
 
 
 # every config key read as a number with a fraction
@@ -290,6 +290,19 @@ class TestConfigLayer:
         assert [s for s, _ in groups] == ["dphi=0", "dphi=25"]
         with pytest.raises(ConfigError):
             resolve_groups("fig9", {}, {})
+
+    @pytest.mark.parametrize("preset,suffix,dphi", [
+        ("fig2", "dphi=0", 0.0), ("fig2", "dphi=25", 25.0), ("fig3", "dphi=0", 0.0), ("fig3", "dphi=25", 25.0),
+        ("fig4", "noiseless", 25.0),
+    ])
+    def test_the_suites_paper_experiment_is_each_paper_run_group(self, preset, suffix, dphi):
+        # tests/helpers.py takes the paper's setup from validation.paper_config and its schemes from paper_model
+        group = build_experiment(dict(resolve_groups(preset, {}, {}))[suffix])
+        paper = paper_config(dphi)
+        for field in fields(paper):
+            if field.name != "schemes":
+                assert getattr(group, field.name) == getattr(paper, field.name), field.name
+        assert group.schemes == tuple(paper_model(dphi, scheme.kind).scheme for scheme in group.schemes)
 
     def test_config_file_layer(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -635,6 +648,29 @@ class TestCommandFlags:
         assert run_cli(*argv, "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert f"cannot write {out}" in err and "missing.csv" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_a_refused_run_group_stops_the_command_before_any_work(self, monkeypatch, capsys, tmp_path, command):
+        # fig2's dphi=0 group takes mean angles from 10 deg, its dphi=25 group does not
+        for name in ("run_sweep", "sum_rate_sweep"):
+            monkeypatch.setattr(cli, name, lambda config: pytest.fail("the sweep must not start"))
+        out = tmp_path / "new" / "x.csv"
+        assert run_cli(command, "--preset", "fig2", "--set", "mobility.mean_phi_min_deg=10", "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mobility.mean_phi_min_deg: must lie in [mobility.delta_phi_deg, 180 - mobility.delta_phi_deg] = "
+            "[25, 155], got 10"]
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_a_manifest_path_that_is_a_directory_exits_1_before_any_work(self, monkeypatch, capsys, tmp_path,
+                                                                         command):
+        for name in ("run_sweep", "sum_rate_sweep"):
+            monkeypatch.setattr(cli, name, lambda config: pytest.fail("the sweep must not start"))
+        manifest = tmp_path / "x.manifest.json"
+        manifest.mkdir()
+        assert run_cli(command, "--preset", "fig3", "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {manifest}: it is a directory"]
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "analytic", "validate"])
     def test_every_command_accepts_seed(self, command):

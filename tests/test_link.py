@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import rate_from_sinr, sic_success, sinr_cross, sinr_own
+from helpers import PAPER, rate_from_sinr, sic_success, sinr_cross, sinr_own
 
 from vlcnoma.config import ConfigError, build_experiment, merge, parse_gamma_grid, resolve_groups
 from vlcnoma.link import (
@@ -17,36 +17,34 @@ from vlcnoma.link import (
     oma_gain_thresholds,
 )
 
-PAPER_NOMA = NomaConfig(63.0 / 64.0, 2.0, 10.0)
-
 
 class TestSinr:
     def test_cross_saturates_at_share_ratio(self):
-        assert sinr_cross(1.0, PAPER_NOMA, 1e30) == pytest.approx(63.0, rel=1e-9)
+        assert sinr_cross(1.0, PAPER.noma, 1e30) == pytest.approx(63.0, rel=1e-9)
 
     def test_cross_zero_gain(self):
-        assert sinr_cross(0.0, PAPER_NOMA, 100.0) == 0.0
+        assert sinr_cross(0.0, PAPER.noma, 100.0) == 0.0
 
     def test_cross_direct_arithmetic(self):
         h_sq, gamma = 6.333e-11, 1e12
         expected = h_sq * (63.0 / 64.0) / (h_sq * (1.0 / 64.0) + 1.0 / gamma)
-        assert sinr_cross(h_sq, PAPER_NOMA, gamma) == pytest.approx(expected, rel=1e-14)
+        assert sinr_cross(h_sq, PAPER.noma, gamma) == pytest.approx(expected, rel=1e-14)
 
     def test_own_strongest_cancellation(self):
-        assert sinr_own(1.0, PAPER_NOMA, 64.0, is_strongest=True) == pytest.approx(1.0, rel=1e-12)
+        assert sinr_own(1.0, PAPER.noma, 64.0, is_strongest=True) == pytest.approx(1.0, rel=1e-12)
 
     def test_own_zero_gain(self):
-        assert sinr_own(0.0, PAPER_NOMA, 10.0, is_strongest=True) == 0.0
+        assert sinr_own(0.0, PAPER.noma, 10.0, is_strongest=True) == 0.0
 
     def test_weak_own_equals_cross(self):
         h_sq = 3.3e-12
-        assert sinr_own(h_sq, PAPER_NOMA, 1e14, is_strongest=False) == sinr_cross(h_sq, PAPER_NOMA, 1e14)
+        assert sinr_own(h_sq, PAPER.noma, 1e14, is_strongest=False) == sinr_cross(h_sq, PAPER.noma, 1e14)
 
     @given(h=st.floats(1e-16, 1e-8), scale=st.floats(1.01, 100.0))
     @settings(max_examples=100, deadline=None)
     def test_cross_increasing_and_bounded(self, h, scale):
-        lo = sinr_cross(h, PAPER_NOMA, 1e12)
-        hi = sinr_cross(h * scale, PAPER_NOMA, 1e12)
+        lo = sinr_cross(h, PAPER.noma, 1e12)
+        hi = sinr_cross(h * scale, PAPER.noma, 1e12)
         assert hi >= lo
         assert hi <= 63.0
 
@@ -72,17 +70,17 @@ class TestRates:
         assert rate_from_sinr(epsilon_threshold(rate)) == pytest.approx(rate, abs=1e-9)
 
     def test_targets_expose_thresholds(self):
-        assert PAPER_NOMA.eps_weak == pytest.approx(epsilon_threshold(2.0))
-        assert PAPER_NOMA.eps_strong == pytest.approx(epsilon_threshold(10.0))
+        assert PAPER.noma.eps_weak == pytest.approx(epsilon_threshold(2.0))
+        assert PAPER.noma.eps_strong == pytest.approx(epsilon_threshold(10.0))
 
 
 class TestEtaThresholds:
     def test_paper_weak_threshold(self):
-        eta_weak, _ = eta_thresholds(PAPER_NOMA, 1.0)
+        eta_weak, _ = eta_thresholds(PAPER.noma, 1.0)
         assert eta_weak == pytest.approx(78.33, rel=1e-3)
 
     def test_paper_strong_threshold(self):
-        _, eta_strong = eta_thresholds(PAPER_NOMA, 1.0)
+        _, eta_strong = eta_thresholds(PAPER.noma, 1.0)
         assert eta_strong == pytest.approx(1.5512e8, rel=1e-4)
 
     def test_zero_rate_weak(self):
@@ -90,10 +88,10 @@ class TestEtaThresholds:
         assert eta_weak == 0.0
 
     def test_monotone_in_gamma(self):
-        (w1, w2), (s1, s2) = eta_thresholds(PAPER_NOMA, np.array([1e15, 1e16]))
+        (w1, w2), (s1, s2) = eta_thresholds(PAPER.noma, np.array([1e15, 1e16]))
         assert w2 < w1 and s2 < s1
 
-    @pytest.mark.parametrize("noma", [PAPER_NOMA, NomaConfig(63.0 / 64.0, 2.0, 0.25)], ids=["paper", "max-binds"])
+    @pytest.mark.parametrize("noma", [PAPER.noma, NomaConfig(63.0 / 64.0, 2.0, 0.25)], ids=["paper", "max-binds"])
     def test_snr_array_is_bit_for_bit_the_one_point_calls(self, noma):
         # the curve table takes each slot's thresholds over the whole grid in one call
         grid = build_experiment(resolve_groups("fig2", {}, {})[0][1]).gamma_db_grid
@@ -105,29 +103,29 @@ class TestEtaThresholds:
                 assert whole[slot].tobytes() == np.array([point[slot] for point in points]).tobytes()
         # at the paper's rates the strong user's own term sets eta_strong; at 0.25 bit/s/Hz the max takes eta_weak
         eta_weak, eta_strong = eta_thresholds(noma, np.array(gammas))
-        assert np.all(eta_strong == eta_weak) == (noma is not PAPER_NOMA)
+        assert np.all(eta_strong == eta_weak) == (noma is not PAPER.noma)
         assert np.all(eta_strong >= eta_weak)
 
 
 class TestPairOutcome:
     def test_zero_gains_both_outage(self):
-        thr = eta_thresholds(PAPER_NOMA, 1e15)
+        thr = eta_thresholds(PAPER.noma, 1e15)
         assert noma_pair_outcome(0.0, 0.0, *thr) == (True, True)
 
     def test_double_threshold_succeeds(self):
-        eta_weak, eta_strong = eta_thresholds(PAPER_NOMA, 1e15)
+        eta_weak, eta_strong = eta_thresholds(PAPER.noma, 1e15)
         assert noma_pair_outcome(2.0 * eta_weak, 2.0 * eta_strong, eta_weak, eta_strong) == (False, False)
 
     def test_equality_counts_as_outage(self):
-        eta_weak, eta_strong = eta_thresholds(PAPER_NOMA, 1e15)
+        eta_weak, eta_strong = eta_thresholds(PAPER.noma, 1e15)
         assert noma_pair_outcome(eta_weak, eta_strong, eta_weak, eta_strong) == (True, True)
 
     def test_gamma_monotonicity_never_creates_outage(self):
         rng = np.random.default_rng(0)
         h_w = 10.0 ** rng.uniform(-15, -10, 2000)
         h_s = 10.0 ** rng.uniform(-15, -10, 2000)
-        lo = noma_pair_outcome(h_w, h_s, *eta_thresholds(PAPER_NOMA, 1e14))
-        hi = noma_pair_outcome(h_w, h_s, *eta_thresholds(PAPER_NOMA, 1e15))
+        lo = noma_pair_outcome(h_w, h_s, *eta_thresholds(PAPER.noma, 1e14))
+        hi = noma_pair_outcome(h_w, h_s, *eta_thresholds(PAPER.noma, 1e15))
         assert not np.any(~lo[0] & hi[0])
         assert not np.any(~lo[1] & hi[1])
 
@@ -140,43 +138,43 @@ class TestPairOutcome:
         gammas = 10.0 ** rng.uniform(12, 21, n)
         for i in range(0, n, 1000):
             gamma = float(gammas[i])
-            thr = eta_thresholds(PAPER_NOMA, gamma)
+            thr = eta_thresholds(PAPER.noma, gamma)
             hw, hs = h_w[i : i + 1000], h_s[i : i + 1000]
             weak_out, strong_out = noma_pair_outcome(hw, hs, *thr)
-            weak_rate_ok, strong_rate_ok = sic_success(hw, hs, PAPER_NOMA, gamma)
+            weak_rate_ok, strong_rate_ok = sic_success(hw, hs, PAPER.noma, gamma)
             assert np.array_equal(weak_out, ~weak_rate_ok)
             assert np.array_equal(strong_out, ~strong_rate_ok)
 
 
 class TestSumRates:
     def test_zero_outage_hits_target_ceiling(self):
-        assert noma_sum_rate((0.0, 0.0), PAPER_NOMA) == 12.0
+        assert noma_sum_rate((0.0, 0.0), PAPER.noma) == 12.0
 
     def test_total_outage(self):
-        assert noma_sum_rate((1.0, 1.0), PAPER_NOMA) == 0.0
+        assert noma_sum_rate((1.0, 1.0), PAPER.noma) == 0.0
 
     def test_linear_form(self):
-        assert noma_sum_rate((0.5, 0.5), PAPER_NOMA) == pytest.approx(6.0)
+        assert noma_sum_rate((0.5, 0.5), PAPER.noma) == pytest.approx(6.0)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            noma_sum_rate((1.2, 0.0), PAPER_NOMA)
+            noma_sum_rate((1.2, 0.0), PAPER.noma)
 
     def test_oma_same_ceiling(self):
         # OMA curves take their sum rate from the same linear form as NOMA's
-        assert noma_sum_rate((0.0, 0.0), PAPER_NOMA) == PAPER_NOMA.rate_weak + PAPER_NOMA.rate_strong == 12.0
+        assert noma_sum_rate((0.0, 0.0), PAPER.noma) == PAPER.noma.rate_weak + PAPER.noma.rate_strong == 12.0
 
     def test_oma_thresholds_embed_time_share(self):
         # each user of the pair holds the channel for half of the frame, so it needs twice its rate
-        eta_weak, eta_strong = oma_gain_thresholds(PAPER_NOMA, 1.0)
+        eta_weak, eta_strong = oma_gain_thresholds(PAPER.noma, 1.0)
         assert eta_weak == pytest.approx(epsilon_threshold(4.0), rel=1e-12)
         assert eta_strong == pytest.approx(epsilon_threshold(20.0), rel=1e-12)
 
     def test_oma_thresholds_dominate_noma(self):
         # the baseline pays the slot penalty: its gain thresholds exceed NOMA's
         gamma = 1e15
-        noma_weak, noma_strong = eta_thresholds(PAPER_NOMA, gamma)
-        oma_weak, oma_strong = oma_gain_thresholds(PAPER_NOMA, gamma)
+        noma_weak, noma_strong = eta_thresholds(PAPER.noma, gamma)
+        oma_weak, oma_strong = oma_gain_thresholds(PAPER.noma, gamma)
         assert oma_weak > noma_weak
         assert oma_strong > noma_strong
 
@@ -191,7 +189,7 @@ class TestSumRates:
 
 class TestNomaConfig:
     def test_strong_share_is_the_rest_of_the_power(self):
-        assert PAPER_NOMA.share_strong == 1.0 / 64.0
+        assert PAPER.noma.share_strong == 1.0 / 64.0
         assert NomaConfig(0.6, 0.1, 1.0).share_strong == 0.4
 
     @pytest.mark.parametrize("share_weak", [0.2, 0.5, 1.0, 1.5, math.nan])

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import PAPER, paper_model, snapshot
 from scipy import integrate
 
-from vlcnoma.channel import LedGeometry, channel_gain
+from vlcnoma.channel import channel_gain
 from vlcnoma.config import ConfigError, build_experiment, merge
 from vlcnoma.population import (
     MobilityConfig,
@@ -15,27 +17,11 @@ from vlcnoma.population import (
     noisy_estimate_arrays,
     sample_user_arrays,
 )
-from vlcnoma.link import NomaConfig
-from vlcnoma.scheduling import FeedbackKind, FeedbackScheme, order_by_gain_arrays
-from vlcnoma.simulate import _CHUNK, ExperimentConfig, collect_records, trial_rng
+from vlcnoma.scheduling import FeedbackKind, order_by_gain_arrays
+from vlcnoma.simulate import _CHUNK, collect_records, trial_rng
 
 
-@pytest.fixture
-def geom():
-    return LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
-
-
-@pytest.fixture
-def mobility():
-    return MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
-
-
-def snapshot(mobility, seed):
-    """(d, mean_phi, phi) of one snapshot of ``mobility.num_users`` users."""
-    return sample_user_arrays(mobility, np.random.default_rng(seed), mobility.num_users)
-
-
-def oracle_marginal_cdf(mobility, x):
+def oracle_marginal_cdf(x, mobility=PAPER.mobility):
     """Independent oracle: the conditional angle CDF integrated over the mean layer."""
     lo, hi = mobility.mean_phi_min, mobility.mean_phi_max
     kinks = [m for m in (x - mobility.delta_phi, x + mobility.delta_phi) if lo < m < hi]
@@ -47,46 +33,40 @@ def oracle_marginal_cdf(mobility, x):
 
 class TestSampling:
     def test_zero_deviation_pins_phi_to_mean(self):
-        mob = MobilityConfig.from_degrees(0.0, 10.0, 0.0, 180.0, 0.0, 20)
-        _, mean_phi, phi = snapshot(mob, 0)
-        assert np.array_equal(phi, mean_phi)
+        snap = snapshot(0, paper_model(0.0).mobility)
+        assert np.array_equal(snap.phi, snap.mean_phi)
 
-    def test_full_span_support(self, geom, mobility):
+    def test_full_span_support(self):
         rng = np.random.default_rng(1)
-        _, _, phi = sample_user_arrays(mobility, rng, 1_000_000)
+        _, _, phi = sample_user_arrays(PAPER.mobility, rng, 1_000_000)
         deg = np.degrees(phi)
         assert deg.min() >= 0.0 and deg.max() <= 180.0
         assert deg.min() < 2.0 and deg.max() > 178.0
 
-    def test_uniform_distance_mean(self, mobility):
+    def test_uniform_distance_mean(self):
         rng = np.random.default_rng(2)
-        d, _, _ = sample_user_arrays(mobility, rng, 1_000_000)
+        d, _, _ = sample_user_arrays(PAPER.mobility, rng, 1_000_000)
         assert d.mean() == pytest.approx(5.0, abs=0.01)
 
-    def test_deviation_and_range_invariants(self, mobility):
+    def test_deviation_and_range_invariants(self):
         for seed in range(5):
-            d, mean_phi, phi = snapshot(mobility, seed)
-            assert np.all(np.abs(phi - mean_phi) <= mobility.delta_phi)
-            assert np.all((d >= mobility.d_min) & (d <= mobility.d_max))
-            assert np.all((phi >= 0.0) & (phi <= math.pi))
+            snap = snapshot(seed)
+            assert np.all(np.abs(snap.phi - snap.mean_phi) <= PAPER.mobility.delta_phi)
+            assert np.all((snap.d >= PAPER.mobility.d_min) & (snap.d <= PAPER.mobility.d_max))
+            assert np.all((snap.phi >= 0.0) & (snap.phi <= math.pi))
 
-    def test_determinism(self, geom, mobility):
-        a, b = snapshot(mobility, 77), snapshot(mobility, 77)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        assert np.array_equal(channel_gain(geom, a[0], a[2]), channel_gain(geom, b[0], b[2]))
+    def test_determinism(self):
+        a, b = snapshot(77), snapshot(77)
+        for name, x in vars(a).items():  # the user arrays and their gains
+            assert np.array_equal(x, getattr(b, name)), name
 
-    def test_gains_consistent_with_channel(self, geom, mobility):
+    def test_gains_consistent_with_channel(self):
         # trial t records the channel's squared gains of the users in row t of its chunk's draws
-        noma = NomaConfig(63.0 / 64.0, 2.0, 10.0)
-        config = ExperimentConfig(geom=geom, mobility=mobility, noma=noma,
-                                  schemes=(FeedbackScheme(FeedbackKind.FULL_CSI),), gamma_db_grid=(170.0,),
-                                  trials=10, root_seed=5)
-        records = collect_records(config)[FeedbackKind.FULL_CSI]
-        d_chunk, _, phi_chunk = sample_user_arrays(mobility, trial_rng(5, 0), (_CHUNK, mobility.num_users))
+        records = collect_records(replace(PAPER, trials=10, root_seed=5))[FeedbackKind.FULL_CSI]
+        d_chunk, _, phi_chunk = sample_user_arrays(PAPER.mobility, trial_rng(5, 0), (_CHUNK, PAPER.mobility.num_users))
         scheduled_trials = 0
         for t in range(10):
-            gains = channel_gain(geom, d_chunk[t], phi_chunk[t])
+            gains = channel_gain(PAPER.geom, d_chunk[t], phi_chunk[t])
             order = order_by_gain_arrays(gains)
             scheduled, h2_weak, h2_strong = records.scheduled[t], records.h2_weak[t], records.h2_strong[t]
             assert scheduled == (len(order) >= 10)
@@ -113,20 +93,20 @@ class TestConditionalCdf:
 
 
 class TestMarginalCdf:
-    def test_symmetric_midpoint(self, mobility):
-        assert marginal_phi_cdf(mobility, math.pi / 2.0) == pytest.approx(0.5, abs=1e-12)
+    def test_symmetric_midpoint(self):
+        assert marginal_phi_cdf(PAPER.mobility, math.pi / 2.0) == pytest.approx(0.5, abs=1e-12)
 
-    def test_support_edges(self, mobility):
-        assert marginal_phi_cdf(mobility, 0.0) == 0.0
-        assert marginal_phi_cdf(mobility, math.pi) == 1.0
+    def test_support_edges(self):
+        assert marginal_phi_cdf(PAPER.mobility, 0.0) == 0.0
+        assert marginal_phi_cdf(PAPER.mobility, math.pi) == 1.0
 
-    def test_against_convolution_quadrature(self, mobility):
+    def test_against_convolution_quadrature(self):
         for deg in (5.0, 45.0, 60.0, 90.0, 120.0, 170.0):
             x = math.radians(deg)
-            assert marginal_phi_cdf(mobility, x) == pytest.approx(oracle_marginal_cdf(mobility, x), abs=1e-9)
+            assert marginal_phi_cdf(PAPER.mobility, x) == pytest.approx(oracle_marginal_cdf(x), abs=1e-9)
 
     def test_reduces_to_uniform_when_degenerate(self):
-        mob = MobilityConfig.from_degrees(0.0, 10.0, 0.0, 180.0, 0.0, 20)
+        mob = paper_model(0.0).mobility
         for x in np.linspace(0.0, math.pi, 50):
             assert marginal_phi_cdf(mob, x) == pytest.approx(x / math.pi, abs=1e-12)
 
@@ -142,30 +122,30 @@ class TestMarginalCdf:
             expected = (x >= m).astype(float)
         assert marginal_phi_cdf(mob, x) == pytest.approx(expected, abs=1e-15)
 
-    def test_dkw_bound(self, mobility):
+    def test_dkw_bound(self):
         n = 1_000_000
-        _, _, phi = sample_user_arrays(mobility, np.random.default_rng(3), n)
+        _, _, phi = sample_user_arrays(PAPER.mobility, np.random.default_rng(3), n)
         xs = np.quantile(phi, np.linspace(0.001, 0.999, 400))
         emp = np.searchsorted(np.sort(phi), xs, side="right") / n
-        sup = np.max(np.abs(emp - np.array([marginal_phi_cdf(mobility, x) for x in xs])))
+        sup = np.max(np.abs(emp - np.array([marginal_phi_cdf(PAPER.mobility, x) for x in xs])))
         assert sup <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
 
     @given(x=st.floats(-1.0, 4.0))
     @settings(max_examples=200, deadline=None)
     def test_matches_convolution_anywhere(self, x):
-        mob = MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
-        assert marginal_phi_cdf(mob, x) == pytest.approx(oracle_marginal_cdf(mob, x), abs=1e-9)
+        assert marginal_phi_cdf(PAPER.mobility, x) == pytest.approx(oracle_marginal_cdf(x), abs=1e-9)
 
-    def test_monotone_nondecreasing(self, mobility):
-        vals = [marginal_phi_cdf(mobility, x) for x in np.linspace(-0.2, math.pi + 0.2, 500)]
+    def test_monotone_nondecreasing(self):
+        vals = [marginal_phi_cdf(PAPER.mobility, x) for x in np.linspace(-0.2, math.pi + 0.2, 500)]
         assert np.all(np.diff(vals) >= -1e-15)
 
 
 class TestNoisyEstimates:
-    def test_zero_sigma_is_identity(self, mobility):
-        d, mean_phi, phi = snapshot(mobility, 0)
-        est = noisy_estimate_arrays(d, mean_phi, phi, 0.0, 0.0, np.random.default_rng(0))
-        for got, true in zip(est, (d, mean_phi, phi)):
+    def test_zero_sigma_is_identity(self):
+        snap = snapshot(0)
+        user = snap.d, snap.mean_phi, snap.phi
+        est = noisy_estimate_arrays(*user, 0.0, 0.0, np.random.default_rng(0))
+        for got, true in zip(est, user):
             assert np.array_equal(got, true)
 
     def test_gaussian_calibration(self):
@@ -201,7 +181,8 @@ class TestNoisyEstimates:
 
     def test_one_dimensional_draws_unchanged(self):
         # the 1-D call draws exactly what standard_normal(len(d)) three times drew
-        d, mean_phi, phi = snapshot(MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20), 8)
+        snap = snapshot(8)
+        d, mean_phi, phi = snap.d, snap.mean_phi, snap.phi
         d_hat, mean_phi_hat, phi_hat = noisy_estimate_arrays(d, mean_phi, phi, 0.05, 0.04, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         e_d, e_phi, e_mean = (rng.standard_normal(len(d)) for _ in range(3))

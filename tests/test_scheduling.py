@@ -1,14 +1,13 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import PAPER, paper_model, snapshot
 
-from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle, mean_channel_gain
+from vlcnoma.channel import incidence_angle
 from vlcnoma.config import ConfigError, build_experiment, merge
-from vlcnoma.population import MobilityConfig, sample_user_arrays
 from vlcnoma.scheduling import (
     FeedbackKind,
     FeedbackScheme,
@@ -23,23 +22,6 @@ from vlcnoma.scheduling import (
 )
 
 
-@pytest.fixture
-def geom():
-    return LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
-
-
-@pytest.fixture
-def mobility():
-    return MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
-
-
-def snapshot(mobility, geom, seed):
-    """One snapshot's user arrays and true / mean-angle gains, drawn as the simulator draws them."""
-    d, mean_phi, phi = sample_user_arrays(mobility, np.random.default_rng(seed), mobility.num_users)
-    gains, mean_gains = channel_gain(geom, d, phi), mean_channel_gain(geom, d, mean_phi)
-    return SimpleNamespace(d=d, mean_phi=mean_phi, phi=phi, gains=gains, mean_gains=mean_gains)
-
-
 class TestOrderings:
     def test_full_csi_excludes_zeros(self):
         order = order_by_gain_arrays([0.0, 3e-6, 1e-6])
@@ -48,8 +30,8 @@ class TestOrderings:
     def test_full_csi_all_zero(self):
         assert order_by_gain_arrays([0.0, 0.0]).tolist() == []
 
-    def test_full_csi_matches_naive_sort(self, geom, mobility):
-        snap = snapshot(mobility, geom, 0)
+    def test_full_csi_matches_naive_sort(self):
+        snap = snapshot(0)
         order = order_by_gain_arrays(snap.gains)
         naive = sorted((g, i) for i, g in enumerate(snap.gains) if g > 0.0)
         assert order.tolist() == [i for _, i in naive]
@@ -64,45 +46,44 @@ class TestOrderings:
     def test_distance_ties_break_by_index(self):
         assert order_by_distance_array([5.0, 5.0, 1.0]).tolist() == [0, 1, 2]
 
-    def test_distance_keeps_everyone(self, geom, mobility):
-        snap = snapshot(mobility, geom, 1)
+    def test_distance_keeps_everyone(self):
+        snap = snapshot(1)
         order = order_by_distance_array(snap.d)
         assert len(order) == len(snap.d)
         assert order[0] == int(np.argmax(snap.d))
 
-    def test_mean_ordering_equals_full_when_static(self, geom):
-        mob = MobilityConfig.from_degrees(0.0, 10.0, 0.0, 180.0, 0.0, 20)
+    def test_mean_ordering_equals_full_when_static(self):
         for seed in range(20):
-            snap = snapshot(mob, geom, seed)
+            snap = snapshot(seed, paper_model(0.0).mobility)
             assert order_by_gain_arrays(snap.mean_gains).tolist() == order_by_gain_arrays(snap.gains).tolist()
 
-    def test_mean_ordering_differs_when_dynamic(self, geom, mobility):
+    def test_mean_ordering_differs_when_dynamic(self):
         differs = 0
         for seed in range(50):
-            snap = snapshot(mobility, geom, seed)
+            snap = snapshot(seed)
             if order_by_gain_arrays(snap.mean_gains).tolist() != order_by_gain_arrays(snap.gains).tolist():
                 differs += 1
         assert differs > 10
 
-    def test_mean_ordering_can_schedule_dead_user(self, geom, mobility):
+    def test_mean_ordering_can_schedule_dead_user(self):
         # a user ranked by its mean gain may still have zero true gain
         found = False
         for seed in range(200):
-            snap = snapshot(mobility, geom, seed)
+            snap = snapshot(seed)
             order = order_by_gain_arrays(snap.mean_gains)
             if len(order) and np.any(snap.gains[order] == 0.0):
                 found = True
                 break
         assert found
 
-    def test_scale_invariance(self, geom, mobility):
-        snap = snapshot(mobility, geom, 3)
+    def test_scale_invariance(self):
+        snap = snapshot(3)
         assert order_by_gain_arrays(snap.gains).tolist() == order_by_gain_arrays(snap.gains * 17.5).tolist()
         assert order_by_gain_arrays(snap.mean_gains).tolist() == order_by_gain_arrays(snap.mean_gains * 17.5).tolist()
 
-    def test_full_csi_weak_never_stronger(self, geom, mobility):
+    def test_full_csi_weak_never_stronger(self):
         for seed in range(30):
-            snap = snapshot(mobility, geom, seed)
+            snap = snapshot(seed)
             order = order_by_gain_arrays(snap.gains)
             if len(order) >= 10:
                 weak, strong = select_individual(order, 1, 10)
@@ -122,67 +103,66 @@ class TestSelectIndividual:
 
 class TestTwoBitFeedback:
     def scheme(self, kind=FeedbackKind.TWO_BIT_INSTANT):
-        return FeedbackScheme(kind, d_threshold=1.0, theta_threshold=math.radians(5.0))
+        return paper_model(kind=kind).scheme
 
-    def test_boundary_inclusive(self, geom):
+    def test_boundary_inclusive(self):
         scheme = self.scheme()
         # place the receiver so |theta| is exactly the threshold at d = d_th
-        c = math.pi - math.atan2(geom.ell, 1.0)
-        bit_d, bit_t = two_bit_feedback(1.0, c - scheme.theta_threshold, scheme, geom)
+        c = math.pi - math.atan2(PAPER.geom.ell, 1.0)
+        bit_d, bit_t = two_bit_feedback(1.0, c - scheme.theta_threshold, scheme, PAPER.geom)
         assert bool(bit_d) and bool(bit_t)
 
-    def test_weak_signature(self, geom):
+    def test_weak_signature(self):
         scheme = self.scheme()
-        c = math.pi - math.atan2(geom.ell, 5.0)
-        bit_d, bit_t = two_bit_feedback(5.0, c - math.radians(20.0), scheme, geom)
+        c = math.pi - math.atan2(PAPER.geom.ell, 5.0)
+        bit_d, bit_t = two_bit_feedback(5.0, c - math.radians(20.0), scheme, PAPER.geom)
         assert not bool(bit_d) and not bool(bit_t)
 
-    def test_paper_thresholds_inside(self, geom):
+    def test_paper_thresholds_inside(self):
         scheme = self.scheme()
-        c = math.pi - math.atan2(geom.ell, 0.5)
-        bit_d, bit_t = two_bit_feedback(0.5, c - math.radians(3.0), scheme, geom)
+        c = math.pi - math.atan2(PAPER.geom.ell, 0.5)
+        bit_d, bit_t = two_bit_feedback(0.5, c - math.radians(3.0), scheme, PAPER.geom)
         assert bool(bit_d) and bool(bit_t)
 
-    def test_mean_kind_uses_mean_angle(self, geom, mobility):
+    def test_mean_kind_uses_mean_angle(self):
         scheme_i = self.scheme()
         scheme_m = self.scheme(FeedbackKind.TWO_BIT_MEAN)
-        snap = snapshot(mobility, geom, 0)
-        bits_i = two_bit_feedback(snap.d, snap.phi, scheme_i, geom)
-        bits_m = two_bit_feedback(snap.d, snap.mean_phi, scheme_m, geom)
+        snap = snapshot(0)
+        bits_i = two_bit_feedback(snap.d, snap.phi, scheme_i, PAPER.geom)
+        bits_m = two_bit_feedback(snap.d, snap.mean_phi, scheme_m, PAPER.geom)
         assert np.array_equal(bits_i[0], bits_m[0])  # distance bit agrees
-        theta = incidence_angle(snap.d, snap.phi, geom.ell)
-        theta_bar = incidence_angle(snap.d, snap.mean_phi, geom.ell)
+        theta = incidence_angle(snap.d, snap.phi, PAPER.geom.ell)
+        theta_bar = incidence_angle(snap.d, snap.mean_phi, PAPER.geom.ell)
         assert np.array_equal(bits_i[1], np.abs(theta) <= scheme_i.theta_threshold)
         assert np.array_equal(bits_m[1], np.abs(theta_bar) <= scheme_m.theta_threshold)
 
-    def test_static_orientation_kinds_coincide(self, geom):
-        mob = MobilityConfig.from_degrees(0.0, 10.0, 0.0, 180.0, 0.0, 20)
+    def test_static_orientation_kinds_coincide(self):
         for seed in range(20):
-            snap = snapshot(mob, geom, seed)
-            bits_i = two_bit_feedback(snap.d, snap.phi, self.scheme(), geom)
-            bits_m = two_bit_feedback(snap.d, snap.mean_phi, self.scheme(FeedbackKind.TWO_BIT_MEAN), geom)
+            snap = snapshot(seed, paper_model(0.0).mobility)
+            bits_i = two_bit_feedback(snap.d, snap.phi, self.scheme(), PAPER.geom)
+            bits_m = two_bit_feedback(snap.d, snap.mean_phi, self.scheme(FeedbackKind.TWO_BIT_MEAN), PAPER.geom)
             assert np.array_equal(bits_i[1], bits_m[1])
 
-    def test_requires_two_bit_scheme(self, geom):
+    def test_requires_two_bit_scheme(self):
         with pytest.raises(ValueError):
-            two_bit_feedback(1.0, 1.0, FeedbackScheme(FeedbackKind.FULL_CSI), geom)
+            two_bit_feedback(1.0, 1.0, FeedbackScheme(FeedbackKind.FULL_CSI), PAPER.geom)
 
-    def test_membership_implies_conditions(self, geom, mobility):
+    def test_membership_implies_conditions(self):
         scheme = self.scheme()
-        snap = snapshot(mobility, geom, 9)
-        theta = incidence_angle(snap.d, snap.phi, geom.ell)
-        weak, strong = group_users(*two_bit_feedback(snap.d, snap.phi, scheme, geom))
+        snap = snapshot(9)
+        theta = incidence_angle(snap.d, snap.phi, PAPER.geom.ell)
+        weak, strong = group_users(*two_bit_feedback(snap.d, snap.phi, scheme, PAPER.geom))
         assert np.all(snap.d[weak] > scheme.d_threshold)
         assert np.all(np.abs(theta[weak]) > scheme.theta_threshold)
         assert np.all(snap.d[strong] <= scheme.d_threshold)
         assert np.all(np.abs(theta[strong]) <= scheme.theta_threshold)
 
-    def test_mean_membership_discrepancy_bounded(self, geom, mobility):
+    def test_mean_membership_discrepancy_bounded(self):
         scheme = self.scheme(FeedbackKind.TWO_BIT_MEAN)
-        snap = snapshot(mobility, geom, 10)
-        theta = incidence_angle(snap.d, snap.phi, geom.ell)
-        theta_bar = incidence_angle(snap.d, snap.mean_phi, geom.ell)
-        assert np.all(np.abs(theta - theta_bar) <= mobility.delta_phi + 1e-12)
+        snap = snapshot(10)
+        theta = incidence_angle(snap.d, snap.phi, PAPER.geom.ell)
+        theta_bar = incidence_angle(snap.d, snap.mean_phi, PAPER.geom.ell)
+        assert np.all(np.abs(theta - theta_bar) <= PAPER.mobility.delta_phi + 1e-12)
 
 
 class TestGrouping:

@@ -1,47 +1,26 @@
+import concurrent.futures
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import PAPER, paper_model
 
 from vlcnoma import analytic as an
-from vlcnoma.analytic import AnalyticModel
-from vlcnoma.channel import LedGeometry
 from vlcnoma.config import ConfigError, build_experiment, merge
-from vlcnoma.link import NomaConfig, eta_thresholds
-from vlcnoma.population import MobilityConfig
-from vlcnoma.scheduling import FeedbackKind, FeedbackScheme
-from vlcnoma.simulate import (
-    EmpiricalCdf,
-    ExperimentConfig,
-    NoiseConfig,
-    collect_records,
-    run_sweep,
-    trial_rng,
-)
+from vlcnoma.link import eta_thresholds
+from vlcnoma.scheduling import FeedbackKind
+from vlcnoma.simulate import EmpiricalCdf, NoiseConfig, collect_records, run_sweep, trial_rng
 
-GEOM = LedGeometry.from_degrees(2.0, 60.0, 1e-4, 50.0)
-MOB = MobilityConfig.from_degrees(0.0, 10.0, 25.0, 155.0, 25.0, 20)
-NOMA = NomaConfig(63.0 / 64.0, 2.0, 10.0)
-INDIVIDUAL = (
-    FeedbackScheme(FeedbackKind.FULL_CSI),
-    FeedbackScheme(FeedbackKind.MEAN_ANGLE),
-    FeedbackScheme(FeedbackKind.DISTANCE_ONLY),
-)
+SCHEMES = tuple(paper_model(kind=kind).scheme for kind in FeedbackKind)  # with the thresholds the CLI gives them
+INDIVIDUAL, GROUP = SCHEMES[:3], SCHEMES[3:]  # full CSI, mean angle, distance; two-bit instant, two-bit mean, one-bit
+# the paper experiment with the individual schemes, at a small size
+SMALL = replace(PAPER, schemes=INDIVIDUAL, gamma_db_grid=(160.0, 185.0, 215.0), trials=4000, root_seed=123)
 
 
 def make_config(**kw):
-    defaults = dict(
-        geom=GEOM,
-        mobility=MOB,
-        noma=NOMA,
-        schemes=INDIVIDUAL,
-        gamma_db_grid=(160.0, 185.0, 215.0),
-        trials=4000,
-        root_seed=123,
-    )
-    defaults.update(kw)
-    return ExperimentConfig(**defaults)
+    return replace(SMALL, **kw)
 
 
 class TestTrials:
@@ -70,7 +49,7 @@ class TestTrials:
         config = make_config(trials=300)
         records = collect_records(config)
         rec = records[FeedbackKind.FULL_CSI]
-        eta_weak, eta_strong = eta_thresholds(NOMA, 10.0 ** (230.0 / 10.0))
+        eta_weak, eta_strong = eta_thresholds(config.noma, 10.0 ** (230.0 / 10.0))
         ok = rec.scheduled
         assert ok.any()
         assert np.all(rec.h2_weak[ok] > eta_weak)
@@ -84,24 +63,15 @@ class TestTrials:
     def test_noise_only_touches_feedback(self):
         # zero-sigma noise reproduces the feedback exactly; group picks are drawn
         # before the noise, so no scheme's records may change
-        schemes = INDIVIDUAL + (
-            FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, math.radians(5.0)),
-            FeedbackScheme(FeedbackKind.TWO_BIT_MEAN, 1.0, math.radians(5.0)),
-            FeedbackScheme(FeedbackKind.ONE_BIT_DISTANCE, 1.0),
-        )
-        base = collect_records(make_config(schemes=schemes, trials=500))
-        noisy = collect_records(make_config(schemes=schemes, trials=500, noise=NoiseConfig(sigma_d=0.0, sigma_phi=0.0)))
+        base = collect_records(make_config(schemes=SCHEMES, trials=500))
+        noisy = collect_records(make_config(schemes=SCHEMES, trials=500, noise=NoiseConfig(sigma_d=0.0, sigma_phi=0.0)))
         for kind in base:
             assert np.array_equal(base[kind].scheduled, noisy[kind].scheduled)
             assert np.array_equal(base[kind].h2_weak, noisy[kind].h2_weak)
             assert np.array_equal(base[kind].h2_strong, noisy[kind].h2_strong)
 
     def test_group_trial_records(self):
-        schemes = (
-            FeedbackScheme(FeedbackKind.TWO_BIT_INSTANT, 1.0, math.radians(5.0)),
-            FeedbackScheme(FeedbackKind.ONE_BIT_DISTANCE, 1.0),
-        )
-        config = make_config(schemes=schemes, trials=300)
+        config = make_config(schemes=(GROUP[0], GROUP[2]), trials=300)
         records = collect_records(config)
         two_bit = records[FeedbackKind.TWO_BIT_INSTANT]
         assert 0.05 < two_bit.scheduled.mean() < 0.3  # both-groups-formed fraction
@@ -119,9 +89,39 @@ class TestParallelism:
             assert np.array_equal(serial[kind].h2_weak, parallel[kind].h2_weak)
             assert np.array_equal(serial[kind].h2_strong, parallel[kind].h2_strong)
 
+    @pytest.mark.parametrize("workers,trials,cpus,pool", [
+        (4, 9000, 8, 3),  # 3 chunks
+        (64, 5000, 64, 2),  # 2 chunks
+        (4, 9000, 2, 2),
+        (4, 9000, 1, None),  # one process in all: the chunks run here
+        (4, 9000, None, 3),  # no affinity set: the CPU count, 8, binds none
+    ])
+    def test_pool_is_no_larger_than_its_work(self, monkeypatch, workers, trials, cpus, pool):
+        # a forked pool starts every worker on its first submit, so max_workers is the count of processes started
+        started = []
+
+        class SerialPool(concurrent.futures.ThreadPoolExecutor):  # one thread: the chunks map in turn, no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        config = make_config(trials=trials)
+        pooled = collect_records(replace(config, workers=workers))
+        assert started == ([] if pool is None else [pool])
+        for kind, serial in collect_records(config).items():
+            assert np.array_equal(serial.scheduled, pooled[kind].scheduled)
+            assert np.array_equal(serial.h2_weak, pooled[kind].h2_weak)
+            assert np.array_equal(serial.h2_strong, pooled[kind].h2_strong)
+
     def test_records_are_a_prefix_of_longer_runs(self):
         # a trial's outcome depends on (seed, trial index) only, not on the trial count
-        schemes = INDIVIDUAL + (FeedbackScheme(FeedbackKind.ONE_BIT_DISTANCE, 1.0),)
+        schemes = INDIVIDUAL + GROUP[2:]
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=math.radians(2.5))
         short = collect_records(make_config(schemes=schemes, noise=noise, trials=5000))
         long = collect_records(make_config(schemes=schemes, noise=noise, trials=8192))
@@ -170,15 +170,14 @@ class TestSweepStatistics:
     def test_conditioning_rate_matches_tail(self):
         config = make_config(trials=60_000)
         curves = run_sweep(config)
-        model = AnalyticModel(geom=GEOM, mobility=MOB)
-        pred = an.nonzero_count_tail(model, 10)
+        pred = an.nonzero_count_tail(paper_model(), 10)
         got = curves["noma-full-csi"][0].conditioning_rate
         assert got == pytest.approx(pred, abs=3.0 * math.sqrt(pred * (1 - pred) / config.trials))
 
     def test_ci_calibration_against_analytic(self):
         # repeated small sweeps: the analytic value must land inside the 95% CI
         # in at least 90% of repetitions
-        model = AnalyticModel(geom=GEOM, mobility=MOB)
+        model = paper_model()
         gamma_db = 160.0
         truth = None
         hits = 0
@@ -187,7 +186,7 @@ class TestSweepStatistics:
             config = make_config(trials=3000, gamma_db_grid=(gamma_db,), schemes=(INDIVIDUAL[0],), root_seed=500 + rep)
             pt = run_sweep(config)["noma-full-csi"][0]
             if truth is None:
-                eta_weak, eta_strong = eta_thresholds(NOMA, np.array([10.0 ** (gamma_db / 10.0)]))
+                eta_weak, eta_strong = eta_thresholds(config.noma, np.array([10.0 ** (gamma_db / 10.0)]))
                 _, weak, strong = an.ROUTES[FeedbackKind.FULL_CSI](model, 1, 10)
                 (pw, _), (ps, _) = weak(eta_weak), strong(eta_strong)
                 truth = (1.0 - pw[0]) * 2.0 + (1.0 - ps[0]) * 10.0
