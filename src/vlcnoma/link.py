@@ -83,11 +83,6 @@ def eta_thresholds(noma, gamma):
     return eta_weak, np.maximum(eta_weak, (noma.eps_strong / gamma) / noma.share_strong)
 
 
-def noma_pair_outcome(h_weak_sq, h_strong_sq, eta_weak, eta_strong):
-    """(weak_in_outage, strong_in_outage); success requires strictly exceeding eta."""
-    return np.asarray(h_weak_sq, float) <= eta_weak, np.asarray(h_strong_sq, float) <= eta_strong
-
-
 def noma_sum_rate(outage_probs, noma):
     """Sum over the pair of (1 - outage) * target rate."""
     p_weak, p_strong = outage_probs

@@ -12,10 +12,12 @@ prefix of any longer run with the same seed, and results are bitwise
 identical for any worker count.  Picks are drawn before noise, so a zero-sigma
 noise model reproduces the noiseless records of every scheme.
 
-Gains do not depend on the transmit SNR, so one pass over the trials collects
-the scheduled pair's squared gains per scheme and every grid point reuses
-them; the conditional outage frequencies then exclude trials whose scheduling
-precondition failed (too few ranked candidates, or an empty candidate group).
+Gains do not depend on the transmit SNR, so each chunk reduces its trials, per
+curve and grid point, to four integer counts: the trials kept (the scheduling
+precondition held: enough ranked candidates, or both candidate groups
+nonempty), and among them the weak, strong and both-slot successes.  The run
+keeps one running sum of them, and the conditional sum rates, outage
+frequencies and CIs are functions of the summed counts.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import LedGeometry, channel_gain, mean_channel_gain
-from .link import CurvePoint, NomaConfig, eta_thresholds, noma_pair_outcome, oma_gain_thresholds
+from .link import CurvePoint, NomaConfig, eta_thresholds, oma_gain_thresholds
 from .population import MobilityConfig, noisy_estimate_arrays, sample_user_arrays
 from .scheduling import (
     FeedbackKind,
@@ -127,15 +129,8 @@ def run_trial(config, users, reports, picks):
     return record
 
 
-@dataclass
-class _Records:
-    scheduled: np.ndarray
-    h2_weak: np.ndarray
-    h2_strong: np.ndarray
-
-
 def _collect_chunk(config, start, stop):
-    """Records of trials [start, stop); start is a chunk boundary (see the module docstring)."""
+    """Rows (scheduled, h2 weak, h2 strong) of trials [start, stop) per scheme; start is a chunk boundary."""
     mob = config.mobility
     rng = trial_rng(config.root_seed, start // _CHUNK)
     users = sample_user_arrays(mob, rng, (_CHUNK, mob.num_users))
@@ -150,24 +145,43 @@ def _collect_chunk(config, start, stop):
     return out
 
 
-def collect_records(config):
-    """Scheduled-pair squared gains for every trial, per scheme kind.
+def _success_counts(rows, thresholds):
+    """(kept, weak, strong and both-slot successes) at each of a curve's G grid points, as a (4, G) int64 array.
 
-    Trials are processed in fixed chunks; ``config.workers`` only changes who
-    computes a chunk, never its contents, so results are bitwise stable.  A
-    forked pool starts all its workers at once, so it gets no more than there
-    are chunks and CPUs this process may run on.
+    ``rows`` are one scheme's (scheduled, h2 weak, h2 strong) trial rows and
+    ``thresholds`` the curve's (eta_weak, eta_strong) arrays, which never rise
+    along the grid.  A slot succeeds where h2 > eta, so its successes form a
+    suffix of the grid that starts after the thresholds >= h2.
+    """
+    kept, grid = rows[rows[:, 0] != 0.0], len(thresholds[0])
+    first = [np.searchsorted(-eta, -kept[:, slot], side="right") for slot, eta in enumerate(thresholds, 1)]
+    first.append(np.maximum(*first))
+    return np.stack([np.full(grid, len(kept)), *(np.cumsum(np.bincount(f, minlength=grid + 1))[:grid] for f in first)])
+
+
+def _count_chunk(config, start, stop):
+    """Success counts of trials [start, stop) per curve of ``config.curves``, as a (curves, 4, G) int64 array."""
+    rows = _collect_chunk(config, start, stop)
+    column = {s.kind: j for j, s in enumerate(config.schemes)}
+    return np.stack([_success_counts(rows[:, column[kind]], thresholds) for _, kind, thresholds in config.curves])
+
+
+def collect_records(config):
+    """Success counts of all trials per curve of ``config.curves``: the sum of every chunk's ``_count_chunk``.
+
+    Each chunk's counts join the sum as they arrive, so memory does not grow
+    with the trial count; ``config.workers`` only changes who counts a chunk,
+    and integer sums do not depend on their order.  A forked pool starts all
+    its workers at once, so it gets no more than there are chunks and CPUs
+    this process may run on.
     """
     spans = [(s, min(s + _CHUNK, config.trials)) for s in range(0, config.trials, _CHUNK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(config.workers, len(spans), cpus)
     if workers <= 1:
-        chunks = [_collect_chunk(config, a, b) for a, b in spans]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_collect_chunk, [config] * len(spans), *zip(*spans)))
-    out = np.concatenate(chunks)
-    return {s.kind: _Records(out[:, j, 0] != 0.0, out[:, j, 1], out[:, j, 2]) for j, s in enumerate(config.schemes)}
+        return sum(_count_chunk(config, a, b) for a, b in spans)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(_count_chunk, [config] * len(spans), *zip(*spans)))
 
 
 def _bernoulli_ci_bound(noma, n):
@@ -176,35 +190,21 @@ def _bernoulli_ci_bound(noma, n):
     return 1.96 * np.sqrt(var / max(n, 1))
 
 
-def _curve(config, records, thresholds):
-    noma, mask = config.noma, records.scheduled
-    n_cond = int(mask.sum())
-    cond_rate = n_cond / config.trials
-    h2_weak, h2_strong = records.h2_weak[mask], records.h2_strong[mask]
-    points = []
-    for gamma_db, eta_weak, eta_strong in zip(config.gamma_db_grid, *thresholds):
-        if n_cond == 0:
-            points.append(CurvePoint(gamma_db, 0.0, _bernoulli_ci_bound(noma, 0), 1.0, 1.0, 0.0))
-            continue
-        weak_out, strong_out = noma_pair_outcome(h2_weak, h2_strong, eta_weak, eta_strong)
-        ok_weak, ok_strong = ~weak_out, ~strong_out
-        per_trial_rate = ok_weak * noma.rate_weak + ok_strong * noma.rate_strong
-        sum_rate = float(per_trial_rate.mean())
-        if n_cond >= 2:
-            ci = 1.96 * float(per_trial_rate.std(ddof=1)) / np.sqrt(n_cond)
-        else:
-            ci = _bernoulli_ci_bound(noma, n_cond)
-        points.append(
-            CurvePoint(
-                gamma_db=float(gamma_db),
-                sum_rate=sum_rate,
-                ci_halfwidth=float(ci),
-                outage_weak=float(1.0 - ok_weak.mean()),
-                outage_strong=float(1.0 - ok_strong.mean()),
-                conditioning_rate=cond_rate,
-            )
-        )
-    return points
+def _curve(config, counts):
+    """The curve's points from its (4, G) success counts; with no kept trial it reads as all outage."""
+    noma = config.noma
+    kept, weak, strong, both = counts
+    n = int(kept[0])
+    m = max(n, 1)
+    sum_rate = (weak * noma.rate_weak + strong * noma.rate_strong) / m
+    if n >= 2:  # the per-trial rate takes four values, each with its count
+        rates = np.array([[0.0], [noma.rate_weak], [noma.rate_strong], [noma.rate_weak + noma.rate_strong]])
+        classes = np.stack([n - weak - strong + both, weak - both, strong - both, both])
+        ci = 1.96 * np.sqrt((classes * (rates - sum_rate) ** 2).sum(axis=0) / (n - 1)) / np.sqrt(n)
+    else:
+        ci = np.full(len(weak), _bernoulli_ci_bound(noma, n))
+    columns = zip(config.gamma_db_grid, sum_rate, ci, 1.0 - weak / m, 1.0 - strong / m)
+    return [CurvePoint(*map(float, point), n / config.trials) for point in columns]
 
 
 def run_sweep(config):
@@ -214,8 +214,8 @@ def run_sweep(config):
     precondition of each scheme (enough ranked candidates, or both candidate
     groups nonempty); conditioning_rate reports the fraction of trials kept.
     """
-    records = collect_records(config)
-    return {label: _curve(config, records[kind], thresholds) for label, kind, thresholds in config.curves}
+    counts = collect_records(config)
+    return {label: _curve(config, c) for (label, _, _), c in zip(config.curves, counts)}
 
 
 class EmpiricalCdf:

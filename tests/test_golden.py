@@ -4,7 +4,8 @@ A refactor that claims to keep results identical must keep these hashes.  A
 change that alters results on purpose (a new random-stream version, a new
 quadrature rule) updates the hashes in the same commit and says why.  The
 simulate hashes are those of random-stream version 2 (one stream per chunk of
-trials, ``simulate.STREAM_VERSION``).  Both commands write each run group's
+trials, ``simulate.STREAM_VERSION``) and of points built from summed success
+counts (``simulate._curve``).  Both commands write each run group's
 rows sorted by curve label; the analytic hashes are those of that order.
 ``VALIDATE_QUICK`` is the hash of the ``validate --quick --out`` JSON report
 (32 checks, all passing), which holds every check's measured value to the
@@ -19,9 +20,9 @@ import pytest
 from vlcnoma.cli import main
 
 GOLDEN = {
-    ("simulate", "fig2"): "5ce190141531f7f1aca1ba352e4366ae2141c78a60ff0976beaea64090667e29",
-    ("simulate", "fig3"): "3853191a854f7d5abea81518d393b84539b3cbee7682c2004723910058c65ff3",
-    ("simulate", "fig4"): "5f92074ab095c4cc24a29c38223caf3cfe112cbc805305878985080762da053d",
+    ("simulate", "fig2"): "139c92006a8509bea1a383096ff0e1b78d8ee862ff81da01243d379b1be8bcf2",
+    ("simulate", "fig3"): "565c057d099d73322fece48bedefcc4f60319244710c8508a58a77b7892c521c",
+    ("simulate", "fig4"): "6a66d5c160af9b501c89adf2c83c0b1a7b678a819799767e66a3031c7cbba4fb",
     ("analytic", "fig2"): "7642da7fef05e596afc329c5d6fc5f34d100a43a71c6e6927cb01e78d67c0d13",
     ("analytic", "fig3"): "827fb0b5ab833b160f3210ecf67993339f46ab46b7aed892b0e9699f0f38d643",
 }

@@ -12,10 +12,10 @@ from vlcnoma.link import (
     NomaConfig,
     epsilon_threshold,
     eta_thresholds,
-    noma_pair_outcome,
     noma_sum_rate,
     oma_gain_thresholds,
 )
+from vlcnoma.simulate import _success_counts
 
 
 class TestSinr:
@@ -107,43 +107,48 @@ class TestEtaThresholds:
         assert np.all(eta_strong >= eta_weak)
 
 
+def success_counts(h2_weak, h2_strong, thresholds):
+    """The simulator's count reduction, (kept, weak, strong, both successes) at each grid point, of kept trials."""
+    return _success_counts(np.column_stack((np.ones(len(h2_weak)), h2_weak, h2_strong)), thresholds)
+
+
 class TestPairOutcome:
     def test_zero_gains_both_outage(self):
-        thr = eta_thresholds(PAPER.noma, 1e15)
-        assert noma_pair_outcome(0.0, 0.0, *thr) == (True, True)
+        thr = eta_thresholds(PAPER.noma, np.array([1e15]))
+        assert success_counts(np.zeros(1), np.zeros(1), thr).tolist() == [[1], [0], [0], [0]]
 
     def test_double_threshold_succeeds(self):
-        eta_weak, eta_strong = eta_thresholds(PAPER.noma, 1e15)
-        assert noma_pair_outcome(2.0 * eta_weak, 2.0 * eta_strong, eta_weak, eta_strong) == (False, False)
+        eta_weak, eta_strong = eta_thresholds(PAPER.noma, np.array([1e15]))
+        assert success_counts(2.0 * eta_weak, 2.0 * eta_strong, (eta_weak, eta_strong)).tolist() == [[1], [1], [1], [1]]
 
     def test_equality_counts_as_outage(self):
-        eta_weak, eta_strong = eta_thresholds(PAPER.noma, 1e15)
-        assert noma_pair_outcome(eta_weak, eta_strong, eta_weak, eta_strong) == (True, True)
+        # gains equal to the thresholds of the middle grid point fail there and succeed from the next point on
+        eta_weak, eta_strong = eta_thresholds(PAPER.noma, np.array([1e14, 1e15, 1e16]))
+        counts = success_counts(eta_weak[1:2], eta_strong[1:2], (eta_weak, eta_strong))
+        assert counts.tolist() == [[1, 1, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1]]
 
     def test_gamma_monotonicity_never_creates_outage(self):
+        # trial by trial, a slot that succeeds at one SNR succeeds at every higher one
         rng = np.random.default_rng(0)
         h_w = 10.0 ** rng.uniform(-15, -10, 2000)
         h_s = 10.0 ** rng.uniform(-15, -10, 2000)
-        lo = noma_pair_outcome(h_w, h_s, *eta_thresholds(PAPER.noma, 1e14))
-        hi = noma_pair_outcome(h_w, h_s, *eta_thresholds(PAPER.noma, 1e15))
-        assert not np.any(~lo[0] & hi[0])
-        assert not np.any(~lo[1] & hi[1])
+        thr = eta_thresholds(PAPER.noma, np.geomspace(1e13, 1e16, 7))
+        for i in range(2000):
+            counts = success_counts(h_w[i : i + 1], h_s[i : i + 1], thr)
+            assert np.all(np.diff(counts[1:], axis=1) >= 0)
 
     def test_matches_rate_conditions_brute_force(self):
-        # independent oracle: evaluate the SIC rate conditions directly
+        # independent oracle: evaluate the SIC rate conditions directly, at every grid point
         rng = np.random.default_rng(1)
         n = 20_000
         h_w = 10.0 ** rng.uniform(-16, -9, n)
         h_s = 10.0 ** rng.uniform(-16, -9, n)
-        gammas = 10.0 ** rng.uniform(12, 21, n)
-        for i in range(0, n, 1000):
-            gamma = float(gammas[i])
-            thr = eta_thresholds(PAPER.noma, gamma)
-            hw, hs = h_w[i : i + 1000], h_s[i : i + 1000]
-            weak_out, strong_out = noma_pair_outcome(hw, hs, *thr)
-            weak_rate_ok, strong_rate_ok = sic_success(hw, hs, PAPER.noma, gamma)
-            assert np.array_equal(weak_out, ~weak_rate_ok)
-            assert np.array_equal(strong_out, ~strong_rate_ok)
+        gammas = np.sort(10.0 ** rng.uniform(12, 21, 20))
+        kept, weak, strong, both = success_counts(h_w, h_s, eta_thresholds(PAPER.noma, gammas))
+        assert np.all(kept == n)
+        for g, gamma in enumerate(gammas):
+            weak_rate_ok, strong_rate_ok = sic_success(h_w, h_s, PAPER.noma, gamma)
+            assert (weak[g], strong[g], both[g]) == (weak_rate_ok.sum(), strong_rate_ok.sum(), (weak_rate_ok & strong_rate_ok).sum())
 
 
 class TestSumRates:

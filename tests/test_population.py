@@ -17,8 +17,8 @@ from vlcnoma.population import (
     noisy_estimate_arrays,
     sample_user_arrays,
 )
-from vlcnoma.scheduling import FeedbackKind, order_by_gain_arrays
-from vlcnoma.simulate import _CHUNK, collect_records, trial_rng
+from vlcnoma.scheduling import order_by_gain_arrays
+from vlcnoma.simulate import _CHUNK, _collect_chunk, trial_rng
 
 
 def oracle_marginal_cdf(x, mobility=PAPER.mobility):
@@ -62,13 +62,13 @@ class TestSampling:
 
     def test_gains_consistent_with_channel(self):
         # trial t records the channel's squared gains of the users in row t of its chunk's draws
-        records = collect_records(replace(PAPER, trials=10, root_seed=5))[FeedbackKind.FULL_CSI]
+        rows = _collect_chunk(replace(PAPER, trials=10, root_seed=5), 0, 10)[:, 0]  # the one scheme, full CSI
         d_chunk, _, phi_chunk = sample_user_arrays(PAPER.mobility, trial_rng(5, 0), (_CHUNK, PAPER.mobility.num_users))
         scheduled_trials = 0
         for t in range(10):
             gains = channel_gain(PAPER.geom, d_chunk[t], phi_chunk[t])
             order = order_by_gain_arrays(gains)
-            scheduled, h2_weak, h2_strong = records.scheduled[t], records.h2_weak[t], records.h2_strong[t]
+            scheduled, h2_weak, h2_strong = rows[t]
             assert scheduled == (len(order) >= 10)
             if scheduled:
                 scheduled_trials += 1

@@ -1,17 +1,31 @@
 import concurrent.futures
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from helpers import PAPER, paper_model
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlcnoma import analytic as an
+from vlcnoma import simulate
 from vlcnoma.config import ConfigError, build_experiment, merge
-from vlcnoma.link import eta_thresholds
+from vlcnoma.link import CurvePoint, NomaConfig, eta_thresholds
 from vlcnoma.scheduling import FeedbackKind
-from vlcnoma.simulate import EmpiricalCdf, NoiseConfig, collect_records, run_sweep, trial_rng
+from vlcnoma.simulate import (
+    _CHUNK,
+    EmpiricalCdf,
+    NoiseConfig,
+    _collect_chunk,
+    _curve,
+    _success_counts,
+    collect_records,
+    run_sweep,
+    trial_rng,
+)
 
 SCHEMES = tuple(paper_model(kind=kind).scheme for kind in FeedbackKind)  # with the thresholds the CLI gives them
 INDIVIDUAL, GROUP = SCHEMES[:3], SCHEMES[3:]  # full CSI, mean angle, distance; two-bit instant, two-bit mean, one-bit
@@ -23,17 +37,23 @@ def make_config(**kw):
     return replace(SMALL, **kw)
 
 
+def trial_records(config):
+    """(scheduled, h2 weak, h2 strong) of every trial, keyed by scheme kind, from the rows each chunk computes."""
+    spans = [(a, min(a + _CHUNK, config.trials)) for a in range(0, config.trials, _CHUNK)]
+    rows = np.concatenate([_collect_chunk(config, a, b) for a, b in spans])
+    return {s.kind: (rows[:, j, 0] != 0.0, rows[:, j, 1], rows[:, j, 2]) for j, s in enumerate(config.schemes)}
+
+
 class TestTrials:
     def test_deterministic_in_seed_and_index(self):
         # trial 17's record is the same in runs of different lengths, and differs
         # from trial 18's and from trial 17 under another seed
         def trial(records, t):
-            rec = records[FeedbackKind.DISTANCE_ONLY]  # always scheduled
-            return rec.scheduled[t], rec.h2_weak[t], rec.h2_strong[t]
+            return tuple(column[t] for column in records[FeedbackKind.DISTANCE_ONLY])  # always scheduled
 
-        short = collect_records(make_config(trials=20))
-        long = collect_records(make_config(trials=40))
-        other_seed = collect_records(make_config(trials=20, root_seed=124))
+        short = trial_records(make_config(trials=20))
+        long = trial_records(make_config(trials=40))
+        other_seed = trial_records(make_config(trials=20, root_seed=124))
         assert trial(short, 17) == trial(long, 17)
         assert trial(short, 17) != trial(short, 18)
         assert trial(short, 17) != trial(other_seed, 17)
@@ -47,47 +67,42 @@ class TestTrials:
 
     def test_high_snr_full_csi_succeeds_when_scheduled(self):
         config = make_config(trials=300)
-        records = collect_records(config)
-        rec = records[FeedbackKind.FULL_CSI]
+        ok, h2_weak, h2_strong = trial_records(config)[FeedbackKind.FULL_CSI]
         eta_weak, eta_strong = eta_thresholds(config.noma, 10.0 ** (230.0 / 10.0))
-        ok = rec.scheduled
         assert ok.any()
-        assert np.all(rec.h2_weak[ok] > eta_weak)
-        assert np.all(rec.h2_strong[ok] > eta_strong)
+        assert np.all(h2_weak[ok] > eta_weak)
+        assert np.all(h2_strong[ok] > eta_strong)
 
     def test_distance_scheme_always_schedules(self):
         config = make_config(trials=200)
-        records = collect_records(config)
-        assert np.all(records[FeedbackKind.DISTANCE_ONLY].scheduled)
+        scheduled, _, _ = trial_records(config)[FeedbackKind.DISTANCE_ONLY]
+        assert np.all(scheduled)
 
     def test_noise_only_touches_feedback(self):
         # zero-sigma noise reproduces the feedback exactly; group picks are drawn
         # before the noise, so no scheme's records may change
-        base = collect_records(make_config(schemes=SCHEMES, trials=500))
-        noisy = collect_records(make_config(schemes=SCHEMES, trials=500, noise=NoiseConfig(sigma_d=0.0, sigma_phi=0.0)))
-        for kind in base:
-            assert np.array_equal(base[kind].scheduled, noisy[kind].scheduled)
-            assert np.array_equal(base[kind].h2_weak, noisy[kind].h2_weak)
-            assert np.array_equal(base[kind].h2_strong, noisy[kind].h2_strong)
+        base = make_config(schemes=SCHEMES, trials=500)
+        noisy = replace(base, noise=NoiseConfig(sigma_d=0.0, sigma_phi=0.0))
+        assert _collect_chunk(base, 0, 500).tobytes() == _collect_chunk(noisy, 0, 500).tobytes()
+        assert np.array_equal(collect_records(base), collect_records(noisy))
 
     def test_group_trial_records(self):
         config = make_config(schemes=(GROUP[0], GROUP[2]), trials=300)
-        records = collect_records(config)
-        two_bit = records[FeedbackKind.TWO_BIT_INSTANT]
-        assert 0.05 < two_bit.scheduled.mean() < 0.3  # both-groups-formed fraction
-        one_bit = records[FeedbackKind.ONE_BIT_DISTANCE]
-        assert one_bit.scheduled.mean() > 0.8
+        records = trial_records(config)
+        two_bit, _, _ = records[FeedbackKind.TWO_BIT_INSTANT]
+        assert 0.05 < two_bit.mean() < 0.3  # both-groups-formed fraction
+        one_bit, _, _ = records[FeedbackKind.ONE_BIT_DISTANCE]
+        assert one_bit.mean() > 0.8
 
 
 class TestParallelism:
     def test_worker_count_is_bitwise_invariant(self):
-        config = make_config(trials=9000)
+        # the summed counts, and so every curve, are the same from this process and from a pool
+        config = make_config(trials=9000, gamma_db_grid=tuple(np.arange(150.0, 230.0, 2.5)))
         serial = collect_records(replace(config, workers=1))
         parallel = collect_records(replace(config, workers=3))
-        for kind in serial:
-            assert np.array_equal(serial[kind].scheduled, parallel[kind].scheduled)
-            assert np.array_equal(serial[kind].h2_weak, parallel[kind].h2_weak)
-            assert np.array_equal(serial[kind].h2_strong, parallel[kind].h2_strong)
+        assert serial.dtype == parallel.dtype == np.int64
+        assert serial.tobytes() == parallel.tobytes()
 
     @pytest.mark.parametrize("workers,trials,cpus,pool", [
         (4, 9000, 8, 3),  # 3 chunks
@@ -114,27 +129,120 @@ class TestParallelism:
         config = make_config(trials=trials)
         pooled = collect_records(replace(config, workers=workers))
         assert started == ([] if pool is None else [pool])
-        for kind, serial in collect_records(config).items():
-            assert np.array_equal(serial.scheduled, pooled[kind].scheduled)
-            assert np.array_equal(serial.h2_weak, pooled[kind].h2_weak)
-            assert np.array_equal(serial.h2_strong, pooled[kind].h2_strong)
+        assert collect_records(config).tobytes() == pooled.tobytes()
 
     def test_records_are_a_prefix_of_longer_runs(self):
         # a trial's outcome depends on (seed, trial index) only, not on the trial count
         schemes = INDIVIDUAL + GROUP[2:]
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=math.radians(2.5))
-        short = collect_records(make_config(schemes=schemes, noise=noise, trials=5000))
-        long = collect_records(make_config(schemes=schemes, noise=noise, trials=8192))
-        for kind in short:
-            assert np.array_equal(short[kind].scheduled, long[kind].scheduled[:5000])
-            assert np.array_equal(short[kind].h2_weak, long[kind].h2_weak[:5000])
-            assert np.array_equal(short[kind].h2_strong, long[kind].h2_strong[:5000])
+        short = make_config(schemes=schemes, noise=noise, trials=5000)
+        long = replace(short, trials=8192)
+        assert _collect_chunk(short, 0, _CHUNK).tobytes() == _collect_chunk(long, 0, _CHUNK).tobytes()
+        assert _collect_chunk(short, _CHUNK, 5000).tobytes() == _collect_chunk(long, _CHUNK, 8192)[: 5000 - _CHUNK].tobytes()
 
     def test_sweep_reproducible(self):
         config = make_config(trials=2000)
         a = run_sweep(config)
         b = run_sweep(config)
         assert a == b
+
+
+def parent_curve(config, scheduled, h2_weak, h2_strong, thresholds):
+    """The curve as it was built from per-trial records before the count reduction: a pass over the kept trials per point."""
+    noma, mask = config.noma, scheduled
+    n_cond = int(mask.sum())
+    cond_rate = n_cond / config.trials
+    h2_weak, h2_strong = h2_weak[mask], h2_strong[mask]
+    points = []
+    for gamma_db, eta_weak, eta_strong in zip(config.gamma_db_grid, *thresholds):
+        if n_cond == 0:
+            points.append(CurvePoint(gamma_db, 0.0, simulate._bernoulli_ci_bound(noma, 0), 1.0, 1.0, 0.0))
+            continue
+        ok_weak, ok_strong = ~(h2_weak <= eta_weak), ~(h2_strong <= eta_strong)
+        per_trial_rate = ok_weak * noma.rate_weak + ok_strong * noma.rate_strong
+        if n_cond >= 2:
+            ci = 1.96 * float(per_trial_rate.std(ddof=1)) / np.sqrt(n_cond)
+        else:
+            ci = simulate._bernoulli_ci_bound(noma, n_cond)
+        points.append(CurvePoint(float(gamma_db), float(per_trial_rate.mean()), float(ci), float(1.0 - ok_weak.mean()),
+                                 float(1.0 - ok_strong.mean()), cond_rate))
+    return points
+
+
+@st.composite
+def kept_trials(draw):
+    """A config, one of its curves' thresholds, and records whose gains include zeros and exact thresholds."""
+    rate_weak, rate_strong = draw(st.sampled_from([(2.0, 10.0), (1.3, 7.7), (0.5, 0.5)]))
+    steps = draw(st.lists(st.floats(0.01, 15.0), min_size=0, max_size=10))
+    grid = tuple(np.cumsum([draw(st.floats(130.0, 220.0)), *steps]))
+    kept = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 40)))
+    dropped = draw(st.integers(1 if kept == 0 else 0, 4))
+    config = replace(SMALL, noma=NomaConfig(PAPER.noma.share_weak, rate_weak, rate_strong), gamma_db_grid=grid,
+                     schemes=(INDIVIDUAL[0],), trials=kept + dropped)
+    thresholds = config.curves[draw(st.sampled_from([0, 1]))][2]  # the NOMA or the OMA curve
+    exact = np.concatenate(thresholds).tolist()
+    lo, hi = float(np.min(exact)) / 10.0, float(np.max(exact)) * 10.0
+    gain = st.one_of(st.just(0.0), st.sampled_from(exact), st.floats(lo, hi))
+    h2 = np.array(draw(st.lists(st.tuples(gain, gain), min_size=kept, max_size=kept)), float).reshape(kept, 2)
+    order = np.array(draw(st.permutations(range(kept + dropped))), int)
+    scheduled = (np.arange(kept + dropped) < kept)[order]
+    h2_weak, h2_strong = (np.concatenate([h2[:, slot], np.zeros(dropped)])[order] for slot in (0, 1))  # dropped read 0
+    return config, thresholds, scheduled, h2_weak, h2_strong
+
+
+class TestSuccessCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(case=kept_trials())
+    def test_counts_and_curve_match_brute_force_and_the_per_trial_curve(self, case):
+        config, (eta_weak, eta_strong), scheduled, h2_weak, h2_strong = case
+        hw, hs = h2_weak[scheduled], h2_strong[scheduled]
+        counts = _success_counts(np.column_stack((scheduled, h2_weak, h2_strong)), (eta_weak, eta_strong))
+        ok_weak, ok_strong = hw[:, None] > eta_weak, hs[:, None] > eta_strong
+        brute = [np.full(len(eta_weak), len(hw)), ok_weak.sum(0), ok_strong.sum(0), (ok_weak & ok_strong).sum(0)]
+        assert counts.dtype == np.int64 and counts.tolist() == np.array(brute).tolist()
+        scale = config.noma.rate_weak + config.noma.rate_strong
+        for got, want in zip(_curve(config, counts), parent_curve(config, scheduled, h2_weak, h2_strong,
+                                                                 (eta_weak, eta_strong))):
+            assert (got.gamma_db, got.outage_weak, got.outage_strong, got.conditioning_rate) == (
+                want.gamma_db, want.outage_weak, want.outage_strong, want.conditioning_rate)
+            assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-12, abs=1e-12 * scale)
+            assert got.ci_halfwidth == pytest.approx(want.ci_halfwidth, rel=1e-12, abs=1e-12 * scale)
+
+    def test_memory_does_not_grow_with_trials(self):
+        assert collect_records(make_config(trials=100)).nbytes == collect_records(make_config(trials=9000)).nbytes
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunk_counts_are_summed_as_they_arrive(self, monkeypatch, workers):
+        # when a chunk is counted, no more than one earlier chunk's counts may still be held
+        count_chunk, earlier = simulate._count_chunk, []
+
+        def counted(config, start, stop):
+            assert sum(ref() is not None for ref in earlier) <= 1
+            counts = count_chunk(config, start, stop)
+            earlier.append(weakref.ref(counts))
+            return counts
+
+        class LazyPool:  # maps in turn as the results are asked for, in this process
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return (fn(*args) for args in zip(*iterables))
+
+        monkeypatch.setattr(simulate, "_count_chunk", counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        config = make_config(trials=2 * _CHUNK + 1, workers=workers)
+        total = collect_records(config)
+        assert len(earlier) == 3
+        monkeypatch.undo()
+        assert total.tobytes() == collect_records(replace(config, workers=1)).tobytes()
 
 
 class TestSweepStatistics:
@@ -157,12 +265,12 @@ class TestSweepStatistics:
         # on shared snapshots the distance ranking cannot see the FOV, so its
         # strong slot fails at least as often beyond 3-sigma noise
         config = make_config(trials=30_000, gamma_db_grid=(215.0,))
-        records = collect_records(config)
-        full = records[FeedbackKind.FULL_CSI]
-        dist = records[FeedbackKind.DISTANCE_ONLY]
-        both = full.scheduled & dist.scheduled
-        fail_full = (full.h2_strong[both] == 0.0).mean()
-        fail_dist = (dist.h2_strong[both] == 0.0).mean()
+        records = trial_records(config)
+        full_ok, _, full_strong = records[FeedbackKind.FULL_CSI]
+        dist_ok, _, dist_strong = records[FeedbackKind.DISTANCE_ONLY]
+        both = full_ok & dist_ok
+        fail_full = (full_strong[both] == 0.0).mean()
+        fail_dist = (dist_strong[both] == 0.0).mean()
         sigma = math.sqrt(max(fail_dist * (1 - fail_dist), 1e-9) / both.sum())
         assert fail_dist >= fail_full - 3.0 * sigma
         assert fail_dist > fail_full  # strict at these sizes
