@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 
 
 MAX_GRID_POINTS = 10_000
-MAX_TRIALS = 10_000_000  # time grows with trials, memory does not: about 66 us a trial with six schemes, 11 min at 10^7
+MAX_TRIALS = 10_000_000  # time grows with trials, memory does not: about 51 us a trial with six schemes, 8.5 min at 10^7
 MAX_WORKERS = 64
 MAX_USERS = 1000  # a Monte Carlo chunk draws 4096 x K values per array: 33 MB each at K = 1000
 

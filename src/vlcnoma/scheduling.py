@@ -53,18 +53,18 @@ class FeedbackScheme:
 
 
 def order_by_gain_arrays(gains):
-    """Ascending order of a raw (possibly estimated) gain array, zeros excluded.
+    """Ascending order of a raw (possibly estimated) 1-D gain array, zeros excluded.
 
     The stable sort breaks ties by ascending user index.
     """
     gains = np.asarray(gains, float)
-    idx = np.flatnonzero(gains > 0.0)
-    return idx[np.argsort(gains[idx], kind="stable")]
+    idx = (gains > 0.0).nonzero()[0]
+    return idx[gains[idx].argsort(kind="stable")]
 
 
 def order_by_distance_array(d):
     """All users, farthest (presumed weakest) first; no FOV information used."""
-    return np.argsort(-np.asarray(d, float), kind="stable")
+    return (-np.asarray(d, float)).argsort(kind="stable")
 
 
 def select_individual(ordering, rank_weak, rank_strong):
@@ -87,10 +87,9 @@ def two_bit_feedback(d, angle, scheme, geom):
     """
     if scheme.kind not in TWO_BIT_KINDS:
         raise ValueError("two_bit_feedback needs a two-bit scheme")
-    theta = incidence_angle(np.asarray(d, float), angle, geom.ell)
-    bit_d = np.asarray(d, float) <= scheme.d_threshold
-    bit_theta = np.abs(theta) <= scheme.theta_threshold
-    return bit_d, bit_theta
+    d = np.asarray(d, float)
+    theta = incidence_angle(d, angle, geom.ell)
+    return d <= scheme.d_threshold, np.abs(theta) <= scheme.theta_threshold
 
 
 def one_bit_feedback(d, d_threshold):
@@ -99,19 +98,19 @@ def one_bit_feedback(d, d_threshold):
 
 
 def group_users(bit_d, bit_theta):
-    """(weak, strong) member indices: the all-zeros and the all-ones reporters.
+    """(weak, strong) ascending member indices of 1-D bit arrays: the all-zeros and the all-ones reporters.
 
     Mixed reports (0,1)/(1,0) join neither group and are never scheduled.
     """
     bit_d = np.asarray(bit_d, bool)
     bit_theta = np.asarray(bit_theta, bool)
-    return np.flatnonzero(~bit_d & ~bit_theta), np.flatnonzero(bit_d & bit_theta)
+    return (~(bit_d | bit_theta)).nonzero()[0], (bit_d & bit_theta).nonzero()[0]
 
 
 def group_users_one_bit(bit_d):
-    """One-bit (weak, strong) member indices: distance bit 0 -> weak, 1 -> strong."""
+    """One-bit (weak, strong) ascending member indices: distance bit 0 -> weak, 1 -> strong."""
     bit_d = np.asarray(bit_d, bool)
-    return np.flatnonzero(~bit_d), np.flatnonzero(bit_d)
+    return (~bit_d).nonzero()[0], bit_d.nonzero()[0]
 
 
 def _pick(group, u):

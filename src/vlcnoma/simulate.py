@@ -97,10 +97,12 @@ def run_trial(config, users, reports, picks):
 
     ``users`` holds the K users' true (d, mean_phi, phi), ``reports`` the
     values they feed back (``users`` itself without estimation noise) and
-    ``picks`` the (n_schemes, 2) group-pick uniforms, one row per configured
-    scheme.  Returns one (scheduled, true squared gain weak, strong) per
-    configured scheme, in order; a slot that could not be filled reports
-    scheduled = False with zero gains.
+    ``picks`` the group-pick uniforms, one (weak, strong) pair of floats per
+    configured scheme.  Returns one (scheduled, true squared gain weak,
+    strong) per configured scheme, in order; a slot that could not be filled
+    reports scheduled = False with zero gains.  A squared gain is the Python
+    float's ``** 2``, C ``pow``, which can differ by one ulp from an array's
+    ``** 2`` (``x * x``); the golden hashes hold the ``pow`` squares.
     """
     d, _, phi = users
     d_fb, mean_phi_fb, phi_fb = reports
@@ -125,7 +127,7 @@ def run_trial(config, users, reports, picks):
         if weak is None or strong is None:
             record.append((False, 0.0, 0.0))
         else:
-            record.append((True, float(gains[weak] ** 2), float(gains[strong] ** 2)))
+            record.append((True, float(gains[weak]) ** 2, float(gains[strong]) ** 2))
     return record
 
 
@@ -139,7 +141,9 @@ def _collect_chunk(config, start, stop):
     if config.noise is not None:
         reports = noisy_estimate_arrays(*users, config.noise.sigma_d, config.noise.sigma_phi, rng)
     out = np.empty((stop - start, len(config.schemes), 3))  # (scheduled, h2 weak, h2 strong) per trial and scheme
-    rows = zip(zip(*users), zip(*reports), picks[: stop - start])  # stops after the chunk's first n rows
+    # a trial's picks become Python floats, which _pick multiplies faster than NumPy scalars, as its row is
+    # read, so no chunk-sized list of floats is held; zip stops after the chunk's first n rows
+    rows = zip(zip(*users), zip(*reports), map(np.ndarray.tolist, picks[: stop - start]))
     for i, (user, report, u) in enumerate(rows):
         out[i] = run_trial(config, user, report, u)
     return out

@@ -9,7 +9,9 @@ kernel at run time, and compressing to live nodes moves where a kernel's
 vector tail falls, so the rule tests, and the in-place angle laws of
 ``tests/test_analytic.py::TestOnePathPerLaw``, run again in a fresh
 interpreter with every dispatched target above NumPy's baseline switched
-off.
+off.  So do the three simulate golden hashes and the record oracle of
+``tests/test_simulate.py``, whose per-trial rows evaluate the gain law on
+K-element rows where its whole-chunk reference evaluates it on one array.
 """
 
 import inspect
@@ -127,18 +129,30 @@ class TestLiveNodeRule:
         assert np.array_equal(bits(cdf(y)), bits(dense_cdf(cdf)(y)))
 
 
-def test_rule_and_laws_keep_their_bits_under_baseline_dispatch():
+def pass_under_baseline_dispatch(tests):
+    """Run the pytest node ids ``tests`` in a fresh interpreter with NumPy at its baseline; all must pass."""
     # every target NumPy dispatches to above its baseline, and that this CPU has, switched off
     above = cli._numpy_simd()["dispatch"]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(above),
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    tests = [f"{__file__}::TestLiveNodeRule", str(ROOT / "tests" / "test_analytic.py") + "::TestOnePathPerLaw"]
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
     check = subprocess.run([sys.executable, "-c", "from vlcnoma import cli; print(*cli._numpy_simd()['dispatch'])"],
                            env=env, capture_output=True, text=True, timeout=120)
     assert check.returncode == 0 and check.stdout.split() == [], check.stdout + check.stderr
+
+
+def test_rule_and_laws_keep_their_bits_under_baseline_dispatch():
+    pass_under_baseline_dispatch([f"{__file__}::TestLiveNodeRule",
+                                  str(ROOT / "tests" / "test_analytic.py") + "::TestOnePathPerLaw"])
+
+
+def test_simulate_hashes_and_chunk_rows_keep_their_bits_under_baseline_dispatch():
+    golden = str(ROOT / "tests" / "test_golden.py")
+    pass_under_baseline_dispatch([*(f"{golden}::test_csv_bytes_match_golden_hash[simulate-{preset}]"
+                                    for preset in ("fig2", "fig3", "fig4")),
+                                  str(ROOT / "tests" / "test_simulate.py") + "::TestRecordOracle"])
 
 
 def sixty_halvings(model, lo, hi, half_angles, levels=None, caps=(), corners=()):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import PAPER, paper_model, snapshot
 
@@ -215,6 +215,58 @@ class TestSelectGroupPair:
 
 
 UNIFORM = st.floats(0.0, 1.0, exclude_max=True)
+LAST_UNIFORM = float(np.nextafter(1.0, 0.0))  # the largest uniform below 1
+BIT_PAIRS = st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40)
+# reported gains with zeros of both signs and ties, as channel_gain returns them outside the FOV and at equal gains
+GAINS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-12, 2e-12, 3e-12]), st.floats(1e-15, 1e-5)), max_size=40)
+
+
+class TestPrimitivesAgainstNaiveStatements:
+    """Each per-trial primitive returns what a plain Python statement of its rule returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=BIT_PAIRS)
+    @example(bits=[])
+    @example(bits=[(True, True)] * 7)
+    @example(bits=[(False, False)] * 7)
+    def test_groups_are_the_ascending_all_zeros_and_all_ones_sets(self, bits):
+        bit_d = np.array([b for b, _ in bits], bool)
+        bit_theta = np.array([t for _, t in bits], bool)
+        for groups, want in (
+            (group_users(bit_d, bit_theta), ([i for i, (b, t) in enumerate(bits) if not b and not t],
+                                             [i for i, (b, t) in enumerate(bits) if b and t])),
+            (group_users_one_bit(bit_d), ([i for i, (b, _) in enumerate(bits) if not b],
+                                          [i for i, (b, _) in enumerate(bits) if b])),
+        ):
+            assert [g.tolist() for g in groups] == list(want)
+            assert all(g.ndim == 1 and g.dtype == np.intp for g in groups)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gains=GAINS)
+    @example(gains=[])
+    @example(gains=[0.0, -0.0, 0.0])
+    @example(gains=[2e-12] * 7)
+    def test_gain_order_is_the_naive_sort_by_gain_then_index_of_nonzero_gains(self, gains):
+        want = [i for _, i in sorted((g, i) for i, g in enumerate(gains) if g > 0.0)]
+        assert order_by_gain_arrays(gains).tolist() == want
+        assert order_by_gain_arrays(np.array(gains, float)).tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.lists(st.sampled_from([0.0, 1.5, 4.0, 10.0]) | st.floats(0.0, 10.0), max_size=40))
+    def test_distance_order_is_the_naive_sort_by_descending_distance_then_index(self, d):
+        assert order_by_distance_array(d).tolist() == [i for _, i in sorted((-x, i) for i, x in enumerate(d))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes=st.tuples(st.integers(0, 64), st.integers(0, 64)), u=st.tuples(UNIFORM, UNIFORM))
+    @example(sizes=(64, 1), u=(LAST_UNIFORM, LAST_UNIFORM))
+    @example(sizes=(3, 63), u=(LAST_UNIFORM, 0.0))
+    @example(sizes=(0, 5), u=(0.5, LAST_UNIFORM))
+    def test_pick_is_the_same_for_python_and_numpy_uniforms(self, sizes, u):
+        groups = (np.arange(sizes[0]), np.arange(100, 100 + sizes[1]))
+        as_python = select_group_pair(groups, [float(x) for x in u])
+        assert as_python == select_group_pair(groups, np.array(u, float))  # np.float64 elements
+        assert as_python == tuple(int(g[min(int(x * g.size), g.size - 1)]) if g.size else None
+                                  for g, x in zip(groups, u))
 
 
 class TestSlotInvariants:

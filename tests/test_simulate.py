@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from vlcnoma import analytic as an
 from vlcnoma import simulate
+from vlcnoma.channel import channel_gain, incidence_angle
 from vlcnoma.config import ConfigError, build_experiment, merge
 from vlcnoma.link import CurvePoint, NomaConfig, eta_thresholds
+from vlcnoma.population import noisy_estimate_arrays, sample_user_arrays
 from vlcnoma.scheduling import FeedbackKind
 from vlcnoma.simulate import (
     _CHUNK,
@@ -146,6 +148,74 @@ class TestParallelism:
         b = run_sweep(config)
         assert a == b
 
+
+
+def nth_member(mask, u):
+    """Per row of ``mask``, the index of True entry min(int(u n), n - 1) of its n, and whether n > 0."""
+    n = mask.sum(axis=1)
+    k = np.minimum((u * n).astype(np.int64), n - 1)
+    return (np.cumsum(mask, axis=1) > k[:, None]).argmax(axis=1), n > 0
+
+
+def chunk_reference(config):
+    """Chunk 0's (scheduled, h2 weak, h2 strong) rows per scheme, from whole-chunk (_CHUNK, K) arrays.
+
+    One gain evaluation on the whole chunk, then per scheme one stable sort
+    (zero reported gains excluded) or two group masks and the pick rule.  The
+    squares are taken as Python floats, as ``run_trial`` takes them: ``x ** 2``
+    of a float is C ``pow``, which in about one gain in a thousand is one ulp
+    off the ``x * x`` that an array's ``** 2`` computes.
+    """
+    mob, geom, schemes = config.mobility, config.geom, config.schemes
+    rng = trial_rng(config.root_seed, 0)
+    users = sample_user_arrays(mob, rng, (_CHUNK, mob.num_users))
+    picks = rng.random((_CHUNK, len(schemes), 2))
+    reports = users
+    if config.noise is not None:
+        reports = noisy_estimate_arrays(*users, config.noise.sigma_d, config.noise.sigma_phi, rng)
+    (d, _, phi), (d_fb, mean_phi_fb, phi_fb) = users, reports
+    gains, rows = channel_gain(geom, d, phi), np.arange(_CHUNK)
+    out = np.zeros((_CHUNK, len(schemes), 3))
+    for j, scheme in enumerate(schemes):
+        kind = scheme.kind
+        angles = mean_phi_fb if kind in (FeedbackKind.MEAN_ANGLE, FeedbackKind.TWO_BIT_MEAN) else phi_fb
+        if kind in (FeedbackKind.FULL_CSI, FeedbackKind.MEAN_ANGLE, FeedbackKind.DISTANCE_ONLY):
+            if kind is FeedbackKind.DISTANCE_ONLY:
+                key, candidates = -d_fb, np.full(_CHUNK, mob.num_users)
+            else:
+                reported = channel_gain(geom, d_fb, angles)
+                key, candidates = np.where(reported > 0.0, reported, np.inf), (reported > 0.0).sum(axis=1)
+            order = key.argsort(axis=1, kind="stable")
+            weak, strong = order[:, config.rank_weak - 1], order[:, config.rank_strong - 1]
+            ok = candidates >= config.rank_strong
+        else:
+            bit_d = d_fb <= scheme.d_threshold
+            if kind is FeedbackKind.ONE_BIT_DISTANCE:
+                masks = (~bit_d, bit_d)
+            else:
+                bit_theta = np.abs(incidence_angle(d_fb, angles, geom.ell)) <= scheme.theta_threshold
+                masks = (~bit_d & ~bit_theta, bit_d & bit_theta)
+            (weak, weak_ok), (strong, strong_ok) = (nth_member(m, picks[:, j, slot]) for slot, m in enumerate(masks))
+            ok = weak_ok & strong_ok
+        out[ok, j, 0] = 1.0
+        for slot, member in ((1, weak), (2, strong)):
+            out[ok, j, slot] = [g ** 2 for g in gains[rows[ok], member[ok]].tolist()]
+    return out
+
+
+class TestRecordOracle:
+    """Every trial row of a chunk, for all six kinds, is bitwise the whole-chunk reference."""
+
+    @pytest.mark.parametrize("noise", [None, NoiseConfig(0.05, math.radians(2.5))], ids=["noiseless", "noisy"])
+    def test_chunk_rows_are_bitwise_the_whole_chunk_reference(self, noise):
+        config = make_config(schemes=SCHEMES, noise=noise, trials=_CHUNK)
+        got, want = _collect_chunk(config, 0, _CHUNK), chunk_reference(config)
+        assert got.shape == want.shape == (_CHUNK, len(SCHEMES), 3)
+        wrong = np.argwhere(got.view(np.int64) != want.view(np.int64))
+        assert wrong.size == 0, f"{len(wrong)} values differ; first (trial, scheme, column): {wrong[:5].tolist()}"
+        kept = got[:, :, 0].mean(axis=0)
+        # the distance scheme keeps every trial; every other kind keeps some trials and drops others
+        assert kept[2] == 1.0 and np.all((kept[[0, 1, 3, 4, 5]] > 0.0) & (kept[[0, 1, 3, 4, 5]] < 1.0)), kept
 
 def parent_curve(config, scheduled, h2_weak, h2_strong, thresholds):
     """The curve as it was built from per-trial records before the count reduction: a pass over the kept trials per point."""
