@@ -69,7 +69,7 @@ from .channel import LedGeometry, incidence_angle
 from .link import CurvePoint, noma_sum_rate
 from .population import MobilityConfig, conditional_phi_cdf, deviation_cdf_integral, marginal_phi_cdf, unit_clip
 from .quadrature import QuadratureConfig, QuadratureError, integrate_adaptive, integrate_levels
-from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
+from .scheduling import FeedbackKind, FeedbackScheme
 
 WEAK, STRONG = "weak", "strong"
 
@@ -413,9 +413,6 @@ def nonzero_count_pmf(model, k, k_min):
     a tail of 1e-320 leaves weights that sum to 0.9995), and by 0 leaves none.
     """
     K = model.mobility.num_users
-    k = np.asarray(k)
-    if np.any((k < 0) | (k > K)):
-        raise ValueError(f"count must lie in [0, {K}]")
     p = nonzero_gain_probability(model)[0]
     tail = _binomial_tail(k_min, K, p)
     if tail < np.finfo(float).tiny:
@@ -459,21 +456,12 @@ def unordered_gain_cdf(model, x):
     return _cdf("unordered_gain_cdf", model, x, 0.0, math.pi, model.mobility.d_min, model.mobility.d_max)
 
 
-def _check_rank(model, rank, min_count):
-    K = model.mobility.num_users
-    if not 1 <= rank <= K:
-        raise ValueError(f"rank must lie in [1, {K}]")
-    if not rank <= min_count <= K:
-        raise ValueError("min_count must lie in [rank, K]")
-
-
 def ordered_gain_cdf(model, x, rank, min_count):
     """CDF of the rank-th smallest nonzero squared gain, given at least min_count nonzero users, with its error.
 
     Mixture over the truncated Binomial count n of the probability that at
     least ``rank`` of n independent nonzero gains fall at or below x.
     """
-    _check_rank(model, rank, min_count)
     K = model.mobility.num_users
     u, u_err = unordered_gain_cdf(model, x)
     n = np.arange(min_count, K + 1)
@@ -729,7 +717,6 @@ def mean_angle_success_probability(model, x, rank, min_count):
     The error sums the change when both panel counts are halved, the
     normalizer's error, and the table error times the total variation of W.
     """
-    _check_rank(model, rank, min_count)
     _require_mean_span(model)
     geom, mob, mean = model.geom, model.mobility, _mean_model(model)
     theta = geom.half_fov
@@ -753,34 +740,30 @@ def mean_angle_success_probability(model, x, rank, min_count):
 # ---------------------------------------------------------------------------
 
 
-def _require_group_scheme(model, kinds):
-    if model.scheme is None or model.scheme.kind not in kinds:
-        raise ValueError(f"model.scheme must be one of {[k.value for k in kinds]}")
-    return model.scheme
-
-
 def _require_mean_span(model):
     if model.mobility.mean_phi_span == 0.0:
         raise UndefinedLawError("mean-angle closed forms need a nondegenerate mean-angle range: "
                                 "mobility.mean_phi_min_deg must lie below mobility.mean_phi_max_deg")
 
 
-def _role_band(model, role, kinds):
-    """(inner, outer, lo, hi): one group's report band inner < |incidence| <= outer and distance strip."""
-    scheme = _require_group_scheme(model, kinds)
+def _role_band(model, role):
+    """(inner, outer, lo, hi): one group's report band inner < |incidence| <= outer and distance strip.
+
+    ``role`` is WEAK or STRONG, and ``model.scheme`` a two-bit scheme: ROUTES
+    and ``validation`` pair each two-bit kind with its group family.
+    """
+    scheme = model.scheme
     if scheme.kind is FeedbackKind.TWO_BIT_MEAN:
         _require_mean_span(model)
     mob, th = model.mobility, scheme.theta_threshold
     if role == WEAK:
         return th, math.pi, scheme.d_threshold, mob.d_max
-    if role == STRONG:
-        return 0.0, th, mob.d_min, scheme.d_threshold
-    raise ValueError(f"role must be '{WEAK}' or '{STRONG}'")
+    return 0.0, th, mob.d_min, scheme.d_threshold
 
 
 def group_gain_cdf_instant(model, x, role):
     """Squared-gain CDF inside one instantaneous-report group, zero gains excluded, with its error."""
-    return _cdf("group_gain_cdf_instant", model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_INSTANT,)))
+    return _cdf("group_gain_cdf_instant", model, x, *_role_band(model, role))
 
 
 def group_gain_cdf_mean(model, x, role):
@@ -790,13 +773,13 @@ def group_gain_cdf_mean(model, x, role):
     instantaneous fluctuation, so the distribution carries an atom at zero
     (members whose instantaneous angle leaves the FOV).
     """
-    return _cdf("group_gain_cdf_mean", model, x, *_role_band(model, role, (FeedbackKind.TWO_BIT_MEAN,)))
+    return _cdf("group_gain_cdf_mean", model, x, *_role_band(model, role))
 
 
 def both_groups_probability(model):
     """Probability that both groups of the model's two-bit scheme have a member among the K users."""
     report, mob = _report_model(model), model.mobility
-    p_w, p_s = (_band_mass(report, *_role_band(model, role, TWO_BIT_KINDS))[0] / mob.d_span for role in (WEAK, STRONG))
+    p_w, p_s = (_band_mass(report, *_role_band(model, role))[0] / mob.d_span for role in (WEAK, STRONG))
     K = mob.num_users
     return min(max(1.0 - (1.0 - p_w) ** K - (1.0 - p_s) ** K + max(1.0 - p_w - p_s, 0.0) ** K, 0.0), 1.0)
 
@@ -808,7 +791,7 @@ def group_success_probability(model, threshold, role):
     report of the model's scheme (instantaneous or mean angle), the gain stays
     instantaneous, and zero gains count as failures.
     """
-    band = _role_band(model, role, TWO_BIT_KINDS)
+    band = _role_band(model, role)
     return _share(_mass_above("group_success_probability", model, threshold, *band), _members(model, *band))
 
 

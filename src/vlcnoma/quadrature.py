@@ -60,12 +60,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     max_subdivisions: int = 200
 
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("need at least 10 subdivisions")
-
     def halved(self):
         return QuadratureConfig(self.abs_tol / 2.0, self.rel_tol / 2.0, self.max_subdivisions)
 

@@ -225,18 +225,16 @@ def run_sweep(config):
 class EmpiricalCdf:
     """Right-continuous step CDF of a sample.
 
-    The ECDF takes a float64 ndarray over: it sorts that array in place and
-    keeps it as ``sorted``, so the caller must not read its samples after
-    handing them over.  Any other input (a list, another dtype, a read-only
-    array) is first copied into a new array.
+    The ECDF takes a writeable float64 ndarray over: it sorts that array in
+    place and keeps it as ``sorted``, so the caller must not read its samples
+    after handing them over (``validation`` hands it only fresh arrays).  Any
+    other input (a list, another dtype) is first copied into a new array.
     """
 
     def __init__(self, samples):
         samples = np.asarray(samples, float)
         if samples.size == 0:
             raise ValueError("need at least one sample")
-        if not samples.flags.writeable:
-            samples = samples.copy()
         samples.sort()
         self.sorted = samples
         self.n = samples.size

@@ -3,7 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The configs are the CLI's
 presets, built as ``--preset`` builds them, at fixed seeds and trial counts, so
 the suite is deterministic and checks the runs the CLI makes.  The Monte Carlo
-sweeps are shared through module-scoped fixtures.
+sweeps are shared through module-scoped fixtures and run on every CPU this
+process may use: ``sweep.workers`` is set to its largest value, which
+``collect_records`` caps at the CPUs and chunks, and the counts do not depend
+on the worker count (A10c).
 """
 
 import math
@@ -17,7 +20,7 @@ from helpers import Z_BOUND, contract_check, engine_gaps, sic_success
 from vlcnoma import analytic as an
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import channel_gain
-from vlcnoma.config import build_experiment, resolve_groups
+from vlcnoma.config import MAX_WORKERS, build_experiment, resolve_groups
 from vlcnoma.link import eta_thresholds
 from vlcnoma.population import sample_user_arrays
 from vlcnoma.scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
@@ -38,7 +41,7 @@ def preset(name, trials, seed, schemes=None):
 
     ``schemes`` sets ``schemes.list`` on every run group, for a gate that runs more schemes than the preset.
     """
-    overrides = {"sweep.trials": str(trials), "sweep.seed": str(seed)}
+    overrides = {"sweep.trials": str(trials), "sweep.seed": str(seed), "sweep.workers": str(MAX_WORKERS)}
     if schemes is not None:
         overrides["schemes.list"] = schemes
     return {suffix: build_experiment(flat) for suffix, flat in resolve_groups(name, {}, overrides)}
@@ -257,9 +260,10 @@ class TestDualEngineContract:
         report("fig3 two-bit and OMA curves: Monte Carlo vs closed form", agree, detail)
 
     def test_fig4_noiseless_curves(self, fig4_mc, fig2_analytic):
-        # the fig4 noiseless run differs from fig2's dphi = 25 run only in trials and seed, which the closed form ignores
+        # the fig4 noiseless run differs from fig2's dphi = 25 run only in trials, seed and workers, which the closed
+        # form ignores
         config = FIG4["noiseless"]
-        assert replace(config, trials=PAPER.trials, root_seed=PAPER.root_seed) == PAPER
+        assert replace(config, trials=PAPER.trials, root_seed=PAPER.root_seed, workers=PAPER.workers) == PAPER
         agree, detail = contract_check({"noiseless": engine_gaps(config, fig4_mc["noiseless"], fig2_analytic[DYNAMIC])})
         report("fig4 noiseless curves: Monte Carlo vs closed form", agree, detail)
 

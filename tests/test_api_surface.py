@@ -8,7 +8,10 @@ strings.  Definitions, imports, docstrings and comments are not references.
 The angle laws also keep one NumPy path each: no function of ``analytic``,
 ``population`` or ``channel`` branches on ``isinstance(..., float)`` or
 ``bool``.  And ``config`` is the one place a config value is checked: no
-``__post_init__`` raises, except where it checks what no key's interval states.
+``__post_init__`` raises, except where it checks what no key's interval states,
+and the engines (``analytic``, ``quadrature``, ``scheduling``, ``simulate``)
+raise no ``ValueError`` of their own for what config or their callers
+already guarantee: only a scheme without its thresholds and an empty sample.
 """
 
 import ast
@@ -131,8 +134,8 @@ def test_angle_laws_have_no_scalar_twin():
     assert not twins, f"isinstance checks on float or bool: {sorted(set(twins))}"
 
 
-# the NomaConfig margin and a scheme without its thresholds span several values; QuadratureConfig has no key
-POST_INIT_CHECKS = {"link.NomaConfig", "scheduling.FeedbackScheme", "quadrature.QuadratureConfig"}
+# the NomaConfig margin and a scheme without its thresholds span several values
+POST_INIT_CHECKS = {"link.NomaConfig", "scheduling.FeedbackScheme"}
 
 
 def test_domain_types_leave_intervals_to_config():
@@ -145,3 +148,23 @@ def test_domain_types_leave_intervals_to_config():
                         and any(isinstance(node, ast.Raise) for node in ast.walk(method))):
                     raising.add(f"{path.stem}.{cls.name}")
     assert raising <= POST_INIT_CHECKS, f"__post_init__ methods that raise: {sorted(raising - POST_INIT_CHECKS)}"
+
+
+ENGINE_VALUE_ERRORS = {"scheduling.FeedbackScheme.__post_init__", "simulate.EmpiricalCdf.__init__"}
+
+
+def test_engines_leave_checked_values_to_config():
+    # a rank, kind, role or tolerance guard in an engine restates what config or the engine's caller already holds
+    raising = set()
+    for stem in ("analytic", "quadrature", "scheduling", "simulate"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        scopes = [(f"{stem}.{node.name}", node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [(f"{stem}.{cls.name}.{item.name}", item) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, ast.FunctionDef)]
+        for name, function in scopes:
+            for node in ast.walk(function):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    if _bare_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "ValueError":
+                        raising.add(name)
+    unexpected = sorted(raising - ENGINE_VALUE_ERRORS)
+    assert not unexpected, f"engine functions that raise ValueError: {unexpected}"

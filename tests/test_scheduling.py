@@ -143,10 +143,6 @@ class TestTwoBitFeedback:
             bits_m = two_bit_feedback(snap.d, snap.mean_phi, self.scheme(FeedbackKind.TWO_BIT_MEAN), PAPER.geom)
             assert np.array_equal(bits_i[1], bits_m[1])
 
-    def test_requires_two_bit_scheme(self):
-        with pytest.raises(ValueError):
-            two_bit_feedback(1.0, 1.0, FeedbackScheme(FeedbackKind.FULL_CSI), PAPER.geom)
-
     def test_membership_implies_conditions(self):
         scheme = self.scheme()
         snap = snapshot(9)
