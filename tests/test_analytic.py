@@ -60,6 +60,16 @@ class TestQuadratureWrapper:
         assert (value, err) == (values[0], errors[0])
         assert abs(value - 0.42613168724279843) <= err <= config.rel_tol * value
 
+    def test_config_validation(self):
+        # no key sets the settings: they are the defaults or a halving of them, whose tolerances stay positive
+        config = QuadratureConfig()
+        for _ in range(60):
+            halved = config.halved()
+            assert (halved.abs_tol, halved.rel_tol) == (config.abs_tol / 2.0, config.rel_tol / 2.0)
+            assert halved.max_subdivisions == config.max_subdivisions
+            config = halved
+        assert config.abs_tol > 0.0 and config.rel_tol > 0.0
+
     def test_level_rows_each_meet_their_own_tolerance(self):
         # one row per kink position c of sqrt|r - c| on [0, 3], kinks not passed: each row hunts its own
         c = np.array([0.3, 1.0, 2.5])
@@ -198,6 +208,11 @@ class TestCountPmf:
 
     def test_zero_below_minimum(self):
         assert an.nonzero_count_pmf(paper_model(), 9, 10) == 0.0
+
+    def test_zero_outside_the_user_count(self):
+        # counts below 0 or above K = 20 have no mass, at any truncation
+        for k_min in (0, 10):
+            assert an.nonzero_count_pmf(paper_model(), np.array([-1, 21, 40]), k_min).tolist() == [0.0, 0.0, 0.0]
 
     def test_conditional_histogram(self):
         rng = np.random.default_rng(2)
@@ -348,6 +363,13 @@ class TestOrderedCdf:
         f1, f5, f10 = (an.ordered_gain_cdf(paper_model(), xs, rank, 10)[0] for rank in (1, 5, 10))
         assert np.all(f1 >= f5 - 1e-12) and np.all(f5 - 1e-12 >= f10 - 2e-12)
 
+    def test_rank_validation(self):
+        # the ranks reach ordered_gain_cdf from config, which refuses a rank outside [1, K]
+        with pytest.raises(ConfigError, match="strategy.rank_weak"):
+            build_experiment(merge({"strategy.rank_weak": "0"}))
+        with pytest.raises(ConfigError, match="strategy.rank_strong"):
+            build_experiment(merge({"mobility.num_users": "10", "strategy.rank_strong": "11"}))
+
 
 class TestGroupCdfs:
     def test_lower_edges(self):
@@ -401,6 +423,25 @@ class TestGroupCdfs:
         # 60 deg against the 50 deg half FOV: config refuses the coefficient before a model is built
         with pytest.raises(ConfigError, match="schemes.theta_threshold_coeff"):
             build_experiment(merge({"schemes.list": "two-bit-instant", "schemes.theta_threshold_coeff": "1.2"}))
+
+    def test_requires_matching_scheme(self, monkeypatch):
+        # the group families trust their model's scheme to be two-bit: sum_rate_sweep hands each route a model
+        # carrying that route's own scheme, and only the two-bit kinds reach the group route
+        assert {kind for kind, route in an.ROUTES.items() if route is an._group_route} == set(TWO_BIT_KINDS)
+        seen = []
+
+        def recorder(kind):
+            def route(model, rank_weak, rank_strong):
+                seen.append((kind, model.scheme.kind, rank_weak, rank_strong))
+                return 1.0, *(lambda x: (np.zeros_like(x), np.zeros_like(x)),) * 2
+            return route
+
+        for kind in an.ROUTES:
+            monkeypatch.setitem(an.ROUTES, kind, recorder(kind))
+        schemes = tuple(paper_model(kind=kind).scheme for kind in (FeedbackKind.FULL_CSI, FeedbackKind.MEAN_ANGLE,
+                                                                   *TWO_BIT_KINDS))
+        sweep((170.0, 200.0), *schemes)
+        assert sorted(seen, key=str) == sorted(((s.kind, s.kind, 1, 10) for s in schemes), key=str)
 
 
 def _quad_mean_band(model, r, inner, outer, y):
@@ -616,6 +657,15 @@ class TestMeanAngleRoute:
         assert point.conditioning_rate == pytest.approx(an.nonzero_count_tail(an._mean_model(paper_model()), 10))
         # the plateau keeps the zero-true-gain loss of both slots, over 1 bit/s/Hz
         assert 10.0 < point.sum_rate < 11.0
+
+    def test_rank_validation(self):
+        # the ranks reach mean_angle_success_probability from config, which refuses rank_weak >= rank_strong
+        with pytest.raises(ConfigError, match="strategy.rank_strong"):
+            build_experiment(merge({"schemes.list": "mean-angle", "strategy.rank_weak": "5",
+                                    "strategy.rank_strong": "5"}))
+        with pytest.raises(ConfigError, match="strategy.rank_weak"):
+            build_experiment(merge({"schemes.list": "mean-angle", "mobility.num_users": "10",
+                                    "strategy.rank_weak": "10"}))
 
     def test_models_differing_only_in_deviation_share_one_table(self):
         paper = paper_model()

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import PAPER, paper_model, snapshot
 
+from vlcnoma import simulate
 from vlcnoma.channel import incidence_angle
 from vlcnoma.config import ConfigError, build_experiment, merge
 from vlcnoma.scheduling import (
+    TWO_BIT_KINDS,
     FeedbackKind,
     FeedbackScheme,
     group_users,
@@ -142,6 +144,20 @@ class TestTwoBitFeedback:
             bits_i = two_bit_feedback(snap.d, snap.phi, self.scheme(), PAPER.geom)
             bits_m = two_bit_feedback(snap.d, snap.mean_phi, self.scheme(FeedbackKind.TWO_BIT_MEAN), PAPER.geom)
             assert np.array_equal(bits_i[1], bits_m[1])
+
+    def test_requires_two_bit_scheme(self, monkeypatch):
+        # two_bit_feedback trusts its scheme to carry both thresholds: run_trial calls it for the two-bit kinds only
+        kinds = []
+
+        def recorded(d, angle, scheme, geom):
+            kinds.append(scheme.kind)
+            return two_bit_feedback(d, angle, scheme, geom)
+
+        monkeypatch.setattr(simulate, "two_bit_feedback", recorded)
+        config = build_experiment(merge({"schemes.list": ",".join(kind.value for kind in FeedbackKind),
+                                         "sweep.trials": "20"}))
+        simulate._collect_chunk(config, 0, 20)
+        assert sorted(kinds, key=str) == sorted(TWO_BIT_KINDS * 20, key=str)
 
     def test_membership_implies_conditions(self):
         scheme = self.scheme()
