@@ -4,8 +4,9 @@ Runs are driven by a preset and/or an INI config file with ``--set`` overrides
 on top.  Every simulate/analytic run writes a CSV (fixed column order) plus a
 JSON manifest holding the fully resolved configuration and seed; re-running
 from the manifest's configuration reproduces the CSV byte for byte.  The
-manifest also records the NumPy version and the SIMD targets its ufuncs run
-on, and a simulate manifest the random-stream version and trials per second.
+manifest also records the NumPy version, the SIMD targets its ufuncs run on
+and what the CSV's ci_halfwidth column means, and a simulate manifest the
+random-stream version and trials per second.
 
 Exit codes: 0 success, 1 usage/config error, 2 validation failure,
 3 numerical failure.
@@ -43,6 +44,7 @@ from .config import (
 from .link import CurvePoint
 from .quadrature import QuadratureError
 from .simulate import STREAM_VERSION, run_sweep
+from .stats import Z_CI
 from .validation import run_validation
 
 # one row per curve point: the curve label, then the CurvePoint fields in order
@@ -191,8 +193,12 @@ def cmd_sweep(args):
     _write_csv(out, rows)
     duration = time.perf_counter() - t0
     # a simulate manifest adds its stream version, and trials summed over run groups per second of the whole command
-    extra = ({"stream_version": STREAM_VERSION, "trials_per_s": round(trials / duration, 1)}
-             if args.command == "simulate" else {})
+    if args.command == "simulate":
+        extra = {"stream_version": STREAM_VERSION, "trials_per_s": round(trials / duration, 1),
+                 "ci_halfwidth": f"{Z_CI:g} standard errors of the conditional per-trial sum rate"}
+    else:
+        extra = {"ci_halfwidth": "propagated quadrature error R_w*e_w + R_s*e_s, the target rates times the error "
+                                 "estimates of the weak and strong outage probabilities; no z"}
     _write_manifest(manifest, args, groups, [out], started, duration, **extra)
     print(f"wrote {out} ({len(rows)} rows) and {manifest}")
     return EXIT_NUMERICAL if failures else EXIT_OK

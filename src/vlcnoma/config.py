@@ -105,6 +105,9 @@ def read_config_file(path):
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    if parser.defaults():  # configparser copies them into every section, as keys the user never wrote there
+        raise ConfigError(f"config file {path}: section [DEFAULT] would set its keys in every section; "
+                          "write each key in its own section")
     flat = {}
     for section in parser.sections():
         for key, value in parser.items(section):

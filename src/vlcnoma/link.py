@@ -93,7 +93,13 @@ def noma_sum_rate(outage_probs, noma):
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One (transmit SNR, sum rate) sample with its uncertainty and outage detail."""
+    """One (transmit SNR, sum rate) sample with its uncertainty and outage detail.
+
+    ``ci_halfwidth`` is the sum rate's uncertainty: from the Monte Carlo
+    engine, ``stats.Z_CI`` standard errors of the per-trial sum rate over the
+    kept trials; from the closed form, the propagated quadrature error
+    R_w*e_w + R_s*e_s, with no z.
+    """
 
     gamma_db: float
     sum_rate: float

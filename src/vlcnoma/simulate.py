@@ -43,6 +43,7 @@ from .scheduling import (
     select_individual,
     two_bit_feedback,
 )
+from .stats import mean_halfwidth
 
 _CHUNK = 4096  # fixed trial chunk; parallelism must not change results
 STREAM_VERSION = 2  # 1: one SeedSequence per trial; 2: one per chunk of _CHUNK trials
@@ -188,25 +189,21 @@ def collect_records(config):
         return sum(pool.map(_count_chunk, [config] * len(spans), *zip(*spans)))
 
 
-def _bernoulli_ci_bound(noma, n):
-    # worst-case binomial variance per user, for degenerate sample sizes
-    var = (noma.rate_weak**2 + noma.rate_strong**2) / 4.0
-    return 1.96 * np.sqrt(var / max(n, 1))
-
-
 def _curve(config, counts):
-    """The curve's points from its (4, G) success counts; with no kept trial it reads as all outage."""
+    """The curve's points from its (4, G) success counts; with no kept trial it reads as all outage.
+
+    The per-trial rate takes four values, each with its count; its worst-case
+    variance is that of two independent slots that each succeed with
+    probability 1/2.
+    """
     noma = config.noma
     kept, weak, strong, both = counts
     n = int(kept[0])
     m = max(n, 1)
     sum_rate = (weak * noma.rate_weak + strong * noma.rate_strong) / m
-    if n >= 2:  # the per-trial rate takes four values, each with its count
-        rates = np.array([[0.0], [noma.rate_weak], [noma.rate_strong], [noma.rate_weak + noma.rate_strong]])
-        classes = np.stack([n - weak - strong + both, weak - both, strong - both, both])
-        ci = 1.96 * np.sqrt((classes * (rates - sum_rate) ** 2).sum(axis=0) / (n - 1)) / np.sqrt(n)
-    else:
-        ci = np.full(len(weak), _bernoulli_ci_bound(noma, n))
+    rates = np.array([[0.0], [noma.rate_weak], [noma.rate_strong], [noma.rate_weak + noma.rate_strong]])
+    classes = np.stack([n - weak - strong + both, weak - both, strong - both, both])
+    ci = mean_halfwidth(rates, classes, sum_rate, (noma.rate_weak**2 + noma.rate_strong**2) / 4.0)
     columns = zip(config.gamma_db_grid, sum_rate, ci, 1.0 - weak / m, 1.0 - strong / m)
     return [CurvePoint(*map(float, point), n / config.trials) for point in columns]
 

@@ -26,6 +26,7 @@ from .config import build_experiment, merge
 from .population import marginal_phi_cdf, sample_user_arrays
 from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
 from .simulate import EmpiricalCdf
+from .stats import binomial_tolerance, dkw_bound
 
 # values per block of the bulk oracles: each float64 array of a block is 1 MB, inside a core's L2.  Each block
 # is one draw, so this also fixes the oracles' stream layout: changing it changes their samples and the report
@@ -83,14 +84,13 @@ def paper_model(delta_phi_deg=25.0, kind=None):
 
 
 def _frequency_check(name, frac, pred, n, detail, var_floor=0.0, tol_floor=0.0):
-    """An empirical frequency of n draws against its predicted probability, within 3 binomial sigma.
+    """An empirical frequency of n draws against its predicted probability, within ``stats.binomial_tolerance``.
 
-    ``var_floor`` keeps sigma off zero at a prediction of 0 or 1; the
-    tolerance is at least ``tol_floor``.  The result holds plain Python
-    scalars, so the report serializes to JSON whatever type ``pred`` has.
+    The floors are that tolerance's.  The result holds plain Python scalars,
+    so the report serializes to JSON whatever type ``pred`` has.
     """
     dev = abs(frac - pred)
-    tol = max(3.0 * math.sqrt(max(pred * (1.0 - pred), var_floor) / n), tol_floor)
+    tol = binomial_tolerance(pred, n, var_floor, tol_floor)
     return CheckResult(name, bool(dev <= tol), float(dev), float(tol), detail)
 
 
@@ -156,7 +156,7 @@ def check_marginal_phi_dkw(sizes, rng):
     xs = np.quantile(phi, np.linspace(0.001, 0.999, 500))
     emp = EmpiricalCdf(phi)  # sorts phi in place, so only after the quantiles
     sup = float(np.max(np.abs(emp(xs) - marginal_phi_cdf(mob, xs))))
-    bound = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
+    bound = dkw_bound(n, 1e-3)
     return CheckResult("marginal-angle-cdf-dkw", sup <= bound, sup, bound, f"n={n}")
 
 

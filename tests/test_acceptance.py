@@ -18,6 +18,7 @@ import pytest
 from helpers import Z_BOUND, contract_check, engine_gaps, sic_success
 
 from vlcnoma import analytic as an
+from vlcnoma import stats
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import channel_gain
 from vlcnoma.config import MAX_WORKERS, build_experiment, resolve_groups
@@ -192,7 +193,7 @@ class TestA6MeanAngleNearOptimality:
             ("weak", mean_mc.outage_weak, 1.0 - sw, ew),
             ("strong", mean_mc.outage_strong, 1.0 - ss, es),
         ):
-            ci = 1.96 * math.sqrt(mc_out * (1.0 - mc_out) / n_cond)
+            ci = stats.Z_CI * math.sqrt(mc_out * (1.0 - mc_out) / n_cond)
             if abs(mc_out - cf_out) > ci + cf_e:
                 problems.append(f"{slot} outage MC {mc_out:.4f} vs closed form {cf_out:.4f} beyond CI {ci:.4f}")
         ok = not problems and elapsed <= 120.0

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from helpers import LEVELS, PAPER, group_models, paper_model
 
 from vlcnoma import analytic as an
+from vlcnoma import stats
 from vlcnoma.analytic import AnalyticModel
 from vlcnoma.channel import LedGeometry, channel_gain, incidence_angle
 from vlcnoma.config import MAX_USERS, ConfigError, build_experiment, merge, resolve_groups
@@ -124,7 +125,7 @@ class TestFovProbability:
         theta = incidence_angle(np.full(n, r), phi, PAPER.geom.ell)
         frac = (np.abs(theta) <= PAPER.geom.half_fov).mean()
         pred = an.fov_probability(paper_model(), r, PAPER.geom.half_fov)
-        assert abs(frac - pred) <= 3.0 * math.sqrt(pred * (1.0 - pred) / n)
+        assert abs(frac - pred) <= stats.binomial_tolerance(pred, n)
 
 
 class TestNonzeroProbability:
@@ -148,7 +149,7 @@ class TestNonzeroProbability:
         d, _, phi = sample_user_arrays(PAPER.mobility, rng, n)
         frac = (channel_gain(PAPER.geom, d, phi) > 0.0).mean()
         pred, _ = an.nonzero_gain_probability(paper_model())
-        assert abs(frac - pred) <= 3.0 * math.sqrt(pred * (1.0 - pred) / n)
+        assert abs(frac - pred) <= stats.binomial_tolerance(pred, n)
 
 
 def assert_close(got, want):
@@ -223,7 +224,7 @@ class TestCountPmf:
         for k in (10, 11, 12):
             q = an.nonzero_count_pmf(paper_model(), k, 10)
             freq = (kept == k).mean()
-            assert abs(freq - q) <= 3.0 * math.sqrt(q * (1.0 - q) / kept.size)
+            assert abs(freq - q) <= stats.binomial_tolerance(q, kept.size)
 
 
 class TestBoundaryAngles:
@@ -503,8 +504,8 @@ class TestGroupProbabilities:
         d_th, th = mi.scheme.d_threshold, mi.scheme.theta_threshold
         w = ((d > d_th) & (np.abs(theta) > th)).mean()
         s = ((d <= d_th) & (np.abs(theta) <= th)).mean()
-        assert abs(w - p_weak) <= 3.0 * math.sqrt(p_weak * (1 - p_weak) / n)
-        assert abs(s - p_strong) <= 3.0 * math.sqrt(p_strong * (1 - p_strong) / n)
+        assert abs(w - p_weak) <= stats.binomial_tolerance(p_weak, n)
+        assert abs(s - p_strong) <= stats.binomial_tolerance(p_strong, n)
 
     def test_mean_report_groups_need_a_mean_angle_range(self):
         # one mean angle leaves the mean-report memberships undefined, as it leaves the group CDFs
@@ -549,8 +550,8 @@ class TestOutage:
         eta_weak, eta_strong = thresholds(*(10.0 ** (gdb / 10.0) for gdb in (160.0, 185.0)))
         outage = route_outage(paper_model(), FeedbackKind.FULL_CSI, (eta_weak, eta_strong))
         for tw, ts, pw, ps in zip(eta_weak, eta_strong, outage[0], outage[2]):
-            assert abs((w <= tw).mean() - pw) <= max(3.0 * math.sqrt(pw * (1 - pw) / w.size), 1e-4)
-            assert abs((s <= ts).mean() - ps) <= max(3.0 * math.sqrt(ps * (1 - ps) / s.size), 1e-4)
+            assert abs((w <= tw).mean() - pw) <= stats.binomial_tolerance(pw, w.size, tol_floor=1e-4)
+            assert abs((s <= ts).mean() - ps) <= stats.binomial_tolerance(ps, s.size, tol_floor=1e-4)
 
     def test_group_high_snr_floor_is_fov_mismatch(self):
         mi = paper_model(kind=INSTANT)
@@ -648,7 +649,7 @@ class TestMeanAngleRoute:
         for col, eta, rank in ((0, eta_weak, 1), (1, eta_strong, 10)):
             [p], _ = an.mean_angle_success_probability(paper_model(), np.array([eta]), rank, 10)
             freq = (served[:, col] > eta).mean()
-            assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / served.shape[0])
+            assert abs(freq - p) <= stats.binomial_tolerance(p, served.shape[0])
 
     def test_sweep_labels_and_conditioning(self):
         curves = sweep((215.0,), FeedbackScheme(FeedbackKind.MEAN_ANGLE))

@@ -12,10 +12,14 @@ The angle laws also keep one NumPy path each: no function of ``analytic``,
 and the engines (``analytic``, ``quadrature``, ``scheduling``, ``simulate``)
 raise no ``ValueError`` of their own for what config or their callers
 already guarantee: only a scheme without its thresholds and an empty sample.
+Every sampling bound comes from ``stats``: no other file of the package or
+the tests types the CI's z, validate's check width or the DKW bound.
 """
 
 import ast
 from pathlib import Path
+
+from vlcnoma import stats
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vlcnoma"
@@ -168,3 +172,44 @@ def test_engines_leave_checked_values_to_config():
                         raising.add(name)
     unexpected = sorted(raising - ENGINE_VALUE_ERRORS)
     assert not unexpected, f"engine functions that raise ValueError: {unexpected}"
+
+
+def _is_call(node, name):
+    return isinstance(node, ast.Call) and _bare_name(node.func) == name
+
+
+def _is_constant(node, value):
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == value
+
+
+def typed_bounds(tree):
+    """(line, what) of each sampling bound that ``tree`` types out instead of calling ``stats`` for it."""
+    for node in ast.walk(tree):
+        if _is_constant(node, stats.Z_CI):
+            yield node.lineno, "the CI's z"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for width, spread in ((node.left, node.right), (node.right, node.left)):
+                if _is_constant(width, stats.CHECK_SIGMAS) and (
+                        _is_call(spread, "sqrt") or isinstance(spread, ast.Name) and "sigma" in spread.id):
+                    yield node.lineno, "the check width"
+        elif _is_call(node, "sqrt") and any(
+                _is_call(inner, "log") and inner.args and isinstance(inner.args[0], ast.BinOp)
+                and isinstance(inner.args[0].op, ast.Div) and _is_constant(inner.args[0].left, 2)
+                for inner in ast.walk(node)):
+            yield node.lineno, "the DKW bound"
+
+
+def test_sampling_bounds_come_from_stats():
+    # a bound typed out beside stats is a second statement of it: a change of z, width or alpha would miss it
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    typed = [f"{path.relative_to(ROOT)}:{line} ({what})" for path in paths if path.name != "stats.py"
+             for line, what in sorted(typed_bounds(ast.parse(path.read_text())))]
+    assert not typed, f"sampling bounds typed outside stats.py: {typed}"
+
+
+def test_stats_imports_only_math_and_numpy():
+    # every command imports stats, so what it imports adds to the start-up time of each
+    tree = ast.parse((PACKAGE / "stats.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported <= {"math", "numpy"}, f"stats imports {sorted(imported)}"

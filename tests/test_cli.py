@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import contract_check, engine_gaps
 
-from vlcnoma import analytic, cli
+from vlcnoma import analytic, cli, stats
 from vlcnoma.cli import main
 from vlcnoma.config import (
     DEFAULTS,
@@ -323,6 +323,16 @@ class TestConfigLayer:
         assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")) == 1
         assert "sweep.gamma_db" in capsys.readouterr().err
 
+    def test_default_section_is_refused_naming_the_file(self, monkeypatch, capsys, tmp_path):
+        # configparser copies [DEFAULT] keys into every section: seed would be read as sweep.seed, and with a
+        # [geometry] section refused as geometry.seed, a key never written
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("the sweep must not start"))
+        path = tmp_path / "run.ini"
+        path.write_text("[DEFAULT]\nseed = 3\n\n[sweep]\ntrials = 10\n")
+        assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "[DEFAULT]" in err
+
     def test_config_file_not_utf8_is_refused_naming_the_file(self, capsys, tmp_path):
         path = tmp_path / "latin1.ini"
         path.write_bytes("[sweep]\n# d\xe9j\xe0 vu\ntrials = 10\n".encode("latin-1"))
@@ -365,6 +375,15 @@ class TestSimulateCommand:
         assert simd["baseline"] == list(cli._umath.__cpu_baseline__)
         assert set(simd["dispatch"]) <= set(cli._umath.__cpu_dispatch__)
         assert all(cli._umath.__cpu_features__[target] for target in simd["dispatch"])
+
+    @pytest.mark.parametrize("argv, meaning", [
+        (("simulate", "--trials", "300"), f"{stats.Z_CI:g} standard errors of the conditional per-trial sum rate"),
+        (("analytic",), "propagated quadrature error R_w*e_w + R_s*e_s"),
+    ], ids=["simulate", "analytic"])
+    def test_manifest_says_what_ci_halfwidth_means(self, tmp_path, argv, meaning):
+        out = tmp_path / "run.csv"
+        assert run_cli(*argv, "--set", "sweep.gamma_db=170", "--out", str(out)) == 0
+        assert json.loads(out.with_suffix(".manifest.json").read_text())["ci_halfwidth"].startswith(meaning)
 
     def test_byte_identical_reproduction(self, tmp_path):
         args = ["simulate", "--trials", "400", "--seed", "11", "--set", "sweep.gamma_db=180,200"]

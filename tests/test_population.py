@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import PAPER, paper_model, snapshot
 from scipy import integrate
 
+from vlcnoma import stats
 from vlcnoma.channel import channel_gain
 from vlcnoma.config import ConfigError, build_experiment, merge
 from vlcnoma.population import (
@@ -128,7 +129,7 @@ class TestMarginalCdf:
         xs = np.quantile(phi, np.linspace(0.001, 0.999, 400))
         emp = np.searchsorted(np.sort(phi), xs, side="right") / n
         sup = np.max(np.abs(emp - np.array([marginal_phi_cdf(PAPER.mobility, x) for x in xs])))
-        assert sup <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
+        assert sup <= stats.dkw_bound(n, 1e-3)
 
     @given(x=st.floats(-1.0, 4.0))
     @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import PAPER, paper_model, snapshot
 
-from vlcnoma import simulate
+from vlcnoma import simulate, stats
 from vlcnoma.channel import incidence_angle
 from vlcnoma.config import ConfigError, build_experiment, merge
 from vlcnoma.scheduling import (
@@ -214,9 +214,7 @@ class TestSelectGroupPair:
         counts = np.zeros(5)
         for _ in range(n):
             counts[select_group_pair(groups, rng.random(2))[0]] += 1
-        expected = n / 5.0
-        sigma = math.sqrt(n * 0.2 * 0.8)
-        assert np.all(np.abs(counts - expected) <= 3.0 * sigma)
+        assert np.all(np.abs(counts / n - 0.2) <= stats.binomial_tolerance(0.2, n))
 
     def test_largest_uniform_picks_last_member(self):
         # the largest uniform below 1 picks the last member, never index n

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlcnoma import analytic as an
-from vlcnoma import simulate
+from vlcnoma import simulate, stats
 from vlcnoma.channel import channel_gain, incidence_angle
 from vlcnoma.config import ConfigError, build_experiment, merge
 from vlcnoma.link import CurvePoint, NomaConfig, eta_thresholds
@@ -223,17 +223,18 @@ def parent_curve(config, scheduled, h2_weak, h2_strong, thresholds):
     n_cond = int(mask.sum())
     cond_rate = n_cond / config.trials
     h2_weak, h2_strong = h2_weak[mask], h2_strong[mask]
+    worst = (noma.rate_weak**2 + noma.rate_strong**2) / 4.0  # each slot a coin flip
     points = []
     for gamma_db, eta_weak, eta_strong in zip(config.gamma_db_grid, *thresholds):
-        if n_cond == 0:
-            points.append(CurvePoint(gamma_db, 0.0, simulate._bernoulli_ci_bound(noma, 0), 1.0, 1.0, 0.0))
-            continue
         ok_weak, ok_strong = ~(h2_weak <= eta_weak), ~(h2_strong <= eta_strong)
         per_trial_rate = ok_weak * noma.rate_weak + ok_strong * noma.rate_strong
         if n_cond >= 2:
-            ci = 1.96 * float(per_trial_rate.std(ddof=1)) / np.sqrt(n_cond)
-        else:
-            ci = simulate._bernoulli_ci_bound(noma, n_cond)
+            ci = stats.Z_CI * float(per_trial_rate.std(ddof=1)) / np.sqrt(n_cond)
+        else:  # each kept trial is a value of its own, counted once
+            ci = stats.mean_halfwidth(per_trial_rate[:, None], np.ones((n_cond, 1), int), 0.0, worst)[0]
+        if n_cond == 0:
+            points.append(CurvePoint(gamma_db, 0.0, ci, 1.0, 1.0, 0.0))
+            continue
         points.append(CurvePoint(float(gamma_db), float(per_trial_rate.mean()), float(ci), float(1.0 - ok_weak.mean()),
                                  float(1.0 - ok_strong.mean()), cond_rate))
     return points
@@ -325,11 +326,13 @@ class TestSweepStatistics:
         assert curves["noma-full-csi"][0].sum_rate == 12.0
         assert curves["noma-full-csi"][0].outage_weak == 0.0
 
-    def test_single_trial_bernoulli_ci(self):
-        curves = run_sweep(make_config(trials=1, gamma_db_grid=(170.0,), schemes=(INDIVIDUAL[2],)))
-        pt = curves["noma-distance"][0]
-        bound = 1.96 * math.sqrt((4.0 + 100.0) / 4.0)
-        assert pt.ci_halfwidth == pytest.approx(bound)
+    @pytest.mark.parametrize("kept, rank_strong", [(1, 10), (0, PAPER.mobility.num_users + 1)])
+    def test_single_trial_bernoulli_ci(self, kept, rank_strong):
+        # under two kept trials the CI is the worst case: the slots' rates 2 and 10, each slot a coin flip
+        config = make_config(trials=1, gamma_db_grid=(170.0,), schemes=(INDIVIDUAL[2],), rank_strong=rank_strong)
+        pt = run_sweep(config)["noma-distance"][0]
+        assert pt.conditioning_rate == kept
+        assert pt.ci_halfwidth == pytest.approx(stats.Z_CI * math.sqrt((4.0 + 100.0) / 4.0))
 
     def test_paired_distance_never_beats_full_csi_strong(self):
         # on shared snapshots the distance ranking cannot see the FOV, so its
@@ -341,8 +344,7 @@ class TestSweepStatistics:
         both = full_ok & dist_ok
         fail_full = (full_strong[both] == 0.0).mean()
         fail_dist = (dist_strong[both] == 0.0).mean()
-        sigma = math.sqrt(max(fail_dist * (1 - fail_dist), 1e-9) / both.sum())
-        assert fail_dist >= fail_full - 3.0 * sigma
+        assert fail_dist >= fail_full - stats.binomial_tolerance(fail_dist, both.sum(), var_floor=1e-9)
         assert fail_dist > fail_full  # strict at these sizes
 
     def test_conditioning_rate_matches_tail(self):
@@ -350,7 +352,7 @@ class TestSweepStatistics:
         curves = run_sweep(config)
         pred = an.nonzero_count_tail(paper_model(), 10)
         got = curves["noma-full-csi"][0].conditioning_rate
-        assert got == pytest.approx(pred, abs=3.0 * math.sqrt(pred * (1 - pred) / config.trials))
+        assert got == pytest.approx(pred, abs=stats.binomial_tolerance(pred, config.trials))
 
     def test_ci_calibration_against_analytic(self):
         # repeated small sweeps: the analytic value must land inside the 95% CI
