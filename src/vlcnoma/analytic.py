@@ -33,22 +33,18 @@ scheme, where ``weak`` and ``strong`` map an array of squared-gain thresholds
 (one slot's thresholds over a curve's SNR grid) to that slot's (outage,
 error) arrays; it is the one entry point of the sweep and of ``validation``.
 
-Two rules integrate over distance.  The mean-angle route's integral over
-distance and mean incidence is a fixed tensor-product Gauss rule
-(``_mean_angle_integral``).  Every other distance integral, that route's
-mean-gain table and normalizer included, is ``integrate_levels``, the
-batched adaptive Gauss-Kronrod rule of ``quadrature``.  A band mass is its
-one-row case (``integrate_adaptive``), whose integrand gets one distance at
-a time.
+One rule integrates: ``integrate_levels``, the batched adaptive
+Gauss-Kronrod rule of ``quadrature``.  A band mass is its one-row case
+(``integrate_adaptive``), whose integrand gets one distance at a time.
 The level families (``unordered_gain_cdf``, ``ordered_gain_cdf``,
 ``group_gain_cdf_instant``, ``group_gain_cdf_mean``,
 ``group_success_probability``) take a 1-D array of levels and return
 (values, errors) arrays: every level of a call is one row of a single
 ``integrate_levels`` pass, split at that level's own kinks, with its own
 tolerance and its own summed error estimate.  The mean-angle family
-(``mean_angle_success_probability``) takes a level array too: its Gauss rule
-runs the distance nodes of all levels together, evaluates the rank weight
-only at its live nodes and writes its temporaries in place.  Every angle law
+(``mean_angle_success_probability``) takes a level array too: it is two
+nested ``integrate_levels`` passes, one row per level over distance and,
+inside it, one row per distance node over the mean incidence.  Every angle law
 has one NumPy path, elementwise over arrays; a float argument is its 0-d
 case, and an array result is clipped in place (``population.unit_clip``).  The
 engine loads no SciPy module: its binomial laws are its own, and the
@@ -479,11 +475,6 @@ _MEAN_CDF_TOL = 1e-7  # interpolation tolerance of the tabulated mean-gain CDF
 # a quadratic panel's remainder, as an odd cubic (s^2 - 1) s plus an even quartic (s^2 - 1) s^2, peaks on [-1, 1]
 # at most 16 / (9 sqrt 3) times the cubic's and 4/3 times the quartic's magnitude at s = +/- 1/2
 _CUBIC_PEAK, _QUARTIC_PEAK = 16.0 / (9.0 * math.sqrt(3.0)), 4.0 / 3.0
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# equal Gauss panels of the mean-angle rule over distance and over the mean incidence, each
-# split again at the kinks; its error estimate halves both counts
-_DISTANCE_PANELS, _ANGLE_PANELS = 8, 8
-_BLOCK_ROWS = 128  # distance nodes evaluated together: every temporary of the rule stays a few hundred kB
 
 
 @lru_cache(maxsize=None)
@@ -624,71 +615,24 @@ def _rank_weight_kinks(mean):
     return tuple(r for row in kinks for r in row)
 
 
-def _gauss_rule(lo, hi, kinks, panels):
-    """(nodes, weights) of 16-point Gauss-Legendre on ``panels`` equal panels of [lo, hi], split again at ``kinks``.
+def _weighted_band(cdf, density, dphi, gain, cap, u):
+    """The inner integrand of the mean-angle route, W(F(gain cos^2 u)) * band(u), at the mean incidences ``u``.
 
-    Broadcasts over rows: ``lo`` and ``hi`` have one entry per row and
-    ``kinks`` one row of points each (clipped into the row's range), and the
-    nodes of a row lie along the last axis.  Every kink is a panel edge, so
-    the rule never integrates across one.
+    ``gain`` = g(r)^2 and ``cap`` broadcast against ``u``, one of each per
+    row of nodes.  The band Pr(|c(r) - phi| < cap | m = c(r) - u) is
+    piecewise linear in u, or a step when delta_phi = 0.  The rank weight (a
+    cosine, a table lookup and a polynomial) is evaluated only where the band
+    is nonzero: elsewhere the product is an exact 0 either way.  The
+    temporaries are written in place.
     """
-    lo, hi = np.asarray(lo, float)[..., None], np.asarray(hi, float)[..., None]
-    grid = lo + (hi - lo) * np.linspace(0.0, 1.0, panels + 1)
-    edges = np.sort(np.concatenate([grid, np.clip(kinks, lo, hi)], axis=-1), axis=-1)
-    mid, half = (0.5 * (edges[..., 1:] + edges[..., :-1]))[..., None], (0.5 * np.diff(edges))[..., None]
-    shape = (*edges.shape[:-1], -1)
-    nodes = half * _GAUSS_NODES
-    nodes += mid
-    return nodes.reshape(shape), (half * _GAUSS_WEIGHTS).reshape(shape)
-
-
-def _mean_angle_rows(model, x, cdf, density, r, panels):
-    """Inner integrals over the mean incidence u = c(r) - m at the distance nodes r, by composite Gauss.
-
-    ``x`` holds each node's threshold.  u runs over
-    [max(-half_fov, c - m_max), min(half_fov, c - m_min)], split where the
-    band probability Pr(|c(r) - phi| < cap | m) kinks, at
-    u = +/- cap +/- delta_phi; cap is the boundary angle of the threshold
-    within the FOV.  The band is piecewise linear in u, or a step when
-    delta_phi = 0, and is weighted by the rank density at the mean gain's CDF.
-    That weight is evaluated only at the live nodes, those with a nonzero
-    Gauss weight and band: every other node adds an exact 0, so the sum has
-    the dense rule's terms, bit for bit.  The temporaries are written in place.
-    """
-    geom, mob = model.geom, model.mobility
-    theta, dphi = geom.half_fov, mob.delta_phi
-    c = incidence_angle(r, 0.0, geom.ell)
-    cap = np.minimum(gain_boundary_angle(geom, x, r), theta)[:, None]
-    u_lo = np.maximum(-theta, c - mob.mean_phi_max)
-    u_hi = np.maximum(np.minimum(theta, c - mob.mean_phi_min), u_lo)
-    kinks = np.hstack([cap + dphi, cap - dphi, dphi - cap, -dphi - cap] if dphi else [cap, -cap])
-    u, w = _gauss_rule(u_lo, u_hi, kinks, panels)
     band = conditional_phi_cdf(0.0, dphi, u + cap)
     band -= conditional_phi_cdf(0.0, dphi, u - cap)
-    # a node of a zero-width panel or of an empty band adds an exact 0 whatever its weight: only live nodes get one
-    live = (w != 0.0) & (band != 0.0)
+    live = band != 0.0
     level = np.cos(u[live])
     level *= level
-    level *= np.repeat(geom.gain_factor(r) ** 2, np.count_nonzero(live, axis=1))
-    weight = np.zeros_like(w)
-    weight[live] = density(cdf(level))
-    return np.einsum("ij,ij,ij->i", w, weight, band)
-
-
-def _mean_angle_integral(model, x, cdf, density, lo, his, kinks, panels):
-    """The tensor-product Gauss rule over (distance, mean incidence) at each level of ``x``.
-
-    Each level has its own distance rule over [lo, hi] split at its own
-    kinks; the distance nodes of all levels go through ``_mean_angle_rows``
-    together, in blocks of _BLOCK_ROWS, and each level sums only its own.
-    """
-    distance_panels, angle_panels = panels
-    rules = [_gauss_rule(lo, hi, k, distance_panels) for hi, k in zip(his.tolist(), kinks)]
-    sizes = [w.size for _, w in rules]
-    r, thresholds = np.concatenate([nodes for nodes, _ in rules]), np.repeat(x, sizes)
-    rows = np.concatenate([_mean_angle_rows(model, thresholds[i:i + _BLOCK_ROWS], cdf, density, r[i:i + _BLOCK_ROWS],
-                                            angle_panels) for i in range(0, r.size, _BLOCK_ROWS)])
-    return np.array([w @ part for (_, w), part in zip(rules, np.split(rows, np.cumsum(sizes)[:-1]))])
+    level *= np.broadcast_to(gain, u.shape)[live]
+    band[live] *= density(cdf(level))
+    return band
 
 
 def mean_angle_success_probability(model, x, rank, min_count):
@@ -706,32 +650,58 @@ def mean_angle_success_probability(model, x, rank, min_count):
     over mean incidences |u| <= half_fov.  F is the mean-gain CDF
     (tabulated), W the rank density over the truncated Binomial count of
     nonzero mean gains, Z the normalizer of the nonzero-mean-gain law.  Both
-    integrals are one tensor-product composite Gauss-Legendre rule
-    (``_mean_angle_integral``) on equal panels split again at every kink.
-    Over distance the kinks are those of ``_breakpoints`` (the corners at
-    half_fov, where cap reaches 0, half_fov or |half_fov - delta_phi|, and
+    integrals are ``integrate_levels`` passes.  The outer one has one row per
+    level over distance, split at the kinks of ``_breakpoints`` (the corners
+    at half_fov, where cap reaches 0, half_fov or |half_fov - delta_phi|, and
     where c(r) +/- cap meets a corner m +/- delta_phi) and those of the rank
-    weight (``_rank_weight_kinks``); over the mean incidence they are the band's.
-    ``x`` is a 1-D array of levels, each with its own distance range and
-    kinks, and each level's value and error are those of its one-level call.
-    The error sums the change when both panel counts are halved, the
-    normalizer's error, and the table error times the total variation of W.
+    weight (``_rank_weight_kinks``), and integrated in the square root of the
+    distance to the level crossing, where cap vanishes like a square root.
+    Its integrand is the inner pass: one row per distance node over the mean
+    incidence, split at the band's kinks +/- cap +/- delta_phi
+    (``_weighted_band``), whose errors enter the outer rows as error
+    densities.  Each pass aims at a fifth of the table term, in its own
+    integral's units (den * span over distance, span over the mean
+    incidence), with no relative tolerance.  ``x`` is a 1-D array of levels, and each level's value
+    and error are those of its one-level call.  The error is the quadrature
+    error (outer and inner), the normalizer's, and the table error times the
+    total variation of W.  A row that does not converge raises
+    QuadratureError naming its level, and for an inner row its distance and
+    mean-incidence interval.
     """
     _require_mean_span(model)
     geom, mob, mean = model.geom, model.mobility, _mean_model(model)
-    theta = geom.half_fov
+    theta, dphi = geom.half_fov, mob.delta_phi
     cdf, cdf_err = _mean_gain_cdf_table(mean)
     density, variation = _rank_density(model, rank, min_count)
     den, den_err = _fov_normalizer(mean)
+    span, family = mob.mean_phi_span, "mean_angle_success_probability"
+    # a fifth of the table term, in each integral's units: den * span for the outer one, span for the inner one
+    outer = QuadratureConfig(0.2 * variation * cdf_err * den * span, 0.0, model.quad.max_subdivisions)
+    inner = replace(outer, abs_tol=0.2 * variation * cdf_err * span)
     lo = mob.d_min
     his = np.array([max(lo, min(mob.d_max, gain_boundary_distance(geom, level))) for level in x.tolist()])
     # a kink found twice (to rounding) or at an end would only add an empty panel
     crossings = _breakpoints(mean, lo, his, (theta,), x, (theta, abs(theta - mob.delta_phi)), _corners(mob))
     kinks = [_merged(points + list(_rank_weight_kinks(mean)), lo, hi) for points, hi in zip(crossings, his.tolist())]
-    fine, coarse = (_mean_angle_integral(model, x, cdf, density, lo, his, kinks, panels)
-                    for panels in ((_DISTANCE_PANELS, _ANGLE_PANELS), (_DISTANCE_PANELS // 2, _ANGLE_PANELS // 2)))
-    span = mob.mean_phi_span
-    value, err = _share((fine, np.abs(fine - coarse)), (den * span, den_err * span))
+
+    def rows(r, levels):
+        shape, r, level = r.shape, r.ravel(), np.repeat(x[levels], r.shape[1])
+        c = incidence_angle(r, 0.0, geom.ell)
+        cap = np.minimum(gain_boundary_angle(geom, level, r), theta)
+        gain = geom.gain_factor(r) ** 2
+        u_lo, u_hi = np.maximum(-theta, c - mob.mean_phi_max), np.minimum(theta, c - mob.mean_phi_min)
+        bends = np.column_stack((-dphi - cap, dphi - cap, cap - dphi, cap + dphi))
+        bends = np.sort(np.clip(bends, u_lo[:, None], np.maximum(u_lo, u_hi)[:, None]), axis=1)
+        values, errors = integrate_levels(
+            lambda u, nodes: _weighted_band(cdf, density, dphi, gain[nodes, None], cap[nodes, None], u),
+            u_lo, u_hi, inner, bends,
+            lambda node: f"{family} at level x={float(level[node])!r}, distance r={float(r[node])!r} m, mean incidence",
+            unit="rad")
+        return values.reshape(shape), errors.reshape(shape)
+
+    num, num_err = integrate_levels(rows, np.full(x.shape, lo), his, outer, kinks,
+                                    lambda row: f"{family} at level x={float(x[row])!r}", his < mob.d_max)
+    value, err = _share((num, num_err), (den * span, den_err * span))
     return value, err + variation * cdf_err
 
 

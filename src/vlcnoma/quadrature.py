@@ -13,6 +13,12 @@ bitwise the same whichever other rows share the call.  It has no
 extrapolation, so where an integrand ends in a square-root edge, which
 QUADPACK's epsilon algorithm would accelerate, the caller flags the row and
 the rule integrates it in t = sqrt(hi - r), where that edge is smooth.
+Every row's first panels are built in one vectorized pass (``_first_panels``)
+from the ragged breakpoint lists, each padded with its hi.  An integrand
+that is itself a quadrature, as the inner pass of the mean-angle route is,
+returns (values, error densities): the Kronrod integral of the densities
+joins each row's reported error, while bisection follows the rule's own
+estimate alone.
 
 ``integrate_adaptive`` is the one-row case: it serves the band masses of
 ``analytic`` (memberships, count laws, conditioning rates).  Their
@@ -29,6 +35,7 @@ not have to hunt for them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,16 +97,21 @@ _PANEL_BLOCK = 2048  # panels evaluated together: each (panels x 21) temporary s
 
 
 def _kronrod(f, a, b, rows):
-    """dqk21 on the panels [a, b] of ``rows``: (value, QUADPACK error estimate), evaluated in _PANEL_BLOCK blocks.
+    """dqk21 on the panels [a, b] of ``rows``: (value, QUADPACK error estimate, density), in _PANEL_BLOCK blocks.
 
     Every reduction runs along one panel's 21 nodes, so a panel's numbers do
-    not depend on the other panels of its block.
+    not depend on the other panels of its block.  When ``f`` returns
+    (values, error densities), ``density`` is the Kronrod integral of the
+    densities on each panel; otherwise it is None.
     """
-    values, errors = [np.empty(0)], [np.empty(0)]
+    values, errors, densities = [np.empty(0)], [np.empty(0)], [np.empty(0)]
     for i in range(0, a.size, _PANEL_BLOCK):
         lo, hi = a[i:i + _PANEL_BLOCK], b[i:i + _PANEL_BLOCK]
         centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         fv = f(centre[:, None] + half[:, None] * _NODES, rows[i:i + _PANEL_BLOCK])
+        if isinstance(fv, tuple):
+            fv, dv = fv
+            densities.append((dv * _KRONROD).sum(axis=1) * half)
         resk = (fv * _KRONROD).sum(axis=1)
         resabs = (np.abs(fv) * _KRONROD).sum(axis=1) * half
         resasc = (np.abs(fv - 0.5 * resk[:, None]) * _KRONROD).sum(axis=1) * half
@@ -110,49 +122,70 @@ def _kronrod(f, a, b, rows):
         err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
         values.append(resk * half)
         errors.append(err)
-    return np.concatenate(values), np.concatenate(errors)
+    density = np.concatenate(densities) if len(densities) > 1 else None
+    return np.concatenate(values), np.concatenate(errors), density
 
 
-def integrate_levels(f, lo, hi, config, breakpoints, label, root_end=None):
+def _first_panels(lo, hi, breakpoints, root):
+    """(a, b, owner) of every row's first panels, built in one pass: the edges lo, the breakpoints and hi.
+
+    ``breakpoints`` is a list of sorted lists, one per row, or a (rows, k)
+    array of sorted points in [lo, hi].  Each row is padded with hi, the rows
+    in ``root`` are mapped to t = sqrt(hi - r) (reversed, so t ascends), and
+    zero-width panels, every panel of a row with hi <= lo among them, are
+    dropped.  Panels come row by row, in ascending order.
+    """
+    if isinstance(breakpoints, np.ndarray):
+        points = breakpoints
+    else:
+        sizes = np.array([len(p) for p in breakpoints], int)
+        points = np.repeat(hi[:, None], int(sizes.max(initial=0)), axis=1)
+        flat = np.fromiter(itertools.chain.from_iterable(breakpoints), float)
+        points[np.arange(points.shape[1]) < sizes[:, None]] = flat
+    edges = np.column_stack((lo, points, hi))
+    edges[root] = np.sqrt(hi[root, None] - edges[root, ::-1])
+    keep = (edges[:, 1:] > edges[:, :-1]) & (hi > lo)[:, None]
+    owner = np.broadcast_to(np.arange(lo.size)[:, None], keep.shape)
+    return edges[:, :-1][keep], edges[:, 1:][keep], owner[keep]
+
+
+def integrate_levels(f, lo, hi, config, breakpoints, label, root_end=None, unit="m"):
     """Integrals of ``f`` over [lo[i], hi[i]] for every row i, with per-row error estimates; raises on non-convergence.
 
-    ``f(r, rows)`` evaluates the integrand of row ``rows[k]`` at the distances
-    ``r[k, :]`` (a (panels, 21) array).  ``breakpoints[i]`` lists row i's
-    kinks, sorted and inside (lo[i], hi[i]); they are the edges of its first
-    panels.  A row with hi <= lo integrates to (0, 0).  The rows flagged in
-    ``root_end`` behave like sqrt(hi - r) at hi; they are integrated in
-    t = sqrt(hi - r), as 2 t f(hi - t^2) over [0, sqrt(hi - lo)] split at
-    the images of their kinks.  There that edge, and the steep stretch
-    before it, are smooth, so their error does not stall on bisecting
-    them.  Each round bisects, in every row whose summed
-    error exceeds max(abs_tol, rel_tol * |value|), its panels in order of
-    decreasing error until the errors left unsplit sum to at most an eighth
-    of that tolerance, within the row's max_subdivisions panels.  Returns
-    (values, errors).  A row that stops short of its tolerance raises
-    QuadratureError when its error exceeds 100 times the tolerance and 1e-7;
-    within that margin its result is returned.  The message starts with
-    ``label(row)`` and names the distance interval of the row's worst panel.
+    ``f(r, rows)`` evaluates the integrand of row ``rows[k]`` at the points
+    ``r[k, :]`` (a (panels, 21) array).  It may instead return (values, error
+    densities): the Kronrod integral of the densities over the row joins its
+    reported error, but not the test that decides which panels to bisect.
+    ``breakpoints[i]`` lists row i's kinks, sorted and inside (lo[i], hi[i]);
+    they are the edges of its first panels (``_first_panels``).  A row with
+    hi <= lo integrates to (0, 0).  The rows flagged in ``root_end`` behave
+    like sqrt(hi - r) at hi; they are integrated in t = sqrt(hi - r), as
+    2 t f(hi - t^2) over [0, sqrt(hi - lo)] split at the images of their
+    kinks.  There that edge, and the steep stretch before it, are smooth, so
+    their error does not stall on bisecting them.  Each round bisects, in
+    every row whose summed error exceeds max(abs_tol, rel_tol * |value|),
+    its panels in order of decreasing error until the errors left unsplit
+    sum to at most an eighth of that tolerance, within the row's
+    max_subdivisions panels.  Returns (values, errors).  A row that stops
+    short of its tolerance raises QuadratureError when its error exceeds 100
+    times the tolerance and 1e-7; within that margin its result is returned.
+    The message starts with ``label(row)`` and names the interval of the
+    row's worst panel, in ``unit``.
     """
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     n = lo.size
-    root = np.zeros(n, bool) if root_end is None else np.asarray(root_end, bool)
-
-    def panel_edges(i):
-        if hi[i] <= lo[i]:
-            return np.empty(0)
-        edges = np.concatenate(([lo[i]], breakpoints[i], [hi[i]]))
-        return np.sqrt(hi[i] - edges[::-1]) if root[i] else edges
+    root = np.zeros(n, bool) if root_end is None else np.asarray(root_end, bool) & (hi > lo)
 
     def g(u, rows):
         # the other rows multiply by 1.0 at r = u: their bits are those of f alone
         sub = root[rows, None]
-        return np.where(sub, 2.0 * u, 1.0) * f(np.where(sub, hi[rows, None] - u * u, u), rows)
+        jacobian = np.where(sub, 2.0 * u, 1.0)
+        out = f(np.where(sub, hi[rows, None] - u * u, u), rows)
+        return (jacobian * out[0], jacobian * out[1]) if isinstance(out, tuple) else jacobian * out
 
-    edges = [panel_edges(i) for i in range(n)]
-    owner = np.repeat(np.arange(n), [max(e.size - 1, 0) for e in edges])
-    a = np.concatenate([e[:-1] for e in edges] + [np.empty(0)])
-    b = np.concatenate([e[1:] for e in edges] + [np.empty(0)])
-    val, err = _kronrod(g, a, b, owner)
+    rule = g if root.any() else f
+    a, b, owner = _first_panels(lo, hi, breakpoints, root)
+    val, err, dens = _kronrod(rule, a, b, owner)
     while True:
         # bincount adds each row's panels in array order, which one row's history alone sets
         value, error = np.bincount(owner, val, n), np.bincount(owner, err, n)
@@ -167,21 +200,24 @@ def integrate_levels(f, lo, hi, config, breakpoints, label, root_end=None):
         pick = _largest_errors(candidates, owner, err, error - tol / 8.0, config.max_subdivisions - count)
         mid = 0.5 * (a[pick] + b[pick])
         halves_a, halves_b = np.concatenate((a[pick], mid)), np.concatenate((mid, b[pick]))
-        halves_val, halves_err = _kronrod(g, halves_a, halves_b, np.tile(owner[pick], 2))
+        halves_val, halves_err, halves_dens = _kronrod(rule, halves_a, halves_b, np.tile(owner[pick], 2))
         # the left half takes its parent's place, the right half is appended
         b[pick], val[pick], err[pick] = mid, halves_val[:pick.size], halves_err[:pick.size]
         a, b = np.concatenate((a, mid)), np.concatenate((b, halves_b[pick.size:]))
         owner = np.concatenate((owner, owner[pick]))
         val, err = np.concatenate((val, halves_val[pick.size:])), np.concatenate((err, halves_err[pick.size:]))
+        if dens is not None:
+            dens[pick] = halves_dens[:pick.size]
+            dens = np.concatenate((dens, halves_dens[pick.size:]))
     failed = np.flatnonzero(error > np.maximum(100.0 * tol, 1e-7))
     if failed.size:
         row = int(failed[0])
         worst = np.flatnonzero(owner == row)[np.argmax(err[owner == row])]
         start, stop = (hi[row] - b[worst] ** 2, hi[row] - a[worst] ** 2) if root[row] else (a[worst], b[worst])
         raise QuadratureError(
-            f"{label(row)}: quadrature did not converge on [{start:.9g}, {stop:.9g}] m of [{lo[row]:.9g}, "
-            f"{hi[row]:.9g}] m: estimate {error[row]:.3e} for value {value[row]:.6e}")
-    return value, error
+            f"{label(row)}: quadrature did not converge on [{start:.9g}, {stop:.9g}] {unit} of [{lo[row]:.9g}, "
+            f"{hi[row]:.9g}] {unit}: estimate {error[row]:.3e} for value {value[row]:.6e}")
+    return value, error if dens is None else error + np.bincount(owner, dens, n)
 
 
 def integrate_adaptive(f, a, b, config, breakpoints=()):

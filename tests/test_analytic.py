@@ -88,6 +88,37 @@ class TestQuadratureWrapper:
                                           str)
         assert values[:2] == pytest.approx(steps, abs=1e-12)
         assert (values[2], errors[2]) == (0.0, 0.0)
+        # first panels come from one pass over all rows: ragged breakpoints, empty rows (hi < lo, hi = lo) and
+        # root_end rows, given as lists and as a padded array, each with its one-row bits
+        lo = np.array([0.0, 0.5, 1.0, 0.0, 2.0, 0.2, 1.0])
+        hi = np.array([3.0, 2.0, 0.5, 2.5, 2.0, 1.9, 3.0])
+        kinks = [[1.0, 1.5, 2.0], [], [0.7], [0.4, 2.2], [], [1.0], [2.0]]
+        root = np.array([False, True, True, True, False, False, True])
+        f = lambda r, rows: np.sqrt(np.abs(r - 0.3 * rows[:, None])) * np.sqrt(np.maximum(hi[rows, None] - r, 0.0))
+        config = QuadratureConfig()
+        got = integrate_levels(f, lo, hi, config, kinks, str, root)
+        padded = np.array([k + [h] * (3 - len(k)) for k, h in zip(kinks, hi)])
+        assert np.array_equal(np.array(got), np.array(integrate_levels(f, lo, hi, config, padded, str, root)))
+        for i in range(lo.size):
+            one = integrate_levels(lambda r, rows: f(r, rows + i), lo[i:i + 1], hi[i:i + 1], config, kinks[i:i + 1],
+                                   str, root[i:i + 1])
+            assert [float(v[i]).hex() for v in got] == [float(v[0]).hex() for v in one], i
+        assert (got[0][2], got[1][2], got[0][4], got[1][4]) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_error_densities_join_the_error_but_not_the_bisection(self):
+        # a density of 1 per unit length adds hi - lo to the error; were it bisected on, no row would stop short of 200
+        config = QuadratureConfig()
+        f = lambda r, rows: np.sqrt(np.abs(r - 0.3))
+        plain = integrate_levels(f, np.zeros(2), np.array([1.0, 2.0]), config, [[], [0.3]], str)
+        dense = integrate_levels(lambda r, rows: (f(r, rows), np.ones_like(r)), np.zeros(2), np.array([1.0, 2.0]),
+                                 config, [[], [0.3]], str)
+        assert np.array_equal(dense[0], plain[0])
+        assert dense[1] - plain[1] == pytest.approx([1.0, 2.0], rel=1e-12)
+        # a root_end row takes the density in t as well: the integral of 2 t over [0, 1] is still hi - lo
+        root = integrate_levels(lambda r, rows: (f(r, rows), np.ones_like(r)), np.zeros(1), np.ones(1), config, [[]],
+                                str, np.array([True]))
+        assert root[1][0] - integrate_levels(f, np.zeros(1), np.ones(1), config, [[]], str, np.array([True]))[1][0] \
+            == pytest.approx(1.0, rel=1e-12)
 
     def test_root_end_rows_integrate_a_square_root_edge_sharply(self):
         # sqrt(1 - r) * (1 + r) on [0, 1], plus sqrt(1 - r) past the breakpoint 0.5
@@ -616,11 +647,19 @@ def adaptive_mean_angle(model, threshold, rank, min_count, panels=16):
 
 
 def assert_within_reported_error(model, levels, rank):
+    """The route is within its reported error of the oracle, and so within its quadrature part alone.
+
+    The quadrature part is the reported error less the table term (the rank
+    weight's variation times the table error), which the oracle shares.
+    """
     values, errors = an.mean_angle_success_probability(model, np.asarray(levels, float), rank, 10)
+    _, cdf_err = an._mean_gain_cdf_table(an._mean_model(model))
+    table = an._rank_density(model, rank, 10)[1] * cdf_err
     for threshold, value, err in zip(levels, values.tolist(), errors.tolist()):
         ref, ref_err = adaptive_mean_angle(model, float(threshold), rank, 10)
         assert ref_err <= 0.1 * err, (threshold, rank, ref_err, err)
         assert abs(value - ref) <= err, (threshold, rank, value, ref, err)
+        assert abs(value - ref) <= err - table, (threshold, rank, value, ref, err - table)
 
 
 class TestMeanAngleRoute:
@@ -831,6 +870,24 @@ class TestQuadratureFailure:
         interval = message.split(" did not converge on [", 1)[1].split("] m", 1)[0]
         lo, hi = (float(v) for v in interval.split(", "))
         assert 0.0 <= lo < hi <= paper_model(25.0).mobility.d_max
+
+    def test_mean_angle_inner_failure_names_level_distance_and_mean_incidence(self, monkeypatch):
+        # a planted fault in the inner integrand: a band that oscillates far faster than any panel over u
+        law = an.conditional_phi_cdf
+        monkeypatch.setattr(an, "conditional_phi_cdf", lambda m, d, t: law(m, d, t) + 0.2 * np.sin(1e7 * t))
+        model = paper_model(25.0)
+        with pytest.raises(QuadratureError) as failure:
+            an.mean_angle_success_probability(model, np.array([1e-13]), 1, 10)
+        message = str(failure.value)
+        assert message.startswith("mean_angle_success_probability at level x=1e-13, distance r=")
+        distance = float(message.split(", distance r=", 1)[1].split(" m,", 1)[0])
+        assert model.mobility.d_min <= distance <= model.mobility.d_max
+        assert ", mean incidence: quadrature did not converge on [" in message
+        interval, whole = message.split(" did not converge on [", 1)[1].split("] rad of [", 1)
+        lo, hi = (float(v) for v in interval.split(", "))
+        u_lo, u_hi = (float(v) for v in whole.split("] rad", 1)[0].split(", "))
+        fov = float(f"{model.geom.half_fov:.9g}")  # the message rounds to 9 digits
+        assert -fov <= u_lo <= lo < hi <= u_hi <= fov
 
     def test_band_mass_failure_names_a_distance_interval_inside_the_range(self, monkeypatch):
         # a planted fault in the band-mass integrand: a FOV probability that oscillates far faster than any panel

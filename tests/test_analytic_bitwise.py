@@ -201,12 +201,12 @@ PINNED = {
     'group_success|dphi=0|wide|mean|strong|x=2e-11': ('0x1.526c9fc8177c6p-2', '0x1.0f066b2eb9e2bp-29'),
     'group_success|dphi=0|wide|mean|strong|x=4.5e-11': ('0x1.3ca50b091f061p-3', '0x1.65d410dbff747p-30'),
     'group_success|dphi=0|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd708d58a599fp-2', '0x1.2b8438569b057p-20'),
-    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2e75536e1dap-12', '0x1.2b7352bd96befp-20'),
-    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7bacb26b5dfe2p-29', '0x1.2b734278edfc0p-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.fffffec77c0f2p-1', '0x1.0310c93f5f670p-20'),
-    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c24326d495p-1', '0x1.dd7db29712c46p-21'),
-    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fd730536d6p-1', '0x1.25a8d2cc0f692p-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=5e-15': ('0x1.bd707b449223ap-2', '0x1.2d787dc0da9f5p-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=4e-13': ('0x1.af2dbd8d3e616p-12', '0x1.2bab333aaefeap-20'),
+    'mean_angle|dphi=0|r=1,k=10|x=2e-11': ('0x1.7bab7b2b5b1eap-29', '0x1.2b8861d85fef6p-20'),
+    'mean_angle|dphi=0|r=10,k=10|x=5e-15': ('0x1.ffffffdf672a7p-1', '0x1.f59c35a197b97p-21'),
+    'mean_angle|dphi=0|r=10,k=10|x=4e-13': ('0x1.f71c21e29bf70p-1', '0x1.f4e0510813b4fp-21'),
+    'mean_angle|dphi=0|r=10,k=10|x=2e-11': ('0x1.186fbb8871a0cp-1', '0x1.e5185226aae83p-21'),
     'group_probabilities|dphi=0|paper|instant': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|paper|mean': ('0x1.afdf99fe10421p-4',),
     'group_probabilities|dphi=0|wide|instant': ('0x1.cf71c47933453p-1',),
@@ -353,12 +353,12 @@ PINNED = {
     'group_success|dphi=25|wide|mean|strong|x=2e-11': ('0x1.82b11a9a7a600p-2', '0x1.440c838a02192p-29'),
     'group_success|dphi=25|wide|mean|strong|x=4.5e-11': ('0x1.3970f4df5e979p-3', '0x1.2dea8c386ed68p-31'),
     'group_success|dphi=25|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2cdaebb313p-2', '0x1.3d71390c2404fp-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b9d07aba2cp-10', '0x1.3d6cb9d9168a8p-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef23fa016c9p-23', '0x1.3d6c934b36721p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405f9d208a0ep-1', '0x1.040e04fe17f62p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d52edd99ep-1', '0x1.06a45af787122p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef42edd0e32p-1', '0x1.087f365d8e3cep-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2c6f86dfddp-2', '0x1.431e763dfb782p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b53124af58p-10', '0x1.3dba83921c000p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef35292ee15p-23', '0x1.3dcdbbbf400b3p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405f73e505cbp-1', '0x1.25efda684960ap-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d4b7420acp-1', '0x1.087ff21b841bcp-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef42e626dafp-1', '0x1.043c362620311p-20'),
     'group_probabilities|dphi=25|paper|instant': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|paper|mean': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|wide|instant': ('0x1.dbd2f1fed3071p-1',),

@@ -13,13 +13,15 @@ and the engines (``analytic``, ``quadrature``, ``scheduling``, ``simulate``)
 raise no ``ValueError`` of their own for what config or their callers
 already guarantee: only a scheme without its thresholds and an empty sample.
 Every sampling bound comes from ``stats``: no other file of the package or
-the tests types the CI's z, validate's check width or the DKW bound.
+the tests types the CI's z, validate's check width or the DKW bound.  And the
+package has one quadrature rule, that of ``quadrature``: no other module
+builds Gauss nodes (``np.polynomial``, ``leggauss``) or types a node table.
 """
 
 import ast
 from pathlib import Path
 
-from vlcnoma import stats
+from vlcnoma import quadrature, stats
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vlcnoma"
@@ -213,3 +215,18 @@ def test_stats_imports_only_math_and_numpy():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert imported <= {"math", "numpy"}, f"stats imports {sorted(imported)}"
+
+
+def test_package_has_one_quadrature_rule():
+    # a second rule beside integrate_levels is a second error estimate, and its own tolerance and honesty to keep
+    nodes = {abs(float(v)) for v in quadrature._NODES if v}
+    rules = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)) and _bare_name(node) in ("polynomial", "leggauss"):
+                rules.append(f"{path.stem}:{node.lineno} ({_bare_name(node)})")
+            elif isinstance(node, ast.Constant) and type(node.value) is float and abs(node.value) in nodes:
+                rules.append(f"{path.stem}:{node.lineno} (a Kronrod node)")
+    assert not rules, f"quadrature rules outside quadrature.py: {rules}"

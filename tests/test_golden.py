@@ -23,7 +23,7 @@ GOLDEN = {
     ("simulate", "fig2"): "139c92006a8509bea1a383096ff0e1b78d8ee862ff81da01243d379b1be8bcf2",
     ("simulate", "fig3"): "565c057d099d73322fece48bedefcc4f60319244710c8508a58a77b7892c521c",
     ("simulate", "fig4"): "6a66d5c160af9b501c89adf2c83c0b1a7b678a819799767e66a3031c7cbba4fb",
-    ("analytic", "fig2"): "7642da7fef05e596afc329c5d6fc5f34d100a43a71c6e6927cb01e78d67c0d13",
+    ("analytic", "fig2"): "c9669a153caf4bcad4d290333055043e8690c1a7aec9ca6a1b7719c75ed196af",
     ("analytic", "fig3"): "827fb0b5ab833b160f3210ecf67993339f46ab46b7aed892b0e9699f0f38d643",
 }
 VALIDATE_QUICK = "8611f1767f60464dd2c46d087ea7fa4b02e5f9f8c2b542a57bb144207e8e39cd"

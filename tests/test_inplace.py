@@ -1,8 +1,8 @@
 """The closed form's in-place and live-node rewrites keep the bits of their dense oracles.
 
-The mean-angle rule (``analytic._mean_angle_rows``) evaluates the rank weight
-only at its live nodes, those with a nonzero Gauss weight and band, and
-writes its temporaries in place; the kink finder stops bisecting at the
+The inner integrand of the mean-angle route (``analytic._weighted_band``)
+evaluates the rank weight only at its live nodes, those with a nonzero band,
+and writes its temporaries in place; the kink finder stops bisecting at the
 fixed point.  Each is checked here against the dense expression it
 replaced, kept in this file as the oracle, bit for bit.  NumPy picks a SIMD
 kernel at run time, and compressing to live nodes moves where a kernel's
@@ -70,19 +70,23 @@ def dense_density(model, rank, min_count):
     return density
 
 
-def dense_rows(model, x, cdf, density, r, panels):
-    """The mean-angle rule with every node evaluated: the band and the rank weight at all of them."""
-    geom, mob = model.geom, model.mobility
-    theta, dphi = geom.half_fov, mob.delta_phi
-    c = incidence_angle(r, 0.0, geom.ell)
-    cap = np.minimum(an.gain_boundary_angle(geom, x, r), theta)[:, None]
-    u_lo = np.maximum(-theta, c - mob.mean_phi_max)
-    u_hi = np.maximum(np.minimum(theta, c - mob.mean_phi_min), u_lo)
-    kinks = np.hstack([cap + dphi, cap - dphi, dphi - cap, -dphi - cap] if dphi else [cap, -cap])
-    u, w = an._gauss_rule(u_lo, u_hi, kinks, panels)
+def dense_rows(model, x, cdf, density, r, u):
+    """The inner integrand of the mean-angle route with every node evaluated: the band and the rank weight at all."""
+    geom, dphi = model.geom, model.mobility.delta_phi
+    cap = np.minimum(an.gain_boundary_angle(geom, x, r), geom.half_fov)[:, None]
     band = conditional_phi_cdf(0.0, dphi, u + cap) - conditional_phi_cdf(0.0, dphi, u - cap)
     weight = density(cdf(geom.gain_factor(r)[:, None] ** 2 * np.cos(u) ** 2))
-    return np.einsum("ij,ij,ij->i", w, weight, band), w, band
+    return band * weight, band
+
+
+def inner_nodes(model, r):
+    """The mean incidences of 16 equal 21-node panels over each distance's range [u_lo, u_hi], one row per distance."""
+    geom, mob = model.geom, model.mobility
+    c = incidence_angle(r, 0.0, geom.ell)
+    u_lo = np.maximum(-geom.half_fov, c - mob.mean_phi_max)
+    u_hi = np.maximum(np.minimum(geom.half_fov, c - mob.mean_phi_min), u_lo)
+    t = (np.arange(16)[:, None] + 0.5 * (1.0 + np.linspace(-0.99, 0.99, 21))).ravel() / 16.0
+    return u_lo[:, None] + (u_hi - u_lo)[:, None] * t
 
 
 # (rank, min_count): no power of u (rank 1), no power of 1 - u (rank = min_count), both, and both of exponent 1
@@ -96,25 +100,22 @@ class TestLiveNodeRule:
     @pytest.mark.parametrize("dphi", (0.0, 25.0))
     def test_rule_is_bitwise_the_dense_rule(self, dphi, rank, min_count):
         model = paper_model(dphi)
-        mob = model.mobility
+        geom, mob = model.geom, model.mobility
         cdf, _ = an._mean_gain_cdf_table(an._mean_model(model))
         density, _ = an._rank_density(model, rank, min_count)
-        r, _ = an._gauss_rule(mob.d_min, mob.d_max, [], an._DISTANCE_PANELS)
-        dead_panel = dead_band = dead_block = 0
+        r = np.linspace(mob.d_min, mob.d_max, 301)
+        u = inner_nodes(model, r)
+        dead_band = dead_row = 0
         for level in LEVELS:
             x = np.full(r.size, level)
-            for panels in (an._ANGLE_PANELS, an._ANGLE_PANELS // 2):
-                for i in range(0, r.size, an._BLOCK_ROWS):
-                    block = slice(i, i + an._BLOCK_ROWS)
-                    got = an._mean_angle_rows(model, x[block], cdf, density, r[block], panels)
-                    want, w, band = dense_rows(model, x[block], dense_cdf(cdf),
-                                               dense_density(model, rank, min_count), r[block], panels)
-                    assert np.array_equal(bits(got), bits(want)), (level, panels, i)
-                    dead_panel += int(np.count_nonzero(w == 0.0))
-                    dead_band += int(np.count_nonzero((band == 0.0) & (w != 0.0)))
-                    dead_block += not np.any((w != 0.0) & (band != 0.0))
-        # the blocks hold zero-width panels, empty bands at nonzero weight and blocks without a live node
-        assert dead_panel and dead_band and dead_block
+            cap = np.minimum(an.gain_boundary_angle(geom, x, r), geom.half_fov)[:, None]
+            got = an._weighted_band(cdf, density, mob.delta_phi, geom.gain_factor(r)[:, None] ** 2, cap, u)
+            want, band = dense_rows(model, x, dense_cdf(cdf), dense_density(model, rank, min_count), r, u)
+            assert np.array_equal(bits(got), bits(want)), level
+            dead_band += int(np.count_nonzero(band == 0.0))
+            dead_row += int(np.count_nonzero(~np.any(band != 0.0, axis=1)))
+        # the rows hold empty bands beside live nodes, and whole rows without a live node
+        assert dead_band > dead_row * u.shape[1] and dead_row
 
     @pytest.mark.parametrize("dphi", (0.0, 25.0))
     def test_table_lookup_is_bitwise_the_dense_lookup(self, dphi):
