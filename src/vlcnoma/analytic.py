@@ -139,7 +139,7 @@ def _corners(mob):
 
 _CROSSING_SCAN = 401  # scan points per level for the moving kinks of _breakpoints
 _SCAN_ROWS = 256  # levels scanned together: each (levels x _CROSSING_SCAN) temporary stays below 1 MB
-_BISECTIONS = 60  # most halvings of a bracket of at most (hi - lo) / 400; most brackets reach adjacent floats sooner
+_BISECTIONS = 60  # halvings of every bracket, each at most (hi - lo) / 400 wide
 
 
 def _merged(points, lo, hi):
@@ -163,9 +163,7 @@ def _breakpoints(model, lo, hi, half_angles, levels=None, caps=(), corners=()):
     The difference of the two sides, over ell^2 + r^2, is scanned on
     _CROSSING_SCAN points of each level's [lo, hi] (``hi`` has one entry per
     level, or one for all), every distinct corner at once, and every sign
-    change is bisected, all brackets together, until each bracket's midpoint
-    is one of its ends (a fixed point: later halvings change nothing), at
-    most _BISECTIONS times.  Roots where
+    change is bisected, all brackets together, _BISECTIONS times.  Roots where
     c(r) - t exceeds pi/2 solve the squared equation only; they are kept as
     harmless extra splits.  Without ``levels`` the one list holds the fixed
     kinks of the half angles.
@@ -210,8 +208,6 @@ def _breakpoints(model, lo, hi, half_angles, levels=None, caps=(), corners=()):
         a_below = below(a, x, cos_c, sin_c)
         for _ in range(_BISECTIONS):
             mid = 0.5 * (a + b)
-            if np.all((mid == a) | (mid == b)):
-                break  # every bracket is adjacent floats or one float: further halvings change nothing
             left = below(mid, x, cos_c, sin_c) != a_below  # the sign changes in [a, mid]
             a, b = np.where(left, a, mid), np.where(left, mid, b)
         for i, root in zip(row.tolist(), (0.5 * (a + b)).tolist()):
@@ -549,19 +545,10 @@ def _mean_gain_cdf_table(mean):
     starts = (center - half)[1:]  # searchsorted on these puts a level below the second panel in the first
 
     def cdf(y):
-        # in place on its own temporaries: v becomes the local coordinate s, then the Horner sum
-        v = np.log(y)
-        np.maximum(v, lo, out=v)
-        np.minimum(v, hi, out=v)
+        v = np.minimum(np.maximum(np.log(y), lo), hi)
         i = np.searchsorted(starts, v, "right")
-        v -= center.take(i)
-        v /= half.take(i)
-        value = curve.take(i)
-        value *= v
-        value += slope.take(i)
-        value *= v
-        value += f_mid.take(i)
-        return np.clip(value, 0.0, 1.0, out=value)
+        s = (v - center.take(i)) / half.take(i)
+        return np.clip(f_mid.take(i) + s * (slope.take(i) + s * curve.take(i)), 0.0, 1.0)
 
     return cdf, quad_err + interp_err
 
@@ -580,19 +567,13 @@ def _rank_density(model, rank, min_count):
     coef = weights * n * np.exp([_log_binomial_row(v - 1)[k] for v in n.tolist()])
 
     def density(u):
-        # Horner in 1 - u over the powers min_count - rank .. K - rank, in place on arrays of u's shape
+        # Horner in 1 - u over the powers min_count - rank .. K - rank
         v = 1.0 - u
         total = np.full(v.shape, coef[-1])
         for c in coef[-2::-1]:
             total *= v
             total += c
-        # x**0 is exactly 1: a zero exponent's power is skipped
-        if k:
-            total *= u**k
-        if min_count > rank:
-            v **= min_count - rank
-            total *= v
-        return total
+        return total * u**k * v ** (min_count - rank)
 
     # each Bernstein term is unimodal: variation = 2 * mode value - end values
     mode = k / np.maximum(n - 1, 1)
@@ -620,19 +601,10 @@ def _weighted_band(cdf, density, dphi, gain, cap, u):
 
     ``gain`` = g(r)^2 and ``cap`` broadcast against ``u``, one of each per
     row of nodes.  The band Pr(|c(r) - phi| < cap | m = c(r) - u) is
-    piecewise linear in u, or a step when delta_phi = 0.  The rank weight (a
-    cosine, a table lookup and a polynomial) is evaluated only where the band
-    is nonzero: elsewhere the product is an exact 0 either way.  The
-    temporaries are written in place.
+    piecewise linear in u, or a step when delta_phi = 0.
     """
-    band = conditional_phi_cdf(0.0, dphi, u + cap)
-    band -= conditional_phi_cdf(0.0, dphi, u - cap)
-    live = band != 0.0
-    level = np.cos(u[live])
-    level *= level
-    level *= np.broadcast_to(gain, u.shape)[live]
-    band[live] *= density(cdf(level))
-    return band
+    band = conditional_phi_cdf(0.0, dphi, u + cap) - conditional_phi_cdf(0.0, dphi, u - cap)
+    return band * density(cdf(gain * np.cos(u) ** 2))
 
 
 def mean_angle_success_probability(model, x, rank, min_count):

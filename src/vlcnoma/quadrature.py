@@ -187,8 +187,9 @@ def integrate_levels(f, lo, hi, config, breakpoints, label, root_end=None, unit=
     a, b, owner = _first_panels(lo, hi, breakpoints, root)
     val, err, dens = _kronrod(rule, a, b, owner)
     while True:
-        # bincount adds each row's panels in array order, which one row's history alone sets
-        value, error = np.bincount(owner, val, n), np.bincount(owner, err, n)
+        # bincount adds each row's panels in array order, which one row's history alone sets; with no panel at
+        # all it returns integers
+        value, error = (np.bincount(owner, w, n).astype(float, copy=False) for w in (val, err))
         tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(value))
         # a panel whose midpoint rounds to an end cannot be bisected (QUADPACK's ier = 3)
         splittable = np.abs(b - a) > 100.0 * _EPS * np.maximum(np.abs(a), np.abs(b)) + 1000.0 * _TINY

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import binom
 from helpers import LEVELS, PAPER, group_models, paper_model
 
 from vlcnoma import analytic as an
@@ -104,6 +106,9 @@ class TestQuadratureWrapper:
                                    str, root[i:i + 1])
             assert [float(v[i]).hex() for v in got] == [float(v[0]).hex() for v in one], i
         assert (got[0][2], got[1][2], got[0][4], got[1][4]) == (0.0, 0.0, 0.0, 0.0)
+        # a call in which no row has a panel returns floats too
+        empty = integrate_levels(f, np.array([1.0, 2.0]), np.array([0.5, 2.0]), config, [[], []], str)
+        assert [v.dtype for v in empty] == [np.float64, np.float64]
 
     def test_error_densities_join_the_error_but_not_the_bisection(self):
         # a density of 1 per unit length adds hi - lo to the error; were it bisected on, no row would stop short of 200
@@ -714,6 +719,88 @@ class TestMeanAngleRoute:
         for model in (static, paper):
             an.mean_angle_success_probability(model, np.array([1e-12]), 1, 10)
         assert an._mean_gain_cdf_table.cache_info().misses - misses <= 1
+
+    # (rank, min_count): no power of u (rank 1), no power of 1 - u (rank = min_count), both, and both of exponent 1
+    @pytest.mark.parametrize("rank,min_count", ((1, 10), (10, 10), (20, 20), (3, 5), (2, 3)))
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_rank_density_is_the_binomial_mixture_and_bounds_its_variation(self, dphi, rank, min_count):
+        model = paper_model(dphi)
+        density, variation = an._rank_density(model, rank, min_count)
+        n = np.arange(min_count, model.mobility.num_users + 1)
+        weights = an.nonzero_count_pmf(an._mean_model(model), n, min_count)
+        u = np.linspace(0.0, 1.0, 200_001)
+        want = sum(w * k * binom.pmf(rank - 1, k - 1, u) for w, k in zip(weights.tolist(), n.tolist()))
+        got = density(u)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # the grid's total variation, summed over 200 000 steps, is exact to about 1e-15 relative
+        grid = float(np.abs(np.diff(got)).sum())
+        assert variation >= grid * (1.0 - 1e-12), (variation, grid)
+        if (rank, min_count) in ((1, 10), (20, 20)):  # W is monotone: its variation is |W(1) - W(0)|
+            assert variation == pytest.approx(grid, rel=1e-9)
+
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_weighted_band_is_an_exact_zero_where_the_band_is_empty(self, dphi):
+        # the rank weight is evaluated at every node, an empty band's too: there the product must stay an exact 0
+        model = paper_model(dphi)
+        geom, mob = model.geom, model.mobility
+        cdf, _ = an._mean_gain_cdf_table(an._mean_model(model))
+        density, _ = an._rank_density(model, 10, 10)
+        peak = float(density(np.linspace(0.0, 1.0, 200_001)).max())
+        r = np.linspace(mob.d_min, mob.d_max, 301)
+        u = np.linspace(-geom.half_fov, geom.half_fov, 401)
+        dead_band = dead_row = 0
+        # the pinned levels of the mean-angle rule, and one above g(d_min)^2, whose band is empty everywhere
+        for level in (5e-15, 4e-13, 2e-11, 1e-9):
+            cap = np.minimum(an.gain_boundary_angle(geom, np.full(r.size, level), r), geom.half_fov)[:, None]
+            got = an._weighted_band(cdf, density, mob.delta_phi, geom.gain_factor(r)[:, None] ** 2, cap, u)
+            band = conditional_phi_cdf(0.0, mob.delta_phi, u + cap) - conditional_phi_cdf(0.0, mob.delta_phi, u - cap)
+            empty = band == 0.0
+            assert np.all(got[empty] == 0.0), level
+            assert np.all((got >= 0.0) & (got <= band * peak * (1.0 + 1e-12))), level
+            dead_band += int(np.count_nonzero(empty))
+            dead_row += int(np.count_nonzero(np.all(empty, axis=1)))
+        # the rows hold empty bands beside live nodes, and whole rows without a live node
+        assert dead_band > dead_row * u.size and dead_row
+
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_table_lookup_holds_its_ends_and_steps_within_its_error_at_panel_starts(self, dphi):
+        mean = an._mean_model(paper_model(dphi))
+        cdf, err = an._mean_gain_cdf_table(mean)
+        panels = inspect.getclosurevars(cdf).nonlocals
+        lo, hi, starts = panels["lo"], panels["hi"], panels["starts"]
+        # beyond the table's range the lookup is the end value, within the error of the CDF there
+        ends = an.unordered_gain_cdf(mean, np.exp([lo, hi]))[0]
+        below, above = np.linspace(lo - 5.0, lo - 1e-9, 50), np.linspace(hi + 1e-9, hi + 5.0, 50)
+        for beyond, end in ((below, ends[0]), (above, ends[1])):
+            got = cdf(np.exp(beyond))
+            assert np.unique(got).size == 1 and abs(float(got[0]) - end) <= err, (got[0], end, err)
+        # the two panels at a start each miss the continuous CDF by at most the error, so they meet within twice it
+        left, right = cdf(np.exp(starts - 1e-12)), cdf(np.exp(starts + 1e-12))
+        step = np.abs(right - left)
+        assert np.all(step <= 2.0 * err), (float(step.max()), err)
+
+    @pytest.mark.parametrize("dphi", (0.0, 25.0))
+    def test_moving_kinks_are_corner_crossings_to_the_last_float(self, dphi):
+        # the route's call; a moving kink is a sign change of cos^2(t - c(r)) - x / g(r)^2 for a corner t
+        model = paper_model(dphi)
+        geom, mob, mean = model.geom, model.mobility, an._mean_model(model)
+        theta = geom.half_fov
+        x = np.geomspace(1e-16, 4e-11, 40)
+        his = np.array([max(mob.d_min, min(mob.d_max, an.gain_boundary_distance(geom, level))) for level in x])
+        caps = (theta, abs(theta - mob.delta_phi))
+        found = an._breakpoints(mean, mob.d_min, his, (theta,), x, caps, an._corners(mob))
+        fixed = an._breakpoints(mean, mob.d_min, his, (theta,), x, caps)
+        corners = np.array(an._corners(mob))[:, None]
+        moving = 0
+        for level, points, known in zip(x.tolist(), found, fixed):
+            for root in sorted(set(points) - set(known)):
+                r = np.array([np.nextafter(root, -np.inf), root, np.nextafter(root, np.inf)])
+                gap = ((r * np.cos(corners) - geom.ell * np.sin(corners)) ** 2 / (geom.ell**2 + r * r)
+                       - level * an.inverse_squared_gain(geom, r))
+                sign = np.signbit(gap)
+                assert np.any((sign[:, 0] != sign[:, 1]) | (sign[:, 1] != sign[:, 2])), (level, root)
+                moving += 1
+        assert moving
 
     @pytest.mark.parametrize("dphi", (0.0, 25.0))
     def test_within_reported_error_of_adaptive_rule_at_pinned_levels(self, dphi):
