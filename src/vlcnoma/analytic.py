@@ -137,9 +137,7 @@ def _corners(mob):
     return [m + t for m in (mob.mean_phi_min, mob.mean_phi_max) for t in (-mob.delta_phi, mob.delta_phi)]
 
 
-_CROSSING_SCAN = 401  # scan points per level for the moving kinks of _breakpoints
-_SCAN_ROWS = 256  # levels scanned together: each (levels x _CROSSING_SCAN) temporary stays below 1 MB
-_BISECTIONS = 60  # halvings of every bracket, each at most (hi - lo) / 400 wide
+_BISECTIONS = 69  # halvings of every bracket: one as wide as a 10 m range ends below 2e-20 m
 
 
 def _merged(points, lo, hi):
@@ -159,14 +157,16 @@ def _breakpoints(model, lo, hi, half_angles, levels=None, caps=(), corners=()):
     of the angle CDF and, for each gain level x of ``levels``, where its
     boundary angle b(r, x) reaches 0 or one of ``caps``.  The moving kinks of
     a level are where c(r) +/- b(r, x) meets one of ``corners``: there
-    (r cos t - ell sin t)^2 = x (ell^2 + r^2)^(m+3) / h_c^4 for a corner t.
-    The difference of the two sides, over ell^2 + r^2, is scanned on
-    _CROSSING_SCAN points of each level's [lo, hi] (``hi`` has one entry per
-    level, or one for all), every distinct corner at once, and every sign
-    change is bisected, all brackets together, _BISECTIONS times.  Roots where
-    c(r) - t exceeds pi/2 solve the squared equation only; they are kept as
-    harmless extra splits.  Without ``levels`` the one list holds the fixed
-    kinks of the half angles.
+    f(r) = (r cos t - ell sin t)^2 / (ell^2 + r^2)^(m+3) equals x / h_c^4 for
+    a corner t.  f is 0 at r = ell tan t and turns only where
+    -(m+2) cos t r^2 + (m+3) ell sin t r + ell^2 cos t = 0, whose discriminant
+    is positive; between these points f is monotone, so each piece of a
+    level's [lo, hi] (``hi`` has one entry per level, or one for all) holds at
+    most one crossing.  The sign of f - x / h_c^4 is read at the piece ends,
+    every distinct corner at once, and every sign change is bisected, all
+    brackets together, _BISECTIONS times.  Roots where c(r) - t exceeds pi/2
+    solve the squared equation only; they are kept as harmless extra splits.
+    Without ``levels`` the one list holds the fixed kinks of the half angles.
     """
     geom = model.geom
     fixed = []
@@ -181,37 +181,34 @@ def _breakpoints(model, lo, hi, half_angles, levels=None, caps=(), corners=()):
     his = np.broadcast_to(np.asarray(hi, float), levels.shape)
     scales = [1.0] + [math.cos(c) ** 2 for c in caps]
     pts = [fixed + [gain_boundary_distance(geom, x, scale) for scale in scales] for x in levels.tolist()]
-    corners = list(dict.fromkeys(corners))
-    rows = np.flatnonzero((levels > 0.0) & (his > lo)) if corners else np.empty(0, int)
+    corners = np.array(list(dict.fromkeys(corners)), float)
+    rows = np.flatnonzero((levels > 0.0) & (his > lo))
     cos_t, sin_t = np.cos(corners), np.sin(corners)
-
-    def gap(r, radius_sq, level_term, cos_c, sin_c):
-        # cos^2(t - c(r)) - x / g(r)^2 for the corner t, given ell^2 + r^2 and x / g(r)^2
-        return (r * cos_c - geom.ell * sin_c) ** 2 / radius_sq - level_term
+    # the turning points of f, by the cancellation-free form of the quadratic's roots
+    square, linear, const = -(geom.m + 2.0) * cos_t, (geom.m + 3.0) * geom.ell * sin_t, geom.ell**2 * cos_t
+    q = -0.5 * (linear + np.copysign(np.sqrt(linear**2 - 4.0 * square * const), linear))
+    turns = np.sort(np.stack([geom.ell * sin_t / cos_t, q / square, const / q], axis=1), axis=1)
 
     def below(r, x, cos_c, sin_c):
-        return np.signbit(gap(r, geom.ell**2 + r * r, x * inverse_squared_gain(geom, r), cos_c, sin_c))
+        # cos^2(t - c(r)) < x / g(r)^2 for the corner t: the sign of f - x / h_c^4
+        cos_sq = (r * cos_c - geom.ell * sin_c) ** 2 / (geom.ell**2 + r * r)
+        return np.signbit(cos_sq - x * inverse_squared_gain(geom, r))
 
-    brackets = []
-    steps = np.linspace(0.0, 1.0, _CROSSING_SCAN)
-    for i in range(0, rows.size, _SCAN_ROWS):
-        block = rows[i:i + _SCAN_ROWS]
-        r = lo + (his[block] - lo)[:, None] * steps
-        radius_sq, level_term = geom.ell**2 + r * r, levels[block][:, None] * inverse_squared_gain(geom, r)
-        for t in range(len(corners)):
-            sign = np.signbit(gap(r, radius_sq, level_term, cos_t[t], sin_t[t]))
-            row, col = np.nonzero(sign[:, :-1] != sign[:, 1:])
-            brackets.append((block[row], np.full(row.size, t), r[row, col], r[row, col + 1]))
-    if brackets:
-        row, t, a, b = (np.concatenate(parts) for parts in zip(*brackets))
-        x, cos_c, sin_c = levels[row], cos_t[t], sin_t[t]
-        a_below = below(a, x, cos_c, sin_c)
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (a + b)
-            left = below(mid, x, cos_c, sin_c) != a_below  # the sign changes in [a, mid]
-            a, b = np.where(left, a, mid), np.where(left, mid, b)
-        for i, root in zip(row.tolist(), (0.5 * (a + b)).tolist()):
-            pts[i].append(root)
+    # the piece ends of every (level, corner): lo, the turning points clipped into [lo, hi], hi
+    row, t = np.repeat(rows, corners.size), np.tile(np.arange(corners.size), rows.size)
+    ends = np.column_stack([np.full(row.size, lo), np.clip(turns[t], lo, his[row, None]), his[row]])
+    x, cos_c, sin_c = levels[row], cos_t[t], sin_t[t]
+    sign = below(ends, x[:, None], cos_c[:, None], sin_c[:, None])
+    pair, col = np.nonzero(sign[:, :-1] != sign[:, 1:])
+    row, x, cos_c, sin_c = row[pair], x[pair], cos_c[pair], sin_c[pair]
+    a, b = ends[pair, col], ends[pair, col + 1]
+    a_below = sign[pair, col]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (a + b)
+        left = below(mid, x, cos_c, sin_c) != a_below  # the sign changes in [a, mid]
+        a, b = np.where(left, a, mid), np.where(left, mid, b)
+    for i, root in zip(row.tolist(), (0.5 * (a + b)).tolist()):
+        pts[i].append(root)
     return [_merged(p, lo, h) for p, h in zip(pts, his.tolist())]
 
 

@@ -81,10 +81,11 @@ def select_individual(ordering, rank_weak, rank_strong):
 def two_bit_feedback(d, angle, scheme, geom):
     """Two bits (distance below threshold, |incidence| below threshold).
 
-    ``scheme`` is a two-bit scheme (``run_trial`` calls this only for the
-    two-bit kinds), and ``angle`` is the instantaneous vertical angle for the
-    instantaneous kind and the mean vertical angle for the mean kind; the
-    boundary counts as inside (Pi[x] = 1 iff |x| <= 1).  Array friendly.
+    ``scheme`` is a two-bit scheme (the simulator's ``run_trial`` and the
+    group-conditioning check of ``validation`` call this), and ``angle`` is
+    the instantaneous vertical angle for the instantaneous kind and the mean
+    vertical angle for the mean kind; the boundary counts as inside
+    (Pi[x] = 1 iff |x| <= 1).  Array friendly.
     """
     d = np.asarray(d, float)
     theta = incidence_angle(d, angle, geom.ell)

@@ -24,7 +24,7 @@ from . import analytic as an
 from .channel import channel_gain, incidence_angle
 from .config import build_experiment, merge
 from .population import marginal_phi_cdf, sample_user_arrays
-from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme
+from .scheduling import TWO_BIT_KINDS, FeedbackKind, FeedbackScheme, two_bit_feedback
 from .simulate import EmpiricalCdf
 from .stats import binomial_tolerance, dkw_bound
 
@@ -287,9 +287,8 @@ def check_group_conditioning(sizes, rng):
     n = sizes.population_draws
     both = 0  # snapshots with both groups nonempty
     for d, phi in _user_blocks(mob, rng, mob.num_users, n):
-        incidence = np.abs(incidence_angle(d, phi, geom.ell))
-        weak = (d > scheme.d_threshold) & (incidence > scheme.theta_threshold)
-        strong = (d <= scheme.d_threshold) & (incidence <= scheme.theta_threshold)
+        bit_d, bit_theta = two_bit_feedback(d, phi, scheme, geom)
+        weak, strong = ~(bit_d | bit_theta), bit_d & bit_theta  # the grouping of group_users
         both += int((weak.any(axis=1) & strong.any(axis=1)).sum())
     frac = both / n
     return _frequency_check("group-conditioning-rate", frac, an.both_groups_probability(model), n, f"n={n}")

@@ -779,13 +779,19 @@ class TestMeanAngleRoute:
         step = np.abs(right - left)
         assert np.all(step <= 2.0 * err), (float(step.max()), err)
 
-    @pytest.mark.parametrize("dphi", (0.0, 25.0))
-    def test_moving_kinks_are_corner_crossings_to_the_last_float(self, dphi):
+    @pytest.mark.parametrize("mobility,x", [
+        (paper_model(0.0).mobility, np.geomspace(1e-16, 4e-11, 40)),
+        (paper_model(25.0).mobility, np.geomspace(1e-16, 4e-11, 40)),
+        # a 0.5 degree corner: many of its kinks lie within 5 cm of the LED
+        (MobilityConfig.from_degrees(0.0, 10.0, 10.5, 150.0, 10.0, 20), np.geomspace(1e-22, 4e-11, 60)),
+        # a 90 degree corner: cos t is about 6e-17 there, so the turning points' quadratic loses its square term
+        (MobilityConfig.from_degrees(0.0, 10.0, 80.0, 100.0, 10.0, 20), np.geomspace(1e-22, 4e-11, 60)),
+    ], ids=["0.0", "25.0", "corner=0.5deg", "corner=90deg"])
+    def test_moving_kinks_are_corner_crossings_to_the_last_float(self, mobility, x):
         # the route's call; a moving kink is a sign change of cos^2(t - c(r)) - x / g(r)^2 for a corner t
-        model = paper_model(dphi)
+        model = AnalyticModel(geom=paper_model().geom, mobility=mobility)
         geom, mob, mean = model.geom, model.mobility, an._mean_model(model)
         theta = geom.half_fov
-        x = np.geomspace(1e-16, 4e-11, 40)
         his = np.array([max(mob.d_min, min(mob.d_max, an.gain_boundary_distance(geom, level))) for level in x])
         caps = (theta, abs(theta - mob.delta_phi))
         found = an._breakpoints(mean, mob.d_min, his, (theta,), x, caps, an._corners(mob))
@@ -801,6 +807,31 @@ class TestMeanAngleRoute:
                 assert np.any((sign[:, 0] != sign[:, 1]) | (sign[:, 1] != sign[:, 2])), (level, root)
                 moving += 1
         assert moving
+
+    def test_every_corner_crossing_is_found(self):
+        # the instantaneous rows' call at weak-user thresholds, where a level crosses a corner twice, under 2.5 cm
+        # apart, around ell tan t; a fine scan of the same sign around each zero ell tan t finds every crossing,
+        # and each must lie within one scan step of a returned kink
+        model = paper_model(25.0)
+        geom, mob = model.geom, model.mobility
+        theta = geom.half_fov
+        x = np.geomspace(1e-20, 1e-17, 7)
+        found = an._breakpoints(model, mob.d_min, mob.d_max, (theta,), x, (theta,), an._corners(mob))
+        crossings = 0
+        for t in an._corners(mob):
+            zero = geom.ell * math.tan(t)
+            if not mob.d_min < zero < mob.d_max:
+                continue
+            r = np.linspace(zero - 0.05, zero + 0.05, 100_001)
+            step = r[1] - r[0]
+            for level, points in zip(x.tolist(), found):
+                gap = ((r * math.cos(t) - geom.ell * math.sin(t)) ** 2 / (geom.ell**2 + r * r)
+                       - level * an.inverse_squared_gain(geom, r))
+                sign = np.signbit(gap)
+                for i in np.flatnonzero(sign[:-1] != sign[1:]).tolist():
+                    assert np.min(np.abs(np.array(points) - r[i])) <= step, (t, level, r[i])
+                    crossings += 1
+        assert crossings == 14
 
     @pytest.mark.parametrize("dphi", (0.0, 25.0))
     def test_within_reported_error_of_adaptive_rule_at_pinned_levels(self, dphi):

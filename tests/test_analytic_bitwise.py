@@ -353,12 +353,12 @@ PINNED = {
     'group_success|dphi=25|wide|mean|strong|x=2e-11': ('0x1.82b11a9a7a600p-2', '0x1.440c838a02192p-29'),
     'group_success|dphi=25|wide|mean|strong|x=4.5e-11': ('0x1.3970f4df5e979p-3', '0x1.2dea8c386ed68p-31'),
     'group_success|dphi=25|wide|mean|strong|x=1e-10': ('0x0.0p+0', '0x0.0p+0'),
-    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2c6f86dfddp-2', '0x1.431e763dfb782p-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b53124af58p-10', '0x1.3dba83921c000p-20'),
-    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef35292ee15p-23', '0x1.3dcdbbbf400b3p-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405f73e505cbp-1', '0x1.25efda684960ap-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d4b7420acp-1', '0x1.087ff21b841bcp-20'),
-    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef42e626dafp-1', '0x1.043c362620311p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=5e-15': ('0x1.88d2c6f86dfddp-2', '0x1.431e763dfb495p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=4e-13': ('0x1.428b53124af57p-10', '0x1.3dba83921c1f3p-20'),
+    'mean_angle|dphi=25|r=1,k=10|x=2e-11': ('0x1.00ef35292ee15p-23', '0x1.3dcdbbbf400b1p-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=5e-15': ('0x1.d405f73e505cbp-1', '0x1.25efda684c0bcp-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=4e-13': ('0x1.d0e1d4b7420aap-1', '0x1.087ff21b84d9bp-20'),
+    'mean_angle|dphi=25|r=10,k=10|x=2e-11': ('0x1.46ef42e626dafp-1', '0x1.043c362621bf3p-20'),
     'group_probabilities|dphi=25|paper|instant': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|paper|mean': ('0x1.2514b2d624bb8p-3',),
     'group_probabilities|dphi=25|wide|instant': ('0x1.dbd2f1fed3071p-1',),
@@ -403,8 +403,19 @@ def test_values_match_pin_bit_for_bit(family):
 
 
 if __name__ == "__main__":
-    # prints the PINNED dict for the current engine; paste it over PINNED after a deliberate change
+    # prints the PINNED dict for the current engine; paste it over PINNED after a deliberate change.  Each key
+    # whose pin moves gets one line on stderr: |delta value| / old error and new error / old error (the bare
+    # |delta value| for a key without an error term)
+    import sys
+
     print("PINNED = {")
     for key, value in recorded().items():
         print(f"    {key!r}: {value!r},")
+        if key in PINNED and value != PINNED[key]:
+            new, old = ([float.fromhex(v) for v in pin] for pin in (value, PINNED[key]))
+            delta = abs(new[0] - old[0])
+            if len(old) > 1:
+                print(f"moved {key}: |dvalue|/err {delta / old[1]:.3g} err/err {new[1] / old[1]!r}", file=sys.stderr)
+            else:
+                print(f"moved {key}: |dvalue| {delta:.3g}", file=sys.stderr)
     print("}")

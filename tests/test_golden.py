@@ -23,10 +23,10 @@ GOLDEN = {
     ("simulate", "fig2"): "139c92006a8509bea1a383096ff0e1b78d8ee862ff81da01243d379b1be8bcf2",
     ("simulate", "fig3"): "565c057d099d73322fece48bedefcc4f60319244710c8508a58a77b7892c521c",
     ("simulate", "fig4"): "6a66d5c160af9b501c89adf2c83c0b1a7b678a819799767e66a3031c7cbba4fb",
-    ("analytic", "fig2"): "c9669a153caf4bcad4d290333055043e8690c1a7aec9ca6a1b7719c75ed196af",
-    ("analytic", "fig3"): "827fb0b5ab833b160f3210ecf67993339f46ab46b7aed892b0e9699f0f38d643",
+    ("analytic", "fig2"): "c799ffcbc8dd8405d2b9fbc77273f1b4f0b8216aaab5b0d0c16a14398e5ee046",
+    ("analytic", "fig3"): "1d5e5dcd38350227569cb597ce72596944f182d95e1bed1017cc5a1f5b6280eb",
 }
-VALIDATE_QUICK = "8611f1767f60464dd2c46d087ea7fa4b02e5f9f8c2b542a57bb144207e8e39cd"
+VALIDATE_QUICK = "eee58d5c657d0a42cd6b01f6402d64dfdd5bf691390e446d0235187e614ed012"
 ARGS = {
     "simulate": ["--trials", "300", "--seed", "9"],
     "analytic": ["--set", "sweep.gamma_db=150,185,215"],
